@@ -55,11 +55,20 @@ impl<T> WindowBuffer<T> {
     /// Observe one post. Inserts in key order and evicts the smallest
     /// key when past capacity, so the retained set is always the top
     /// `cap` by `(created, id)` — regardless of arrival order. Returns
-    /// the evicted entry, if any.
+    /// the evicted entry, if any. A key already retained is a redelivery
+    /// (a replayed stream re-sends it): it changes neither the window nor
+    /// [`total_seen`](Self::total_seen).
     pub fn observe(&mut self, created: Timestamp, id: u32, payload: T) -> Option<WindowEntry<T>> {
-        self.total_seen += 1;
         let key = (created.0, id);
         let pos = self.entries.partition_point(|e| (e.created.0, e.id) < key);
+        if self
+            .entries
+            .get(pos)
+            .is_some_and(|e| (e.created.0, e.id) == key)
+        {
+            return None;
+        }
+        self.total_seen += 1;
         self.entries.insert(
             pos,
             WindowEntry {
@@ -372,6 +381,22 @@ mod tests {
         b.observe(Timestamp(10), 5, ());
         let kept: Vec<u32> = b.entries().iter().map(|e| e.id).collect();
         assert_eq!(kept, vec![5, 7], "same timestamp orders by id");
+    }
+
+    #[test]
+    fn buffer_ignores_redelivered_retained_key() {
+        let mut b = WindowBuffer::new(3);
+        for (t, id) in [(10, 1), (20, 2), (30, 3)] {
+            b.observe(Timestamp(t), id, id);
+        }
+        let before = b.clone();
+        assert_eq!(b.observe(Timestamp(20), 2, 99), None);
+        assert_eq!(b.observe(Timestamp(30), 3, 99), None);
+        assert_eq!(
+            b, before,
+            "a redelivered key leaves entries and total_seen alone"
+        );
+        assert_eq!(b.total_seen(), 3);
     }
 
     #[test]

@@ -50,13 +50,6 @@ impl ServeModel {
     /// Valid knob spellings, in [`ServeModel`] declaration order.
     pub const CHOICES: &'static [&'static str] = &["gbdt", "plm-f32", "plm-int8"];
 
-    /// Resolve from `RSD_SERVE_MODEL`. Unset defaults to `gbdt`; a set
-    /// but unknown value aborts naming the knob and the valid spellings.
-    pub fn from_env() -> ServeModel {
-        Self::from_name(rsd_obs::knob::choice_env(Self::KNOB, Self::CHOICES, "gbdt"))
-            .expect("choice_env only returns listed spellings")
-    }
-
     /// Parse one of the [`Self::CHOICES`] spellings.
     pub fn from_name(name: &str) -> Result<ServeModel> {
         match name {

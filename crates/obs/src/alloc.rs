@@ -128,7 +128,7 @@ pub fn allocated_bytes() -> u64 {
 }
 
 /// Total bytes ever freed.
-pub fn freed_bytes() -> u64 {
+fn freed_bytes() -> u64 {
     FREED.load(Ordering::Relaxed)
 }
 
@@ -144,7 +144,7 @@ pub fn peak_live_bytes() -> u64 {
 }
 
 /// Number of allocations observed.
-pub fn alloc_count() -> u64 {
+fn alloc_count() -> u64 {
     COUNT.load(Ordering::Relaxed)
 }
 

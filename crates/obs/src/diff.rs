@@ -81,7 +81,7 @@ impl Default for Tolerances {
 
 impl Tolerances {
     /// The tolerance ratio for a quantile leaf segment (`"p50_ms"` …).
-    pub fn quantile_ratio(&self, segment: &str) -> f64 {
+    fn quantile_ratio(&self, segment: &str) -> f64 {
         match quantile_index(segment) {
             Some(i) => self.quantile_ratios[i],
             None => self.time_ratio,
@@ -645,8 +645,8 @@ mod tests {
             classify("series.latency.models.train.batch.p999_ms"),
             Class::Quantile
         );
-        // Bare registry quantiles keep their historical Time class.
-        assert_eq!(classify("metrics.histograms.dist.p99"), Class::Time);
+        // Bare quantile names (no `_ms` unit) keep the Time class.
+        assert_eq!(classify("bench.dist.p99"), Class::Time);
 
         // p50 drift beyond 15% trips…
         let mut r = DiffResult::default();

@@ -145,7 +145,7 @@ impl Reservoir {
 
     /// Drain the reservoir, returning the retained exemplars slowest
     /// first and leaving it empty for the next window.
-    pub fn drain_desc(&mut self) -> Vec<Exemplar> {
+    fn drain_desc(&mut self) -> Vec<Exemplar> {
         let mut out = std::mem::take(&mut self.items);
         out.sort_by_key(|e| std::cmp::Reverse(e.rank()));
         out

@@ -144,7 +144,7 @@ impl HdrHist {
     /// Summary as a JSON object with millisecond quantiles
     /// (`count`, `sum_ms`, `min_ms`, `max_ms`, `mean_ms`, `p50_ms`,
     /// `p90_ms`, `p99_ms`, `p999_ms`).
-    pub fn summary_ms(&self) -> Value {
+    fn summary_ms(&self) -> Value {
         let ms = |ns: u64| Value::Float(ns as f64 / 1e6);
         let mut m = Map::new();
         m.insert("count", Value::Int(self.count as i128));
@@ -188,10 +188,11 @@ impl HdrHist {
 /// per-stripe mutexes effectively uncontended at the 64-thread pool cap.
 const N_STRIPES: usize = 16;
 
-type Stripe = Mutex<BTreeMap<&'static str, HdrHist>>;
+/// One thread-ordinal stripe of a histogram registry keyed by `K`.
+type Stripe<K> = Mutex<BTreeMap<K, HdrHist>>;
 
-fn stripes() -> &'static [Stripe; N_STRIPES] {
-    static STRIPES: OnceLock<[Stripe; N_STRIPES]> = OnceLock::new();
+fn stripes() -> &'static [Stripe<&'static str>; N_STRIPES] {
+    static STRIPES: OnceLock<[Stripe<&'static str>; N_STRIPES]> = OnceLock::new();
     STRIPES.get_or_init(|| std::array::from_fn(|_| Mutex::new(BTreeMap::new())))
 }
 
@@ -218,10 +219,8 @@ impl TagKey {
     }
 }
 
-type TagStripe = Mutex<BTreeMap<TagKey, HdrHist>>;
-
-fn tag_stripes() -> &'static [TagStripe; N_STRIPES] {
-    static STRIPES: OnceLock<[TagStripe; N_STRIPES]> = OnceLock::new();
+fn tag_stripes() -> &'static [Stripe<TagKey>; N_STRIPES] {
+    static STRIPES: OnceLock<[Stripe<TagKey>; N_STRIPES]> = OnceLock::new();
     STRIPES.get_or_init(|| std::array::from_fn(|_| Mutex::new(BTreeMap::new())))
 }
 
@@ -235,40 +234,29 @@ pub fn generation() -> u64 {
     GENERATION.load(std::sync::atomic::Ordering::Acquire)
 }
 
-/// Record a nanosecond latency observation for `label` into the calling
-/// thread's stripe. Cheap: one uncontended mutex and a map upsert.
-pub fn observe_ns(label: &'static str, ns: u64) {
-    let stripe = &stripes()[(crate::thread_ord() as usize) % N_STRIPES];
-    stripe.lock().entry(label).or_default().record(ns);
-    GENERATION.fetch_add(1, std::sync::atomic::Ordering::Release);
-}
-
-/// Record a nanosecond observation into a tagged family (per-backend ×
-/// per-level shard of `key.label`). Same striping and cost profile as
-/// [`observe_ns`].
-pub fn observe_tagged(key: TagKey, ns: u64) {
-    let stripe = &tag_stripes()[(crate::thread_ord() as usize) % N_STRIPES];
+/// Record `ns` under `key` into the calling thread's stripe. Cheap: one
+/// uncontended mutex and a map upsert.
+fn record_striped<K: Ord>(stripes: &[Stripe<K>], key: K, ns: u64) {
+    let stripe = &stripes[(crate::thread_ord() as usize) % N_STRIPES];
     stripe.lock().entry(key).or_default().record(ns);
     GENERATION.fetch_add(1, std::sync::atomic::Ordering::Release);
 }
 
-/// Merge every stripe into one histogram per label.
-pub fn merged() -> BTreeMap<&'static str, HdrHist> {
-    let mut out: BTreeMap<&'static str, HdrHist> = BTreeMap::new();
-    for stripe in stripes().iter() {
-        for (label, hist) in stripe.lock().iter() {
-            out.entry(label)
-                .and_modify(|h| h.merge(hist))
-                .or_insert_with(|| hist.clone());
-        }
-    }
-    out
+/// Record a nanosecond latency observation for `label`.
+pub fn observe_ns(label: &'static str, ns: u64) {
+    record_striped(stripes(), label, ns);
 }
 
-/// Fold one shard's tagged families into an accumulator. This is the
-/// commutative merge step the tagged-registry proptests pin: folding
-/// worker shards in any order yields bit-identical families.
-pub fn merge_tagged_into(out: &mut BTreeMap<TagKey, HdrHist>, shard: &BTreeMap<TagKey, HdrHist>) {
+/// Record a nanosecond observation into a tagged family (per-backend ×
+/// per-level shard of `key.label`).
+pub fn observe_tagged(key: TagKey, ns: u64) {
+    record_striped(tag_stripes(), key, ns);
+}
+
+/// Fold one shard's histograms into an accumulator. This is the
+/// commutative merge step the shard-merge proptests pin: folding worker
+/// shards in any order yields bit-identical histograms.
+fn merge_into<K: Ord + Copy>(out: &mut BTreeMap<K, HdrHist>, shard: &BTreeMap<K, HdrHist>) {
     for (key, hist) in shard {
         out.entry(*key)
             .and_modify(|h| h.merge(hist))
@@ -276,13 +264,22 @@ pub fn merge_tagged_into(out: &mut BTreeMap<TagKey, HdrHist>, shard: &BTreeMap<T
     }
 }
 
-/// Merge every stripe into one histogram per tagged family.
-pub fn merged_tagged() -> BTreeMap<TagKey, HdrHist> {
+fn merge_stripes<K: Ord + Copy>(stripes: &[Stripe<K>]) -> BTreeMap<K, HdrHist> {
     let mut out = BTreeMap::new();
-    for stripe in tag_stripes().iter() {
-        merge_tagged_into(&mut out, &stripe.lock());
+    for stripe in stripes {
+        merge_into(&mut out, &stripe.lock());
     }
     out
+}
+
+/// Merge every stripe into one histogram per label.
+pub fn merged() -> BTreeMap<&'static str, HdrHist> {
+    merge_stripes(stripes())
+}
+
+/// Merge every stripe into one histogram per tagged family.
+pub fn merged_tagged() -> BTreeMap<TagKey, HdrHist> {
+    merge_stripes(tag_stripes())
 }
 
 /// Cumulative `(total, over_threshold)` observation counts for an
@@ -562,7 +559,7 @@ mod tests {
                 }
                 let mut folded = BTreeMap::new();
                 for i in 0..n_shards {
-                    merge_tagged_into(&mut folded, &shards[(i + rotation) % n_shards]);
+                    merge_into(&mut folded, &shards[(i + rotation) % n_shards]);
                 }
                 prop_assert_eq!(folded.len(), single.len());
                 for (key, want) in &single {

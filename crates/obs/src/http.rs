@@ -44,26 +44,22 @@ pub fn publish_tick(json: String) {
     *last_tick_slot().lock() = Some(json);
 }
 
-/// The most recently published tick, if any.
-pub fn latest_tick() -> Option<String> {
-    last_tick_slot().lock().clone()
-}
-
 /// Publish the set of currently-stalled stage labels for `/health`.
 pub fn set_stalled(stages: Vec<String>) {
     *stalled_slot().lock() = stages;
 }
 
-/// Currently-stalled stage labels as last published.
-pub fn stalled() -> Vec<String> {
-    stalled_slot().lock().clone()
+/// The run's health verdict, shared by series ticks and `/health`:
+/// degraded once the SLO burn latch is set or while any pipeline stage
+/// is stalled.
+pub(crate) fn degraded(stalled: &[String]) -> bool {
+    crate::slo::degraded() || !stalled.is_empty()
 }
 
-/// `/health` verdict and body: degraded when the SLO burn latch is set
-/// or any pipeline stage is currently stalled.
-pub fn health_value() -> (bool, Value) {
-    let stalled = stalled();
-    let degraded = crate::slo::degraded() || !stalled.is_empty();
+/// `/health` verdict and body (see [`degraded`]).
+fn health_value() -> (bool, Value) {
+    let stalled = stalled_slot().lock().clone();
+    let degraded = degraded(&stalled);
     let ring = crate::ring::global();
     let mut m = Map::new();
     m.insert(
@@ -100,7 +96,7 @@ fn hist_lines(out: &mut String, labels: &str, hist: &crate::hist::HdrHist) {
 
 /// `/metrics` body: counters, gauges, ring state, and every merged
 /// histogram (untagged and tagged) in a Prometheus-flavoured text form.
-pub fn metrics_text() -> String {
+fn metrics_text() -> String {
     let mut out = String::new();
     let snap = crate::snapshot();
     for (section, metric) in [("counters", "rsd_counter"), ("gauges", "rsd_gauge")] {
@@ -141,7 +137,7 @@ pub fn route(path: &str) -> (u16, &'static str, String) {
             let status = if degraded { 503 } else { 200 };
             (status, "application/json", body.to_json())
         }
-        "/snapshot" => match latest_tick() {
+        "/snapshot" => match last_tick_slot().lock().clone() {
             Some(tick) => (200, "application/json", tick),
             None => (
                 404,

@@ -5,15 +5,21 @@
 //! ignores the operator's `RSD_OBS_TICK_MS=5O` is worse than no run.
 
 /// The values that explicitly disable an optional knob.
-fn is_disabled(raw: &str) -> bool {
+pub(crate) fn is_disabled(raw: &str) -> bool {
     raw.is_empty() || raw == "0" || raw == "off"
+}
+
+/// Whether on/off knob `var` is on: set to anything but a disable
+/// spelling.
+pub(crate) fn flag_env(var: &str) -> bool {
+    std::env::var(var).is_ok_and(|v| !is_disabled(&v))
 }
 
 /// Parse `raw` (from env var `var`) as a positive integer. `None` and
 /// the explicit disable spellings (`""`, `"0"`, `"off"`) yield `None`;
 /// anything else must parse as a positive integer or the process aborts
 /// naming the knob.
-pub fn optional_positive(var: &str, raw: Option<String>) -> Option<u64> {
+fn optional_positive(var: &str, raw: Option<String>) -> Option<u64> {
     let raw = raw?;
     if is_disabled(&raw) {
         return None;
@@ -35,36 +41,6 @@ pub fn optional_positive_env(var: &str) -> Option<u64> {
 /// Like [`optional_positive`], but disabled/unset resolves to `default`.
 pub fn positive_or_default(var: &str, raw: Option<String>, default: u64) -> u64 {
     optional_positive(var, raw).unwrap_or(default)
-}
-
-/// Parse `raw` (from env var `var`) as one of `choices`. Unset or empty
-/// resolves to `default`; anything else must match a choice exactly
-/// (after trimming) or the process aborts naming the knob *and* the
-/// valid spellings.
-pub fn choice(
-    var: &str,
-    raw: Option<String>,
-    choices: &[&'static str],
-    default: &'static str,
-) -> &'static str {
-    debug_assert!(choices.contains(&default));
-    let Some(raw) = raw else { return default };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return default;
-    }
-    match choices.iter().find(|&&c| c == trimmed) {
-        Some(&c) => c,
-        None => panic!(
-            "invalid {var} value {raw:?}; expected one of {}",
-            choices.join(" | ")
-        ),
-    }
-}
-
-/// [`choice`] reading the environment directly.
-pub fn choice_env(var: &str, choices: &[&'static str], default: &'static str) -> &'static str {
-    choice(var, std::env::var(var).ok(), choices, default)
 }
 
 /// Parse `raw` (from env var `var`) as a positive finite float. Unset or
@@ -113,13 +89,7 @@ pub fn port_env(var: &str) -> Option<u16> {
 /// Parse `raw` (from env var `var`) as an integer in `lo..=hi`. Unset
 /// or empty resolves to `default`; anything else must parse inside the
 /// bounds or the process aborts naming the knob *and* the valid range.
-pub fn bounded_usize(
-    var: &str,
-    raw: Option<String>,
-    lo: usize,
-    hi: usize,
-    default: usize,
-) -> usize {
+fn bounded_usize(var: &str, raw: Option<String>, lo: usize, hi: usize, default: usize) -> usize {
     debug_assert!((lo..=hi).contains(&default));
     let Some(raw) = raw else { return default };
     let trimmed = raw.trim();
@@ -156,40 +126,6 @@ mod tests {
         assert_eq!(positive_or_default("K", None, 7), 7);
         assert_eq!(positive_or_default("K", Some("off".into()), 7), 7);
         assert_eq!(positive_or_default("K", Some("3".into()), 7), 3);
-    }
-
-    #[test]
-    fn choice_accepts_listed_values_and_defaults_when_unset() {
-        const MODELS: &[&str] = &["gbdt", "plm-f32", "plm-int8"];
-        assert_eq!(choice("K", None, MODELS, "gbdt"), "gbdt");
-        assert_eq!(choice("K", Some("".into()), MODELS, "gbdt"), "gbdt");
-        assert_eq!(choice("K", Some("  ".into()), MODELS, "gbdt"), "gbdt");
-        assert_eq!(
-            choice("K", Some("plm-int8".into()), MODELS, "gbdt"),
-            "plm-int8"
-        );
-        assert_eq!(
-            choice("K", Some(" plm-f32 ".into()), MODELS, "gbdt"),
-            "plm-f32"
-        );
-    }
-
-    #[test]
-    fn choice_garbage_names_the_knob_and_the_valid_spellings() {
-        for bad in ["plm", "PLM-INT8", "int8", "xgboost"] {
-            let err = std::panic::catch_unwind(|| {
-                choice(
-                    "RSD_SERVE_MODEL",
-                    Some(bad.to_string()),
-                    &["gbdt", "plm-f32", "plm-int8"],
-                    "gbdt",
-                )
-            })
-            .expect_err("must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("RSD_SERVE_MODEL"), "names the knob: {msg}");
-            assert!(msg.contains("plm-int8"), "lists the choices: {msg}");
-        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! Five pieces, all opt-in at runtime:
 //!
-//! - a global thread-safe [`Registry`] (counters, gauges, log-bucket
-//!   histograms with p50/p90/p99, per-label span aggregates, and a
-//!   hierarchical span **tree** keyed by collapsed-stack paths);
+//! - a global thread-safe [`Registry`] (counters, gauges, stage totals,
+//!   and a hierarchical span **tree** keyed by collapsed-stack paths,
+//!   from which per-label span aggregates are folded on read);
 //! - RAII [`Span`] timers (`Span::enter("annotation.campaign.day")`)
 //!   that maintain a per-thread stack and fold wall-clock, self-time,
-//!   nesting depth, and allocation deltas into the registry, streaming
-//!   NDJSON records to the active sink;
+//!   and allocation deltas into the tree, streaming NDJSON records to
+//!   the active sink;
 //! - an opt-in counting allocator ([`alloc::CountingAlloc`]) feeding
 //!   bytes-allocated/peak-live gauges and per-span memory attribution;
 //! - [`RunReport`], the final JSON artifact bench binaries write to
@@ -17,6 +17,9 @@
 //!   `RSD_OBS_PROFILE=1`);
 //! - a report differ ([`diff`]) behind the `obs_diff` bench bin that
 //!   gates CI on time/memory/quality regressions between runs.
+//!
+//! Latency distributions have one home: the sharded HDR histograms in
+//! [`hist`], fed while the continuous layer is armed.
 //!
 //! On top of these, the serving tier gets request-scoped observability:
 //! [`reqctx::ReqCtx`] trace contexts with per-stage latency breakdowns
@@ -51,7 +54,7 @@ pub mod timeseries;
 pub mod trace_export;
 mod tree;
 
-pub use registry::{Histogram, Registry, SpanStat, StageStat, TreeStat};
+pub use registry::{Registry, SpanStat, TreeStat};
 pub use report::{run_meta, RunReport};
 pub use reqctx::{ReqCtx, Stage};
 pub use span::{current_context, with_context, Span, SpanContext};
@@ -122,10 +125,9 @@ impl Mode {
     /// `stderr` → [`Mode::Stderr`], anything else is a file path.
     pub fn from_env() -> Mode {
         match std::env::var("RSD_OBS") {
-            Err(_) => Mode::off_or_silent(),
-            Ok(v) if v.is_empty() || v == "off" || v == "0" => Mode::off_or_silent(),
             Ok(v) if v == "stderr" => Mode::Stderr,
-            Ok(path) => Mode::File(PathBuf::from(path)),
+            Ok(path) if !knob::is_disabled(&path) => Mode::File(PathBuf::from(path)),
+            _ => Mode::off_or_silent(),
         }
     }
 
@@ -143,11 +145,7 @@ impl Mode {
 /// loops check this so their overhead exists only in profiling runs.
 pub fn profile_enabled() -> bool {
     static PROFILE: OnceLock<bool> = OnceLock::new();
-    *PROFILE.get_or_init(|| {
-        std::env::var("RSD_OBS_PROFILE")
-            .map(|v| !(v.is_empty() || v == "0" || v == "off"))
-            .unwrap_or(false)
-    })
+    *PROFILE.get_or_init(|| knob::flag_env("RSD_OBS_PROFILE"))
 }
 
 fn global() -> &'static Global {
@@ -354,15 +352,6 @@ pub fn gauge_tagged(label: &'static str, value: f64, fields: &[(&'static str, Va
     emit_record("gauge", label, &all);
 }
 
-/// Record a histogram observation (seconds, items, whatever — one unit
-/// per label).
-pub fn observe(label: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    registry().observe(label, value);
-}
-
 /// Emit a free-form `event` NDJSON record.
 pub fn event(label: &'static str, fields: &[(&'static str, Value)]) {
     if !enabled() {
@@ -398,7 +387,6 @@ pub(crate) fn finish_span(rec: SpanRecord) {
         ring::publish(ring::EventKind::SpanEnd, rec.label, dur_ns, rec.self_ns);
         hist::observe_ns(rec.label, dur_ns);
     }
-    g.registry.record_span(rec.label, rec.elapsed, rec.depth);
     g.registry.record_tree(
         &rec.path,
         rec.elapsed.as_nanos() as u64,
@@ -486,49 +474,6 @@ mod tests {
     use std::sync::Arc as StdArc;
 
     #[test]
-    fn histogram_quantiles_match_uniform_distribution() {
-        let mut h = Histogram::default();
-        for i in 1..=10_000 {
-            h.observe(f64::from(i));
-        }
-        assert_eq!(h.count(), 10_000);
-        for (q, expected) in [(0.5, 5_000.0), (0.9, 9_000.0), (0.99, 9_900.0)] {
-            let got = h.quantile(q).unwrap();
-            let rel = (got - expected).abs() / expected;
-            assert!(rel < 0.15, "q{q}: got {got}, expected ~{expected}");
-        }
-    }
-
-    #[test]
-    fn histogram_quantiles_exact_for_constant_distribution() {
-        let mut h = Histogram::default();
-        for _ in 0..100 {
-            h.observe(0.125);
-        }
-        // min == max == value, so clamping pins every quantile exactly.
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(0.125));
-        }
-        assert!((h.sum() - 12.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_spans_many_orders_of_magnitude() {
-        let mut h = Histogram::default();
-        // 90% tiny values, 10% huge: p50 near 1e-6, p99 near 1e3.
-        for _ in 0..900 {
-            h.observe(1e-6);
-        }
-        for _ in 0..100 {
-            h.observe(1e3);
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((1e-7..1e-5).contains(&p50), "p50 {p50}");
-        assert!((1e2..=1e3).contains(&p99), "p99 {p99}");
-    }
-
-    #[test]
     fn counters_and_gauges_are_exact_under_contention() {
         let reg = StdArc::new(Registry::new());
         let threads: u32 = 8;
@@ -540,7 +485,6 @@ mod tests {
                     for i in 0..per_thread {
                         reg.counter_add("contended", 1);
                         reg.gauge_set("last", f64::from(t * per_thread + i));
-                        reg.observe("dist", 1.0);
                     }
                 })
             })
@@ -550,10 +494,6 @@ mod tests {
         }
         assert_eq!(reg.counter("contended"), u64::from(threads * per_thread));
         assert!(reg.gauge("last").is_some());
-        assert_eq!(
-            reg.snapshot()["histograms"]["dist"]["count"],
-            u64::from(threads * per_thread)
-        );
     }
 
     #[test]
@@ -689,6 +629,69 @@ mod tests {
             // submit span contributed to that path.
             assert_eq!(registry().tree_stat("ctx.submit").unwrap().count, 1);
         });
+    }
+
+    #[test]
+    fn span_aggregates_are_folds_over_tree_paths() {
+        // (label, span count, max depth): a label nested under itself, a
+        // worker span under `with_context`, and one label on two paths.
+        let expected = [
+            ("fold.a", 2, 1),
+            ("fold.b", 1, 0),
+            ("fold.leaf", 2, 2),
+            ("fold.worker", 1, 1),
+        ];
+        let events = capture(|| {
+            {
+                let _a = Span::enter("fold.a");
+                let _again = Span::enter("fold.a");
+                let _leaf = Span::enter("fold.leaf");
+            }
+            {
+                let _b = Span::enter("fold.b");
+                let ctx = current_context();
+                std::thread::scope(|s| {
+                    s.spawn(|| with_context(&ctx, || drop(Span::enter("fold.worker"))));
+                });
+                let _leaf = Span::enter("fold.leaf");
+            }
+            let tree = registry().tree();
+            let spans = snapshot()["spans"].clone();
+            for (label, count, depth) in expected {
+                let sums = tree
+                    .iter()
+                    .filter(|(p, _)| p.rsplit(';').next() == Some(label))
+                    .fold((0, 0, 0, 0), |acc, (p, t)| {
+                        let d = p.matches(';').count() as u32;
+                        (
+                            acc.0 + t.count,
+                            acc.1 + t.total_ns,
+                            acc.2.max(t.max_ns),
+                            acc.3.max(d),
+                        )
+                    });
+                let stat = registry().span_stat(label).expect(label);
+                assert_eq!(
+                    (stat.count, stat.total_ns, stat.max_ns, stat.max_depth),
+                    sums
+                );
+                assert_eq!((stat.count, stat.max_depth), (count, depth), "{label}");
+                assert_eq!(spans[label]["count"], stat.count);
+                assert_eq!(spans[label]["total_ms"], stat.total_ns as f64 / 1e6);
+                assert_eq!(spans[label]["max_ms"], stat.max_ns as f64 / 1e6);
+                assert_eq!(spans[label]["max_depth"], stat.max_depth);
+            }
+            assert!(registry().span_stat("fold.absent").is_none());
+        });
+        // The derived depth is the one each span recorded on drop.
+        for (label, _, depth) in expected {
+            let recorded = events
+                .iter()
+                .filter(|e| e["kind"] == "span" && e["label"] == label)
+                .map(|e| e["depth"].as_i64().unwrap())
+                .max();
+            assert_eq!(recorded, Some(i64::from(depth)), "{label}");
+        }
     }
 
     #[test]

@@ -1,119 +1,13 @@
-//! Thread-safe metrics registry: counters, gauges, fixed-bucket
-//! histograms with quantile readout, and per-label span aggregates.
+//! Thread-safe metrics registry: counters, gauges, stage totals, and the
+//! span call tree. Per-label span aggregates are folds over the tree;
+//! latency histograms live in [`crate::hist`].
 
 use parking_lot::Mutex;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
-/// Number of histogram buckets per decade. The bucket ratio is
-/// `10^(1/20) ≈ 1.122`, so quantile estimates carry at most ~6% relative
-/// error — plenty for wall-clock and throughput distributions.
-const BUCKETS_PER_DECADE: usize = 20;
-/// Lowest representable histogram value (1 ns when observing seconds).
-const HIST_MIN: f64 = 1e-9;
-/// Decades covered above [`HIST_MIN`].
-const DECADES: usize = 18;
-/// Total bucket count (plus implicit under/overflow clamping).
-const N_BUCKETS: usize = BUCKETS_PER_DECADE * DECADES;
-
-/// Log-spaced fixed-bucket histogram over `[1e-9, 1e9)`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            counts: vec![0; N_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl Histogram {
-    /// Bucket index for a value, clamped into range.
-    fn bucket(value: f64) -> usize {
-        if value <= HIST_MIN {
-            return 0;
-        }
-        let idx = (BUCKETS_PER_DECADE as f64 * (value / HIST_MIN).log10()).floor();
-        (idx as usize).min(N_BUCKETS - 1)
-    }
-
-    /// Geometric midpoint of a bucket, the quantile estimate for values
-    /// that land in it.
-    fn bucket_mid(idx: usize) -> f64 {
-        HIST_MIN * 10f64.powf((idx as f64 + 0.5) / BUCKETS_PER_DECADE as f64)
-    }
-
-    /// Record one observation. Non-finite values are dropped.
-    pub fn observe(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.counts[Self::bucket(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Estimate the `q`-quantile (`0.0..=1.0`) by cumulative walk,
-    /// clamped to the observed `[min, max]`. Returns `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::bucket_mid(idx).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Summary as a JSON object (count, sum, min/max, p50/p90/p99).
-    pub fn summary(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("count", Value::Int(self.count as i128));
-        m.insert("sum", Value::Float(self.sum));
-        if self.count > 0 {
-            m.insert("min", Value::Float(self.min));
-            m.insert("max", Value::Float(self.max));
-            m.insert("mean", Value::Float(self.sum / self.count as f64));
-            for (name, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
-                if let Some(v) = self.quantile(q) {
-                    m.insert(name, Value::Float(v));
-                }
-            }
-        }
-        Value::Object(m)
-    }
-}
-
-/// Aggregate over all completed spans with one label.
+/// Aggregate over all completed spans with one label, folded from every
+/// call-tree path whose last label it is.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpanStat {
     /// Completed span count.
@@ -127,6 +21,16 @@ pub struct SpanStat {
 }
 
 impl SpanStat {
+    /// Fold one tree path into this label's aggregate. A path's depth is
+    /// its number of `;` separators: the span's stack index, phantom
+    /// context frames included.
+    fn add(&mut self, path: &str, t: &TreeStat) {
+        self.count += t.count;
+        self.total_ns += t.total_ns;
+        self.max_ns = self.max_ns.max(t.max_ns);
+        self.max_depth = self.max_depth.max(path.matches(';').count() as u32);
+    }
+
     fn summary(&self) -> Value {
         let mut m = Map::new();
         m.insert("count", Value::Int(self.count as i128));
@@ -144,10 +48,9 @@ impl SpanStat {
 }
 
 /// Aggregate over all completed spans sharing one call-tree *path*
-/// (the `;`-joined label stack, collapsed-stack convention). Unlike the
-/// flat [`SpanStat`], a label appearing under two different parents gets
-/// two tree entries, which is what makes self-vs-child attribution and
-/// flamegraph export possible.
+/// (the `;`-joined label stack, collapsed-stack convention). A label
+/// appearing under two different parents gets two tree entries, which is
+/// what makes self-vs-child attribution and flamegraph export possible.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TreeStat {
     /// Completed span count at this path.
@@ -183,22 +86,23 @@ impl TreeStat {
     }
 }
 
-/// Cumulative totals for one pipeline stage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageStat {
-    /// Records processed.
-    pub items: u64,
-    /// Bytes processed.
-    pub bytes: u64,
+/// Per-label span aggregates: each tree path folds into the entry for
+/// its last label.
+fn span_stats(tree: &BTreeMap<String, TreeStat>) -> BTreeMap<&str, SpanStat> {
+    let mut out: BTreeMap<&str, SpanStat> = BTreeMap::new();
+    for (path, t) in tree {
+        let label = path.rsplit(';').next().unwrap_or(path);
+        out.entry(label).or_default().add(path, t);
+    }
+    out
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    spans: BTreeMap<&'static str, SpanStat>,
-    stages: BTreeMap<&'static str, StageStat>,
+    /// Cumulative `(items, bytes)` per pipeline stage.
+    stages: BTreeMap<&'static str, (u64, u64)>,
     tree: BTreeMap<String, TreeStat>,
 }
 
@@ -235,48 +139,18 @@ impl Registry {
         self.inner.lock().gauges.get(label).copied()
     }
 
-    /// Record an observation into a histogram.
-    pub fn observe(&self, label: &'static str, value: f64) {
-        self.inner
-            .lock()
-            .histograms
-            .entry(label)
-            .or_default()
-            .observe(value);
-    }
-
-    /// Estimate a histogram quantile.
-    pub fn histogram_quantile(&self, label: &str, q: f64) -> Option<f64> {
-        self.inner.lock().histograms.get(label)?.quantile(q)
-    }
-
-    /// Fold one completed span into its label's aggregate.
-    pub fn record_span(&self, label: &'static str, elapsed: Duration, depth: u32) {
-        let ns = elapsed.as_nanos();
-        let mut inner = self.inner.lock();
-        let stat = inner.spans.entry(label).or_default();
-        stat.count += 1;
-        stat.total_ns += ns;
-        stat.max_ns = stat.max_ns.max(ns);
-        stat.max_depth = stat.max_depth.max(depth);
-    }
-
-    /// Read a span aggregate.
+    /// Read a span aggregate: the fold of every tree path ending in
+    /// `label` (`None` until one such span completed).
     pub fn span_stat(&self, label: &str) -> Option<SpanStat> {
-        self.inner.lock().spans.get(label).copied()
+        span_stats(&self.inner.lock().tree).remove(label)
     }
 
     /// Add to a stage's cumulative item/byte totals.
     pub fn stage_add(&self, label: &'static str, items: u64, bytes: u64) {
         let mut inner = self.inner.lock();
         let stat = inner.stages.entry(label).or_default();
-        stat.items += items;
-        stat.bytes += bytes;
-    }
-
-    /// Read a stage's cumulative totals.
-    pub fn stage_stat(&self, label: &str) -> Option<StageStat> {
-        self.inner.lock().stages.get(label).copied()
+        stat.0 += items;
+        stat.1 += bytes;
     }
 
     /// Fold one completed span into the call-tree aggregate for its
@@ -319,7 +193,7 @@ impl Registry {
     }
 
     /// Dump everything as one JSON object with `counters` / `gauges` /
-    /// `histograms` / `spans` sections.
+    /// `spans` / `stages` / `tree` sections.
     pub fn snapshot(&self) -> Value {
         let inner = self.inner.lock();
         let mut counters = Map::new();
@@ -330,19 +204,15 @@ impl Registry {
         for (k, v) in &inner.gauges {
             gauges.insert(*k, Value::Float(*v));
         }
-        let mut histograms = Map::new();
-        for (k, h) in &inner.histograms {
-            histograms.insert(*k, h.summary());
-        }
         let mut spans = Map::new();
-        for (k, s) in &inner.spans {
-            spans.insert(*k, s.summary());
+        for (k, s) in span_stats(&inner.tree) {
+            spans.insert(k, s.summary());
         }
         let mut stages = Map::new();
-        for (k, s) in &inner.stages {
+        for (k, &(items, bytes)) in &inner.stages {
             let mut m = Map::new();
-            m.insert("items", Value::Int(i128::from(s.items)));
-            m.insert("bytes", Value::Int(i128::from(s.bytes)));
+            m.insert("items", Value::Int(i128::from(items)));
+            m.insert("bytes", Value::Int(i128::from(bytes)));
             stages.insert(*k, Value::Object(m));
         }
         let mut tree = Map::new();
@@ -352,7 +222,6 @@ impl Registry {
         let mut out = Map::new();
         out.insert("counters", Value::Object(counters));
         out.insert("gauges", Value::Object(gauges));
-        out.insert("histograms", Value::Object(histograms));
         out.insert("spans", Value::Object(spans));
         if !stages.is_empty() {
             out.insert("stages", Value::Object(stages));

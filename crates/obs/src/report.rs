@@ -143,14 +143,14 @@ impl RunReport {
     }
 
     /// Default artifact location for this report.
-    pub fn default_path(&self) -> PathBuf {
+    fn default_path(&self) -> PathBuf {
         PathBuf::from("bench_runs")
             .join(&self.scale)
             .join(format!("{}.report.json", self.bin))
     }
 
-    /// Write the report to [`RunReport::default_path`] when telemetry is
-    /// enabled. Disabled runs are a no-op (`Ok(None)`) so the default
+    /// Write the report to `bench_runs/<scale>/<bin>.report.json` when
+    /// telemetry is enabled. Disabled runs are a no-op (`Ok(None)`) so the default
     /// `RSD_OBS=off` behaviour leaves the filesystem untouched.
     pub fn write(&self) -> std::io::Result<Option<PathBuf>> {
         if !crate::enabled() {
@@ -162,14 +162,14 @@ impl RunReport {
     }
 
     /// Default location for this run's collapsed-stack profile.
-    pub fn profile_path(&self) -> PathBuf {
+    fn profile_path(&self) -> PathBuf {
         PathBuf::from("bench_runs")
             .join(&self.scale)
             .join(format!("{}.folded", self.bin))
     }
 
     /// Write the global span tree as a folded profile at
-    /// [`RunReport::profile_path`] when `RSD_OBS_PROFILE` is on.
+    /// `bench_runs/<scale>/<bin>.folded` when `RSD_OBS_PROFILE` is on.
     /// Returns the path when a profile was written.
     pub fn write_profile(&self) -> std::io::Result<Option<PathBuf>> {
         if !crate::profile_enabled() || !crate::enabled() {

@@ -167,11 +167,6 @@ impl ReqCtx {
         self.last_mark = now;
     }
 
-    /// Nanoseconds attributed to one stage so far.
-    pub fn stage_ns(&self, stage: Stage) -> u64 {
-        self.stages[stage.index()]
-    }
-
     /// The full breakdown, indexed by [`Stage::index`].
     pub fn stages(&self) -> [u64; Stage::COUNT] {
         self.stages
@@ -256,13 +251,13 @@ mod tests {
         ctx.record(Stage::Queue, 100);
         ctx.record(Stage::Score, 250);
         ctx.close_residual(1_000);
-        assert_eq!(ctx.stage_ns(Stage::Drain), 650);
+        assert_eq!(ctx.stages()[Stage::Drain.index()], 650);
         assert_eq!(ctx.total_ns(), 1_000);
         // Over-counted instrumentation saturates instead of wrapping.
         let mut over = ReqCtx::mint("gbdt");
         over.record(Stage::Queue, 2_000);
         over.close_residual(1_000);
-        assert_eq!(over.stage_ns(Stage::Drain), 0);
+        assert_eq!(over.stages()[Stage::Drain.index()], 0);
     }
 
     proptest! {
@@ -292,11 +287,11 @@ mod tests {
                 let end_to_end = q + b + w + s + d;
                 ctx.close_residual(end_to_end);
                 // Exact at the context level.
-                prop_assert_eq!(ctx.stage_ns(Stage::Drain), d);
+                prop_assert_eq!(ctx.stages()[Stage::Drain.index()], d);
                 prop_assert_eq!(ctx.total_ns(), end_to_end);
                 total_hist.record(end_to_end);
                 for stage in Stage::ALL {
-                    stage_hists[stage.index()].record(ctx.stage_ns(stage));
+                    stage_hists[stage.index()].record(ctx.stages()[stage.index()]);
                 }
             }
             // Histogram sums are exact (u128 accumulation), so the

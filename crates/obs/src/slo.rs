@@ -55,8 +55,7 @@ impl SloConfig {
 /// naming the knob.
 pub fn config_from_env() -> Option<SloConfig> {
     let raw = std::env::var(KNOB_P99).ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() || trimmed == "0" || trimmed == "off" {
+    if crate::knob::is_disabled(raw.trim()) {
         return None;
     }
     let target_p99_ms = crate::knob::positive_float(KNOB_P99, Some(raw), 0.0);

@@ -3,12 +3,12 @@
 //! Each thread keeps a stack of open frames. `Span::enter("stage")`
 //! pushes a frame; dropping the guard pops it and records:
 //!
-//! * the flat per-label aggregate (count / total / max / depth) that
-//!   PR 1 reports carried, unchanged;
 //! * a **tree** entry keyed by the full label stack (`a;b;c`, the
 //!   collapsed-stack convention), with *total* time, *self* time (total
 //!   minus the time spent inside child spans), and the allocation delta
-//!   observed across the span (see [`crate::alloc`]);
+//!   observed across the span (see [`crate::alloc`]). The per-label
+//!   aggregate ([`crate::Registry::span_stat`]) is a fold over these
+//!   paths; a span's depth is its path's `;` count;
 //! * an NDJSON `span` record carrying `ms`, `self_ms`, `depth`,
 //!   `parent`, and `alloc_bytes` when a sink is active.
 //!

@@ -76,12 +76,6 @@ pub struct SeriesOptions {
     pub stall_ticks: u32,
 }
 
-fn truthy(var: &str) -> bool {
-    std::env::var(var)
-        .map(|v| !(v.is_empty() || v == "0" || v == "off"))
-        .unwrap_or(false)
-}
-
 /// Read `RSD_OBS_TICK_MS` / `RSD_OBS_TRACE` / `RSD_OBS_STALL_TICKS` and
 /// start the driver for one bench binary. Returns `None` when neither a
 /// tick nor trace export is requested — the continuous layer then stays
@@ -91,7 +85,7 @@ fn truthy(var: &str) -> bool {
 /// the `RSD_SCALE` precedent; `""`/`"0"`/`"off"` legitimately disable.
 pub fn start(bin: &str, scale: &str) -> Option<SeriesGuard> {
     let tick_ms = crate::knob::optional_positive_env("RSD_OBS_TICK_MS");
-    let trace = truthy("RSD_OBS_TRACE");
+    let trace = crate::knob::flag_env("RSD_OBS_TRACE");
     if tick_ms.is_none() && !trace {
         return None;
     }
@@ -112,7 +106,7 @@ pub fn start(bin: &str, scale: &str) -> Option<SeriesGuard> {
 /// Start the driver with explicit options. Forces the registry on (a
 /// tick/trace request must produce data even without `RSD_OBS`) and arms
 /// the ring.
-pub fn start_with(opts: SeriesOptions) -> SeriesGuard {
+fn start_with(opts: SeriesOptions) -> SeriesGuard {
     crate::ensure_registry();
     ring::set_armed(true);
     let stop = Arc::new(StopFlag::default());
@@ -361,15 +355,14 @@ impl Driver<'_> {
             m.insert("degraded", Value::Bool(crate::slo::degraded()));
             line.insert("slo", Value::Object(m));
         }
-        // Health verdict: a latched SLO burn or any currently-stalled
-        // stage degrades the run (mirrored by the /health endpoint).
+        // Health verdict, the same one the /health endpoint serves.
         let stalled_now: Vec<String> = self
             .stages
             .iter()
             .filter(|(_, s)| s.stalled)
             .map(|(label, _)| label.to_string())
             .collect();
-        let degraded = crate::slo::degraded() || !stalled_now.is_empty();
+        let degraded = crate::http::degraded(&stalled_now);
         let mut health = Map::new();
         health.insert(
             "status",

@@ -119,7 +119,7 @@ fn thread_meta(tid: u32) -> Value {
 
 /// Render the drained events plus the span tree into a complete trace
 /// JSON document (the string form of [`write_trace_to`]).
-pub fn render_trace(events: &[RingEvent], tree: &[(String, TreeStat)]) -> String {
+fn render_trace(events: &[RingEvent], tree: &[(String, TreeStat)]) -> String {
     let mut trace_events = Vec::with_capacity(events.len() + 8);
 
     // Process / thread naming metadata first.

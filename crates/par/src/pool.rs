@@ -226,7 +226,13 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker that saw it clear
+        // is then already parked on `work_cv` and gets the notify below,
+        // instead of missing it and sleeping forever.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();

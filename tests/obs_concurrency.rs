@@ -1,31 +1,22 @@
 //! Registry determinism under contention: hammering one [`Registry`]
 //! from the `rsd-par` pool must produce a snapshot that is bit-for-bit
 //! identical to the same workload applied serially. This holds because
-//! every aggregate is either integer-typed (counters, span/tree
-//! nanoseconds), order-independent in f64 (histogram sums of small
-//! integers are exact), or deterministic last-write (gauges set to a
-//! constant).
-
-use std::time::Duration;
+//! every aggregate is either integer-typed (counters, tree nanoseconds
+//! and the per-label span folds over them) or deterministic last-write
+//! (gauges set to a constant).
 
 use rsd_obs::Registry;
 
 const ITEMS: usize = 10_000;
 const GRAIN: usize = 64;
 
-/// The per-item workload: one counter bump, one histogram observation,
-/// one flat span, one tree span. Everything derived from `i` alone so
+/// The per-item workload: one counter bump, one tree span on one of two
+/// paths ending in the same label. Everything derived from `i` alone so
 /// execution order cannot matter.
 fn drive(reg: &Registry, i: usize) {
     reg.counter_add("conc.items", 1);
-    reg.observe("conc.sizes", (i % 7 + 1) as f64);
-    reg.record_span(
-        "conc.step",
-        Duration::from_nanos(((i % 5 + 1) * 100_000) as u64),
-        (i % 3) as u32,
-    );
     reg.record_tree(
-        "conc.outer;conc.step",
+        ["conc.outer;conc.step", "conc.step"][i % 2],
         ((i % 5 + 1) * 100_000) as u64,
         ((i % 5 + 1) * 60_000) as u64,
         (i % 11) as u64 * 64,
@@ -76,6 +67,9 @@ fn parallel_and_serial_snapshots_are_bit_identical() {
     assert_eq!(reg.counter("conc.items"), ITEMS as u64);
     assert_eq!(reg.gauge("conc.last"), Some(42.0));
     let tree = reg.tree_stat("conc.outer;conc.step").unwrap();
-    assert_eq!(tree.count, ITEMS as u64);
+    assert_eq!(tree.count, ITEMS as u64 / 2);
     assert!(tree.self_ns <= tree.total_ns);
+    let span = reg.span_stat("conc.step").unwrap();
+    assert_eq!(span.count, ITEMS as u64);
+    assert_eq!(span.max_depth, 1);
 }
