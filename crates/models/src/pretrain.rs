@@ -138,6 +138,7 @@ pub fn mlm_pretrain(
             store.clip_grad_norm(5.0);
             opt.step(store);
         }
+        rsd_nn::tape::publish_op_times();
         last_epoch_loss = if examples > 0 {
             (epoch_loss / examples as f64) as f32
         } else {

@@ -204,6 +204,7 @@ pub fn train_classifier(
         history.push(f1);
 
         if telemetry {
+            rsd_nn::tape::publish_op_times();
             let tag = [("epoch", rsd_obs::Value::Int(epoch as i128))];
             rsd_obs::gauge_tagged("models.train.loss", loss_sum / order.len() as f64, &tag);
             rsd_obs::gauge_tagged("models.train.accuracy", accuracy, &tag);

@@ -5,6 +5,13 @@
 //! harvested with [`Tape::harvest_grads`]. The op set is exactly what the
 //! RNN and transformer baselines require; every op's backward is verified
 //! against finite differences in the test module.
+//!
+//! With telemetry on, every tape times its forward and backward work by op
+//! kind; [`publish_op_times`] adds the totals to the
+//! `models.train.op.<kind>.{fwd_ns,bwd_ns}` counters.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
@@ -79,6 +86,94 @@ enum Op {
     },
 }
 
+impl Op {
+    /// Index into the per-kind timing counters ([`OP_KINDS`] order).
+    fn kind(&self) -> usize {
+        match self {
+            Op::Leaf { .. } => 0,
+            Op::MatMul(..) => 1,
+            Op::Add(..) => 2,
+            Op::AddRow(..) => 3,
+            Op::Mul(..) => 4,
+            Op::Scale(..) => 5,
+            Op::Tanh(_) => 6,
+            Op::Sigmoid(_) => 7,
+            Op::Relu(_) => 8,
+            Op::Gelu(_) => 9,
+            Op::SoftmaxRows(_) => 10,
+            Op::LayerNorm { .. } => 11,
+            Op::Gather { .. } => 12,
+            Op::ConcatCols(_) => 13,
+            Op::NarrowCols { .. } => 14,
+            Op::ConcatRows(_) => 15,
+            Op::SelectRow { .. } => 16,
+            Op::Transpose(_) => 17,
+            Op::MeanRows(_) => 18,
+            Op::Dropout { .. } => 19,
+            Op::CrossEntropy { .. } => 20,
+            Op::RelativeGather { .. } => 21,
+        }
+    }
+}
+
+macro_rules! op_kinds {
+    ($($kind:literal),* $(,)?) => {
+        /// Op kind names, indexed by [`Op::kind`].
+        const OP_KINDS: &[&str] = &[$($kind),*];
+        const FWD_NS: &[&str] = &[$(concat!("models.train.op.", $kind, ".fwd_ns")),*];
+        const BWD_NS: &[&str] = &[$(concat!("models.train.op.", $kind, ".bwd_ns")),*];
+    };
+}
+
+op_kinds!(
+    "leaf",
+    "matmul",
+    "add",
+    "add_row",
+    "mul",
+    "scale",
+    "tanh",
+    "sigmoid",
+    "relu",
+    "gelu",
+    "softmax_rows",
+    "layer_norm",
+    "gather",
+    "concat_cols",
+    "narrow_cols",
+    "concat_rows",
+    "select_row",
+    "transpose",
+    "mean_rows",
+    "dropout",
+    "cross_entropy",
+    "relative_gather",
+);
+
+const N_KINDS: usize = OP_KINDS.len();
+
+/// Per-kind forward then backward nanoseconds of every dropped timed tape
+/// not yet published.
+static OP_NS: [AtomicU64; 2 * N_KINDS] = [const { AtomicU64::new(0) }; 2 * N_KINDS];
+
+/// Add the op-kind times of every tape dropped since the last call to the
+/// `models.train.op.<kind>.{fwd_ns,bwd_ns}` counters. Tapes accumulate
+/// locally and fold into process-wide totals when dropped, so the
+/// registry is touched once per kind here rather than once per op.
+pub fn publish_op_times() {
+    for (k, total) in OP_NS.iter().enumerate() {
+        let ns = total.swap(0, Ordering::Relaxed);
+        if ns > 0 {
+            let label = if k < N_KINDS {
+                FWD_NS[k]
+            } else {
+                BWD_NS[k - N_KINDS]
+            };
+            rsd_obs::counter_add(label, ns);
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
     grad: Option<Matrix>,
@@ -90,6 +185,25 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// Training mode (enables dropout).
     pub train: bool,
+    /// Forward then backward ns per op kind; `None` unless telemetry was
+    /// on when the tape was created.
+    op_ns: Option<Box<[u64; 2 * N_KINDS]>>,
+}
+
+impl Drop for Tape {
+    fn drop(&mut self) {
+        if let Some(ns) = &self.op_ns {
+            for (total, &v) in OP_NS.iter().zip(ns.iter()) {
+                if v > 0 {
+                    total.fetch_add(v, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+}
+
+fn op_timer() -> Option<Box<[u64; 2 * N_KINDS]>> {
+    rsd_obs::enabled().then(|| Box::new([0; 2 * N_KINDS]))
 }
 
 impl Default for Tape {
@@ -104,6 +218,7 @@ impl Tape {
         Tape {
             nodes: Vec::with_capacity(256),
             train: true,
+            op_ns: op_timer(),
         }
     }
 
@@ -112,10 +227,19 @@ impl Tape {
         Tape {
             nodes: Vec::with_capacity(256),
             train: false,
+            op_ns: op_timer(),
         }
     }
 
-    fn push(&mut self, value: Matrix, op: Op) -> Var {
+    /// Forward-timing start for the next op; `None` when telemetry is off.
+    fn start(&self) -> Option<Instant> {
+        self.op_ns.as_ref().map(|_| Instant::now())
+    }
+
+    fn push(&mut self, value: Matrix, op: Op, t0: Option<Instant>) -> Var {
+        if let (Some(ns), Some(t0)) = (self.op_ns.as_deref_mut(), t0) {
+            ns[op.kind()] += t0.elapsed().as_nanos() as u64;
+        }
         self.nodes.push(Node {
             value,
             grad: None,
@@ -151,31 +275,36 @@ impl Tape {
 
     /// A constant leaf (no parameter attachment).
     pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf { param: None })
+        let t0 = self.start();
+        self.push(value, Op::Leaf { param: None }, t0)
     }
 
     /// Leaf a parameter into the graph (value copied from the store).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(store.value(id).clone(), Op::Leaf { param: Some(id) })
+        let t0 = self.start();
+        self.push(store.value(id).clone(), Op::Leaf { param: Some(id) }, t0)
     }
 
     /// `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let t0 = self.start();
         let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        self.push(value, Op::MatMul(a, b))
+        self.push(value, Op::MatMul(a, b), t0)
     }
 
     /// Elementwise `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
+        let t0 = self.start();
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         assert!(va.same_shape(vb), "add shape mismatch");
         let mut value = va.clone();
         value.axpy(1.0, vb);
-        self.push(value, Op::Add(a, b))
+        self.push(value, Op::Add(a, b), t0)
     }
 
     /// `a + row` with `row` broadcast over `a`'s rows.
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
+        let t0 = self.start();
         let (va, vr) = (&self.nodes[a.0].value, &self.nodes[row.0].value);
         assert_eq!(vr.rows, 1, "add_row: bias must be 1×c");
         assert_eq!(va.cols, vr.cols, "add_row: column mismatch");
@@ -185,11 +314,12 @@ impl Tape {
                 *o += b;
             }
         }
-        self.push(value, Op::AddRow(a, row))
+        self.push(value, Op::AddRow(a, row), t0)
     }
 
     /// Elementwise `a * b`.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
+        let t0 = self.start();
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         assert!(va.same_shape(vb), "mul shape mismatch");
         let value = Matrix {
@@ -197,51 +327,58 @@ impl Tape {
             cols: va.cols,
             data: va.data.iter().zip(&vb.data).map(|(&x, &y)| x * y).collect(),
         };
-        self.push(value, Op::Mul(a, b))
+        self.push(value, Op::Mul(a, b), t0)
     }
 
     /// `a * c` for scalar `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
+        let t0 = self.start();
         let value = self.nodes[a.0].value.map(|x| x * c);
-        self.push(value, Op::Scale(a, c))
+        self.push(value, Op::Scale(a, c), t0)
     }
 
     /// Elementwise tanh.
     pub fn tanh(&mut self, a: Var) -> Var {
+        let t0 = self.start();
         let value = self.nodes[a.0].value.map(f32::tanh);
-        self.push(value, Op::Tanh(a))
+        self.push(value, Op::Tanh(a), t0)
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
+        let t0 = self.start();
         let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(value, Op::Sigmoid(a))
+        self.push(value, Op::Sigmoid(a), t0)
     }
 
     /// Elementwise ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
+        let t0 = self.start();
         let value = self.nodes[a.0].value.map(|x| x.max(0.0));
-        self.push(value, Op::Relu(a))
+        self.push(value, Op::Relu(a), t0)
     }
 
     /// Elementwise GELU (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
+        let t0 = self.start();
         let value = self.nodes[a.0].value.map(gelu);
-        self.push(value, Op::Gelu(a))
+        self.push(value, Op::Gelu(a), t0)
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
+        let t0 = self.start();
         let x = &self.nodes[a.0].value;
         let mut value = x.clone();
         for r in 0..value.rows {
             softmax_in_place(value.row_mut(r));
         }
-        self.push(value, Op::SoftmaxRows(a))
+        self.push(value, Op::SoftmaxRows(a), t0)
     }
 
     /// Row-wise layer normalization with learned 1×c gain and bias.
     pub fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
+        let t0 = self.start();
         const EPS: f32 = 1e-5;
         let vx = &self.nodes[x.0].value;
         let vg = &self.nodes[gain.0].value;
@@ -276,11 +413,13 @@ impl Tape {
                 inv_std,
                 normed,
             },
+            t0,
         )
     }
 
     /// Gather embedding rows: `weight` (V×d) indexed by `ids`.
     pub fn gather(&mut self, weight: Var, ids: &[u32]) -> Var {
+        let t0 = self.start();
         let w = &self.nodes[weight.0].value;
         let mut value = Matrix::zeros(ids.len(), w.cols);
         for (r, &id) in ids.iter().enumerate() {
@@ -294,11 +433,13 @@ impl Tape {
                 weight,
                 ids: ids.to_vec(),
             },
+            t0,
         )
     }
 
     /// Concatenate along columns (all same row count).
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        let t0 = self.start();
         assert!(!parts.is_empty(), "concat_cols: empty");
         let rows = self.nodes[parts[0].0].value.rows;
         let total: usize = parts.iter().map(|v| self.nodes[v.0].value.cols).sum();
@@ -313,11 +454,12 @@ impl Tape {
             }
             offset += m.cols;
         }
-        self.push(value, Op::ConcatCols(parts.to_vec()))
+        self.push(value, Op::ConcatCols(parts.to_vec()), t0)
     }
 
     /// Select a column range.
     pub fn narrow_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
+        let t0 = self.start();
         let m = &self.nodes[x.0].value;
         assert!(start + len <= m.cols, "narrow_cols out of range");
         let mut value = Matrix::zeros(m.rows, len);
@@ -326,11 +468,12 @@ impl Tape {
                 .row_mut(r)
                 .copy_from_slice(&m.row(r)[start..start + len]);
         }
-        self.push(value, Op::NarrowCols { x, start, len })
+        self.push(value, Op::NarrowCols { x, start, len }, t0)
     }
 
     /// Concatenate along rows (all same column count).
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
+        let t0 = self.start();
         assert!(!parts.is_empty(), "concat_rows: empty");
         let cols = self.nodes[parts[0].0].value.cols;
         let total: usize = parts.iter().map(|v| self.nodes[v.0].value.rows).sum();
@@ -342,25 +485,28 @@ impl Tape {
             value.data[offset * cols..(offset + m.rows) * cols].copy_from_slice(&m.data);
             offset += m.rows;
         }
-        self.push(value, Op::ConcatRows(parts.to_vec()))
+        self.push(value, Op::ConcatRows(parts.to_vec()), t0)
     }
 
     /// Select one row as a 1×c matrix (CLS pooling).
     pub fn select_row(&mut self, x: Var, row: usize) -> Var {
+        let t0 = self.start();
         let m = &self.nodes[x.0].value;
         assert!(row < m.rows, "select_row out of range");
         let value = Matrix::row_vec(m.row(row).to_vec());
-        self.push(value, Op::SelectRow { x, row })
+        self.push(value, Op::SelectRow { x, row }, t0)
     }
 
     /// Transposed copy.
     pub fn transpose(&mut self, x: Var) -> Var {
+        let t0 = self.start();
         let value = self.nodes[x.0].value.transpose();
-        self.push(value, Op::Transpose(x))
+        self.push(value, Op::Transpose(x), t0)
     }
 
     /// Mean over rows → 1×c (mean pooling).
     pub fn mean_rows(&mut self, x: Var) -> Var {
+        let t0 = self.start();
         let m = &self.nodes[x.0].value;
         let mut value = Matrix::zeros(1, m.cols);
         for r in 0..m.rows {
@@ -372,11 +518,12 @@ impl Tape {
         for o in &mut value.data {
             *o /= n;
         }
-        self.push(value, Op::MeanRows(x))
+        self.push(value, Op::MeanRows(x), t0)
     }
 
     /// Inverted dropout with keep-prob scaling; identity in inference mode.
     pub fn dropout(&mut self, x: Var, p: f32, rng: &mut StdRng) -> Var {
+        let t0 = self.start();
         if !self.train || p <= 0.0 {
             // Identity via Scale(1.0) keeps graph structure simple.
             return self.scale(x, 1.0);
@@ -397,12 +544,13 @@ impl Tape {
             cols: m.cols,
             data: m.data.iter().zip(&mask).map(|(&v, &k)| v * k).collect(),
         };
-        self.push(value, Op::Dropout { x, mask })
+        self.push(value, Op::Dropout { x, mask }, t0)
     }
 
     /// Fused mean cross-entropy over rows of `logits` (n×C) against
     /// per-row target class indices. Returns a 1×1 loss node.
     pub fn cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Var {
+        let t0 = self.start();
         let m = &self.nodes[logits.0].value;
         assert_eq!(m.rows, targets.len(), "cross_entropy: target count");
         let mut probs = m.clone();
@@ -420,12 +568,14 @@ impl Tape {
                 targets: targets.to_vec(),
                 probs,
             },
+            t0,
         )
     }
 
     /// Relative-position gather (see [`Op::RelativeGather`]): from
     /// `x` (n×(2·radius+1)) build an n×n score component.
     pub fn relative_gather(&mut self, x: Var, n: usize, radius: usize, transposed: bool) -> Var {
+        let t0 = self.start();
         let m = &self.nodes[x.0].value;
         assert_eq!(m.cols, 2 * radius + 1, "relative_gather: width");
         assert_eq!(m.rows, n, "relative_gather: rows");
@@ -448,6 +598,7 @@ impl Tape {
                 radius,
                 transposed,
             },
+            t0,
         )
     }
 
@@ -470,6 +621,8 @@ impl Tape {
             let Some(grad) = self.nodes[idx].grad.clone() else {
                 continue;
             };
+            let t0 = self.start();
+            let kind = self.nodes[idx].op.kind();
             // Take op apart immutably first; accumulate into parents after.
             match &self.nodes[idx].op {
                 Op::Leaf { .. } => {}
@@ -772,6 +925,9 @@ impl Tape {
                     self.add_grad(x, dx);
                 }
             }
+            if let (Some(ns), Some(t0)) = (self.op_ns.as_deref_mut(), t0) {
+                ns[N_KINDS + kind] += t0.elapsed().as_nanos() as u64;
+            }
         }
     }
 
@@ -1064,6 +1220,33 @@ mod tests {
         tape.harvest_grads(&mut store);
         // dL/dw = xᵀ @ ones(1×2)
         assert_eq!(store.grad(id).data, vec![3.0, 3.0, 4.0, 4.0]);
+    }
+
+    #[test]
+    fn op_times_reach_counters_only_when_telemetry_is_on() {
+        let run = || {
+            let mut tape = Tape::new();
+            let x = tape.constant(test_input());
+            let w = tape.constant(Matrix::full(3, 2, 0.5));
+            let y = tape.matmul(x, w);
+            let z = tape.tanh(y);
+            tape.backward(z);
+            assert!(tape.op_ns.is_some() == rsd_obs::enabled());
+        };
+        let ns = |label: &str| rsd_obs::registry().counter(label);
+        rsd_obs::capture(|| {
+            run();
+            publish_op_times();
+            for label in [
+                "models.train.op.matmul.fwd_ns",
+                "models.train.op.matmul.bwd_ns",
+                "models.train.op.tanh.fwd_ns",
+                "models.train.op.tanh.bwd_ns",
+            ] {
+                assert!(ns(label) > 0, "{label} not counted");
+            }
+            assert_eq!(ns("models.train.op.gelu.fwd_ns"), 0);
+        });
     }
 
     #[test]
