@@ -155,7 +155,9 @@ pub fn train_classifier(
         // Per-batch parallel forward/backward: each example runs on its
         // own tape with an RNG derived from (epoch seed, position), so
         // results don't depend on thread count. Gradients are then
-        // harvested serially in batch order before the optimizer step.
+        // harvested in parallel across parameters; each parameter sums
+        // its tapes in batch order, then its leaves in node order, before
+        // the optimizer step.
         let mut loss_sum = 0.0f64;
         let telemetry = rsd_obs::enabled();
         let epoch_seed = rng.gen::<u64>();
@@ -180,13 +182,17 @@ pub fn train_classifier(
                 slot[0] = Some((tape, loss_value));
             });
             done += batch.len();
-            for r in results {
-                let (tape, loss_value) = r.expect("forward ran");
-                if telemetry {
-                    loss_sum += f64::from(loss_value);
-                }
-                tape.harvest_grads(store);
-            }
+            let tapes: Vec<Tape> = results
+                .into_iter()
+                .map(|r| {
+                    let (tape, loss_value) = r.expect("forward ran");
+                    if telemetry {
+                        loss_sum += f64::from(loss_value);
+                    }
+                    tape
+                })
+                .collect();
+            store.accumulate_all(tapes.iter().flat_map(Tape::param_grads));
             store.scale_grads(1.0 / batch.len() as f32);
             store.clip_grad_norm(cfg.clip);
             opt.step(store);

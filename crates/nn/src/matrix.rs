@@ -163,7 +163,8 @@ impl Matrix {
     /// `self @ otherᵀ` (NT layout).
     ///
     /// Row-parallel over `self`'s rows; both operands stream row-major, so
-    /// each output element is one contiguous-slice dot product.
+    /// each output element is one contiguous-slice dot product, rounded
+    /// exactly as [`dot4`] rounds it (see [`dot4_row`]).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -177,10 +178,7 @@ impl Matrix {
         rsd_par::parallel_chunks_mut(&mut out.data, grain, |start, chunk| {
             let i0 = start / n;
             for (ri, out_row) in chunk.chunks_mut(n).enumerate() {
-                let a_row = self.row(i0 + ri);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = dot4(a_row, other.row(j));
-                }
+                dot4_row(self.row(i0 + ri), &other.data, out_row);
             }
         });
         out
@@ -525,10 +523,13 @@ pub fn vnni512_available() -> bool {
     false
 }
 
-/// 4-accumulator dot product. Accumulator layout is fixed, so the result
-/// is deterministic (though differently rounded than a single-accumulator
-/// sum).
-fn dot4(x: &[f32], y: &[f32]) -> f32 {
+/// 4-accumulator dot product: lane `l` sums the products at `k ≡ l
+/// (mod 4)` below the last multiple of 4, the rest go to a scalar tail,
+/// and the result is `((s0+s1)+(s2+s3)) + tail`. Accumulator layout is
+/// fixed, so the result is deterministic (though differently rounded than
+/// a single-accumulator sum); [`Matrix::matmul_nt`] reproduces it bit for
+/// bit.
+pub fn dot4(x: &[f32], y: &[f32]) -> f32 {
     let len = x.len().min(y.len());
     let (x, y) = (&x[..len], &y[..len]);
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
@@ -546,6 +547,89 @@ fn dot4(x: &[f32], y: &[f32]) -> f32 {
         k += 1;
     }
     ((s0 + s1) + (s2 + s3)) + tail
+}
+
+/// `out_row[j] = dot4(a_row, b_j)` for every row `b_j` of the row-major
+/// `b` (`out_row.len()` rows of `a_row.len()` columns).
+///
+/// On x86-64 blocks of eight (then four) outputs run through
+/// [`dot4_block`]; the remaining outputs, and every output on other
+/// architectures, call [`dot4`] directly. Both give the same bits.
+fn dot4_row(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
+    let k = a_row.len();
+    let mut j = 0;
+    #[cfg(target_arch = "x86_64")]
+    {
+        while j + 8 <= out_row.len() {
+            dot4_block::<8>(a_row, &b[j * k..(j + 8) * k], &mut out_row[j..j + 8]);
+            j += 8;
+        }
+        if j + 4 <= out_row.len() {
+            dot4_block::<4>(a_row, &b[j * k..(j + 4) * k], &mut out_row[j..j + 4]);
+            j += 4;
+        }
+    }
+    for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
+        *o = dot4(a_row, &b[jj * k..(jj + 1) * k]);
+    }
+}
+
+/// [`dot4`] for `B` outputs at once (`B` a multiple of 4): `out[j]` is
+/// `a · b[j*k..(j+1)*k]`. Output `j` keeps its four `dot4` lane sums in
+/// one 128-bit accumulator, updated with a separate multiply and add per
+/// step (never a fused multiply-add), so every lane rounds exactly as the
+/// scalar `s0..s3` do. The lanes of four outputs are then transposed and
+/// finished together as `((s0+s1)+(s2+s3)) + tail`, with each tail a
+/// scalar sum in ascending k. SSE is part of the x86-64 baseline, so no
+/// runtime feature check is needed.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn dot4_block<const B: usize>(a: &[f32], b: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::{
+        __m128, _mm_add_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_setzero_ps,
+        _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+    };
+    let k = a.len();
+    let k4 = k - k % 4;
+    assert!(B.is_multiple_of(4) && b.len() == B * k && out.len() == B);
+    let (ap, bp) = (a.as_ptr(), b.as_ptr());
+    // SAFETY: SSE/SSE2 are always present on x86-64. Every load reads four
+    // floats at `kk < k4 <= k` from `a` or from row `j < B` of `b`, all in
+    // bounds by the assert above; the store writes `out[q..q + 4]`, q + 4 <= B.
+    unsafe {
+        let mut acc: [__m128; B] = [_mm_setzero_ps(); B];
+        let mut kk = 0;
+        while kk < k4 {
+            let av = _mm_loadu_ps(ap.add(kk));
+            for (j, s) in acc.iter_mut().enumerate() {
+                *s = _mm_add_ps(*s, _mm_mul_ps(av, _mm_loadu_ps(bp.add(j * k + kk))));
+            }
+            kk += 4;
+        }
+        for q in (0..B).step_by(4) {
+            // Transpose so lane j of `s[l]` is output q+j's lane sum s_l.
+            let t0 = _mm_unpacklo_ps(acc[q], acc[q + 1]);
+            let t1 = _mm_unpacklo_ps(acc[q + 2], acc[q + 3]);
+            let t2 = _mm_unpackhi_ps(acc[q], acc[q + 1]);
+            let t3 = _mm_unpackhi_ps(acc[q + 2], acc[q + 3]);
+            let s = [
+                _mm_movelh_ps(t0, t1),
+                _mm_movehl_ps(t1, t0),
+                _mm_movelh_ps(t2, t3),
+                _mm_movehl_ps(t3, t2),
+            ];
+            let lanes = _mm_add_ps(_mm_add_ps(s[0], s[1]), _mm_add_ps(s[2], s[3]));
+            let mut tail = [0.0f32; 4];
+            for (j, t) in tail.iter_mut().enumerate() {
+                let row = &b[(q + j) * k..(q + j + 1) * k];
+                for kk in k4..k {
+                    *t += a[kk] * row[kk];
+                }
+            }
+            let done = _mm_add_ps(lanes, _mm_loadu_ps(tail.as_ptr()));
+            _mm_storeu_ps(out.as_mut_ptr().add(q), done);
+        }
+    }
 }
 
 /// The pre-optimization scalar kernels, kept verbatim as the baseline for

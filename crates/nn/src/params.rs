@@ -125,6 +125,44 @@ impl ParamStore {
         self.slots[id.0].grad.axpy(1.0, grad);
     }
 
+    /// Accumulate many gradient contributions, in parallel across
+    /// parameters (and across element ranges of large ones). Each
+    /// parameter adds its own contributions in the order `grads` yields
+    /// them, so the result is bitwise that of calling
+    /// [`ParamStore::accumulate`] on each pair in turn, for any thread count.
+    pub fn accumulate_all<'g>(&mut self, grads: impl IntoIterator<Item = (ParamId, &'g Matrix)>) {
+        /// Elements per work item; large parameters split into several.
+        const GRAIN: usize = 1 << 14;
+        let mut per_slot: Vec<Vec<&Matrix>> = vec![Vec::new(); self.slots.len()];
+        for (id, g) in grads {
+            assert!(
+                g.same_shape(&self.slots[id.0].grad),
+                "accumulate_all: shape mismatch for {}",
+                self.slots[id.0].name
+            );
+            per_slot[id.0].push(g);
+        }
+        let mut work: Vec<(&[&Matrix], usize, &mut [f32])> = Vec::new();
+        for (slot, grads) in self.slots.iter_mut().zip(&per_slot) {
+            if grads.is_empty() {
+                continue;
+            }
+            for (c, dst) in slot.grad.data.chunks_mut(GRAIN).enumerate() {
+                work.push((grads, c * GRAIN, dst));
+            }
+        }
+        rsd_par::parallel_chunks_mut(&mut work, 1, |_, items| {
+            for (grads, offset, dst) in items.iter_mut() {
+                for g in grads.iter() {
+                    // `a + 1.0 * b` is `a + b`: the same bits as `axpy(1.0, ..)`.
+                    for (a, &b) in dst.iter_mut().zip(&g.data[*offset..]) {
+                        *a += b;
+                    }
+                }
+            }
+        });
+    }
+
     /// Zero all gradients.
     pub fn zero_grads(&mut self) {
         for slot in &mut self.slots {
@@ -243,6 +281,41 @@ mod tests {
         assert_eq!(store.grad(id).data, vec![1.0, 1.5, 2.0]);
         store.zero_grads();
         assert_eq!(store.grad(id).data, vec![0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn accumulate_all_matches_sequential_accumulate_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let big = store.register_normal("big", 300, 70, 1.0, &mut rng);
+        let small = store.register_normal("small", 1, 3, 1.0, &mut rng);
+        let idle = store.register_zeros("idle", 2, 2);
+        let grads: Vec<(ParamId, Matrix)> = (0..7)
+            .map(|i| {
+                let id = if i % 3 == 0 { small } else { big };
+                let (r, c) = (store.value(id).rows, store.value(id).cols);
+                let data = (0..r * c)
+                    .map(|j| ((i * 31 + j) as f32 * 0.173).sin() * 10f32.powi(i as i32 - 3))
+                    .collect();
+                (id, Matrix::from_vec(r, c, data))
+            })
+            .collect();
+        let mut sequential = store.clone();
+        for (id, g) in &grads {
+            sequential.accumulate(*id, g);
+        }
+        for threads in [1, 4] {
+            let mut parallel = store.clone();
+            rsd_par::with_local_pool(threads, || {
+                parallel.accumulate_all(grads.iter().map(|(id, g)| (*id, g)))
+            });
+            for id in [big, small, idle] {
+                let bits = |s: &ParamStore| -> Vec<u32> {
+                    s.grad(id).data.iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&parallel), bits(&sequential), "{}", store.name(id));
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,12 @@ pub struct Var(usize);
 
 #[derive(Debug)]
 enum Op {
+    /// A constant or parameter. A parameter's first leaf on a tape holds
+    /// its copy; later leaves of the same parameter keep an empty value and
+    /// `shares` the first one's, each with its own gradient slot.
     Leaf {
         param: Option<ParamId>,
+        shares: Option<usize>,
     },
     MatMul(Var, Var),
     Add(Var, Var),
@@ -36,7 +40,11 @@ enum Op {
     Tanh(Var),
     Sigmoid(Var),
     Relu(Var),
-    Gelu(Var),
+    /// GELU; caches the forward pass's tanh term for the backward.
+    Gelu {
+        x: Var,
+        tanh: Vec<f32>,
+    },
     /// Row-wise softmax; the node value caches the output.
     SoftmaxRows(Var),
     /// Row-wise layer norm with 1×c gain and bias. Caches inverse std and
@@ -99,7 +107,7 @@ impl Op {
             Op::Tanh(_) => 6,
             Op::Sigmoid(_) => 7,
             Op::Relu(_) => 8,
-            Op::Gelu(_) => 9,
+            Op::Gelu { .. } => 9,
             Op::SoftmaxRows(_) => 10,
             Op::LayerNorm { .. } => 11,
             Op::Gather { .. } => 12,
@@ -185,6 +193,8 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// Training mode (enables dropout).
     pub train: bool,
+    /// Node holding each parameter's copy, by `ParamId` index.
+    param_nodes: Vec<Option<usize>>,
     /// Forward then backward ns per op kind; `None` unless telemetry was
     /// on when the tape was created.
     op_ns: Option<Box<[u64; 2 * N_KINDS]>>,
@@ -218,6 +228,7 @@ impl Tape {
         Tape {
             nodes: Vec::with_capacity(256),
             train: true,
+            param_nodes: Vec::new(),
             op_ns: op_timer(),
         }
     }
@@ -227,6 +238,7 @@ impl Tape {
         Tape {
             nodes: Vec::with_capacity(256),
             train: false,
+            param_nodes: Vec::new(),
             op_ns: op_timer(),
         }
     }
@@ -250,16 +262,22 @@ impl Tape {
 
     /// Borrow a node's value.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        value_at(&self.nodes, v.0)
     }
 
-    /// Borrow a node's gradient (after `backward`). Zero matrix if the node
-    /// never received gradient.
+    /// A copy of a leaf's gradient after `backward` (a zero matrix if the
+    /// leaf received none). Only leaf gradients ([`Tape::constant`],
+    /// [`Tape::param`]) survive the sweep: `backward` consumes every
+    /// interior node's gradient as it propagates it.
     pub fn grad(&self, v: Var) -> Matrix {
+        debug_assert!(
+            matches!(self.nodes[v.0].op, Op::Leaf { .. }),
+            "Tape::grad: only leaf gradients survive backward"
+        );
         match &self.nodes[v.0].grad {
             Some(g) => g.clone(),
             None => {
-                let val = &self.nodes[v.0].value;
+                let val = self.value(v);
                 Matrix::zeros(val.rows, val.cols)
             }
         }
@@ -267,7 +285,7 @@ impl Tape {
 
     /// Shape of a node.
     pub fn shape(&self, v: Var) -> (usize, usize) {
-        let m = &self.nodes[v.0].value;
+        let m = self.value(v);
         (m.rows, m.cols)
     }
 
@@ -276,26 +294,53 @@ impl Tape {
     /// A constant leaf (no parameter attachment).
     pub fn constant(&mut self, value: Matrix) -> Var {
         let t0 = self.start();
-        self.push(value, Op::Leaf { param: None }, t0)
+        self.push(
+            value,
+            Op::Leaf {
+                param: None,
+                shares: None,
+            },
+            t0,
+        )
     }
 
-    /// Leaf a parameter into the graph (value copied from the store).
+    /// Leaf a parameter into the graph. The first use of `id` on this tape
+    /// copies its value from the store; later uses share that copy, so a
+    /// tape must take all its parameters from one store. Every use is its
+    /// own leaf with its own gradient, harvested in node order.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let t0 = self.start();
-        self.push(store.value(id).clone(), Op::Leaf { param: Some(id) }, t0)
+        if self.param_nodes.len() <= id.0 {
+            self.param_nodes.resize(id.0 + 1, None);
+        }
+        let (value, shares) = match self.param_nodes[id.0] {
+            Some(first) => (Matrix::default(), Some(first)),
+            None => {
+                self.param_nodes[id.0] = Some(self.nodes.len());
+                (store.value(id).clone(), None)
+            }
+        };
+        self.push(
+            value,
+            Op::Leaf {
+                param: Some(id),
+                shares,
+            },
+            t0,
+        )
     }
 
     /// `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let t0 = self.start();
-        let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
+        let value = self.value(a).matmul(self.value(b));
         self.push(value, Op::MatMul(a, b), t0)
     }
 
     /// Elementwise `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let t0 = self.start();
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (va, vb) = (self.value(a), self.value(b));
         assert!(va.same_shape(vb), "add shape mismatch");
         let mut value = va.clone();
         value.axpy(1.0, vb);
@@ -305,7 +350,7 @@ impl Tape {
     /// `a + row` with `row` broadcast over `a`'s rows.
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
         let t0 = self.start();
-        let (va, vr) = (&self.nodes[a.0].value, &self.nodes[row.0].value);
+        let (va, vr) = (self.value(a), self.value(row));
         assert_eq!(vr.rows, 1, "add_row: bias must be 1×c");
         assert_eq!(va.cols, vr.cols, "add_row: column mismatch");
         let mut value = va.clone();
@@ -320,7 +365,7 @@ impl Tape {
     /// Elementwise `a * b`.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let t0 = self.start();
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let (va, vb) = (self.value(a), self.value(b));
         assert!(va.same_shape(vb), "mul shape mismatch");
         let value = Matrix {
             rows: va.rows,
@@ -333,42 +378,53 @@ impl Tape {
     /// `a * c` for scalar `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let t0 = self.start();
-        let value = self.nodes[a.0].value.map(|x| x * c);
+        let value = self.value(a).map(|x| x * c);
         self.push(value, Op::Scale(a, c), t0)
     }
 
     /// Elementwise tanh.
     pub fn tanh(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let value = self.nodes[a.0].value.map(f32::tanh);
+        let value = self.value(a).map(f32::tanh);
         self.push(value, Op::Tanh(a), t0)
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
         self.push(value, Op::Sigmoid(a), t0)
     }
 
     /// Elementwise ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let value = self.nodes[a.0].value.map(|x| x.max(0.0));
+        let value = self.value(a).map(|x| x.max(0.0));
         self.push(value, Op::Relu(a), t0)
     }
 
     /// Elementwise GELU (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let value = self.nodes[a.0].value.map(gelu);
-        self.push(value, Op::Gelu(a), t0)
+        let x = self.value(a);
+        let tanh = x.map(gelu_tanh).data;
+        let value = Matrix {
+            rows: x.rows,
+            cols: x.cols,
+            data: x
+                .data
+                .iter()
+                .zip(&tanh)
+                .map(|(&x, &t)| gelu_cached(x, t))
+                .collect(),
+        };
+        self.push(value, Op::Gelu { x: a, tanh }, t0)
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let x = &self.nodes[a.0].value;
+        let x = self.value(a);
         let mut value = x.clone();
         for r in 0..value.rows {
             softmax_in_place(value.row_mut(r));
@@ -380,9 +436,9 @@ impl Tape {
     pub fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
         let t0 = self.start();
         const EPS: f32 = 1e-5;
-        let vx = &self.nodes[x.0].value;
-        let vg = &self.nodes[gain.0].value;
-        let vb = &self.nodes[bias.0].value;
+        let vx = self.value(x);
+        let vg = self.value(gain);
+        let vb = self.value(bias);
         assert_eq!(vg.rows, 1, "layer_norm: gain must be 1×c");
         assert_eq!(vb.rows, 1, "layer_norm: bias must be 1×c");
         assert_eq!(vx.cols, vg.cols, "layer_norm: gain width");
@@ -420,7 +476,7 @@ impl Tape {
     /// Gather embedding rows: `weight` (V×d) indexed by `ids`.
     pub fn gather(&mut self, weight: Var, ids: &[u32]) -> Var {
         let t0 = self.start();
-        let w = &self.nodes[weight.0].value;
+        let w = self.value(weight);
         let mut value = Matrix::zeros(ids.len(), w.cols);
         for (r, &id) in ids.iter().enumerate() {
             let id = id as usize;
@@ -441,12 +497,12 @@ impl Tape {
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         let t0 = self.start();
         assert!(!parts.is_empty(), "concat_cols: empty");
-        let rows = self.nodes[parts[0].0].value.rows;
-        let total: usize = parts.iter().map(|v| self.nodes[v.0].value.cols).sum();
+        let rows = self.value(parts[0]).rows;
+        let total: usize = parts.iter().map(|&v| self.value(v).cols).sum();
         let mut value = Matrix::zeros(rows, total);
         let mut offset = 0;
         for &p in parts {
-            let m = &self.nodes[p.0].value;
+            let m = self.value(p);
             assert_eq!(m.rows, rows, "concat_cols: row mismatch");
             for r in 0..rows {
                 value.data[r * total + offset..r * total + offset + m.cols]
@@ -460,7 +516,7 @@ impl Tape {
     /// Select a column range.
     pub fn narrow_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
         let t0 = self.start();
-        let m = &self.nodes[x.0].value;
+        let m = self.value(x);
         assert!(start + len <= m.cols, "narrow_cols out of range");
         let mut value = Matrix::zeros(m.rows, len);
         for r in 0..m.rows {
@@ -475,12 +531,12 @@ impl Tape {
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
         let t0 = self.start();
         assert!(!parts.is_empty(), "concat_rows: empty");
-        let cols = self.nodes[parts[0].0].value.cols;
-        let total: usize = parts.iter().map(|v| self.nodes[v.0].value.rows).sum();
+        let cols = self.value(parts[0]).cols;
+        let total: usize = parts.iter().map(|&v| self.value(v).rows).sum();
         let mut value = Matrix::zeros(total, cols);
         let mut offset = 0;
         for &p in parts {
-            let m = &self.nodes[p.0].value;
+            let m = self.value(p);
             assert_eq!(m.cols, cols, "concat_rows: column mismatch");
             value.data[offset * cols..(offset + m.rows) * cols].copy_from_slice(&m.data);
             offset += m.rows;
@@ -491,7 +547,7 @@ impl Tape {
     /// Select one row as a 1×c matrix (CLS pooling).
     pub fn select_row(&mut self, x: Var, row: usize) -> Var {
         let t0 = self.start();
-        let m = &self.nodes[x.0].value;
+        let m = self.value(x);
         assert!(row < m.rows, "select_row out of range");
         let value = Matrix::row_vec(m.row(row).to_vec());
         self.push(value, Op::SelectRow { x, row }, t0)
@@ -500,14 +556,14 @@ impl Tape {
     /// Transposed copy.
     pub fn transpose(&mut self, x: Var) -> Var {
         let t0 = self.start();
-        let value = self.nodes[x.0].value.transpose();
+        let value = self.value(x).transpose();
         self.push(value, Op::Transpose(x), t0)
     }
 
     /// Mean over rows → 1×c (mean pooling).
     pub fn mean_rows(&mut self, x: Var) -> Var {
         let t0 = self.start();
-        let m = &self.nodes[x.0].value;
+        let m = self.value(x);
         let mut value = Matrix::zeros(1, m.cols);
         for r in 0..m.rows {
             for (o, &v) in value.data.iter_mut().zip(m.row(r)) {
@@ -529,7 +585,7 @@ impl Tape {
             return self.scale(x, 1.0);
         }
         let keep = 1.0 - p;
-        let m = &self.nodes[x.0].value;
+        let m = self.value(x);
         let mask: Vec<f32> = (0..m.data.len())
             .map(|_| {
                 if rng.gen::<f32>() < keep {
@@ -551,7 +607,7 @@ impl Tape {
     /// per-row target class indices. Returns a 1×1 loss node.
     pub fn cross_entropy(&mut self, logits: Var, targets: &[usize]) -> Var {
         let t0 = self.start();
-        let m = &self.nodes[logits.0].value;
+        let m = self.value(logits);
         assert_eq!(m.rows, targets.len(), "cross_entropy: target count");
         let mut probs = m.clone();
         let mut loss = 0.0f32;
@@ -576,21 +632,11 @@ impl Tape {
     /// `x` (n×(2·radius+1)) build an n×n score component.
     pub fn relative_gather(&mut self, x: Var, n: usize, radius: usize, transposed: bool) -> Var {
         let t0 = self.start();
-        let m = &self.nodes[x.0].value;
+        let m = self.value(x);
         assert_eq!(m.cols, 2 * radius + 1, "relative_gather: width");
         assert_eq!(m.rows, n, "relative_gather: rows");
-        let mut value = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let (src_row, offset) = if transposed {
-                    (j, i as i64 - j as i64)
-                } else {
-                    (i, j as i64 - i as i64)
-                };
-                let col = (offset + radius as i64).clamp(0, 2 * radius as i64) as usize;
-                value.set(i, j, m.get(src_row, col));
-            }
-        }
+        let plain = relative_rows(m, radius);
+        let value = if transposed { plain.transpose() } else { plain };
         self.push(
             value,
             Op::RelativeGather {
@@ -604,342 +650,57 @@ impl Tape {
 
     // ---- backward --------------------------------------------------------
 
-    fn add_grad(&mut self, v: Var, g: Matrix) {
-        match &mut self.nodes[v.0].grad {
-            Some(existing) => existing.axpy(1.0, &g),
-            slot @ None => *slot = Some(g),
+    /// Run the reverse sweep from `output` (seeded with ∂out/∂out = 1).
+    ///
+    /// Each interior node's gradient is taken (not copied) when its op
+    /// runs, so only leaf gradients survive the sweep; see [`Tape::grad`].
+    /// Contributions reach every node in the same order as a plain
+    /// node-by-node sweep, so the result is independent of how the sweep
+    /// borrows its operands.
+    pub fn backward(&mut self, output: Var) {
+        let out_val = value_at(&self.nodes, output.0);
+        let seed = Matrix::full(out_val.rows, out_val.cols, 1.0);
+        add_grad(&mut self.nodes[output.0], seed);
+
+        for idx in (0..=output.0).rev() {
+            // Parents always precede their node, so `parents` holds every
+            // operand mutably while the node itself is only read.
+            let (parents, rest) = self.nodes.split_at_mut(idx);
+            let node = &mut rest[0];
+            if matches!(node.op, Op::Leaf { .. }) {
+                continue;
+            }
+            let Some(grad) = node.grad.take() else {
+                continue;
+            };
+            let t0 = self.op_ns.as_ref().map(|_| Instant::now());
+            backprop(parents, node, grad);
+            if let (Some(ns), Some(t0)) = (self.op_ns.as_deref_mut(), t0) {
+                ns[N_KINDS + node.op.kind()] += t0.elapsed().as_nanos() as u64;
+            }
         }
     }
 
-    /// Run the reverse sweep from `output` (seeded with ∂out/∂out = 1).
-    pub fn backward(&mut self, output: Var) {
-        let out_val = &self.nodes[output.0].value;
-        let seed = Matrix::full(out_val.rows, out_val.cols, 1.0);
-        self.add_grad(output, seed);
-
-        for idx in (0..=output.0).rev() {
-            let Some(grad) = self.nodes[idx].grad.clone() else {
-                continue;
-            };
-            let t0 = self.start();
-            let kind = self.nodes[idx].op.kind();
-            // Take op apart immutably first; accumulate into parents after.
-            match &self.nodes[idx].op {
-                Op::Leaf { .. } => {}
-                Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let da = grad.matmul_nt(&self.nodes[b.0].value);
-                    let db = self.nodes[a.0].value.matmul_tn(&grad);
-                    self.add_grad(a, da);
-                    self.add_grad(b, db);
-                }
-                Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    self.add_grad(a, grad.clone());
-                    self.add_grad(b, grad);
-                }
-                Op::AddRow(a, row) => {
-                    let (a, row) = (*a, *row);
-                    let mut drow = Matrix::zeros(1, grad.cols);
-                    for r in 0..grad.rows {
-                        for (o, &g) in drow.data.iter_mut().zip(grad.row(r)) {
-                            *o += g;
-                        }
-                    }
-                    self.add_grad(a, grad);
-                    self.add_grad(row, drow);
-                }
-                Op::Mul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let va = self.nodes[a.0].value.clone();
-                    let vb = self.nodes[b.0].value.clone();
-                    let da = Matrix {
-                        rows: grad.rows,
-                        cols: grad.cols,
-                        data: grad
-                            .data
-                            .iter()
-                            .zip(&vb.data)
-                            .map(|(&g, &v)| g * v)
-                            .collect(),
-                    };
-                    let db = Matrix {
-                        rows: grad.rows,
-                        cols: grad.cols,
-                        data: grad
-                            .data
-                            .iter()
-                            .zip(&va.data)
-                            .map(|(&g, &v)| g * v)
-                            .collect(),
-                    };
-                    self.add_grad(a, da);
-                    self.add_grad(b, db);
-                }
-                Op::Scale(a, c) => {
-                    let (a, c) = (*a, *c);
-                    self.add_grad(a, grad.map(|g| g * c));
-                }
-                Op::Tanh(a) => {
-                    let a = *a;
-                    let y = &self.nodes[idx].value;
-                    let da = Matrix {
-                        rows: grad.rows,
-                        cols: grad.cols,
-                        data: grad
-                            .data
-                            .iter()
-                            .zip(&y.data)
-                            .map(|(&g, &y)| g * (1.0 - y * y))
-                            .collect(),
-                    };
-                    self.add_grad(a, da);
-                }
-                Op::Sigmoid(a) => {
-                    let a = *a;
-                    let y = &self.nodes[idx].value;
-                    let da = Matrix {
-                        rows: grad.rows,
-                        cols: grad.cols,
-                        data: grad
-                            .data
-                            .iter()
-                            .zip(&y.data)
-                            .map(|(&g, &y)| g * y * (1.0 - y))
-                            .collect(),
-                    };
-                    self.add_grad(a, da);
-                }
-                Op::Relu(a) => {
-                    let a = *a;
-                    let x = &self.nodes[a.0].value;
-                    let da = Matrix {
-                        rows: grad.rows,
-                        cols: grad.cols,
-                        data: grad
-                            .data
-                            .iter()
-                            .zip(&x.data)
-                            .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
-                            .collect(),
-                    };
-                    self.add_grad(a, da);
-                }
-                Op::Gelu(a) => {
-                    let a = *a;
-                    let x = &self.nodes[a.0].value;
-                    let da = Matrix {
-                        rows: grad.rows,
-                        cols: grad.cols,
-                        data: grad
-                            .data
-                            .iter()
-                            .zip(&x.data)
-                            .map(|(&g, &x)| g * gelu_grad(x))
-                            .collect(),
-                    };
-                    self.add_grad(a, da);
-                }
-                Op::SoftmaxRows(a) => {
-                    let a = *a;
-                    let y = self.nodes[idx].value.clone();
-                    let mut da = Matrix::zeros(grad.rows, grad.cols);
-                    for r in 0..grad.rows {
-                        let g_row = grad.row(r);
-                        let y_row = y.row(r);
-                        let dot: f32 = g_row.iter().zip(y_row).map(|(&g, &y)| g * y).sum();
-                        for c in 0..grad.cols {
-                            da.set(r, c, y_row[c] * (g_row[c] - dot));
-                        }
-                    }
-                    self.add_grad(a, da);
-                }
-                Op::LayerNorm {
-                    x,
-                    gain,
-                    bias,
-                    inv_std,
-                    normed,
-                } => {
-                    let (x, gain, bias) = (*x, *gain, *bias);
-                    let inv_std = inv_std.clone();
-                    let normed = normed.clone();
-                    let vg = self.nodes[gain.0].value.clone();
-                    let n = grad.cols as f32;
-
-                    let mut dgain = Matrix::zeros(1, grad.cols);
-                    let mut dbias = Matrix::zeros(1, grad.cols);
-                    let mut dx = Matrix::zeros(grad.rows, grad.cols);
-                    for (r, &istd) in inv_std.iter().enumerate().take(grad.rows) {
-                        let g_row = grad.row(r);
-                        let n_row = normed.row(r);
-                        for c in 0..grad.cols {
-                            dgain.data[c] += g_row[c] * n_row[c];
-                            dbias.data[c] += g_row[c];
-                        }
-                        // dnormed = g * gain
-                        let dn: Vec<f32> =
-                            g_row.iter().zip(&vg.data).map(|(&g, &w)| g * w).collect();
-                        let sum_dn: f32 = dn.iter().sum();
-                        let sum_dn_n: f32 = dn.iter().zip(n_row).map(|(&d, &m)| d * m).sum();
-                        for c in 0..grad.cols {
-                            let v = istd * (dn[c] - sum_dn / n - n_row[c] * sum_dn_n / n);
-                            dx.set(r, c, v);
-                        }
-                    }
-                    self.add_grad(x, dx);
-                    self.add_grad(gain, dgain);
-                    self.add_grad(bias, dbias);
-                }
-                Op::Gather { weight, ids } => {
-                    let weight = *weight;
-                    let ids = ids.clone();
-                    let w_shape = {
-                        let w = &self.nodes[weight.0].value;
-                        (w.rows, w.cols)
-                    };
-                    let mut dw = Matrix::zeros(w_shape.0, w_shape.1);
-                    for (r, &id) in ids.iter().enumerate() {
-                        let dst = dw.row_mut(id as usize);
-                        for (o, &g) in dst.iter_mut().zip(grad.row(r)) {
-                            *o += g;
-                        }
-                    }
-                    self.add_grad(weight, dw);
-                }
-                Op::ConcatCols(parts) => {
-                    let parts = parts.clone();
-                    let mut offset = 0;
-                    for p in parts {
-                        let cols = self.nodes[p.0].value.cols;
-                        let mut dp = Matrix::zeros(grad.rows, cols);
-                        for r in 0..grad.rows {
-                            dp.row_mut(r)
-                                .copy_from_slice(&grad.row(r)[offset..offset + cols]);
-                        }
-                        offset += cols;
-                        self.add_grad(p, dp);
-                    }
-                }
-                Op::NarrowCols { x, start, len } => {
-                    let (x, start, len) = (*x, *start, *len);
-                    let full = {
-                        let m = &self.nodes[x.0].value;
-                        (m.rows, m.cols)
-                    };
-                    let mut dx = Matrix::zeros(full.0, full.1);
-                    for r in 0..grad.rows {
-                        dx.row_mut(r)[start..start + len].copy_from_slice(grad.row(r));
-                    }
-                    self.add_grad(x, dx);
-                }
-                Op::ConcatRows(parts) => {
-                    let parts = parts.clone();
-                    let mut offset = 0;
-                    for p in parts {
-                        let rows = self.nodes[p.0].value.rows;
-                        let mut dp = Matrix::zeros(rows, grad.cols);
-                        dp.data.copy_from_slice(
-                            &grad.data[offset * grad.cols..(offset + rows) * grad.cols],
-                        );
-                        offset += rows;
-                        self.add_grad(p, dp);
-                    }
-                }
-                Op::SelectRow { x, row } => {
-                    let (x, row) = (*x, *row);
-                    let full = {
-                        let m = &self.nodes[x.0].value;
-                        (m.rows, m.cols)
-                    };
-                    let mut dx = Matrix::zeros(full.0, full.1);
-                    dx.row_mut(row).copy_from_slice(grad.row(0));
-                    self.add_grad(x, dx);
-                }
-                Op::Transpose(x) => {
-                    let x = *x;
-                    self.add_grad(x, grad.transpose());
-                }
-                Op::MeanRows(x) => {
-                    let x = *x;
-                    let rows = self.nodes[x.0].value.rows;
-                    let scale = 1.0 / rows.max(1) as f32;
-                    let mut dx = Matrix::zeros(rows, grad.cols);
-                    for r in 0..rows {
-                        for (o, &g) in dx.row_mut(r).iter_mut().zip(grad.row(0)) {
-                            *o = g * scale;
-                        }
-                    }
-                    self.add_grad(x, dx);
-                }
-                Op::Dropout { x, mask } => {
-                    let x = *x;
-                    let mask = mask.clone();
-                    let dx = Matrix {
-                        rows: grad.rows,
-                        cols: grad.cols,
-                        data: grad.data.iter().zip(&mask).map(|(&g, &m)| g * m).collect(),
-                    };
-                    self.add_grad(x, dx);
-                }
-                Op::CrossEntropy {
-                    logits,
-                    targets,
-                    probs,
-                } => {
-                    let logits = *logits;
-                    let targets = targets.clone();
-                    let probs = probs.clone();
-                    let upstream = grad.data[0];
-                    let n = targets.len().max(1) as f32;
-                    let mut dl = probs;
-                    for (r, &t) in targets.iter().enumerate() {
-                        let row = dl.row_mut(r);
-                        row[t] -= 1.0;
-                        for v in row.iter_mut() {
-                            *v *= upstream / n;
-                        }
-                    }
-                    // (loop above indexes by target, not position — fine)
-                    self.add_grad(logits, dl);
-                }
-                Op::RelativeGather {
-                    x,
-                    radius,
-                    transposed,
-                } => {
-                    let (x, radius, transposed) = (*x, *radius, *transposed);
-                    let n = grad.rows;
-                    let mut dx = Matrix::zeros(n, 2 * radius + 1);
-                    for i in 0..n {
-                        for j in 0..n {
-                            let (src_row, offset) = if transposed {
-                                (j, i as i64 - j as i64)
-                            } else {
-                                (i, j as i64 - i as i64)
-                            };
-                            let col = (offset + radius as i64).clamp(0, 2 * radius as i64) as usize;
-                            dx.data[src_row * (2 * radius + 1) + col] += grad.get(i, j);
-                        }
-                    }
-                    self.add_grad(x, dx);
-                }
-            }
-            if let (Some(ns), Some(t0)) = (self.op_ns.as_deref_mut(), t0) {
-                ns[N_KINDS + kind] += t0.elapsed().as_nanos() as u64;
-            }
-        }
+    /// Every parameter leaf's gradient after `backward`, in node order.
+    pub fn param_grads(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
+        self.nodes
+            .iter()
+            .filter_map(|node| match (&node.op, &node.grad) {
+                (
+                    Op::Leaf {
+                        param: Some(id), ..
+                    },
+                    Some(g),
+                ) => Some((*id, g)),
+                _ => None,
+            })
     }
 
     /// After `backward`, push every parameter leaf's gradient into the
-    /// store.
+    /// store, in node order.
     pub fn harvest_grads(&self, store: &mut ParamStore) {
-        for node in &self.nodes {
-            if let Op::Leaf { param: Some(id) } = node.op {
-                if let Some(g) = &node.grad {
-                    store.accumulate(id, g);
-                }
-            }
+        for (id, g) in self.param_grads() {
+            store.accumulate(id, g);
         }
     }
 
@@ -951,6 +712,310 @@ impl Tape {
     /// True if no nodes were recorded.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+}
+
+/// A node's value, following a repeated parameter leaf to the node that
+/// holds the parameter's copy.
+fn value_at(nodes: &[Node], i: usize) -> &Matrix {
+    match nodes[i].op {
+        Op::Leaf {
+            shares: Some(src), ..
+        } => &nodes[src].value,
+        _ => &nodes[i].value,
+    }
+}
+
+/// Untransposed [`Op::RelativeGather`] of `x` (n×(2·radius+1)):
+/// `out[i][j] = x[i][clamp(j - i + radius, 0, 2·radius)]`, built row by
+/// row from two fills and one slice copy. Column `j` of row `i` clamps to
+/// 0 below `lo = i + 1 - radius`, to `2·radius` from `hi = i + radius`,
+/// and maps one-to-one in between.
+fn relative_rows(x: &Matrix, radius: usize) -> Matrix {
+    let n = x.rows;
+    let mut out = Matrix::zeros(n, n);
+    for i in 0..n {
+        let (lo, hi) = relative_bounds(i, n, radius);
+        let src = x.row(i);
+        let dst = out.row_mut(i);
+        dst[..lo].fill(src[0]);
+        dst[lo..hi].copy_from_slice(&src[lo + radius - i..hi + radius - i]);
+        dst[hi..].fill(src[2 * radius]);
+    }
+    out
+}
+
+/// Backward of [`relative_rows`]: `dx[i][clamp(j - i + radius)] += g[i][j]`
+/// with each clamped cell summed in ascending `j`.
+fn relative_scatter(g: &Matrix, radius: usize) -> Matrix {
+    let n = g.rows;
+    let mut dx = Matrix::zeros(n, 2 * radius + 1);
+    for i in 0..n {
+        let (lo, hi) = relative_bounds(i, n, radius);
+        let src = g.row(i);
+        let dst = dx.row_mut(i);
+        for &v in &src[..lo] {
+            dst[0] += v;
+        }
+        for (o, &v) in dst[lo + radius - i..hi + radius - i]
+            .iter_mut()
+            .zip(&src[lo..hi])
+        {
+            *o += v;
+        }
+        for &v in &src[hi..] {
+            dst[2 * radius] += v;
+        }
+    }
+    dx
+}
+
+/// `(lo, hi)` of [`relative_rows`] for row `i`, clipped to `0..=n`. With
+/// `radius == 0` every column clamps to 0 and `lo == hi == i + 1`.
+fn relative_bounds(i: usize, n: usize, radius: usize) -> (usize, usize) {
+    let lo = (i + 1).saturating_sub(radius).min(n);
+    (lo, (i + radius).clamp(lo, n))
+}
+
+/// Add a gradient contribution to a node.
+fn add_grad(node: &mut Node, g: Matrix) {
+    match &mut node.grad {
+        Some(existing) => existing.axpy(1.0, &g),
+        slot @ None => *slot = Some(g),
+    }
+}
+
+/// [`add_grad`] from a borrowed contribution, copied only when it is the
+/// node's first.
+fn add_grad_ref(node: &mut Node, g: &Matrix) {
+    match &mut node.grad {
+        Some(existing) => existing.axpy(1.0, g),
+        slot @ None => *slot = Some(g.clone()),
+    }
+}
+
+/// Elementwise `grad[i] = f(grad[i], with[i])` in place.
+fn scale_by(mut grad: Matrix, with: &[f32], f: impl Fn(f32, f32) -> f32) -> Matrix {
+    for (g, &w) in grad.data.iter_mut().zip(with) {
+        *g = f(*g, w);
+    }
+    grad
+}
+
+/// Push one node's output gradient `grad` into its operands' gradients.
+/// Operands (`parents`, every node before this one) are borrowed, never
+/// copied; elementwise backward rules rewrite `grad` in place.
+fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
+    match &node.op {
+        Op::Leaf { .. } => {}
+        Op::MatMul(a, b) => {
+            let da = grad.matmul_nt(value_at(parents, b.0));
+            let db = value_at(parents, a.0).matmul_tn(&grad);
+            add_grad(&mut parents[a.0], da);
+            add_grad(&mut parents[b.0], db);
+        }
+        Op::Add(a, b) => {
+            add_grad_ref(&mut parents[a.0], &grad);
+            add_grad(&mut parents[b.0], grad);
+        }
+        Op::AddRow(a, row) => {
+            let mut drow = Matrix::zeros(1, grad.cols);
+            for r in 0..grad.rows {
+                for (o, &g) in drow.data.iter_mut().zip(grad.row(r)) {
+                    *o += g;
+                }
+            }
+            add_grad(&mut parents[a.0], grad);
+            add_grad(&mut parents[row.0], drow);
+        }
+        Op::Mul(a, b) => {
+            let mul = |v: &Matrix| Matrix {
+                rows: grad.rows,
+                cols: grad.cols,
+                data: grad
+                    .data
+                    .iter()
+                    .zip(&v.data)
+                    .map(|(&g, &v)| g * v)
+                    .collect(),
+            };
+            let da = mul(value_at(parents, b.0));
+            let db = mul(value_at(parents, a.0));
+            add_grad(&mut parents[a.0], da);
+            add_grad(&mut parents[b.0], db);
+        }
+        Op::Scale(a, c) => {
+            let c = *c;
+            let mut da = grad;
+            da.data.iter_mut().for_each(|g| *g *= c);
+            add_grad(&mut parents[a.0], da);
+        }
+        Op::Tanh(a) => {
+            let da = scale_by(grad, &node.value.data, |g, y| g * (1.0 - y * y));
+            add_grad(&mut parents[a.0], da);
+        }
+        Op::Sigmoid(a) => {
+            let da = scale_by(grad, &node.value.data, |g, y| g * y * (1.0 - y));
+            add_grad(&mut parents[a.0], da);
+        }
+        Op::Relu(a) => {
+            let x = value_at(parents, a.0);
+            let da = scale_by(grad, &x.data, |g, x| if x > 0.0 { g } else { 0.0 });
+            add_grad(&mut parents[a.0], da);
+        }
+        Op::Gelu { x, tanh } => {
+            let vx = &value_at(parents, x.0).data;
+            let mut da = grad;
+            for ((g, &xv), &t) in da.data.iter_mut().zip(vx).zip(tanh) {
+                *g *= gelu_grad_cached(xv, t);
+            }
+            add_grad(&mut parents[x.0], da);
+        }
+        Op::SoftmaxRows(a) => {
+            let mut da = grad;
+            for r in 0..da.rows {
+                let y_row = node.value.row(r);
+                let g_row = da.row_mut(r);
+                let dot: f32 = g_row.iter().zip(y_row).map(|(&g, &y)| g * y).sum();
+                for (g, &y) in g_row.iter_mut().zip(y_row) {
+                    *g = y * (*g - dot);
+                }
+            }
+            add_grad(&mut parents[a.0], da);
+        }
+        Op::LayerNorm {
+            x,
+            gain,
+            bias,
+            inv_std,
+            normed,
+        } => {
+            let vg = value_at(parents, gain.0);
+            let n = grad.cols as f32;
+            let mut dgain = Matrix::zeros(1, grad.cols);
+            let mut dbias = Matrix::zeros(1, grad.cols);
+            let mut dx = Matrix::zeros(grad.rows, grad.cols);
+            let mut dn = vec![0.0f32; grad.cols];
+            for (r, &istd) in inv_std.iter().enumerate().take(grad.rows) {
+                let g_row = grad.row(r);
+                let n_row = normed.row(r);
+                for c in 0..grad.cols {
+                    dgain.data[c] += g_row[c] * n_row[c];
+                    dbias.data[c] += g_row[c];
+                }
+                // dnormed = g * gain
+                for ((d, &g), &w) in dn.iter_mut().zip(g_row).zip(&vg.data) {
+                    *d = g * w;
+                }
+                let sum_dn: f32 = dn.iter().sum();
+                let sum_dn_n: f32 = dn.iter().zip(n_row).map(|(&d, &m)| d * m).sum();
+                for (c, o) in dx.row_mut(r).iter_mut().enumerate() {
+                    *o = istd * (dn[c] - sum_dn / n - n_row[c] * sum_dn_n / n);
+                }
+            }
+            add_grad(&mut parents[x.0], dx);
+            add_grad(&mut parents[gain.0], dgain);
+            add_grad(&mut parents[bias.0], dbias);
+        }
+        Op::Gather { weight, ids } => {
+            let w = value_at(parents, weight.0);
+            let mut dw = Matrix::zeros(w.rows, w.cols);
+            for (r, &id) in ids.iter().enumerate() {
+                let dst = dw.row_mut(id as usize);
+                for (o, &g) in dst.iter_mut().zip(grad.row(r)) {
+                    *o += g;
+                }
+            }
+            add_grad(&mut parents[weight.0], dw);
+        }
+        Op::ConcatCols(parts) => {
+            let mut offset = 0;
+            for p in parts {
+                let cols = value_at(parents, p.0).cols;
+                let mut dp = Matrix::zeros(grad.rows, cols);
+                for r in 0..grad.rows {
+                    dp.row_mut(r)
+                        .copy_from_slice(&grad.row(r)[offset..offset + cols]);
+                }
+                offset += cols;
+                add_grad(&mut parents[p.0], dp);
+            }
+        }
+        Op::NarrowCols { x, start, len } => {
+            let (start, len) = (*start, *len);
+            let full = value_at(parents, x.0);
+            let mut dx = Matrix::zeros(full.rows, full.cols);
+            for r in 0..grad.rows {
+                dx.row_mut(r)[start..start + len].copy_from_slice(grad.row(r));
+            }
+            add_grad(&mut parents[x.0], dx);
+        }
+        Op::ConcatRows(parts) => {
+            let mut offset = 0;
+            for p in parts {
+                let rows = value_at(parents, p.0).rows;
+                let dp = Matrix::from_vec(
+                    rows,
+                    grad.cols,
+                    grad.data[offset * grad.cols..(offset + rows) * grad.cols].to_vec(),
+                );
+                offset += rows;
+                add_grad(&mut parents[p.0], dp);
+            }
+        }
+        Op::SelectRow { x, row } => {
+            let full = value_at(parents, x.0);
+            let mut dx = Matrix::zeros(full.rows, full.cols);
+            dx.row_mut(*row).copy_from_slice(grad.row(0));
+            add_grad(&mut parents[x.0], dx);
+        }
+        Op::Transpose(x) => add_grad(&mut parents[x.0], grad.transpose()),
+        Op::MeanRows(x) => {
+            let rows = value_at(parents, x.0).rows;
+            let scale = 1.0 / rows.max(1) as f32;
+            let mut dx = Matrix::zeros(rows, grad.cols);
+            for r in 0..rows {
+                for (o, &g) in dx.row_mut(r).iter_mut().zip(grad.row(0)) {
+                    *o = g * scale;
+                }
+            }
+            add_grad(&mut parents[x.0], dx);
+        }
+        Op::Dropout { x, mask } => {
+            let dx = scale_by(grad, mask, |g, m| g * m);
+            add_grad(&mut parents[x.0], dx);
+        }
+        Op::CrossEntropy {
+            logits,
+            targets,
+            probs,
+        } => {
+            let upstream = grad.data[0];
+            let n = targets.len().max(1) as f32;
+            let mut dl = Matrix::zeros(probs.rows, probs.cols);
+            for (r, &t) in targets.iter().enumerate() {
+                for (c, (o, &p)) in dl.row_mut(r).iter_mut().zip(probs.row(r)).enumerate() {
+                    let d = if c == t { p - 1.0 } else { p };
+                    *o = d * (upstream / n);
+                }
+            }
+            add_grad(&mut parents[logits.0], dl);
+        }
+        Op::RelativeGather {
+            x,
+            radius,
+            transposed,
+        } => {
+            // The transposed form is the plain form's transpose, so its
+            // backward is the plain backward of the transposed gradient:
+            // each clamped cell still sums in ascending i.
+            let dx = if *transposed {
+                relative_scatter(&grad.transpose(), *radius)
+            } else {
+                relative_scatter(&grad, *radius)
+            };
+            add_grad(&mut parents[x.0], dx);
+        }
     }
 }
 
@@ -967,18 +1032,23 @@ fn softmax_in_place(row: &mut [f32]) {
     }
 }
 
-/// GELU, tanh approximation.
-fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+/// `sqrt(2/π)`, the GELU tanh approximation's inner scale.
+const GELU_C: f32 = 0.797_884_6;
+
+/// The tanh term of the GELU approximation, `tanh(C·(x + 0.044715·x³))`,
+/// shared by the forward value and the derivative.
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
 }
 
-/// d/dx of the tanh-approximated GELU.
-fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
+/// GELU (tanh approximation) from its cached tanh term `t = gelu_tanh(x)`.
+fn gelu_cached(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
+}
+
+/// d/dx of the tanh-approximated GELU from its cached tanh term.
+fn gelu_grad_cached(x: f32, t: f32) -> f32 {
+    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
@@ -1247,6 +1317,154 @@ mod tests {
             }
             assert_eq!(ns("models.train.op.gelu.fwd_ns"), 0);
         });
+    }
+
+    /// The GELU formulas as they stood before the tape cached the tanh
+    /// term: the forward and the derivative each evaluate it.
+    fn gelu_uncached(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6; // sqrt(2/π)
+        0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    }
+
+    fn gelu_grad_uncached(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6;
+        let inner = C * (x + 0.044715 * x * x * x);
+        let t = inner.tanh();
+        let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    }
+
+    #[test]
+    fn cached_tanh_gelu_matches_uncached_formulas_bitwise() {
+        let mut xs: Vec<f32> = (-4000..=4000).map(|i| i as f32 * 1.7e-3).collect();
+        xs.extend([0.0, -0.0, 1e-40, -1e-40, 9.5, -9.5, 30.0, -30.0]);
+        let n = xs.len();
+        let mut tape = Tape::new();
+        let x = tape.constant(Matrix::from_vec(1, n, xs.clone()));
+        let y = tape.gelu(x);
+        let up: Vec<f32> = (0..n).map(|i| 0.25 + (i % 7) as f32 * 0.5).collect();
+        let w = tape.constant(Matrix::from_vec(1, n, up.clone()));
+        let out = tape.mul(y, w);
+        tape.backward(out);
+        let (value, grad) = (tape.value(y).clone(), tape.grad(x));
+        for (i, &xv) in xs.iter().enumerate() {
+            assert_eq!(
+                value.data[i].to_bits(),
+                gelu_uncached(xv).to_bits(),
+                "gelu({xv})"
+            );
+            let want = up[i] * gelu_grad_uncached(xv);
+            assert_eq!(grad.data[i].to_bits(), want.to_bits(), "gelu'({xv})");
+        }
+    }
+
+    /// The per-element relative gather and its scatter as they stood
+    /// before the row-slice forms.
+    fn relative_gather_elementwise(m: &Matrix, radius: usize, transposed: bool) -> Matrix {
+        let n = m.rows;
+        let mut value = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let (src_row, offset) = if transposed {
+                    (j, i as i64 - j as i64)
+                } else {
+                    (i, j as i64 - i as i64)
+                };
+                let col = (offset + radius as i64).clamp(0, 2 * radius as i64) as usize;
+                value.set(i, j, m.get(src_row, col));
+            }
+        }
+        value
+    }
+
+    fn relative_scatter_elementwise(grad: &Matrix, radius: usize, transposed: bool) -> Matrix {
+        let n = grad.rows;
+        let mut dx = Matrix::zeros(n, 2 * radius + 1);
+        for i in 0..n {
+            for j in 0..n {
+                let (src_row, offset) = if transposed {
+                    (j, i as i64 - j as i64)
+                } else {
+                    (i, j as i64 - i as i64)
+                };
+                let col = (offset + radius as i64).clamp(0, 2 * radius as i64) as usize;
+                dx.data[src_row * (2 * radius + 1) + col] += grad.get(i, j);
+            }
+        }
+        dx
+    }
+
+    #[test]
+    fn relative_gather_matches_elementwise_bitwise() {
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [1usize, 2, 5, 9] {
+            for radius in [0usize, 1, 2, 3, 12] {
+                for transposed in [false, true] {
+                    let w = 2 * radius + 1;
+                    let x = Matrix::from_vec(
+                        n,
+                        w,
+                        (0..n * w).map(|i| (i as f32 * 0.37).sin()).collect(),
+                    );
+                    // Signed zeros in the upstream gradient must keep their
+                    // sign through single-contribution cells (0.0 + -0.0).
+                    let g = Matrix::from_vec(
+                        n,
+                        n,
+                        (0..n * n)
+                            .map(|i| match i % 5 {
+                                0 => -0.0,
+                                1 => 0.0,
+                                _ => (i as f32 * 0.71).cos() * 1e3,
+                            })
+                            .collect(),
+                    );
+                    let mut tape = Tape::new();
+                    let xv = tape.constant(x.clone());
+                    let y = tape.relative_gather(xv, n, radius, transposed);
+                    let gv = tape.constant(g.clone());
+                    let out = tape.mul(y, gv);
+                    tape.backward(out);
+                    let what = format!("n={n} radius={radius} transposed={transposed}");
+                    assert_eq!(
+                        bits(tape.value(y)),
+                        bits(&relative_gather_elementwise(&x, radius, transposed)),
+                        "forward {what}"
+                    );
+                    assert_eq!(
+                        bits(&tape.grad(xv)),
+                        bits(&relative_scatter_elementwise(&g, radius, transposed)),
+                        "backward {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_params_share_one_copy_with_separate_gradients() {
+        let mut store = ParamStore::new();
+        let id = store.register("w", Matrix::from_vec(1, 2, vec![2.0, -1.0]));
+        let mut tape = Tape::new();
+        let w1 = tape.param(&store, id);
+        let x = tape.constant(Matrix::from_vec(1, 2, vec![3.0, 4.0]));
+        let w2 = tape.param(&store, id);
+        assert_eq!(tape.value(w2), store.value(id));
+        assert_eq!(tape.shape(w2), (1, 2));
+        let a = tape.mul(w1, x);
+        let b = tape.mul(w2, w2);
+        let y = tape.add(a, b);
+        tape.backward(y);
+        // d/dw1 = x; d/dw2 = 2·w (both uses of w2 feed one leaf).
+        assert_eq!(tape.grad(w1).data, vec![3.0, 4.0]);
+        assert_eq!(tape.grad(w2).data, vec![4.0, -2.0]);
+        let grads: Vec<_> = tape
+            .param_grads()
+            .map(|(p, g)| (p, g.data.clone()))
+            .collect();
+        assert_eq!(grads, vec![(id, vec![3.0, 4.0]), (id, vec![4.0, -2.0])]);
+        tape.harvest_grads(&mut store);
+        assert_eq!(store.grad(id).data, vec![7.0, 2.0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! order-preserving and stays bitwise equal).
 
 use proptest::prelude::*;
-use rsd_nn::matrix::{reference, Matrix};
+use rsd_nn::matrix::{dot4, reference, Matrix};
 
 fn close_to(got: &Matrix, want: &Matrix) -> bool {
     got.data
@@ -31,6 +31,57 @@ fn matrix_from(rows: usize, cols: usize, vals: &[f32], sparse: bool) -> Matrix {
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Draws as generated by `(0u32..10, -2.0f32..2.0, 1u32..0x80_0000)`
+/// mapped to ordinary values mixed with signed zeros and subnormals of
+/// both signs.
+fn edge_values(draws: &[(u32, f32, u32)]) -> Vec<f32> {
+    draws
+        .iter()
+        .map(|&(pick, v, sub)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(sub),
+            3 => -f32::from_bits(sub),
+            _ => v,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The blocked `matmul_nt` kernel rounds every output exactly as the
+    /// scalar `dot4` does: k of every residue mod 4, output widths that
+    /// leave a partial block of eight, and single-row left operands.
+    fn matmul_nt_equals_per_element_dot4(
+        single_row in 0u32..2,
+        m in 2usize..6,
+        k_quads in 0usize..10,
+        k_rem in 0usize..4,
+        n_blocks in 0usize..4,
+        n_rem in 1usize..8,
+        a_draws in collection::vec((0u32..10, -2.0f32..2.0, 1u32..0x80_0000), 1..64),
+        b_draws in collection::vec((0u32..10, -2.0f32..2.0, 1u32..0x80_0000), 1..64),
+    ) {
+        let m = if single_row == 1 { 1 } else { m };
+        let (k, n) = (4 * k_quads + k_rem, 8 * n_blocks + n_rem);
+        let (a_vals, b_vals) = (edge_values(&a_draws), edge_values(&b_draws));
+        let cycle = |len: usize, vals: &[f32]| -> Vec<f32> {
+            (0..len).map(|i| vals[(i * 7 + i / vals.len()) % vals.len()]).collect()
+        };
+        let a = Matrix::from_vec(m, k, cycle(m * k, &a_vals));
+        let b = Matrix::from_vec(n, k, cycle(n * k, &b_vals));
+        let want: Vec<u32> = (0..m)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .map(|(i, j)| dot4(a.row(i), b.row(j)).to_bits())
+            .collect();
+        let ser = rsd_par::run_serial(|| a.matmul_nt(&b));
+        let par = rsd_par::with_local_pool(4, || a.matmul_nt(&b));
+        prop_assert_eq!(bits(&ser), want.clone());
+        prop_assert_eq!(bits(&par), want);
+    }
 }
 
 proptest! {
