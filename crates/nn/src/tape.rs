@@ -62,10 +62,10 @@ enum Op {
         ids: Vec<u32>,
     },
     ConcatCols(Vec<Var>),
+    /// Column range `start..` of `x`, as wide as the node's value.
     NarrowCols {
         x: Var,
         start: usize,
-        len: usize,
     },
     ConcatRows(Vec<Var>),
     SelectRow {
@@ -524,7 +524,7 @@ impl Tape {
                 .row_mut(r)
                 .copy_from_slice(&m.row(r)[start..start + len]);
         }
-        self.push(value, Op::NarrowCols { x, start, len }, t0)
+        self.push(value, Op::NarrowCols { x, start }, t0)
     }
 
     /// Concatenate along rows (all same column count).
@@ -794,6 +794,39 @@ fn add_grad_ref(node: &mut Node, g: &Matrix) {
     }
 }
 
+/// [`add_grad`] of a `shape`-sized matrix that is `g` at offset
+/// `(r0, c0)` and zero elsewhere, without building it unless it is the
+/// node's first contribution. The bits match: `e + v` inside the window
+/// and `e + 0.0` outside it, which turns -0.0 into +0.0.
+fn add_grad_padded(node: &mut Node, shape: (usize, usize), g: &Matrix, (r0, c0): (usize, usize)) {
+    let (rows, cols) = shape;
+    let c1 = c0 + g.cols;
+    match &mut node.grad {
+        Some(existing) => {
+            for (r, dst) in existing.data.chunks_mut(cols.max(1)).enumerate() {
+                let src = r.checked_sub(r0).filter(|&i| i < g.rows).map(|i| g.row(i));
+                match src {
+                    Some(src) => {
+                        dst[..c0].iter_mut().for_each(|e| *e += 0.0);
+                        for (e, &v) in dst[c0..c1].iter_mut().zip(src) {
+                            *e += v;
+                        }
+                        dst[c1..].iter_mut().for_each(|e| *e += 0.0);
+                    }
+                    None => dst.iter_mut().for_each(|e| *e += 0.0),
+                }
+            }
+        }
+        slot @ None => {
+            let mut dx = Matrix::zeros(rows, cols);
+            for i in 0..g.rows {
+                dx.row_mut(r0 + i)[c0..c1].copy_from_slice(g.row(i));
+            }
+            *slot = Some(dx);
+        }
+    }
+}
+
 /// Elementwise `grad[i] = f(grad[i], with[i])` in place.
 fn scale_by(mut grad: Matrix, with: &[f32], f: impl Fn(f32, f32) -> f32) -> Matrix {
     for (g, &w) in grad.data.iter_mut().zip(with) {
@@ -941,14 +974,10 @@ fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
                 add_grad(&mut parents[p.0], dp);
             }
         }
-        Op::NarrowCols { x, start, len } => {
-            let (start, len) = (*start, *len);
+        Op::NarrowCols { x, start } => {
             let full = value_at(parents, x.0);
-            let mut dx = Matrix::zeros(full.rows, full.cols);
-            for r in 0..grad.rows {
-                dx.row_mut(r)[start..start + len].copy_from_slice(grad.row(r));
-            }
-            add_grad(&mut parents[x.0], dx);
+            let shape = (full.rows, full.cols);
+            add_grad_padded(&mut parents[x.0], shape, &grad, (0, *start));
         }
         Op::ConcatRows(parts) => {
             let mut offset = 0;
@@ -965,9 +994,8 @@ fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
         }
         Op::SelectRow { x, row } => {
             let full = value_at(parents, x.0);
-            let mut dx = Matrix::zeros(full.rows, full.cols);
-            dx.row_mut(*row).copy_from_slice(grad.row(0));
-            add_grad(&mut parents[x.0], dx);
+            let shape = (full.rows, full.cols);
+            add_grad_padded(&mut parents[x.0], shape, &grad, (*row, 0));
         }
         Op::Transpose(x) => add_grad(&mut parents[x.0], grad.transpose()),
         Op::MeanRows(x) => {
@@ -1439,6 +1467,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn narrow_cols_backward_adds_like_a_dense_zero_padded_gradient() {
+        let c = Matrix::from_vec(2, 4, vec![-0.0, 2.0, -0.0, 1.0, -0.0, 0.5, 3.0, -0.0]);
+        let mut tape = Tape::new();
+        let x = tape.constant(Matrix::from_vec(2, 4, vec![1.0; 8]));
+        let n = tape.narrow_cols(x, 1, 2);
+        let cv = tape.constant(c.clone());
+        let m = tape.mul(x, cv);
+        let out = tape.concat_cols(&[n, m]);
+        tape.backward(out);
+        let mut want = c.clone();
+        let mut padded = Matrix::zeros(2, 4);
+        for r in 0..2 {
+            padded.row_mut(r)[1..3].copy_from_slice(&[1.0, 1.0]);
+        }
+        want.axpy(1.0, &padded);
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tape.grad(x)), bits(&want));
+        assert_eq!(tape.grad(x).data[0].to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn select_row_backward_adds_like_a_dense_zero_padded_gradient() {
+        // The mul contribution reaches x first and carries -0.0 entries;
+        // the select_row contribution must turn those outside its row into
+        // +0.0, exactly as adding a zero-padded matrix does.
+        let c = Matrix::from_vec(2, 3, vec![-0.0, 2.0, -0.0, -0.0, 0.5, 3.0]);
+        let mut tape = Tape::new();
+        let x = tape.constant(Matrix::from_vec(2, 3, vec![1.0; 6]));
+        let s = tape.select_row(x, 0);
+        let cv = tape.constant(c.clone());
+        let m = tape.mul(x, cv);
+        let out = tape.concat_rows(&[s, m]);
+        tape.backward(out);
+        let mut want = c.clone();
+        let mut padded = Matrix::zeros(2, 3);
+        padded.row_mut(0).copy_from_slice(&[1.0, 1.0, 1.0]);
+        want.axpy(1.0, &padded);
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tape.grad(x)), bits(&want));
+        assert_eq!(tape.grad(x).data[3].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
