@@ -9,7 +9,9 @@
 //! matmul dense path accumulates with fused multiply-adds (one rounding
 //! per step, via `f32::mul_add` or the AVX2 `vfmaddps` kernel — both
 //! produce the same bits), so it is differently rounded than the
-//! pre-optimization kernels but deterministic everywhere.
+//! pre-optimization kernels but deterministic everywhere. `matmul_nt`
+//! instead rounds each output as the 4-lane [`dot4`] does, with separate
+//! multiplies and adds, through an SSE kernel on x86-64.
 //!
 //! The pre-optimization scalar kernels live in [`reference`] so benches
 //! and property tests can compare against the original implementations.

@@ -2,7 +2,8 @@
 //!
 //! One [`Tape`] is built per training example: operations append nodes,
 //! [`Tape::backward`] runs the reverse sweep, and parameter gradients are
-//! harvested with [`Tape::harvest_grads`]. The op set is exactly what the
+//! harvested with [`Tape::harvest_grads`] (or read with
+//! [`Tape::param_grads`]). The op set is exactly what the
 //! RNN and transformer baselines require; every op's backward is verified
 //! against finite differences in the test module.
 //!
@@ -161,7 +162,8 @@ op_kinds!(
 const N_KINDS: usize = OP_KINDS.len();
 
 /// Per-kind forward then backward nanoseconds of every dropped timed tape
-/// not yet published.
+/// not yet published. Plain statistics that guard no other data, so
+/// `Relaxed` suffices.
 static OP_NS: [AtomicU64; 2 * N_KINDS] = [const { AtomicU64::new(0) }; 2 * N_KINDS];
 
 /// Add the op-kind times of every tape dropped since the last call to the
@@ -663,17 +665,18 @@ impl Tape {
         add_grad(&mut self.nodes[output.0], seed);
 
         for idx in (0..=output.0).rev() {
-            // Parents always precede their node, so `parents` holds every
-            // operand mutably while the node itself is only read.
-            let (parents, rest) = self.nodes.split_at_mut(idx);
-            let node = &mut rest[0];
+            let node = &mut self.nodes[idx];
             if matches!(node.op, Op::Leaf { .. }) {
                 continue;
             }
             let Some(grad) = node.grad.take() else {
                 continue;
             };
-            let t0 = self.op_ns.as_ref().map(|_| Instant::now());
+            let t0 = self.start();
+            // Parents always precede their node, so `parents` holds every
+            // operand mutably while the node itself is only read.
+            let (parents, rest) = self.nodes.split_at_mut(idx);
+            let node = &rest[0];
             backprop(parents, node, grad);
             if let (Some(ns), Some(t0)) = (self.op_ns.as_deref_mut(), t0) {
                 ns[N_KINDS + node.op.kind()] += t0.elapsed().as_nanos() as u64;
