@@ -194,6 +194,11 @@ echo "==> int8 inference parity (f32-vs-int8 + partition/quant properties)"
 # engine's bitwise tape parity, int8 quality envelope, kernel SIMD/
 # portable agreement, and partition invariance of quantized scoring.
 cargo test --release -q -p rsd-nn --test quant_props
+# The f32 training tape under release arithmetic: the SSE matmul_nt kernel
+# must equal the scalar dot4 bit for bit, and the committed training digest
+# must hold (no trained weight may move).
+cargo test --release -q -p rsd-nn --test par_determinism
+cargo test --release -q -p rsd-models --test train_digest
 cargo test --release -q -p rsd-models --test int8_partition_props
 cargo test --release -q -p rsd-models plm_infer
 
