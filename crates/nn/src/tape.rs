@@ -63,10 +63,10 @@ enum Op {
         ids: Vec<u32>,
     },
     ConcatCols(Vec<Var>),
-    /// Column range `start..` of `x`, as wide as the node's value.
     NarrowCols {
         x: Var,
         start: usize,
+        len: usize,
     },
     ConcatRows(Vec<Var>),
     SelectRow {
@@ -95,71 +95,52 @@ enum Op {
     },
 }
 
-impl Op {
-    /// Index into the per-kind timing counters ([`OP_KINDS`] order).
-    fn kind(&self) -> usize {
-        match self {
-            Op::Leaf { .. } => 0,
-            Op::MatMul(..) => 1,
-            Op::Add(..) => 2,
-            Op::AddRow(..) => 3,
-            Op::Mul(..) => 4,
-            Op::Scale(..) => 5,
-            Op::Tanh(_) => 6,
-            Op::Sigmoid(_) => 7,
-            Op::Relu(_) => 8,
-            Op::Gelu { .. } => 9,
-            Op::SoftmaxRows(_) => 10,
-            Op::LayerNorm { .. } => 11,
-            Op::Gather { .. } => 12,
-            Op::ConcatCols(_) => 13,
-            Op::NarrowCols { .. } => 14,
-            Op::ConcatRows(_) => 15,
-            Op::SelectRow { .. } => 16,
-            Op::Transpose(_) => 17,
-            Op::MeanRows(_) => 18,
-            Op::Dropout { .. } => 19,
-            Op::CrossEntropy { .. } => 20,
-            Op::RelativeGather { .. } => 21,
-        }
-    }
-}
-
+/// The op kinds and their counter names, in one list: `Op::kind` and the
+/// label tables both follow its order, and the `match` it expands to must
+/// name every `Op` variant.
 macro_rules! op_kinds {
-    ($($kind:literal),* $(,)?) => {
-        /// Op kind names, indexed by [`Op::kind`].
-        const OP_KINDS: &[&str] = &[$($kind),*];
-        const FWD_NS: &[&str] = &[$(concat!("models.train.op.", $kind, ".fwd_ns")),*];
-        const BWD_NS: &[&str] = &[$(concat!("models.train.op.", $kind, ".bwd_ns")),*];
+    ($($variant:ident => $kind:literal),* $(,)?) => {
+        impl Op {
+            /// Index into the per-kind timing counters.
+            fn kind(&self) -> usize {
+                enum Kind {
+                    $($variant),*
+                }
+                match self {
+                    $(Op::$variant { .. } => Kind::$variant as usize),*
+                }
+            }
+        }
+        const N_KINDS: usize = [$($kind),*].len();
+        const FWD_NS: [&str; N_KINDS] = [$(concat!("models.train.op.", $kind, ".fwd_ns")),*];
+        const BWD_NS: [&str; N_KINDS] = [$(concat!("models.train.op.", $kind, ".bwd_ns")),*];
     };
 }
 
 op_kinds!(
-    "leaf",
-    "matmul",
-    "add",
-    "add_row",
-    "mul",
-    "scale",
-    "tanh",
-    "sigmoid",
-    "relu",
-    "gelu",
-    "softmax_rows",
-    "layer_norm",
-    "gather",
-    "concat_cols",
-    "narrow_cols",
-    "concat_rows",
-    "select_row",
-    "transpose",
-    "mean_rows",
-    "dropout",
-    "cross_entropy",
-    "relative_gather",
+    Leaf => "leaf",
+    MatMul => "matmul",
+    Add => "add",
+    AddRow => "add_row",
+    Mul => "mul",
+    Scale => "scale",
+    Tanh => "tanh",
+    Sigmoid => "sigmoid",
+    Relu => "relu",
+    Gelu => "gelu",
+    SoftmaxRows => "softmax_rows",
+    LayerNorm => "layer_norm",
+    Gather => "gather",
+    ConcatCols => "concat_cols",
+    NarrowCols => "narrow_cols",
+    ConcatRows => "concat_rows",
+    SelectRow => "select_row",
+    Transpose => "transpose",
+    MeanRows => "mean_rows",
+    Dropout => "dropout",
+    CrossEntropy => "cross_entropy",
+    RelativeGather => "relative_gather",
 );
-
-const N_KINDS: usize = OP_KINDS.len();
 
 /// Per-kind forward then backward nanoseconds of every dropped timed tape
 /// not yet published. Plain statistics that guard no other data, so
@@ -526,7 +507,7 @@ impl Tape {
                 .row_mut(r)
                 .copy_from_slice(&m.row(r)[start..start + len]);
         }
-        self.push(value, Op::NarrowCols { x, start }, t0)
+        self.push(value, Op::NarrowCols { x, start, len }, t0)
     }
 
     /// Concatenate along rows (all same column count).
@@ -700,11 +681,9 @@ impl Tape {
     }
 
     /// After `backward`, push every parameter leaf's gradient into the
-    /// store, in node order.
+    /// store, in node order (see [`ParamStore::accumulate_all`]).
     pub fn harvest_grads(&self, store: &mut ParamStore) {
-        for (id, g) in self.param_grads() {
-            store.accumulate(id, g);
-        }
+        store.accumulate_all(self.param_grads());
     }
 
     /// Number of nodes on the tape (diagnostics).
@@ -794,39 +773,6 @@ fn add_grad_ref(node: &mut Node, g: &Matrix) {
     match &mut node.grad {
         Some(existing) => existing.axpy(1.0, g),
         slot @ None => *slot = Some(g.clone()),
-    }
-}
-
-/// [`add_grad`] of a `shape`-sized matrix that is `g` at offset
-/// `(r0, c0)` and zero elsewhere, without building it unless it is the
-/// node's first contribution. The bits match: `e + v` inside the window
-/// and `e + 0.0` outside it, which turns -0.0 into +0.0.
-fn add_grad_padded(node: &mut Node, shape: (usize, usize), g: &Matrix, (r0, c0): (usize, usize)) {
-    let (rows, cols) = shape;
-    let c1 = c0 + g.cols;
-    match &mut node.grad {
-        Some(existing) => {
-            for (r, dst) in existing.data.chunks_mut(cols.max(1)).enumerate() {
-                let src = r.checked_sub(r0).filter(|&i| i < g.rows).map(|i| g.row(i));
-                match src {
-                    Some(src) => {
-                        dst[..c0].iter_mut().for_each(|e| *e += 0.0);
-                        for (e, &v) in dst[c0..c1].iter_mut().zip(src) {
-                            *e += v;
-                        }
-                        dst[c1..].iter_mut().for_each(|e| *e += 0.0);
-                    }
-                    None => dst.iter_mut().for_each(|e| *e += 0.0),
-                }
-            }
-        }
-        slot @ None => {
-            let mut dx = Matrix::zeros(rows, cols);
-            for i in 0..g.rows {
-                dx.row_mut(r0 + i)[c0..c1].copy_from_slice(g.row(i));
-            }
-            *slot = Some(dx);
-        }
     }
 }
 
@@ -977,10 +923,14 @@ fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
                 add_grad(&mut parents[p.0], dp);
             }
         }
-        Op::NarrowCols { x, start } => {
+        Op::NarrowCols { x, start, len } => {
+            let (start, len) = (*start, *len);
             let full = value_at(parents, x.0);
-            let shape = (full.rows, full.cols);
-            add_grad_padded(&mut parents[x.0], shape, &grad, (0, *start));
+            let mut dx = Matrix::zeros(full.rows, full.cols);
+            for r in 0..grad.rows {
+                dx.row_mut(r)[start..start + len].copy_from_slice(grad.row(r));
+            }
+            add_grad(&mut parents[x.0], dx);
         }
         Op::ConcatRows(parts) => {
             let mut offset = 0;
@@ -997,8 +947,9 @@ fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
         }
         Op::SelectRow { x, row } => {
             let full = value_at(parents, x.0);
-            let shape = (full.rows, full.cols);
-            add_grad_padded(&mut parents[x.0], shape, &grad, (*row, 0));
+            let mut dx = Matrix::zeros(full.rows, full.cols);
+            dx.row_mut(*row).copy_from_slice(grad.row(0));
+            add_grad(&mut parents[x.0], dx);
         }
         Op::Transpose(x) => add_grad(&mut parents[x.0], grad.transpose()),
         Op::MeanRows(x) => {
@@ -1324,19 +1275,20 @@ mod tests {
     }
 
     #[test]
-    fn op_times_reach_counters_only_when_telemetry_is_on() {
-        let run = || {
+    fn op_times_reach_counters_when_telemetry_is_on() {
+        // Tapes built by tests running alongside also land in the
+        // process-wide totals, so only this tape's own kinds are checked,
+        // and only for being counted at all.
+        let ns = |label: &str| rsd_obs::registry().counter(label);
+        rsd_obs::capture(|| {
             let mut tape = Tape::new();
+            assert!(tape.op_ns.is_some());
             let x = tape.constant(test_input());
             let w = tape.constant(Matrix::full(3, 2, 0.5));
             let y = tape.matmul(x, w);
             let z = tape.tanh(y);
             tape.backward(z);
-            assert!(tape.op_ns.is_some() == rsd_obs::enabled());
-        };
-        let ns = |label: &str| rsd_obs::registry().counter(label);
-        rsd_obs::capture(|| {
-            run();
+            drop(tape);
             publish_op_times();
             for label in [
                 "models.train.op.matmul.fwd_ns",
@@ -1346,7 +1298,6 @@ mod tests {
             ] {
                 assert!(ns(label) > 0, "{label} not counted");
             }
-            assert_eq!(ns("models.train.op.gelu.fwd_ns"), 0);
         });
     }
 
@@ -1470,49 +1421,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn narrow_cols_backward_adds_like_a_dense_zero_padded_gradient() {
-        let c = Matrix::from_vec(2, 4, vec![-0.0, 2.0, -0.0, 1.0, -0.0, 0.5, 3.0, -0.0]);
-        let mut tape = Tape::new();
-        let x = tape.constant(Matrix::from_vec(2, 4, vec![1.0; 8]));
-        let n = tape.narrow_cols(x, 1, 2);
-        let cv = tape.constant(c.clone());
-        let m = tape.mul(x, cv);
-        let out = tape.concat_cols(&[n, m]);
-        tape.backward(out);
-        let mut want = c.clone();
-        let mut padded = Matrix::zeros(2, 4);
-        for r in 0..2 {
-            padded.row_mut(r)[1..3].copy_from_slice(&[1.0, 1.0]);
-        }
-        want.axpy(1.0, &padded);
-        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&tape.grad(x)), bits(&want));
-        assert_eq!(tape.grad(x).data[0].to_bits(), 0.0f32.to_bits());
-    }
-
-    #[test]
-    fn select_row_backward_adds_like_a_dense_zero_padded_gradient() {
-        // The mul contribution reaches x first and carries -0.0 entries;
-        // the select_row contribution must turn those outside its row into
-        // +0.0, exactly as adding a zero-padded matrix does.
-        let c = Matrix::from_vec(2, 3, vec![-0.0, 2.0, -0.0, -0.0, 0.5, 3.0]);
-        let mut tape = Tape::new();
-        let x = tape.constant(Matrix::from_vec(2, 3, vec![1.0; 6]));
-        let s = tape.select_row(x, 0);
-        let cv = tape.constant(c.clone());
-        let m = tape.mul(x, cv);
-        let out = tape.concat_rows(&[s, m]);
-        tape.backward(out);
-        let mut want = c.clone();
-        let mut padded = Matrix::zeros(2, 3);
-        padded.row_mut(0).copy_from_slice(&[1.0, 1.0, 1.0]);
-        want.axpy(1.0, &padded);
-        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&tape.grad(x)), bits(&want));
-        assert_eq!(tape.grad(x).data[3].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
