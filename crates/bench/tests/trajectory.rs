@@ -1,0 +1,43 @@
+//! `bench_runs/trajectory.ndjson` is the append-only perf record across
+//! changes: one JSON object per line, each carrying the parent → change
+//! medians of the repository benchmark's `train_s` on both workloads.
+//! Every line must parse and carry those keys, and lines stay in order.
+
+use serde_json::Value;
+
+const WORKLOADS: [&str; 2] = ["train-serve-neural", "serve-gbdt"];
+
+#[test]
+fn every_trajectory_line_parses_with_its_keys() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../bench_runs/trajectory.ndjson"
+    );
+    let text = std::fs::read_to_string(path).expect("bench_runs/trajectory.ndjson is readable");
+    let mut last_pr = 0;
+    let mut lines = 0;
+    for (n, line) in text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+    {
+        let at = format!("trajectory.ndjson line {}", n + 1);
+        let v: Value = serde_json::from_str(line).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+        let pr = v["pr"]
+            .as_u64()
+            .unwrap_or_else(|| panic!("{at}: no integer `pr`"));
+        assert!(pr > last_pr, "{at}: pr {pr} does not follow {last_pr}");
+        last_pr = pr;
+        for w in WORKLOADS {
+            for side in ["parent", "change"] {
+                let s = v["train_s"][w][side].as_f64();
+                assert!(
+                    s.is_some_and(|s| s > 0.0),
+                    "{at}: train_s.{w}.{side} must be a positive number"
+                );
+            }
+        }
+        lines += 1;
+    }
+    assert!(lines > 0, "trajectory.ndjson has no lines");
+}

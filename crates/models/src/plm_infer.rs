@@ -30,6 +30,7 @@
 
 use rsd_common::Timestamp;
 use rsd_corpus::RiskLevel;
+use rsd_nn::attention::{attend, Relative};
 use rsd_nn::infer::{self, InferenceModel};
 use rsd_nn::matrix::Matrix;
 use rsd_nn::quant::{
@@ -360,7 +361,9 @@ impl PlmInferenceModel {
     // A line-for-line transcription of `PlmModel::forward` +
     // `Encoder::forward` off the tape: every op maps to the same Matrix
     // kernel (or the same scalar loop) the tape op runs, in the same
-    // order, so the result is bit-identical to `Tape::inference`.
+    // order, and attention calls the tape's own forward
+    // (`rsd_nn::attention::attend`), so the result is bit-identical to
+    // `Tape::inference`.
 
     fn time_summary_f32(&self, example: &EncodedWindow) -> Matrix {
         let w = example.time_feats.len();
@@ -409,10 +412,16 @@ impl PlmInferenceModel {
 
     fn block_f32(&self, blk: &BlockW, x: Matrix) -> Matrix {
         let normed = infer::layer_norm(&x, &blk.ln1_g, &blk.ln1_b);
-        let attn_out = match &blk.rel {
-            None => self.mha_f32(blk, &normed),
-            Some(rel) => self.disentangled_f32(blk, rel, &normed),
-        };
+        let q = infer::linear(&normed, &blk.wq.w, &blk.wq.b);
+        let k = infer::linear(&normed, &blk.wk.w, &blk.wk.b);
+        let v = infer::linear(&normed, &blk.wv.w, &blk.wv.b);
+        let rel = blk.rel.as_ref().map(|rel| Relative {
+            qr: &rel.qr,
+            kr: &rel.kr,
+            radius: self.radius,
+        });
+        let ctx = attend(&q, &k, &v, rel, self.heads);
+        let attn_out = infer::linear(&ctx, &blk.wo.w, &blk.wo.b);
         let mut x = x;
         x.axpy(1.0, &attn_out);
         let normed = infer::layer_norm(&x, &blk.ln2_g, &blk.ln2_b);
@@ -421,63 +430,6 @@ impl PlmInferenceModel {
         let h = infer::linear(&h, &blk.ffn2.w, &blk.ffn2.b);
         x.axpy(1.0, &h);
         x
-    }
-
-    fn mha_f32(&self, blk: &BlockW, x: &Matrix) -> Matrix {
-        let hd = self.dim / self.heads;
-        let scale = 1.0 / (hd as f32).sqrt();
-        let q = infer::linear(x, &blk.wq.w, &blk.wq.b);
-        let k = infer::linear(x, &blk.wk.w, &blk.wk.b);
-        let v = infer::linear(x, &blk.wv.w, &blk.wv.b);
-        let mut heads = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let start = h * hd;
-            let qh = narrow_cols(&q, start, hd);
-            let kh = narrow_cols(&k, start, hd);
-            let vh = narrow_cols(&v, start, hd);
-            let kt = kh.transpose();
-            let mut scores = qh.matmul(&kt).map(|s| s * scale);
-            infer::softmax_rows_in_place(&mut scores);
-            heads.push(scores.matmul(&vh));
-        }
-        let ctx = concat_cols(&heads);
-        infer::linear(&ctx, &blk.wo.w, &blk.wo.b)
-    }
-
-    fn disentangled_f32(&self, blk: &BlockW, rel: &RelW, x: &Matrix) -> Matrix {
-        let hd = self.dim / self.heads;
-        // DeBERTa scales by √(3d) since three score terms are summed.
-        let scale = 1.0 / (3.0 * hd as f32).sqrt();
-        let seq = x.rows;
-        let q = infer::linear(x, &blk.wq.w, &blk.wq.b);
-        let k = infer::linear(x, &blk.wk.w, &blk.wk.b);
-        let v = infer::linear(x, &blk.wv.w, &blk.wv.b);
-        let mut heads = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let start = h * hd;
-            let qh = narrow_cols(&q, start, hd);
-            let kh = narrow_cols(&k, start, hd);
-            let vh = narrow_cols(&v, start, hd);
-            let qrh = narrow_cols(&rel.qr, start, hd);
-            let krh = narrow_cols(&rel.kr, start, hd);
-
-            let kt = kh.transpose();
-            let mut scores = qh.matmul(&kt);
-            let krt = krh.transpose();
-            let c2p_full = qh.matmul(&krt);
-            let c2p = infer::relative_gather(&c2p_full, seq, self.radius, false);
-            let qrt = qrh.transpose();
-            let p2c_full = kh.matmul(&qrt);
-            let p2c = infer::relative_gather(&p2c_full, seq, self.radius, true);
-
-            scores.axpy(1.0, &c2p);
-            scores.axpy(1.0, &p2c);
-            let mut scaled = scores.map(|s| s * scale);
-            infer::softmax_rows_in_place(&mut scaled);
-            heads.push(scaled.matmul(&vh));
-        }
-        let ctx = concat_cols(&heads);
-        infer::linear(&ctx, &blk.wo.w, &blk.wo.b)
     }
 
     // ---- int8 fast path --------------------------------------------------
@@ -911,31 +863,6 @@ pub fn argmax_logits(logits: &[f32]) -> usize {
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
         .map(|(i, _)| i)
         .expect("non-empty logits")
-}
-
-/// Copy columns `[start, start+len)` (tape `narrow_cols`).
-fn narrow_cols(m: &Matrix, start: usize, len: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows, len);
-    for r in 0..m.rows {
-        out.row_mut(r)
-            .copy_from_slice(&m.row(r)[start..start + len]);
-    }
-    out
-}
-
-/// Concatenate matrices along columns (tape `concat_cols`).
-fn concat_cols(parts: &[Matrix]) -> Matrix {
-    let rows = parts[0].rows;
-    let cols: usize = parts.iter().map(|p| p.cols).sum();
-    let mut out = Matrix::zeros(rows, cols);
-    for r in 0..rows {
-        let mut at = 0;
-        for p in parts {
-            out.row_mut(r)[at..at + p.cols].copy_from_slice(p.row(r));
-            at += p.cols;
-        }
-    }
-    out
 }
 
 /// Slice-based layer norm, same arithmetic as `infer::layer_norm`.

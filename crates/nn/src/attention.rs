@@ -16,8 +16,9 @@
 use rand::rngs::StdRng;
 
 use crate::layers::{Embedding, Linear};
+use crate::matrix::Matrix;
 use crate::params::ParamStore;
-use crate::tape::{Tape, Var};
+use crate::tape::{softmax_backward, softmax_in_place, Tape, Var};
 
 /// Standard multi-head self-attention with absolute positions handled by
 /// the caller's position embeddings.
@@ -59,25 +60,10 @@ impl MultiHeadAttention {
 
     /// Self-attention over `x` (seq×dim).
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let head_dim = self.dim / self.n_heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
         let q = self.wq.forward(tape, store, x);
         let k = self.wk.forward(tape, store, x);
         let v = self.wv.forward(tape, store, x);
-
-        let mut heads = Vec::with_capacity(self.n_heads);
-        for h in 0..self.n_heads {
-            let start = h * head_dim;
-            let qh = tape.narrow_cols(q, start, head_dim);
-            let kh = tape.narrow_cols(k, start, head_dim);
-            let vh = tape.narrow_cols(v, start, head_dim);
-            let kt = tape.transpose(kh);
-            let scores = tape.matmul(qh, kt);
-            let scaled = tape.scale(scores, scale);
-            let attn = tape.softmax_rows(scaled);
-            heads.push(tape.matmul(attn, vh));
-        }
-        let ctx = tape.concat_cols(&heads);
+        let ctx = tape.attention(q, k, v, None, self.n_heads);
         self.wo.forward(tape, store, ctx)
     }
 }
@@ -128,11 +114,6 @@ impl DisentangledAttention {
 
     /// Disentangled self-attention over `x` (seq×dim).
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let head_dim = self.dim / self.n_heads;
-        // DeBERTa scales by √(3d) since three score terms are summed.
-        let scale = 1.0 / (3.0 * head_dim as f32).sqrt();
-        let (seq_len, _) = tape.shape(x);
-
         let q = self.wq.forward(tape, store, x);
         let k = self.wk.forward(tape, store, x);
         let v = self.wv.forward(tape, store, x);
@@ -144,44 +125,230 @@ impl DisentangledAttention {
         let qr = self.wq.forward(tape, store, rel_rows);
         let kr = self.wk.forward(tape, store, rel_rows);
 
-        let mut heads = Vec::with_capacity(self.n_heads);
-        for h in 0..self.n_heads {
-            let start = h * head_dim;
-            let qh = tape.narrow_cols(q, start, head_dim);
-            let kh = tape.narrow_cols(k, start, head_dim);
-            let vh = tape.narrow_cols(v, start, head_dim);
-            let qrh = tape.narrow_cols(qr, start, head_dim);
-            let krh = tape.narrow_cols(kr, start, head_dim);
-
-            // Content-to-content.
-            let kt = tape.transpose(kh);
-            let c2c = tape.matmul(qh, kt);
-
-            // Content-to-position: Qc @ Krᵀ gathered by relative offset.
-            let krt = tape.transpose(krh);
-            let c2p_full = tape.matmul(qh, krt); // seq × (2r+1)
-            let c2p = tape.relative_gather(c2p_full, seq_len, self.radius, false);
-
-            // Position-to-content: Kc @ Qrᵀ gathered (transposed flavour).
-            let qrt = tape.transpose(qrh);
-            let p2c_full = tape.matmul(kh, qrt); // seq × (2r+1)
-            let p2c = tape.relative_gather(p2c_full, seq_len, self.radius, true);
-
-            let sum1 = tape.add(c2c, c2p);
-            let scores = tape.add(sum1, p2c);
-            let scaled = tape.scale(scores, scale);
-            let attn = tape.softmax_rows(scaled);
-            heads.push(tape.matmul(attn, vh));
-        }
-        let ctx = tape.concat_cols(&heads);
+        let ctx = tape.attention(q, k, v, Some((qr, kr, self.radius)), self.n_heads);
         self.wo.forward(tape, store, ctx)
     }
+}
+
+/// The relative-position inputs of disentangled attention: the relative
+/// table projected through the query and key projections, each
+/// (2·radius+1)×dim.
+#[derive(Debug, Clone, Copy)]
+pub struct Relative<'a> {
+    /// `wq(rel_table)`.
+    pub qr: &'a Matrix,
+    /// `wk(rel_table)`.
+    pub kr: &'a Matrix,
+    /// Maximum relative distance.
+    pub radius: usize,
+}
+
+/// The score scale: `1/√d` per head, or `1/√(3d)` when the three
+/// disentangled terms are summed.
+fn score_scale(head_dim: usize, relative: bool) -> f32 {
+    if relative {
+        1.0 / (3.0 * head_dim as f32).sqrt()
+    } else {
+        1.0 / (head_dim as f32).sqrt()
+    }
+}
+
+/// Columns `start..start + len` of `m` as their own matrix.
+fn head_cols(m: &Matrix, start: usize, len: usize) -> Matrix {
+    let mut out = Matrix::zeros(m.rows, len);
+    for r in 0..m.rows {
+        out.row_mut(r)
+            .copy_from_slice(&m.row(r)[start..start + len]);
+    }
+    out
+}
+
+/// Write `part` into columns `start..` of `m`.
+fn set_head_cols(m: &mut Matrix, start: usize, part: &Matrix) {
+    for r in 0..part.rows {
+        m.row_mut(r)[start..start + part.cols].copy_from_slice(part.row(r));
+    }
+}
+
+/// Query `i` reads column `clamp(j - i + radius, 0, 2·radius)` of its
+/// c2p row for key `j`, and key `j` reads column `2·radius` minus that of
+/// its p2c row. The clamp splits the keys into three runs: `..lo` reads
+/// column 0, `lo..hi` column `j - i + radius`, and `hi..` column
+/// `2·radius`. Returns `(lo, hi)`.
+#[inline]
+fn rel_runs(i: usize, n: usize, radius: usize) -> (usize, usize) {
+    (i.saturating_sub(radius), (i + radius + 1).min(n))
+}
+
+/// Multi-head scaled dot-product attention over projected `q`, `k`, `v`
+/// (each seq×dim, heads split by column ranges), returning the heads'
+/// outputs side by side (seq×dim), before the output projection.
+///
+/// With `rel`, each head's scores are DeBERTa's
+/// `(c2c + c2p) + p2c`: `q_i·k_j`, plus `q_i·kr` and `k_j·qr` at the
+/// clamped relative offset. Every value is computed with the same kernels,
+/// in the same order, as the node-by-node graph of narrowed, transposed,
+/// gathered and added per-head matrices it replaces, so training through
+/// [`Tape::attention`] and tape-free inference give the same bits.
+pub fn attend(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    rel: Option<Relative<'_>>,
+    heads: usize,
+) -> Matrix {
+    attend_heads(q, k, v, rel, heads, |_| {})
+}
+
+/// [`attend`], handing each head's softmax probabilities (seq×seq) to
+/// `keep` once its output is written.
+pub(crate) fn attend_heads(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    rel: Option<Relative<'_>>,
+    heads: usize,
+    mut keep: impl FnMut(Matrix),
+) -> Matrix {
+    let (n, dim) = (q.rows, q.cols);
+    assert!(dim % heads == 0, "attention: dim must divide by heads");
+    assert!(k.rows == n && v.rows == n, "attention: row mismatch");
+    assert!(k.cols == dim && v.cols == dim, "attention: width mismatch");
+    if let Some(rel) = rel {
+        let shape = (2 * rel.radius + 1, dim);
+        assert_eq!((rel.qr.rows, rel.qr.cols), shape, "attention: qr shape");
+        assert_eq!((rel.kr.rows, rel.kr.cols), shape, "attention: kr shape");
+    }
+    let hd = dim / heads;
+    let scale = score_scale(hd, rel.is_some());
+    let mut ctx = Matrix::zeros(n, dim);
+    for h in 0..heads {
+        let start = h * hd;
+        let qh = head_cols(q, start, hd);
+        let kh = head_cols(k, start, hd);
+        let mut scores = qh.matmul(&kh.transpose());
+        if let Some(rel) = rel {
+            let r = rel.radius;
+            let c2p = qh.matmul(&head_cols(rel.kr, start, hd).transpose());
+            let p2c = kh.matmul(&head_cols(rel.qr, start, hd).transpose());
+            let (w, p) = (2 * r + 1, &p2c.data);
+            for i in 0..n {
+                let (lo, hi) = rel_runs(i, n, r);
+                let c2p_row = c2p.row(i);
+                let row = scores.row_mut(i);
+                for (j, s) in row[..lo].iter_mut().enumerate() {
+                    *s = (*s + c2p_row[0]) + p[j * w + 2 * r];
+                }
+                for (j, s) in row.iter_mut().enumerate().take(hi).skip(lo) {
+                    *s = (*s + c2p_row[j + r - i]) + p[j * w + i + r - j];
+                }
+                for (j, s) in row.iter_mut().enumerate().skip(hi) {
+                    *s = (*s + c2p_row[2 * r]) + p[j * w];
+                }
+            }
+        }
+        for i in 0..n {
+            let row = scores.row_mut(i);
+            for s in row.iter_mut() {
+                *s *= scale;
+            }
+            softmax_in_place(row);
+        }
+        set_head_cols(&mut ctx, start, &scores.matmul(&head_cols(v, start, hd)));
+        keep(scores);
+    }
+    ctx
+}
+
+/// Gradients of [`attend`] with respect to `q`, `k`, `v` and, with
+/// `rel`, `qr` and `kr`, from the output gradient `g_ctx` and each head's
+/// cached probabilities. Each head's terms are the node-by-node graph's
+/// (same kernels, same order); a result spanning several heads then
+/// gets `+ 0.0` everywhere, as the graph's zero-padded per-head
+/// contributions gave it, so a lone `-0.0` becomes `+0.0`.
+pub(crate) fn attend_backward(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    rel: Option<Relative<'_>>,
+    probs: &[Matrix],
+    g_ctx: &Matrix,
+) -> [Matrix; 5] {
+    let (n, dim, heads) = (q.rows, q.cols, probs.len());
+    let hd = dim / heads;
+    let scale = score_scale(hd, rel.is_some());
+    let zeros = || Matrix::zeros(n, dim);
+    let (mut dq, mut dk, mut dv) = (zeros(), zeros(), zeros());
+    let rel_shape = rel.map_or((0, 0), |r| (r.qr.rows, dim));
+    let mut dqr = Matrix::zeros(rel_shape.0, rel_shape.1);
+    let mut dkr = Matrix::zeros(rel_shape.0, rel_shape.1);
+    for (h, attn) in probs.iter().enumerate() {
+        let start = h * hd;
+        let qh = head_cols(q, start, hd);
+        let kh = head_cols(k, start, hd);
+        let (qt, kt) = (qh.transpose(), kh.transpose());
+        let g_out = head_cols(g_ctx, start, hd);
+        let mut gs = g_out.matmul_nt(&head_cols(v, start, hd));
+        set_head_cols(&mut dv, start, &attn.matmul_tn(&g_out));
+        softmax_backward(&mut gs, attn);
+        for g in &mut gs.data {
+            *g *= scale;
+        }
+        let mut dqh = gs.matmul_nt(&kt);
+        let mut dkh = qt.matmul(&gs).transpose();
+        if let Some(rel) = rel {
+            let r = rel.radius;
+            let w = 2 * r + 1;
+            // The transposes of the two relative gathers, summed per cell
+            // in ascending key (c2p) and ascending query (p2c) order.
+            let mut dc2p = Matrix::zeros(n, w);
+            let mut dp2c = Matrix::zeros(n, w);
+            for i in 0..n {
+                let (lo, hi) = rel_runs(i, n, r);
+                let g = gs.row(i);
+                let d = dc2p.row_mut(i);
+                for &v in &g[..lo] {
+                    d[0] += v;
+                }
+                for (o, &v) in d[lo + r - i..].iter_mut().zip(&g[lo..hi]) {
+                    *o += v;
+                }
+                for &v in &g[hi..] {
+                    d[2 * r] += v;
+                }
+                let p = &mut dp2c.data;
+                for (j, &v) in g.iter().enumerate().take(lo) {
+                    p[j * w + 2 * r] += v;
+                }
+                for (j, &v) in g.iter().enumerate().take(hi).skip(lo) {
+                    p[j * w + i + r - j] += v;
+                }
+                for (j, &v) in g.iter().enumerate().skip(hi) {
+                    p[j * w] += v;
+                }
+            }
+            let krt = head_cols(rel.kr, start, hd).transpose();
+            let qrt = head_cols(rel.qr, start, hd).transpose();
+            dqh.axpy(1.0, &dc2p.matmul_nt(&krt));
+            dkh.axpy(1.0, &dp2c.matmul_nt(&qrt));
+            set_head_cols(&mut dkr, start, &qt.matmul(&dc2p).transpose());
+            set_head_cols(&mut dqr, start, &kt.matmul(&dp2c).transpose());
+        }
+        set_head_cols(&mut dq, start, &dqh);
+        set_head_cols(&mut dk, start, &dkh);
+    }
+    let mut grads = [dq, dk, dv, dqr, dkr];
+    if heads > 1 {
+        for g in &mut grads {
+            g.data.iter_mut().for_each(|x| *x += 0.0);
+        }
+    }
+    grads
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
     use rand::SeedableRng;
 
     fn input(seq: usize, dim: usize) -> Matrix {

@@ -185,26 +185,6 @@ pub fn gelu(x: &Matrix) -> Matrix {
     x.map(gelu_scalar)
 }
 
-/// Stable in-place softmax over one slice (tape `softmax_in_place`).
-pub fn softmax_slice(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    for v in row.iter_mut() {
-        *v /= sum;
-    }
-}
-
-/// Row-wise softmax in place (tape `softmax_rows`).
-pub fn softmax_rows_in_place(x: &mut Matrix) {
-    for r in 0..x.rows {
-        softmax_slice(x.row_mut(r));
-    }
-}
-
 /// Mean over rows → `1×c` (tape `mean_rows`).
 pub fn mean_rows(x: &Matrix) -> Matrix {
     let mut value = Matrix::zeros(1, x.cols);
@@ -216,26 +196,6 @@ pub fn mean_rows(x: &Matrix) -> Matrix {
     let n = x.rows.max(1) as f32;
     for o in &mut value.data {
         *o /= n;
-    }
-    value
-}
-
-/// Relative-position gather (tape `relative_gather`): from `x`
-/// (`n×(2·radius+1)`) build an `n×n` score component.
-pub fn relative_gather(x: &Matrix, n: usize, radius: usize, transposed: bool) -> Matrix {
-    debug_assert_eq!(x.cols, 2 * radius + 1);
-    debug_assert_eq!(x.rows, n);
-    let mut value = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            let (src_row, offset) = if transposed {
-                (j, i as i64 - j as i64)
-            } else {
-                (i, j as i64 - i as i64)
-            };
-            let col = (offset + radius as i64).clamp(0, 2 * radius as i64) as usize;
-            value.set(i, j, x.get(src_row, col));
-        }
     }
     value
 }
@@ -452,7 +412,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut a: Vec<f32> = (0..64).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
         let mut b = a.clone();
-        softmax_slice(&mut a);
+        crate::tape::softmax_in_place(&mut a);
         softmax_slice_fast(&mut b);
         let sum: f32 = b.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);

@@ -50,6 +50,6 @@ pub mod transformer;
 pub use infer::{FrozenParams, InferenceModel};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
-pub use params::{ParamId, ParamStore};
+pub use params::{GradPart, ParamId, ParamStore};
 pub use quant::QuantizedMatrix;
 pub use tape::{Tape, Var};

@@ -132,32 +132,8 @@ impl Matrix {
         let b = &other.data;
         rsd_par::parallel_chunks_mut(&mut out.data, grain, |start, chunk| {
             let i0 = start / n;
-            let mut rows = chunk.chunks_mut(n).enumerate();
-            // Pair up output rows so the FMA kernel can amortize each B
-            // load over two accumulator rows (register blocking). Falls
-            // back to single-row kernels when a row is zero-heavy or the
-            // pair kernel is unavailable.
-            while let Some((ri, out_row)) = rows.next() {
-                let i = i0 + ri;
-                let a_row = &a[i * k_dim..(i + 1) * k_dim];
-                #[cfg(target_arch = "x86_64")]
-                if fma_available() && row_is_dense(a_row) {
-                    if let Some((_, out_row2)) = rows.next() {
-                        let a_row2 = &a[(i + 1) * k_dim..(i + 2) * k_dim];
-                        if row_is_dense(a_row2) {
-                            // SAFETY: guarded by the runtime AVX2+FMA check.
-                            unsafe {
-                                matmul_2rows_dense_fma(a_row, a_row2, b, n, out_row, out_row2)
-                            }
-                        } else {
-                            matmul_row(a_row, b, n, out_row);
-                            matmul_row(a_row2, b, n, out_row2);
-                        }
-                        continue;
-                    }
-                }
-                matmul_row(a_row, b, n, out_row);
-            }
+            let rows = chunk.len() / n.max(1);
+            matmul_into(&a[i0 * k_dim..(i0 + rows) * k_dim], k_dim, b, n, chunk);
         });
         out
     }
@@ -287,6 +263,43 @@ impl Matrix {
     }
 }
 
+/// `out += a @ b` on row-major slices (`a` is `out.len() / n` rows of
+/// `k_dim`, `b` is `k_dim × n`), serially, with exactly the arithmetic of
+/// [`Matrix::matmul`]: over a zeroed `out` the two give the same bits.
+pub(crate) fn matmul_into(a: &[f32], k_dim: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    // The unsafe kernels below read `b` and write whole output rows
+    // through raw pointers; `a` is only read through checked slices.
+    assert!(
+        b.len() == k_dim * n && out.len() % n == 0,
+        "matmul_into shape mismatch"
+    );
+    let mut rows = out.chunks_mut(n).enumerate();
+    // Pair up output rows so the FMA kernel can amortize each B load over
+    // two accumulator rows (register blocking). Falls back to single-row
+    // kernels when a row is zero-heavy or the pair kernel is unavailable.
+    while let Some((i, out_row)) = rows.next() {
+        let a_row = &a[i * k_dim..(i + 1) * k_dim];
+        #[cfg(target_arch = "x86_64")]
+        if fma_available() && row_is_dense(a_row) {
+            if let Some((_, out_row2)) = rows.next() {
+                let a_row2 = &a[(i + 1) * k_dim..(i + 2) * k_dim];
+                if row_is_dense(a_row2) {
+                    // SAFETY: guarded by the runtime AVX2+FMA check.
+                    unsafe { matmul_2rows_dense_fma(a_row, a_row2, b, n, out_row, out_row2) }
+                } else {
+                    matmul_row(a_row, b, n, out_row);
+                    matmul_row(a_row2, b, n, out_row2);
+                }
+                continue;
+            }
+        }
+        matmul_row(a_row, b, n, out_row);
+    }
+}
+
 /// One output row of `matmul`: `out_row += a_row @ b` (`b` row-major with
 /// `n` columns). Mostly-zero rows (one-hot embeddings, dropout masks)
 /// keep the sparsity skip, but gated behind a cheap O(K) density scan so
@@ -335,7 +348,8 @@ fn matmul_row_dense(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
 
 /// AVX2+FMA dense row kernel: broadcasts eight consecutive `a`
 /// coefficients and fuses their contributions into 8-wide output lanes
-/// with `vfmaddps`, ascending-k. Every output element still sees exactly
+/// with `vfmaddps` (a 4-wide block then takes the first four leftover
+/// columns), ascending-k. Every output element still sees exactly
 /// one fused multiply-add per k in the same order as
 /// [`matmul_row_dense`], so the two paths agree bit-for-bit; the wide
 /// registers and the 8-deep k-unroll (which amortizes the output
@@ -343,7 +357,10 @@ fn matmul_row_dense(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn matmul_row_dense_fma(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    use std::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps};
+    use std::arch::x86_64::{
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm_fmadd_ps,
+        _mm_loadu_ps, _mm_set1_ps, _mm_storeu_ps,
+    };
     let k_dim = a_row.len();
     let bp = b.as_ptr();
     let op = out_row.as_mut_ptr();
@@ -368,6 +385,14 @@ unsafe fn matmul_row_dense_fma(a_row: &[f32], b: &[f32], n: usize, out_row: &mut
             }
             _mm256_storeu_ps(op.add(j), acc);
             j += 8;
+        }
+        if j + 4 <= n {
+            let mut acc = _mm_loadu_ps(op.add(j));
+            for (dk, &ak) in a.iter().enumerate() {
+                acc = _mm_fmadd_ps(_mm_set1_ps(ak), _mm_loadu_ps(bp.add((k + dk) * n + j)), acc);
+            }
+            _mm_storeu_ps(op.add(j), acc);
+            j += 4;
         }
         while j < n {
             let mut o = *op.add(j);
@@ -403,7 +428,10 @@ unsafe fn matmul_2rows_dense_fma(
     out0: &mut [f32],
     out1: &mut [f32],
 ) {
-    use std::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps};
+    use std::arch::x86_64::{
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm_fmadd_ps,
+        _mm_loadu_ps, _mm_set1_ps, _mm_storeu_ps,
+    };
     let k_dim = a0_row.len();
     let bp = b.as_ptr();
     let o0p = out0.as_mut_ptr();
@@ -440,6 +468,18 @@ unsafe fn matmul_2rows_dense_fma(
             _mm256_storeu_ps(o0p.add(j), acc0);
             _mm256_storeu_ps(o1p.add(j), acc1);
             j += 8;
+        }
+        if j + 4 <= n {
+            let mut acc0 = _mm_loadu_ps(o0p.add(j));
+            let mut acc1 = _mm_loadu_ps(o1p.add(j));
+            for dk in 0..6 {
+                let bv = _mm_loadu_ps(bp.add((k + dk) * n + j));
+                acc0 = _mm_fmadd_ps(_mm_set1_ps(a0[dk]), bv, acc0);
+                acc1 = _mm_fmadd_ps(_mm_set1_ps(a1[dk]), bv, acc1);
+            }
+            _mm_storeu_ps(o0p.add(j), acc0);
+            _mm_storeu_ps(o1p.add(j), acc1);
+            j += 4;
         }
         while j < n {
             let mut o0 = *o0p.add(j);
@@ -557,7 +597,7 @@ pub fn dot4(x: &[f32], y: &[f32]) -> f32 {
 /// On x86-64 blocks of eight (then four) outputs run through
 /// [`dot4_block`]; the remaining outputs, and every output on other
 /// architectures, call [`dot4`] directly. Both give the same bits.
-fn dot4_row(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
+pub(crate) fn dot4_row(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
     let k = a_row.len();
     let mut j = 0;
     #[cfg(target_arch = "x86_64")]

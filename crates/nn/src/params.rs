@@ -27,6 +27,58 @@ pub struct ParamSlot {
     pub grad: Matrix,
 }
 
+/// One gradient contribution to a parameter.
+#[derive(Debug, Clone, Copy)]
+pub enum GradPart<'g> {
+    /// A dense gradient, added elementwise.
+    Dense(&'g Matrix),
+    /// The gradient `xᵀ·g` that a 1-row matmul `x·W` hands its weight
+    /// `W`: element `(i, j)` is `x[i]·g[j]`, or `+0.0` when either factor
+    /// is zero, exactly as `Matrix::matmul_tn` rounds it. With `x = [1.0]`
+    /// it is the bias gradient of a 1-row `add_row`.
+    Outer {
+        /// Left factor, one entry per row.
+        x: &'g [f32],
+        /// Right factor, one entry per column.
+        g: &'g [f32],
+    },
+}
+
+impl GradPart<'_> {
+    /// Add elements `offset..offset + dst.len()` of this part, in a
+    /// parameter `cols` wide, to `dst`.
+    fn add_to(&self, cols: usize, offset: usize, dst: &mut [f32]) {
+        match *self {
+            // `a + 1.0 * b` is `a + b`: the same bits as `axpy(1.0, ..)`.
+            GradPart::Dense(m) => {
+                for (a, &b) in dst.iter_mut().zip(&m.data[offset..]) {
+                    *a += b;
+                }
+            }
+            GradPart::Outer { x, g } => {
+                let mut done = 0;
+                while done < dst.len() {
+                    let (i, j0) = ((offset + done) / cols, (offset + done) % cols);
+                    let len = (cols - j0).min(dst.len() - done);
+                    let row = &mut dst[done..done + len];
+                    let xi = x[i];
+                    if xi == 0.0 {
+                        row.iter_mut().for_each(|a| *a += 0.0);
+                    } else {
+                        for (a, &gj) in row.iter_mut().zip(&g[j0..j0 + len]) {
+                            // The matmul kernel's fused `xi·gj + 0.0` rounds
+                            // as the plain product does, except that an
+                            // exact zero product comes out `+0.0`.
+                            *a += if gj == 0.0 { 0.0 } else { xi * gj };
+                        }
+                    }
+                    done += len;
+                }
+            }
+        }
+    }
+}
+
 /// The parameter store.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
@@ -129,35 +181,39 @@ impl ParamStore {
     /// parameters (and across element ranges of large ones). Each
     /// parameter adds its own contributions in the order `grads` yields
     /// them, so the result is bitwise that of calling
-    /// [`ParamStore::accumulate`] on each pair in turn, for any thread count.
-    pub fn accumulate_all<'g>(&mut self, grads: impl IntoIterator<Item = (ParamId, &'g Matrix)>) {
+    /// [`ParamStore::accumulate`] on each one's dense form in turn, for any
+    /// thread count.
+    pub fn accumulate_all<'g>(&mut self, grads: impl IntoIterator<Item = (ParamId, GradPart<'g>)>) {
         /// Elements per work item; large parameters split into several.
         const GRAIN: usize = 1 << 14;
-        let mut per_slot: Vec<Vec<&Matrix>> = vec![Vec::new(); self.slots.len()];
+        let mut per_slot: Vec<Vec<GradPart<'g>>> = vec![Vec::new(); self.slots.len()];
         for (id, g) in grads {
+            let dst = &self.slots[id.0].grad;
+            let fits = match g {
+                GradPart::Dense(m) => m.same_shape(dst),
+                GradPart::Outer { x, g } => x.len() == dst.rows && g.len() == dst.cols,
+            };
             assert!(
-                g.same_shape(&self.slots[id.0].grad),
+                fits,
                 "accumulate_all: shape mismatch for {}",
                 self.slots[id.0].name
             );
             per_slot[id.0].push(g);
         }
-        let mut work: Vec<(&[&Matrix], usize, &mut [f32])> = Vec::new();
+        let mut work: Vec<(&[GradPart<'g>], usize, usize, &mut [f32])> = Vec::new();
         for (slot, grads) in self.slots.iter_mut().zip(&per_slot) {
             if grads.is_empty() {
                 continue;
             }
+            let cols = slot.grad.cols;
             for (c, dst) in slot.grad.data.chunks_mut(GRAIN).enumerate() {
-                work.push((grads, c * GRAIN, dst));
+                work.push((grads, cols, c * GRAIN, dst));
             }
         }
         rsd_par::parallel_chunks_mut(&mut work, 1, |_, items| {
-            for (grads, offset, dst) in items.iter_mut() {
+            for (grads, cols, offset, dst) in items.iter_mut() {
                 for g in grads.iter() {
-                    // `a + 1.0 * b` is `a + b`: the same bits as `axpy(1.0, ..)`.
-                    for (a, &b) in dst.iter_mut().zip(&g.data[*offset..]) {
-                        *a += b;
-                    }
+                    g.add_to(*cols, *offset, dst);
                 }
             }
         });
@@ -290,25 +346,40 @@ mod tests {
         let big = store.register_normal("big", 300, 70, 1.0, &mut rng);
         let small = store.register_normal("small", 1, 3, 1.0, &mut rng);
         let idle = store.register_zeros("idle", 2, 2);
-        let grads: Vec<(ParamId, Matrix)> = (0..7)
+        let value = |i: usize, j: usize| match (i + j) % 11 {
+            3 => 0.0,
+            7 => -0.0,
+            _ => ((i * 31 + j) as f32 * 0.173).sin() * 10f32.powi(i as i32 - 3),
+        };
+        // Odd items on `big` are rank-1 parts: their dense form is the
+        // 1-row `matmul_tn` gradient they stand for. `big` spans two work
+        // items, split mid-row.
+        let grads: Vec<(ParamId, Matrix, Option<(Vec<f32>, Vec<f32>)>)> = (0..9)
             .map(|i| {
                 let id = if i % 3 == 0 { small } else { big };
                 let (r, c) = (store.value(id).rows, store.value(id).cols);
-                let data = (0..r * c)
-                    .map(|j| ((i * 31 + j) as f32 * 0.173).sin() * 10f32.powi(i as i32 - 3))
-                    .collect();
-                (id, Matrix::from_vec(r, c, data))
+                if id == big && i % 2 == 1 {
+                    let x: Vec<f32> = (0..r).map(|j| value(i, j)).collect();
+                    let g: Vec<f32> = (0..c).map(|j| value(i + 1, j)).collect();
+                    let dense = Matrix::row_vec(x.clone()).matmul_tn(&Matrix::row_vec(g.clone()));
+                    (id, dense, Some((x, g)))
+                } else {
+                    let data = (0..r * c).map(|j| value(i, j)).collect();
+                    (id, Matrix::from_vec(r, c, data), None)
+                }
             })
             .collect();
         let mut sequential = store.clone();
-        for (id, g) in &grads {
+        for (id, g, _) in &grads {
             sequential.accumulate(*id, g);
         }
         for threads in [1, 4] {
             let mut parallel = store.clone();
-            rsd_par::with_local_pool(threads, || {
-                parallel.accumulate_all(grads.iter().map(|(id, g)| (*id, g)))
+            let parts = grads.iter().map(|(id, dense, outer)| match outer {
+                Some((x, g)) => (*id, GradPart::Outer { x, g }),
+                None => (*id, GradPart::Dense(dense)),
             });
+            rsd_par::with_local_pool(threads, || parallel.accumulate_all(parts));
             for id in [big, small, idle] {
                 let bits = |s: &ParamStore| -> Vec<u32> {
                     s.grad(id).data.iter().map(|v| v.to_bits()).collect()

@@ -1,12 +1,15 @@
 //! Recurrent cells: LSTM and GRU, plus (bi)directional sequence runners.
 //!
-//! Cells operate on single-sequence matrices (seq_len × dim): one tape node
-//! chain per time step. The BiLSTM baseline composes [`Lstm`] forward and
-//! backward; HiGRU stacks two [`Gru`] levels (token-level and post-level).
+//! Cells operate on single-sequence matrices (seq_len × dim). An [`Lstm`]
+//! direction is one [`Tape::lstm`] node with a hand-written backward; a
+//! [`Gru`] builds one tape node chain per time step. The BiLSTM baseline
+//! runs one [`Lstm`] forward and backward; HiGRU stacks two [`Gru`] levels
+//! (token-level and post-level).
 
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
+use crate::matrix::{dot4_row, matmul_into, Matrix};
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
 
@@ -37,51 +40,194 @@ impl Lstm {
         }
     }
 
-    /// One step: `(h, c) → (h', c')` for an input row `x` (1×in).
-    pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, h: Var, c: Var) -> (Var, Var) {
-        let gx = self.wx.forward(tape, store, x);
-        let gh = self.wh.forward(tape, store, h);
-        let gates = tape.add(gx, gh);
-        let hsz = self.hidden;
-        let i = tape.narrow_cols(gates, 0, hsz);
-        let f = tape.narrow_cols(gates, hsz, hsz);
-        let g = tape.narrow_cols(gates, 2 * hsz, hsz);
-        let o = tape.narrow_cols(gates, 3 * hsz, hsz);
-        let i = tape.sigmoid(i);
-        let f = tape.sigmoid(f);
-        let g = tape.tanh(g);
-        let o = tape.sigmoid(o);
-        let fc = tape.mul(f, c);
-        let ig = tape.mul(i, g);
-        let c_next = tape.add(fc, ig);
-        let tc = tape.tanh(c_next);
-        let h_next = tape.mul(o, tc);
-        (h_next, c_next)
-    }
-
     /// Run over a sequence (seq×in), returning per-step hidden states
     /// (seq×hidden). `reverse` processes the sequence back-to-front but
-    /// returns outputs in original order.
+    /// returns outputs in original order. The whole direction is one
+    /// [`Tape::lstm`] node.
     pub fn run(&self, tape: &mut Tape, store: &ParamStore, sequence: Var, reverse: bool) -> Var {
-        let (seq_len, _) = tape.shape(sequence);
-        let zeros = crate::matrix::Matrix::zeros(1, self.hidden);
-        let mut h = tape.constant(zeros.clone());
-        let mut c = tape.constant(zeros);
-        let mut outputs: Vec<Var> = vec![h; seq_len];
-        let order: Vec<usize> = if reverse {
-            (0..seq_len).rev().collect()
-        } else {
-            (0..seq_len).collect()
-        };
-        for t in order {
-            let x = tape.select_row(sequence, t);
-            let (h2, c2) = self.step(tape, store, x, h, c);
-            h = h2;
-            c = c2;
-            outputs[t] = h;
-        }
-        tape.concat_rows(&outputs)
+        tape.lstm(store, self, sequence, reverse)
     }
+}
+
+/// What one [`Tape::lstm`] node keeps from its forward pass for the
+/// backward pass and its weight gradients. Steps are indexed in
+/// processing order; [`LstmCache::row_of`] maps a step to its row.
+#[derive(Debug)]
+pub(crate) struct LstmCache {
+    reverse: bool,
+    /// Post-activation gates `[i f g o]`, one 4·hidden row per step.
+    acts: Matrix,
+    /// Cell state after each step.
+    cells: Matrix,
+    /// `tanh` of each cell state.
+    tanh_cells: Matrix,
+    /// Gate pre-activation gradients, one 4·hidden row per step; 0×0
+    /// until the backward pass has run.
+    pub(crate) gate_grads: Matrix,
+    /// The zero initial hidden and cell state.
+    zeros: Vec<f32>,
+}
+
+impl LstmCache {
+    /// Number of steps.
+    pub(crate) fn steps(&self) -> usize {
+        self.acts.rows
+    }
+
+    /// Sequence row that step `s` reads and writes.
+    pub(crate) fn row_of(&self, s: usize) -> usize {
+        if self.reverse {
+            self.steps() - 1 - s
+        } else {
+            s
+        }
+    }
+
+    /// Hidden state entering step `s`, given the node's output `out`.
+    pub(crate) fn h_prev<'a>(&'a self, out: &'a Matrix, s: usize) -> &'a [f32] {
+        match s {
+            0 => &self.zeros,
+            _ => out.row(self.row_of(s - 1)),
+        }
+    }
+
+    fn c_prev(&self, s: usize) -> &[f32] {
+        match s {
+            0 => &self.zeros,
+            _ => self.cells.row(s - 1),
+        }
+    }
+}
+
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// One LSTM direction over `x` (seq×in): the input projection as one
+/// seq×4H GEMM, then per step one `h·Wh` GEMV and the gate math. Values
+/// are bit-identical to the per-step graph of 1-row matmuls, bias rows,
+/// gate narrows and elementwise nodes (same kernels, same order).
+/// Returns the hidden states in sequence order and the cache.
+pub(crate) fn lstm_forward(
+    x: &Matrix,
+    [wx, bx, wh, bh]: [&Matrix; 4],
+    reverse: bool,
+) -> (Matrix, LstmCache) {
+    let (n, hidden) = (x.rows, wh.rows);
+    let gw = 4 * hidden;
+    assert!(wx.cols == gw && wh.cols == gw, "lstm: gate width");
+    assert!(
+        bx.data.len() == gw && bh.data.len() == gw,
+        "lstm: bias width"
+    );
+    let mut gx = x.matmul(wx);
+    for r in 0..n {
+        for (o, &b) in gx.row_mut(r).iter_mut().zip(&bx.data) {
+            *o += b;
+        }
+    }
+    let mut out = Matrix::zeros(n, hidden);
+    let mut cache = LstmCache {
+        reverse,
+        acts: Matrix::zeros(n, gw),
+        cells: Matrix::zeros(n, hidden),
+        tanh_cells: Matrix::zeros(n, hidden),
+        gate_grads: Matrix::default(),
+        zeros: vec![0.0; hidden],
+    };
+    let mut gh = vec![0.0f32; gw];
+    let mut h = vec![0.0f32; hidden];
+    for s in 0..n {
+        let t = cache.row_of(s);
+        gh.fill(0.0);
+        matmul_into(&h, hidden, &wh.data, gw, &mut gh);
+        let acts = cache.acts.row_mut(s);
+        for (j, a) in acts.iter_mut().enumerate() {
+            let z = gx.get(t, j) + (gh[j] + bh.data[j]);
+            *a = if (2 * hidden..3 * hidden).contains(&j) {
+                z.tanh()
+            } else {
+                sigmoid(z)
+            };
+        }
+        let (prev, rest) = cache.cells.data.split_at_mut(s * hidden);
+        let c_prev = if s == 0 {
+            &cache.zeros[..]
+        } else {
+            &prev[(s - 1) * hidden..]
+        };
+        let acts = cache.acts.row(s);
+        for j in 0..hidden {
+            let (i, f, g, o) = (
+                acts[j],
+                acts[hidden + j],
+                acts[2 * hidden + j],
+                acts[3 * hidden + j],
+            );
+            let c = f * c_prev[j] + i * g;
+            let tc = c.tanh();
+            rest[j] = c;
+            cache.tanh_cells.data[s * hidden + j] = tc;
+            h[j] = o * tc;
+        }
+        out.row_mut(t).copy_from_slice(&h);
+    }
+    (out, cache)
+}
+
+/// Backpropagation through time for [`lstm_forward`]: from the output
+/// gradient `g_out` (seq×hidden), store each step's gate gradient in the
+/// cache and return the input gradient.
+/// Every product and sum is the per-step graph's, in its reverse-sweep
+/// order. The graph's zero-padded gate narrows and row selects also added
+/// `+0.0` to the gate and input gradients, turning `-0.0` into `+0.0`;
+/// that is left out, as every consumer treats both zeros alike: the
+/// `dot4` products of `matmul_nt` never sum to `-0.0`, and
+/// [`crate::params::GradPart::Outer`] maps a zero factor to `+0.0`.
+pub(crate) fn lstm_backward(
+    cache: &mut LstmCache,
+    wx: &Matrix,
+    wh: &Matrix,
+    g_out: &Matrix,
+) -> Matrix {
+    let (n, hidden) = (cache.steps(), cache.zeros.len());
+    let mut gg = Matrix::zeros(n, 4 * hidden);
+    let mut dh = vec![0.0f32; hidden];
+    let mut dc = vec![0.0f32; hidden];
+    for s in (0..n).rev() {
+        let last = s + 1 == n;
+        let (acts, tc, c_prev) = (cache.acts.row(s), cache.tanh_cells.row(s), cache.c_prev(s));
+        let gout = g_out.row(cache.row_of(s));
+        let grow = gg.row_mut(s);
+        for j in 0..hidden {
+            let (i, f, g, o) = (
+                acts[j],
+                acts[hidden + j],
+                acts[2 * hidden + j],
+                acts[3 * hidden + j],
+            );
+            let gh = if last { gout[j] } else { gout[j] + dh[j] };
+            let d_o = gh * tc[j];
+            let d_c = gh * o * (1.0 - tc[j] * tc[j]);
+            let gc = if last { d_c } else { dc[j] + d_c };
+            let (d_i, d_f, d_g) = (gc * g, gc * c_prev[j], gc * i);
+            dc[j] = gc * f;
+            grow[j] = d_i * i * (1.0 - i);
+            grow[hidden + j] = d_f * f * (1.0 - f);
+            grow[2 * hidden + j] = d_g * (1.0 - g * g);
+            grow[3 * hidden + j] = d_o * o * (1.0 - o);
+        }
+        if s > 0 {
+            dot4_row(grow, &wh.data, &mut dh);
+        }
+    }
+    let by_step = gg.matmul_nt(wx);
+    let mut dx = Matrix::zeros(n, wx.rows);
+    for s in 0..n {
+        dx.row_mut(cache.row_of(s)).copy_from_slice(by_step.row(s));
+    }
+    cache.gate_grads = gg;
+    dx
 }
 
 /// GRU cell parameters (fused `[z r]` projections plus candidate).

@@ -14,8 +14,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use crate::attention::{attend_backward, attend_heads, Relative};
 use crate::matrix::Matrix;
-use crate::params::{ParamId, ParamStore};
+use crate::params::{GradPart, ParamId, ParamStore};
+use crate::rnn::{lstm_backward, lstm_forward, Lstm, LstmCache};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -85,13 +87,22 @@ enum Op {
         targets: Vec<usize>,
         probs: Matrix,
     },
-    /// Relative-position gather for disentangled attention. From x
-    /// (n×(2r+1)) produce (n×n): out[i][j] = x[i][clamp(j-i+r)]
-    /// (or x[j][clamp(i-j+r)] when `transposed`).
-    RelativeGather {
+    /// All heads of an attention block (see [`Tape::attention`]); caches
+    /// each head's softmax probabilities.
+    Attention {
+        q: Var,
+        k: Var,
+        v: Var,
+        rel: Option<(Var, Var, usize)>,
+        probs: Vec<Matrix>,
+    },
+    /// One LSTM direction (see [`Tape::lstm`]): the sequence, the value
+    /// leaves of its weights, their ids, and the forward cache.
+    Lstm {
         x: Var,
-        radius: usize,
-        transposed: bool,
+        weights: [Var; 4],
+        ids: [ParamId; 4],
+        cache: Box<LstmCache>,
     },
 }
 
@@ -139,7 +150,8 @@ op_kinds!(
     MeanRows => "mean_rows",
     Dropout => "dropout",
     CrossEntropy => "cross_entropy",
-    RelativeGather => "relative_gather",
+    Attention => "attention",
+    Lstm => "lstm",
 );
 
 /// Per-kind forward then backward nanoseconds of every dropped timed tape
@@ -611,21 +623,69 @@ impl Tape {
         )
     }
 
-    /// Relative-position gather (see [`Op::RelativeGather`]): from
-    /// `x` (n×(2·radius+1)) build an n×n score component.
-    pub fn relative_gather(&mut self, x: Var, n: usize, radius: usize, transposed: bool) -> Var {
+    /// Multi-head attention over projected `q`, `k`, `v` (each seq×dim,
+    /// `heads` column ranges), as one node: the heads' outputs side by
+    /// side (seq×dim), before the output projection. `rel` adds DeBERTa's
+    /// relative terms from `(qr, kr, radius)`, the relative table through
+    /// the query and key projections. The forward value is bitwise that
+    /// of the per-head graph of narrows, transposes, matmuls, relative
+    /// gathers, adds, scale and softmax (see [`crate::attention::attend`]),
+    /// and so are the gradients when the operands are distinct nodes.
+    pub fn attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        rel: Option<(Var, Var, usize)>,
+        heads: usize,
+    ) -> Var {
         let t0 = self.start();
-        let m = self.value(x);
-        assert_eq!(m.cols, 2 * radius + 1, "relative_gather: width");
-        assert_eq!(m.rows, n, "relative_gather: rows");
-        let plain = relative_rows(m, radius);
-        let value = if transposed { plain.transpose() } else { plain };
+        let rel_vals = rel.map(|(qr, kr, radius)| Relative {
+            qr: self.value(qr),
+            kr: self.value(kr),
+            radius,
+        });
+        let mut probs = Vec::with_capacity(heads);
+        let value = attend_heads(
+            self.value(q),
+            self.value(k),
+            self.value(v),
+            rel_vals,
+            heads,
+            |p| probs.push(p),
+        );
         self.push(
             value,
-            Op::RelativeGather {
+            Op::Attention {
+                q,
+                k,
+                v,
+                rel,
+                probs,
+            },
+            t0,
+        )
+    }
+
+    /// One LSTM direction over `x` (seq×in) as one node, returning the
+    /// hidden states (seq×hidden) in sequence order; `reverse` runs the
+    /// steps back to front. Forward values, the input gradient and every
+    /// weight gradient are bitwise those of the per-step graph (1-row
+    /// matmuls, bias rows, gate narrows, elementwise gates, row selects
+    /// and a row concat). As there, each step contributes its own weight
+    /// gradients, harvested in step order (see [`Tape::param_grads`]).
+    pub fn lstm(&mut self, store: &ParamStore, cell: &Lstm, x: Var, reverse: bool) -> Var {
+        let ids = [cell.wx.w, cell.wx.b, cell.wh.w, cell.wh.b];
+        let weights = ids.map(|id| self.param(store, id));
+        let t0 = self.start();
+        let (value, cache) = lstm_forward(self.value(x), weights.map(|v| self.value(v)), reverse);
+        self.push(
+            value,
+            Op::Lstm {
                 x,
-                radius,
-                transposed,
+                weights,
+                ids,
+                cache: Box::new(cache),
             },
             t0,
         )
@@ -655,9 +715,9 @@ impl Tape {
             };
             let t0 = self.start();
             // Parents always precede their node, so `parents` holds every
-            // operand mutably while the node itself is only read.
+            // operand mutably next to the node itself.
             let (parents, rest) = self.nodes.split_at_mut(idx);
-            let node = &rest[0];
+            let node = &mut rest[0];
             backprop(parents, node, grad);
             if let (Some(ns), Some(t0)) = (self.op_ns.as_deref_mut(), t0) {
                 ns[N_KINDS + node.op.kind()] += t0.elapsed().as_nanos() as u64;
@@ -665,19 +725,42 @@ impl Tape {
         }
     }
 
-    /// Every parameter leaf's gradient after `backward`, in node order.
-    pub fn param_grads(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
-        self.nodes
-            .iter()
-            .filter_map(|node| match (&node.op, &node.grad) {
+    /// Every parameter gradient after `backward`, in node order: each
+    /// parameter leaf's matrix, and for each [`Tape::lstm`] node one
+    /// rank-1 part per step and weight, steps in processing order.
+    pub fn param_grads(&self) -> impl Iterator<Item = (ParamId, GradPart<'_>)> {
+        const ONE: &[f32] = &[1.0];
+        self.nodes.iter().flat_map(move |node| {
+            let leaf = match (&node.op, &node.grad) {
                 (
                     Op::Leaf {
                         param: Some(id), ..
                     },
                     Some(g),
-                ) => Some((*id, g)),
+                ) => Some((*id, GradPart::Dense(g))),
                 _ => None,
-            })
+            };
+            let lstm = match &node.op {
+                Op::Lstm { x, ids, cache, .. } if cache.gate_grads.rows > 0 => {
+                    Some((value_at(&self.nodes, x.0), ids, cache))
+                }
+                _ => None,
+            };
+            let steps = lstm.into_iter().flat_map(move |(xs, ids, cache)| {
+                (0..cache.steps()).flat_map(move |s| {
+                    let g = cache.gate_grads.row(s);
+                    let x = xs.row(cache.row_of(s));
+                    let h = cache.h_prev(&node.value, s);
+                    [
+                        (ids[0], GradPart::Outer { x, g }),
+                        (ids[1], GradPart::Outer { x: ONE, g }),
+                        (ids[2], GradPart::Outer { x: h, g }),
+                        (ids[3], GradPart::Outer { x: ONE, g }),
+                    ]
+                })
+            });
+            leaf.into_iter().chain(steps)
+        })
     }
 
     /// After `backward`, push every parameter leaf's gradient into the
@@ -708,57 +791,6 @@ fn value_at(nodes: &[Node], i: usize) -> &Matrix {
     }
 }
 
-/// Untransposed [`Op::RelativeGather`] of `x` (n×(2·radius+1)):
-/// `out[i][j] = x[i][clamp(j - i + radius, 0, 2·radius)]`, built row by
-/// row from two fills and one slice copy. Column `j` of row `i` clamps to
-/// 0 below `lo = i + 1 - radius`, to `2·radius` from `hi = i + radius`,
-/// and maps one-to-one in between.
-fn relative_rows(x: &Matrix, radius: usize) -> Matrix {
-    let n = x.rows;
-    let mut out = Matrix::zeros(n, n);
-    for i in 0..n {
-        let (lo, hi) = relative_bounds(i, n, radius);
-        let src = x.row(i);
-        let dst = out.row_mut(i);
-        dst[..lo].fill(src[0]);
-        dst[lo..hi].copy_from_slice(&src[lo + radius - i..hi + radius - i]);
-        dst[hi..].fill(src[2 * radius]);
-    }
-    out
-}
-
-/// Backward of [`relative_rows`]: `dx[i][clamp(j - i + radius)] += g[i][j]`
-/// with each clamped cell summed in ascending `j`.
-fn relative_scatter(g: &Matrix, radius: usize) -> Matrix {
-    let n = g.rows;
-    let mut dx = Matrix::zeros(n, 2 * radius + 1);
-    for i in 0..n {
-        let (lo, hi) = relative_bounds(i, n, radius);
-        let src = g.row(i);
-        let dst = dx.row_mut(i);
-        for &v in &src[..lo] {
-            dst[0] += v;
-        }
-        for (o, &v) in dst[lo + radius - i..hi + radius - i]
-            .iter_mut()
-            .zip(&src[lo..hi])
-        {
-            *o += v;
-        }
-        for &v in &src[hi..] {
-            dst[2 * radius] += v;
-        }
-    }
-    dx
-}
-
-/// `(lo, hi)` of [`relative_rows`] for row `i`, clipped to `0..=n`. With
-/// `radius == 0` every column clamps to 0 and `lo == hi == i + 1`.
-fn relative_bounds(i: usize, n: usize, radius: usize) -> (usize, usize) {
-    let lo = (i + 1).saturating_sub(radius).min(n);
-    (lo, (i + radius).clamp(lo, n))
-}
-
 /// Add a gradient contribution to a node.
 fn add_grad(node: &mut Node, g: Matrix) {
     match &mut node.grad {
@@ -787,7 +819,21 @@ fn scale_by(mut grad: Matrix, with: &[f32], f: impl Fn(f32, f32) -> f32) -> Matr
 /// Push one node's output gradient `grad` into its operands' gradients.
 /// Operands (`parents`, every node before this one) are borrowed, never
 /// copied; elementwise backward rules rewrite `grad` in place.
-fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
+fn backprop(parents: &mut [Node], node: &mut Node, grad: Matrix) {
+    // The LSTM op keeps its gate gradients for the weight harvest.
+    if let Op::Lstm {
+        x, weights, cache, ..
+    } = &mut node.op
+    {
+        let dx = lstm_backward(
+            cache,
+            value_at(parents, weights[0].0),
+            value_at(parents, weights[2].0),
+            &grad,
+        );
+        add_grad(&mut parents[x.0], dx);
+        return;
+    }
     match &node.op {
         Op::Leaf { .. } => {}
         Op::MatMul(a, b) => {
@@ -855,14 +901,7 @@ fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
         }
         Op::SoftmaxRows(a) => {
             let mut da = grad;
-            for r in 0..da.rows {
-                let y_row = node.value.row(r);
-                let g_row = da.row_mut(r);
-                let dot: f32 = g_row.iter().zip(y_row).map(|(&g, &y)| g * y).sum();
-                for (g, &y) in g_row.iter_mut().zip(y_row) {
-                    *g = y * (*g - dot);
-                }
-            }
+            softmax_backward(&mut da, &node.value);
             add_grad(&mut parents[a.0], da);
         }
         Op::LayerNorm {
@@ -983,26 +1022,53 @@ fn backprop(parents: &mut [Node], node: &Node, grad: Matrix) {
             }
             add_grad(&mut parents[logits.0], dl);
         }
-        Op::RelativeGather {
-            x,
-            radius,
-            transposed,
+        Op::Attention {
+            q,
+            k,
+            v,
+            rel,
+            probs,
         } => {
-            // The transposed form is the plain form's transpose, so its
-            // backward is the plain backward of the transposed gradient:
-            // each clamped cell still sums in ascending i.
-            let dx = if *transposed {
-                relative_scatter(&grad.transpose(), *radius)
-            } else {
-                relative_scatter(&grad, *radius)
-            };
-            add_grad(&mut parents[x.0], dx);
+            let rel_vals = rel.map(|(qr, kr, radius)| Relative {
+                qr: value_at(parents, qr.0),
+                kr: value_at(parents, kr.0),
+                radius,
+            });
+            let [dq, dk, dv, dqr, dkr] = attend_backward(
+                value_at(parents, q.0),
+                value_at(parents, k.0),
+                value_at(parents, v.0),
+                rel_vals,
+                probs,
+                &grad,
+            );
+            add_grad(&mut parents[q.0], dq);
+            add_grad(&mut parents[k.0], dk);
+            add_grad(&mut parents[v.0], dv);
+            if let Some((qr, kr, _)) = rel {
+                add_grad(&mut parents[qr.0], dqr);
+                add_grad(&mut parents[kr.0], dkr);
+            }
+        }
+        Op::Lstm { .. } => unreachable!("handled above"),
+    }
+}
+
+/// Softmax backward in place: each row of `grad` becomes
+/// `y * (grad - grad·y)` for the forward output row `y`.
+pub(crate) fn softmax_backward(grad: &mut Matrix, y: &Matrix) {
+    for r in 0..grad.rows {
+        let y_row = y.row(r);
+        let g_row = grad.row_mut(r);
+        let dot: f32 = g_row.iter().zip(y_row).map(|(&g, &y)| g * y).sum();
+        for (g, &y) in g_row.iter_mut().zip(y_row) {
+            *g = y * (*g - dot);
         }
     }
 }
 
 /// Stable in-place softmax over a slice.
-fn softmax_in_place(row: &mut [f32]) {
+pub(crate) fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {
@@ -1221,17 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_relative_gather() {
-        for transposed in [false, true] {
-            check_grad(
-                move |t, x| t.relative_gather(x, 3, 2, transposed),
-                Matrix::from_vec(3, 5, (0..15).map(|i| (i as f32) * 0.1 - 0.7).collect()),
-                1e-2,
-            );
-        }
-    }
-
-    #[test]
     fn dropout_identity_in_inference() {
         let mut tape = Tape::inference();
         let x = tape.constant(test_input());
@@ -1340,89 +1395,6 @@ mod tests {
         }
     }
 
-    /// The per-element relative gather and its scatter as they stood
-    /// before the row-slice forms.
-    fn relative_gather_elementwise(m: &Matrix, radius: usize, transposed: bool) -> Matrix {
-        let n = m.rows;
-        let mut value = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let (src_row, offset) = if transposed {
-                    (j, i as i64 - j as i64)
-                } else {
-                    (i, j as i64 - i as i64)
-                };
-                let col = (offset + radius as i64).clamp(0, 2 * radius as i64) as usize;
-                value.set(i, j, m.get(src_row, col));
-            }
-        }
-        value
-    }
-
-    fn relative_scatter_elementwise(grad: &Matrix, radius: usize, transposed: bool) -> Matrix {
-        let n = grad.rows;
-        let mut dx = Matrix::zeros(n, 2 * radius + 1);
-        for i in 0..n {
-            for j in 0..n {
-                let (src_row, offset) = if transposed {
-                    (j, i as i64 - j as i64)
-                } else {
-                    (i, j as i64 - i as i64)
-                };
-                let col = (offset + radius as i64).clamp(0, 2 * radius as i64) as usize;
-                dx.data[src_row * (2 * radius + 1) + col] += grad.get(i, j);
-            }
-        }
-        dx
-    }
-
-    #[test]
-    fn relative_gather_matches_elementwise_bitwise() {
-        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for n in [1usize, 2, 5, 9] {
-            for radius in [0usize, 1, 2, 3, 12] {
-                for transposed in [false, true] {
-                    let w = 2 * radius + 1;
-                    let x = Matrix::from_vec(
-                        n,
-                        w,
-                        (0..n * w).map(|i| (i as f32 * 0.37).sin()).collect(),
-                    );
-                    // Signed zeros in the upstream gradient must keep their
-                    // sign through single-contribution cells (0.0 + -0.0).
-                    let g = Matrix::from_vec(
-                        n,
-                        n,
-                        (0..n * n)
-                            .map(|i| match i % 5 {
-                                0 => -0.0,
-                                1 => 0.0,
-                                _ => (i as f32 * 0.71).cos() * 1e3,
-                            })
-                            .collect(),
-                    );
-                    let mut tape = Tape::new();
-                    let xv = tape.constant(x.clone());
-                    let y = tape.relative_gather(xv, n, radius, transposed);
-                    let gv = tape.constant(g.clone());
-                    let out = tape.mul(y, gv);
-                    tape.backward(out);
-                    let what = format!("n={n} radius={radius} transposed={transposed}");
-                    assert_eq!(
-                        bits(tape.value(y)),
-                        bits(&relative_gather_elementwise(&x, radius, transposed)),
-                        "forward {what}"
-                    );
-                    assert_eq!(
-                        bits(&tape.grad(xv)),
-                        bits(&relative_scatter_elementwise(&g, radius, transposed)),
-                        "backward {what}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn repeated_params_share_one_copy_with_separate_gradients() {
         let mut store = ParamStore::new();
@@ -1442,7 +1414,10 @@ mod tests {
         assert_eq!(tape.grad(w2).data, vec![4.0, -2.0]);
         let grads: Vec<_> = tape
             .param_grads()
-            .map(|(p, g)| (p, g.data.clone()))
+            .map(|(p, g)| match g {
+                GradPart::Dense(g) => (p, g.data.clone()),
+                GradPart::Outer { .. } => unreachable!("no lstm on this tape"),
+            })
             .collect();
         assert_eq!(grads, vec![(id, vec![3.0, 4.0]), (id, vec![4.0, -2.0])]);
         tape.harvest_grads(&mut store);

@@ -85,6 +85,50 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every `matmul` output is one fused multiply-add chain in ascending
+    /// k from `+0.0`, skipping zero coefficients in zero-heavy rows: the
+    /// AVX2 kernels' 8-wide, 4-wide and scalar column blocks and the
+    /// portable path all round it the same. Widths cover every residue
+    /// mod 8 and both the one-row and two-row kernels.
+    fn matmul_equals_ascending_fused_chains(
+        m in 1usize..6,
+        k in 1usize..20,
+        n_blocks in 0usize..3,
+        n_rem in 0usize..8,
+        a_draws in collection::vec((0u32..10, -2.0f32..2.0, 1u32..0x80_0000), 1..64),
+        b_draws in collection::vec((0u32..10, -2.0f32..2.0, 1u32..0x80_0000), 1..64),
+    ) {
+        let n = (8 * n_blocks + n_rem).max(1);
+        let (a_vals, b_vals) = (edge_values(&a_draws), edge_values(&b_draws));
+        let cycle = |len: usize, vals: &[f32]| -> Vec<f32> {
+            (0..len).map(|i| vals[(i * 7 + i / vals.len()) % vals.len()]).collect()
+        };
+        let a = Matrix::from_vec(m, k, cycle(m * k, &a_vals));
+        let b = Matrix::from_vec(k, n, cycle(k * n, &b_vals));
+        let mut want = Vec::with_capacity(m * n);
+        for i in 0..m {
+            let row = a.row(i);
+            let dense = row.iter().filter(|&&v| v == 0.0).count() * 2 <= k;
+            for j in 0..n {
+                let mut o = 0.0f32;
+                for (kk, &av) in row.iter().enumerate() {
+                    if dense || av != 0.0 {
+                        o = av.mul_add(b.get(kk, j), o);
+                    }
+                }
+                want.push(o.to_bits());
+            }
+        }
+        let ser = rsd_par::run_serial(|| a.matmul(&b));
+        let par = rsd_par::with_local_pool(4, || a.matmul(&b));
+        prop_assert_eq!(bits(&ser), want.clone());
+        prop_assert_eq!(bits(&par), want);
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     fn matmul_parallel_equals_serial_and_reference(

@@ -198,6 +198,9 @@ cargo test --release -q -p rsd-nn --test quant_props
 # must equal the scalar dot4 bit for bit, and the committed training digest
 # must hold (no trained weight may move).
 cargo test --release -q -p rsd-nn --test par_determinism
+# The whole-block attention and LSTM tape ops must equal the primitive-op
+# graphs they replace bit for bit (values, leaf and parameter gradients).
+cargo test --release -q -p rsd-nn --test fused_ops
 cargo test --release -q -p rsd-models --test train_digest
 cargo test --release -q -p rsd-models --test int8_partition_props
 cargo test --release -q -p rsd-models plm_infer
@@ -226,6 +229,9 @@ BENCH_KERNELS_OUT="$obs_tmp/BENCH_kernels.json" \
 cargo run --release -q -p rsd-bench --bin obs_diff -- \
     --time-tol "${OBS_DIFF_KERNELS_TIME_TOL:-0.50}" \
     BENCH_kernels.json "$obs_tmp/BENCH_kernels.json"
+
+echo "==> perf trajectory (every bench_runs/trajectory.ndjson line parses with its keys)"
+cargo test --release -q -p rsd-bench --test trajectory
 
 echo "==> mid-scale golden equivalence (release, ignored test)"
 cargo test --release -q --test streaming_equivalence -- --ignored
