@@ -14,8 +14,8 @@
 //!   predictions across serial / 1-thread / 4-thread execution;
 //! * PLM inference at paper scale — the training tape, the tape-free f32
 //!   engine, and the per-channel int8 fast path, batched and single-post,
-//!   with the quantization quality gates (`RSD_QUANT_EPS`,
-//!   `RSD_QUANT_MIN_AGREE`, `RSD_QUANT_MIN_SPEEDUP`) asserted in-process.
+//!   with the quantization quality gates ([`QUANT_EPS`],
+//!   [`QUANT_MIN_AGREE`], [`QUANT_MIN_SPEEDUP`]) asserted in-process.
 //!
 //! On a single-core host the pool cannot add wall-clock speedup; the
 //! honest headline number is the kernel-level speedup vs the reference
@@ -32,6 +32,12 @@ use rsd_models::{
 use rsd_nn::matrix::{reference, Matrix};
 
 const REPS: usize = 9;
+/// Quality gate: max per-logit |int8 − f32| on every window.
+const QUANT_EPS: f64 = 0.1;
+/// Quality gate: min argmax agreement of int8 with f32, percent.
+const QUANT_MIN_AGREE: f64 = 99.0;
+/// Speed gate: min serial int8-over-f32 batch speedup.
+const QUANT_MIN_SPEEDUP: f64 = 2.0;
 
 /// Best-of-`REPS` wall-clock in milliseconds.
 fn time_best<T>(mut f: impl FnMut() -> T) -> f64 {
@@ -287,13 +293,6 @@ fn pseudo_window(vocab: usize, posts: usize, tokens: usize, salt: u64) -> Encode
 }
 
 fn inference_section() -> serde_json::Value {
-    // Quality/latency gates for the quantized path, operator-tunable:
-    // max per-logit |int8 - f32| error, min argmax agreement (percent),
-    // min serial batch speedup. All hard-error naming the knob.
-    let eps = rsd_obs::knob::positive_float_env("RSD_QUANT_EPS", 0.1);
-    let min_agree = rsd_obs::knob::positive_float_env("RSD_QUANT_MIN_AGREE", 99.0);
-    let min_speedup = rsd_obs::knob::positive_float_env("RSD_QUANT_MIN_SPEEDUP", 2.0);
-
     // A paper-scale DeBERTa-like PLM with seed-deterministic synthetic
     // weights: the int8-vs-f32 contrast depends on shapes, not on what
     // the weights converged to, and synthetic export keeps the artifact
@@ -363,7 +362,7 @@ fn inference_section() -> serde_json::Value {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         max_abs_diff = max_abs_diff.max(worst);
-        if worst <= eps as f32 {
+        if worst <= QUANT_EPS as f32 {
             within_eps += 1;
         }
         if argmax_logits(&f) == argmax_logits(&q) {
@@ -392,23 +391,23 @@ fn inference_section() -> serde_json::Value {
         batch.len()
     );
     println!(
-        "plm quality ({} windows): argmax agreement {agreement_percent:.2}% | within eps {eps}: \
+        "plm quality ({} windows): argmax agreement {agreement_percent:.2}% | within eps {QUANT_EPS}: \
          {within_eps_percent:.2}% | max |logit diff| {max_abs_diff:.4}",
         quality.len()
     );
     assert!(
         within_eps_percent == 100.0,
         "int8 logits drifted: only {within_eps_percent:.2}% of {} windows within \
-         RSD_QUANT_EPS={eps} (max |diff| {max_abs_diff:.4})",
+         QUANT_EPS={QUANT_EPS} (max |diff| {max_abs_diff:.4})",
         quality.len()
     );
     assert!(
-        agreement_percent >= min_agree,
-        "int8 argmax agreement {agreement_percent:.2}% below RSD_QUANT_MIN_AGREE={min_agree}"
+        agreement_percent >= QUANT_MIN_AGREE,
+        "int8 argmax agreement {agreement_percent:.2}% below QUANT_MIN_AGREE={QUANT_MIN_AGREE}"
     );
     assert!(
-        int8_speedup_vs_f32 >= min_speedup,
-        "int8 batch speedup {int8_speedup_vs_f32:.2}x below RSD_QUANT_MIN_SPEEDUP={min_speedup}"
+        int8_speedup_vs_f32 >= QUANT_MIN_SPEEDUP,
+        "int8 batch speedup {int8_speedup_vs_f32:.2}x below QUANT_MIN_SPEEDUP={QUANT_MIN_SPEEDUP}"
     );
 
     serde_json::json!({
@@ -417,7 +416,7 @@ fn inference_section() -> serde_json::Value {
         "layers": layers,
         "windows": batch.len(),
         "quality_windows": quality.len(),
-        "quant_eps": eps,
+        "quant_eps": QUANT_EPS,
         "tape_f32_batch_ms": tape_batch_ms,
         "infer_f32_batch_ms": f32_batch_ms,
         "infer_int8_batch_ms": int8_batch_ms,
@@ -439,6 +438,8 @@ fn inference_section() -> serde_json::Value {
 }
 
 fn main() {
+    // Parse every knob now, so a typo aborts before any work.
+    rsd_obs::knob::snapshot();
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);

@@ -6,19 +6,21 @@
 //!   byte-identical JSONL for the same scale/seed.
 //! * `RSD_BUILD_OUT=<path>` writes there (parent dirs created); unset
 //!   writes to stdout.
-//! * `RSD_CHECKPOINT_DIR=<dir>` overrides the checkpoint location
-//!   (default `bench_runs/<scale>/checkpoints`; `none` disables).
-//!   Batch mode never checkpoints.
-//! * `RSD_SHARD_USERS` / `RSD_SHARDS_IN_FLIGHT` size the streaming
-//!   executor; `RSD_INTERRUPT_AFTER_SHARDS` / `RSD_INTERRUPT_AFTER_STAGE`
-//!   inject a mid-build kill for resume testing (exit code 9, so scripts
-//!   can tell an injected interrupt from a real failure).
+//! * `RSD_CHECKPOINT_DIR=<dir>` checkpoints the streaming build there
+//!   and resumes from it; unset, this binary uses
+//!   `bench_runs/<scale>/checkpoints`, and `off` disables it. Batch mode
+//!   never checkpoints.
+//! * `RSD_SHARD_USERS` sizes the streaming executor's shards;
+//!   `RSD_INTERRUPT_AFTER_SHARDS` injects a mid-build kill for resume
+//!   testing (exit code 9, so scripts can tell an injected interrupt
+//!   from a real failure).
 
 use std::process::ExitCode;
 
 use rsd_bench::BinHarness;
 use rsd_common::RsdError;
 use rsd_dataset::{io, DatasetBuilder, StreamingOptions};
+use rsd_obs::knob;
 
 // The streaming build is the workload whose memory profile matters (its
 // whole point is bounded residency), so this binary hosts the counting
@@ -31,52 +33,49 @@ static ALLOC: rsd_obs::alloc::CountingAlloc = rsd_obs::alloc::CountingAlloc::new
 fn run() -> Result<ExitCode, RsdError> {
     let mut h = BinHarness::start("build_dataset");
     let scale = h.scale;
-    let mode = std::env::var("RSD_BUILD_MODE").unwrap_or_else(|_| "stream".to_string());
+    let mode: String = knob::BUILD_MODE.get();
     let builder = DatasetBuilder::new(scale.build_config(h.seed));
 
-    let dataset = match mode.as_str() {
-        "batch" => {
-            let (dataset, _pool, report) = builder.build_batch_with_pool()?;
-            eprintln!(
-                "batch build: {} posts / {} users (raw {} posts)",
-                dataset.n_posts(),
-                dataset.n_users(),
-                report.raw_posts
-            );
-            dataset
+    let dataset = if mode == "batch" {
+        let (dataset, _pool, report) = builder.build_batch_with_pool()?;
+        eprintln!(
+            "batch build: {} posts / {} users (raw {} posts)",
+            dataset.n_posts(),
+            dataset.n_users(),
+            report.raw_posts
+        );
+        dataset
+    } else {
+        let mut opts = StreamingOptions::from_env();
+        if !knob::CHECKPOINT_DIR.is_set() {
+            opts.checkpoint_dir = Some(format!("bench_runs/{}/checkpoints", scale.name()).into());
         }
-        "stream" => {
-            let mut opts = StreamingOptions::from_env()?;
-            if opts.checkpoint_dir.is_none() && std::env::var("RSD_CHECKPOINT_DIR").is_err() {
-                opts.checkpoint_dir =
-                    Some(format!("bench_runs/{}/checkpoints", scale.name()).into());
-            }
-            let out = builder.build_streaming(&opts)?;
-            let p = &out.pipeline;
-            eprintln!(
-                "streaming build: {} posts / {} users | {} shards x {} users, {} in flight, \
+        if let Some(dir) = &opts.checkpoint_dir {
+            // `meta.knobs` shows the knob; this is where checkpoints went.
+            h.run.set(
+                "checkpoint_dir",
+                rsd_obs::Value::from(dir.display().to_string()),
+            );
+        }
+        let out = builder.build_streaming(&opts)?;
+        let p = &out.pipeline;
+        eprintln!(
+            "streaming build: {} posts / {} users | {} shards x {} users, {} in flight, \
                  peak resident {} posts, checkpoints {} hit / {} written",
-                out.dataset.n_posts(),
-                out.dataset.n_users(),
-                p.shards,
-                p.shard_users,
-                p.shards_in_flight,
-                p.peak_resident_posts,
-                p.checkpoint_hits,
-                p.checkpoint_writes
-            );
-            out.dataset
-        }
-        other => {
-            return Err(RsdError::config(
-                "RSD_BUILD_MODE",
-                format!("unknown mode {other:?}; accepted values: stream, batch"),
-            ))
-        }
+            out.dataset.n_posts(),
+            out.dataset.n_users(),
+            p.shards,
+            p.shard_users,
+            p.shards_in_flight,
+            p.peak_resident_posts,
+            p.checkpoint_hits,
+            p.checkpoint_writes
+        );
+        out.dataset
     };
 
-    match std::env::var("RSD_BUILD_OUT") {
-        Ok(path) if !path.is_empty() => {
+    match knob::BUILD_OUT.get::<Option<String>>() {
+        Some(path) => {
             let path = std::path::PathBuf::from(path);
             if let Some(parent) = path.parent() {
                 std::fs::create_dir_all(parent).map_err(RsdError::from)?;
@@ -84,7 +83,7 @@ fn run() -> Result<ExitCode, RsdError> {
             io::save(&dataset, &path)?;
             eprintln!("wrote {}", path.display());
         }
-        _ => {
+        None => {
             let stdout = std::io::stdout();
             io::to_jsonl(&dataset, stdout.lock())?;
         }

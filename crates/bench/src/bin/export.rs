@@ -16,7 +16,7 @@ fn main() {
         "privacy audit failed; refusing to export: {:?}",
         audit.findings
     );
-    let dir = std::env::var("RSD_EXPORT_DIR").unwrap_or_else(|_| "export".to_string());
+    let dir: String = rsd_obs::knob::EXPORT_DIR.get();
     std::fs::create_dir_all(&dir).expect("create export dir");
     let jsonl = format!("{dir}/rsd15k.jsonl");
     let csv = format!("{dir}/rsd15k.csv");

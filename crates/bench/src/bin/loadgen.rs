@@ -15,8 +15,6 @@
 //!   replay the corpus (rewinding as needed) at the target QPS for this
 //!   long. Requires `RSD_OBS_TICK_MS` and `RSD_SLO_P99_MS`: a soak's
 //!   verdict is the burn monitor's.
-//! * `RSD_SERVE_SHARDS` / `RSD_SERVE_LRU` / `RSD_SERVE_BATCH` /
-//!   `RSD_SERVE_CHANNEL_CAP` — service sizing ([`rsd_serve::ServeConfig`]).
 //! * `RSD_SLO_P99_MS` / `RSD_SLO_BUDGET` — arm the continuous burn-rate
 //!   monitor ([`rsd_obs::slo`]): the series driver evaluates the error
 //!   budget each tick, and the run **fails** if any tick burned
@@ -24,9 +22,6 @@
 //!   5 s fast window, the final tick alone checks "p99 over target".
 //! * `RSD_OBS_HTTP` — serve `/metrics`, `/health`, `/snapshot` live on
 //!   `127.0.0.1:<port>` for the duration of the run.
-//! * `RSD_OBS_EXEMPLARS` — per-window slow-exemplar reservoir size
-//!   (default 4); the slowest requests' per-stage breakdowns land in
-//!   the series, the report, and the stderr table below.
 //!
 //! Every run asserts the telemetry event ring shed nothing
 //! (`ring_dropped == 0`): load shedding in the observability layer under
@@ -48,7 +43,7 @@ use std::time::{Duration, Instant};
 use rsd_bench::{table3_configs, BinHarness, Prepared};
 use rsd_corpus::RiskLevel;
 use rsd_models::{PlmBaseline, ScoringModel, ServeModel};
-use rsd_obs::Value;
+use rsd_obs::{knob, Value};
 use rsd_pipeline::{StreamSource, VecSource};
 use rsd_serve::{IncomingPost, RiskService, ServeConfig};
 
@@ -72,9 +67,9 @@ fn replay_stream(dataset: &rsd_dataset::Rsd15k) -> Vec<IncomingPost> {
 
 fn main() {
     let mut h = BinHarness::start("loadgen");
-    let qps = rsd_obs::knob::positive_or_default("RSD_QPS", std::env::var("RSD_QPS").ok(), 200);
-    let soak_ms = rsd_obs::knob::optional_positive_env("RSD_LOADGEN_SOAK_MS");
-    let tick_ms = rsd_obs::knob::optional_positive_env("RSD_OBS_TICK_MS");
+    let qps: u64 = knob::QPS.get();
+    let soak_ms: Option<u64> = knob::LOADGEN_SOAK_MS.get();
+    let tick_ms: Option<u64> = knob::OBS_TICK_MS.get();
     let slo = rsd_obs::slo::config_from_env();
     if soak_ms.is_some() {
         assert!(
@@ -84,11 +79,10 @@ fn main() {
         );
         assert!(
             slo.is_some(),
-            "RSD_LOADGEN_SOAK_MS is judged by the SLO burn monitor; set {}",
-            rsd_obs::slo::KNOB_P99
+            "RSD_LOADGEN_SOAK_MS is judged by the SLO burn monitor; set RSD_SLO_P99_MS"
         );
     }
-    let serve_cfg = ServeConfig::from_env().expect("serve config");
+    let serve_cfg = ServeConfig::from_env();
 
     let prepared = Prepared::from_env();
     let model = {

@@ -179,7 +179,7 @@ fn check(args: &Args, text: &str) -> ExitCode {
         .unwrap_or(u64::MAX);
     if dropped > 0 {
         eprintln!(
-            "obs_top: ring dropped {dropped} events in {} (raise RSD_OBS_RING_CAP or lower RSD_OBS_TICK_MS)",
+            "obs_top: ring dropped {dropped} events in {} (lower RSD_OBS_TICK_MS)",
             args.series
         );
         return ExitCode::from(4);

@@ -18,9 +18,8 @@ fn main() {
     let data = prepared.bench_data();
     let cfgs = table3_configs(prepared.scale);
 
-    let selected = std::env::var("RSD_MODELS")
-        .unwrap_or_else(|_| "xgboost,bilstm,higru,roberta,deberta".to_string());
-    let want = |name: &str| selected.split(',').any(|m| m.trim() == name);
+    let selected: String = rsd_obs::knob::MODELS.get();
+    let want = |name: &str| selected.split(',').any(|m| m == name);
 
     println!("Table III — Performance comparison of baseline models");
     println!(

@@ -46,18 +46,9 @@ impl Scale {
         }
     }
 
-    /// Read from `RSD_SCALE` (unset or empty means `mid`). Unknown values
-    /// abort instead of silently falling back — a typoed scale must never
-    /// quietly run a different experiment.
+    /// Read from `RSD_SCALE` (default `mid`); unknown values abort.
     pub fn from_env() -> Scale {
-        match std::env::var("RSD_SCALE") {
-            Err(_) => Scale::Mid,
-            Ok(raw) if raw.is_empty() => Scale::Mid,
-            Ok(raw) => match Scale::parse(&raw) {
-                Ok(scale) => scale,
-                Err(message) => panic!("{message}"),
-            },
-        }
+        Scale::parse(&rsd_obs::knob::SCALE.get::<String>()).expect("a listed RSD_SCALE choice")
     }
 
     /// Stable lowercase name, used in report paths.
@@ -88,12 +79,10 @@ impl Scale {
     }
 }
 
-/// Seed from `RSD_SEED` (default 2026).
+/// Seed from `RSD_SEED` (default 2026); anything but a positive integer
+/// aborts.
 pub fn seed_from_env() -> u64 {
-    std::env::var("RSD_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2026)
+    rsd_obs::knob::SEED.get()
 }
 
 /// Continuous-telemetry lifecycle for a bench binary: holds the
@@ -157,6 +146,8 @@ pub struct BinHarness {
 impl BinHarness {
     /// Start the harness for binary `bin`.
     pub fn start(bin: &'static str) -> BinHarness {
+        // Parse every knob now, so a typo aborts before any work.
+        rsd_obs::knob::snapshot();
         let scale = Scale::from_env();
         let seed = seed_from_env();
         let run = rsd_obs::RunReport::new(bin, scale.name(), seed);
@@ -347,6 +338,9 @@ mod tests {
         assert_eq!(Scale::parse("mid"), Ok(Scale::Mid));
         assert_eq!(Scale::parse("small"), Ok(Scale::Small));
         assert_eq!(Scale::parse("smoke"), Ok(Scale::Small));
+        for name in rsd_obs::knob::SCALES {
+            assert!(Scale::parse(name).is_ok(), "{name}");
+        }
         let err = Scale::parse("midd").unwrap_err();
         assert!(
             err.contains("midd") && err.contains("accepted values"),

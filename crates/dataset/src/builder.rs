@@ -115,10 +115,10 @@ impl DatasetBuilder {
     ///
     /// Since the streaming refactor this runs the sharded pipeline (see
     /// [`crate::stream`]) with options read from the environment
-    /// (`RSD_SHARD_USERS`, `RSD_SHARDS_IN_FLIGHT`, `RSD_CHECKPOINT_DIR`);
-    /// its output is bit-identical to [`DatasetBuilder::build_batch_with_pool`].
+    /// (`RSD_SHARD_USERS`, `RSD_CHECKPOINT_DIR`); its output is
+    /// bit-identical to [`DatasetBuilder::build_batch_with_pool`].
     pub fn build_with_pool(&self) -> Result<(Rsd15k, Vec<String>, BuildReport)> {
-        let opts = StreamingOptions::from_env()?;
+        let opts = StreamingOptions::from_env();
         let out = self.build_streaming(&opts)?;
         Ok((out.dataset, out.unlabeled, out.report))
     }

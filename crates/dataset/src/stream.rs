@@ -63,34 +63,28 @@ use rsd_text::{ChronoDedup, PostFate, PreprocessReport, Preprocessor};
 #[derive(Debug, Clone, Default)]
 pub struct StreamingOptions {
     /// Shard sizing and concurrency (`RSD_SHARD_USERS`,
-    /// `RSD_SHARDS_IN_FLIGHT`, `RSD_INTERRUPT_AFTER_SHARDS`).
+    /// `RSD_INTERRUPT_AFTER_SHARDS`).
     pub pipeline: PipelineConfig,
     /// Where stage-boundary artifacts live (`RSD_CHECKPOINT_DIR`); `None`
     /// disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Fault injection for resume tests (`RSD_INTERRUPT_AFTER_STAGE`):
-    /// abort right after the named global stage commits its checkpoint
-    /// (`"pipeline.select"` or `"pipeline.annotate"`).
+    /// Fault injection for resume tests: abort right after the named
+    /// global stage commits its checkpoint (`"pipeline.select"` or
+    /// `"pipeline.annotate"`).
     pub interrupt_after_stage: Option<String>,
 }
 
 impl StreamingOptions {
-    /// Read every knob from the environment; unset variables keep
-    /// defaults, malformed values are a hard error. `RSD_CHECKPOINT_DIR`
-    /// set to `""` or `"none"` explicitly disables checkpointing.
-    pub fn from_env() -> Result<Self> {
-        let checkpoint_dir = std::env::var("RSD_CHECKPOINT_DIR")
-            .ok()
-            .filter(|v| !v.is_empty() && v != "none")
-            .map(PathBuf::from);
-        let interrupt_after_stage = std::env::var("RSD_INTERRUPT_AFTER_STAGE")
-            .ok()
-            .filter(|v| !v.is_empty());
-        Ok(StreamingOptions {
-            pipeline: PipelineConfig::from_env()?,
-            checkpoint_dir,
-            interrupt_after_stage,
-        })
+    /// Read the pipeline knobs and `RSD_CHECKPOINT_DIR` (default off);
+    /// invalid values abort naming the knob.
+    pub fn from_env() -> Self {
+        StreamingOptions {
+            pipeline: PipelineConfig::from_env(),
+            checkpoint_dir: rsd_obs::knob::CHECKPOINT_DIR
+                .get::<Option<String>>()
+                .map(PathBuf::from),
+            interrupt_after_stage: None,
+        }
     }
 }
 

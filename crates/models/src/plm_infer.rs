@@ -511,15 +511,15 @@ impl PlmInferenceModel {
         }
 
         // Final layer norm, mean pooling, classification head.
-        layer_norm_slices(
+        infer::layer_norm_rows(
             &s.x[..seq * dim],
-            seq,
             dim,
             &self.ln_f_g.data,
             &self.ln_f_b.data,
             &mut s.normed[..seq * dim],
+            None,
         );
-        mean_rows_slices(&s.normed[..seq * dim], seq, dim, &mut s.row_tmp[..dim]);
+        infer::mean_rows_into(&s.normed[..seq * dim], seq, &mut s.row_tmp[..dim]);
         s.xs[0] = quantize_row_i8(&s.row_tmp[..dim], &mut s.xq[..dim]);
         let mut logits = [0.0f32; RiskLevel::COUNT];
         qgemm_nt(
@@ -558,7 +558,7 @@ impl PlmInferenceModel {
             Some(&self.time.b.data),
             &mut s.tproj[..w * dim],
         );
-        mean_rows_slices(&s.tproj[..w * dim], w, dim, &mut s.row_tmp[..dim]);
+        infer::mean_rows_into(&s.tproj[..w * dim], w, &mut s.row_tmp[..dim]);
     }
 
     fn block_i8(&self, bi: usize, seq: usize, s: &mut PlmScratch) {
@@ -568,13 +568,13 @@ impl PlmInferenceModel {
         let ffn = blk.q_ffn1.rows();
 
         // ln1 + fused q/k/v projections from one activation quantization.
-        layer_norm_slices(
+        infer::layer_norm_rows(
             &s.x[..seq * dim],
-            seq,
             dim,
             &blk.ln1_g.data,
             &blk.ln1_b.data,
             &mut s.normed[..seq * dim],
+            None,
         );
         for r in 0..seq {
             s.xs[r] = quantize_row_i8(
@@ -808,13 +808,13 @@ impl PlmInferenceModel {
         }
 
         // ln2 + FFN with fast GELU.
-        layer_norm_slices(
+        infer::layer_norm_rows(
             &s.x[..seq * dim],
-            seq,
             dim,
             &blk.ln2_g.data,
             &blk.ln2_b.data,
             &mut s.normed[..seq * dim],
+            None,
         );
         for r in 0..seq {
             s.xs[r] = quantize_row_i8(
@@ -863,42 +863,6 @@ pub fn argmax_logits(logits: &[f32]) -> usize {
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
         .map(|(i, _)| i)
         .expect("non-empty logits")
-}
-
-/// Slice-based layer norm, same arithmetic as `infer::layer_norm`.
-fn layer_norm_slices(
-    x: &[f32],
-    rows: usize,
-    cols: usize,
-    gain: &[f32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    const EPS: f32 = 1e-5;
-    for r in 0..rows {
-        let row = &x[r * cols..(r + 1) * cols];
-        let mean: f32 = row.iter().sum::<f32>() / cols as f32;
-        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-        let istd = 1.0 / (var + EPS).sqrt();
-        for (c, &xv) in row.iter().enumerate() {
-            out[r * cols + c] = (xv - mean) * istd * gain[c] + bias[c];
-        }
-    }
-}
-
-/// Slice-based mean over rows, same accumulation order as
-/// `infer::mean_rows`.
-fn mean_rows_slices(x: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
-    out.fill(0.0);
-    for r in 0..rows {
-        for (o, &v) in out.iter_mut().zip(&x[r * cols..(r + 1) * cols]) {
-            *o += v;
-        }
-    }
-    let n = rows.max(1) as f32;
-    for o in out {
-        *o /= n;
-    }
 }
 
 #[cfg(test)]

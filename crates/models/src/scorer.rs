@@ -18,8 +18,8 @@
 //!   [`PlmInferenceModel`](crate::plm_infer::PlmInferenceModel), scored
 //!   on the tape-free f32 reference path (bit-identical to the tape).
 //! * `plm-int8` — the same frozen artifact on the per-channel int8
-//!   kernels: the fast path, gated against `plm-f32` by the quality
-//!   epsilon knobs (`RSD_QUANT_EPS`, `RSD_QUANT_MIN_AGREE`).
+//!   kernels: the fast path, gated against `plm-f32` by `bench_kernels`'
+//!   quality bounds (per-logit error, argmax agreement).
 //!
 //! [`score_windows`]: ScoringModel::score_windows
 
@@ -45,10 +45,8 @@ pub enum ServeModel {
 }
 
 impl ServeModel {
-    /// The env knob that selects the backend.
-    pub const KNOB: &'static str = "RSD_SERVE_MODEL";
     /// Valid knob spellings, in [`ServeModel`] declaration order.
-    pub const CHOICES: &'static [&'static str] = &["gbdt", "plm-f32", "plm-int8"];
+    pub const CHOICES: &'static [&'static str] = rsd_obs::knob::SERVE_MODELS;
 
     /// Parse one of the [`Self::CHOICES`] spellings.
     pub fn from_name(name: &str) -> Result<ServeModel> {
@@ -57,7 +55,7 @@ impl ServeModel {
             "plm-f32" => Ok(ServeModel::PlmF32),
             "plm-int8" => Ok(ServeModel::PlmInt8),
             other => Err(RsdError::config(
-                Self::KNOB,
+                rsd_obs::knob::SERVE_MODEL.name,
                 format!(
                     "unknown model {other:?}; expected one of {}",
                     Self::CHOICES.join(" | ")

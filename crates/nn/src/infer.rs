@@ -132,12 +132,12 @@ impl InferenceModel {
     }
 }
 
-// ---- tape-exact f32 ops ---------------------------------------------------
+// ---- f32 forward ops -------------------------------------------------------
 //
-// Each helper mirrors the forward arithmetic of the corresponding
-// `Tape` op (crates/nn/src/tape.rs) line for line: same iteration
-// order, same intermediate precision. Changing one without the other
-// breaks the bitwise parity tests in rsd-models.
+// Each op computes through the formula its `Tape` op uses (shared in
+// `crate::tape`), so inference and training agree bitwise.
+
+pub use crate::tape::{add_row_in_place, gelu_scalar, layer_norm_rows, mean_rows_into};
 
 /// `x @ w + b` with `b` broadcast over rows (tape `matmul` + `add_row`).
 pub fn linear(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
@@ -146,41 +146,14 @@ pub fn linear(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Add a `1×c` bias row to every row of `x` (tape `add_row`).
-pub fn add_row_in_place(x: &mut Matrix, bias: &Matrix) {
-    debug_assert_eq!(bias.rows, 1);
-    debug_assert_eq!(x.cols, bias.cols);
-    for r in 0..x.rows {
-        for (o, &b) in x.row_mut(r).iter_mut().zip(&bias.data) {
-            *o += b;
-        }
-    }
-}
-
-/// Row-wise layer norm with learned `1×c` gain/bias (tape
-/// `layer_norm`, EPS `1e-5`, biased variance).
+/// Row-wise layer norm with learned `1×c` gain/bias (tape `layer_norm`).
 pub fn layer_norm(x: &Matrix, gain: &Matrix, bias: &Matrix) -> Matrix {
-    const EPS: f32 = 1e-5;
     let mut out = Matrix::zeros(x.rows, x.cols);
-    for r in 0..x.rows {
-        let row = x.row(r);
-        let mean: f32 = row.iter().sum::<f32>() / row.len() as f32;
-        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / row.len() as f32;
-        let istd = 1.0 / (var + EPS).sqrt();
-        for (c, &xv) in row.iter().enumerate() {
-            out.set(r, c, (xv - mean) * istd * gain.data[c] + bias.data[c]);
-        }
-    }
+    layer_norm_rows(&x.data, x.cols, &gain.data, &bias.data, &mut out.data, None);
     out
 }
 
-/// Scalar GELU, tanh approximation (tape `gelu`).
-pub fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/π)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-/// Elementwise GELU over a matrix.
+/// Elementwise GELU over a matrix (tape `gelu`).
 pub fn gelu(x: &Matrix) -> Matrix {
     x.map(gelu_scalar)
 }
@@ -188,15 +161,7 @@ pub fn gelu(x: &Matrix) -> Matrix {
 /// Mean over rows → `1×c` (tape `mean_rows`).
 pub fn mean_rows(x: &Matrix) -> Matrix {
     let mut value = Matrix::zeros(1, x.cols);
-    for r in 0..x.rows {
-        for (o, &v) in value.data.iter_mut().zip(x.row(r)) {
-            *o += v;
-        }
-    }
-    let n = x.rows.max(1) as f32;
-    for o in &mut value.data {
-        *o /= n;
-    }
+    mean_rows_into(&x.data, x.rows, &mut value.data);
     value
 }
 

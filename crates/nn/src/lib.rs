@@ -26,7 +26,7 @@
 //! * [`loss`] — cross-entropy from logits.
 //! * [`infer`] — frozen-weight inference: [`infer::InferenceModel`]
 //!   snapshots a trained store with no tape or optimizer state, and the
-//!   tape-free op helpers replicate the training forward bit-for-bit.
+//!   tape-free ops compute through the training forward's own formulas.
 //! * [`quant`] — per-channel symmetric int8 quantization and the
 //!   i8×i8→i32 GEMM kernels behind the inference fast path.
 //!

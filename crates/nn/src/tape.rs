@@ -349,11 +349,7 @@ impl Tape {
         assert_eq!(vr.rows, 1, "add_row: bias must be 1×c");
         assert_eq!(va.cols, vr.cols, "add_row: column mismatch");
         let mut value = va.clone();
-        for r in 0..value.rows {
-            for (o, &b) in value.row_mut(r).iter_mut().zip(&vr.data) {
-                *o += b;
-            }
-        }
+        add_row_in_place(&mut value, vr);
         self.push(value, Op::AddRow(a, row), t0)
     }
 
@@ -430,7 +426,6 @@ impl Tape {
     /// Row-wise layer normalization with learned 1×c gain and bias.
     pub fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
         let t0 = self.start();
-        const EPS: f32 = 1e-5;
         let vx = self.value(x);
         let vg = self.value(gain);
         let vb = self.value(bias);
@@ -442,19 +437,14 @@ impl Tape {
         let mut normed = Matrix::zeros(vx.rows, vx.cols);
         let mut inv_std = Vec::with_capacity(vx.rows);
         let mut value = Matrix::zeros(vx.rows, vx.cols);
-        for r in 0..vx.rows {
-            let row = vx.row(r);
-            let mean: f32 = row.iter().sum::<f32>() / row.len() as f32;
-            let var: f32 =
-                row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / row.len() as f32;
-            let istd = 1.0 / (var + EPS).sqrt();
-            inv_std.push(istd);
-            for (c, &xv) in row.iter().enumerate() {
-                let n = (xv - mean) * istd;
-                normed.set(r, c, n);
-                value.set(r, c, n * vg.data[c] + vb.data[c]);
-            }
-        }
+        layer_norm_rows(
+            &vx.data,
+            vx.cols,
+            &vg.data,
+            &vb.data,
+            &mut value.data,
+            Some((&mut normed.data, &mut inv_std)),
+        );
         self.push(
             value,
             Op::LayerNorm {
@@ -560,15 +550,7 @@ impl Tape {
         let t0 = self.start();
         let m = self.value(x);
         let mut value = Matrix::zeros(1, m.cols);
-        for r in 0..m.rows {
-            for (o, &v) in value.data.iter_mut().zip(m.row(r)) {
-                *o += v;
-            }
-        }
-        let n = m.rows.max(1) as f32;
-        for o in &mut value.data {
-            *o /= n;
-        }
+        mean_rows_into(&m.data, m.rows, &mut value.data);
         self.push(value, Op::MeanRows(x), t0)
     }
 
@@ -1077,6 +1059,74 @@ pub(crate) fn softmax_in_place(row: &mut [f32]) {
     }
     for v in row.iter_mut() {
         *v /= sum;
+    }
+}
+
+// ---- forward formulas shared with tape-free inference (`crate::infer`) ----
+
+/// Add a `1×c` bias row to every row of `x`.
+pub fn add_row_in_place(x: &mut Matrix, bias: &Matrix) {
+    debug_assert_eq!(bias.rows, 1);
+    debug_assert_eq!(x.cols, bias.cols);
+    for r in 0..x.rows {
+        for (o, &b) in x.row_mut(r).iter_mut().zip(&bias.data) {
+            *o += b;
+        }
+    }
+}
+
+/// Row-wise layer norm of the row-major, `cols`-wide `x` into `out`:
+/// EPS `1e-5`, biased variance, learned `gain`/`bias`. With `cache`,
+/// also records the pre-affine normalized values and each row's inverse
+/// standard deviation, which the backward pass reads.
+pub fn layer_norm_rows(
+    x: &[f32],
+    cols: usize,
+    gain: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+    mut cache: Option<(&mut [f32], &mut Vec<f32>)>,
+) {
+    const EPS: f32 = 1e-5;
+    for (r, (row, o)) in x
+        .chunks_exact(cols)
+        .zip(out.chunks_exact_mut(cols))
+        .enumerate()
+    {
+        let mean: f32 = row.iter().sum::<f32>() / cols as f32;
+        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+        let istd = 1.0 / (var + EPS).sqrt();
+        for (o, &xv) in o.iter_mut().zip(row) {
+            *o = (xv - mean) * istd;
+        }
+        if let Some((normed, inv_std)) = cache.as_mut() {
+            normed[r * cols..(r + 1) * cols].copy_from_slice(o);
+            inv_std.push(istd);
+        }
+        for ((o, &g), &b) in o.iter_mut().zip(gain).zip(bias) {
+            *o = *o * g + b;
+        }
+    }
+}
+
+/// GELU, tanh approximation.
+pub fn gelu_scalar(x: f32) -> f32 {
+    gelu_cached(x, gelu_tanh(x))
+}
+
+/// Mean over the `rows` rows of the row-major `x` into `out` (`out.len()`
+/// columns).
+pub fn mean_rows_into(x: &[f32], rows: usize, out: &mut [f32]) {
+    let cols = out.len();
+    out.fill(0.0);
+    for r in 0..rows {
+        for (o, &v) in out.iter_mut().zip(&x[r * cols..(r + 1) * cols]) {
+            *o += v;
+        }
+    }
+    let n = rows.max(1) as f32;
+    for o in out {
+        *o /= n;
     }
 }
 

@@ -10,9 +10,8 @@
 //!
 //! Two global reservoirs run side by side: a *window* reservoir drained
 //! into each `.series.ndjson` tick by the time-series driver, and a
-//! *run* reservoir surviving to the final `ServeReport`. Capacity comes
-//! from `RSD_OBS_EXEMPLARS` (default 4, hard-erroring on garbage per
-//! the knob convention).
+//! *run* reservoir surviving to the final `ServeReport`. Each keeps
+//! `CAPACITY` (4) exemplars.
 
 use parking_lot::Mutex;
 use serde_json::{Map, Value};
@@ -20,10 +19,8 @@ use std::sync::OnceLock;
 
 use crate::reqctx::Stage;
 
-/// Reservoir-capacity knob (K slowest kept per window and per run).
-pub const KNOB: &str = "RSD_OBS_EXEMPLARS";
-const DEFAULT_K: usize = 4;
-const MAX_K: usize = 1024;
+/// Reservoir capacity: the K slowest kept per window and per run.
+const CAPACITY: usize = 4;
 
 /// One captured request: identity, tags, and the per-stage breakdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,18 +157,11 @@ struct Globals {
 fn globals() -> &'static Mutex<Globals> {
     static GLOBALS: OnceLock<Mutex<Globals>> = OnceLock::new();
     GLOBALS.get_or_init(|| {
-        let k = capacity();
         Mutex::new(Globals {
-            window: Reservoir::new(k),
-            run: Reservoir::new(k),
+            window: Reservoir::new(CAPACITY),
+            run: Reservoir::new(CAPACITY),
         })
     })
-}
-
-/// Reservoir capacity: `RSD_OBS_EXEMPLARS`, default 4, validated into
-/// `1..=1024` (garbage aborts naming the knob).
-pub fn capacity() -> usize {
-    crate::knob::bounded_usize_env(KNOB, 1, MAX_K, DEFAULT_K)
 }
 
 /// Offer an exemplar to both global reservoirs. Callers gate on

@@ -25,9 +25,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Endpoint port knob. Unset/`0`/`off` keeps the endpoint down.
-pub const KNOB: &str = "RSD_OBS_HTTP";
-
 fn last_tick_slot() -> &'static Mutex<Option<String>> {
     static SLOT: OnceLock<Mutex<Option<String>>> = OnceLock::new();
     SLOT.get_or_init(|| Mutex::new(None))
@@ -218,7 +215,9 @@ impl Drop for HttpGuard {
 
 /// Start the endpoint when `RSD_OBS_HTTP` names a port.
 pub fn start_from_env() -> Option<HttpGuard> {
-    crate::knob::port_env(KNOB).map(start)
+    crate::knob::OBS_HTTP
+        .get::<Option<u64>>()
+        .map(|port| start(port as u16))
 }
 
 /// Bind `127.0.0.1:port` (0 picks an ephemeral port) and serve until
@@ -226,8 +225,12 @@ pub fn start_from_env() -> Option<HttpGuard> {
 /// asking for telemetry.
 pub fn start(port: u16) -> HttpGuard {
     crate::ensure_registry();
-    let listener = TcpListener::bind(("127.0.0.1", port))
-        .unwrap_or_else(|e| panic!("{KNOB}: cannot bind 127.0.0.1:{port}: {e}"));
+    let listener = TcpListener::bind(("127.0.0.1", port)).unwrap_or_else(|e| {
+        panic!(
+            "{}: cannot bind 127.0.0.1:{port}: {e}",
+            crate::knob::OBS_HTTP.name
+        )
+    });
     listener
         .set_nonblocking(true)
         .expect("nonblocking listener");

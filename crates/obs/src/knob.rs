@@ -1,202 +1,472 @@
-//! Environment-knob parsing with hard errors on invalid values.
+//! Every `RSD_*` environment knob, declared once in [`KNOBS`] and parsed
+//! by one rule set per value [`Kind`]. No other module reads an `RSD_*`
+//! variable; a source-scan test enforces it.
 //!
-//! The `RSD_SCALE` precedent: a typo'd knob must abort with its own name
-//! in the message, never silently fall back to a default — a run that
-//! ignores the operator's `RSD_OBS_TICK_MS=5O` is worse than no run.
+//! The rules, for every knob:
+//!
+//! * unset and `""` mean the default;
+//! * `0`, `off` and `none` switch an *optional* knob (one whose default
+//!   is off) off;
+//! * any other value outside the kind's accepted form aborts, naming the
+//!   knob and the form. A typo'd knob must never quietly run a different
+//!   experiment: `RSD_SEED=2O26` is not seed 2026.
+//!
+//! [`snapshot`] echoes every knob's effective value; run reports embed
+//! it as `meta.knobs`.
 
-/// The values that explicitly disable an optional knob.
-pub(crate) fn is_disabled(raw: &str) -> bool {
-    raw.is_empty() || raw == "0" || raw == "off"
+use serde_json::{Map, Value};
+
+/// How a knob's value is spelled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kind {
+    /// On/off switch, off by default: `1`/`on` switches it on.
+    Flag,
+    /// Positive integer; `None` makes the knob optional (off by default).
+    Int(Option<u64>),
+    /// Positive finite number; `None` makes the knob optional.
+    Float(Option<f64>),
+    /// TCP port in `1..=65535`, off by default.
+    Port,
+    /// One of the listed spellings; the first is the default.
+    Choice(&'static [&'static str]),
+    /// Comma-separated subset of the listed names; the default is all.
+    Subset(&'static [&'static str]),
+    /// A path; `None` makes the knob optional.
+    Path(Option<&'static str>),
 }
 
-/// Whether on/off knob `var` is on: set to anything but a disable
-/// spelling.
-pub(crate) fn flag_env(var: &str) -> bool {
-    std::env::var(var).is_ok_and(|v| !is_disabled(&v))
+/// One environment knob: its variable name and value kind.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Knob {
+    /// The environment variable.
+    pub name: &'static str,
+    /// How its value is spelled, and its default.
+    pub kind: Kind,
 }
 
-/// Parse `raw` (from env var `var`) as a positive integer. `None` and
-/// the explicit disable spellings (`""`, `"0"`, `"off"`) yield `None`;
-/// anything else must parse as a positive integer or the process aborts
-/// naming the knob.
-fn optional_positive(var: &str, raw: Option<String>) -> Option<u64> {
-    let raw = raw?;
-    if is_disabled(&raw) {
-        return None;
+/// Upper bound on the worker-pool size (`RSD_THREADS` is capped here).
+pub const MAX_THREADS: usize = 64;
+/// `RSD_SCALE` spellings (`smoke` is an alias for `small`).
+pub const SCALES: &[&str] = &["mid", "paper", "small", "smoke"];
+/// `RSD_MODELS` names: the Table III baselines, in print order.
+pub const TABLE3_MODELS: &[&str] = &["xgboost", "bilstm", "higru", "roberta", "deberta"];
+/// `RSD_SERVE_MODEL` spellings, in `ServeModel` declaration order.
+pub const SERVE_MODELS: &[&str] = &["gbdt", "plm-f32", "plm-int8"];
+
+const fn knob(name: &'static str, kind: Kind) -> Knob {
+    Knob { name, kind }
+}
+
+/// Experiment scale.
+pub const SCALE: Knob = knob("RSD_SCALE", Kind::Choice(SCALES));
+/// Master seed.
+pub const SEED: Knob = knob("RSD_SEED", Kind::Int(Some(2026)));
+/// Worker-pool size; off means the detected core count (see [`threads`]).
+pub const THREADS: Knob = knob("RSD_THREADS", Kind::Int(None));
+/// Baselines `table3` trains.
+pub const MODELS: Knob = knob("RSD_MODELS", Kind::Subset(TABLE3_MODELS));
+/// `build_dataset`'s build path.
+pub const BUILD_MODE: Knob = knob("RSD_BUILD_MODE", Kind::Choice(&["stream", "batch"]));
+/// `build_dataset`'s output file; off writes to stdout.
+pub const BUILD_OUT: Knob = knob("RSD_BUILD_OUT", Kind::Path(None));
+/// Checkpoint directory of streaming builds; off disables checkpointing.
+pub const CHECKPOINT_DIR: Knob = knob("RSD_CHECKPOINT_DIR", Kind::Path(None));
+/// Users per streaming-build shard.
+pub const SHARD_USERS: Knob = knob("RSD_SHARD_USERS", Kind::Int(Some(4096)));
+/// Fault injection: abort a streaming build after this many shards.
+pub const INTERRUPT_AFTER_SHARDS: Knob = knob("RSD_INTERRUPT_AFTER_SHARDS", Kind::Int(None));
+/// `export`'s output directory.
+pub const EXPORT_DIR: Knob = knob("RSD_EXPORT_DIR", Kind::Path(Some("export")));
+/// `loadgen`'s offered load, posts per second.
+pub const QPS: Knob = knob("RSD_QPS", Kind::Int(Some(200)));
+/// `loadgen` sustained-soak duration.
+pub const LOADGEN_SOAK_MS: Knob = knob("RSD_LOADGEN_SOAK_MS", Kind::Int(None));
+/// Telemetry sink: `stderr` or an NDJSON path.
+pub const OBS: Knob = knob("RSD_OBS", Kind::Path(None));
+/// Profiling: span tree plus a folded profile.
+pub const OBS_PROFILE: Knob = knob("RSD_OBS_PROFILE", Kind::Flag);
+/// Series tick period.
+pub const OBS_TICK_MS: Knob = knob("RSD_OBS_TICK_MS", Kind::Int(None));
+/// Chrome trace export.
+pub const OBS_TRACE: Knob = knob("RSD_OBS_TRACE", Kind::Flag);
+/// Live introspection endpoint port.
+pub const OBS_HTTP: Knob = knob("RSD_OBS_HTTP", Kind::Port);
+/// SLO burn-rate monitor p99 target.
+pub const SLO_P99_MS: Knob = knob("RSD_SLO_P99_MS", Kind::Float(None));
+/// SLO error budget: fraction of requests allowed over target.
+pub const SLO_BUDGET: Knob = knob("RSD_SLO_BUDGET", Kind::Float(Some(0.01)));
+/// Scoring backend of the serving tier.
+pub const SERVE_MODEL: Knob = knob("RSD_SERVE_MODEL", Kind::Choice(SERVE_MODELS));
+/// Fault injection: the scoring worker sleeps once this long.
+pub const SERVE_INJECT_STALL_MS: Knob = knob("RSD_SERVE_INJECT_STALL_MS", Kind::Int(None));
+
+/// Every knob, in README order.
+pub const KNOBS: &[Knob] = &[
+    SCALE,
+    SEED,
+    THREADS,
+    MODELS,
+    BUILD_MODE,
+    BUILD_OUT,
+    CHECKPOINT_DIR,
+    SHARD_USERS,
+    INTERRUPT_AFTER_SHARDS,
+    EXPORT_DIR,
+    QPS,
+    LOADGEN_SOAK_MS,
+    OBS,
+    OBS_PROFILE,
+    OBS_TICK_MS,
+    OBS_TRACE,
+    OBS_HTTP,
+    SLO_P99_MS,
+    SLO_BUDGET,
+    SERVE_MODEL,
+    SERVE_INJECT_STALL_MS,
+];
+
+fn is_off(v: &str) -> bool {
+    matches!(v, "0" | "off" | "none")
+}
+
+impl Knob {
+    /// Whether `0`/`off`/`none` switch this knob off: its default is off.
+    pub fn optional(&self) -> bool {
+        self.default_text() == "off"
     }
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => panic!(
-            "invalid {var} value {raw:?}; expected a positive integer \
-             (or \"0\"/\"off\" to disable)"
-        ),
+
+    /// The default, as the README table spells it.
+    pub fn default_text(&self) -> String {
+        match self.kind {
+            Kind::Int(Some(n)) => n.to_string(),
+            Kind::Float(Some(x)) => x.to_string(),
+            Kind::Choice(values) => values[0].to_string(),
+            Kind::Subset(values) => values.join(","),
+            Kind::Path(Some(t)) => t.to_string(),
+            _ => "off".to_string(),
+        }
+    }
+
+    /// The accepted form, as abort messages and the README table spell it.
+    pub fn accepts(&self) -> String {
+        let form = match self.kind {
+            Kind::Flag => "1/on".to_string(),
+            Kind::Int(_) => "positive integer".to_string(),
+            Kind::Float(_) => "positive number".to_string(),
+            Kind::Port => "port 1..=65535".to_string(),
+            Kind::Choice(values) => format!("one of {}", values.join(", ")),
+            Kind::Subset(values) => format!("comma list of {}", values.join(", ")),
+            Kind::Path(_) => "path".to_string(),
+        };
+        if self.optional() {
+            format!("{form}, or 0/off")
+        } else {
+            form
+        }
+    }
+
+    /// Parse `raw` (`None` = unset) into the effective value: `Null` for
+    /// off, otherwise `true`, an `Int`, a `Float` or a `String`. Aborts
+    /// naming the knob on any value outside [`Knob::accepts`].
+    pub fn parse(&self, raw: Option<&str>) -> Value {
+        let raw = raw.map(str::trim).unwrap_or("");
+        if raw.is_empty() {
+            return self.parse(Some(&self.default_text()));
+        }
+        if is_off(raw) && self.optional() {
+            return Value::Null;
+        }
+        let parsed = match self.kind {
+            Kind::Flag => matches!(raw, "1" | "on").then_some(Value::Bool(true)),
+            Kind::Int(_) => raw
+                .parse::<u64>()
+                .ok()
+                .filter(|&n| n > 0)
+                .map(|n| Value::Int(n.into())),
+            Kind::Float(_) => raw
+                .parse::<f64>()
+                .ok()
+                .filter(|x| *x > 0.0 && x.is_finite())
+                .map(Value::Float),
+            Kind::Port => raw
+                .parse::<u16>()
+                .ok()
+                .filter(|&p| p > 0)
+                .map(|p| Value::Int(p.into())),
+            Kind::Choice(values) => values
+                .contains(&raw)
+                .then(|| Value::String(raw.to_string())),
+            Kind::Subset(values) => {
+                let names: Vec<&str> = raw.split(',').map(str::trim).collect();
+                names
+                    .iter()
+                    .all(|n| values.contains(n))
+                    .then(|| Value::String(names.join(",")))
+            }
+            Kind::Path(_) => (!is_off(raw)).then(|| Value::String(raw.to_string())),
+        };
+        parsed.unwrap_or_else(|| {
+            panic!(
+                "invalid {} value {raw:?}; expected {}",
+                self.name,
+                self.accepts()
+            )
+        })
+    }
+
+    /// The effective value from the environment.
+    pub fn value(&self) -> Value {
+        match std::env::var(self.name) {
+            Ok(raw) => self.parse(Some(&raw)),
+            Err(std::env::VarError::NotPresent) => self.parse(None),
+            Err(std::env::VarError::NotUnicode(raw)) => {
+                panic!("invalid {} value {raw:?}; expected UTF-8", self.name)
+            }
+        }
+    }
+
+    /// The effective value from the environment, as `T`.
+    pub fn get<T: KnobValue>(&self) -> T {
+        self.read_as(self.value())
+    }
+
+    /// [`Knob::parse`] as `T`; `parse_as(None)` is the default.
+    pub fn parse_as<T: KnobValue>(&self, raw: Option<&str>) -> T {
+        self.read_as(self.parse(raw))
+    }
+
+    fn read_as<T: KnobValue>(&self, v: Value) -> T {
+        T::from_value(v).unwrap_or_else(|| {
+            panic!(
+                "{} does not read as {}",
+                self.name,
+                std::any::type_name::<T>()
+            )
+        })
+    }
+
+    /// Whether the variable is set to something other than `""`, so
+    /// `off` and an unset knob can be told apart.
+    pub fn is_set(&self) -> bool {
+        std::env::var_os(self.name).is_some_and(|v| !v.to_string_lossy().trim().is_empty())
     }
 }
 
-/// [`optional_positive`] reading the environment directly.
-pub fn optional_positive_env(var: &str) -> Option<u64> {
-    optional_positive(var, std::env::var(var).ok())
+/// The Rust type a knob reads as: `bool` for a [`Kind::Flag`]; `u64`,
+/// `f64` or `String` for a knob with a default; `Option` of those for an
+/// optional knob, `None` when off.
+pub trait KnobValue: Sized {
+    /// `None` when `v` is not of this type.
+    fn from_value(v: Value) -> Option<Self>;
 }
 
-/// Like [`optional_positive`], but disabled/unset resolves to `default`.
-pub fn positive_or_default(var: &str, raw: Option<String>, default: u64) -> u64 {
-    optional_positive(var, raw).unwrap_or(default)
-}
-
-/// Parse `raw` (from env var `var`) as a positive finite float. Unset or
-/// empty resolves to `default`; anything else must parse as a float
-/// `> 0` or the process aborts naming the knob.
-pub fn positive_float(var: &str, raw: Option<String>, default: f64) -> f64 {
-    let Some(raw) = raw else { return default };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return default;
-    }
-    match trimmed.parse::<f64>() {
-        Ok(v) if v > 0.0 && v.is_finite() => v,
-        _ => panic!("invalid {var} value {raw:?}; expected a positive number"),
+impl KnobValue for bool {
+    fn from_value(v: Value) -> Option<Self> {
+        v.as_bool().or(v.is_null().then_some(false))
     }
 }
 
-/// [`positive_float`] reading the environment directly.
-pub fn positive_float_env(var: &str, default: f64) -> f64 {
-    positive_float(var, std::env::var(var).ok(), default)
-}
-
-/// Parse `raw` (from env var `var`) as a TCP port. Unset and the
-/// disable spellings (`""`, `"0"`, `"off"`) yield `None`; anything else
-/// must parse as a port in `1..=65535` or the process aborts naming the
-/// knob.
-pub fn port(var: &str, raw: Option<String>) -> Option<u16> {
-    let raw = raw?;
-    if is_disabled(&raw) {
-        return None;
-    }
-    match raw.trim().parse::<u16>() {
-        Ok(p) if p > 0 => Some(p),
-        _ => panic!(
-            "invalid {var} value {raw:?}; expected a TCP port in 1..=65535 \
-             (or \"0\"/\"off\" to disable)"
-        ),
+impl KnobValue for u64 {
+    fn from_value(v: Value) -> Option<Self> {
+        v.as_u64()
     }
 }
 
-/// [`port`] reading the environment directly.
-pub fn port_env(var: &str) -> Option<u16> {
-    port(var, std::env::var(var).ok())
-}
-
-/// Parse `raw` (from env var `var`) as an integer in `lo..=hi`. Unset
-/// or empty resolves to `default`; anything else must parse inside the
-/// bounds or the process aborts naming the knob *and* the valid range.
-fn bounded_usize(var: &str, raw: Option<String>, lo: usize, hi: usize, default: usize) -> usize {
-    debug_assert!((lo..=hi).contains(&default));
-    let Some(raw) = raw else { return default };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return default;
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if (lo..=hi).contains(&n) => n,
-        _ => panic!("invalid {var} value {raw:?}; expected an integer in {lo}..={hi}"),
+impl KnobValue for f64 {
+    fn from_value(v: Value) -> Option<Self> {
+        v.as_f64()
     }
 }
 
-/// [`bounded_usize`] reading the environment directly.
-pub fn bounded_usize_env(var: &str, lo: usize, hi: usize, default: usize) -> usize {
-    bounded_usize(var, std::env::var(var).ok(), lo, hi, default)
+impl KnobValue for String {
+    fn from_value(v: Value) -> Option<Self> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl<T: KnobValue> KnobValue for Option<T> {
+    fn from_value(v: Value) -> Option<Self> {
+        match v {
+            Value::Null => Some(None),
+            v => T::from_value(v).map(Some),
+        }
+    }
+}
+
+/// The effective worker-pool size: `RSD_THREADS` through [`pool_size`].
+pub fn threads() -> usize {
+    pool_size(THREADS.get())
+}
+
+/// The pool size for a requested thread count, or the detected core
+/// count for `None`; capped at [`MAX_THREADS`].
+pub fn pool_size(requested: Option<u64>) -> usize {
+    let n = requested.map_or_else(
+        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        |n| n as usize,
+    );
+    n.min(MAX_THREADS)
+}
+
+/// Every knob's effective value, keyed by name. Parsing them all also
+/// aborts on any invalid knob, so callers run it before doing work.
+pub fn snapshot() -> Value {
+    let mut m = Map::new();
+    for k in KNOBS {
+        m.insert(k.name, k.value());
+    }
+    Value::Object(m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(k: Knob, raw: &str) -> Value {
+        k.parse(Some(raw))
+    }
+
+    fn abort_message(k: Knob, raw: &str) -> String {
+        let err = std::panic::catch_unwind(|| k.parse(Some(raw)))
+            .expect_err(&format!("{} must reject {raw:?}", k.name));
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    /// A knob, its accepted spellings with their values, its default,
+    /// and spellings it rejects.
+    type Case = (
+        Knob,
+        Vec<(&'static str, Value)>,
+        Value,
+        &'static [&'static str],
+    );
+
+    /// Per kind: accepted spellings, the default (unset and `""`), the
+    /// off spellings of optional knobs, and rejects, each abort naming
+    /// the knob and the accepted form.
     #[test]
-    fn unset_and_disable_spellings_yield_none() {
-        assert_eq!(optional_positive("K", None), None);
-        for off in ["", "0", "off"] {
-            assert_eq!(optional_positive("K", Some(off.to_string())), None);
+    fn each_kind_accepts_defaults_disables_and_rejects() {
+        let s = |v: &str| Value::String(v.to_string());
+        let cases: Vec<Case> = vec![
+            (
+                OBS_TRACE,
+                vec![("1", Value::Bool(true)), (" on ", Value::Bool(true))],
+                Value::Null,
+                &["yes", "2", "true"],
+            ),
+            (
+                SEED,
+                vec![("7", Value::Int(7)), (" 250 ", Value::Int(250))],
+                Value::Int(2026),
+                &["2O26", "0", "off", "-3", "1.5", "0x10"],
+            ),
+            (
+                OBS_TICK_MS,
+                vec![("50", Value::Int(50))],
+                Value::Null,
+                &["banana", "5O", "-3", "1.5"],
+            ),
+            (
+                SLO_BUDGET,
+                vec![("2.5", Value::Float(2.5)), (" 99 ", Value::Float(99.0))],
+                Value::Float(0.01),
+                &["banana", "-1.5", "0", "0.0", "inf", "NaN", "off"],
+            ),
+            (
+                SLO_P99_MS,
+                vec![("250", Value::Float(250.0))],
+                Value::Null,
+                &["fast", "-1"],
+            ),
+            (
+                OBS_HTTP,
+                vec![("9100", Value::Int(9100)), (" 65535 ", Value::Int(65535))],
+                Value::Null,
+                &["banana", "-1", "65536", "80.0"],
+            ),
+            (
+                SERVE_MODEL,
+                vec![(" plm-int8 ", s("plm-int8")), ("plm-f32", s("plm-f32"))],
+                s("gbdt"),
+                &["resnet", "off", "gbdt,plm-f32"],
+            ),
+            (
+                MODELS,
+                vec![("xgboost, deberta", s("xgboost,deberta"))],
+                s("xgboost,bilstm,higru,roberta,deberta"),
+                &["deberat", "xgboost,,bilstm", "off"],
+            ),
+            (
+                BUILD_OUT,
+                vec![("out/a.jsonl", s("out/a.jsonl"))],
+                Value::Null,
+                &[],
+            ),
+            (
+                EXPORT_DIR,
+                vec![("dist", s("dist"))],
+                s("export"),
+                &["off", "0"],
+            ),
+        ];
+        for (k, accepts, default, rejects) in cases {
+            for (raw, want) in accepts {
+                assert_eq!(parse(k, raw), want, "{} accepts {raw:?}", k.name);
+            }
+            assert_eq!(k.parse(None), default, "{} unset", k.name);
+            assert_eq!(parse(k, ""), default, "{} empty", k.name);
+            if k.optional() {
+                // Off is the default for optional knobs.
+                for raw in ["0", "off", "none"] {
+                    assert_eq!(parse(k, raw), default, "{} off via {raw:?}", k.name);
+                }
+            }
+            for raw in rejects {
+                let msg = abort_message(k, raw);
+                assert!(
+                    msg.contains(k.name) && msg.contains(&k.accepts()),
+                    "abort names the knob and the form for {raw:?}: {msg}"
+                );
+            }
         }
     }
 
     #[test]
-    fn valid_values_parse() {
-        assert_eq!(optional_positive("K", Some("50".into())), Some(50));
-        assert_eq!(optional_positive("K", Some(" 250 ".into())), Some(250));
-        assert_eq!(positive_or_default("K", None, 7), 7);
-        assert_eq!(positive_or_default("K", Some("off".into()), 7), 7);
-        assert_eq!(positive_or_default("K", Some("3".into()), 7), 3);
+    fn values_read_as_their_rust_types() {
+        assert_eq!(SEED.parse_as::<u64>(None), 2026);
+        assert_eq!(SLO_BUDGET.parse_as::<f64>(Some("0.5")), 0.5);
+        assert_eq!(SERVE_MODEL.parse_as::<String>(None), "gbdt");
+        assert!(OBS_TRACE.parse_as::<bool>(Some("on")));
+        assert!(!OBS_TRACE.parse_as::<bool>(None));
+        assert_eq!(OBS_TICK_MS.parse_as::<Option<u64>>(Some("50")), Some(50));
+        assert_eq!(OBS_TICK_MS.parse_as::<Option<u64>>(Some("off")), None);
+        assert_eq!(SLO_P99_MS.parse_as::<Option<f64>>(None), None);
+        assert_eq!(BUILD_OUT.parse_as::<Option<String>>(None), None);
+        // An optional knob read as a plain value is a programming error.
+        let err = std::panic::catch_unwind(|| OBS_TICK_MS.parse_as::<u64>(None))
+            .expect_err("off is not a u64");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("RSD_OBS_TICK_MS"), "{msg}");
     }
 
     #[test]
-    fn positive_float_parses_and_defaults() {
-        assert_eq!(positive_float("K", None, 0.05), 0.05);
-        assert_eq!(positive_float("K", Some("".into()), 0.05), 0.05);
-        assert_eq!(positive_float("K", Some("2.5".into()), 0.05), 2.5);
-        assert_eq!(positive_float("K", Some(" 99 ".into()), 0.0), 99.0);
-        for bad in ["banana", "-1.5", "0", "0.0", "inf", "NaN"] {
-            let err = std::panic::catch_unwind(|| {
-                positive_float("RSD_QUANT_EPS", Some(bad.to_string()), 0.05)
-            })
-            .expect_err("must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("RSD_QUANT_EPS"),
-                "names the knob for {bad:?}: {msg}"
-            );
+    fn abort_messages_list_the_valid_names() {
+        let msg = abort_message(MODELS, "deberat");
+        for name in TABLE3_MODELS {
+            assert!(msg.contains(name), "{msg}");
         }
+        assert!(abort_message(OBS_HTTP, "banana").contains("65535"));
     }
 
     #[test]
-    fn port_parses_disables_and_hard_errors() {
-        assert_eq!(port("K", None), None);
-        for off in ["", "0", "off"] {
-            assert_eq!(port("K", Some(off.to_string())), None);
-        }
-        assert_eq!(port("K", Some("9100".into())), Some(9100));
-        assert_eq!(port("K", Some(" 65535 ".into())), Some(65535));
-        for bad in ["banana", "-1", "65536", "80.0"] {
-            let err = std::panic::catch_unwind(|| port("RSD_OBS_HTTP", Some(bad.to_string())))
-                .expect_err("must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("RSD_OBS_HTTP") && msg.contains("65535"),
-                "names the knob and range for {bad:?}: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_usize_defaults_bounds_and_hard_errors() {
-        assert_eq!(bounded_usize("K", None, 1, 1024, 4), 4);
-        assert_eq!(bounded_usize("K", Some("".into()), 1, 1024, 4), 4);
-        assert_eq!(bounded_usize("K", Some(" 16 ".into()), 1, 1024, 4), 16);
-        assert_eq!(bounded_usize("K", Some("1024".into()), 1, 1024, 4), 1024);
-        for bad in ["0", "1025", "banana", "-2"] {
-            let err = std::panic::catch_unwind(|| {
-                bounded_usize("RSD_OBS_EXEMPLARS", Some(bad.to_string()), 1, 1024, 4)
-            })
-            .expect_err("must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("RSD_OBS_EXEMPLARS") && msg.contains("1..=1024"),
-                "names the knob and range for {bad:?}: {msg}"
-            );
-        }
-    }
-
-    #[test]
-    fn garbage_hard_errors_with_the_knob_named() {
-        for bad in ["banana", "5O", "-3", "1.5", "0x10"] {
-            let err = std::panic::catch_unwind(|| {
-                optional_positive("RSD_OBS_TICK_MS", Some(bad.to_string()))
-            })
-            .expect_err("must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("RSD_OBS_TICK_MS"),
-                "panic must name the knob for {bad:?}: {msg}"
-            );
+    fn the_table_is_well_formed() {
+        let mut names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), KNOBS.len(), "duplicate knob names");
+        for k in KNOBS {
+            assert!(k.name.starts_with("RSD_"), "{}", k.name);
+            k.parse(None); // the default parses
         }
     }
 }

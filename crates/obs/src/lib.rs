@@ -124,10 +124,10 @@ impl Mode {
     /// (or [`Mode::Silent`] when `RSD_OBS_PROFILE` asks for profiling),
     /// `stderr` → [`Mode::Stderr`], anything else is a file path.
     pub fn from_env() -> Mode {
-        match std::env::var("RSD_OBS") {
-            Ok(v) if v == "stderr" => Mode::Stderr,
-            Ok(path) if !knob::is_disabled(&path) => Mode::File(PathBuf::from(path)),
-            _ => Mode::off_or_silent(),
+        match knob::OBS.get::<Option<String>>() {
+            Some(v) if v == "stderr" => Mode::Stderr,
+            Some(path) => Mode::File(PathBuf::from(path)),
+            None => Mode::off_or_silent(),
         }
     }
 
@@ -140,12 +140,12 @@ impl Mode {
     }
 }
 
-/// Whether `RSD_OBS_PROFILE` requests profiling (truthy values: anything
-/// but unset/empty/`0`/`off`). Resolved once; kernel-level spans in hot
-/// loops check this so their overhead exists only in profiling runs.
+/// Whether `RSD_OBS_PROFILE` requests profiling. Resolved once;
+/// kernel-level spans in hot loops check this so their overhead exists
+/// only in profiling runs.
 pub fn profile_enabled() -> bool {
     static PROFILE: OnceLock<bool> = OnceLock::new();
-    *PROFILE.get_or_init(|| knob::flag_env("RSD_OBS_PROFILE"))
+    *PROFILE.get_or_init(|| knob::OBS_PROFILE.get())
 }
 
 fn global() -> &'static Global {
@@ -306,8 +306,7 @@ pub fn stage_progress(label: &'static str, items: u64, bytes: u64) {
 
 /// Register a stage with the stall watchdog: while registered (and not
 /// yet finished), the time-series driver emits a `stall` event if the
-/// stage reports no progress for `RSD_OBS_STALL_TICKS` consecutive
-/// ticks.
+/// stage reports no progress for 10 consecutive ticks.
 pub fn stage_register(label: &'static str) {
     if !enabled() {
         return;

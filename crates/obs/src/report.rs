@@ -8,25 +8,6 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Effective thread budget: a local replica of `rsd-par`'s `RSD_THREADS`
-/// parse (absent/empty/`0`/unparsable → detected parallelism, capped at
-/// 64). Duplicated here because `rsd-par` depends on `rsd-obs`, so the
-/// report layer cannot call into the pool; the semantics are pinned by
-/// `rsd-par`'s `parse_threads` tests.
-fn effective_threads() -> usize {
-    let detected = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(64);
-    match std::env::var("RSD_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n.min(64),
-            _ => detected,
-        },
-        Err(_) => detected,
-    }
-}
-
 /// Run one git subcommand and return its trimmed stdout, or `None` if
 /// git is missing, fails, or prints nothing usable.
 fn git_capture(args: &[&str]) -> Option<String> {
@@ -68,7 +49,8 @@ fn git_rev() -> String {
 
 /// The environment block every report (and `BENCH_kernels.json`)
 /// embeds as `meta`: detected cores, the effective `RSD_THREADS`
-/// budget, git revision, and the telemetry/profiling switches.
+/// budget, git revision, the telemetry/profiling switches, and every
+/// knob's effective value.
 pub fn run_meta() -> Value {
     let mut m = Map::new();
     m.insert(
@@ -79,10 +61,11 @@ pub fn run_meta() -> Value {
                 .unwrap_or(1),
         ),
     );
-    m.insert("rsd_threads", Value::Int(effective_threads() as i128));
+    m.insert("rsd_threads", Value::Int(crate::knob::threads() as i128));
     m.insert("git_rev", Value::String(git_rev()));
     m.insert("obs_mode", Value::String(crate::mode_desc()));
     m.insert("profile", Value::Bool(crate::profile_enabled()));
+    m.insert("knobs", crate::knob::snapshot());
     Value::Object(m)
 }
 

@@ -12,8 +12,8 @@
 //! bounded queue, used MPSC here): each slot carries a sequence atomic
 //! that encodes whether it is free for the producer generation or ready
 //! for the consumer. Producers claim a ticket with a CAS on `head`;
-//! the (single) consumer walks `tail`. Capacity comes from
-//! `RSD_OBS_RING_CAP` (rounded up to a power of two, default 65536).
+//! the (single) consumer walks `tail`. The global ring holds
+//! [`DEFAULT_CAPACITY`] slots.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -185,17 +185,9 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 
 static RING: OnceLock<EventRing> = OnceLock::new();
 
-/// The global ring (created on first use; capacity from
-/// `RSD_OBS_RING_CAP` — an invalid value hard-errors naming the knob).
+/// The global ring, created on first use with [`DEFAULT_CAPACITY`] slots.
 pub fn global() -> &'static EventRing {
-    RING.get_or_init(|| {
-        let cap = crate::knob::positive_or_default(
-            "RSD_OBS_RING_CAP",
-            std::env::var("RSD_OBS_RING_CAP").ok(),
-            DEFAULT_CAPACITY as u64,
-        ) as usize;
-        EventRing::with_capacity(cap)
-    })
+    RING.get_or_init(|| EventRing::with_capacity(DEFAULT_CAPACITY))
 }
 
 /// Arm or disarm continuous publishing. Armed by

@@ -17,7 +17,7 @@
 //!
 //! A **stall watchdog** rides the same tick: stages announced via
 //! [`crate::stage_register`] that report no progress for
-//! `RSD_OBS_STALL_TICKS` consecutive ticks (default 10) emit a
+//! 10 consecutive ticks emit a
 //! `{"kind":"stall",...}` line (and an `obs.stall` NDJSON event) until
 //! they move again or call [`crate::stage_finish`].
 //!
@@ -76,16 +76,13 @@ pub struct SeriesOptions {
     pub stall_ticks: u32,
 }
 
-/// Read `RSD_OBS_TICK_MS` / `RSD_OBS_TRACE` / `RSD_OBS_STALL_TICKS` and
-/// start the driver for one bench binary. Returns `None` when neither a
-/// tick nor trace export is requested — the continuous layer then stays
-/// disarmed and hot paths pay a single atomic load.
-///
-/// Invalid (unparsable) knob values hard-error naming the knob, matching
-/// the `RSD_SCALE` precedent; `""`/`"0"`/`"off"` legitimately disable.
+/// Read `RSD_OBS_TICK_MS` / `RSD_OBS_TRACE` and start the driver for
+/// one bench binary. Returns `None` when neither a tick nor trace export
+/// is requested — the continuous layer then stays disarmed and hot paths
+/// pay a single atomic load.
 pub fn start(bin: &str, scale: &str) -> Option<SeriesGuard> {
-    let tick_ms = crate::knob::optional_positive_env("RSD_OBS_TICK_MS");
-    let trace = crate::knob::flag_env("RSD_OBS_TRACE");
+    let tick_ms: Option<u64> = crate::knob::OBS_TICK_MS.get();
+    let trace: bool = crate::knob::OBS_TRACE.get();
     if tick_ms.is_none() && !trace {
         return None;
     }
@@ -94,11 +91,7 @@ pub fn start(bin: &str, scale: &str) -> Option<SeriesGuard> {
         tick: Duration::from_millis(tick_ms.unwrap_or(TRACE_ONLY_TICK_MS).max(1)),
         series_path: tick_ms.map(|_| dir.join(format!("{bin}.series.ndjson"))),
         trace_path: trace.then(|| dir.join(format!("{bin}.trace.json"))),
-        stall_ticks: crate::knob::positive_or_default(
-            "RSD_OBS_STALL_TICKS",
-            std::env::var("RSD_OBS_STALL_TICKS").ok(),
-            u64::from(DEFAULT_STALL_TICKS),
-        ) as u32,
+        stall_ticks: DEFAULT_STALL_TICKS,
     };
     Some(start_with(opts))
 }

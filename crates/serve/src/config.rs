@@ -1,23 +1,19 @@
-//! Serving knobs, resolved from the environment with hard errors on
-//! invalid values (the `RSD_SCALE` precedent: a typo'd knob must name
-//! itself and abort, never silently fall back to a default).
+//! Serving configuration: fixed capacities plus the two serving knobs,
+//! `RSD_SERVE_MODEL` and `RSD_SERVE_INJECT_STALL_MS`.
 
-use rsd_common::{Result, RsdError};
 use rsd_models::ServeModel;
+use rsd_obs::knob::{SERVE_INJECT_STALL_MS, SERVE_MODEL};
 
 /// Configuration for [`RiskService`](crate::RiskService).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of user-state shards (`RSD_SERVE_SHARDS`, default 8).
+    /// Number of user-state shards (default 8).
     pub shards: usize,
-    /// Maximum resident users across all shards
-    /// (`RSD_SERVE_LRU`, default 65 536).
+    /// Maximum resident users across all shards (default 65 536).
     pub lru_capacity: usize,
-    /// Micro-batch size cap for the scoring worker
-    /// (`RSD_SERVE_BATCH`, default 64).
+    /// Micro-batch size cap for the scoring worker (default 64).
     pub batch_max: usize,
-    /// Bounded-channel capacity for ingress and results
-    /// (`RSD_SERVE_CHANNEL_CAP`, default 1024).
+    /// Bounded-channel capacity for ingress and results (default 1024).
     pub channel_cap: usize,
     /// Scoring backend the service is expected to run
     /// (`RSD_SERVE_MODEL`: `gbdt | plm-f32 | plm-int8`, default `gbdt`).
@@ -39,149 +35,25 @@ impl Default for ServeConfig {
             lru_capacity: 65_536,
             batch_max: 64,
             channel_cap: 1024,
-            model: ServeModel::Gbdt,
+            model: serve_model(SERVE_MODEL.parse_as(None)),
             inject_stall_ms: None,
         }
     }
 }
 
 impl ServeConfig {
-    /// Resolve from the environment. Unset knobs take their defaults;
-    /// set-but-invalid knobs hard-error with the knob named.
-    pub fn from_env() -> Result<ServeConfig> {
-        let d = ServeConfig::default();
-        Ok(ServeConfig {
-            shards: positive_env("RSD_SERVE_SHARDS", d.shards)?,
-            lru_capacity: positive_env("RSD_SERVE_LRU", d.lru_capacity)?,
-            batch_max: positive_env("RSD_SERVE_BATCH", d.batch_max)?,
-            channel_cap: positive_env("RSD_SERVE_CHANNEL_CAP", d.channel_cap)?,
-            model: model_env(d.model)?,
-            inject_stall_ms: optional_ms_env("RSD_SERVE_INJECT_STALL_MS")?,
-        })
-    }
-}
-
-/// Parse `var` as an optional millisecond count: unset, empty, `0`, and
-/// `off` all mean disabled; anything else must be a positive integer or
-/// the config errors naming the knob.
-fn optional_ms_env(var: &'static str) -> Result<Option<u64>> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) => {
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed == "0" || trimmed == "off" {
-                return Ok(None);
-            }
-            match trimmed.parse::<u64>() {
-                Ok(ms) => Ok(Some(ms)),
-                Err(_) => Err(RsdError::config(
-                    var,
-                    format!("expected milliseconds as a positive integer, got {raw:?}"),
-                )),
-            }
+    /// The defaults with the serving knobs read from the environment;
+    /// invalid values abort naming the knob.
+    pub fn from_env() -> ServeConfig {
+        ServeConfig {
+            model: serve_model(SERVE_MODEL.get()),
+            inject_stall_ms: SERVE_INJECT_STALL_MS.get(),
+            ..ServeConfig::default()
         }
     }
 }
 
-/// Parse `RSD_SERVE_MODEL`, defaulting when unset or blank. A set but
-/// unknown spelling is a configuration error naming the knob and the
-/// valid choices.
-fn model_env(default: ServeModel) -> Result<ServeModel> {
-    match std::env::var(ServeModel::KNOB) {
-        Err(_) => Ok(default),
-        Ok(raw) if raw.trim().is_empty() => Ok(default),
-        Ok(raw) => ServeModel::from_name(raw.trim()),
-    }
-}
-
-/// Parse `var` as a positive integer, defaulting when unset. A set but
-/// unparsable (or zero) value is a configuration error naming the knob.
-pub fn positive_env(var: &'static str, default: usize) -> Result<usize> {
-    match std::env::var(var) {
-        Err(_) => Ok(default),
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(RsdError::config(
-                var,
-                format!("expected a positive integer, got {raw:?}"),
-            )),
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // All RSD_SERVE_* env manipulation lives in this single test to
-    // avoid races with parallel test threads (the knobs are unique to
-    // this crate).
-    #[test]
-    fn env_parsing_defaults_and_rejects_garbage() {
-        for var in [
-            "RSD_SERVE_SHARDS",
-            "RSD_SERVE_LRU",
-            "RSD_SERVE_BATCH",
-            "RSD_SERVE_CHANNEL_CAP",
-        ] {
-            std::env::remove_var(var);
-        }
-        let cfg = ServeConfig::from_env().unwrap();
-        assert_eq!(cfg.shards, 8);
-        assert_eq!(cfg.batch_max, 64);
-
-        std::env::set_var("RSD_SERVE_SHARDS", "16");
-        std::env::set_var("RSD_SERVE_BATCH", " 32 ");
-        let cfg = ServeConfig::from_env().unwrap();
-        assert_eq!(cfg.shards, 16);
-        assert_eq!(cfg.batch_max, 32, "whitespace trimmed");
-
-        for bad in ["banana", "", "0", "-3", "1.5"] {
-            std::env::set_var("RSD_SERVE_LRU", bad);
-            let err = ServeConfig::from_env().unwrap_err().to_string();
-            assert!(
-                err.contains("RSD_SERVE_LRU"),
-                "error must name the knob: {err}"
-            );
-        }
-
-        for var in ["RSD_SERVE_SHARDS", "RSD_SERVE_LRU", "RSD_SERVE_BATCH"] {
-            std::env::remove_var(var);
-        }
-
-        // Stall-injection knob: optional, disable spellings, named
-        // errors on garbage.
-        std::env::remove_var("RSD_SERVE_INJECT_STALL_MS");
-        assert_eq!(ServeConfig::from_env().unwrap().inject_stall_ms, None);
-        for off in ["", "0", "off"] {
-            std::env::set_var("RSD_SERVE_INJECT_STALL_MS", off);
-            assert_eq!(ServeConfig::from_env().unwrap().inject_stall_ms, None);
-        }
-        std::env::set_var("RSD_SERVE_INJECT_STALL_MS", " 1500 ");
-        assert_eq!(ServeConfig::from_env().unwrap().inject_stall_ms, Some(1500));
-        std::env::set_var("RSD_SERVE_INJECT_STALL_MS", "soon");
-        let err = ServeConfig::from_env().unwrap_err().to_string();
-        assert!(
-            err.contains("RSD_SERVE_INJECT_STALL_MS"),
-            "error must name the knob: {err}"
-        );
-        std::env::remove_var("RSD_SERVE_INJECT_STALL_MS");
-
-        // Model routing knob: defaults, valid spellings, named errors.
-        std::env::remove_var(ServeModel::KNOB);
-        assert_eq!(ServeConfig::from_env().unwrap().model, ServeModel::Gbdt);
-        std::env::set_var(ServeModel::KNOB, "");
-        assert_eq!(ServeConfig::from_env().unwrap().model, ServeModel::Gbdt);
-        std::env::set_var(ServeModel::KNOB, " plm-int8 ");
-        assert_eq!(ServeConfig::from_env().unwrap().model, ServeModel::PlmInt8);
-        std::env::set_var(ServeModel::KNOB, "plm-f32");
-        assert_eq!(ServeConfig::from_env().unwrap().model, ServeModel::PlmF32);
-        std::env::set_var(ServeModel::KNOB, "resnet");
-        let err = ServeConfig::from_env().unwrap_err().to_string();
-        assert!(
-            err.contains("RSD_SERVE_MODEL") && err.contains("plm-int8"),
-            "error must name the knob and the choices: {err}"
-        );
-        std::env::remove_var(ServeModel::KNOB);
-    }
+/// The backend for a spelling the knob table has already accepted.
+fn serve_model(name: String) -> ServeModel {
+    ServeModel::from_name(&name).expect("a listed RSD_SERVE_MODEL choice")
 }

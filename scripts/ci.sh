@@ -219,8 +219,8 @@ grep -q "SLO clean" "$obs_tmp/soak.out" \
     || { echo "soak run did not report its SLO verdict"; exit 1; }
 
 echo "==> kernel + inference bench vs committed BENCH_kernels.json"
-# bench_kernels hard-gates the quantization quality knobs internally
-# (RSD_QUANT_EPS / RSD_QUANT_MIN_AGREE / RSD_QUANT_MIN_SPEEDUP); the
+# bench_kernels hard-gates int8 quality and speed internally (its
+# QUANT_EPS / QUANT_MIN_AGREE / QUANT_MIN_SPEEDUP constants); the
 # obs_diff pass then compares against the committed artifact — quality
 # leaves (agreement, eps coverage) exactly, speedup/throughput leaves
 # under a wide noise tolerance for shared CI hosts.
@@ -232,6 +232,9 @@ cargo run --release -q -p rsd-bench --bin obs_diff -- \
 
 echo "==> perf trajectory (every bench_runs/trajectory.ndjson line parses with its keys)"
 cargo test --release -q -p rsd-bench --test trajectory
+
+echo "==> knob aborts (invalid RSD_* values abort naming the knob, before any work)"
+cargo test --release -q -p rsd-bench --test knob_aborts
 
 echo "==> mid-scale golden equivalence (release, ignored test)"
 cargo test --release -q --test streaming_equivalence -- --ignored

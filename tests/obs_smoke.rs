@@ -92,13 +92,21 @@ fn ndjson_sink_and_run_report_round_trip() {
     assert!(!matches!(counters["textproc.posts_in"], obs::Value::Null));
 
     // The meta block pins the run's environment: core count, effective
-    // thread budget, git revision, telemetry switches.
+    // thread budget, git revision, telemetry switches, every knob.
     let meta = &report["meta"];
     assert!(meta["host_cores"].as_i64().unwrap() >= 1, "meta: {meta}");
     assert!(meta["rsd_threads"].as_i64().unwrap() >= 1, "meta: {meta}");
     assert!(!meta["git_rev"].as_str().unwrap().is_empty());
     assert_eq!(meta["profile"], true);
     assert!(meta["obs_mode"].as_str().unwrap().starts_with("file:"));
+    for knob in obs::knob::KNOBS {
+        assert!(
+            meta["knobs"].get(knob.name).is_some(),
+            "meta.knobs lacks {}",
+            knob.name
+        );
+    }
+    assert_eq!(meta["knobs"]["RSD_OBS_PROFILE"], true);
 
     // The hierarchical call tree keys spans by their full stack path and
     // attributes self-time separately from child time.
