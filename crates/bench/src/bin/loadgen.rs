@@ -2,7 +2,7 @@
 //! online scorer at a fixed target QPS and publish latency/throughput.
 //!
 //! The whole dataset is streamed once in global `(created, id)` order
-//! via a replayable [`VecSource`], paced against absolute deadlines
+//! from an in-memory replay slice, paced against absolute deadlines
 //! (`t0 + i/QPS`) so a slow stretch is caught up instead of silently
 //! stretching the run. Knobs:
 //!
@@ -44,7 +44,6 @@ use rsd_bench::{table3_configs, BinHarness, Prepared};
 use rsd_corpus::RiskLevel;
 use rsd_models::{PlmBaseline, ScoringModel, ServeModel};
 use rsd_obs::{knob, Value};
-use rsd_pipeline::{StreamSource, VecSource};
 use rsd_serve::{IncomingPost, RiskService, ServeConfig};
 
 /// The corpus in global chronological submission order.
@@ -128,7 +127,6 @@ fn main() {
         levels
     });
 
-    let mut source = VecSource::new("loadgen.replay", posts);
     let t0 = Instant::now();
     let mut sent = 0u64;
     let pace_and_submit = |post, sent: &mut u64| {
@@ -142,21 +140,20 @@ fn main() {
     };
     match soak_ms {
         None => {
-            while let Some(post) = source.next().expect("replay source") {
-                pace_and_submit(post, &mut sent);
+            for post in &posts {
+                pace_and_submit(post.clone(), &mut sent);
             }
         }
         Some(ms) => {
-            // Sustained soak: rewind and replay until the clock runs out.
+            // Sustained soak: replay from the start until the clock runs out.
             let end = t0 + Duration::from_millis(ms);
             'soak: loop {
-                while let Some(post) = source.next().expect("replay source") {
+                for post in &posts {
                     if Instant::now() >= end {
                         break 'soak;
                     }
-                    pace_and_submit(post, &mut sent);
+                    pace_and_submit(post.clone(), &mut sent);
                 }
-                source.rewind();
             }
         }
     }

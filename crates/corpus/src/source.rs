@@ -11,7 +11,7 @@ use crate::generator::CorpusGenerator;
 use crate::reddit::{CrawlClient, CrawlStats, RedditStore};
 use crate::types::RawPost;
 use rsd_common::Result;
-use rsd_pipeline::{ResidentGauge, ShardSpec, Source};
+use rsd_pipeline::{ResidentGauge, ShardSpec};
 
 /// What one shard looks like after the crawl stage.
 #[derive(Debug, Clone)]
@@ -28,7 +28,7 @@ pub struct CrawledShard {
     pub posts: Vec<RawPost>,
 }
 
-/// Per-shard [`Source`]: generate the user range, publish it into a
+/// The per-shard corpus step: generate the user range, publish it into a
 /// shard-local store, and crawl the configured collection window.
 pub struct CorpusShardSource {
     generator: CorpusGenerator,
@@ -38,8 +38,8 @@ pub struct CorpusShardSource {
 
 impl CorpusShardSource {
     /// Build a source over `generator`'s configuration. `resident` is the
-    /// build's residency counter; the source adds each shard's raw posts
-    /// when materialized (the preprocess stage releases them).
+    /// build's residency counter; [`load`](Self::load) adds each shard's
+    /// raw posts when materialized (the preprocess step releases them).
     pub fn new(generator: CorpusGenerator, resident: ResidentGauge) -> Self {
         CorpusShardSource {
             generator,
@@ -47,16 +47,9 @@ impl CorpusShardSource {
             resident,
         }
     }
-}
 
-impl Source for CorpusShardSource {
-    type Out = CrawledShard;
-
-    fn name(&self) -> &'static str {
-        "pipeline.shard.corpus"
-    }
-
-    fn load(&self, shard: &ShardSpec) -> Result<CrawledShard> {
+    /// Generate and crawl one shard.
+    pub fn load(&self, shard: &ShardSpec) -> Result<CrawledShard> {
         let generated = self.generator.generate_shard(shard.users());
         let raw_users = generated.users.len();
         let raw_posts = generated.posts.len();

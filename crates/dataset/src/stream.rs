@@ -1,20 +1,22 @@
-//! The streaming sharded build — the stage graph behind
+//! The streaming sharded build behind
 //! [`DatasetBuilder`](crate::DatasetBuilder).
 //!
 //! The batch path materializes the whole raw pool at once; this module
-//! runs the same pipeline over **user shards** on `rsd-pipeline`:
+//! runs the same pipeline over **user shards** on `rsd-pipeline`. One
+//! per-shard closure runs the first two steps; the fold and the global
+//! steps run on the calling thread:
 //!
 //! ```text
-//! pipeline.shard.corpus      Source  generate shard + crawl its window
-//! pipeline.shard.preprocess  Stage   clean/analyze bodies, drop raw posts
-//!   └─ checkpoint "preprocess"       per-shard JSONL artifact
-//! (fold, ascending shard order)      restore global post ids, merge
-//! pipeline.merge                     chronological sort + global dedup
-//! pipeline.select            global  annotation-pool selection
+//! pipeline.shard.corpus      per shard  generate shard + crawl its window
+//! pipeline.shard.preprocess  per shard  clean/analyze bodies, drop raw posts
+//!   └─ checkpoint "preprocess"          per-shard JSONL artifact
+//! (fold, ascending shard order)         restore global post ids, merge
+//! pipeline.merge                        chronological sort + global dedup
+//! pipeline.select            global     annotation-pool selection
 //!   └─ checkpoint "pipeline.select"
-//! pipeline.annotate          global  the full annotation campaign
+//! pipeline.annotate          global     the full annotation campaign
 //!   └─ checkpoint "pipeline.annotate"
-//! pipeline.assemble                  densify ids, validate
+//! pipeline.assemble                     densify ids, validate
 //! ```
 //!
 //! Output is **bit-identical** to [`DatasetBuilder::build_batch_with_pool`]
@@ -54,8 +56,8 @@ use rsd_corpus::{
     RiskLevel, UserId,
 };
 use rsd_pipeline::{
-    config_fingerprint, global_stage, run_shards, Artifact, Checkpointer, PipelineConfig,
-    PipelineReport, ResidentGauge, ShardPlan, ShardSpec, ShardTaskExt, Sink, SourceTask, Stage,
+    checkpointed, config_fingerprint, run_shards, Artifact, Checkpointer, PipelineConfig,
+    PipelineReport, ResidentGauge, ShardPlan, ShardSpec,
 };
 use rsd_text::{ChronoDedup, PostFate, PreprocessReport, Preprocessor};
 
@@ -119,7 +121,7 @@ struct CandidateRow {
 
 /// Per-shard artifact at the preprocess checkpoint boundary.
 #[derive(Debug, Clone)]
-pub struct ShardCandidates {
+struct ShardCandidates {
     shard: usize,
     raw_users: usize,
     raw_posts: usize,
@@ -184,56 +186,64 @@ impl Artifact for ShardCandidates {
     }
 }
 
-/// The per-shard preprocess [`Stage`]: analyze each crawled body and drop
-/// the raw posts, releasing the shard's residency budget.
-pub struct PreprocessShardStage {
-    pre: Preprocessor,
-    resident: ResidentGauge,
+/// Run one per-shard step under its span. Spans carry static labels (so
+/// trees aggregate across shards), while the companion
+/// `pipeline.stage.shard` event pins each execution to a concrete shard
+/// and user range.
+fn shard_step<T>(stage: &'static str, shard: &ShardSpec, step: impl FnOnce() -> T) -> T {
+    let _span = rsd_obs::Span::enter(stage);
+    if rsd_obs::enabled() {
+        rsd_obs::event(
+            "pipeline.stage.shard",
+            &[
+                ("stage", rsd_obs::Value::String(stage.to_string())),
+                ("shard", rsd_obs::Value::Int(shard.index as i128)),
+                (
+                    "start_user",
+                    rsd_obs::Value::Int(i128::from(shard.start_user)),
+                ),
+                ("users", rsd_obs::Value::Int(shard.n_users() as i128)),
+            ],
+        );
+    }
+    step()
 }
 
-impl PreprocessShardStage {
-    /// Stage over the build's preprocessor configuration.
-    pub fn new(pre: Preprocessor, resident: ResidentGauge) -> Self {
-        PreprocessShardStage { pre, resident }
-    }
-}
-
-impl Stage<CrawledShard> for PreprocessShardStage {
-    type Out = ShardCandidates;
-
-    fn name(&self) -> &'static str {
-        "pipeline.shard.preprocess"
-    }
-
-    fn apply(&self, shard: &ShardSpec, input: CrawledShard) -> Result<ShardCandidates> {
-        let rows = input
-            .posts
-            .iter()
-            .map(|p| {
-                let a = self.pre.analyze(&p.body);
-                // Keep the cleaned text only while the post can still
-                // survive: the dedup verdict arrives at the merge.
-                let keepable = a.relevant && a.tokens >= self.pre.min_tokens;
-                CandidateRow {
-                    id: p.id.0,
-                    author: p.author.0,
-                    created: p.created.0,
-                    latent: p.latent_risk,
-                    relevant: a.relevant,
-                    tokens: a.tokens as u32,
-                    canon: a.canon,
-                    cleaned: keepable.then_some(a.cleaned),
-                }
-            })
-            .collect();
-        self.resident.sub(input.raw_posts);
-        Ok(ShardCandidates {
-            shard: shard.index,
-            raw_users: input.raw_users,
-            raw_posts: input.raw_posts,
-            crawl: input.crawl,
-            rows,
+/// The per-shard preprocess step: analyze each crawled body and drop the
+/// raw posts, releasing the shard's residency budget.
+fn preprocess_shard(
+    pre: &Preprocessor,
+    resident: &ResidentGauge,
+    shard: &ShardSpec,
+    input: CrawledShard,
+) -> ShardCandidates {
+    let rows = input
+        .posts
+        .iter()
+        .map(|p| {
+            let a = pre.analyze(&p.body);
+            // Keep the cleaned text only while the post can still
+            // survive: the dedup verdict arrives at the merge.
+            let keepable = a.relevant && a.tokens >= pre.min_tokens;
+            CandidateRow {
+                id: p.id.0,
+                author: p.author.0,
+                created: p.created.0,
+                latent: p.latent_risk,
+                relevant: a.relevant,
+                tokens: a.tokens as u32,
+                canon: a.canon,
+                cleaned: keepable.then_some(a.cleaned),
+            }
         })
+        .collect();
+    resident.sub(input.raw_posts);
+    ShardCandidates {
+        shard: shard.index,
+        raw_users: input.raw_users,
+        raw_posts: input.raw_posts,
+        crawl: input.crawl,
+        rows,
     }
 }
 
@@ -272,7 +282,8 @@ struct CandidateSink {
     rows: Vec<MergedRow>,
 }
 
-impl Sink<ShardCandidates> for CandidateSink {
+impl CandidateSink {
+    /// The build's fold: take one shard's artifact, in shard order.
     fn accept(&mut self, shard: &ShardSpec, item: ShardCandidates) -> Result<()> {
         if item.shard != shard.index || shard.index != self.next_shard {
             return Err(RsdError::PipelineState(format!(
@@ -494,7 +505,7 @@ fn fingerprint(cfg: &BuildConfig, shard_users: usize) -> u64 {
     config_fingerprint(&format!("rsd-stream-v1|{cfg:?}|shard_users={shard_users}"))
 }
 
-/// Run the full streaming build. See the module docs for the stage graph
+/// Run the full streaming build. See the module docs for the stage table
 /// and the equivalence argument.
 ///
 /// On any error — including injected interrupts (exit 9 in the bench
@@ -534,18 +545,26 @@ fn build_streaming_inner(cfg: &BuildConfig, opts: &StreamingOptions) -> Result<S
 
     // 1.–3. Generate + crawl + preprocess, one wave of shards at a time.
     let resident = ResidentGauge::new();
-    let task = SourceTask(CorpusShardSource::new(generator, resident.clone()))
-        .then(PreprocessShardStage::new(
-            cfg.preprocess.clone(),
-            resident.clone(),
-        ))
-        .checkpoint("preprocess");
+    let source = CorpusShardSource::new(generator, resident.clone());
     let mut sink = CandidateSink::default();
-    run_shards(&opts.pipeline, &plan, &task, ckpt.as_ref(), &mut sink)?;
+    run_shards(
+        &opts.pipeline,
+        &plan,
+        |shard| {
+            checkpointed(ckpt.as_ref(), "preprocess", Some(shard), || {
+                let crawled = shard_step("pipeline.shard.corpus", shard, || source.load(shard))?;
+                Ok(shard_step("pipeline.shard.preprocess", shard, || {
+                    preprocess_shard(&cfg.preprocess, &resident, shard, crawled)
+                }))
+            })
+        },
+        |shard, item| sink.accept(shard, item),
+    )?;
     let merged = sink.finish(&cfg.preprocess);
 
     // 4. Select the annotation pool.
-    let select = global_stage(ckpt.as_ref(), "pipeline.select", || {
+    let select = checkpointed(ckpt.as_ref(), "pipeline.select", None, || {
+        let _span = rsd_obs::Span::enter("pipeline.select");
         Ok(SelectArtifact {
             picked: select_users_for_annotation(&merged.users, &cfg.selection)?,
         })
@@ -568,7 +587,8 @@ fn build_streaming_inner(cfg: &BuildConfig, opts: &StreamingOptions) -> Result<S
         .iter()
         .map(|p| (PostId(p.id), p.latent))
         .collect();
-    let annotate = global_stage(ckpt.as_ref(), "pipeline.annotate", || {
+    let annotate = checkpointed(ckpt.as_ref(), "pipeline.annotate", None, || {
+        let _span = rsd_obs::Span::enter("pipeline.annotate");
         let mut campaign = Campaign::new(cfg.campaign.clone())?;
         let (items, report) = campaign.run(&items)?;
         Ok(AnnotateArtifact { items, report })

@@ -31,7 +31,6 @@
 pub mod bilstm;
 pub mod encoding;
 pub mod higru;
-pub mod logreg;
 pub mod plm;
 pub mod plm_infer;
 pub mod pretrain;
@@ -43,7 +42,6 @@ pub mod xgboost;
 pub use bilstm::{BiLstmBaseline, BiLstmConfig};
 pub use encoding::{EncodedWindow, TaskEncoder, TIME_FEATURE_DIM};
 pub use higru::{HiGruBaseline, HiGruConfig};
-pub use logreg::{LogRegBaseline, LogRegConfig};
 pub use plm::{FittedPlm, PlmBaseline, PlmConfig, PlmKind};
 pub use plm_infer::{PlmInferenceModel, PlmScratch};
 pub use scorer::{ScoreScratch, ScoringModel, ServeModel};

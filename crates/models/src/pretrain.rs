@@ -17,7 +17,7 @@ use crate::encoding::TaskEncoder;
 use rsd_common::rng::{shuffle, stream_rng};
 use rsd_common::{Result, RsdError};
 use rsd_nn::transformer::{Encoder, MlmHead};
-use rsd_nn::{Adam, Optimizer, ParamStore, Tape};
+use rsd_nn::{Adam, ParamStore, Tape};
 use rsd_text::SpecialToken;
 
 /// MLM pretraining parameters.

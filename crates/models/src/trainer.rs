@@ -15,7 +15,7 @@ use rsd_corpus::RiskLevel;
 use rsd_dataset::{DatasetSplits, Rsd15k};
 use rsd_eval::{ClassificationReport, ConfusionMatrix};
 use rsd_nn::loss::argmax_rows;
-use rsd_nn::{Adam, Optimizer, ParamStore, Tape, Var};
+use rsd_nn::{Adam, ParamStore, Tape, Var};
 
 /// Everything a baseline needs to train and report.
 pub struct BenchData<'a> {

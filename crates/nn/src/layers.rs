@@ -119,7 +119,7 @@ impl LayerNorm {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
 
     #[test]

@@ -22,7 +22,7 @@
 //!   (DeBERTa-style) variants.
 //! * [`transformer`] — pre-norm encoder blocks and the small encoder stack
 //!   used by the PLM baselines, plus the MLM pretraining head.
-//! * [`optim`] — SGD and Adam; [`schedule`] — warmup/decay LR schedules.
+//! * [`optim`] — Adam; [`schedule`] — warmup/decay LR schedules.
 //! * [`loss`] — cross-entropy from logits.
 //! * [`infer`] — frozen-weight inference: [`infer::InferenceModel`]
 //!   snapshots a trained store with no tape or optimizer state, and the
@@ -49,7 +49,7 @@ pub mod transformer;
 
 pub use infer::{FrozenParams, InferenceModel};
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use params::{GradPart, ParamId, ParamStore};
 pub use quant::QuantizedMatrix;
 pub use tape::{Tape, Var};

@@ -1,90 +1,13 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The optimizer: Adam.
 //!
-//! Both consume the accumulated gradients in a [`ParamStore`] and zero them
-//! after stepping, so the training loop is:
+//! It consumes the accumulated gradients in a [`ParamStore`] and zeroes
+//! them after stepping, so the training loop is:
 //! forward → backward → harvest → (scale by 1/batch) → `step` → repeat.
 
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
 use crate::params::ParamStore;
-
-/// Common optimizer interface.
-pub trait Optimizer {
-    /// Apply one update using the store's accumulated gradients, then zero
-    /// them.
-    fn step(&mut self, store: &mut ParamStore);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Override the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.ids().collect();
-        if self.velocity.len() < ids.len() {
-            for id in &ids[self.velocity.len()..] {
-                let v = store.value(*id);
-                self.velocity.push(Matrix::zeros(v.rows, v.cols));
-            }
-        }
-        for id in ids {
-            let grad = store.grad(id).clone();
-            if self.momentum > 0.0 {
-                let vel = &mut self.velocity[id.0];
-                for (v, &g) in vel.data.iter_mut().zip(&grad.data) {
-                    *v = self.momentum * *v + g;
-                }
-                let update = vel.clone();
-                store.value_mut(id).axpy(-self.lr, &update);
-            } else {
-                store.value_mut(id).axpy(-self.lr, &grad);
-            }
-        }
-        store.zero_grads();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
 
 /// Adam (Kingma & Ba, 2015) with bias correction and optional decoupled
 /// weight decay (AdamW-style).
@@ -132,10 +55,10 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    /// Apply one update using the store's accumulated gradients, then
+    /// zero them.
+    pub fn step(&mut self, store: &mut ParamStore) {
         let ids: Vec<_> = store.ids().collect();
         while self.m.len() < ids.len() {
             let v = store.value(ids[self.m.len()]);
@@ -166,11 +89,13 @@ impl Optimizer for Adam {
         store.zero_grads();
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Override the learning rate (for schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -181,9 +106,9 @@ mod tests {
     use crate::params::ParamStore;
     use crate::tape::Tape;
 
-    /// Minimize (2w + 6)² over scalar w; both optimizers must converge to
+    /// Minimize (2w + 6)² over scalar w; the optimizer must converge to
     /// w = −3.
-    fn optimize(mut opt: impl Optimizer, iters: usize) -> f32 {
+    fn optimize(mut opt: Adam, iters: usize) -> f32 {
         let mut store = ParamStore::new();
         let w = store.register("w", Matrix::from_vec(1, 1, vec![0.0]));
         for _ in 0..iters {
@@ -203,18 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_to_minimum() {
-        let w = optimize(Sgd::new(0.02), 200);
-        assert!((w + 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let w = optimize(Sgd::with_momentum(0.01, 0.9), 200);
-        assert!((w + 3.0).abs() < 1e-1, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_to_minimum() {
         let w = optimize(Adam::new(0.1), 300);
         assert!((w + 3.0).abs() < 1e-2, "w = {w}");
@@ -225,10 +138,11 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.register("w", Matrix::from_vec(1, 1, vec![1.0]));
         store.accumulate(id, &Matrix::from_vec(1, 1, vec![5.0]));
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         opt.step(&mut store);
         assert_eq!(store.grad(id).data, vec![0.0]);
-        assert!((store.value(id).data[0] - 0.5).abs() < 1e-6);
+        // Adam's first bias-corrected step moves by lr·sign(g).
+        assert!((store.value(id).data[0] - 0.9).abs() < 1e-6);
     }
 
     #[test]

@@ -321,7 +321,7 @@ where
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
 
     fn seq(data: Vec<f32>, dim: usize) -> Matrix {

@@ -305,7 +305,6 @@ mod tests {
         let enc = Encoder::new(&mut store, "e", cfg(PositionMode::Absolute), &mut rng);
         let head = crate::layers::Linear::new(&mut store, "cls", 16, 2, &mut rng);
         let mut opt = crate::optim::Adam::new(0.01);
-        use crate::optim::Optimizer;
         let data: Vec<(Vec<u32>, usize)> = vec![
             (vec![10, 20, 30], 0),
             (vec![11, 20, 30], 1),

@@ -198,25 +198,23 @@ pub fn config_fingerprint(description: &str) -> u64 {
     fnv1a(description.as_bytes())
 }
 
-/// Run a global (non-sharded) stage with checkpoint short-circuit: return
-/// the stored artifact if one is valid, otherwise compute under an
-/// `rsd-obs` span and persist the result.
-pub fn global_stage<T: Artifact>(
+/// Load-or-compute at one stage boundary, per shard (`Some(shard)`) or
+/// global (`None`): return the stored artifact if one is valid, otherwise
+/// run `compute` and persist its result. Without a checkpointer this is
+/// just `compute()`. Spans are the caller's: `compute` opens its own, so
+/// a hit skips the stage's spans and events entirely.
+pub fn checkpointed<T: Artifact>(
     ckpt: Option<&Checkpointer>,
-    stage: &'static str,
-    f: impl FnOnce() -> Result<T>,
+    stage: &str,
+    shard: Option<&ShardSpec>,
+    compute: impl FnOnce() -> Result<T>,
 ) -> Result<T> {
-    if let Some(c) = ckpt {
-        if let Some(value) = c.load(stage, None) {
-            return Ok(value);
-        }
+    if let Some(value) = ckpt.and_then(|c| c.load(stage, shard)) {
+        return Ok(value);
     }
-    let out = {
-        let _span = rsd_obs::Span::enter(stage);
-        f()?
-    };
+    let out = compute()?;
     if let Some(c) = ckpt {
-        c.store(stage, None, &out)?;
+        c.store(stage, shard, &out)?;
     }
     Ok(out)
 }
@@ -311,22 +309,26 @@ mod tests {
     }
 
     #[test]
-    fn global_stage_computes_once_then_replays() {
-        let dir = tmp_dir("global");
-        let ckpt = Checkpointer::new(&dir, 7).unwrap();
-        let mut runs = 0;
-        let a = global_stage(Some(&ckpt), "g", || {
-            runs += 1;
-            Ok(Lines(vec!["v".into()]))
-        })
-        .unwrap();
-        let b = global_stage(Some(&ckpt), "g", || {
-            runs += 1;
-            Ok(Lines(vec!["w".into()]))
-        })
-        .unwrap();
-        assert_eq!(runs, 1, "second call must replay the checkpoint");
-        assert_eq!(a, b);
-        fs::remove_dir_all(&dir).unwrap();
+    fn checkpointed_computes_once_then_replays() {
+        let shard = ShardPlan::new(10, 4).unwrap().shard(1);
+        for (tag, shard) in [("global", None), ("shard", Some(&shard))] {
+            let dir = tmp_dir(tag);
+            let ckpt = Checkpointer::new(&dir, 7).unwrap();
+            let mut runs = 0;
+            let a = checkpointed(Some(&ckpt), "g", shard, || {
+                runs += 1;
+                Ok(Lines(vec!["v".into()]))
+            })
+            .unwrap();
+            let b = checkpointed(Some(&ckpt), "g", shard, || {
+                runs += 1;
+                Ok(Lines(vec!["w".into()]))
+            })
+            .unwrap();
+            assert_eq!(runs, 1, "{tag}: second call must replay the checkpoint");
+            assert_eq!((ckpt.writes(), ckpt.hits()), (1, 1), "{tag}");
+            assert_eq!(a, b, "{tag}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -1,15 +1,13 @@
 //! The bounded deterministic executor.
 //!
 //! Shards run in waves of at most `shards_in_flight`: each wave's shards
-//! execute concurrently on the `rsd-par` pool, then fold into the sink in
-//! ascending shard order before the next wave starts. At most one wave of
+//! execute concurrently on the `rsd-par` pool, then fold in ascending
+//! shard order before the next wave starts. At most one wave of
 //! shard artifacts is ever materialized, which is what bounds residency;
 //! the in-order fold is what makes the merged output independent of
 //! scheduling (and therefore bit-identical to a batch run).
 
-use crate::checkpoint::Checkpointer;
 use crate::shard::{ShardPlan, ShardSpec};
-use crate::stage::{ShardTask, Sink};
 use rsd_common::{Result, RsdError};
 use rsd_obs::knob::{INTERRUPT_AFTER_SHARDS, SHARD_USERS};
 
@@ -67,31 +65,42 @@ pub struct PipelineReport {
     pub checkpoint_writes: u64,
 }
 
-/// Run every shard of `plan` through `task`, folding artifacts into
-/// `sink` in ascending shard order. Returns the number of shards folded.
+/// Run every shard of `plan` through `per_shard` on the `rsd-par` pool,
+/// handing each result to `fold` in ascending shard order. Returns the
+/// number of shards folded.
 ///
 /// With `interrupt_after_shards` set, the build aborts with a
 /// [`RsdError::PipelineState`] once that many shards have folded —
 /// completed boundaries keep their checkpoints, which is exactly the
-/// state a killed build leaves behind.
-pub fn run_shards<T, K>(
+/// state a killed build leaves behind. The `pipeline.shards` stall-
+/// watchdog registration is finished on every exit: success, a shard or
+/// fold error, and an interrupt.
+pub fn run_shards<T: Send>(
     cfg: &PipelineConfig,
     plan: &ShardPlan,
-    task: &T,
-    ckpt: Option<&Checkpointer>,
-    sink: &mut K,
-) -> Result<usize>
-where
-    T: ShardTask,
-    K: Sink<T::Out>,
-{
+    per_shard: impl Fn(&ShardSpec) -> Result<T> + Sync,
+    mut fold: impl FnMut(&ShardSpec, T) -> Result<()>,
+) -> Result<usize> {
     let _span = rsd_obs::Span::enter("pipeline.shards");
-    let total = plan.n_shards();
     let in_flight = cfg.shards_in_flight.max(1);
     rsd_obs::gauge("pipeline.shards_in_flight", in_flight as f64);
     rsd_obs::stage_register("pipeline.shards");
-    let limit = cfg.interrupt_after_shards.unwrap_or(usize::MAX);
+    let out = fold_waves(cfg, plan, in_flight, &per_shard, &mut fold);
+    rsd_obs::stage_finish("pipeline.shards");
+    out
+}
 
+/// The wave loop of [`run_shards`], split out so that every return,
+/// early or not, passes through the caller's `stage_finish`.
+fn fold_waves<T: Send>(
+    cfg: &PipelineConfig,
+    plan: &ShardPlan,
+    in_flight: usize,
+    per_shard: &(impl Fn(&ShardSpec) -> Result<T> + Sync),
+    fold: &mut impl FnMut(&ShardSpec, T) -> Result<()>,
+) -> Result<usize> {
+    let total = plan.n_shards();
+    let limit = cfg.interrupt_after_shards.unwrap_or(usize::MAX);
     let mut folded = 0usize;
     let mut next = 0usize;
     let mut wave_idx = 0usize;
@@ -105,7 +114,7 @@ where
                 ("shards", rsd_obs::Value::Int(wave as i128)),
             ],
         );
-        let mut slots: Vec<(ShardSpec, Option<Result<T::Out>>)> =
+        let mut slots: Vec<(ShardSpec, Option<Result<T>>)> =
             (next..next + wave).map(|i| (plan.shard(i), None)).collect();
         // Grain 1: one pool chunk per shard. The fold below consumes
         // slots in vector (= shard) order regardless of which worker
@@ -113,15 +122,14 @@ where
         rsd_par::parallel_chunks_mut(&mut slots, 1, |_, chunk| {
             for (spec, slot) in chunk.iter_mut() {
                 let t0 = std::time::Instant::now();
-                *slot = Some(task.run(spec, ckpt));
+                *slot = Some(per_shard(spec));
                 rsd_obs::latency_ns("pipeline.shard", t0.elapsed().as_nanos() as u64);
             }
         });
         for (spec, slot) in slots {
             let artifact = slot.expect("executor filled every slot")?;
-            let shard_users = spec.n_users() as u64;
-            sink.accept(&spec, artifact)?;
-            rsd_obs::stage_progress("pipeline.shards", shard_users, 0);
+            fold(&spec, artifact)?;
+            rsd_obs::stage_progress("pipeline.shards", spec.n_users() as u64, 0);
             folded += 1;
         }
         rsd_obs::counter_add("pipeline.shards", wave as u64);
@@ -134,70 +142,48 @@ where
             "pipeline interrupted after {folded} of {total} shards"
         )));
     }
-    rsd_obs::stage_finish("pipeline.shards");
     Ok(folded)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::{Source, SourceTask};
 
-    struct SquareSource;
-
-    impl Source for SquareSource {
-        type Out = Vec<u64>;
-
-        fn name(&self) -> &'static str {
-            "test.square"
-        }
-
-        fn load(&self, shard: &ShardSpec) -> Result<Vec<u64>> {
-            Ok(shard.users().map(|u| u64::from(u) * u64::from(u)).collect())
-        }
-    }
-
-    /// Sink that records fold order and concatenates artifacts.
-    #[derive(Default)]
-    struct Collect {
-        order: Vec<usize>,
-        values: Vec<u64>,
-    }
-
-    impl Sink<Vec<u64>> for Collect {
-        fn accept(&mut self, shard: &ShardSpec, item: Vec<u64>) -> Result<()> {
-            self.order.push(shard.index);
-            self.values.extend(item);
-            Ok(())
-        }
-    }
-
-    fn run(cfg: &PipelineConfig, n_users: u32, shard_users: u32) -> Collect {
-        let plan = ShardPlan::new(n_users, shard_users).unwrap();
-        let mut sink = Collect::default();
-        run_shards(cfg, &plan, &SourceTask(SquareSource), None, &mut sink).unwrap();
-        sink
+    /// Run the plan squaring each user id; returns (fold order, values).
+    fn run(cfg: &PipelineConfig, plan: &ShardPlan) -> (Result<usize>, Vec<usize>, Vec<u64>) {
+        let mut order = Vec::new();
+        let mut values = Vec::new();
+        let out = run_shards(
+            cfg,
+            plan,
+            |shard| Ok(shard.users().map(|u| u64::from(u) * u64::from(u)).collect()),
+            |shard, item: Vec<u64>| {
+                order.push(shard.index);
+                values.extend(item);
+                Ok(())
+            },
+        );
+        (out, order, values)
     }
 
     #[test]
     fn folds_in_shard_order_for_any_concurrency() {
-        let serial = run(
-            &PipelineConfig {
-                shards_in_flight: 1,
-                ..Default::default()
-            },
-            1_000,
-            64,
-        );
-        assert_eq!(serial.order, (0..16).collect::<Vec<_>>());
+        let plan = ShardPlan::new(1_000, 64).unwrap();
+        let serial = PipelineConfig {
+            shards_in_flight: 1,
+            ..Default::default()
+        };
+        let (out, order, values) = run(&serial, &plan);
+        assert_eq!(out.unwrap(), 16);
+        assert_eq!(order, (0..16).collect::<Vec<_>>());
         for in_flight in [2, 3, 8, 64] {
             let cfg = PipelineConfig {
                 shards_in_flight: in_flight,
                 ..Default::default()
             };
-            let out = run(&cfg, 1_000, 64);
-            assert_eq!(out.order, serial.order, "in_flight={in_flight}");
-            assert_eq!(out.values, serial.values, "in_flight={in_flight}");
+            let (_, o, v) = run(&cfg, &plan);
+            assert_eq!(o, order, "in_flight={in_flight}");
+            assert_eq!(v, values, "in_flight={in_flight}");
         }
     }
 
@@ -209,9 +195,8 @@ mod tests {
             interrupt_after_shards: Some(3),
             ..Default::default()
         };
-        let mut sink = Collect::default();
-        let err = run_shards(&cfg, &plan, &SourceTask(SquareSource), None, &mut sink).unwrap_err();
-        assert!(matches!(err, RsdError::PipelineState(_)));
-        assert_eq!(sink.order, vec![0, 1, 2]);
+        let (out, order, _) = run(&cfg, &plan);
+        assert!(matches!(out.unwrap_err(), RsdError::PipelineState(_)));
+        assert_eq!(order, vec![0, 1, 2]);
     }
 }

@@ -11,39 +11,33 @@
 //!   contiguous range of user ids, sized by [`PipelineConfig::shard_users`].
 //!   Shard boundaries are a pure function of corpus size and shard size,
 //!   never of thread count, mirroring the `rsd-par` determinism contract.
-//! * **Typed stages** ([`Source`], [`Stage`], [`Sink`]) — per-shard work is
-//!   composed with [`ShardTaskExt::then`] into a [`ShardTask`] chain; the
-//!   sink consumes artifacts strictly in ascending shard order, so the
-//!   merged output is bit-identical to a monolithic batch run.
-//! * **Bounded executor** ([`run_shards`]) — at most
-//!   [`PipelineConfig::shards_in_flight`] shards are materialized at any
-//!   moment; workers come from the existing `rsd-par` pool.
-//! * **Checkpoints** ([`Checkpointer`], [`Artifact`]) — each completed
-//!   shard×stage boundary persists a JSONL artifact plus a manifest, so a
-//!   killed build resumes from the last completed boundary instead of
-//!   restarting. Artifacts are keyed by a config fingerprint; stale or
-//!   truncated checkpoints are silently recomputed.
+//! * **Closure-driven executor** ([`run_shards`]) — a `per_shard` closure
+//!   runs on the `rsd-par` pool, at most
+//!   [`PipelineConfig::shards_in_flight`] shards at a time, and a `fold`
+//!   closure consumes the results strictly in ascending shard order, so
+//!   the merged output is bit-identical to a monolithic batch run.
+//! * **Checkpoints** ([`Checkpointer`], [`Artifact`], [`checkpointed`]) —
+//!   one load-or-compute helper serves per-shard and global stage
+//!   boundaries alike: each completed boundary persists a JSONL artifact
+//!   plus a manifest, so a killed build resumes from the last completed
+//!   boundary instead of restarting. Artifacts are keyed by a config
+//!   fingerprint; stale or truncated checkpoints are silently recomputed.
 //! * **Residency accounting** ([`ResidentGauge`]) — stages report how many
 //!   raw posts they hold, surfacing the bounded-memory claim as the
 //!   `pipeline.peak_resident_posts` gauge instead of asserting it.
-//! * **Service primitives** ([`service`]) — the long-running
-//!   generalization of the one-shot machinery: replayable
-//!   [`StreamSource`]s, stateful [`ServiceStage`]s, blocking bounded
-//!   channels with explicit backpressure, and a [`Shutdown`] drain
-//!   signal. `rsd-serve` runs on these.
+//! * **Service primitives** ([`service`]) — blocking bounded channels
+//!   with explicit backpressure, whose close is the drain, and the
+//!   [`Traced`](service::Traced) request envelope. `rsd-serve` runs on
+//!   these.
 
 pub mod checkpoint;
 pub mod executor;
 pub mod resident;
 pub mod service;
 pub mod shard;
-pub mod stage;
 
-pub use checkpoint::{config_fingerprint, global_stage, Artifact, Checkpointer};
+pub use checkpoint::{checkpointed, config_fingerprint, Artifact, Checkpointer};
 pub use executor::{run_shards, PipelineConfig, PipelineReport};
 pub use resident::ResidentGauge;
-pub use service::{
-    bounded, pump, Receiver, SendError, Sender, ServiceStage, Shutdown, StreamSource, VecSource,
-};
+pub use service::{bounded, Receiver, SendError, Sender};
 pub use shard::{ShardPlan, ShardSpec};
-pub use stage::{Checkpointed, ShardTask, ShardTaskExt, Sink, Source, SourceTask, Stage, Then};

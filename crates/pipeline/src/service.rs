@@ -1,27 +1,13 @@
-//! Long-running service primitives: the generalization of the one-shot
-//! [`Source`](crate::stage::Source)/[`Stage`](crate::stage::Stage)/
-//! [`Sink`](crate::stage::Sink) machinery from "run a finite
-//! [`ShardPlan`](crate::shard::ShardPlan) to completion" to "serve an
-//! unbounded stream until told to drain".
+//! Long-running service primitives: what `rsd-serve` runs on.
 //!
-//! Three pieces:
-//!
-//! * [`StreamSource`] — an unbounded, *replayable* item stream (the
-//!   serving analogue of a per-shard `Source`). `next` pulls one item;
-//!   `rewind` restarts the stream from the beginning, which is what load
-//!   generators and replay-based tests need.
-//! * [`ServiceStage`] — a stage that carries mutable per-key state across
-//!   items (`&mut self`, unlike the stateless batch `Stage`), plus a
-//!   `flush` hook the drain path calls after the last item.
 //! * [`bounded`] — a blocking bounded MPMC channel. Senders block when
 //!   the queue is full: **backpressure is explicit and lossless**, in
 //!   contrast to the batch executor's bounded-wave barrier (which bounds
 //!   residency by scheduling, not by queueing). Closing either end wakes
 //!   all waiters; receivers drain whatever was queued before reporting
-//!   end-of-stream.
-//! * [`Shutdown`] — a cloneable drain signal. `trigger` runs registered
-//!   hooks exactly once (typically: close the ingest channel), after
-//!   which workers finish queued work and exit.
+//!   end-of-stream, which is how a service drains.
+//! * [`Traced`] — an item riding the channels with its request-scoped
+//!   trace context.
 //!
 //! Determinism contract: a channel preserves submission order, and a
 //! consumer that processes items in arrival order therefore produces
@@ -29,99 +15,7 @@
 //! as long as per-item results do not depend on batch boundaries.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-use rsd_common::Result;
-
-/// An unbounded (or arbitrarily long) replayable item stream.
-pub trait StreamSource {
-    /// The item type produced.
-    type Item: Send;
-
-    /// Stable name, used as the `rsd-obs` span label.
-    fn name(&self) -> &'static str;
-
-    /// Pull the next item; `None` when the stream is (currently)
-    /// exhausted.
-    fn next(&mut self) -> Result<Option<Self::Item>>;
-
-    /// Restart the stream from the beginning.
-    fn rewind(&mut self);
-}
-
-/// A replayable in-memory stream, the standard [`StreamSource`] for
-/// loadgen replays and tests.
-pub struct VecSource<T> {
-    name: &'static str,
-    items: Vec<T>,
-    pos: usize,
-}
-
-impl<T: Clone + Send> VecSource<T> {
-    /// Wrap `items` as a stream named `name`.
-    pub fn new(name: &'static str, items: Vec<T>) -> VecSource<T> {
-        VecSource {
-            name,
-            items,
-            pos: 0,
-        }
-    }
-
-    /// Total items per pass.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the backing buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-impl<T: Clone + Send> StreamSource for VecSource<T> {
-    type Item = T;
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn next(&mut self) -> Result<Option<T>> {
-        let item = self.items.get(self.pos).cloned();
-        if item.is_some() {
-            self.pos += 1;
-        }
-        Ok(item)
-    }
-
-    fn rewind(&mut self) {
-        self.pos = 0;
-    }
-}
-
-/// A long-running stage with per-key mutable state.
-///
-/// Unlike the batch [`Stage`](crate::stage::Stage) (stateless, `&self`,
-/// one artifact per shard), a service stage accumulates state across the
-/// stream: `process` may emit zero or more outputs per input, and
-/// `flush` emits whatever the drain path still owes downstream.
-pub trait ServiceStage {
-    /// Input item type.
-    type In: Send;
-    /// Output item type.
-    type Out: Send;
-
-    /// Stable name, used as the `rsd-obs` span label.
-    fn name(&self) -> &'static str;
-
-    /// Consume one item, emitting any number of outputs.
-    fn process(&mut self, input: Self::In) -> Result<Vec<Self::Out>>;
-
-    /// Called once after the final item during drain.
-    fn flush(&mut self) -> Result<Vec<Self::Out>> {
-        Ok(Vec::new())
-    }
-}
 
 /// An item travelling through the serving channels together with its
 /// request-scoped trace context. The wrapper is what makes per-stage
@@ -357,85 +251,6 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-type ShutdownHook = Box<dyn FnOnce() + Send>;
-
-#[derive(Default)]
-struct ShutdownInner {
-    triggered: AtomicBool,
-    hooks: Mutex<Vec<ShutdownHook>>,
-}
-
-/// A cloneable drain signal. [`Shutdown::trigger`] flips the flag and
-/// runs every registered hook exactly once (hooks registered after the
-/// trigger run immediately).
-#[derive(Clone, Default)]
-pub struct Shutdown {
-    inner: Arc<ShutdownInner>,
-}
-
-impl Shutdown {
-    /// Fresh, untriggered signal.
-    pub fn new() -> Shutdown {
-        Shutdown::default()
-    }
-
-    /// Whether `trigger` has been called.
-    pub fn is_triggered(&self) -> bool {
-        self.inner.triggered.load(Ordering::Acquire)
-    }
-
-    /// Register a hook to run at trigger time (e.g. close an ingest
-    /// channel). Runs immediately if already triggered.
-    pub fn on_trigger(&self, hook: impl FnOnce() + Send + 'static) {
-        if self.is_triggered() {
-            hook();
-            return;
-        }
-        let mut hooks = self.inner.hooks.lock().unwrap_or_else(|e| e.into_inner());
-        // Re-check under the lock: trigger may have drained concurrently.
-        if self.is_triggered() {
-            drop(hooks);
-            hook();
-        } else {
-            hooks.push(Box::new(hook));
-        }
-    }
-
-    /// Fire the signal: run all hooks (once) and mark as triggered.
-    pub fn trigger(&self) {
-        let mut hooks = self.inner.hooks.lock().unwrap_or_else(|e| e.into_inner());
-        if self.inner.triggered.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let drained: Vec<ShutdownHook> = hooks.drain(..).collect();
-        drop(hooks);
-        for hook in drained {
-            hook();
-        }
-    }
-}
-
-/// Drive a [`StreamSource`] into a channel until it is exhausted or the
-/// shutdown signal fires. Returns the number of items pumped.
-pub fn pump<S: StreamSource>(
-    source: &mut S,
-    tx: &Sender<S::Item>,
-    shutdown: &Shutdown,
-) -> Result<u64> {
-    let _span = rsd_obs::Span::enter(source.name());
-    let mut n = 0u64;
-    while !shutdown.is_triggered() {
-        let Some(item) = source.next()? else {
-            break;
-        };
-        if tx.send(item).is_err() {
-            break;
-        }
-        n += 1;
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,91 +311,5 @@ mod tests {
         tx.send(5).unwrap();
         assert_eq!(rx.try_recv(), Some(5));
         assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    fn shutdown_runs_hooks_exactly_once() {
-        let shutdown = Shutdown::new();
-        let count = Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let c = Arc::clone(&count);
-        shutdown.on_trigger(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(!shutdown.is_triggered());
-        shutdown.trigger();
-        shutdown.trigger();
-        assert!(shutdown.is_triggered());
-        assert_eq!(count.load(Ordering::SeqCst), 1);
-        // Late hooks run immediately.
-        let c = Arc::clone(&count);
-        shutdown.on_trigger(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn vec_source_replays_after_rewind() {
-        let mut src = VecSource::new("test.src", vec![1, 2, 3]);
-        assert_eq!(src.len(), 3);
-        let first: Vec<i32> = std::iter::from_fn(|| src.next().unwrap()).collect();
-        assert_eq!(first, vec![1, 2, 3]);
-        src.rewind();
-        let second: Vec<i32> = std::iter::from_fn(|| src.next().unwrap()).collect();
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn pump_respects_shutdown() {
-        let mut src = VecSource::new("test.pump", (0..100).collect::<Vec<u32>>());
-        let (tx, rx) = bounded::<u32>(256, "test.chan6.depth");
-        let shutdown = Shutdown::new();
-        let n = pump(&mut src, &tx, &shutdown).unwrap();
-        assert_eq!(n, 100);
-        shutdown.trigger();
-        src.rewind();
-        let n = pump(&mut src, &tx, &shutdown).unwrap();
-        assert_eq!(n, 0, "a triggered shutdown stops the pump immediately");
-        drop(tx);
-        assert_eq!(std::iter::from_fn(|| rx.recv()).count(), 100);
-    }
-
-    /// A service stage with per-key state: running per-user counts.
-    struct CountStage {
-        counts: std::collections::HashMap<u32, u64>,
-    }
-
-    impl ServiceStage for CountStage {
-        type In = u32;
-        type Out = (u32, u64);
-
-        fn name(&self) -> &'static str {
-            "test.count"
-        }
-
-        fn process(&mut self, user: u32) -> Result<Vec<(u32, u64)>> {
-            let c = self.counts.entry(user).or_insert(0);
-            *c += 1;
-            Ok(vec![(user, *c)])
-        }
-
-        fn flush(&mut self) -> Result<Vec<(u32, u64)>> {
-            let mut finals: Vec<(u32, u64)> = self.counts.iter().map(|(&u, &c)| (u, c)).collect();
-            finals.sort_unstable();
-            Ok(finals)
-        }
-    }
-
-    #[test]
-    fn service_stage_carries_state_across_items() {
-        let mut stage = CountStage {
-            counts: std::collections::HashMap::new(),
-        };
-        let mut outs = Vec::new();
-        for user in [1u32, 2, 1, 1, 2] {
-            outs.extend(stage.process(user).unwrap());
-        }
-        assert_eq!(outs, vec![(1, 1), (2, 1), (1, 2), (1, 3), (2, 2)]);
-        assert_eq!(stage.flush().unwrap(), vec![(1, 3), (2, 2)]);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * ingest runs on the `rsd-pipeline` [`service`
 //!   primitives](rsd_pipeline::service) — bounded channels with blocking
-//!   backpressure, a replayable stream source, a shutdown/drain signal;
+//!   backpressure, drained by closing ingress;
 //! * per-user state is the `rsd-dataset`
 //!   [`UserWindowStore`](rsd_dataset::UserWindowStore) — the *same*
 //!   latest-`W` selection the batch split path runs, sharded with a

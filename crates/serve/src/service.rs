@@ -15,9 +15,8 @@
 //!
 //! `submit` blocks while the ingress channel is full — ingest pressure
 //! propagates to the producer instead of growing an unbounded queue.
-//! [`RiskService::drain`] triggers the shutdown signal (closing
-//! ingress), lets the worker finish everything queued, and returns the
-//! final [`ServeReport`].
+//! [`RiskService::drain`] closes ingress, lets the worker finish
+//! everything queued, and returns the final [`ServeReport`].
 
 use std::sync::Arc;
 use std::thread;
@@ -28,7 +27,7 @@ use rsd_corpus::RiskLevel;
 use rsd_dataset::{StoreItem, UserWindowStore};
 use rsd_models::{ScoreScratch, ScoringModel};
 use rsd_obs::Stage;
-use rsd_pipeline::service::{bounded, Receiver, SendError, Sender, Shutdown, Traced};
+use rsd_pipeline::service::{bounded, Receiver, SendError, Sender, Traced};
 
 use crate::config::ServeConfig;
 
@@ -105,7 +104,6 @@ struct WorkerScratch {
 pub struct RiskService {
     ingress: Sender<Envelope>,
     results: Receiver<ScoredPost>,
-    shutdown: Shutdown,
     worker: Option<thread::JoinHandle<ServeReport>>,
     backend: &'static str,
 }
@@ -115,9 +113,6 @@ impl RiskService {
     pub fn start(model: Arc<ScoringModel>, cfg: ServeConfig) -> RiskService {
         let (ingress_tx, ingress_rx) = bounded::<Envelope>(cfg.channel_cap, "serve.ingress");
         let (results_tx, results_rx) = bounded::<ScoredPost>(cfg.channel_cap, "serve.results");
-        let shutdown = Shutdown::new();
-        let closer = ingress_tx.clone();
-        shutdown.on_trigger(move || closer.close());
         let backend = cfg.model.name();
         let worker = thread::Builder::new()
             .name("rsd-serve-worker".to_string())
@@ -126,7 +121,6 @@ impl RiskService {
         RiskService {
             ingress: ingress_tx,
             results: results_rx,
-            shutdown,
             worker: Some(worker),
             backend,
         }
@@ -150,16 +144,11 @@ impl RiskService {
         self.results.clone()
     }
 
-    /// The drain signal (e.g. to trigger from a signal handler).
-    pub fn shutdown_signal(&self) -> Shutdown {
-        self.shutdown.clone()
-    }
-
     /// Drain: close ingress, let the worker score everything queued,
     /// and return the final report. Queued results stay receivable on
     /// previously cloned [`results`](RiskService::results) handles.
     pub fn drain(mut self) -> ServeReport {
-        self.shutdown.trigger();
+        self.ingress.close();
         let blocked = self.ingress.blocked_sends();
         // Release our result handle so a worker blocked on a full,
         // unconsumed results queue fails fast instead of deadlocking

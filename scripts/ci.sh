@@ -12,6 +12,11 @@ cargo fmt --check
 echo "==> cargo clippy -p rsd-obs -p rsd-par -p rsd-pipeline (-D warnings)"
 cargo clippy -p rsd-obs -p rsd-par -p rsd-pipeline --all-targets -- -D warnings
 
+echo "==> cargo clippy -p rsd-corpus -p rsd-dataset -p rsd-serve -p rsd-bench (--no-deps, -D warnings)"
+# --no-deps: lint these crates without linting their dependencies
+# (rsd-text, rsd-nn and rsd-models are not clippy-clean yet).
+cargo clippy -p rsd-corpus -p rsd-dataset -p rsd-serve -p rsd-bench --all-targets --no-deps -- -D warnings
+
 echo "==> cargo build --release"
 cargo build --release
 
