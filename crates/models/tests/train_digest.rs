@@ -1,5 +1,5 @@
-//! Committed training digests: a toy BiLSTM and a toy DeBERTa are trained
-//! at a fixed seed, and a hash of every trained parameter bit plus the
+//! Committed training digests: a toy BiLSTM, a toy HiGRU and a toy DeBERTa
+//! are trained at a fixed seed, and a hash of every trained parameter bit plus the
 //! validation macro-F1 history must equal a committed constant. Any
 //! change to the f32 tape, its kernels, the trainer's gradient harvest
 //! or the optimizer that moves a single bit of a trained weight fails
@@ -12,9 +12,9 @@ use rsd_models::pretrain::{mlm_pretrain, PretrainConfig};
 use rsd_models::trainer::{train_classifier, ForwardFn};
 use rsd_models::{EncodedWindow, TaskEncoder, TrainConfig, TIME_FEATURE_DIM};
 use rsd_nn::attention::MultiHeadAttention;
-use rsd_nn::layers::{Embedding, Linear};
+use rsd_nn::layers::{Embedding, LayerNorm, Linear};
 use rsd_nn::matrix::Matrix;
-use rsd_nn::rnn::Lstm;
+use rsd_nn::rnn::{Gru, Lstm};
 use rsd_nn::transformer::{Encoder, EncoderConfig, MlmHead, PositionMode};
 use rsd_nn::{ParamStore, Tape, Var};
 
@@ -175,6 +175,71 @@ fn toy_bilstm(c: &Corpus) -> u64 {
     digest(&store, &history)
 }
 
+/// Same structure as the HiGRU baseline at toy width: a bidirectional
+/// token GRU per post (final states plus a projected bag-of-embeddings
+/// residual, layer-normed) with the post's projected time row added, a
+/// post-level GRU, attention over its states, and a head on the last
+/// state beside the mean attended state.
+fn toy_higru(c: &Corpus) -> u64 {
+    const EMB: usize = 8;
+    const TOKEN_HIDDEN: usize = 5;
+    const POST_HIDDEN: usize = 8;
+    let post_dim = 2 * TOKEN_HIDDEN;
+    let mut rng = stream_rng(SEED, "digest.higru.init");
+    let mut store = ParamStore::new();
+    let vocab = c.encoder.vocab.len();
+    let emb = Embedding::new(&mut store, "emb", vocab, EMB, &mut rng);
+    let token_gru = Gru::new(&mut store, "token_gru", EMB, TOKEN_HIDDEN, &mut rng);
+    let token_ln = LayerNorm::new(&mut store, "token_ln", post_dim);
+    let token_res = Linear::new(&mut store, "token_res", EMB, post_dim, &mut rng);
+    let time_proj = Linear::new(&mut store, "time", TIME_FEATURE_DIM, post_dim, &mut rng);
+    let post_gru = Gru::new(&mut store, "post_gru", post_dim, POST_HIDDEN, &mut rng);
+    let attention = MultiHeadAttention::new(&mut store, "attn", POST_HIDDEN, 2, &mut rng);
+    let head = Linear::new(
+        &mut store,
+        "head",
+        2 * POST_HIDDEN,
+        RiskLevel::COUNT,
+        &mut rng,
+    );
+    let forward = |tape: &mut Tape, store: &ParamStore, ex: &EncodedWindow, _: &mut StdRng| {
+        let mut post_rows = Vec::with_capacity(ex.post_tokens.len());
+        for (tokens, time) in ex.post_tokens.iter().zip(&ex.time_feats) {
+            let embs = emb.forward(tape, store, tokens);
+            let fwd = token_gru.run(tape, store, embs, false);
+            let bwd = token_gru.run(tape, store, embs, true);
+            let (n, _) = tape.shape(fwd);
+            let fwd_last = tape.select_row(fwd, n - 1);
+            let bwd_first = tape.select_row(bwd, 0);
+            let pooled = tape.concat_cols(&[fwd_last, bwd_first]);
+            let bag = tape.mean_rows(embs);
+            let res = token_res.forward(tape, store, bag);
+            let summed = tape.add(pooled, res);
+            let text_vec = token_ln.forward(tape, store, summed);
+            let t = tape.constant(Matrix::row_vec(time.to_vec()));
+            let t = time_proj.forward(tape, store, t);
+            post_rows.push(tape.add(text_vec, t));
+        }
+        let posts = tape.concat_rows(&post_rows);
+        let states = post_gru.run(tape, store, posts, false);
+        let attended = attention.forward(tape, store, states);
+        let (n_posts, _) = tape.shape(states);
+        let last_state = tape.select_row(states, n_posts - 1);
+        let ctx = tape.mean_rows(attended);
+        let both = tape.concat_cols(&[last_state, ctx]);
+        head.forward(tape, store, both)
+    };
+    let cfg = TrainConfig {
+        epochs: 2,
+        batch: 4,
+        lr: 2e-3,
+        patience: 0,
+        ..Default::default()
+    };
+    let history = train_classifier(&mut store, &forward, &c.train, &c.valid, &cfg, SEED).unwrap();
+    digest(&store, &history)
+}
+
 /// Same structure as the DeBERTa baseline at toy width: one MLM epoch on
 /// the texts, then one fine-tuning epoch with dropout and temporal fusion.
 fn toy_deberta(c: &Corpus) -> u64 {
@@ -233,12 +298,13 @@ fn toy_deberta(c: &Corpus) -> u64 {
     digest(&store, &history)
 }
 
-fn digests() -> (u64, u64) {
+fn digests() -> (u64, u64, u64) {
     let c = corpus();
-    (toy_bilstm(&c), toy_deberta(&c))
+    (toy_bilstm(&c), toy_higru(&c), toy_deberta(&c))
 }
 
 const BILSTM_DIGEST: u64 = 0xf83d_37df_c2a5_3666;
+const HIGRU_DIGEST: u64 = 0x8e25_9624_64de_d849;
 const DEBERTA_DIGEST: u64 = 0xbb80_4704_b0f8_6701;
 
 #[test]
@@ -249,10 +315,12 @@ fn trained_weights_match_committed_digest() {
     ] {
         assert_eq!(
             got,
-            (BILSTM_DIGEST, DEBERTA_DIGEST),
-            "{what}: trained-weight digests (bilstm, deberta) moved: {:#018x}, {:#018x}",
+            (BILSTM_DIGEST, HIGRU_DIGEST, DEBERTA_DIGEST),
+            "{what}: trained-weight digests (bilstm, higru, deberta) moved: \
+             {:#018x}, {:#018x}, {:#018x}",
             got.0,
-            got.1
+            got.1,
+            got.2
         );
     }
 }
