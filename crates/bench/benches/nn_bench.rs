@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsd_nn::attention::{DisentangledAttention, MultiHeadAttention};
+use rsd_nn::attention::MultiHeadAttention;
 use rsd_nn::matrix::Matrix;
 use rsd_nn::rnn::Lstm;
 use rsd_nn::{ParamStore, Tape};
@@ -42,7 +42,7 @@ fn bench_absolute_attention(c: &mut Criterion) {
 fn bench_disentangled_attention(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     let mut store = ParamStore::new();
-    let attn = DisentangledAttention::new(&mut store, "d", DIM, 4, 8, &mut rng);
+    let attn = MultiHeadAttention::relative(&mut store, "d", DIM, 4, 8, &mut rng);
     c.bench_function("nn/attention_disentangled_fwd_bwd", |b| {
         b.iter(|| {
             let mut tape = Tape::new();

@@ -25,10 +25,10 @@ use std::time::Instant;
 
 use rsd_gbdt::tree::TreeConfig;
 use rsd_gbdt::{BinnedMatrix, Booster, BoosterConfig, Tree};
-use rsd_models::plm_infer::argmax_logits;
 use rsd_models::{
     EncodedWindow, FittedPlm, PlmConfig, PlmInferenceModel, PlmKind, PlmScratch, TIME_FEATURE_DIM,
 };
+use rsd_nn::loss::argmax;
 use rsd_nn::matrix::{reference, Matrix};
 
 const REPS: usize = 9;
@@ -365,7 +365,7 @@ fn inference_section() -> serde_json::Value {
         if worst <= QUANT_EPS as f32 {
             within_eps += 1;
         }
-        if argmax_logits(&f) == argmax_logits(&q) {
+        if argmax(&f) == argmax(&q) {
             agree += 1;
         }
     }

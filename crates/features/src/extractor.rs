@@ -8,7 +8,6 @@ use crate::text::{text_features_into, TEXT_FEATURE_NAMES};
 use crate::time::{time_features_into, TIME_FEATURE_NAMES};
 use rsd_common::{Result, RsdError, Timestamp};
 use rsd_dataset::{Rsd15k, UserWindow};
-use rsd_text::embeddings::WordEmbeddings;
 use rsd_text::TfIdfVectorizer;
 
 /// Which of the paper's three dimensions a feature belongs to.
@@ -28,9 +27,6 @@ pub struct FeatureExtractor {
     tfidf: TfIdfVectorizer,
     names: Vec<String>,
     dims: Vec<FeatureDimension>,
-    /// Optional dense word-embedding block (fastText-style document mean,
-    /// per the paper's XGBoost reference [19]). Off by default.
-    embeddings: Option<WordEmbeddings>,
 }
 
 impl FeatureExtractor {
@@ -66,25 +62,7 @@ impl FeatureExtractor {
             names.push(format!("text.tfidf[{term}]"));
             dims.push(FeatureDimension::Text);
         }
-        Ok(FeatureExtractor {
-            tfidf,
-            names,
-            dims,
-            embeddings: None,
-        })
-    }
-
-    /// Attach a trained skip-gram embedding table: `transform` gains one
-    /// dense block of `emb.dim()` features (the mean vector of the
-    /// labelled post). This reproduces the fastText + XGBoost feature
-    /// design of the paper's reference [19].
-    pub fn with_embeddings(mut self, emb: WordEmbeddings) -> Self {
-        for i in 0..emb.dim() {
-            self.names.push(format!("text.emb_{i}"));
-            self.dims.push(FeatureDimension::Text);
-        }
-        self.embeddings = Some(emb);
-        self
+        Ok(FeatureExtractor { tfidf, names, dims })
     }
 
     /// Total feature width.
@@ -151,9 +129,6 @@ impl FeatureExtractor {
         out.resize(base + self.tfidf.dim(), 0.0);
         for (&i, &v) in sparse.indices.iter().zip(&sparse.values) {
             out[base + i as usize] = v;
-        }
-        if let Some(emb) = &self.embeddings {
-            out.extend(emb.embed_document(last));
         }
     }
 
@@ -245,30 +220,6 @@ mod tests {
         let by_dim = fx.importance_by_dimension(&importance);
         let total: f64 = by_dim.iter().map(|(_, v)| v).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn embedding_block_extends_features() {
-        use rsd_text::embeddings::{SkipGramConfig, WordEmbeddings};
-        let (d, s) = fixture();
-        let base = FeatureExtractor::fit(&d, &s.train, 20).unwrap();
-        let base_dim = base.dim();
-        let texts: Vec<String> = d.posts.iter().take(200).map(|p| p.text.clone()).collect();
-        let emb = WordEmbeddings::train(
-            &texts,
-            &SkipGramConfig {
-                dim: 8,
-                epochs: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let fx = base.with_embeddings(emb);
-        assert_eq!(fx.dim(), base_dim + 8);
-        let v = fx.transform(&d, &s.test[0]);
-        assert_eq!(v.len(), base_dim + 8);
-        assert!(v.iter().all(|x| x.is_finite()));
-        assert!(fx.names().iter().any(|n| n == "text.emb_0"));
     }
 
     #[test]

@@ -131,9 +131,9 @@ impl PlmConfig {
 }
 
 pub(crate) struct PlmModel {
-    encoder: Encoder,
-    time_proj: Linear,
-    head: Linear,
+    pub(crate) encoder: Encoder,
+    pub(crate) time_proj: Linear,
+    pub(crate) head: Linear,
     temporal_fusion: bool,
     window_tokens_cap: usize,
 }

@@ -1,9 +1,9 @@
 //! Frozen-weight PLM inference: the tape-free f32 reference engine and
 //! the per-channel int8 fast path.
 //!
-//! [`PlmInferenceModel::export`] snapshots a trained
-//! [`FittedPlm`](crate::plm::FittedPlm) through
-//! [`rsd_nn::infer::InferenceModel`] — weights only, no tape, no
+//! [`PlmInferenceModel::export`] copies the weights of a trained
+//! [`FittedPlm`](crate::plm::FittedPlm) out of its parameter store
+//! through the model's own layer handles — weights only, no tape, no
 //! optimizer state — and precomputes everything inference can hoist:
 //! the DeBERTa relative tables projected through the shared content
 //! projections, and per-channel symmetric int8 views of every linear,
@@ -31,12 +31,15 @@
 use rsd_common::Timestamp;
 use rsd_corpus::RiskLevel;
 use rsd_nn::attention::{attend, Relative};
-use rsd_nn::infer::{self, InferenceModel};
+use rsd_nn::infer;
+use rsd_nn::layers::{LayerNorm, Linear};
+use rsd_nn::loss::argmax;
 use rsd_nn::matrix::Matrix;
 use rsd_nn::quant::{
     gemv2_i8_pairs, gemv_i8_pairs, pack_pair, qgemm_nt, quantize_row_i8, softmax_q7,
     QuantizedMatrix,
 };
+use rsd_nn::ParamStore;
 
 use crate::encoding::{time_vector, EncodedWindow, TaskEncoder, TIME_FEATURE_DIM};
 use crate::plm::{FittedPlm, PlmKind};
@@ -50,12 +53,17 @@ struct LinW {
 }
 
 impl LinW {
-    fn from(im: &InferenceModel, name: &str) -> LinW {
+    fn from(store: &ParamStore, layer: &Linear) -> LinW {
         LinW {
-            w: im.weight(&format!("{name}.w")).clone(),
-            b: im.weight(&format!("{name}.b")).clone(),
+            w: store.value(layer.w).clone(),
+            b: store.value(layer.b).clone(),
         }
     }
+}
+
+/// A [`LayerNorm`]'s frozen gain and bias.
+fn ln_weights(store: &ParamStore, ln: &LayerNorm) -> (Matrix, Matrix) {
+    (store.value(ln.gain).clone(), store.value(ln.bias).clone())
 }
 
 /// DeBERTa relative-position machinery, projected once at export time:
@@ -206,47 +214,46 @@ impl PlmInferenceModel {
     /// Export frozen inference weights from a trained PLM.
     pub fn export(fitted: &FittedPlm) -> PlmInferenceModel {
         let cfg = &fitted.cfg;
-        let im = InferenceModel::export(&fitted.store);
-        let tok = im.weight("plm.enc.tok.table").clone();
-        let pos = match cfg.kind {
-            PlmKind::Roberta => Some(im.weight("plm.enc.pos.table").clone()),
-            PlmKind::Deberta => None,
-        };
-        let blocks = (0..cfg.layers)
-            .map(|i| {
-                let b = format!("plm.enc.block{i}");
-                let wq = LinW::from(&im, &format!("{b}.attn.wq"));
-                let wk = LinW::from(&im, &format!("{b}.attn.wk"));
-                let rel = match cfg.kind {
-                    PlmKind::Roberta => None,
-                    PlmKind::Deberta => {
-                        let table = im.weight(&format!("{b}.attn.rel.table"));
-                        // The tape gathers the full table (ids 0..2r) and
-                        // runs it through the shared projections every
-                        // forward; both depend only on weights, so hoist.
-                        let qr = infer::linear(table, &wq.w, &wq.b);
-                        let kr = infer::linear(table, &wk.w, &wk.b);
-                        let qr_q = QuantizedMatrix::from_rows(&qr);
-                        let kr_q = QuantizedMatrix::from_rows(&kr);
-                        let qr_pairs = pack_head_pairs(&qr_q, cfg.heads, cfg.dim / cfg.heads);
-                        let kr_pairs = pack_head_pairs(&kr_q, cfg.heads, cfg.dim / cfg.heads);
-                        Some(RelW {
-                            qr,
-                            kr,
-                            qr_q,
-                            kr_q,
-                            qr_pairs,
-                            kr_pairs,
-                        })
+        let store = &fitted.store;
+        let enc = &fitted.model.encoder;
+        let tok = store.value(enc.token_emb.table).clone();
+        let pos = enc.pos_emb.as_ref().map(|p| store.value(p.table).clone());
+        let blocks = enc
+            .blocks
+            .iter()
+            .map(|blk| {
+                let attn = &blk.attn;
+                let wq = LinW::from(store, &attn.wq);
+                let wk = LinW::from(store, &attn.wk);
+                let rel = attn.rel.as_ref().map(|table| {
+                    let table = store.value(table.table);
+                    // The tape gathers the full table (ids 0..2r) and
+                    // runs it through the shared projections every
+                    // forward; both depend only on weights, so hoist.
+                    let qr = infer::linear(table, &wq.w, &wq.b);
+                    let kr = infer::linear(table, &wk.w, &wk.b);
+                    let qr_q = QuantizedMatrix::from_rows(&qr);
+                    let kr_q = QuantizedMatrix::from_rows(&kr);
+                    let qr_pairs = pack_head_pairs(&qr_q, cfg.heads, cfg.dim / cfg.heads);
+                    let kr_pairs = pack_head_pairs(&kr_q, cfg.heads, cfg.dim / cfg.heads);
+                    RelW {
+                        qr,
+                        kr,
+                        qr_q,
+                        kr_q,
+                        qr_pairs,
+                        kr_pairs,
                     }
-                };
-                let wv = LinW::from(&im, &format!("{b}.attn.wv"));
-                let wo = LinW::from(&im, &format!("{b}.attn.wo"));
-                let ffn1 = LinW::from(&im, &format!("{b}.ffn1"));
-                let ffn2 = LinW::from(&im, &format!("{b}.ffn2"));
+                });
+                let wv = LinW::from(store, &attn.wv);
+                let wo = LinW::from(store, &attn.wo);
+                let ffn1 = LinW::from(store, &blk.ffn1);
+                let ffn2 = LinW::from(store, &blk.ffn2);
+                let (ln1_g, ln1_b) = ln_weights(store, &blk.ln1);
+                let (ln2_g, ln2_b) = ln_weights(store, &blk.ln2);
                 BlockW {
-                    ln1_g: im.weight(&format!("{b}.ln1.gain")).clone(),
-                    ln1_b: im.weight(&format!("{b}.ln1.bias")).clone(),
+                    ln1_g,
+                    ln1_b,
                     q_wq: QuantizedMatrix::from_weight(&wq.w),
                     q_wk: QuantizedMatrix::from_weight(&wk.w),
                     q_wv: QuantizedMatrix::from_weight(&wv.w),
@@ -258,15 +265,16 @@ impl PlmInferenceModel {
                     wv,
                     wo,
                     rel,
-                    ln2_g: im.weight(&format!("{b}.ln2.gain")).clone(),
-                    ln2_b: im.weight(&format!("{b}.ln2.bias")).clone(),
+                    ln2_g,
+                    ln2_b,
                     ffn1,
                     ffn2,
                 }
             })
             .collect();
-        let time = LinW::from(&im, "plm.time_proj");
-        let head = LinW::from(&im, "plm.head");
+        let (ln_f_g, ln_f_b) = ln_weights(store, &enc.final_ln);
+        let time = LinW::from(store, &fitted.model.time_proj);
+        let head = LinW::from(store, &fitted.model.head);
         PlmInferenceModel {
             kind: cfg.kind,
             dim: cfg.dim,
@@ -278,13 +286,13 @@ impl PlmInferenceModel {
             tok,
             pos,
             blocks,
-            ln_f_g: im.weight("plm.enc.ln_f.gain").clone(),
-            ln_f_b: im.weight("plm.enc.ln_f.bias").clone(),
+            ln_f_g,
+            ln_f_b,
             time_q: QuantizedMatrix::from_weight(&time.w),
             time,
             head_q: QuantizedMatrix::from_weight(&head.w),
             head,
-            n_scalars: im.n_scalars(),
+            n_scalars: store.n_scalars(),
         }
     }
 
@@ -338,7 +346,7 @@ impl PlmInferenceModel {
         quantized: bool,
         scratch: &mut PlmScratch,
     ) -> usize {
-        argmax_logits(&self.logits(example, quantized, scratch))
+        argmax(&self.logits(example, quantized, scratch))
     }
 
     /// Score a batch of windows on the rsd-par pool (grain 16, one
@@ -482,8 +490,7 @@ impl PlmInferenceModel {
 
         // Embeddings stay f32: a table lookup is a row copy, not a GEMM,
         // so quantizing it would add error without shaving a single
-        // multiply. The int8 tables exist for memory-footprint callers
-        // ([`InferenceModel::quantized_rows`]), not this path.
+        // multiply.
         for (r, &id) in ids.iter().enumerate() {
             s.x[r * dim..(r + 1) * dim].copy_from_slice(self.tok.row(id as usize));
         }
@@ -853,18 +860,6 @@ impl PlmInferenceModel {
     }
 }
 
-/// Argmax with the exact tie-breaking of
-/// [`rsd_nn::loss::argmax_rows`] (last maximal element wins), so the
-/// engines and the tape agree on equal logits too.
-pub fn argmax_logits(logits: &[f32]) -> usize {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
-        .map(|(i, _)| i)
-        .expect("non-empty logits")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -947,7 +942,7 @@ mod tests {
                 for (a, b) in f.iter().zip(&q) {
                     max_err = max_err.max((a - b).abs());
                 }
-                if argmax_logits(&f) == argmax_logits(&q) {
+                if argmax(&f) == argmax(&q) {
                     agree += 1;
                 }
             }

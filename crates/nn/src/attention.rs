@@ -1,9 +1,10 @@
-//! Multi-head self-attention: absolute (RoBERTa-style) and disentangled
-//! content/position (DeBERTa-style) variants.
+//! Multi-head self-attention, with absolute positions left to the caller
+//! (RoBERTa-style) or disentangled content/position scores over a
+//! relative-position table (DeBERTa-style).
 //!
-//! Both operate on a single sequence (seq_len × dim) and split heads by
-//! column ranges. The disentangled variant implements the DeBERTa scoring
-//! decomposition
+//! It operates on a single sequence (seq_len × dim) and splits heads by
+//! column ranges. With a relative table it implements the DeBERTa
+//! scoring decomposition
 //!
 //! ```text
 //! score(i,j) = Qc_i·Kc_j  +  Qc_i·Kr_{δ(i,j)}  +  Kc_j·Qr_{δ(j,i)}
@@ -20,18 +21,23 @@ use crate::matrix::Matrix;
 use crate::params::ParamStore;
 use crate::tape::{softmax_backward, softmax_in_place, Tape, Var};
 
-/// Standard multi-head self-attention with absolute positions handled by
-/// the caller's position embeddings.
+/// Multi-head self-attention. Without a relative table, absolute
+/// positions are the caller's (position embeddings added to the input);
+/// with one, the scores are DeBERTa's disentangled content/position sum.
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
-    /// Query projection.
+    /// Query projection (shared by content and relative positions).
     pub wq: Linear,
-    /// Key projection.
+    /// Key projection (shared by content and relative positions).
     pub wk: Linear,
     /// Value projection.
     pub wv: Linear,
     /// Output projection.
     pub wo: Linear,
+    /// Relative-position embedding table ((2·radius+1) × dim), if any.
+    pub rel: Option<Embedding>,
+    /// Maximum relative distance (0 without a table).
+    pub radius: usize,
     /// Number of heads.
     pub n_heads: usize,
     /// Model width.
@@ -53,45 +59,17 @@ impl MultiHeadAttention {
             wk: Linear::new(store, &format!("{name}.wk"), dim, dim, rng),
             wv: Linear::new(store, &format!("{name}.wv"), dim, dim, rng),
             wo: Linear::new(store, &format!("{name}.wo"), dim, dim, rng),
+            rel: None,
+            radius: 0,
             n_heads,
             dim,
         }
     }
 
-    /// Self-attention over `x` (seq×dim).
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let q = self.wq.forward(tape, store, x);
-        let k = self.wk.forward(tape, store, x);
-        let v = self.wv.forward(tape, store, x);
-        let ctx = tape.attention(q, k, v, None, self.n_heads);
-        self.wo.forward(tape, store, ctx)
-    }
-}
-
-/// DeBERTa-style disentangled attention with relative position embeddings.
-#[derive(Debug, Clone)]
-pub struct DisentangledAttention {
-    /// Content query projection.
-    pub wq: Linear,
-    /// Content key projection.
-    pub wk: Linear,
-    /// Value projection.
-    pub wv: Linear,
-    /// Output projection.
-    pub wo: Linear,
-    /// Relative-position embedding table ((2·radius+1) × dim).
-    pub rel: Embedding,
-    /// Maximum relative distance.
-    pub radius: usize,
-    /// Number of heads.
-    pub n_heads: usize,
-    /// Model width.
-    pub dim: usize,
-}
-
-impl DisentangledAttention {
-    /// Register a disentangled attention block.
-    pub fn new(
+    /// Register a disentangled attention block: [`MultiHeadAttention::new`]
+    /// plus a relative-position table for offsets up to `radius`,
+    /// registered after the four projections.
+    pub fn relative(
         store: &mut ParamStore,
         name: &str,
         dim: usize,
@@ -99,33 +77,33 @@ impl DisentangledAttention {
         radius: usize,
         rng: &mut StdRng,
     ) -> Self {
-        assert_eq!(dim % n_heads, 0, "dim must divide by heads");
-        DisentangledAttention {
-            wq: Linear::new(store, &format!("{name}.wq"), dim, dim, rng),
-            wk: Linear::new(store, &format!("{name}.wk"), dim, dim, rng),
-            wv: Linear::new(store, &format!("{name}.wv"), dim, dim, rng),
-            wo: Linear::new(store, &format!("{name}.wo"), dim, dim, rng),
-            rel: Embedding::new(store, &format!("{name}.rel"), 2 * radius + 1, dim, rng),
-            radius,
-            n_heads,
+        let mut attn = Self::new(store, name, dim, n_heads, rng);
+        attn.rel = Some(Embedding::new(
+            store,
+            &format!("{name}.rel"),
+            2 * radius + 1,
             dim,
-        }
+            rng,
+        ));
+        attn.radius = radius;
+        attn
     }
 
-    /// Disentangled self-attention over `x` (seq×dim).
+    /// Self-attention over `x` (seq×dim).
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
         let q = self.wq.forward(tape, store, x);
         let k = self.wk.forward(tape, store, x);
         let v = self.wv.forward(tape, store, x);
-
-        // Project the relative table through the content projections
-        // (DeBERTa shares projections between content and position).
-        let all_rel: Vec<u32> = (0..(2 * self.radius + 1) as u32).collect();
-        let rel_rows = self.rel.forward(tape, store, &all_rel);
-        let qr = self.wq.forward(tape, store, rel_rows);
-        let kr = self.wk.forward(tape, store, rel_rows);
-
-        let ctx = tape.attention(q, k, v, Some((qr, kr, self.radius)), self.n_heads);
+        // The relative table goes through the content projections
+        // (DeBERTa shares them between content and position).
+        let rel = self.rel.as_ref().map(|table| {
+            let all_rel: Vec<u32> = (0..table.vocab as u32).collect();
+            let rel_rows = table.forward(tape, store, &all_rel);
+            let qr = self.wq.forward(tape, store, rel_rows);
+            let kr = self.wk.forward(tape, store, rel_rows);
+            (qr, kr, self.radius)
+        });
+        let ctx = tape.attention(q, k, v, rel, self.n_heads);
         self.wo.forward(tape, store, ctx)
     }
 }
@@ -376,7 +354,7 @@ mod tests {
     fn disentangled_preserves_shape() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut store = ParamStore::new();
-        let attn = DisentangledAttention::new(&mut store, "d", 8, 2, 4, &mut rng);
+        let attn = MultiHeadAttention::relative(&mut store, "d", 8, 2, 4, &mut rng);
         let mut tape = Tape::new();
         let x = tape.constant(input(6, 8));
         let y = attn.forward(&mut tape, &store, x);
@@ -423,11 +401,11 @@ mod tests {
 
     #[test]
     fn disentangled_attention_is_position_sensitive() {
-        // The disentangled variant embeds relative positions directly in
-        // the scores, so permutation equivariance must break.
+        // A relative table embeds positions directly in the scores, so
+        // permutation equivariance must break.
         let mut rng = StdRng::seed_from_u64(5);
         let mut store = ParamStore::new();
-        let attn = DisentangledAttention::new(&mut store, "d", 4, 1, 3, &mut rng);
+        let attn = MultiHeadAttention::relative(&mut store, "d", 4, 1, 3, &mut rng);
         let x = input(3, 4);
         let mut permuted = x.clone();
         for c in 0..4 {
@@ -457,7 +435,7 @@ mod tests {
     fn attention_gradients_flow_to_all_projections() {
         let mut rng = StdRng::seed_from_u64(6);
         let mut store = ParamStore::new();
-        let attn = DisentangledAttention::new(&mut store, "d", 8, 2, 2, &mut rng);
+        let attn = MultiHeadAttention::relative(&mut store, "d", 8, 2, 2, &mut rng);
         let mut tape = Tape::new();
         let x = tape.constant(input(4, 8));
         let y = attn.forward(&mut tape, &store, x);

@@ -1,20 +1,15 @@
-//! Inference-only execution: frozen weight snapshots and tape-free f32
-//! ops.
+//! Inference-only execution: tape-free f32 ops and the int8 path's fast
+//! transcendentals.
 //!
 //! Training runs every forward through [`crate::tape::Tape`], which
 //! allocates a node per op and clones intermediate values so the
-//! backward sweep can read them. Serving needs none of that: an
-//! [`InferenceModel`] snapshots a trained [`ParamStore`] — names and
-//! values only, no gradients, no tape, no optimizer state — and the op
+//! backward sweep can read them. Serving needs none of that: the op
 //! helpers here replicate the tape's forward arithmetic *exactly*
-//! (same accumulation order, same `libm` calls), so a no-tape forward
-//! is bit-identical to `Tape::inference` on the same weights. The
-//! parity tests in `rsd-models` pin that equivalence.
-//!
-//! The export is name/value generic: it covers the PLM encoders as
-//! well as the BiLSTM/HiGRU recurrent baselines, since all of them
-//! register through the same store. Quantized views (per-channel int8,
-//! see [`crate::quant`]) are derived from the same snapshot.
+//! (same accumulation order, same `libm` calls) on weights read straight
+//! from a trained [`crate::ParamStore`], so a no-tape forward is
+//! bit-identical to `Tape::inference` on the same weights. The PLM
+//! inference engine in `rsd-models` runs on them, and its parity tests
+//! pin that equivalence.
 //!
 //! The `fast_*` functions are *approximate* transcendentals for the
 //! int8 path only: polynomial `exp`/`tanh` with relative error around
@@ -23,114 +18,7 @@
 //! results stay identical across hosts and thread counts. The f32
 //! reference path never uses them.
 
-use std::collections::HashMap;
-
 use crate::matrix::Matrix;
-use crate::params::ParamStore;
-use crate::quant::QuantizedMatrix;
-
-/// An immutable name→value snapshot of trained parameters.
-#[derive(Debug, Clone)]
-pub struct FrozenParams {
-    names: Vec<String>,
-    values: Vec<Matrix>,
-    index: HashMap<String, usize>,
-}
-
-impl FrozenParams {
-    /// Snapshot every parameter value in `store` (gradients and any
-    /// optimizer state are left behind).
-    pub fn from_store(store: &ParamStore) -> FrozenParams {
-        let mut names = Vec::with_capacity(store.len());
-        let mut values = Vec::with_capacity(store.len());
-        let mut index = HashMap::with_capacity(store.len());
-        for id in store.ids() {
-            index.insert(store.name(id).to_string(), names.len());
-            names.push(store.name(id).to_string());
-            values.push(store.value(id).clone());
-        }
-        FrozenParams {
-            names,
-            values,
-            index,
-        }
-    }
-
-    /// Look up a parameter by registration name.
-    pub fn get(&self, name: &str) -> Option<&Matrix> {
-        self.index.get(name).map(|&i| &self.values[i])
-    }
-
-    /// Like [`FrozenParams::get`] but panics naming the missing
-    /// parameter — an export wired to the wrong prefix should fail
-    /// loudly, not score garbage.
-    pub fn require(&self, name: &str) -> &Matrix {
-        self.get(name)
-            .unwrap_or_else(|| panic!("frozen params: missing parameter {name:?}"))
-    }
-
-    /// Number of parameters.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Total scalar count across all values.
-    pub fn n_scalars(&self) -> usize {
-        self.values.iter().map(|m| m.data.len()).sum()
-    }
-
-    /// Iterate over parameter names in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(|s| s.as_str())
-    }
-}
-
-/// A frozen-weight inference artifact: the snapshot plus helpers for
-/// deriving per-channel int8 views of individual weights.
-#[derive(Debug, Clone)]
-pub struct InferenceModel {
-    params: FrozenParams,
-}
-
-impl InferenceModel {
-    /// Export the trained parameters of `store`.
-    pub fn export(store: &ParamStore) -> InferenceModel {
-        InferenceModel {
-            params: FrozenParams::from_store(store),
-        }
-    }
-
-    /// The underlying snapshot.
-    pub fn params(&self) -> &FrozenParams {
-        &self.params
-    }
-
-    /// A weight by name (panics naming it when absent).
-    pub fn weight(&self, name: &str) -> &Matrix {
-        self.params.require(name)
-    }
-
-    /// Per-output-channel int8 view of a `Linear` weight (`in × out`),
-    /// stored transposed for the fused NT GEMM.
-    pub fn quantized_weight(&self, name: &str) -> QuantizedMatrix {
-        QuantizedMatrix::from_weight(self.params.require(name))
-    }
-
-    /// Per-row int8 view of an embedding-style table.
-    pub fn quantized_rows(&self, name: &str) -> QuantizedMatrix {
-        QuantizedMatrix::from_rows(self.params.require(name))
-    }
-
-    /// Total scalar count (sanity-check against the training store).
-    pub fn n_scalars(&self) -> usize {
-        self.params.n_scalars()
-    }
-}
 
 // ---- f32 forward ops -------------------------------------------------------
 //
@@ -290,44 +178,11 @@ unsafe fn gelu_fast_slice_avx2(xs: &mut [f32]) {
     }
 }
 
-/// Stable softmax over a slice using [`fast_exp`] (int8 path).
-pub fn softmax_slice_fast(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = fast_exp(*v - max);
-        sum += *v;
-    }
-    for v in row.iter_mut() {
-        *v /= sum;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn frozen_params_snapshot_and_lookup() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let w = store.register_xavier("m.w", 4, 3, &mut rng);
-        store.register_zeros("m.b", 1, 3);
-        let frozen = FrozenParams::from_store(&store);
-        assert_eq!(frozen.len(), 2);
-        assert_eq!(frozen.n_scalars(), 15);
-        assert_eq!(frozen.require("m.w").data, store.value(w).data);
-        assert!(frozen.get("m.absent").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "m.missing")]
-    fn require_names_the_missing_param() {
-        let store = ParamStore::new();
-        FrozenParams::from_store(&store).require("m.missing");
-    }
 
     #[test]
     fn fast_exp_close_to_libm_over_softmax_range() {
@@ -369,20 +224,6 @@ mod tests {
                 fast_tanh(x),
                 x.tanh()
             );
-        }
-    }
-
-    #[test]
-    fn softmax_fast_close_and_normalized() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut a: Vec<f32> = (0..64).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
-        let mut b = a.clone();
-        crate::tape::softmax_in_place(&mut a);
-        softmax_slice_fast(&mut b);
-        let sum: f32 = b.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5);
         }
     }
 }

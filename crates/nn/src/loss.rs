@@ -1,53 +1,23 @@
-//! Loss helpers on top of the tape's fused cross-entropy.
+//! Prediction and class-balancing helpers around the tape's fused
+//! cross-entropy.
 
 use crate::matrix::Matrix;
-use crate::tape::{Tape, Var};
 
-/// Mean cross-entropy of `logits` (n×C) against class indices; returns the
-/// 1×1 loss node.
-pub fn cross_entropy(tape: &mut Tape, logits: Var, targets: &[usize]) -> Var {
-    tape.cross_entropy(logits, targets)
+/// Index of the largest logit; the last one wins a tie. The trainer and
+/// both PLM inference engines predict through it, so they break ties the
+/// same way.
+pub fn argmax(logits: &[f32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
+        .map(|(i, _)| i)
+        .expect("non-empty logits")
 }
 
-/// Inference-side softmax probabilities for a logits matrix. Rows are
-/// normalized independently, in parallel chunks of whole rows; per-row
-/// accumulation order is fixed, so output is thread-count independent.
-pub fn softmax_probs(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    let cols = out.cols;
-    if cols == 0 {
-        return out;
-    }
-    // ~64 rows per chunk, in whole-row units.
-    rsd_par::parallel_chunks_mut(&mut out.data, 64 * cols, |_, chunk| {
-        for row in chunk.chunks_mut(cols) {
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-    });
-    out
-}
-
-/// Argmax of each row (predicted class per row).
+/// [`argmax`] of each row (predicted class per row).
 pub fn argmax_rows(logits: &Matrix) -> Vec<usize> {
-    (0..logits.rows)
-        .map(|r| {
-            logits
-                .row(r)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
-                .map(|(i, _)| i)
-                .expect("non-empty row")
-        })
-        .collect()
+    (0..logits.rows).map(|r| argmax(logits.row(r))).collect()
 }
 
 /// Class weights inversely proportional to class frequency (balanced
@@ -75,20 +45,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn softmax_rows_sum_to_one() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let p = softmax_probs(&m);
-        for r in 0..2 {
-            let sum: f32 = p.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5);
-        }
-        assert!(p.get(0, 2) > p.get(0, 1));
-    }
-
-    #[test]
     fn argmax_picks_largest() {
         let m = Matrix::from_vec(2, 3, vec![0.1, 0.9, 0.0, 0.5, 0.2, 0.3]);
         assert_eq!(argmax_rows(&m), vec![1, 0]);
+        assert_eq!(argmax(&[0.5, 0.2, 0.5]), 2, "last maximal element wins");
     }
 
     #[test]
@@ -100,15 +60,5 @@ mod tests {
         assert!((w[1] - 2.0).abs() < 1e-12);
         let w = inverse_frequency_weights(&[0], 2);
         assert_eq!(w[1], 0.0, "absent class gets zero weight");
-    }
-
-    #[test]
-    fn cross_entropy_decreases_with_confidence() {
-        let mut tape = Tape::new();
-        let weak = tape.constant(Matrix::from_vec(1, 2, vec![0.1, 0.0]));
-        let strong = tape.constant(Matrix::from_vec(1, 2, vec![5.0, 0.0]));
-        let l_weak = cross_entropy(&mut tape, weak, &[0]);
-        let l_strong = cross_entropy(&mut tape, strong, &[0]);
-        assert!(tape.value(l_strong).data[0] < tape.value(l_weak).data[0]);
     }
 }

@@ -273,7 +273,7 @@ pub(crate) fn matmul_into(a: &[f32], k_dim: usize, b: &[f32], n: usize, out: &mu
     // The unsafe kernels below read `b` and write whole output rows
     // through raw pointers; `a` is only read through checked slices.
     assert!(
-        b.len() == k_dim * n && out.len() % n == 0,
+        b.len() == k_dim * n && out.len().is_multiple_of(n),
         "matmul_into shape mismatch"
     );
     let mut rows = out.chunks_mut(n).enumerate();

@@ -4,14 +4,11 @@
 //! them after stepping, so the training loop is:
 //! forward → backward → harvest → (scale by 1/batch) → `step` → repeat.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 use crate::params::ParamStore;
 
-/// Adam (Kingma & Ba, 2015) with bias correction and optional decoupled
-/// weight decay (AdamW-style).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Adam (Kingma & Ba, 2015) with bias correction.
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
@@ -21,8 +18,6 @@ pub struct Adam {
     pub beta2: f32,
     /// Numerical floor.
     pub eps: f32,
-    /// Decoupled weight decay (0 disables).
-    pub weight_decay: f32,
     t: u64,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
@@ -36,24 +31,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// AdamW: Adam with decoupled weight decay.
-    pub fn with_weight_decay(lr: f32, weight_decay: f32) -> Self {
-        Adam {
-            weight_decay,
-            ..Adam::new(lr)
-        }
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Apply one update using the store's accumulated gradients, then
@@ -76,27 +57,17 @@ impl Adam {
                 *m = self.beta1 * *m + (1.0 - self.beta1) * g;
                 *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
             }
-            let (lr, eps, wd) = (self.lr, self.eps, self.weight_decay);
+            let (lr, eps) = (self.lr, self.eps);
             let m = &self.m[id.0];
             let v = &self.v[id.0];
             let value = store.value_mut(id);
             for ((w, &m), &v) in value.data.iter_mut().zip(&m.data).zip(&v.data) {
                 let m_hat = m / bc1;
                 let v_hat = v / bc2;
-                *w -= lr * (m_hat / (v_hat.sqrt() + eps) + wd * *w);
+                *w -= lr * (m_hat / (v_hat.sqrt() + eps));
             }
         }
         store.zero_grads();
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    /// Override the learning rate (for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -143,33 +114,5 @@ mod tests {
         assert_eq!(store.grad(id).data, vec![0.0]);
         // Adam's first bias-corrected step moves by lr·sign(g).
         assert!((store.value(id).data[0] - 0.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Matrix::from_vec(1, 1, vec![10.0]));
-        let mut opt = Adam::with_weight_decay(0.1, 0.5);
-        // Zero gradient: only decay acts.
-        opt.step(&mut store);
-        assert!(store.value(id).data[0] < 10.0);
-    }
-
-    #[test]
-    fn learning_rate_settable() {
-        let mut opt = Adam::new(0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-    }
-
-    #[test]
-    fn adam_counts_steps() {
-        let mut store = ParamStore::new();
-        store.register("w", Matrix::from_vec(1, 1, vec![1.0]));
-        let mut opt = Adam::new(0.1);
-        assert_eq!(opt.steps(), 0);
-        opt.step(&mut store);
-        opt.step(&mut store);
-        assert_eq!(opt.steps(), 2);
     }
 }

@@ -1,30 +1,27 @@
-//! Parameter store: named parameter registration, gradient accumulation,
-//! and (de)serialization of model weights.
+//! Parameter store: named parameter registration and gradient
+//! accumulation.
 //!
 //! Models register matrices once (getting a stable [`ParamId`]); every
 //! forward pass leafs them into the tape; [`ParamStore::accumulate`] sums
 //! per-example gradients; the optimizer consumes and clears them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rsd_common::RsdError;
 
 /// Stable handle to a registered parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub usize);
 
 /// One registered parameter with its accumulated gradient.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ParamSlot {
+#[derive(Debug, Clone)]
+struct ParamSlot {
     /// Human-readable name ("encoder.0.attn.wq").
-    pub name: String,
+    name: String,
     /// Current weights.
-    pub value: Matrix,
+    value: Matrix,
     /// Accumulated gradient (same shape).
-    pub grad: Matrix,
+    grad: Matrix,
 }
 
 /// One gradient contribution to a parameter.
@@ -80,7 +77,7 @@ impl GradPart<'_> {
 }
 
 /// The parameter store.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     slots: Vec<ParamSlot>,
 }
@@ -259,33 +256,6 @@ impl ParamStore {
     pub fn name(&self, id: ParamId) -> &str {
         &self.slots[id.0].name
     }
-
-    /// Persist weights (names + values; gradients are not saved) to a JSON
-    /// checkpoint file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), RsdError> {
-        let file = std::fs::File::create(path)?;
-        let writer = std::io::BufWriter::new(file);
-        serde_json::to_writer(writer, self).map_err(|e| RsdError::Serde(e.to_string()))
-    }
-
-    /// Load a checkpoint saved by [`ParamStore::save`]. Gradients come back
-    /// zeroed.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<ParamStore, RsdError> {
-        let file = std::fs::File::open(path)?;
-        let reader = std::io::BufReader::new(file);
-        let mut store: ParamStore =
-            serde_json::from_reader(reader).map_err(|e| RsdError::Serde(e.to_string()))?;
-        for slot in &mut store.slots {
-            if !slot.grad.same_shape(&slot.value) {
-                return Err(RsdError::Serde(format!(
-                    "checkpoint corrupt: grad/value shape mismatch for {}",
-                    slot.name
-                )));
-            }
-            slot.grad.fill_zero();
-        }
-        Ok(store)
-    }
 }
 
 #[cfg(test)]
@@ -339,6 +309,9 @@ mod tests {
         assert_eq!(store.grad(id).data, vec![0.0, 0.0, 0.0]);
     }
 
+    /// The `x` and `g` factors of a rank-1 gradient part.
+    type Outer = (Vec<f32>, Vec<f32>);
+
     #[test]
     fn accumulate_all_matches_sequential_accumulate_bitwise() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -354,7 +327,7 @@ mod tests {
         // Odd items on `big` are rank-1 parts: their dense form is the
         // 1-row `matmul_tn` gradient they stand for. `big` spans two work
         // items, split mid-row.
-        let grads: Vec<(ParamId, Matrix, Option<(Vec<f32>, Vec<f32>)>)> = (0..9)
+        let grads: Vec<(ParamId, Matrix, Option<Outer>)> = (0..9)
             .map(|i| {
                 let id = if i % 3 == 0 { small } else { big };
                 let (r, c) = (store.value(id).rows, store.value(id).cols);
@@ -401,37 +374,5 @@ mod tests {
         let norm2 = store.clip_grad_norm(10.0);
         assert!((norm2 - 1.0).abs() < 1e-6);
         assert!((store.grad(id).frobenius() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn checkpoint_save_load_round_trip() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut store = ParamStore::new();
-        let id = store.register_xavier("w", 4, 4, &mut rng);
-        store.accumulate(id, &Matrix::full(4, 4, 1.0));
-        let path = std::env::temp_dir().join("rsd_nn_ckpt_test.json");
-        store.save(&path).unwrap();
-        let back = ParamStore::load(&path).unwrap();
-        assert_eq!(back.value(id), store.value(id));
-        assert_eq!(back.grad(id).frobenius(), 0.0, "grads come back zeroed");
-        assert_eq!(back.name(id), "w");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = std::env::temp_dir().join("rsd_nn_ckpt_bad.json");
-        std::fs::write(&path, b"{not json").unwrap();
-        assert!(ParamStore::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut store = ParamStore::new();
-        store.register("w", Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
-        let json = serde_json::to_string(&store).unwrap();
-        let back: ParamStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.value(ParamId(0)).data, vec![1.0, 2.0, 3.0, 4.0]);
     }
 }

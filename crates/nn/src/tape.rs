@@ -3,9 +3,11 @@
 //! One [`Tape`] is built per training example: operations append nodes,
 //! [`Tape::backward`] runs the reverse sweep, and parameter gradients are
 //! harvested with [`Tape::harvest_grads`] (or read with
-//! [`Tape::param_grads`]). The op set is exactly what the
-//! RNN and transformer baselines require; every op's backward is verified
-//! against finite differences in the test module.
+//! [`Tape::param_grads`]). The op set is what the RNN and transformer
+//! baselines run, plus the primitive ops (`narrow_cols`, `transpose`,
+//! `softmax_rows`, ...) that the whole-block attention and LSTM ops are
+//! checked against bit for bit; every op's backward is verified against
+//! finite differences in the test module.
 //!
 //! With telemetry on, every tape times its forward and backward work by op
 //! kind; [`publish_op_times`] adds the totals to the
@@ -42,7 +44,6 @@ enum Op {
     Scale(Var, f32),
     Tanh(Var),
     Sigmoid(Var),
-    Relu(Var),
     /// GELU; caches the forward pass's tanh term for the backward.
     Gelu {
         x: Var,
@@ -137,7 +138,6 @@ op_kinds!(
     Scale => "scale",
     Tanh => "tanh",
     Sigmoid => "sigmoid",
-    Relu => "relu",
     Gelu => "gelu",
     SoftmaxRows => "softmax_rows",
     LayerNorm => "layer_norm",
@@ -387,13 +387,6 @@ impl Tape {
         self.push(value, Op::Sigmoid(a), t0)
     }
 
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let t0 = self.start();
-        let value = self.value(a).map(|x| x.max(0.0));
-        self.push(value, Op::Relu(a), t0)
-    }
-
     /// Elementwise GELU (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
         let t0 = self.start();
@@ -554,13 +547,13 @@ impl Tape {
         self.push(value, Op::MeanRows(x), t0)
     }
 
-    /// Inverted dropout with keep-prob scaling; identity in inference mode.
+    /// Inverted dropout with keep-prob scaling. In inference mode or with
+    /// `p <= 0` it is the identity and returns `x` itself, adding no node.
     pub fn dropout(&mut self, x: Var, p: f32, rng: &mut StdRng) -> Var {
-        let t0 = self.start();
         if !self.train || p <= 0.0 {
-            // Identity via Scale(1.0) keeps graph structure simple.
-            return self.scale(x, 1.0);
+            return x;
         }
+        let t0 = self.start();
         let keep = 1.0 - p;
         let m = self.value(x);
         let mask: Vec<f32> = (0..m.data.len())
@@ -866,11 +859,6 @@ fn backprop(parents: &mut [Node], node: &mut Node, grad: Matrix) {
         }
         Op::Sigmoid(a) => {
             let da = scale_by(grad, &node.value.data, |g, y| g * y * (1.0 - y));
-            add_grad(&mut parents[a.0], da);
-        }
-        Op::Relu(a) => {
-            let x = value_at(parents, a.0);
-            let da = scale_by(grad, &x.data, |g, x| if x > 0.0 { g } else { 0.0 });
             add_grad(&mut parents[a.0], da);
         }
         Op::Gelu { x, tanh } => {
@@ -1255,8 +1243,6 @@ mod tests {
         check_grad(|t, x| t.tanh(x), test_input(), 2e-2);
         check_grad(|t, x| t.sigmoid(x), test_input(), 2e-2);
         check_grad(|t, x| t.gelu(x), test_input(), 3e-2);
-        // ReLU away from the kink.
-        check_grad(|t, x| t.relu(x), test_input(), 2e-2);
     }
 
     #[test]
@@ -1342,7 +1328,11 @@ mod tests {
         let x = tape.constant(test_input());
         let mut rng = StdRng::seed_from_u64(3);
         let y = tape.dropout(x, 0.5, &mut rng);
-        assert_eq!(tape.value(y), tape.value(x));
+        assert_eq!(y, x, "inference dropout adds no node");
+        let mut tape = Tape::new();
+        let x = tape.constant(test_input());
+        assert_eq!(tape.dropout(x, 0.0, &mut rng), x, "p = 0 adds no node");
+        assert_eq!(tape.len(), 1);
     }
 
     #[test]
@@ -1363,6 +1353,12 @@ mod tests {
         let logits = tape.constant(Matrix::from_vec(1, 3, vec![0.0, 0.0, 0.0]));
         let loss = tape.cross_entropy(logits, &[1]);
         assert!((tape.value(loss).data[0] - 3.0f32.ln()).abs() < 1e-5);
+        // More confidence in the target lowers the loss.
+        let weak = tape.constant(Matrix::from_vec(1, 2, vec![0.1, 0.0]));
+        let strong = tape.constant(Matrix::from_vec(1, 2, vec![5.0, 0.0]));
+        let l_weak = tape.cross_entropy(weak, &[0]);
+        let l_strong = tape.cross_entropy(strong, &[0]);
+        assert!(tape.value(l_strong).data[0] < tape.value(l_weak).data[0]);
     }
 
     #[test]

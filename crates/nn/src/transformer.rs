@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 
-use crate::attention::{DisentangledAttention, MultiHeadAttention};
+use crate::attention::MultiHeadAttention;
 use crate::layers::{Embedding, LayerNorm, Linear};
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
@@ -52,39 +52,30 @@ pub struct EncoderConfig {
     pub positions: PositionMode,
 }
 
-enum BlockAttention {
-    Absolute(MultiHeadAttention),
-    Disentangled(DisentangledAttention),
-}
-
 /// One pre-norm encoder block.
-struct EncoderBlock {
-    ln1: LayerNorm,
-    attn: BlockAttention,
-    ln2: LayerNorm,
-    ffn1: Linear,
-    ffn2: Linear,
+pub struct EncoderBlock {
+    /// Norm before attention.
+    pub ln1: LayerNorm,
+    /// Self-attention, with a relative table under
+    /// [`PositionMode::Relative`].
+    pub attn: MultiHeadAttention,
+    /// Norm before the feed-forward network.
+    pub ln2: LayerNorm,
+    /// Feed-forward expansion (dim → ffn_dim).
+    pub ffn1: Linear,
+    /// Feed-forward projection back (ffn_dim → dim).
+    pub ffn2: Linear,
 }
 
 impl EncoderBlock {
     fn new(store: &mut ParamStore, name: &str, cfg: &EncoderConfig, rng: &mut StdRng) -> Self {
+        let attn_name = format!("{name}.attn");
         let attn = match cfg.positions {
-            PositionMode::Absolute => BlockAttention::Absolute(MultiHeadAttention::new(
-                store,
-                &format!("{name}.attn"),
-                cfg.dim,
-                cfg.heads,
-                rng,
-            )),
+            PositionMode::Absolute => {
+                MultiHeadAttention::new(store, &attn_name, cfg.dim, cfg.heads, rng)
+            }
             PositionMode::Relative { radius } => {
-                BlockAttention::Disentangled(DisentangledAttention::new(
-                    store,
-                    &format!("{name}.attn"),
-                    cfg.dim,
-                    cfg.heads,
-                    radius,
-                    rng,
-                ))
+                MultiHeadAttention::relative(store, &attn_name, cfg.dim, cfg.heads, radius, rng)
             }
         };
         EncoderBlock {
@@ -105,10 +96,7 @@ impl EncoderBlock {
         rng: &mut StdRng,
     ) -> Var {
         let normed = self.ln1.forward(tape, store, x);
-        let attn_out = match &self.attn {
-            BlockAttention::Absolute(a) => a.forward(tape, store, normed),
-            BlockAttention::Disentangled(a) => a.forward(tape, store, normed),
-        };
+        let attn_out = self.attn.forward(tape, store, normed);
         let attn_out = tape.dropout(attn_out, dropout, rng);
         let x = tape.add(x, attn_out);
 
@@ -125,10 +113,14 @@ impl EncoderBlock {
 pub struct Encoder {
     /// Hyperparameters.
     pub cfg: EncoderConfig,
-    token_emb: Embedding,
-    pos_emb: Option<Embedding>,
-    blocks: Vec<EncoderBlock>,
-    final_ln: LayerNorm,
+    /// Token embeddings.
+    pub token_emb: Embedding,
+    /// Absolute position embeddings ([`PositionMode::Absolute`] only).
+    pub pos_emb: Option<Embedding>,
+    /// The blocks, in order.
+    pub blocks: Vec<EncoderBlock>,
+    /// Norm after the last block.
+    pub final_ln: LayerNorm,
 }
 
 impl Encoder {

@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsd_nn::attention::{DisentangledAttention, MultiHeadAttention};
+use rsd_nn::attention::MultiHeadAttention;
 use rsd_nn::layers::Linear;
 use rsd_nn::matrix::Matrix;
 use rsd_nn::rnn::Lstm;
@@ -282,16 +282,10 @@ fn attention_blocks_harvest_the_graphs_parameter_gradients() {
         for (n, dim, heads, radius) in [(1, 12, 2, 2), (8, 24, 2, 3), (5, 21, 3, 9)] {
             let mut rng = StdRng::seed_from_u64(7);
             let mut store = ParamStore::new();
-            let (mha, dis) = if relative {
-                let a = DisentangledAttention::new(&mut store, "d", dim, heads, radius, &mut rng);
-                (None, Some(a))
+            let a = if relative {
+                MultiHeadAttention::relative(&mut store, "d", dim, heads, radius, &mut rng)
             } else {
-                (
-                    Some(MultiHeadAttention::new(
-                        &mut store, "a", dim, heads, &mut rng,
-                    )),
-                    None,
-                )
+                MultiHeadAttention::new(&mut store, "a", dim, heads, &mut rng)
             };
             seed_signed_zero_grads(&mut store);
             let x = values(n, dim, 6.0);
@@ -300,29 +294,21 @@ fn attention_blocks_harvest_the_graphs_parameter_gradients() {
                 let mut store = store.clone();
                 let mut t = Tape::new();
                 let xv = t.constant(x.clone());
-                let out = match (&mha, &dis) {
-                    (Some(a), _) if fused => a.forward(&mut t, &store, xv),
-                    (_, Some(a)) if fused => a.forward(&mut t, &store, xv),
-                    (Some(a), _) => {
-                        let q = a.wq.forward(&mut t, &store, xv);
-                        let k = a.wk.forward(&mut t, &store, xv);
-                        let v = a.wv.forward(&mut t, &store, xv);
-                        let ctx = reference_attention(&mut t, q, k, v, None, heads);
-                        a.wo.forward(&mut t, &store, ctx)
-                    }
-                    (_, Some(a)) => {
-                        let q = a.wq.forward(&mut t, &store, xv);
-                        let k = a.wk.forward(&mut t, &store, xv);
-                        let v = a.wv.forward(&mut t, &store, xv);
+                let out = if fused {
+                    a.forward(&mut t, &store, xv)
+                } else {
+                    let q = a.wq.forward(&mut t, &store, xv);
+                    let k = a.wk.forward(&mut t, &store, xv);
+                    let v = a.wv.forward(&mut t, &store, xv);
+                    let rel = a.rel.as_ref().map(|table| {
                         let ids: Vec<u32> = (0..(2 * radius + 1) as u32).collect();
-                        let rows = a.rel.forward(&mut t, &store, &ids);
+                        let rows = table.forward(&mut t, &store, &ids);
                         let qr = a.wq.forward(&mut t, &store, rows);
                         let kr = a.wk.forward(&mut t, &store, rows);
-                        let ctx =
-                            reference_attention(&mut t, q, k, v, Some((qr, kr, radius)), heads);
-                        a.wo.forward(&mut t, &store, ctx)
-                    }
-                    _ => unreachable!(),
+                        (qr, kr, radius)
+                    });
+                    let ctx = reference_attention(&mut t, q, k, v, rel, heads);
+                    a.wo.forward(&mut t, &store, ctx)
                 };
                 let w = t.constant(up.clone());
                 let loss = t.mul(out, w);

@@ -14,14 +14,11 @@
 //! Each step is a module here: [`relevance`], [`dedup`], [`clean`],
 //! [`tokenize`], and the orchestrating [`pipeline`]. On top of those sit
 //! the representation layers the baselines share: [`vocab`] (token ↔ id
-//! with special tokens for the neural models), [`tfidf`] (sparse TF-IDF
-//! vectors for the XGBoost feature framework) and [`embeddings`]
-//! (skip-gram word vectors, the fastText-style representation of the
-//! paper's XGBoost reference [19]).
+//! with special tokens for the neural models) and [`tfidf`] (sparse TF-IDF
+//! vectors for the XGBoost feature framework).
 
 pub mod clean;
 pub mod dedup;
-pub mod embeddings;
 pub mod pipeline;
 pub mod relevance;
 pub mod stopwords;
