@@ -10,11 +10,10 @@
 //!
 //! `--check` is the machine mode CI uses after a telemetry smoke run:
 //! it validates that every line parses as a known snapshot/stall/burn
-//! record, that the ring reported **zero drops**, that the run's health
-//! verdict is not degraded (no latched SLO burn, no stalled stage), and
-//! (with `--trace`) that the Chrome trace parses as JSON with a
-//! non-empty `traceEvents` array. Exit codes: 0 ok, 2 usage/IO,
-//! 3 malformed series, 4 ring drops, 5 malformed trace, 6 degraded
+//! record, that the run's health verdict is not degraded (no latched SLO
+//! burn, no stalled stage), and (with `--trace`) that the Chrome trace
+//! parses as JSON with a non-empty `traceEvents` array. Exit codes:
+//! 0 ok, 2 usage/IO, 3 malformed series, 5 malformed trace, 6 degraded
 //! health / burned SLO budget.
 //!
 //! The viewer renders every histogram family in the snapshot — the
@@ -82,8 +81,8 @@ fn render(summary: &Value) -> String {
     let s = &summary["series"];
     let mut out = String::new();
     out.push_str(&format!(
-        "ticks {}  stalls {}  ring published {} dropped {}\n",
-        s["ticks"], s["stall_events"], s["ring"]["published"], s["ring"]["dropped"],
+        "ticks {}  stalls {}\n",
+        s["ticks"], s["stall_events"],
     ));
     if let Some(status) = s["health"]["status"].as_str() {
         out.push_str(&format!("health {status}"));
@@ -164,8 +163,8 @@ fn render(summary: &Value) -> String {
     out
 }
 
-/// `--check`: series must be well-formed with zero ring drops; the trace
-/// (if given) must parse with a non-empty `traceEvents`.
+/// `--check`: series must be well-formed and healthy; the trace (if
+/// given) must parse with a non-empty `traceEvents`.
 fn check(args: &Args, text: &str) -> ExitCode {
     let summary = match rsd_obs::timeseries::summarize_series(text) {
         Ok(s) => s,
@@ -174,16 +173,6 @@ fn check(args: &Args, text: &str) -> ExitCode {
             return ExitCode::from(3);
         }
     };
-    let dropped = summary["series"]["ring"]["dropped"]
-        .as_u64()
-        .unwrap_or(u64::MAX);
-    if dropped > 0 {
-        eprintln!(
-            "obs_top: ring dropped {dropped} events in {} (lower RSD_OBS_TICK_MS)",
-            args.series
-        );
-        return ExitCode::from(4);
-    }
     // Health gate: a latched SLO burn or a still-stalled stage in the
     // final snapshot is a failed run even with clean quantiles. Series
     // written before the health/slo keys existed simply lack them and
@@ -225,9 +214,8 @@ fn check(args: &Args, text: &str) -> ExitCode {
         }
     }
     println!(
-        "ok: {} ticks, {} published, 0 dropped{}",
+        "ok: {} ticks{}",
         summary["series"]["ticks"],
-        summary["series"]["ring"]["published"],
         if args.trace.is_some() {
             ", trace well-formed"
         } else {

@@ -90,8 +90,8 @@ pub fn seed_from_env() -> u64 {
 /// or `RSD_OBS_TRACE` requests it, and the live introspection endpoint
 /// ([`rsd_obs::http`]) when `RSD_OBS_HTTP` names a port. Create it
 /// right after parsing scale/seed and call [`Telemetry::finish`]
-/// *before* writing the run report, so the final `obs.ring.*` gauges
-/// and latency quantiles land in the report's registry snapshot.
+/// *before* writing the run report, so the final latency quantiles land
+/// in the report's registry snapshot.
 pub struct Telemetry {
     guard: Option<rsd_obs::timeseries::SeriesGuard>,
     http: Option<rsd_obs::http::HttpGuard>,
@@ -130,7 +130,7 @@ impl Telemetry {
 /// telemetry — in the order every binary needs them. Binaries `set`
 /// result fields on [`BinHarness::run`] and call [`BinHarness::finish`]
 /// last, which stops the driver *before* the report write so the final
-/// ring gauges and latency quantiles land in the registry snapshot.
+/// latency quantiles land in the registry snapshot.
 pub struct BinHarness {
     /// The run report for this invocation; `set` result fields on it.
     /// Public so binaries can also embed [`rsd_obs::RunReport::to_value`]

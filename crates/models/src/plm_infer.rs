@@ -726,8 +726,8 @@ impl PlmInferenceModel {
                 );
                 let sq = s.qs[i] * scale;
                 let row = &mut s.scores[i * seq..(i + 1) * seq];
-                for j in 0..seq {
-                    row[j] = sq * s.ks[j] * s.acc32[j] as f32;
+                for ((r, &k), &a) in row.iter_mut().zip(&s.ks).zip(&s.acc32) {
+                    *r = sq * k * a as f32;
                 }
                 if blk.rel.is_some() {
                     // clamp(j − i + r, 0, 2r) splits into three
@@ -736,14 +736,14 @@ impl PlmInferenceModel {
                     let hi = (i + radius).min(seq - 1);
                     let c2p_row = &s.c2p[i * w_rel..(i + 1) * w_rel];
                     let (c0, c2r) = (c2p_row[0], c2p_row[2 * radius]);
-                    for j in 0..lo {
-                        row[j] += c0 + s.p2c_hi[j];
+                    for (r, &p) in row[..lo].iter_mut().zip(&s.p2c_hi) {
+                        *r += c0 + p;
                     }
                     for j in lo..=hi {
                         row[j] += c2p_row[j + radius - i] + s.p2c[j * w_rel + (i + radius - j)];
                     }
-                    for j in hi + 1..seq {
-                        row[j] += c2r + s.p2c_lo[j];
+                    for (r, &p) in row[hi + 1..].iter_mut().zip(&s.p2c_lo[hi + 1..]) {
+                        *r += c2r + p;
                     }
                 }
                 s.attn_s[i] = softmax_q7(

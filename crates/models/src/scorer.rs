@@ -91,11 +91,11 @@ pub struct ScoreScratch {
 
 enum Backend {
     Gbdt {
-        extractor: FeatureExtractor,
+        extractor: Box<FeatureExtractor>,
         booster: Booster,
     },
     Plm {
-        engine: PlmInferenceModel,
+        engine: Box<PlmInferenceModel>,
         quantized: bool,
     },
 }
@@ -132,7 +132,10 @@ impl ScoringModel {
         let booster = Booster::fit(&train, &y_train, Some((&valid, &y_valid)), cfg.booster)?;
 
         Ok(ScoringModel {
-            backend: Backend::Gbdt { extractor, booster },
+            backend: Backend::Gbdt {
+                extractor: Box::new(extractor),
+                booster,
+            },
             window: data.splits.config.window,
         })
     }
@@ -143,7 +146,7 @@ impl ScoringModel {
     pub fn from_plm(fitted: &FittedPlm, window: usize, quantized: bool) -> ScoringModel {
         ScoringModel {
             backend: Backend::Plm {
-                engine: PlmInferenceModel::export(fitted),
+                engine: Box::new(PlmInferenceModel::export(fitted)),
                 quantized,
             },
             window,
@@ -189,7 +192,7 @@ impl ScoringModel {
     pub fn plm_engine(&self) -> Option<&PlmInferenceModel> {
         match &self.backend {
             Backend::Gbdt { .. } => None,
-            Backend::Plm { engine, .. } => Some(engine),
+            Backend::Plm { engine, .. } => Some(engine.as_ref()),
         }
     }
 

@@ -16,8 +16,6 @@
 //! The pre-optimization scalar kernels live in [`reference`] so benches
 //! and property tests can compare against the original implementations.
 
-use serde::{Deserialize, Serialize};
-
 /// Inner-loop operations per parallel chunk the kernels aim for; rows are
 /// grouped so each chunk amortizes scheduling overhead. A pure function
 /// of shape — never of thread count — to keep chunking deterministic.
@@ -44,7 +42,7 @@ fn row_grain(row_work: usize) -> usize {
 }
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
     /// Row count.
     pub rows: usize,
@@ -821,14 +819,6 @@ mod tests {
         let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
         assert_eq!(m.frobenius(), 5.0);
         assert_eq!(m.map(|x| x * 2.0).data, vec![6.0, 8.0]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = a();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 
     /// Deterministic pseudo-random matrix (no RNG dependency needed).

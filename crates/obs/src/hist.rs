@@ -199,7 +199,7 @@ fn stripes() -> &'static [Stripe<&'static str>; N_STRIPES] {
 /// Key of one tagged histogram family: a base label refined by the
 /// scoring-backend and risk-level tags a [`crate::reqctx::ReqCtx`]
 /// carries. All components are `&'static str` so recording stays
-/// allocation-free — the same constraint the event ring imposes.
+/// allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TagKey {
     /// Base family label (e.g. `serve.request`).

@@ -4,11 +4,12 @@
 //! `std::net::TcpListener` thread — no HTTP dependency, no async
 //! runtime, ~nothing on the hot path. Three routes:
 //!
-//! * `/metrics` — text exposition of the registry (counters, gauges)
-//!   and the merged HDR histograms, tagged families included.
-//! * `/health` — JSON stall-watchdog + ring-drop + SLO status; `200`
-//!   when healthy, `503` once degraded (a latched SLO burn or a
-//!   currently-stalled stage).
+//! * `/metrics` — text exposition of the registry (counters, gauges),
+//!   the SLO burn count, and the merged HDR histograms, tagged families
+//!   included.
+//! * `/health` — JSON stall-watchdog + SLO status; `200` when healthy,
+//!   `503` once degraded (a latched SLO burn or a currently-stalled
+//!   stage).
 //! * `/snapshot` — the latest time-series tick as JSON, exactly as
 //!   written to `.series.ndjson` (404 before the first tick).
 //!
@@ -57,16 +58,11 @@ pub(crate) fn degraded(stalled: &[String]) -> bool {
 fn health_value() -> (bool, Value) {
     let stalled = stalled_slot().lock().clone();
     let degraded = degraded(&stalled);
-    let ring = crate::ring::global();
     let mut m = Map::new();
     m.insert(
         "status",
         Value::String(if degraded { "degraded" } else { "ok" }.to_string()),
     );
-    let mut ring_m = Map::new();
-    ring_m.insert("published", Value::Int(ring.published() as i128));
-    ring_m.insert("dropped", Value::Int(ring.dropped() as i128));
-    m.insert("ring", Value::Object(ring_m));
     m.insert(
         "stalled",
         Value::Array(stalled.into_iter().map(Value::String).collect()),
@@ -91,7 +87,7 @@ fn hist_lines(out: &mut String, labels: &str, hist: &crate::hist::HdrHist) {
     }
 }
 
-/// `/metrics` body: counters, gauges, ring state, and every merged
+/// `/metrics` body: counters, gauges, the SLO burn count, and every merged
 /// histogram (untagged and tagged) in a Prometheus-flavoured text form.
 fn metrics_text() -> String {
     let mut out = String::new();
@@ -105,9 +101,6 @@ fn metrics_text() -> String {
             }
         }
     }
-    let ring = crate::ring::global();
-    out.push_str(&format!("rsd_ring_published {}\n", ring.published()));
-    out.push_str(&format!("rsd_ring_dropped {}\n", ring.dropped()));
     out.push_str(&format!(
         "rsd_slo_burn_events {}\n",
         crate::slo::burn_events()
@@ -281,7 +274,7 @@ mod tests {
     fn routes_cover_metrics_health_snapshot_and_404() {
         let (status, _, body) = route("/metrics");
         assert_eq!(status, 200);
-        assert!(body.contains("rsd_ring_published"));
+        assert!(body.contains("rsd_slo_burn_events"));
         let (status, ctype, body) = route("/health");
         // Other tests may have latched a burn in this process; accept
         // either verdict but require a consistent body.
@@ -309,7 +302,7 @@ mod tests {
         assert!(resp.contains("\"status\""), "{resp}");
         assert!(resp.contains("Content-Length"), "{resp}");
         let metrics = get(guard.port(), "/metrics");
-        assert!(metrics.contains("rsd_ring_published"), "{metrics}");
+        assert!(metrics.contains("rsd_slo_burn_events"), "{metrics}");
         drop(guard); // must join the listener thread without hanging
     }
 

@@ -2,9 +2,11 @@
 //!
 //! Five pieces, all opt-in at runtime:
 //!
-//! - a global thread-safe [`Registry`] (counters, gauges, stage totals,
-//!   and a hierarchical span **tree** keyed by collapsed-stack paths,
-//!   from which per-label span aggregates are folded on read);
+//! - a global thread-safe [`Registry`] (counters, gauges, stage totals
+//!   and stall-watchdog flags, and a hierarchical span **tree** keyed by
+//!   collapsed-stack paths, from which per-label span aggregates are
+//!   folded on read; while a Chrome trace is requested it also keeps
+//!   the timeline of those writes);
 //! - RAII [`Span`] timers (`Span::enter("annotation.campaign.day")`)
 //!   that maintain a per-thread stack and fold wall-clock, self-time,
 //!   and allocation deltas into the tree, streaming NDJSON records to
@@ -220,7 +222,7 @@ pub fn registry() -> &'static Registry {
 }
 
 /// Nanoseconds since the telemetry epoch (the first touch of the global
-/// state). Ring events and trace timestamps share this clock.
+/// state). Trace timestamps use this clock.
 pub fn epoch_ns() -> u64 {
     global().epoch.elapsed().as_nanos() as u64
 }
@@ -228,7 +230,7 @@ pub fn epoch_ns() -> u64 {
 /// Force the registry on without installing a sink, even if telemetry
 /// already latched off. Used by the continuous-telemetry driver
 /// ([`timeseries::start`]): `RSD_OBS_TICK_MS`/`RSD_OBS_TRACE` must
-/// produce span and ring data even when `RSD_OBS` is unset.
+/// produce span, stage and trace data even when `RSD_OBS` is unset.
 pub(crate) fn ensure_registry() {
     if FLAG.load(Ordering::Acquire) == FLAG_ON {
         return;
@@ -288,20 +290,17 @@ pub fn counter_add(label: &'static str, n: u64) {
         return;
     }
     registry().counter_add(label, n);
-    ring::publish(ring::EventKind::Counter, label, n, 0);
 }
 
 /// Report progress for a pipeline stage: `items` records and `bytes`
 /// processed since the last call. Aggregates into the registry's stage
-/// totals and, when the continuous layer is armed, publishes a ring
-/// event the time-series driver turns into windowed `items_per_s` /
-/// `bytes_per_s` rates.
+/// totals, which the time-series driver turns into windowed
+/// `items_per_s` / `bytes_per_s` rates.
 pub fn stage_progress(label: &'static str, items: u64, bytes: u64) {
     if !enabled() {
         return;
     }
     registry().stage_add(label, items, bytes);
-    ring::publish(ring::EventKind::StageProgress, label, items, bytes);
 }
 
 /// Register a stage with the stall watchdog: while registered (and not
@@ -311,7 +310,7 @@ pub fn stage_register(label: &'static str) {
     if !enabled() {
         return;
     }
-    ring::publish(ring::EventKind::StageRegister, label, 0, 0);
+    registry().watch(label, true);
 }
 
 /// Mark a registered stage as finished (leaves the stall watchdog).
@@ -319,7 +318,7 @@ pub fn stage_finish(label: &'static str) {
     if !enabled() {
         return;
     }
-    ring::publish(ring::EventKind::StageFinish, label, 0, 0);
+    registry().watch(label, false);
 }
 
 /// Record a latency observation (nanoseconds) into the sharded HDR
@@ -344,7 +343,6 @@ pub fn gauge_tagged(label: &'static str, value: f64, fields: &[(&'static str, Va
         return;
     }
     registry().gauge_set(label, value);
-    ring::publish(ring::EventKind::Gauge, label, value.to_bits(), 0);
     let mut all = Vec::with_capacity(fields.len() + 1);
     all.push(("value", Value::Float(value)));
     all.extend_from_slice(fields);
@@ -381,14 +379,14 @@ pub(crate) struct SpanRecord {
 /// Called by [`Span`] guards on drop.
 pub(crate) fn finish_span(rec: SpanRecord) {
     let g = global();
+    let dur_ns = rec.elapsed.as_nanos() as u64;
     if ring::armed() {
-        let dur_ns = rec.elapsed.as_nanos() as u64;
-        ring::publish(ring::EventKind::SpanEnd, rec.label, dur_ns, rec.self_ns);
         hist::observe_ns(rec.label, dur_ns);
     }
     g.registry.record_tree(
+        rec.label,
         &rec.path,
-        rec.elapsed.as_nanos() as u64,
+        dur_ns,
         rec.self_ns,
         rec.alloc_total,
         rec.alloc_self,

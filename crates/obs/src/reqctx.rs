@@ -189,7 +189,7 @@ impl ReqCtx {
 
     /// Publish the breakdown: one sample per tagged family (end-to-end
     /// plus each stage, all under `backend × level`) and an offer to the
-    /// exemplar reservoir. No-op while the telemetry ring is disarmed,
+    /// exemplar reservoir. No-op while the continuous layer is disarmed,
     /// mirroring [`crate::latency_ns`].
     pub fn finish(self) {
         if !crate::ring::armed() {

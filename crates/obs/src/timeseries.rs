@@ -1,9 +1,9 @@
 //! Periodic time-series snapshots of the continuous-telemetry layer.
 //!
 //! [`start`] spins up a driver thread that, every `RSD_OBS_TICK_MS`
-//! milliseconds, drains the global event ring, folds stage-progress
-//! events into cumulative per-stage totals, and appends one NDJSON line
-//! to `bench_runs/<scale>/<bin>.series.ndjson`:
+//! milliseconds, reads the registry's cumulative per-stage totals, turns
+//! their change since the last tick into rates, and appends one NDJSON
+//! line to `bench_runs/<scale>/<bin>.series.ndjson`:
 //!
 //! ```json
 //! {"kind":"tick","tick":3,"t_ms":151.2,"window_ms":50.4,
@@ -11,15 +11,16 @@
 //!            "items_per_s":238.1,"bytes_per_s":956430.0}},
 //!  "latency":{"pipeline.shard":{"count":12,"p50_ms":3.1,"p90_ms":4.0,
 //!             "p99_ms":4.4,"p999_ms":4.4,"max_ms":4.4}},
-//!  "alloc":{"live_bytes":104857,"peak_live_bytes":209715},
-//!  "ring":{"published":412,"dropped":0}}
+//!  "alloc":{"live_bytes":104857,"peak_live_bytes":209715}}
 //! ```
 //!
 //! A **stall watchdog** rides the same tick: stages announced via
 //! [`crate::stage_register`] that report no progress for
 //! 10 consecutive ticks emit a
 //! `{"kind":"stall",...}` line (and an `obs.stall` NDJSON event) until
-//! they move again or call [`crate::stage_finish`].
+//! they move again or call [`crate::stage_finish`]. A stage's idle count
+//! restarts whenever a tick finds it unregistered, so a stage registered
+//! again after finishing starts from zero.
 //!
 //! Three request-scoped extensions ride the tick as well:
 //!
@@ -36,29 +37,26 @@
 //!   `RSD_OBS_HTTP` endpoint's `/snapshot` and `/health` track the run
 //!   without touching driver state.
 //!
-//! When `RSD_OBS_TRACE=1` the driver also retains drained events and,
-//! at [`SeriesGuard::finish`], renders them plus the span tree into a
-//! `chrome://tracing` / Perfetto-compatible
+//! When `RSD_OBS_TRACE=1` the registry also keeps a timeline of its
+//! writes for the run and, at [`SeriesGuard::finish`], the driver renders
+//! it plus the span tree into a `chrome://tracing` / Perfetto-compatible
 //! `bench_runs/<scale>/<bin>.trace.json` (see [`crate::trace_export`]).
 //! The guard's drop finishes the driver, so a bench binary just holds it
 //! for the duration of the run.
 
-use crate::ring::{self, EventKind, RingEvent};
+use crate::ring;
 use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default tick when only trace export is requested (the ring still
-/// needs a consumer).
+/// Default tick when only trace export is requested (the watchdog and
+/// the live endpoint still tick).
 const TRACE_ONLY_TICK_MS: u64 = 200;
 /// Default stall threshold in ticks.
 const DEFAULT_STALL_TICKS: u32 = 10;
-/// Hard cap on retained trace events (64 bytes each → ≤ 64 MiB).
-const MAX_TRACE_EVENTS: usize = 1 << 20;
 
 /// Explicit driver options (tests construct these directly; binaries go
 /// through the env-reading [`start`]).
@@ -97,11 +95,15 @@ pub fn start(bin: &str, scale: &str) -> Option<SeriesGuard> {
 }
 
 /// Start the driver with explicit options. Forces the registry on (a
-/// tick/trace request must produce data even without `RSD_OBS`) and arms
-/// the ring.
+/// tick/trace request must produce data even without `RSD_OBS`), arms
+/// the continuous layer, and starts the registry's trace timeline when a
+/// trace is requested.
 fn start_with(opts: SeriesOptions) -> SeriesGuard {
     crate::ensure_registry();
     ring::set_armed(true);
+    if opts.trace_path.is_some() {
+        crate::registry().start_trace();
+    }
     let stop = Arc::new(StopFlag::default());
     let driver_stop = Arc::clone(&stop);
     let driver_opts = opts.clone();
@@ -119,14 +121,12 @@ fn start_with(opts: SeriesOptions) -> SeriesGuard {
 
 #[derive(Default)]
 struct StopFlag {
-    stopped: AtomicBool,
     mutex: Mutex<bool>,
     cv: Condvar,
 }
 
 impl StopFlag {
     fn signal(&self) {
-        self.stopped.store(true, Ordering::Release);
         *self.mutex.lock().unwrap_or_else(|e| e.into_inner()) = true;
         self.cv.notify_all();
     }
@@ -157,8 +157,7 @@ pub struct SeriesOutputs {
 
 /// Owns the driver thread. Dropping (or calling
 /// [`SeriesGuard::finish`]) stops the driver, writes a final snapshot
-/// line, exports the trace, publishes `obs.ring.*` gauges, and disarms
-/// the ring.
+/// line, exports the trace, and disarms the continuous layer.
 pub struct SeriesGuard {
     stop: Arc<StopFlag>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -183,9 +182,6 @@ impl SeriesGuard {
         self.stop.signal();
         let _ = handle.join();
         ring::set_armed(false);
-        let reg = crate::registry();
-        reg.gauge_set("obs.ring.published", ring::global().published() as f64);
-        reg.gauge_set("obs.ring.dropped", ring::global().dropped() as f64);
     }
 }
 
@@ -195,15 +191,11 @@ impl Drop for SeriesGuard {
     }
 }
 
-/// Per-stage state the driver folds ring events into.
-#[derive(Debug, Default, Clone)]
+/// What the driver remembers per stage between ticks.
+#[derive(Debug, Default)]
 struct StageState {
-    items: u64,
-    bytes: u64,
     prev_items: u64,
     prev_bytes: u64,
-    registered: bool,
-    finished: bool,
     idle_ticks: u32,
     stalled: bool,
 }
@@ -211,8 +203,6 @@ struct StageState {
 struct Driver<'a> {
     opts: &'a SeriesOptions,
     writer: Option<std::io::BufWriter<std::fs::File>>,
-    trace: Option<Vec<RingEvent>>,
-    trace_truncated: u64,
     stages: BTreeMap<&'static str, StageState>,
     tick_idx: u64,
     started: Instant,
@@ -230,32 +220,27 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-impl Driver<'_> {
-    fn absorb(&mut self, event: RingEvent) {
-        match event.kind {
-            EventKind::StageProgress => {
-                let s = self.stages.entry(event.label).or_default();
-                s.items += event.a;
-                s.bytes += event.b;
+impl<'a> Driver<'a> {
+    fn new(opts: &'a SeriesOptions) -> Driver<'a> {
+        let writer = opts.series_path.as_ref().and_then(|path| {
+            if let Some(dir) = path.parent() {
+                let _ = std::fs::create_dir_all(dir);
             }
-            EventKind::StageRegister => {
-                let s = self.stages.entry(event.label).or_default();
-                s.registered = true;
-                s.finished = false;
-            }
-            EventKind::StageFinish => {
-                let s = self.stages.entry(event.label).or_default();
-                s.finished = true;
-                s.stalled = false;
-            }
-            EventKind::SpanEnd | EventKind::Counter | EventKind::Gauge => {}
-        }
-        if let Some(buf) = &mut self.trace {
-            if buf.len() < MAX_TRACE_EVENTS {
-                buf.push(event);
-            } else {
-                self.trace_truncated += 1;
-            }
+            std::fs::File::create(path)
+                .map(std::io::BufWriter::new)
+                .ok()
+        });
+        let now = Instant::now();
+        Driver {
+            opts,
+            writer,
+            stages: BTreeMap::new(),
+            tick_idx: 0,
+            started: now,
+            last_tick: now,
+            hist_gen: None,
+            hist_cache: Value::Null,
+            slo: crate::slo::config_from_env().map(crate::slo::BurnMonitor::new),
         }
     }
 
@@ -265,44 +250,44 @@ impl Driver<'_> {
         }
     }
 
-    /// Drain the ring, emit one snapshot line, and run the watchdog.
+    /// Read the registry's stage totals, emit one snapshot line, and run
+    /// the watchdog.
     fn tick(&mut self, kind: &str) {
         let now = Instant::now();
         let window = now.duration_since(self.last_tick);
         self.last_tick = now;
-        let ring = ring::global();
-        let mut drained = Vec::new();
-        ring.drain(|e| drained.push(e));
-        for e in drained {
-            self.absorb(e);
-        }
 
         let window_s = window.as_secs_f64().max(1e-9);
         let mut stages = Map::new();
-        let mut stalls: Vec<&'static str> = Vec::new();
-        for (label, s) in self.stages.iter_mut() {
-            let d_items = s.items - s.prev_items;
-            let d_bytes = s.bytes - s.prev_bytes;
-            s.prev_items = s.items;
-            s.prev_bytes = s.bytes;
-            if s.registered && !s.finished {
-                if d_items == 0 && d_bytes == 0 {
-                    s.idle_ticks += 1;
-                    if s.idle_ticks >= self.opts.stall_ticks && !s.stalled {
-                        s.stalled = true;
-                        stalls.push(label);
-                    }
-                } else {
-                    s.idle_ticks = 0;
-                    s.stalled = false;
+        let mut stalls: Vec<(&'static str, u32)> = Vec::new();
+        let mut stalled_now: Vec<String> = Vec::new();
+        for (label, (items, bytes, watched)) in crate::registry().stage_states() {
+            let s = self.stages.entry(label).or_default();
+            // Saturating: `capture()` resets the registry under a
+            // running driver.
+            let d_items = items.saturating_sub(s.prev_items);
+            let d_bytes = bytes.saturating_sub(s.prev_bytes);
+            s.prev_items = items;
+            s.prev_bytes = bytes;
+            if !watched || d_items > 0 || d_bytes > 0 {
+                s.idle_ticks = 0;
+                s.stalled = false;
+            } else {
+                s.idle_ticks += 1;
+                if s.idle_ticks >= self.opts.stall_ticks && !s.stalled {
+                    s.stalled = true;
+                    stalls.push((label, s.idle_ticks));
                 }
             }
+            if s.stalled {
+                stalled_now.push(label.to_string());
+            }
             let mut m = Map::new();
-            m.insert("items", Value::Int(i128::from(s.items)));
-            m.insert("bytes", Value::Int(i128::from(s.bytes)));
+            m.insert("items", Value::Int(i128::from(items)));
+            m.insert("bytes", Value::Int(i128::from(bytes)));
             m.insert("items_per_s", Value::Float(d_items as f64 / window_s));
             m.insert("bytes_per_s", Value::Float(d_bytes as f64 / window_s));
-            stages.insert(*label, Value::Object(m));
+            stages.insert(label, Value::Object(m));
         }
 
         let mut line = Map::new();
@@ -349,12 +334,6 @@ impl Driver<'_> {
             line.insert("slo", Value::Object(m));
         }
         // Health verdict, the same one the /health endpoint serves.
-        let stalled_now: Vec<String> = self
-            .stages
-            .iter()
-            .filter(|(_, s)| s.stalled)
-            .map(|(label, _)| label.to_string())
-            .collect();
         let degraded = crate::http::degraded(&stalled_now);
         let mut health = Map::new();
         health.insert(
@@ -374,10 +353,6 @@ impl Driver<'_> {
             );
             line.insert("alloc", Value::Object(a));
         }
-        let mut r = Map::new();
-        r.insert("published", Value::Int(i128::from(ring.published())));
-        r.insert("dropped", Value::Int(i128::from(ring.dropped())));
-        line.insert("ring", Value::Object(r));
         let line = Value::Object(line);
         self.write_line(&line);
         // Mirror the tick to the live endpoint (cheap: one string and
@@ -406,8 +381,7 @@ impl Driver<'_> {
             );
         }
 
-        for label in stalls {
-            let idle = self.stages[label].idle_ticks;
+        for (label, idle) in stalls {
             let mut m = Map::new();
             m.insert("kind", Value::String("stall".to_string()));
             m.insert("stage", Value::String(label.to_string()));
@@ -431,45 +405,21 @@ impl Driver<'_> {
 }
 
 fn drive(opts: &SeriesOptions, stop: &StopFlag) {
-    let writer = opts.series_path.as_ref().and_then(|path| {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        std::fs::File::create(path)
-            .map(std::io::BufWriter::new)
-            .ok()
-    });
-    let now = Instant::now();
-    let mut driver = Driver {
-        opts,
-        writer,
-        trace: opts.trace_path.is_some().then(Vec::new),
-        trace_truncated: 0,
-        stages: BTreeMap::new(),
-        tick_idx: 0,
-        started: now,
-        last_tick: now,
-        hist_gen: None,
-        hist_cache: Value::Null,
-        slo: crate::slo::config_from_env().map(crate::slo::BurnMonitor::new),
-    };
-    loop {
-        let stopped = stop.wait(opts.tick);
-        if stopped {
-            break;
-        }
+    let mut driver = Driver::new(opts);
+    while !stop.wait(opts.tick) {
         driver.tick("tick");
     }
     driver.tick("final");
-    if let (Some(path), Some(events)) = (&opts.trace_path, &driver.trace) {
-        if driver.trace_truncated > 0 {
+    if let Some(path) = &opts.trace_path {
+        let (entries, truncated) = crate::registry().take_trace().unwrap_or_default();
+        if truncated > 0 {
             crate::event(
                 "obs.trace.truncated",
-                &[("events", Value::Int(i128::from(driver.trace_truncated)))],
+                &[("events", Value::Int(i128::from(truncated)))],
             );
         }
         let tree = crate::registry().tree();
-        if let Err(e) = crate::trace_export::write_trace_to(path, events, &tree) {
+        if let Err(e) = crate::trace_export::write_trace_to(path, &entries, &tree) {
             eprintln!("rsd-obs: cannot write trace {}: {e}", path.display());
         }
     }
@@ -480,7 +430,7 @@ const SUMMARY_EXEMPLARS: usize = 8;
 
 /// Summarize a `.series.ndjson` stream into a report-shaped JSON object
 /// (`obs_diff` accepts series files via this): the last `tick`/`final`
-/// snapshot's stages, latency quantiles, ring counters, and health,
+/// snapshot's stages, latency quantiles, allocation gauges, and health,
 /// plus tick/stall/burn totals, the stable subset of the SLO state
 /// (targets and the burn count — instantaneous burn rates are
 /// timing-dependent and stay in the raw lines), and the run's slowest
@@ -518,7 +468,7 @@ pub fn summarize_series(text: &str) -> Result<Value, String> {
     if burns > 0 {
         series.insert("burn_lines", Value::Int(i128::from(burns)));
     }
-    for key in ["stages", "latency", "ring", "alloc", "health"] {
+    for key in ["stages", "latency", "alloc", "health"] {
         if let Some(v) = last.get(key) {
             series.insert(key, v.clone());
         }
@@ -562,7 +512,8 @@ mod tests {
     fn driver_writes_wellformed_series_and_summary_parses() {
         let series = temp_path("series.ndjson");
         let trace = temp_path("trace.json");
-        let records = crate::capture(|| {
+        let mut stages = Value::Null;
+        crate::capture(|| {
             let guard = start_with(SeriesOptions {
                 tick: Duration::from_millis(5),
                 series_path: Some(series.clone()),
@@ -580,16 +531,27 @@ mod tests {
             let out = guard.finish();
             assert_eq!(out.series.as_deref(), Some(series.as_path()));
             assert_eq!(out.trace.as_deref(), Some(trace.as_path()));
+            stages = crate::registry().snapshot()["stages"].clone();
         });
-        // Ring gauges published at finish.
-        let _ = records;
         let text = std::fs::read_to_string(&series).expect("series file");
         assert!(!text.trim().is_empty());
         let summary = summarize_series(&text).expect("well-formed series");
         let s = &summary["series"];
         assert_eq!(s["stages"]["ts.stage"]["items"], 30u32);
         assert_eq!(s["stages"]["ts.stage"]["bytes"], 1280u32);
-        assert_eq!(s["ring"]["dropped"], 0u32);
+        // One ledger: the final tick's totals are the registry's.
+        for (label, stage) in stages.as_object().expect("stages").iter() {
+            assert_eq!(
+                s["stages"][label.as_str()]["items"],
+                stage["items"],
+                "{label}"
+            );
+            assert_eq!(
+                s["stages"][label.as_str()]["bytes"],
+                stage["bytes"],
+                "{label}"
+            );
+        }
         assert!(s["latency"]["ts.span"]["p99_ms"].as_f64().is_some());
         assert!(s["latency"]["ts.span"]["p999_ms"].as_f64().is_some());
         // The trace parses as JSON and contains span events.
@@ -627,6 +589,32 @@ mod tests {
     }
 
     #[test]
+    fn reregistered_stage_starts_its_idle_count_from_zero() {
+        let opts = SeriesOptions {
+            tick: Duration::from_millis(1),
+            series_path: None,
+            trace_path: None,
+            stall_ticks: 3,
+        };
+        let records = crate::capture(|| {
+            let mut driver = Driver::new(&opts);
+            crate::stage_register("ts.again");
+            crate::stage_progress("ts.again", 1, 0);
+            for _ in 0..3 {
+                driver.tick("tick");
+            }
+            crate::stage_finish("ts.again");
+            driver.tick("tick");
+            crate::stage_register("ts.again");
+            driver.tick("tick");
+        });
+        assert!(
+            records.iter().all(|r| r["label"] != "obs.stall"),
+            "one idle tick after re-registering stalled: {records:?}"
+        );
+    }
+
+    #[test]
     fn summarize_rejects_malformed_lines() {
         assert!(summarize_series("not json\n").is_err());
         assert!(summarize_series("{\"kind\":\"mystery\"}\n").is_err());
@@ -636,6 +624,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok["series"]["ticks"], 1u32);
+        // Older series carried a `ring` section; it is not summarized.
+        assert!(ok["series"]["ring"].is_null());
     }
 
     #[test]
@@ -643,13 +633,13 @@ mod tests {
         let text = concat!(
             r#"{"kind":"tick","tick":0,"exemplars":[{"trace":1,"total_ms":5.0},{"trace":2,"total_ms":9.0}],"#,
             r#""slo":{"target_p99_ms":250.0,"budget":0.05,"fast_burn":0.2,"slow_burn":0.1,"burn_events":0,"degraded":false},"#,
-            r#""health":{"status":"ok"},"ring":{"published":4,"dropped":0}}"#,
+            r#""health":{"status":"ok"}}"#,
             "\n",
             r#"{"kind":"slo_burn","t_ms":120.0,"target_p99_ms":250.0,"budget":0.05,"fast_burn":2.0,"slow_burn":1.5}"#,
             "\n",
             r#"{"kind":"final","tick":1,"exemplars":[{"trace":3,"total_ms":7.0}],"#,
             r#""slo":{"target_p99_ms":250.0,"budget":0.05,"fast_burn":2.0,"slow_burn":1.5,"burn_events":1,"degraded":true},"#,
-            r#""health":{"status":"degraded"},"ring":{"published":9,"dropped":0}}"#,
+            r#""health":{"status":"degraded"}}"#,
             "\n",
         );
         let s = summarize_series(text).expect("well-formed series");

@@ -1,27 +1,25 @@
 //! Chrome trace-event export.
 //!
-//! Converts a drained ring-event sequence (plus the registry's span
-//! tree) into the Trace Event Format that `chrome://tracing` and
+//! Converts the registry's write timeline (plus its span tree) into the
+//! Trace Event Format that `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev) load directly:
 //!
-//! - [`crate::ring::EventKind::SpanEnd`] → `"ph":"X"` complete events
-//!   (`ts`/`dur` in microseconds, one track per publishing thread,
-//!   self-time in `args`);
-//! - `Counter` / `StageProgress` → `"ph":"C"` counter tracks carrying
-//!   **cumulative** values, so the counter graph is monotone and slopes
-//!   read as throughput;
-//! - `Gauge` → `"ph":"C"` with the raw gauge value;
-//! - `StageRegister` / `StageFinish` → `"ph":"i"` instant events
-//!   marking stage lifecycle on the global track.
+//! - completed spans → `"ph":"X"` complete events (`ts`/`dur` in
+//!   microseconds, one track per writing thread, self-time in `args`);
+//! - counter and stage writes → `"ph":"C"` counter tracks carrying the
+//!   registry's **cumulative** totals at write time, so the counter graph
+//!   is monotone and slopes read as throughput;
+//! - gauge writes → `"ph":"C"` with the raw gauge value;
+//! - stage register / finish → `"ph":"i"` instant events marking stage
+//!   lifecycle on the global track.
 //!
 //! The collapsed-stack span tree rides along under the top-level
 //! `spanTree` key (viewers ignore unknown keys) so one artifact holds
 //! both the timeline and the aggregate profile.
 
-use crate::ring::{EventKind, RingEvent};
+use crate::registry::{TraceEntry, Traced};
 use crate::TreeStat;
 use serde_json::{Map, Value};
-use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
@@ -43,61 +41,41 @@ fn base(ph: &str, name: &str, tid: u32, t_ns: u64) -> Map {
     m
 }
 
-/// Render one ring event as a trace event, updating the cumulative
-/// counter state. Returns `None` for events with no trace mapping.
-fn trace_event(event: &RingEvent, counters: &mut BTreeMap<&'static str, (u64, u64)>) -> Value {
-    match event.kind {
-        EventKind::SpanEnd => {
-            // `t_ns` is the span end; `a` its duration.
-            let start = event.t_ns.saturating_sub(event.a);
-            let mut m = base("X", event.label, event.thread, start);
-            m.insert("dur", us(event.a));
-            let mut args = Map::new();
-            args.insert("self_ms", Value::Float(event.b as f64 / 1e6));
-            m.insert("args", Value::Object(args));
-            Value::Object(m)
+/// Render one timeline entry as a trace event.
+fn trace_event(entry: &TraceEntry) -> Value {
+    let mut args = Map::new();
+    let mut m = match entry.what {
+        Traced::Span(dur_ns, self_ns) => {
+            // `t_ns` is the span end.
+            let start = entry.t_ns.saturating_sub(dur_ns);
+            let mut m = base("X", entry.label, entry.thread, start);
+            m.insert("dur", us(dur_ns));
+            args.insert("self_ms", Value::Float(self_ns as f64 / 1e6));
+            m
         }
-        EventKind::Counter => {
-            let cum = counters.entry(event.label).or_insert((0, 0));
-            cum.0 += event.a;
-            let mut m = base("C", event.label, 0, event.t_ns);
-            let mut args = Map::new();
-            args.insert("value", Value::Int(i128::from(cum.0)));
-            m.insert("args", Value::Object(args));
-            Value::Object(m)
+        Traced::Counter(total) => {
+            args.insert("value", Value::Int(i128::from(total)));
+            base("C", entry.label, 0, entry.t_ns)
         }
-        EventKind::StageProgress => {
-            let cum = counters.entry(event.label).or_insert((0, 0));
-            cum.0 += event.a;
-            cum.1 += event.b;
-            let mut m = base("C", event.label, 0, event.t_ns);
-            let mut args = Map::new();
-            args.insert("items", Value::Int(i128::from(cum.0)));
-            args.insert("bytes", Value::Int(i128::from(cum.1)));
-            m.insert("args", Value::Object(args));
-            Value::Object(m)
+        Traced::Stage(items, bytes) => {
+            args.insert("items", Value::Int(i128::from(items)));
+            args.insert("bytes", Value::Int(i128::from(bytes)));
+            base("C", entry.label, 0, entry.t_ns)
         }
-        EventKind::Gauge => {
-            let mut m = base("C", event.label, 0, event.t_ns);
-            let mut args = Map::new();
-            args.insert("value", Value::Float(f64::from_bits(event.a)));
-            m.insert("args", Value::Object(args));
-            Value::Object(m)
+        Traced::Gauge(value) => {
+            args.insert("value", Value::Float(value));
+            base("C", entry.label, 0, entry.t_ns)
         }
-        EventKind::StageRegister | EventKind::StageFinish => {
-            let mut m = base("i", event.label, event.thread, event.t_ns);
+        Traced::Watch(on) => {
+            let mut m = base("i", entry.label, entry.thread, entry.t_ns);
             m.insert("s", Value::String("g".to_string()));
-            let mut args = Map::new();
-            let phase = if event.kind == EventKind::StageRegister {
-                "register"
-            } else {
-                "finish"
-            };
+            let phase = if on { "register" } else { "finish" };
             args.insert("stage_phase", Value::String(phase.to_string()));
-            m.insert("args", Value::Object(args));
-            Value::Object(m)
+            m
         }
-    }
+    };
+    m.insert("args", Value::Object(args));
+    Value::Object(m)
 }
 
 fn thread_meta(tid: u32) -> Value {
@@ -117,9 +95,9 @@ fn thread_meta(tid: u32) -> Value {
     Value::Object(m)
 }
 
-/// Render the drained events plus the span tree into a complete trace
-/// JSON document (the string form of [`write_trace_to`]).
-fn render_trace(events: &[RingEvent], tree: &[(String, TreeStat)]) -> String {
+/// Render the timeline plus the span tree into a complete trace JSON
+/// document (the string form of [`write_trace_to`]).
+fn render_trace(events: &[TraceEntry], tree: &[(String, TreeStat)]) -> String {
     let mut trace_events = Vec::with_capacity(events.len() + 8);
 
     // Process / thread naming metadata first.
@@ -134,7 +112,7 @@ fn render_trace(events: &[RingEvent], tree: &[(String, TreeStat)]) -> String {
 
     let mut tids: Vec<u32> = events
         .iter()
-        .filter(|e| e.kind == EventKind::SpanEnd)
+        .filter(|e| matches!(e.what, Traced::Span(..)))
         .map(|e| e.thread)
         .collect();
     tids.sort_unstable();
@@ -143,10 +121,7 @@ fn render_trace(events: &[RingEvent], tree: &[(String, TreeStat)]) -> String {
         trace_events.push(thread_meta(tid));
     }
 
-    let mut counters: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-    for event in events {
-        trace_events.push(trace_event(event, &mut counters));
-    }
+    trace_events.extend(events.iter().map(trace_event));
 
     let mut span_tree = Map::new();
     for (path, stat) in tree {
@@ -167,9 +142,9 @@ fn render_trace(events: &[RingEvent], tree: &[(String, TreeStat)]) -> String {
 }
 
 /// Write the trace document to `path`, creating parent directories.
-pub fn write_trace_to(
+pub(crate) fn write_trace_to(
     path: &Path,
-    events: &[RingEvent],
+    events: &[TraceEntry],
     tree: &[(String, TreeStat)],
 ) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
@@ -184,25 +159,12 @@ pub fn write_trace_to(
 mod tests {
     use super::*;
 
-    fn span(label: &'static str, end_ns: u64, dur_ns: u64, thread: u32) -> RingEvent {
-        RingEvent {
+    fn span(label: &'static str, end_ns: u64, dur_ns: u64, thread: u32) -> TraceEntry {
+        TraceEntry {
             t_ns: end_ns,
-            a: dur_ns,
-            b: dur_ns / 2,
             label,
             thread,
-            kind: EventKind::SpanEnd,
-        }
-    }
-
-    fn progress(label: &'static str, t_ns: u64, items: u64, bytes: u64) -> RingEvent {
-        RingEvent {
-            t_ns,
-            a: items,
-            b: bytes,
-            label,
-            thread: 0,
-            kind: EventKind::StageProgress,
+            what: Traced::Span(dur_ns, dur_ns / 2),
         }
     }
 
@@ -225,25 +187,6 @@ mod tests {
         assert!(traced
             .iter()
             .any(|e| e["ph"] == "M" && e["args"]["name"] == "thread-3"));
-    }
-
-    #[test]
-    fn stage_progress_counters_are_cumulative() {
-        let events = [
-            progress("trace.stage", 1_000, 5, 100),
-            progress("trace.stage", 2_000, 3, 50),
-        ];
-        let doc: Value = serde_json::from_str(&render_trace(&events, &[])).unwrap();
-        let counters: Vec<&Value> = doc["traceEvents"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .filter(|e| e["ph"] == "C")
-            .collect();
-        assert_eq!(counters.len(), 2);
-        assert_eq!(counters[0]["args"]["items"], 5u32);
-        assert_eq!(counters[1]["args"]["items"], 8u32);
-        assert_eq!(counters[1]["args"]["bytes"], 150u32);
     }
 
     #[test]

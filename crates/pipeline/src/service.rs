@@ -78,7 +78,7 @@ pub struct Receiver<T> {
 /// Create a blocking bounded channel of capacity `cap` (min 1). `label`
 /// names the channel for telemetry; consumers publish [`Receiver::depth`]
 /// under it at whatever cadence suits them (per-op emission would flood
-/// the NDJSON sink and event ring at serving rates).
+/// the NDJSON sink and the registry lock at serving rates).
 pub fn bounded<T>(cap: usize, label: &'static str) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
         state: Mutex::new(ChanState {
