@@ -10,6 +10,9 @@
 //! * a table3-scale GBDT tree fit — a verbatim re-creation of the seed's
 //!   row-major (`Vec<Vec<u16>>`) histogram split search vs the new
 //!   column-major gathered [`Tree::fit`];
+//! * the same tree fit on sparse data (most cells in one bin) over a
+//!   shuffled row subsample and a column subsample, as the XGBoost
+//!   baseline's booster rounds see it;
 //! * a full [`Booster::fit`] plus a byte-identity check of its
 //!   predictions across serial / 1-thread / 4-thread execution;
 //! * PLM inference at paper scale — the training tape, the tape-free f32
@@ -23,6 +26,7 @@
 
 use std::time::Instant;
 
+use rsd_common::rng::{sample_indices, stream_rng};
 use rsd_gbdt::tree::TreeConfig;
 use rsd_gbdt::{BinnedMatrix, Booster, BoosterConfig, Tree};
 use rsd_models::{
@@ -222,6 +226,7 @@ fn gbdt_section() -> serde_json::Value {
         reference_ms / serial_ms,
         reference_ms / pool4_ms
     );
+    let sparse = sparse_tree_fit(n_rows, n_features, &cfg);
 
     let boost_cfg = BoosterConfig {
         n_classes: 4,
@@ -255,12 +260,70 @@ fn gbdt_section() -> serde_json::Value {
             "speedup_serial_vs_reference": reference_ms / serial_ms,
             "speedup_pool4_vs_reference": reference_ms / pool4_ms
         }),
+        "sparse_tree_fit": sparse,
         "booster_fit": serde_json::json!({
             "n_rounds": 8,
             "serial_ms": booster_serial_ms,
             "pool4_ms": booster_pool4_ms
         }),
         "deterministic_across_thread_counts": deterministic
+    })
+}
+
+/// Serial [`Tree::fit`] on data shaped like the XGBoost baseline's matrix:
+/// 85% of cells are 0.0 (one bin per feature), and the tree sees a shuffled
+/// 80% row subsample and an 80% column subsample, as one booster round
+/// does. Consecutive rows then mostly hit the same histogram bin, which the
+/// dense case above never shows.
+fn sparse_tree_fit(n_rows: usize, n_features: usize, cfg: &TreeConfig) -> serde_json::Value {
+    let rows: Vec<Vec<f32>> = (0..n_rows)
+        .map(|i| {
+            (0..n_features)
+                .map(|f| {
+                    let h = ((i * n_features + f) as u64)
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .rotate_left(29);
+                    if h % 100 < 85 {
+                        0.0
+                    } else {
+                        ((h / 100 % 1000) as f32 + 1.0) / 1000.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let grad: Vec<f32> = rows
+        .iter()
+        .map(|r| if r[0] + r[1] > 0.5 { -0.75 } else { 0.25 })
+        .collect();
+    let hess = vec![0.1875f32; n_rows];
+    let data = BinnedMatrix::fit(rows, 64).unwrap();
+    let top_bin_share = (0..n_features)
+        .map(|f| {
+            let mut counts = vec![0usize; data.cuts.n_bins(f)];
+            for &b in data.feature_bins(f) {
+                counts[usize::from(b)] += 1;
+            }
+            counts.into_iter().max().unwrap_or(0)
+        })
+        .sum::<usize>() as f64
+        / (n_rows * n_features) as f64;
+    let mut rng = stream_rng(7, "bench_kernels.gbdt.sparse");
+    let idx = sample_indices(&mut rng, n_rows, n_rows * 4 / 5);
+    let feats = sample_indices(&mut rng, n_features, n_features * 4 / 5);
+    let serial_ms = time_best(|| {
+        rsd_par::run_serial(|| Tree::fit(&data, &grad, &hess, &idx, &feats, cfg, 0.3))
+    });
+    println!(
+        "gbdt sparse tree fit ({n_rows}x{n_features}, {:.0}% of cells in their feature's top \
+         bin, 0.8 row/col subsample): serial {serial_ms:8.2} ms",
+        top_bin_share * 100.0
+    );
+    serde_json::json!({
+        "top_bin_share": top_bin_share,
+        "row_subsample": 0.8,
+        "colsample": 0.8,
+        "serial_ms": serial_ms
     })
 }
 

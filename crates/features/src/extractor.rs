@@ -132,9 +132,20 @@ impl FeatureExtractor {
         }
     }
 
-    /// Batch transform.
+    /// Batch transform on the `rsd-par` pool: each window's vector is
+    /// computed whole by one chunk of a fixed grain, so the output is the
+    /// same at any thread count.
     pub fn transform_all(&self, dataset: &Rsd15k, windows: &[UserWindow]) -> Vec<Vec<f32>> {
-        windows.iter().map(|w| self.transform(dataset, w)).collect()
+        let mut out: Vec<Vec<f32>> = windows
+            .iter()
+            .map(|_| Vec::with_capacity(self.dim()))
+            .collect();
+        rsd_par::parallel_chunks_mut(&mut out, 64, |start, slots| {
+            for (slot, window) in slots.iter_mut().zip(&windows[start..]) {
+                self.transform_into(dataset, window, slot);
+            }
+        });
+        out
     }
 
     /// Aggregate a per-feature importance vector into per-dimension shares
@@ -187,6 +198,31 @@ mod tests {
             assert_eq!(v.len(), fx.dim());
             assert!(v.iter().all(|x| x.is_finite()));
         }
+    }
+
+    #[test]
+    fn transform_all_is_thread_count_independent() {
+        let (d, s) = fixture();
+        let fx = FeatureExtractor::fit(&d, &s.train, 100).unwrap();
+        // Every post-level window, so the batch spans several pool chunks.
+        let windows: Vec<UserWindow> = d
+            .users
+            .iter()
+            .flat_map(|u| rsd_dataset::splits::post_level_windows(&d, u, s.config.window, 64))
+            .collect();
+        assert!(windows.len() > 4 * 64, "{} windows", windows.len());
+        let bits = |x: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            x.iter()
+                .map(|v| v.iter().map(|f| f.to_bits()).collect())
+                .collect()
+        };
+        let serial = bits(rsd_par::run_serial(|| fx.transform_all(&d, &windows)));
+        let pooled = bits(rsd_par::with_local_pool(4, || {
+            fx.transform_all(&d, &windows)
+        }));
+        assert_eq!(serial, pooled);
+        let one_by_one: Vec<Vec<f32>> = windows.iter().map(|w| fx.transform(&d, w)).collect();
+        assert_eq!(serial, bits(one_by_one));
     }
 
     #[test]

@@ -80,9 +80,9 @@ impl BinCuts {
 /// A dataset binned for histogram tree growing.
 ///
 /// Bins are stored column-major (`bins[f * n_rows + i]`): histogram
-/// building walks one feature at a time, so each feature's bin column is
-/// a contiguous streamed slice, and per-feature parallel split search
-/// touches disjoint cache lines.
+/// building reads a block of features' columns per pass over a node's
+/// rows, so each feature's bins are one contiguous slice, small enough for
+/// a block's columns to stay cache-resident under the random row order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BinnedMatrix {
     /// Bin cut points (shared with any validation/test matrices).

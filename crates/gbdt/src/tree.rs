@@ -9,6 +9,10 @@
 //!
 //! and the leaf weight is `−G/(H+λ)` (times shrinkage, applied by the
 //! booster).
+//!
+//! Histograms are built a block of features per pass over a node's rows
+//! (`block_histograms`), blocks in parallel on the `rsd-par` pool; trees
+//! depend on neither the block width nor the thread count.
 
 use serde::{Deserialize, Serialize};
 
@@ -100,9 +104,9 @@ impl Tree {
         node: usize,
         depth: usize,
     ) {
-        // Gather the node's gradients once: the per-feature histogram loop
-        // then streams two dense arrays instead of re-chasing `grad[i]`
-        // through the row index for every feature.
+        // Gather the node's gradients once: the histogram loop then
+        // streams two dense arrays instead of re-chasing `grad[i]` through
+        // the row index for every feature.
         let g: Vec<f32> = rows.iter().map(|&i| grad[i]).collect();
         let h: Vec<f32> = rows.iter().map(|&i| hess[i]).collect();
         let g_total: f32 = g.iter().sum();
@@ -116,33 +120,23 @@ impl Tree {
             return;
         }
 
-        // Per-feature split search runs in parallel (each candidate slot
-        // is written by exactly one chunk); the winner is then reduced
-        // serially in `features` order with a strict `>`, which preserves
-        // the serial tie-break (first feature, first bin wins).
+        // Split search runs in parallel over fixed-width feature blocks (a
+        // function of the feature count only, never of thread count; each
+        // candidate slot is written by exactly one block). The winner is
+        // then reduced serially in `features` order with a strict `>`,
+        // which keeps the serial tie-break (first feature, first bin wins).
         let parent_score = g_total * g_total / (h_total + cfg.lambda);
         // Kernel span only under RSD_OBS_PROFILE: this runs once per tree
         // node, which would swamp ordinary telemetry.
         let _split_span =
             rsd_obs::profile_enabled().then(|| rsd_obs::Span::enter("gbdt.split_search"));
         let mut candidates: Vec<Option<(f32, u16)>> = vec![None; features.len()];
-        // Enough features per chunk to amortize dispatch on shallow nodes;
-        // a pure function of node size, never of thread count.
-        let feat_grain = (4096 / rows.len().max(1)).max(1);
-        rsd_par::parallel_chunks_mut(&mut candidates, feat_grain, |start, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let f = features[start + off];
-                *slot = Tree::best_split_for_feature(
-                    data,
-                    f,
-                    rows,
-                    &g,
-                    &h,
-                    g_total,
-                    h_total,
-                    parent_score,
-                    cfg,
-                );
+        rsd_par::parallel_chunks_mut(&mut candidates, FEATURE_BLOCK, |start, slots| {
+            let block = &features[start..start + slots.len()];
+            let (hist, offsets) = block_histograms(data, block, rows, &g, &h);
+            for (k, slot) in slots.iter_mut().enumerate() {
+                let bins = &hist[offsets[k]..offsets[k + 1]];
+                *slot = best_split(bins, g_total, h_total, parent_score, cfg);
             }
         });
         let mut best: Option<(f32, usize, u16)> = None; // (gain, feature, bin)
@@ -202,74 +196,6 @@ impl Tree {
         );
     }
 
-    /// Best `(gain, bin)` split for one feature, or `None` when no bin
-    /// clears the gain/γ/min-child constraints. Histogram accumulation and
-    /// the bin scan run in `rows` order, exactly as the old serial loop.
-    #[allow(clippy::too_many_arguments)]
-    fn best_split_for_feature(
-        data: &BinnedMatrix,
-        f: usize,
-        rows: &[usize],
-        g: &[f32],
-        h: &[f32],
-        g_total: f32,
-        h_total: f32,
-        parent_score: f32,
-        cfg: &TreeConfig,
-    ) -> Option<(f32, u16)> {
-        let n_bins = data.cuts.n_bins(f);
-        if n_bins < 2 {
-            return None;
-        }
-        let feature_bins = data.feature_bins(f);
-        // Interleaved (g, h) pairs: one cache line per bin update instead
-        // of two. Addition order per bin is unchanged, so gains (and
-        // therefore the grown tree) are bit-identical to split arrays.
-        let mut hist = vec![[0.0f32; 2]; n_bins];
-        let len = rows.len().min(g.len()).min(h.len());
-        let (rows, g, h) = (&rows[..len], &g[..len], &h[..len]);
-        let top = n_bins - 1;
-        // `.min(top)` is a no-op (bins are < n_bins by construction) that
-        // lets the compiler drop the per-row bounds check on `hist`; the
-        // 4-way unroll overlaps the gather loads. Updates stay in row
-        // order, so per-bin sums are bit-identical to the naive loop.
-        let mut j = 0;
-        while j + 4 <= len {
-            for dj in 0..4 {
-                let b = (feature_bins[rows[j + dj]] as usize).min(top);
-                let cell = &mut hist[b];
-                cell[0] += g[j + dj];
-                cell[1] += h[j + dj];
-            }
-            j += 4;
-        }
-        while j < len {
-            let cell = &mut hist[(feature_bins[rows[j]] as usize).min(top)];
-            cell[0] += g[j];
-            cell[1] += h[j];
-            j += 1;
-        }
-        let mut best: Option<(f32, u16)> = None;
-        let mut gl = 0.0f32;
-        let mut hl = 0.0f32;
-        for (b, cell) in hist.iter().enumerate().take(n_bins - 1) {
-            gl += cell[0];
-            hl += cell[1];
-            let gr = g_total - gl;
-            let hr = h_total - hl;
-            if hl < cfg.min_child_weight || hr < cfg.min_child_weight {
-                continue;
-            }
-            let gain = 0.5
-                * (gl * gl / (hl + cfg.lambda) + gr * gr / (hr + cfg.lambda) - parent_score)
-                - cfg.gamma;
-            if gain > 0.0 && best.is_none_or(|(bg, _)| gain > bg) {
-                best = Some((gain, b as u16));
-            }
-        }
-        best
-    }
-
     /// Predict one raw feature row.
     pub fn predict_row(&self, row: &[f32]) -> f32 {
         let mut node = 0usize;
@@ -309,6 +235,98 @@ impl Tree {
             .filter(|n| matches!(n, Node::Leaf { .. }))
             .count()
     }
+}
+
+/// Features whose histograms one pass over a node's rows builds together.
+const FEATURE_BLOCK: usize = 8;
+
+/// `(g, h)` histograms of the (at most [`FEATURE_BLOCK`]) features in
+/// `block` over `rows`, in one allocation: feature `k`'s bins are
+/// `hist[offsets[k]..offsets[k + 1]]`. Rows run in the outer loop and the
+/// block's features in the inner one, so consecutive updates land in
+/// different histograms instead of waiting on each other when most rows
+/// share a bin (sparse features). Each bin still adds its rows in `rows`
+/// order, so every sum equals a feature-at-a-time loop's bit for bit.
+fn block_histograms(
+    data: &BinnedMatrix,
+    block: &[usize],
+    rows: &[usize],
+    g: &[f32],
+    h: &[f32],
+) -> (Vec<[f32; 2]>, [usize; FEATURE_BLOCK + 1]) {
+    let mut offsets = [0usize; FEATURE_BLOCK + 1];
+    let mut cols: [&[u8]; FEATURE_BLOCK] = [&[]; FEATURE_BLOCK];
+    for (k, &f) in block.iter().enumerate() {
+        offsets[k + 1] = offsets[k] + data.cuts.n_bins(f);
+        cols[k] = data.feature_bins(f);
+    }
+    let cols = &cols[..block.len()];
+    let mut hist = vec![[0.0f32; 2]; offsets[block.len()]];
+    for (&i, (&gj, &hj)) in rows.iter().zip(g.iter().zip(h)) {
+        for (col, &start) in cols.iter().zip(&offsets) {
+            add_pair(&mut hist[start + usize::from(col[i])], gj, hj);
+        }
+    }
+    (hist, offsets)
+}
+
+/// `cell += (g, h)` as one 64-bit load, add and store (SSE2 is part of the
+/// x86-64 baseline). Lane-wise IEEE adds, so bit-identical to the two
+/// scalar adds other targets run.
+#[inline(always)]
+fn add_pair(cell: &mut [f32; 2], g: f32, h: f32) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{
+            __m128i, _mm_add_ps, _mm_castps_si128, _mm_castsi128_ps, _mm_loadl_epi64, _mm_setr_ps,
+            _mm_storel_epi64,
+        };
+        let p = cell.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: the 8-byte load and store stay inside `cell`; both are
+        // unaligned (`movq`).
+        unsafe {
+            let sum = _mm_add_ps(
+                _mm_castsi128_ps(_mm_loadl_epi64(p)),
+                _mm_setr_ps(g, h, 0.0, 0.0),
+            );
+            _mm_storel_epi64(p, _mm_castps_si128(sum));
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        cell[0] += g;
+        cell[1] += h;
+    }
+}
+
+/// Best `(gain, bin)` split over one feature's histogram, or `None` when no
+/// bin clears the gain/γ/min-child constraints. The first of equal gains
+/// wins.
+fn best_split(
+    hist: &[[f32; 2]],
+    g_total: f32,
+    h_total: f32,
+    parent_score: f32,
+    cfg: &TreeConfig,
+) -> Option<(f32, u16)> {
+    let mut best: Option<(f32, u16)> = None;
+    let mut gl = 0.0f32;
+    let mut hl = 0.0f32;
+    for (b, cell) in hist.iter().enumerate().take(hist.len().saturating_sub(1)) {
+        gl += cell[0];
+        hl += cell[1];
+        let gr = g_total - gl;
+        let hr = h_total - hl;
+        if hl < cfg.min_child_weight || hr < cfg.min_child_weight {
+            continue;
+        }
+        let gain = 0.5 * (gl * gl / (hl + cfg.lambda) + gr * gr / (hr + cfg.lambda) - parent_score)
+            - cfg.gamma;
+        if gain > 0.0 && best.is_none_or(|(bg, _)| gain > bg) {
+            best = Some((gain, b as u16));
+        }
+    }
+    best
 }
 
 #[cfg(test)]

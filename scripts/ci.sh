@@ -201,6 +201,9 @@ cargo test --release -q -p rsd-nn --test par_determinism
 # graphs they replace bit for bit (values, leaf and parameter gradients).
 cargo test --release -q -p rsd-nn --test fused_ops
 cargo test --release -q -p rsd-models --test train_digest
+# The feature-interleaved GBDT histogram build must keep every fitted
+# tree's split, threshold, gain and leaf-weight bits (committed digest).
+cargo test --release -q -p rsd-gbdt --test fit_digest
 cargo test --release -q -p rsd-models --test int8_partition_props
 cargo test --release -q -p rsd-models plm_infer
 
