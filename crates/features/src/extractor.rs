@@ -80,6 +80,11 @@ impl FeatureExtractor {
         &self.dims
     }
 
+    /// The fitted TF-IDF vectorizer behind the trailing feature block.
+    pub fn tfidf(&self) -> &TfIdfVectorizer {
+        &self.tfidf
+    }
+
     /// Extract the dense feature vector for one window.
     pub fn transform(&self, dataset: &Rsd15k, window: &UserWindow) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.dim());

@@ -204,6 +204,9 @@ cargo test --release -q -p rsd-models --test train_digest
 # The feature-interleaved GBDT histogram build must keep every fitted
 # tree's split, threshold, gain and leaf-weight bits (committed digest).
 cargo test --release -q -p rsd-gbdt --test fit_digest
+# Every post-level window row of a smoke fixture, hashed bit for bit, and
+# the streaming featurizer against the whole-window oracle.
+cargo test --release -q -p rsd-features --test feature_digest
 cargo test --release -q -p rsd-models --test int8_partition_props
 cargo test --release -q -p rsd-models plm_infer
 
