@@ -22,7 +22,7 @@ fn main() {
     let expand = |windows: &[rsd_dataset::UserWindow], cap: usize| {
         let mut out = Vec::new();
         for w in windows {
-            let user = dataset.users.iter().find(|u| u.id == w.user).expect("user");
+            let user = dataset.user(w.user).expect("user");
             out.extend(post_level_windows(dataset, user, splits.config.window, cap));
         }
         out

@@ -2,10 +2,15 @@
 //! changes: one JSON object per line, each carrying the parent → change
 //! medians of the repository benchmark's `train_s` on both workloads.
 //! Every line must parse and carry those keys, and lines stay in order.
+//! From `pr` 23 on, a line also names the commits it measured: `git_rev`
+//! with a `parent` and a `change` revision.
 
 use serde_json::Value;
 
 const WORKLOADS: [&str; 2] = ["train-serve-neural", "serve-gbdt"];
+
+/// The first trajectory line that records `git_rev`.
+const FIRST_PR_WITH_REV: u64 = 23;
 
 #[test]
 fn every_trajectory_line_parses_with_its_keys() {
@@ -34,6 +39,15 @@ fn every_trajectory_line_parses_with_its_keys() {
                 assert!(
                     s.is_some_and(|s| s > 0.0),
                     "{at}: train_s.{w}.{side} must be a positive number"
+                );
+            }
+        }
+        if pr >= FIRST_PR_WITH_REV {
+            for side in ["parent", "change"] {
+                let rev = v["git_rev"][side].as_str();
+                assert!(
+                    rev.is_some_and(|r| r.len() >= 7 && r.bytes().all(|b| b.is_ascii_hexdigit())),
+                    "{at}: git_rev.{side} must be a hex revision of at least 7 digits"
                 );
             }
         }

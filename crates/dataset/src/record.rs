@@ -70,6 +70,17 @@ impl Rsd15k {
         Ok(self.posts[*last].label)
     }
 
+    /// The user with id `id`, by binary search: [`validate`] holds
+    /// `users` sorted by id with no duplicates, as both builders emit them.
+    ///
+    /// [`validate`]: Rsd15k::validate
+    pub fn user(&self, id: UserId) -> Option<&UserRecord> {
+        self.users
+            .binary_search_by_key(&id, |u| u.id)
+            .ok()
+            .map(|i| &self.users[i])
+    }
+
     /// Iterate a user's posts in chronological order.
     pub fn user_posts<'a>(&'a self, user: &'a UserRecord) -> impl Iterator<Item = &'a Post> {
         user.post_indices.iter().map(move |&i| &self.posts[i])
@@ -91,8 +102,16 @@ impl Rsd15k {
     /// * every post belongs to exactly one user's timeline;
     /// * timelines are chronological;
     /// * timelines reference valid indices;
-    /// * users are non-empty.
+    /// * users are non-empty;
+    /// * users are sorted by strictly increasing id (what [`Rsd15k::user`]
+    ///   searches).
     pub fn validate(&self) -> Result<()> {
+        if let Some(w) = self.users.windows(2).find(|w| w[0].id >= w[1].id) {
+            return Err(RsdError::data(format!(
+                "users not sorted by unique id: {} before {}",
+                w[0].id, w[1].id
+            )));
+        }
         let mut seen = vec![false; self.posts.len()];
         for user in &self.users {
             if user.post_indices.is_empty() {
@@ -234,6 +253,27 @@ mod tests {
             post_indices: vec![],
         });
         assert!(d.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_unsorted_or_duplicate_user_ids() {
+        let mut d = tiny();
+        d.users.swap(0, 1);
+        let err = d.validate().unwrap_err().to_string();
+        assert!(err.contains("not sorted"), "{err}");
+
+        let mut d = tiny();
+        d.users[1].id = UserId(0);
+        let err = d.validate().unwrap_err().to_string();
+        assert!(err.contains("not sorted"), "{err}");
+    }
+
+    #[test]
+    fn user_lookup_by_id() {
+        let d = tiny();
+        assert_eq!(d.user(UserId(1)), Some(&d.users[1]));
+        assert_eq!(d.user(UserId(0)), Some(&d.users[0]));
+        assert_eq!(d.user(UserId(2)), None);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::post::PreparedPost;
 use crate::sequence::{sequence_features_into, SEQUENCE_FEATURE_NAMES};
 use crate::text::{text_features_into, TEXT_FEATURE_NAMES};
 use crate::time::{time_features_into, TIME_FEATURE_NAMES};
@@ -85,37 +86,125 @@ impl FeatureExtractor {
         &self.tfidf
     }
 
-    /// Extract the dense feature vector for one window.
-    pub fn transform(&self, dataset: &Rsd15k, window: &UserWindow) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.dim());
-        self.transform_into(dataset, window, &mut out);
+    /// Prepare one post for the window combiner: a single tokenization
+    /// gives its token statistics, distinct tokens and TF-IDF row.
+    pub fn prepare(&self, text: String) -> PreparedPost {
+        PreparedPost::new(text, &self.tfidf)
+    }
+
+    /// The window combiner: the feature row of a window given as its
+    /// prepared posts (chronological) and their timestamps, where
+    /// `total_posts` counts every post the user has made so far. Training,
+    /// evaluation and serving all build their rows here. `out` is cleared
+    /// first, so a caller can reuse one buffer across windows.
+    pub fn combine_into(
+        &self,
+        posts: &[&PreparedPost],
+        timestamps: &[Timestamp],
+        total_posts: usize,
+        out: &mut Vec<f32>,
+    ) {
+        out.clear();
+        time_features_into(timestamps, out);
+        text_features_into(posts, out);
+        sequence_features_into(posts, total_posts, out);
+
+        let base = out.len();
+        out.resize(base + self.tfidf.dim(), 0.0);
+        if let Some(last) = posts.last() {
+            let sparse = &last.tfidf;
+            for (&i, &v) in sparse.indices.iter().zip(&sparse.values) {
+                out[base + i as usize] = v;
+            }
+        }
+    }
+
+    /// Prepare every post that `windows` read, once each, on the
+    /// `rsd-par` pool.
+    pub fn prepare_posts(&self, dataset: &Rsd15k, windows: &[&[UserWindow]]) -> PostTable {
+        let mut slot = vec![u32::MAX; dataset.posts.len()];
+        let mut order: Vec<usize> = Vec::new();
+        for &i in windows
+            .iter()
+            .flat_map(|ws| ws.iter())
+            .flat_map(|w| &w.post_indices)
+        {
+            if slot[i] == u32::MAX {
+                slot[i] = order.len() as u32;
+                order.push(i);
+            }
+        }
+        let mut posts = vec![PreparedPost::default(); order.len()];
+        rsd_par::parallel_chunks_mut(&mut posts, 64, |start, chunk| {
+            for (post, &i) in chunk.iter_mut().zip(&order[start..]) {
+                *post = self.prepare(dataset.posts[i].text.clone());
+            }
+        });
+        PostTable { slot, posts }
+    }
+
+    /// The feature row of one window whose posts `table` holds, into a
+    /// caller-owned buffer.
+    ///
+    /// # Panics
+    /// If `table` lacks one of the window's posts.
+    pub fn transform_window_into(
+        &self,
+        dataset: &Rsd15k,
+        table: &PostTable,
+        window: &UserWindow,
+        out: &mut Vec<f32>,
+    ) {
+        let posts: Vec<&PreparedPost> = window.post_indices.iter().map(|&i| table.get(i)).collect();
+        let total_posts = dataset
+            .user(window.user)
+            .map_or(window.post_indices.len(), |u| u.post_indices.len());
+        self.combine_into(&posts, &window.timestamps, total_posts, out);
+    }
+
+    /// Feature rows of `windows`, whose posts `table` holds, on the
+    /// `rsd-par` pool: each row is computed whole by one chunk of a fixed
+    /// grain, so the output is the same at any thread count.
+    pub fn transform_windows(
+        &self,
+        dataset: &Rsd15k,
+        table: &PostTable,
+        windows: &[UserWindow],
+    ) -> Vec<Vec<f32>> {
+        let mut out: Vec<Vec<f32>> = windows
+            .iter()
+            .map(|_| Vec::with_capacity(self.dim()))
+            .collect();
+        rsd_par::parallel_chunks_mut(&mut out, 64, |start, slots| {
+            for (slot, window) in slots.iter_mut().zip(&windows[start..]) {
+                self.transform_window_into(dataset, table, window, slot);
+            }
+        });
         out
     }
 
-    /// [`transform`](FeatureExtractor::transform) into a caller-owned
-    /// buffer (cleared first). Reusing one buffer across calls is what
-    /// the micro-batched scoring path does to avoid per-request
-    /// allocation.
-    pub fn transform_into(&self, dataset: &Rsd15k, window: &UserWindow, out: &mut Vec<f32>) {
-        let texts: Vec<&str> = window
-            .post_indices
-            .iter()
-            .map(|&i| dataset.posts[i].text.as_str())
-            .collect();
-        let total_posts = dataset
-            .users
-            .iter()
-            .find(|u| u.id == window.user)
-            .map_or(window.post_indices.len(), |u| u.post_indices.len());
-        self.transform_stream_into(&texts, &window.timestamps, total_posts, out);
+    /// Feature rows of `windows`: [`prepare_posts`] then
+    /// [`transform_windows`].
+    ///
+    /// [`prepare_posts`]: FeatureExtractor::prepare_posts
+    /// [`transform_windows`]: FeatureExtractor::transform_windows
+    pub fn transform_all(&self, dataset: &Rsd15k, windows: &[UserWindow]) -> Vec<Vec<f32>> {
+        let table = self.prepare_posts(dataset, &[windows]);
+        self.transform_windows(dataset, &table, windows)
     }
 
-    /// The inference-only entry point: featurize a window given directly
-    /// as `(texts, timestamps, total_posts)` — no dataset lookup, no
-    /// `UserWindow` materialization. This is what the serving path calls
-    /// with state reconstructed from its per-user window store;
-    /// `total_posts` is the store's `total_seen` count. Bit-identical to
-    /// [`transform`](FeatureExtractor::transform) for the same window.
+    /// The feature row of one window.
+    pub fn transform(&self, dataset: &Rsd15k, window: &UserWindow) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.dim());
+        let table = self.prepare_posts(dataset, &[std::slice::from_ref(window)]);
+        self.transform_window_into(dataset, &table, window, &mut out);
+        out
+    }
+
+    /// The feature row of a window given directly as `(texts, timestamps,
+    /// total_posts)`, with no dataset lookup: each text is prepared, then
+    /// combined. Bit-identical to [`transform`](FeatureExtractor::transform)
+    /// for the same window.
     pub fn transform_stream_into(
         &self,
         texts: &[&str],
@@ -123,34 +212,10 @@ impl FeatureExtractor {
         total_posts: usize,
         out: &mut Vec<f32>,
     ) {
-        out.clear();
-        time_features_into(timestamps, out);
-        text_features_into(texts, out);
-        sequence_features_into(texts, total_posts, out);
-
-        let last = texts.last().copied().unwrap_or("");
-        let sparse = self.tfidf.transform(last);
-        let base = out.len();
-        out.resize(base + self.tfidf.dim(), 0.0);
-        for (&i, &v) in sparse.indices.iter().zip(&sparse.values) {
-            out[base + i as usize] = v;
-        }
-    }
-
-    /// Batch transform on the `rsd-par` pool: each window's vector is
-    /// computed whole by one chunk of a fixed grain, so the output is the
-    /// same at any thread count.
-    pub fn transform_all(&self, dataset: &Rsd15k, windows: &[UserWindow]) -> Vec<Vec<f32>> {
-        let mut out: Vec<Vec<f32>> = windows
-            .iter()
-            .map(|_| Vec::with_capacity(self.dim()))
-            .collect();
-        rsd_par::parallel_chunks_mut(&mut out, 64, |start, slots| {
-            for (slot, window) in slots.iter_mut().zip(&windows[start..]) {
-                self.transform_into(dataset, window, slot);
-            }
-        });
-        out
+        let prepared: Vec<PreparedPost> =
+            texts.iter().map(|t| self.prepare(t.to_string())).collect();
+        let posts: Vec<&PreparedPost> = prepared.iter().collect();
+        self.combine_into(&posts, timestamps, total_posts, out);
     }
 
     /// Aggregate a per-feature importance vector into per-dimension shares
@@ -171,6 +236,29 @@ impl FeatureExtractor {
             (FeatureDimension::Text, text),
             (FeatureDimension::Sequence, seq),
         ]
+    }
+}
+
+/// Prepared posts looked up by dataset post index, built by
+/// [`FeatureExtractor::prepare_posts`] and read by
+/// [`FeatureExtractor::transform_windows`].
+#[derive(Debug)]
+pub struct PostTable {
+    /// Per dataset post: its index in `posts`, or `u32::MAX` if absent.
+    slot: Vec<u32>,
+    posts: Vec<PreparedPost>,
+}
+
+impl PostTable {
+    /// Dataset post `index`, prepared.
+    ///
+    /// # Panics
+    /// If the post was not prepared.
+    pub fn get(&self, index: usize) -> &PreparedPost {
+        match self.slot.get(index) {
+            Some(&s) if s != u32::MAX => &self.posts[s as usize],
+            _ => panic!("PostTable: post {index} was not prepared"),
+        }
     }
 }
 

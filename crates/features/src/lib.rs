@@ -15,11 +15,13 @@
 //! paper's finding that temporal features dominate.
 
 pub mod extractor;
+pub mod post;
 pub mod sequence;
 pub mod text;
 pub mod time;
 
-pub use extractor::{FeatureDimension, FeatureExtractor};
-pub use sequence::{sequence_features, sequence_features_into, SEQUENCE_FEATURE_NAMES};
-pub use text::{text_features, text_features_into, TEXT_FEATURE_NAMES};
+pub use extractor::{FeatureDimension, FeatureExtractor, PostTable};
+pub use post::PreparedPost;
+pub use sequence::SEQUENCE_FEATURE_NAMES;
+pub use text::TEXT_FEATURE_NAMES;
 pub use time::{time_features, time_features_into, TIME_FEATURE_NAMES};

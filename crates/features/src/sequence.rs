@@ -2,8 +2,8 @@
 //! cumulative statistics over the user's post sequence.
 
 use rsd_common::stats::linear_trend;
-use rsd_text::relevance::theme_hits;
-use rsd_text::tokenize::{token_count, tokenize};
+
+use crate::post::{jaccard, PreparedPost};
 
 /// Names of the sequence features, in output order.
 pub const SEQUENCE_FEATURE_NAMES: &[&str] = &[
@@ -15,27 +15,21 @@ pub const SEQUENCE_FEATURE_NAMES: &[&str] = &[
     "seq.escalation_steps",
 ];
 
-/// Extract sequence features.
-///
-/// * `texts` — the window's cleaned texts, chronological.
-/// * `total_posts` — the user's full history length (cumulative feature).
-pub fn sequence_features(texts: &[&str], total_posts: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(SEQUENCE_FEATURE_NAMES.len());
-    sequence_features_into(texts, total_posts, &mut out);
-    out
-}
-
-/// [`sequence_features`] appended into a caller-owned buffer — the
-/// allocation-free variant the serving path's scratch buffers use.
-pub fn sequence_features_into(texts: &[&str], total_posts: usize, out: &mut Vec<f32>) {
-    let lens: Vec<f64> = texts.iter().map(|t| token_count(t) as f64).collect();
-    let hits: Vec<f64> = texts.iter().map(|t| theme_hits(t) as f64).collect();
+/// Append the sequence features of a window's prepared posts
+/// (chronological); `total_posts` is the user's full history length (the
+/// cumulative feature).
+pub(crate) fn sequence_features_into(
+    posts: &[&PreparedPost],
+    total_posts: usize,
+    out: &mut Vec<f32>,
+) {
+    let lens: Vec<f64> = posts.iter().map(|p| p.tokens as f64).collect();
+    let hits: Vec<f64> = posts.iter().map(|p| p.theme_hits as f64).collect();
 
     // Token-overlap similarity between the last two posts.
-    let last_jaccard = if texts.len() >= 2 {
-        jaccard(texts[texts.len() - 2], texts[texts.len() - 1])
-    } else {
-        0.0
+    let last_jaccard = match posts {
+        [.., a, b] => jaccard(a, b),
+        _ => 0.0,
     };
 
     // Number of consecutive increases in theme-hit counts — a cheap proxy
@@ -43,7 +37,7 @@ pub fn sequence_features_into(texts: &[&str], total_posts: usize, out: &mut Vec<
     let escalation_steps = hits.windows(2).filter(|w| w[1] > w[0]).count() as f64;
 
     out.extend_from_slice(&[
-        texts.len() as f32,
+        posts.len() as f32,
         total_posts as f32,
         linear_trend(&lens) as f32,
         linear_trend(&hits) as f32,
@@ -52,22 +46,17 @@ pub fn sequence_features_into(texts: &[&str], total_posts: usize, out: &mut Vec<
     ]);
 }
 
-/// Token-set Jaccard similarity of two cleaned texts.
-fn jaccard(a: &str, b: &str) -> f64 {
-    use std::collections::HashSet;
-    let sa: HashSet<&str> = tokenize(a).into_iter().collect();
-    let sb: HashSet<&str> = tokenize(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = sa.union(&sb).count() as f64;
-    inter / union
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::post::test_support::prepared;
+
+    fn sequence_features(texts: &[&str], total_posts: usize) -> Vec<f32> {
+        let p = prepared(texts);
+        let mut out = Vec::new();
+        sequence_features_into(&p.iter().collect::<Vec<_>>(), total_posts, &mut out);
+        out
+    }
 
     #[test]
     fn feature_count_matches_names() {

@@ -1,10 +1,10 @@
 //! Text-dimension features: statistical and linguistic descriptors of the
-//! window's posts (TF-IDF lives in the extractor; these are the dense
-//! companions).
+//! window's posts, combined from their prepared parts (TF-IDF lives in the
+//! extractor; these are the dense companions).
 
 use rsd_common::stats::{mean, std_dev};
-use rsd_text::relevance::theme_hits;
-use rsd_text::tokenize;
+
+use crate::post::{distinct_union_len, PreparedPost};
 
 /// Names of the dense text features, in output order.
 pub const TEXT_FEATURE_NAMES: &[&str] = &[
@@ -19,22 +19,10 @@ pub const TEXT_FEATURE_NAMES: &[&str] = &[
     "text.theme_hits_last",
 ];
 
-/// Negation markers surviving the cleaning pipeline.
-const NEGATIONS: &[&str] = &["not", "never", "no", "don't", "cannot", "can't", "won't"];
-
-/// Extract dense text features from the window's cleaned post texts
+/// Append the dense text features of a window's prepared posts
 /// (chronological; last = the labelled post).
-pub fn text_features(texts: &[&str]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(TEXT_FEATURE_NAMES.len());
-    text_features_into(texts, &mut out);
-    out
-}
-
-/// [`text_features`] appended into a caller-owned buffer — the
-/// allocation-free variant the serving path's scratch buffers use.
-pub fn text_features_into(texts: &[&str], out: &mut Vec<f32>) {
-    let token_lists: Vec<Vec<&str>> = texts.iter().map(|t| tokenize(t)).collect();
-    let lens: Vec<f64> = token_lists.iter().map(|t| t.len() as f64).collect();
+pub(crate) fn text_features_into(posts: &[&PreparedPost], out: &mut Vec<f32>) {
+    let lens: Vec<f64> = posts.iter().map(|p| p.tokens as f64).collect();
     let len_mean = mean(&lens);
     let len_last = lens.last().copied().unwrap_or(0.0);
     let len_change = if len_mean > 0.0 {
@@ -43,23 +31,17 @@ pub fn text_features_into(texts: &[&str], out: &mut Vec<f32>) {
         1.0
     };
 
-    let all_tokens: Vec<&str> = token_lists.iter().flatten().copied().collect();
-    let type_token_ratio = if all_tokens.is_empty() {
+    let n_tokens: usize = posts.iter().map(|p| p.tokens).sum();
+    let type_token_ratio = if n_tokens == 0 {
         0.0
     } else {
-        let mut uniq: Vec<&str> = all_tokens.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        uniq.len() as f64 / all_tokens.len() as f64
+        distinct_union_len(posts) as f64 / n_tokens as f64
     };
-    let first_person = all_tokens
-        .iter()
-        .filter(|t| matches!(**t, "i" | "me" | "my" | "myself" | "i'm" | "i've"))
-        .count() as f64
-        / all_tokens.len().max(1) as f64;
-    let negations = all_tokens.iter().filter(|t| NEGATIONS.contains(*t)).count() as f64;
-    let theme_total: f64 = texts.iter().map(|t| theme_hits(t) as f64).sum();
-    let theme_last = texts.last().map_or(0.0, |t| theme_hits(t) as f64);
+    let first_person =
+        posts.iter().map(|p| p.first_person).sum::<usize>() as f64 / n_tokens.max(1) as f64;
+    let negations = posts.iter().map(|p| p.negations).sum::<usize>() as f64;
+    let theme_total: f64 = posts.iter().map(|p| p.theme_hits as f64).sum();
+    let theme_last = posts.last().map_or(0.0, |p| p.theme_hits as f64);
 
     out.extend_from_slice(&[
         len_mean as f32,
@@ -77,6 +59,14 @@ pub fn text_features_into(texts: &[&str], out: &mut Vec<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::post::test_support::prepared;
+
+    fn text_features(texts: &[&str]) -> Vec<f32> {
+        let p = prepared(texts);
+        let mut out = Vec::new();
+        text_features_into(&p.iter().collect::<Vec<_>>(), &mut out);
+        out
+    }
 
     #[test]
     fn feature_count_matches_names() {

@@ -8,7 +8,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::data::BinnedMatrix;
-use crate::tree::{Tree, TreeConfig};
+use crate::tree::{PackedBins, Tree, TreeConfig};
 use rsd_common::rng::{sample_indices, stream_rng};
 use rsd_common::{Result, RsdError};
 
@@ -130,20 +130,22 @@ impl Booster {
             let _ = rng.gen::<u32>(); // decorrelate rounds even at full sample
 
             // One tree per class; classes are independent given this
-            // round's gradients, so they fit in parallel. Score updates
-            // then apply per class in order (disjoint score columns).
+            // round's gradients, so they fit in parallel over one packing
+            // of the round's feature sample. Score updates then apply per
+            // class in order (disjoint score columns).
+            let packed = PackedBins::new(train, &features);
             let mut round_trees: Vec<Option<Tree>> = vec![None; k];
             rsd_par::parallel_chunks_mut(&mut round_trees, 1, |start, slot| {
                 let c = start;
                 let _tree_span = rsd_obs::Span::enter("gbdt.fit.tree");
                 let g: Vec<f32> = (0..n).map(|i| grad[i * k + c]).collect();
                 let h: Vec<f32> = (0..n).map(|i| hess[i * k + c]).collect();
-                slot[0] = Some(Tree::fit(
+                slot[0] = Some(Tree::fit_packed(
                     train,
+                    &packed,
                     &g,
                     &h,
                     &rows,
-                    &features,
                     &cfg.tree,
                     cfg.learning_rate,
                 ));

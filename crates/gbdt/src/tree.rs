@@ -11,7 +11,8 @@
 //! booster).
 //!
 //! Histograms are built a block of features per pass over a node's rows
-//! (`block_histograms`), blocks in parallel on the `rsd-par` pool; trees
+//! (`block_histograms`), blocks in parallel on the `rsd-par` pool, reading
+//! each row's bins of a block as one packed word (`PackedBins`); trees
 //! depend on neither the block width nor the thread count.
 
 use serde::{Deserialize, Serialize};
@@ -85,9 +86,25 @@ impl Tree {
         cfg: &TreeConfig,
         shrinkage: f32,
     ) -> Tree {
+        let packed = PackedBins::new(data, features);
+        Tree::fit_packed(data, &packed, grad, hess, rows, cfg, shrinkage)
+    }
+
+    /// [`fit`](Tree::fit) over features already packed by
+    /// [`PackedBins::new`], so trees that share a feature sample (one per
+    /// class in a boosting round) share one packing.
+    pub(crate) fn fit_packed(
+        data: &BinnedMatrix,
+        packed: &PackedBins<'_>,
+        grad: &[f32],
+        hess: &[f32],
+        rows: &[usize],
+        cfg: &TreeConfig,
+        shrinkage: f32,
+    ) -> Tree {
         let mut tree = Tree { nodes: Vec::new() };
         tree.nodes.push(Node::Leaf { weight: 0.0 });
-        tree.grow(data, grad, hess, rows, features, cfg, shrinkage, 0, 0);
+        tree.grow(data, packed, grad, hess, rows, cfg, shrinkage, 0, 0);
         tree
     }
 
@@ -95,15 +112,16 @@ impl Tree {
     fn grow(
         &mut self,
         data: &BinnedMatrix,
+        packed: &PackedBins<'_>,
         grad: &[f32],
         hess: &[f32],
         rows: &[usize],
-        features: &[usize],
         cfg: &TreeConfig,
         shrinkage: f32,
         node: usize,
         depth: usize,
     ) {
+        let features = packed.features;
         // Gather the node's gradients once: the histogram loop then
         // streams two dense arrays instead of re-chasing `grad[i]` through
         // the row index for every feature.
@@ -133,7 +151,8 @@ impl Tree {
         let mut candidates: Vec<Option<(f32, u16)>> = vec![None; features.len()];
         rsd_par::parallel_chunks_mut(&mut candidates, FEATURE_BLOCK, |start, slots| {
             let block = &features[start..start + slots.len()];
-            let (hist, offsets) = block_histograms(data, block, rows, &g, &h);
+            let bins = packed.block(start / FEATURE_BLOCK);
+            let (hist, offsets) = block_histograms(data, block, bins, rows, &g, &h);
             for (k, slot) in slots.iter_mut().enumerate() {
                 let bins = &hist[offsets[k]..offsets[k + 1]];
                 *slot = best_split(bins, g_total, h_total, parent_score, cfg);
@@ -174,10 +193,10 @@ impl Tree {
         };
         self.grow(
             data,
+            packed,
             grad,
             hess,
             &left_rows,
-            features,
             cfg,
             shrinkage,
             left,
@@ -185,10 +204,10 @@ impl Tree {
         );
         self.grow(
             data,
+            packed,
             grad,
             hess,
             &right_rows,
-            features,
             cfg,
             shrinkage,
             right,
@@ -240,34 +259,95 @@ impl Tree {
 /// Features whose histograms one pass over a node's rows builds together.
 const FEATURE_BLOCK: usize = 8;
 
+/// A feature sample's bins packed for histogram building: block `b` holds
+/// features `features[b * FEATURE_BLOCK..]` (at most [`FEATURE_BLOCK`] of
+/// them), and row `i`'s bins in that block are one `[u8; FEATURE_BLOCK]`
+/// (unused lanes 0). A pass over a node's rows then reads one 8-byte word
+/// per row instead of one byte from each of the block's columns.
+pub(crate) struct PackedBins<'a> {
+    features: &'a [usize],
+    n_rows: usize,
+    /// `blocks[b * n_rows + i]`: row `i`'s bins in block `b`.
+    blocks: Vec<[u8; FEATURE_BLOCK]>,
+}
+
+impl<'a> PackedBins<'a> {
+    /// Pack `features` of `data`, one block per parallel chunk (each block
+    /// is written by exactly one chunk).
+    pub(crate) fn new(data: &BinnedMatrix, features: &'a [usize]) -> PackedBins<'a> {
+        let n = data.n_rows;
+        let mut blocks = vec![[0u8; FEATURE_BLOCK]; features.len().div_ceil(FEATURE_BLOCK) * n];
+        if n > 0 {
+            rsd_par::parallel_chunks_mut(&mut blocks, n, |start, rows| {
+                let b = start / n;
+                let block =
+                    &features[b * FEATURE_BLOCK..features.len().min((b + 1) * FEATURE_BLOCK)];
+                for (k, &f) in block.iter().enumerate() {
+                    for (row, &bin) in rows.iter_mut().zip(data.feature_bins(f)) {
+                        row[k] = bin;
+                    }
+                }
+            });
+        }
+        PackedBins {
+            features,
+            n_rows: n,
+            blocks,
+        }
+    }
+
+    /// Block `b`'s packed bins, indexed by row.
+    fn block(&self, b: usize) -> &[[u8; FEATURE_BLOCK]] {
+        &self.blocks[b * self.n_rows..(b + 1) * self.n_rows]
+    }
+}
+
 /// `(g, h)` histograms of the (at most [`FEATURE_BLOCK`]) features in
-/// `block` over `rows`, in one allocation: feature `k`'s bins are
-/// `hist[offsets[k]..offsets[k + 1]]`. Rows run in the outer loop and the
-/// block's features in the inner one, so consecutive updates land in
-/// different histograms instead of waiting on each other when most rows
-/// share a bin (sparse features). Each bin still adds its rows in `rows`
-/// order, so every sum equals a feature-at-a-time loop's bit for bit.
+/// `block`, whose bins `packed` holds, over `rows`, in one allocation:
+/// feature `k`'s bins are `hist[offsets[k]..offsets[k + 1]]`. Rows run in
+/// the outer loop and the block's features in the inner one, so
+/// consecutive updates land in different histograms instead of waiting on
+/// each other when most rows share a bin (sparse features). Each bin still
+/// adds its rows in `rows` order, so every sum equals a feature-at-a-time
+/// loop's bit for bit.
 fn block_histograms(
     data: &BinnedMatrix,
     block: &[usize],
+    packed: &[[u8; FEATURE_BLOCK]],
     rows: &[usize],
     g: &[f32],
     h: &[f32],
 ) -> (Vec<[f32; 2]>, [usize; FEATURE_BLOCK + 1]) {
     let mut offsets = [0usize; FEATURE_BLOCK + 1];
-    let mut cols: [&[u8]; FEATURE_BLOCK] = [&[]; FEATURE_BLOCK];
     for (k, &f) in block.iter().enumerate() {
         offsets[k + 1] = offsets[k] + data.cuts.n_bins(f);
-        cols[k] = data.feature_bins(f);
     }
-    let cols = &cols[..block.len()];
     let mut hist = vec![[0.0f32; 2]; offsets[block.len()]];
-    for (&i, (&gj, &hj)) in rows.iter().zip(g.iter().zip(h)) {
-        for (col, &start) in cols.iter().zip(&offsets) {
-            add_pair(&mut hist[start + usize::from(col[i])], gj, hj);
-        }
+    // A full block's lane count is a constant, so the lane loop unrolls.
+    if block.len() == FEATURE_BLOCK {
+        accumulate(&mut hist, &offsets[..FEATURE_BLOCK], packed, rows, g, h);
+    } else {
+        accumulate(&mut hist, &offsets[..block.len()], packed, rows, g, h);
     }
     (hist, offsets)
+}
+
+/// Add each row's `(g, h)` to its bin in every lane that `starts` covers.
+#[inline(always)]
+fn accumulate(
+    hist: &mut [[f32; 2]],
+    starts: &[usize],
+    packed: &[[u8; FEATURE_BLOCK]],
+    rows: &[usize],
+    g: &[f32],
+    h: &[f32],
+) {
+    for (&i, (&gj, &hj)) in rows.iter().zip(g.iter().zip(h)) {
+        let bins = packed[i];
+        for (&start, &bin) in starts.iter().zip(&bins) {
+            add_pair(&mut hist[start + usize::from(bin)], gj, hj);
+        }
+    }
 }
 
 /// `cell += (g, h)` as one 64-bit load, add and store (SSE2 is part of the

@@ -44,6 +44,6 @@ pub use encoding::{EncodedWindow, TaskEncoder, TIME_FEATURE_DIM};
 pub use higru::{HiGruBaseline, HiGruConfig};
 pub use plm::{FittedPlm, PlmBaseline, PlmConfig, PlmKind};
 pub use plm_infer::{PlmInferenceModel, PlmScratch};
-pub use scorer::{ScoreScratch, ScoringModel, ServeModel};
+pub use scorer::{ScoreScratch, ScoringModel, ServeModel, StreamPost};
 pub use trainer::{BenchData, EvalOutcome, TrainConfig};
 pub use xgboost::{XgboostBaseline, XgboostConfig};

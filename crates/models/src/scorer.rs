@@ -25,7 +25,7 @@
 
 use rsd_common::{Result, RsdError, Timestamp};
 use rsd_dataset::{Rsd15k, UserWindow};
-use rsd_features::FeatureExtractor;
+use rsd_features::{FeatureExtractor, PreparedPost};
 use rsd_gbdt::{BinnedMatrix, Booster};
 
 use crate::plm::FittedPlm;
@@ -89,6 +89,18 @@ pub struct ScoreScratch {
     plm: PlmScratch,
 }
 
+/// A post as the serving window store holds it, prepared once as it
+/// enters: the GBDT backend keeps what its window combiner reads, the PLM
+/// backends keep only the text.
+#[derive(Debug, Clone)]
+pub struct StreamPost(StreamPayload);
+
+#[derive(Debug, Clone)]
+enum StreamPayload {
+    Prepared(PreparedPost),
+    Text(String),
+}
+
 enum Backend {
     Gbdt {
         extractor: Box<FeatureExtractor>,
@@ -122,9 +134,12 @@ impl ScoringModel {
             cfg.post_level_cap,
         );
         let extractor = FeatureExtractor::fit(data.dataset, &train_windows, cfg.max_tfidf)?;
-        let x_train = extractor.transform_all(data.dataset, &train_windows);
+        let valid_windows = &data.splits.valid;
+        let table = extractor.prepare_posts(data.dataset, &[&train_windows, valid_windows]);
+        let x_train = extractor.transform_windows(data.dataset, &table, &train_windows);
         let y_train: Vec<usize> = train_windows.iter().map(|w| w.label.index()).collect();
-        let x_valid = extractor.transform_all(data.dataset, &data.splits.valid);
+        let x_valid = extractor.transform_windows(data.dataset, &table, valid_windows);
+        drop(table);
         let y_valid: Vec<usize> = data.splits.valid.iter().map(|w| w.label.index()).collect();
 
         let train = BinnedMatrix::fit(x_train, 64)?;
@@ -211,43 +226,76 @@ impl ScoringModel {
     /// because integer accumulation is exact.
     pub fn score_windows(&self, dataset: &Rsd15k, windows: &[UserWindow]) -> Vec<usize> {
         let mut preds = vec![0usize; windows.len()];
-        rsd_par::parallel_chunks_mut(&mut preds, 16, |start, chunk| {
-            let mut scratch = ScoreScratch::default();
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                let w = &windows[start + off];
-                *slot = match &self.backend {
-                    Backend::Gbdt { extractor, booster } => {
-                        extractor.transform_into(dataset, w, &mut scratch.row);
-                        booster.predict_row(&scratch.row)
+        match &self.backend {
+            Backend::Gbdt { extractor, booster } => {
+                let table = extractor.prepare_posts(dataset, &[windows]);
+                rsd_par::parallel_chunks_mut(&mut preds, 16, |start, chunk| {
+                    let mut row = Vec::new();
+                    for (slot, w) in chunk.iter_mut().zip(&windows[start..]) {
+                        extractor.transform_window_into(dataset, &table, w, &mut row);
+                        *slot = booster.predict_row(&row);
                     }
-                    Backend::Plm { engine, quantized } => {
-                        let encoded = engine.encoder().encode(dataset, w);
-                        engine.score(&encoded, *quantized, &mut scratch.plm)
-                    }
-                };
+                });
             }
-        });
+            Backend::Plm { engine, quantized } => {
+                rsd_par::parallel_chunks_mut(&mut preds, 16, |start, chunk| {
+                    let mut scratch = PlmScratch::default();
+                    for (slot, w) in chunk.iter_mut().zip(&windows[start..]) {
+                        let encoded = engine.encoder().encode(dataset, w);
+                        *slot = engine.score(&encoded, *quantized, &mut scratch);
+                    }
+                });
+            }
+        }
         preds
     }
 
+    /// Prepare a post for the serving window store, once, as it enters:
+    /// the GBDT backend keeps its per-post features beside the text, the
+    /// PLM backends keep only the text.
+    pub fn prepare_post(&self, text: String) -> StreamPost {
+        StreamPost(match &self.backend {
+            Backend::Gbdt { extractor, .. } => StreamPayload::Prepared(extractor.prepare(text)),
+            Backend::Plm { .. } => StreamPayload::Text(text),
+        })
+    }
+
     /// Score one streaming request: the caller supplies the window
-    /// reconstructed from its per-user state (`texts`/`timestamps`
-    /// chronological, `total_posts` = posts ever seen for the user) and
-    /// a reusable scratch. Returns the predicted class index.
+    /// reconstructed from its per-user state (`posts`, prepared by
+    /// [`prepare_post`](ScoringModel::prepare_post), and `timestamps`
+    /// chronological; `total_posts` = posts ever seen for the user) and a
+    /// reusable scratch. Returns the predicted class index.
+    ///
+    /// # Panics
+    /// On the GBDT backend, if a post was prepared by a PLM artifact.
     pub fn score_stream(
         &self,
-        texts: &[&str],
+        posts: &[&StreamPost],
         timestamps: &[Timestamp],
         total_posts: usize,
         scratch: &mut ScoreScratch,
     ) -> usize {
         match &self.backend {
             Backend::Gbdt { extractor, booster } => {
-                extractor.transform_stream_into(texts, timestamps, total_posts, &mut scratch.row);
+                let prepared: Vec<&PreparedPost> = posts
+                    .iter()
+                    .map(|p| match &p.0 {
+                        StreamPayload::Prepared(post) => post,
+                        StreamPayload::Text(_) => panic!("post prepared by a PLM artifact"),
+                    })
+                    .collect();
+                extractor.combine_into(&prepared, timestamps, total_posts, &mut scratch.row);
                 booster.predict_row(&scratch.row)
             }
             Backend::Plm { engine, quantized } => {
-                let encoded = engine.encode_stream(texts, timestamps);
+                let texts: Vec<&str> = posts
+                    .iter()
+                    .map(|p| match &p.0 {
+                        StreamPayload::Prepared(post) => post.text(),
+                        StreamPayload::Text(text) => text,
+                    })
+                    .collect();
+                let encoded = engine.encode_stream(&texts, timestamps);
                 engine.score(&encoded, *quantized, &mut scratch.plm)
             }
         }
@@ -272,6 +320,18 @@ mod tests {
                 ..Default::default()
             },
         }
+    }
+
+    /// The window's posts as the serving store would hold them.
+    fn stream_posts(model: &ScoringModel, dataset: &Rsd15k, w: &UserWindow) -> Vec<StreamPost> {
+        w.post_indices
+            .iter()
+            .map(|&i| model.prepare_post(dataset.posts[i].text.clone()))
+            .collect()
+    }
+
+    fn refs(posts: &[StreamPost]) -> Vec<&StreamPost> {
+        posts.iter().collect()
     }
 
     #[test]
@@ -307,18 +367,9 @@ mod tests {
         let batch = model.score_windows(&dataset, &splits.test);
         let mut scratch = ScoreScratch::default();
         for (w, &expect) in splits.test.iter().zip(&batch) {
-            let texts: Vec<&str> = w
-                .post_indices
-                .iter()
-                .map(|&i| dataset.posts[i].text.as_str())
-                .collect();
-            let total = dataset
-                .users
-                .iter()
-                .find(|u| u.id == w.user)
-                .map(|u| u.post_indices.len())
-                .unwrap();
-            let got = model.score_stream(&texts, &w.timestamps, total, &mut scratch);
+            let posts = stream_posts(&model, &dataset, w);
+            let total = dataset.user(w.user).unwrap().post_indices.len();
+            let got = model.score_stream(&refs(&posts), &w.timestamps, total, &mut scratch);
             assert_eq!(got, expect);
         }
     }
@@ -355,12 +406,8 @@ mod tests {
             let batch = model.score_windows(&dataset, windows);
             let mut scratch = ScoreScratch::default();
             for (w, &expect) in windows.iter().zip(&batch) {
-                let texts: Vec<&str> = w
-                    .post_indices
-                    .iter()
-                    .map(|&i| dataset.posts[i].text.as_str())
-                    .collect();
-                let got = model.score_stream(&texts, &w.timestamps, 0, &mut scratch);
+                let posts = stream_posts(&model, &dataset, w);
+                let got = model.score_stream(&refs(&posts), &w.timestamps, 0, &mut scratch);
                 assert_eq!(got, expect, "quantized={quantized}");
             }
         }

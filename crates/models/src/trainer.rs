@@ -91,7 +91,7 @@ pub fn augment_train_windows(
     }
     let mut out = Vec::new();
     for w in train {
-        if let Some(user) = dataset.users.iter().find(|u| u.id == w.user) {
+        if let Some(user) = dataset.user(w.user) {
             out.extend(rsd_dataset::splits::post_level_windows(
                 dataset, user, window, cap,
             ));

@@ -25,7 +25,7 @@ use std::time::Instant;
 use rsd_common::Timestamp;
 use rsd_corpus::RiskLevel;
 use rsd_dataset::{StoreItem, UserWindowStore};
-use rsd_models::{ScoreScratch, ScoringModel};
+use rsd_models::{ScoreScratch, ScoringModel, StreamPost};
 use rsd_obs::Stage;
 use rsd_pipeline::service::{bounded, Receiver, SendError, Sender, Traced};
 
@@ -176,7 +176,7 @@ fn worker_loop(
     results: Sender<ScoredPost>,
 ) -> ServeReport {
     rsd_obs::stage_register("serve.scored");
-    let mut store: UserWindowStore<String> =
+    let mut store: UserWindowStore<StreamPost> =
         UserWindowStore::new(cfg.shards, model.window(), cfg.lru_capacity);
     let mut report = ServeReport::default();
     let mut stall_pending = cfg.inject_stall_ms;
@@ -207,12 +207,17 @@ fn worker_loop(
             env.ctx.advance(Stage::BatchWait);
             let post = env.item;
             bytes += post.text.len() as u64;
-            metas.push((post.user, post.post, env.ctx));
+            // Each post is prepared once, as it enters the store; that
+            // time counts toward the post's score stage.
+            let t_prepare = Instant::now();
+            let payload = model.prepare_post(post.text);
+            let prepare_ns = t_prepare.elapsed().as_nanos() as u64;
+            metas.push((post.user, post.post, env.ctx, prepare_ns));
             items.push(StoreItem {
                 user: post.user,
                 created: post.created,
                 id: post.post,
-                payload: post.text,
+                payload,
             });
         }
 
@@ -224,14 +229,14 @@ fn worker_loop(
         let outs = store.apply_batch_map_with::<(usize, usize, u64, u64, u64), WorkerScratch, _>(
             items,
             |_user, buf, apply_ns, scratch| {
-                let texts: Vec<&str> = buf.entries().iter().map(|e| e.payload.as_str()).collect();
+                let posts: Vec<&StreamPost> = buf.entries().iter().map(|e| &e.payload).collect();
                 scratch.stamps.clear();
                 scratch
                     .stamps
                     .extend(buf.entries().iter().map(|e| e.created));
                 let t_score = Instant::now();
                 let level = model.score_stream(
-                    &texts,
+                    &posts,
                     &scratch.stamps,
                     buf.total_seen() as usize,
                     &mut scratch.score,
@@ -241,12 +246,14 @@ fn worker_loop(
             },
         );
 
-        for ((user, post, mut ctx), (level, window_len, total_seen, apply_ns, score_ns)) in
-            metas.into_iter().zip(outs)
+        for (
+            (user, post, mut ctx, prepare_ns),
+            (level, window_len, total_seen, apply_ns, score_ns),
+        ) in metas.into_iter().zip(outs)
         {
             let level = RiskLevel::from_index(level).expect("booster predicts 0..4");
             ctx.record(Stage::Window, apply_ns);
-            ctx.record(Stage::Score, score_ns);
+            ctx.record(Stage::Score, prepare_ns + score_ns);
             ctx.set_level(level.name());
             let latency_ns = ctx.ingress().elapsed().as_nanos() as u64;
             ctx.close_residual(latency_ns);

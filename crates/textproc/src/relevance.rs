@@ -8,6 +8,8 @@
 //! against that ground truth is measured in tests and reported by the
 //! pipeline.
 
+use std::sync::OnceLock;
+
 use crate::tokenize::tokenize;
 
 /// Seed lexicon of on-topic (distress/support/crisis) vocabulary.
@@ -101,11 +103,29 @@ pub const THEME_LEXICON: &[&str] = &[
 /// Minimum lexicon hits for a post to count as on-topic.
 pub const MIN_HITS: usize = 1;
 
+/// Whether one token is a [`THEME_LEXICON`] term: a hashed lookup keyed on
+/// the token's first byte, whose bucket (built on first use) holds the few
+/// terms that start with it.
+pub fn is_theme_term(token: &str) -> bool {
+    static BY_FIRST_BYTE: OnceLock<Vec<Vec<&'static str>>> = OnceLock::new();
+    let buckets = BY_FIRST_BYTE.get_or_init(|| {
+        let mut buckets = vec![Vec::new(); 256];
+        for term in THEME_LEXICON {
+            buckets[usize::from(term.as_bytes()[0])].push(*term);
+        }
+        buckets
+    });
+    token
+        .as_bytes()
+        .first()
+        .is_some_and(|&b| buckets[usize::from(b)].contains(&token))
+}
+
 /// Number of lexicon hits in a cleaned text.
 pub fn theme_hits(cleaned: &str) -> usize {
     tokenize(cleaned)
-        .iter()
-        .filter(|t| THEME_LEXICON.contains(&t.trim_matches('\'')))
+        .into_iter()
+        .filter(|t| is_theme_term(t))
         .count()
 }
 
@@ -140,6 +160,27 @@ mod tests {
     fn hits_counted_per_token() {
         assert_eq!(theme_hits("suicide suicide help"), 3);
         assert_eq!(theme_hits("nothing here matches"), 0);
+    }
+
+    #[test]
+    fn sorted_lookup_agrees_with_lexicon_scan() {
+        let sentences = [
+            "i want to end it all i feel hopeless",
+            "my brother attempted and i am terrified",
+            "suicide suicide help",
+            "nothing here matches",
+            "i want to die tonight",
+        ];
+        let near_misses = ["", "di", "dies", "helpful", "ends", "a", "zzz", "er's"];
+        let tokens = THEME_LEXICON
+            .iter()
+            .copied()
+            .chain(near_misses)
+            .chain(sentences.iter().flat_map(|s| tokenize(s)))
+            .chain(OFF_TOPIC_SENTENCES.iter().flat_map(|s| tokenize(s)));
+        for t in tokens {
+            assert_eq!(is_theme_term(t), THEME_LEXICON.contains(&t), "{t:?}");
+        }
     }
 
     #[test]

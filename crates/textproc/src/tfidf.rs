@@ -138,17 +138,23 @@ impl TfIdfVectorizer {
 
     /// Transform one cleaned document into an L2-normalized sparse vector.
     pub fn transform(&self, doc: &str) -> SparseVec {
-        let mut counts: HashMap<u32, f32> = HashMap::new();
-        for t in tokenize(doc) {
-            if let Some(&idx) = self.term_to_index.get(t) {
-                *counts.entry(idx).or_insert(0.0) += 1.0;
-            }
-        }
-        let mut pairs: Vec<(u32, f32)> = counts
-            .into_iter()
-            .map(|(i, tf)| (i, tf * self.idf[i as usize]))
+        self.transform_tokens(&tokenize(doc))
+    }
+
+    /// [`transform`](TfIdfVectorizer::transform) of a document already
+    /// split by [`tokenize`], for callers that need its tokens for more
+    /// than the TF-IDF row.
+    pub fn transform_tokens(&self, tokens: &[&str]) -> SparseVec {
+        let mut hits: Vec<u32> = tokens
+            .iter()
+            .filter_map(|&t| self.term_to_index.get(t).copied())
             .collect();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
+        hits.sort_unstable();
+        // Runs of one index are its term count (exact in f32).
+        let pairs: Vec<(u32, f32)> = hits
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as f32 * self.idf[run[0] as usize]))
+            .collect();
 
         let norm: f32 = pairs.iter().map(|(_, v)| v * v).sum::<f32>().sqrt();
         let mut vec = SparseVec::default();

@@ -26,7 +26,7 @@ fn main() -> Result<()> {
     // Train on post-level windows of training users.
     let mut train_windows = Vec::new();
     for w in &splits.train {
-        let user = dataset.users.iter().find(|u| u.id == w.user).expect("user");
+        let user = dataset.user(w.user).expect("user");
         train_windows.extend(post_level_windows(&dataset, user, 5, 8));
     }
     let extractor = FeatureExtractor::fit(&dataset, &train_windows, 200)?;
@@ -50,19 +50,9 @@ fn main() -> Result<()> {
     let test_user = splits
         .test
         .iter()
-        .max_by_key(|w| {
-            dataset
-                .users
-                .iter()
-                .find(|u| u.id == w.user)
-                .map_or(0, |u| u.post_indices.len())
-        })
+        .max_by_key(|w| dataset.user(w.user).map_or(0, |u| u.post_indices.len()))
         .expect("non-empty test split");
-    let user = dataset
-        .users
-        .iter()
-        .find(|u| u.id == test_user.user)
-        .expect("user");
+    let user = dataset.user(test_user.user).expect("user");
     println!(
         "monitoring user {} ({} posts):\n",
         user.id,
