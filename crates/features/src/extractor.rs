@@ -88,7 +88,7 @@ impl FeatureExtractor {
 
     /// Prepare one post for the window combiner: a single tokenization
     /// gives its token statistics, distinct tokens and TF-IDF row.
-    pub fn prepare(&self, text: String) -> PreparedPost {
+    pub fn prepare(&self, text: &str) -> PreparedPost {
         PreparedPost::new(text, &self.tfidf)
     }
 
@@ -137,7 +137,7 @@ impl FeatureExtractor {
         let mut posts = vec![PreparedPost::default(); order.len()];
         rsd_par::parallel_chunks_mut(&mut posts, 64, |start, chunk| {
             for (post, &i) in chunk.iter_mut().zip(&order[start..]) {
-                *post = self.prepare(dataset.posts[i].text.clone());
+                *post = self.prepare(&dataset.posts[i].text);
             }
         });
         PostTable { slot, posts }
@@ -212,8 +212,7 @@ impl FeatureExtractor {
         total_posts: usize,
         out: &mut Vec<f32>,
     ) {
-        let prepared: Vec<PreparedPost> =
-            texts.iter().map(|t| self.prepare(t.to_string())).collect();
+        let prepared: Vec<PreparedPost> = texts.iter().map(|t| self.prepare(t)).collect();
         let posts: Vec<&PreparedPost> = prepared.iter().collect();
         self.combine_into(&posts, timestamps, total_posts, out);
     }

@@ -12,11 +12,10 @@ use rsd_text::{tokenize, SparseVec, TfIdfVectorizer};
 /// Negation markers surviving the cleaning pipeline.
 const NEGATIONS: &[&str] = &["not", "never", "no", "don't", "cannot", "can't", "won't"];
 
-/// A post prepared once for the window combiner: its cleaned text and
-/// everything the combiner reads from it, from one tokenization.
+/// A post prepared once for the window combiner: everything the combiner
+/// reads from it, from one tokenization. It keeps no copy of the text.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedPost {
-    text: String,
     /// Token count.
     pub(crate) tokens: usize,
     /// First-person pronoun tokens.
@@ -25,16 +24,19 @@ pub struct PreparedPost {
     pub(crate) negations: usize,
     /// Theme-lexicon tokens.
     pub(crate) theme_hits: usize,
-    /// Byte ranges in `text` of its distinct tokens, sorted by token.
-    distinct: Vec<(usize, usize)>,
+    /// Number of distinct tokens.
+    n_distinct: usize,
+    /// The distinct tokens, sorted, each followed by a space (tokens never
+    /// contain one).
+    distinct: Box<str>,
     /// L2-normalized TF-IDF row.
     pub(crate) tfidf: SparseVec,
 }
 
 impl PreparedPost {
     /// Prepare `text` (cleaned) against a fitted vectorizer.
-    pub(crate) fn new(text: String, tfidf: &TfIdfVectorizer) -> PreparedPost {
-        let tokens = tokenize(&text);
+    pub(crate) fn new(text: &str, tfidf: &TfIdfVectorizer) -> PreparedPost {
+        let tokens = tokenize(text);
         let first_person = tokens
             .iter()
             .filter(|t| matches!(**t, "i" | "me" | "my" | "myself" | "i'm" | "i've"))
@@ -46,66 +48,48 @@ impl PreparedPost {
         let mut sorted = tokens.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        // Tokens are slices of `text`; keep each as its byte range.
-        let base = text.as_ptr() as usize;
-        let distinct = sorted
-            .iter()
-            .map(|t| {
-                let start = t.as_ptr() as usize - base;
-                (start, start + t.len())
-            })
-            .collect();
-        let n_tokens = tokens.len();
+        let mut distinct = String::with_capacity(sorted.iter().map(|t| t.len() + 1).sum());
+        for t in &sorted {
+            distinct.push_str(t);
+            distinct.push(' ');
+        }
         PreparedPost {
-            text,
-            tokens: n_tokens,
+            tokens: tokens.len(),
             first_person,
             negations,
             theme_hits,
-            distinct,
+            n_distinct: sorted.len(),
+            distinct: distinct.into_boxed_str(),
             tfidf: row,
         }
     }
 
-    /// The cleaned text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Number of distinct tokens.
-    fn n_distinct(&self) -> usize {
-        self.distinct.len()
-    }
-
-    /// The `k`-th distinct token, in sorted order.
-    fn distinct(&self, k: usize) -> &str {
-        let (start, end) = self.distinct[k];
-        &self.text[start..end]
+    /// The distinct token starting at byte `at` of `distinct`, or `None`
+    /// past the last one.
+    fn token_at(&self, at: usize) -> Option<&str> {
+        self.distinct.get(at..)?.split_once(' ').map(|(t, _)| t)
     }
 }
 
 /// Size of the union of the posts' distinct-token sets: a merge over the
-/// sorted sets that counts each smallest head once.
+/// sorted sets that counts each smallest head once. Heads are byte
+/// offsets into each post's `distinct`.
 pub(crate) fn distinct_union_len(posts: &[&PreparedPost]) -> usize {
     let mut heads = vec![0usize; posts.len()];
     let mut n = 0;
     loop {
-        let mut min: Option<&str> = None;
-        for (post, &h) in posts.iter().zip(&heads) {
-            if h < post.n_distinct() {
-                let t = post.distinct(h);
-                if min.is_none_or(|m| t < m) {
-                    min = Some(t);
-                }
-            }
-        }
+        let min = posts
+            .iter()
+            .zip(&heads)
+            .filter_map(|(post, &h)| post.token_at(h))
+            .min();
         let Some(min) = min else {
             return n;
         };
         n += 1;
         for (post, h) in posts.iter().zip(heads.iter_mut()) {
-            if *h < post.n_distinct() && post.distinct(*h) == min {
-                *h += 1;
+            if post.token_at(*h) == Some(min) {
+                *h += min.len() + 1;
             }
         }
     }
@@ -113,23 +97,22 @@ pub(crate) fn distinct_union_len(posts: &[&PreparedPost]) -> usize {
 
 /// Token-set Jaccard similarity of two posts; 0 when both are empty.
 pub(crate) fn jaccard(a: &PreparedPost, b: &PreparedPost) -> f64 {
-    let (na, nb) = (a.n_distinct(), b.n_distinct());
-    if na == 0 && nb == 0 {
+    if a.n_distinct == 0 && b.n_distinct == 0 {
         return 0.0;
     }
     let (mut i, mut j, mut inter) = (0, 0, 0usize);
-    while i < na && j < nb {
-        match a.distinct(i).cmp(b.distinct(j)) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+    while let (Some(x), Some(y)) = (a.token_at(i), b.token_at(j)) {
+        match x.cmp(y) {
+            std::cmp::Ordering::Less => i += x.len() + 1,
+            std::cmp::Ordering::Greater => j += y.len() + 1,
             std::cmp::Ordering::Equal => {
                 inter += 1;
-                i += 1;
-                j += 1;
+                i += x.len() + 1;
+                j += y.len() + 1;
             }
         }
     }
-    inter as f64 / (na + nb - inter) as f64
+    inter as f64 / (a.n_distinct + b.n_distinct - inter) as f64
 }
 
 #[cfg(test)]
@@ -140,10 +123,7 @@ pub(crate) mod test_support {
     /// dense blocks, which never read the TF-IDF row).
     pub fn prepared(texts: &[&str]) -> Vec<PreparedPost> {
         let tfidf = TfIdfVectorizer::fit(["x"], 1, None).unwrap();
-        texts
-            .iter()
-            .map(|t| PreparedPost::new(t.to_string(), &tfidf))
-            .collect()
+        texts.iter().map(|t| PreparedPost::new(t, &tfidf)).collect()
     }
 }
 
@@ -165,8 +145,10 @@ mod tests {
     #[test]
     fn distinct_tokens_are_sorted_and_unique() {
         let p = &prepared(&["b a b 'c' a"])[0];
-        let got: Vec<&str> = (0..p.n_distinct()).map(|k| p.distinct(k)).collect();
-        assert_eq!(got, ["a", "b", "c"]);
+        assert_eq!(&*p.distinct, "a b c ");
+        assert_eq!(p.n_distinct, 3);
+        assert_eq!(p.token_at(2), Some("b"));
+        assert_eq!(p.token_at(6), None);
     }
 
     #[test]

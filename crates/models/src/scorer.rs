@@ -251,11 +251,11 @@ impl ScoringModel {
     }
 
     /// Prepare a post for the serving window store, once, as it enters:
-    /// the GBDT backend keeps its per-post features beside the text, the
-    /// PLM backends keep only the text.
+    /// the GBDT backend keeps only what its window combiner reads, the PLM
+    /// backends keep only the text.
     pub fn prepare_post(&self, text: String) -> StreamPost {
         StreamPost(match &self.backend {
-            Backend::Gbdt { extractor, .. } => StreamPayload::Prepared(extractor.prepare(text)),
+            Backend::Gbdt { extractor, .. } => StreamPayload::Prepared(extractor.prepare(&text)),
             Backend::Plm { .. } => StreamPayload::Text(text),
         })
     }
@@ -267,7 +267,7 @@ impl ScoringModel {
     /// reusable scratch. Returns the predicted class index.
     ///
     /// # Panics
-    /// On the GBDT backend, if a post was prepared by a PLM artifact.
+    /// If a post was prepared by an artifact of the other backend kind.
     pub fn score_stream(
         &self,
         posts: &[&StreamPost],
@@ -291,8 +291,8 @@ impl ScoringModel {
                 let texts: Vec<&str> = posts
                     .iter()
                     .map(|p| match &p.0 {
-                        StreamPayload::Prepared(post) => post.text(),
-                        StreamPayload::Text(text) => text,
+                        StreamPayload::Text(text) => text.as_str(),
+                        StreamPayload::Prepared(_) => panic!("post prepared by a GBDT artifact"),
                     })
                     .collect();
                 let encoded = engine.encode_stream(&texts, timestamps);

@@ -157,7 +157,10 @@ impl TfIdfVectorizer {
             .collect();
 
         let norm: f32 = pairs.iter().map(|(_, v)| v * v).sum::<f32>().sqrt();
-        let mut vec = SparseVec::default();
+        let mut vec = SparseVec {
+            indices: Vec::with_capacity(pairs.len()),
+            values: Vec::with_capacity(pairs.len()),
+        };
         for (i, v) in pairs {
             vec.indices.push(i);
             vec.values.push(if norm > 0.0 { v / norm } else { v });
