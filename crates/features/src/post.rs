@@ -6,6 +6,7 @@
 //! the user's window), so the extractor prepares it once and every window
 //! it belongs to combines the prepared posts.
 
+use rsd_common::rng::fnv1a;
 use rsd_text::relevance::is_theme_term;
 use rsd_text::{tokenize, SparseVec, TfIdfVectorizer};
 
@@ -24,10 +25,10 @@ pub struct PreparedPost {
     pub(crate) negations: usize,
     /// Theme-lexicon tokens.
     pub(crate) theme_hits: usize,
-    /// Number of distinct tokens.
-    n_distinct: usize,
-    /// The distinct tokens, sorted, each followed by a space (tokens never
-    /// contain one).
+    /// FNV-1a hash of each distinct token, in the order of `distinct`.
+    hashes: Box<[u64]>,
+    /// The distinct tokens, sorted by `(hash, token)`, each followed by a
+    /// space (tokens never contain one).
     distinct: Box<str>,
     /// L2-normalized TF-IDF row.
     pub(crate) tfidf: SparseVec,
@@ -45,11 +46,14 @@ impl PreparedPost {
         let theme_hits = tokens.iter().filter(|t| is_theme_term(t)).count();
         let row = tfidf.transform_tokens(&tokens);
 
-        let mut sorted = tokens.clone();
+        // The union and Jaccard counts need one order shared by all posts;
+        // hash first makes most of their comparisons integer ones.
+        let mut sorted: Vec<(u64, &str)> =
+            tokens.iter().map(|t| (fnv1a(t.as_bytes()), *t)).collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut distinct = String::with_capacity(sorted.iter().map(|t| t.len() + 1).sum());
-        for t in &sorted {
+        let mut distinct = String::with_capacity(sorted.iter().map(|(_, t)| t.len() + 1).sum());
+        for (_, t) in &sorted {
             distinct.push_str(t);
             distinct.push(' ');
         }
@@ -58,61 +62,56 @@ impl PreparedPost {
             first_person,
             negations,
             theme_hits,
-            n_distinct: sorted.len(),
+            hashes: sorted.iter().map(|&(h, _)| h).collect(),
             distinct: distinct.into_boxed_str(),
             tfidf: row,
         }
     }
 
-    /// The distinct token starting at byte `at` of `distinct`, or `None`
-    /// past the last one.
-    fn token_at(&self, at: usize) -> Option<&str> {
-        self.distinct.get(at..)?.split_once(' ').map(|(t, _)| t)
+    /// Number of distinct tokens.
+    fn n_distinct(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The distinct tokens with their hashes, in `(hash, token)` order.
+    fn distinct_keys(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.hashes
+            .iter()
+            .copied()
+            .zip(self.distinct.split_terminator(' '))
     }
 }
 
-/// Size of the union of the posts' distinct-token sets: a merge over the
-/// sorted sets that counts each smallest head once. Heads are byte
-/// offsets into each post's `distinct`.
+/// Size of the union of the posts' distinct-token sets. Sorting the
+/// `(hash, token)` keys compares strings only where hashes are equal, so
+/// the count is exact even if two tokens share a hash.
 pub(crate) fn distinct_union_len(posts: &[&PreparedPost]) -> usize {
-    let mut heads = vec![0usize; posts.len()];
-    let mut n = 0;
-    loop {
-        let min = posts
-            .iter()
-            .zip(&heads)
-            .filter_map(|(post, &h)| post.token_at(h))
-            .min();
-        let Some(min) = min else {
-            return n;
-        };
-        n += 1;
-        for (post, h) in posts.iter().zip(heads.iter_mut()) {
-            if post.token_at(*h) == Some(min) {
-                *h += min.len() + 1;
-            }
-        }
-    }
+    let mut keys: Vec<(u64, &str)> = posts.iter().flat_map(|p| p.distinct_keys()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.len()
 }
 
 /// Token-set Jaccard similarity of two posts; 0 when both are empty.
 pub(crate) fn jaccard(a: &PreparedPost, b: &PreparedPost) -> f64 {
-    if a.n_distinct == 0 && b.n_distinct == 0 {
+    let (na, nb) = (a.n_distinct(), b.n_distinct());
+    if na == 0 && nb == 0 {
         return 0.0;
     }
-    let (mut i, mut j, mut inter) = (0, 0, 0usize);
-    while let (Some(x), Some(y)) = (a.token_at(i), b.token_at(j)) {
-        match x.cmp(y) {
-            std::cmp::Ordering::Less => i += x.len() + 1,
-            std::cmp::Ordering::Greater => j += y.len() + 1,
+    let (mut xs, mut ys) = (a.distinct_keys(), b.distinct_keys());
+    let (mut x, mut y, mut inter) = (xs.next(), ys.next(), 0usize);
+    while let (Some(p), Some(q)) = (x, y) {
+        match p.cmp(&q) {
+            std::cmp::Ordering::Less => x = xs.next(),
+            std::cmp::Ordering::Greater => y = ys.next(),
             std::cmp::Ordering::Equal => {
                 inter += 1;
-                i += x.len() + 1;
-                j += y.len() + 1;
+                x = xs.next();
+                y = ys.next();
             }
         }
     }
-    inter as f64 / (a.n_distinct + b.n_distinct - inter) as f64
+    inter as f64 / (na + nb - inter) as f64
 }
 
 #[cfg(test)]
@@ -143,12 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn distinct_tokens_are_sorted_and_unique() {
+    fn distinct_tokens_are_unique_and_hashed() {
         let p = &prepared(&["b a b 'c' a"])[0];
-        assert_eq!(&*p.distinct, "a b c ");
-        assert_eq!(p.n_distinct, 3);
-        assert_eq!(p.token_at(2), Some("b"));
-        assert_eq!(p.token_at(6), None);
+        assert_eq!(p.n_distinct(), 3);
+        let mut tokens: Vec<&str> = p.distinct_keys().map(|(_, t)| t).collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, ["a", "b", "c"]);
+        assert!(p.distinct_keys().all(|(h, t)| h == fnv1a(t.as_bytes())));
     }
 
     #[test]
