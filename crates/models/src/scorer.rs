@@ -253,10 +253,10 @@ impl ScoringModel {
     /// Prepare a post for the serving window store, once, as it enters:
     /// the GBDT backend keeps only what its window combiner reads, the PLM
     /// backends keep only the text.
-    pub fn prepare_post(&self, text: String) -> StreamPost {
+    pub fn prepare_post(&self, text: &str) -> StreamPost {
         StreamPost(match &self.backend {
-            Backend::Gbdt { extractor, .. } => StreamPayload::Prepared(extractor.prepare(&text)),
-            Backend::Plm { .. } => StreamPayload::Text(text),
+            Backend::Gbdt { extractor, .. } => StreamPayload::Prepared(extractor.prepare(text)),
+            Backend::Plm { .. } => StreamPayload::Text(text.to_string()),
         })
     }
 
@@ -326,7 +326,7 @@ mod tests {
     fn stream_posts(model: &ScoringModel, dataset: &Rsd15k, w: &UserWindow) -> Vec<StreamPost> {
         w.post_indices
             .iter()
-            .map(|&i| model.prepare_post(dataset.posts[i].text.clone()))
+            .map(|&i| model.prepare_post(&dataset.posts[i].text))
             .collect()
     }
 

@@ -86,10 +86,16 @@ pub struct ServeReport {
     pub exemplars: Vec<rsd_obs::exemplar::Exemplar>,
 }
 
-/// What rides the ingress channel: the post plus its trace context, so
-/// the worker can attribute queue wait, batch wait, window update, and
-/// scoring to the request that actually paid for them.
-type Envelope = Traced<IncomingPost>;
+/// A submitted post with what the model prepared from it at submit.
+struct Submitted {
+    post: IncomingPost,
+    prepared: StreamPost,
+}
+
+/// What rides the ingress channel: the submitted post plus its trace
+/// context, so the worker can attribute queue wait, batch wait, window
+/// update, and scoring to the request that actually paid for them.
+type Envelope = Traced<Submitted>;
 
 /// Per-shard scoring scratch: feature row + timestamp buffer, reused
 /// across every request the shard scores in a batch.
@@ -102,6 +108,7 @@ struct WorkerScratch {
 /// A running risk-scoring service (one scoring worker; shard-level
 /// parallelism inside each micro-batch comes from the `rsd-par` pool).
 pub struct RiskService {
+    model: Arc<ScoringModel>,
     ingress: Sender<Envelope>,
     results: Receiver<ScoredPost>,
     worker: Option<thread::JoinHandle<ServeReport>>,
@@ -114,11 +121,13 @@ impl RiskService {
         let (ingress_tx, ingress_rx) = bounded::<Envelope>(cfg.channel_cap, "serve.ingress");
         let (results_tx, results_rx) = bounded::<ScoredPost>(cfg.channel_cap, "serve.results");
         let backend = cfg.model.name();
+        let worker_model = Arc::clone(&model);
         let worker = thread::Builder::new()
             .name("rsd-serve-worker".to_string())
-            .spawn(move || worker_loop(model, cfg, ingress_rx, results_tx))
+            .spawn(move || worker_loop(worker_model, cfg, ingress_rx, results_tx))
             .expect("spawn serve worker");
         RiskService {
+            model,
             ingress: ingress_tx,
             results: results_rx,
             worker: Some(worker),
@@ -130,10 +139,20 @@ impl RiskService {
     /// (backpressure); fails once the service is draining. Minting the
     /// trace context here makes the ingress instant the submit instant,
     /// so queue wait includes any time spent blocked on backpressure.
+    ///
+    /// The post is prepared for the model here, once, on the submitting
+    /// thread ([`ScoringModel::prepare_post`]); that time is the request's
+    /// first share of its score stage.
     pub fn submit(&self, post: IncomingPost) -> std::result::Result<(), SendError<IncomingPost>> {
+        let mut ctx = rsd_obs::ReqCtx::mint(self.backend);
+        let prepared = self.model.prepare_post(&post.text);
+        ctx.advance(Stage::Score);
         self.ingress
-            .send(Envelope::mint(self.backend, post))
-            .map_err(|SendError(env)| SendError(env.item))
+            .send(Traced {
+                ctx,
+                item: Submitted { post, prepared },
+            })
+            .map_err(|SendError(env)| SendError(env.item.post))
     }
 
     /// A handle to the result stream (clone freely; results are emitted
@@ -205,19 +224,14 @@ fn worker_loop(
         for mut env in batch {
             // Dispatch instant: everything since the pop was batch wait.
             env.ctx.advance(Stage::BatchWait);
-            let post = env.item;
+            let Submitted { post, prepared } = env.item;
             bytes += post.text.len() as u64;
-            // Each post is prepared once, as it enters the store; that
-            // time counts toward the post's score stage.
-            let t_prepare = Instant::now();
-            let payload = model.prepare_post(post.text);
-            let prepare_ns = t_prepare.elapsed().as_nanos() as u64;
-            metas.push((post.user, post.post, env.ctx, prepare_ns));
+            metas.push((post.user, post.post, env.ctx));
             items.push(StoreItem {
                 user: post.user,
                 created: post.created,
                 id: post.post,
-                payload,
+                payload: prepared,
             });
         }
 
@@ -246,14 +260,12 @@ fn worker_loop(
             },
         );
 
-        for (
-            (user, post, mut ctx, prepare_ns),
-            (level, window_len, total_seen, apply_ns, score_ns),
-        ) in metas.into_iter().zip(outs)
+        for ((user, post, mut ctx), (level, window_len, total_seen, apply_ns, score_ns)) in
+            metas.into_iter().zip(outs)
         {
             let level = RiskLevel::from_index(level).expect("booster predicts 0..4");
             ctx.record(Stage::Window, apply_ns);
-            ctx.record(Stage::Score, prepare_ns + score_ns);
+            ctx.record(Stage::Score, score_ns);
             ctx.set_level(level.name());
             let latency_ns = ctx.ingress().elapsed().as_nanos() as u64;
             ctx.close_residual(latency_ns);
