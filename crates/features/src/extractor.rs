@@ -253,7 +253,7 @@ impl PostTable {
     ///
     /// # Panics
     /// If the post was not prepared.
-    pub fn get(&self, index: usize) -> &PreparedPost {
+    pub(crate) fn get(&self, index: usize) -> &PreparedPost {
         match self.slot.get(index) {
             Some(&s) if s != u32::MAX => &self.posts[s as usize],
             _ => panic!("PostTable: post {index} was not prepared"),

@@ -31,17 +31,6 @@ pub struct Traced<T> {
     pub item: T,
 }
 
-impl<T> Traced<T> {
-    /// Mint a fresh trace context (tagged with the scoring backend) for
-    /// `item` at service ingress.
-    pub fn mint(backend: &'static str, item: T) -> Traced<T> {
-        Traced {
-            ctx: rsd_obs::ReqCtx::mint(backend),
-            item,
-        }
-    }
-}
-
 /// Error returned by [`Sender::send`] when the channel is closed (the
 /// item is handed back so callers can decide what to do with it).
 #[derive(Debug)]
