@@ -2,8 +2,8 @@
 //! changes: one JSON object per line, each carrying the parent → change
 //! medians of the repository benchmark's `train_s` on both workloads.
 //! Every line must parse and carry those keys, and lines stay in order.
-//! From `pr` 23 on, a line also names the commits it measured: `git_rev`
-//! with a `parent` and a `change` revision.
+//! Lines from [`FIRST_PR_WITH_REV`] on also name the commits they
+//! measured: `git_rev` with a `parent` and a `change` revision.
 
 use serde_json::Value;
 
