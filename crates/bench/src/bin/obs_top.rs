@@ -1,12 +1,20 @@
 //! `obs_top` — a `top(1)`-style viewer and CI checker for the
 //! continuous-telemetry series files the time-series driver writes
-//! (`bench_runs/<scale>/<bin>.series.ndjson`).
+//! (`bench_runs/<scale>/<bin>.series.ndjson`), and the renderer of a
+//! run's artifacts into viewer formats.
 //!
 //! ```text
 //! obs_top <series.ndjson>                  # summarize the latest snapshot
 //! obs_top --follow <series.ndjson>         # re-render as the file grows
 //! obs_top --check [--trace <trace.json>] <series.ndjson>
+//! obs_top --render <artifact>              # folded profile or Chrome trace
 //! ```
+//!
+//! `--render` picks the format from its input and prints it on stdout:
+//! a run report (`<bin>.report.json`) renders its `metrics.tree` as a
+//! flamegraph-compatible folded profile; an `RSD_OBS` NDJSON event
+//! stream renders as a `chrome://tracing` / Perfetto trace. Exit code 4
+//! marks an artifact that renders as neither.
 //!
 //! `--check` is the machine mode CI uses after a telemetry smoke run:
 //! it validates that every line parses as a known snapshot/stall/burn
@@ -25,18 +33,20 @@ use std::process::ExitCode;
 
 use rsd_obs::Value;
 
-const USAGE: &str = "usage: obs_top [--follow | --check [--trace <trace.json>]] <series.ndjson>";
+const USAGE: &str = "usage: obs_top [--follow | --check [--trace <trace.json>]] <series.ndjson>\n       obs_top --render <report.json | events.ndjson>";
 
 struct Args {
     series: String,
     follow: bool,
     check: bool,
+    render: bool,
     trace: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut follow = false;
     let mut check = false;
+    let mut render = false;
     let mut trace = None;
     let mut series = None;
     let mut it = std::env::args().skip(1);
@@ -44,6 +54,7 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--follow" => follow = true,
             "--check" => check = true,
+            "--render" => render = true,
             "--trace" => {
                 trace = Some(it.next().ok_or("--trace needs a path")?);
             }
@@ -53,17 +64,27 @@ fn parse_args() -> Result<Args, String> {
             }
             other => {
                 if series.replace(other.to_string()).is_some() {
-                    return Err(format!("more than one series path\n{USAGE}"));
+                    return Err(format!("more than one input path\n{USAGE}"));
                 }
             }
         }
     }
     Ok(Args {
-        series: series.ok_or_else(|| format!("missing series path\n{USAGE}"))?,
+        series: series.ok_or_else(|| format!("missing input path\n{USAGE}"))?,
         follow,
         check,
+        render,
         trace,
     })
+}
+
+/// `--render`: a run report (a JSON object with `metrics`) renders as a
+/// folded profile, anything else as an NDJSON event stream.
+fn render_artifact(text: &str) -> Result<String, String> {
+    match serde_json::from_str::<Value>(text) {
+        Ok(doc) if doc.get("metrics").is_some() => rsd_obs::render_folded(&doc),
+        _ => rsd_obs::trace_export::render_trace(text),
+    }
 }
 
 fn fmt_rate(v: f64) -> String {
@@ -262,6 +283,18 @@ fn main() -> ExitCode {
 
     if args.check {
         return check(&args, &text);
+    }
+    if args.render {
+        return match render_artifact(&text) {
+            Ok(out) => {
+                print!("{out}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("obs_top: cannot render {}: {e}", args.series);
+                ExitCode::from(4)
+            }
+        };
     }
 
     match rsd_obs::timeseries::summarize_series(&text) {

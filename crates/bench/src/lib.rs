@@ -87,7 +87,7 @@ pub fn seed_from_env() -> u64 {
 
 /// Continuous-telemetry lifecycle for a bench binary: holds the
 /// time-series driver ([`rsd_obs::timeseries`]) when `RSD_OBS_TICK_MS`
-/// or `RSD_OBS_TRACE` requests it, and the live introspection endpoint
+/// requests it, and the live introspection endpoint
 /// ([`rsd_obs::http`]) when `RSD_OBS_HTTP` names a port. Create it
 /// right after parsing scale/seed and call [`Telemetry::finish`]
 /// *before* writing the run report, so the final latency quantiles land
@@ -107,19 +107,13 @@ impl Telemetry {
         }
     }
 
-    /// Stop the driver (flushing the final snapshot and trace export)
-    /// and report where the artifacts went on stderr. The live endpoint
+    /// Stop the driver (flushing the final snapshot) and report where the
+    /// series went on stderr. The live endpoint
     /// stops last, after the final series tick has been published, so a
     /// poller watching `/snapshot` sees the run's closing state.
     pub fn finish(&mut self) {
-        if let Some(guard) = self.guard.take() {
-            let outputs = guard.finish();
-            if let Some(path) = &outputs.series {
-                eprintln!("series: {}", path.display());
-            }
-            if let Some(path) = &outputs.trace {
-                eprintln!("trace: {}", path.display());
-            }
+        if let Some(path) = self.guard.take().and_then(|g| g.finish()) {
+            eprintln!("series: {}", path.display());
         }
         self.http.take();
     }
@@ -168,8 +162,8 @@ impl BinHarness {
         self.telemetry.finish();
     }
 
-    /// Finish telemetry, write the folded profile and run report, and
-    /// flush the NDJSON sink. Panics on I/O errors — the right default
+    /// Finish telemetry, write the run report, and flush the NDJSON
+    /// sink. Panics on I/O errors — the right default
     /// for the table binaries.
     pub fn finish(self) {
         self.try_finish().expect("write run report");
@@ -178,7 +172,6 @@ impl BinHarness {
     /// Fallible [`BinHarness::finish`] for binaries that bubble errors.
     pub fn try_finish(mut self) -> std::io::Result<()> {
         self.telemetry.finish();
-        self.run.write_profile()?;
         self.run.write()?;
         rsd_obs::flush();
         Ok(())

@@ -62,9 +62,9 @@ fn invalid_knobs_abort_naming_the_knob() {
         // A knob this binary never reads still aborts it at start.
         (
             env!("CARGO_BIN_EXE_bench_kernels"),
-            "RSD_OBS_TRACE",
-            "yes",
-            &["RSD_OBS_TRACE", "1/on"],
+            "RSD_OBS_TICK_MS",
+            "fast",
+            &["RSD_OBS_TICK_MS", "positive integer"],
         ),
     ];
     let dir = scratch_dir("invalid");

@@ -144,10 +144,6 @@ impl Tree {
         // then reduced serially in `features` order with a strict `>`,
         // which keeps the serial tie-break (first feature, first bin wins).
         let parent_score = g_total * g_total / (h_total + cfg.lambda);
-        // Kernel span only under RSD_OBS_PROFILE: this runs once per tree
-        // node, which would swamp ordinary telemetry.
-        let _split_span =
-            rsd_obs::profile_enabled().then(|| rsd_obs::Span::enter("gbdt.split_search"));
         let mut candidates: Vec<Option<(f32, u16)>> = vec![None; features.len()];
         rsd_par::parallel_chunks_mut(&mut candidates, FEATURE_BLOCK, |start, slots| {
             let block = &features[start..start + slots.len()];

@@ -163,10 +163,6 @@ pub fn train_classifier(
         let epoch_seed = rng.gen::<u64>();
         let mut done = 0usize;
         for batch in order.chunks(cfg.batch.max(1)) {
-            // Per-batch spans only under RSD_OBS_PROFILE: thousands of
-            // batches would otherwise dominate the telemetry stream.
-            let _batch_span = (telemetry && rsd_obs::profile_enabled())
-                .then(|| rsd_obs::Span::enter("models.train.batch"));
             let batch_t0 = std::time::Instant::now();
             let mut results: Vec<Option<(Tape, f32)>> = (0..batch.len()).map(|_| None).collect();
             let store_ref: &ParamStore = store;
@@ -424,10 +420,15 @@ mod tests {
             ..Default::default()
         };
         let train = toy_examples(20, false);
-        let records = rsd_obs::capture(|| {
+        // `train_classifier` emits its epoch gauges on the calling thread;
+        // keep only those, so concurrent tests' records cannot leak in.
+        let records: Vec<_> = rsd_obs::capture(|| {
             let (mut store, forward) = bias_only_forward(4);
             train_classifier(&mut store, &forward, &train, &train, &cfg, 9).unwrap();
-        });
+        })
+        .into_iter()
+        .filter(|r| r["thread"].as_u64() == Some(rsd_obs::thread_ord()))
+        .collect();
         let gauges_named = |name: &str| -> Vec<i128> {
             records
                 .iter()

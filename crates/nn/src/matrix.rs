@@ -30,9 +30,7 @@ const ELEM_GRAIN: usize = 1 << 12;
 const SPAN_MIN_WORK: usize = 1 << 20;
 
 fn kernel_span(label: &'static str, work: usize) -> Option<rsd_obs::Span> {
-    // Profiling runs (RSD_OBS_PROFILE=1) want every kernel in the call
-    // tree, small ones included; ordinary telemetry keeps the work gate.
-    (work >= SPAN_MIN_WORK || rsd_obs::profile_enabled()).then(|| rsd_obs::Span::enter(label))
+    (work >= SPAN_MIN_WORK).then(|| rsd_obs::Span::enter(label))
 }
 
 /// Rows per parallel chunk for a kernel doing `row_work` operations per

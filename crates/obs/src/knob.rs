@@ -19,8 +19,6 @@ use serde_json::{Map, Value};
 /// How a knob's value is spelled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kind {
-    /// On/off switch, off by default: `1`/`on` switches it on.
-    Flag,
     /// Positive integer; `None` makes the knob optional (off by default).
     Int(Option<u64>),
     /// Positive finite number; `None` makes the knob optional.
@@ -83,12 +81,8 @@ pub const QPS: Knob = knob("RSD_QPS", Kind::Int(Some(200)));
 pub const LOADGEN_SOAK_MS: Knob = knob("RSD_LOADGEN_SOAK_MS", Kind::Int(None));
 /// Telemetry sink: `stderr` or an NDJSON path.
 pub const OBS: Knob = knob("RSD_OBS", Kind::Path(None));
-/// Profiling: span tree plus a folded profile.
-pub const OBS_PROFILE: Knob = knob("RSD_OBS_PROFILE", Kind::Flag);
 /// Series tick period.
 pub const OBS_TICK_MS: Knob = knob("RSD_OBS_TICK_MS", Kind::Int(None));
-/// Chrome trace export.
-pub const OBS_TRACE: Knob = knob("RSD_OBS_TRACE", Kind::Flag);
 /// Live introspection endpoint port.
 pub const OBS_HTTP: Knob = knob("RSD_OBS_HTTP", Kind::Port);
 /// SLO burn-rate monitor p99 target.
@@ -115,9 +109,7 @@ pub const KNOBS: &[Knob] = &[
     QPS,
     LOADGEN_SOAK_MS,
     OBS,
-    OBS_PROFILE,
     OBS_TICK_MS,
-    OBS_TRACE,
     OBS_HTTP,
     SLO_P99_MS,
     SLO_BUDGET,
@@ -150,7 +142,6 @@ impl Knob {
     /// The accepted form, as abort messages and the README table spell it.
     pub fn accepts(&self) -> String {
         let form = match self.kind {
-            Kind::Flag => "1/on".to_string(),
             Kind::Int(_) => "positive integer".to_string(),
             Kind::Float(_) => "positive number".to_string(),
             Kind::Port => "port 1..=65535".to_string(),
@@ -166,7 +157,7 @@ impl Knob {
     }
 
     /// Parse `raw` (`None` = unset) into the effective value: `Null` for
-    /// off, otherwise `true`, an `Int`, a `Float` or a `String`. Aborts
+    /// off, otherwise an `Int`, a `Float` or a `String`. Aborts
     /// naming the knob on any value outside [`Knob::accepts`].
     pub fn parse(&self, raw: Option<&str>) -> Value {
         let raw = raw.map(str::trim).unwrap_or("");
@@ -177,7 +168,6 @@ impl Knob {
             return Value::Null;
         }
         let parsed = match self.kind {
-            Kind::Flag => matches!(raw, "1" | "on").then_some(Value::Bool(true)),
             Kind::Int(_) => raw
                 .parse::<u64>()
                 .ok()
@@ -252,18 +242,12 @@ impl Knob {
     }
 }
 
-/// The Rust type a knob reads as: `bool` for a [`Kind::Flag`]; `u64`,
-/// `f64` or `String` for a knob with a default; `Option` of those for an
-/// optional knob, `None` when off.
+/// The Rust type a knob reads as: `u64`, `f64` or `String` for a knob
+/// with a default; `Option` of those for an optional knob, `None` when
+/// off.
 pub trait KnobValue: Sized {
     /// `None` when `v` is not of this type.
     fn from_value(v: Value) -> Option<Self>;
-}
-
-impl KnobValue for bool {
-    fn from_value(v: Value) -> Option<Self> {
-        v.as_bool().or(v.is_null().then_some(false))
-    }
 }
 
 impl KnobValue for u64 {
@@ -349,12 +333,6 @@ mod tests {
         let s = |v: &str| Value::String(v.to_string());
         let cases: Vec<Case> = vec![
             (
-                OBS_TRACE,
-                vec![("1", Value::Bool(true)), (" on ", Value::Bool(true))],
-                Value::Null,
-                &["yes", "2", "true"],
-            ),
-            (
                 SEED,
                 vec![("7", Value::Int(7)), (" 250 ", Value::Int(250))],
                 Value::Int(2026),
@@ -436,8 +414,6 @@ mod tests {
         assert_eq!(SEED.parse_as::<u64>(None), 2026);
         assert_eq!(SLO_BUDGET.parse_as::<f64>(Some("0.5")), 0.5);
         assert_eq!(SERVE_MODEL.parse_as::<String>(None), "gbdt");
-        assert!(OBS_TRACE.parse_as::<bool>(Some("on")));
-        assert!(!OBS_TRACE.parse_as::<bool>(None));
         assert_eq!(OBS_TICK_MS.parse_as::<Option<u64>>(Some("50")), Some(50));
         assert_eq!(OBS_TICK_MS.parse_as::<Option<u64>>(Some("off")), None);
         assert_eq!(SLO_P99_MS.parse_as::<Option<f64>>(None), None);

@@ -5,18 +5,19 @@
 //! - a global thread-safe [`Registry`] (counters, gauges, stage totals
 //!   and stall-watchdog flags, and a hierarchical span **tree** keyed by
 //!   collapsed-stack paths, from which per-label span aggregates are
-//!   folded on read; while a Chrome trace is requested it also keeps
-//!   the timeline of those writes);
+//!   folded on read);
 //! - RAII [`Span`] timers (`Span::enter("annotation.campaign.day")`)
 //!   that maintain a per-thread stack and fold wall-clock, self-time,
 //!   and allocation deltas into the tree, streaming NDJSON records to
-//!   the active sink;
+//!   the active sink — the one per-event record of a run;
 //! - an opt-in counting allocator ([`alloc::CountingAlloc`]) feeding
 //!   bytes-allocated/peak-live gauges and per-span memory attribution;
 //! - [`RunReport`], the final JSON artifact bench binaries write to
-//!   `bench_runs/<scale>/<bin>.report.json` (plus a
-//!   flamegraph-compatible `<bin>.folded` profile under
-//!   `RSD_OBS_PROFILE=1`);
+//!   `bench_runs/<scale>/<bin>.report.json`;
+//! - renderers that turn those artifacts into viewer formats after the
+//!   run: a report's tree into a flamegraph-compatible folded profile
+//!   ([`render_folded`]) and an NDJSON stream into a Chrome trace
+//!   ([`trace_export`]), both behind `obs_top --render`;
 //! - a report differ ([`diff`]) behind the `obs_diff` bench bin that
 //!   gates CI on time/memory/quality regressions between runs.
 //!
@@ -31,13 +32,12 @@
 //! introspection endpoint ([`http`], `RSD_OBS_HTTP=<port>`) serving
 //! `/metrics`, `/health`, and `/snapshot`.
 //!
-//! Selection happens through two environment variables: `RSD_OBS`
-//! (`off`/unset default — every entry point is a single atomic load and
-//! branch, no allocation or lock; `stderr`; or a file path receiving the
-//! NDJSON stream) and `RSD_OBS_PROFILE=1`, which turns the registry on
-//! even without a sink so span trees and folded profiles can be captured
-//! with no NDJSON cost. Telemetry never writes to stdout, so table
-//! output stays byte-identical whether or not it is enabled.
+//! The sink is selected by `RSD_OBS`: `off`/unset is the default —
+//! every entry point is a single atomic load and branch, no allocation
+//! or lock; `stderr`; or a file path receiving the NDJSON stream.
+//! `RSD_OBS_TICK_MS` and `RSD_OBS_HTTP` turn the registry on as well,
+//! keeping any `RSD_OBS` sink. Telemetry never writes to stdout, so
+//! table output stays byte-identical whether or not it is enabled.
 
 pub mod alloc;
 pub mod diff;
@@ -60,7 +60,7 @@ pub use registry::{Registry, SpanStat, TreeStat};
 pub use report::{run_meta, RunReport};
 pub use reqctx::{ReqCtx, Stage};
 pub use span::{current_context, with_context, Span, SpanContext};
-pub use tree::{parse_folded, render_folded};
+pub use tree::render_folded;
 
 /// Re-exported so instrumented crates can build tagged records without
 /// depending on `serde_json` themselves.
@@ -112,8 +112,9 @@ pub enum Mode {
     /// Registry off, sink off — the zero-overhead default.
     Off,
     /// Registry on, sink off: spans/counters/trees aggregate in memory
-    /// (for folded profiles and report metrics) without any NDJSON
-    /// stream. Selected when `RSD_OBS_PROFILE=1` but `RSD_OBS` is off.
+    /// (for report metrics) without any NDJSON stream. Never read from
+    /// the environment: chosen by an explicit [`init`], and taken by the
+    /// continuous layer ([`timeseries`], [`http`]) when `RSD_OBS` is off.
     Silent,
     /// NDJSON records to stderr.
     Stderr,
@@ -122,32 +123,15 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Parse the `RSD_OBS` convention: `off`/empty → [`Mode::Off`]
-    /// (or [`Mode::Silent`] when `RSD_OBS_PROFILE` asks for profiling),
+    /// Parse the `RSD_OBS` convention: `off`/empty → [`Mode::Off`],
     /// `stderr` → [`Mode::Stderr`], anything else is a file path.
     pub fn from_env() -> Mode {
         match knob::OBS.get::<Option<String>>() {
             Some(v) if v == "stderr" => Mode::Stderr,
             Some(path) => Mode::File(PathBuf::from(path)),
-            None => Mode::off_or_silent(),
+            None => Mode::Off,
         }
     }
-
-    fn off_or_silent() -> Mode {
-        if profile_enabled() {
-            Mode::Silent
-        } else {
-            Mode::Off
-        }
-    }
-}
-
-/// Whether `RSD_OBS_PROFILE` requests profiling. Resolved once;
-/// kernel-level spans in hot loops check this so their overhead exists
-/// only in profiling runs.
-pub fn profile_enabled() -> bool {
-    static PROFILE: OnceLock<bool> = OnceLock::new();
-    *PROFILE.get_or_init(|| knob::OBS_PROFILE.get())
 }
 
 fn global() -> &'static Global {
@@ -162,6 +146,12 @@ fn global() -> &'static Global {
 /// (explicit or lazy via [`enabled`]) wins; later calls are no-ops.
 /// Returns whether telemetry ended up enabled.
 pub fn init(mode: Mode) -> bool {
+    latch(mode, true)
+}
+
+/// [`init`], arming allocation counting with the registry only when
+/// `count_allocs` asks for it.
+fn latch(mode: Mode, count_allocs: bool) -> bool {
     if FLAG.load(Ordering::Acquire) != FLAG_UNKNOWN {
         return enabled();
     }
@@ -200,7 +190,7 @@ pub fn init(mode: Mode) -> bool {
     let _ = MODE_DESC.set(desc);
     // Arm allocation counting together with the rest of telemetry, so an
     // installed CountingAlloc stays free when RSD_OBS is off.
-    alloc::set_counting(flag == FLAG_ON);
+    alloc::set_counting(count_allocs && flag == FLAG_ON);
     FLAG.store(flag, Ordering::Release);
     flag == FLAG_ON
 }
@@ -221,30 +211,30 @@ pub fn registry() -> &'static Registry {
     &global().registry
 }
 
-/// Nanoseconds since the telemetry epoch (the first touch of the global
-/// state). Trace timestamps use this clock.
-pub fn epoch_ns() -> u64 {
-    global().epoch.elapsed().as_nanos() as u64
-}
-
-/// Force the registry on without installing a sink, even if telemetry
-/// already latched off. Used by the continuous-telemetry driver
-/// ([`timeseries::start`]): `RSD_OBS_TICK_MS`/`RSD_OBS_TRACE` must
-/// produce span, stage and trace data even when `RSD_OBS` is unset.
+/// Force the registry on, even if telemetry already latched off. Used
+/// by the continuous-telemetry driver ([`timeseries::start`]) and the
+/// live endpoint ([`http::start`]): `RSD_OBS_TICK_MS` must produce span
+/// and stage data even when `RSD_OBS` is unset. The environment is
+/// resolved first, so an `RSD_OBS` sink still opens; without one the
+/// registry runs [`Mode::Silent`].
 pub(crate) fn ensure_registry() {
-    if FLAG.load(Ordering::Acquire) == FLAG_ON {
-        return;
+    let on = match FLAG.load(Ordering::Acquire) {
+        // Deliberately NOT arming alloc counting for a silent registry:
+        // counting every allocation costs ~25% wall-clock on
+        // allocation-heavy builds, while the continuous layer must stay
+        // within a few percent of telemetry-off. Allocation gauges appear
+        // in series snapshots only when an explicit `RSD_OBS` mode armed
+        // the counter (or a test armed it directly); the `alloc` section
+        // is conditional on `alloc::active()` either way.
+        FLAG_UNKNOWN => match Mode::from_env() {
+            Mode::Off => latch(Mode::Silent, false),
+            mode => init(mode),
+        },
+        flag => flag == FLAG_ON,
+    };
+    if !on {
+        FLAG.store(FLAG_ON, Ordering::Release);
     }
-    global();
-    let _ = MODE_DESC.set("silent".to_string());
-    // Deliberately NOT arming alloc counting here: counting every
-    // allocation costs ~25% wall-clock on allocation-heavy builds,
-    // while the continuous layer must stay within a few percent of
-    // telemetry-off. Allocation gauges appear in series snapshots only
-    // when an explicit `RSD_OBS` mode armed the counter (or a test
-    // armed it directly); the `alloc` section is conditional on
-    // `alloc::active()` either way.
-    FLAG.store(FLAG_ON, Ordering::Release);
 }
 
 /// Monotonic ordinal source for [`thread_ord`].
@@ -384,7 +374,6 @@ pub(crate) fn finish_span(rec: SpanRecord) {
         hist::observe_ns(rec.label, dur_ns);
     }
     g.registry.record_tree(
-        rec.label,
         &rec.path,
         dur_ns,
         rec.self_ns,

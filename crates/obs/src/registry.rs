@@ -1,7 +1,7 @@
 //! Thread-safe metrics registry: counters, gauges, stage totals and
-//! stall-watchdog flags, the span call tree, and (while a trace is kept)
-//! the timeline of those writes. Per-label span aggregates are folds over
-//! the tree; latency histograms live in [`crate::hist`].
+//! stall-watchdog flags, and the span call tree. Per-label span
+//! aggregates are folds over the tree; latency histograms live in
+//! [`crate::hist`]; the per-event record is the NDJSON sink.
 
 use parking_lot::Mutex;
 use serde_json::{Map, Value};
@@ -98,36 +98,6 @@ fn span_stats(tree: &BTreeMap<String, TreeStat>) -> BTreeMap<&str, SpanStat> {
     out
 }
 
-/// Hard cap on timeline entries (56 bytes each, so at most 56 MiB).
-const MAX_TRACE_EVENTS: usize = 1 << 20;
-
-/// What one timeline entry records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Traced {
-    /// A completed span's `(duration, self-time)` in ns.
-    Span(u64, u64),
-    /// A counter's cumulative value after the write.
-    Counter(u64),
-    /// A stage's cumulative `(items, bytes)` after the write.
-    Stage(u64, u64),
-    /// A gauge's new value.
-    Gauge(f64),
-    /// A stage entered (`true`) or left (`false`) the stall watchdog.
-    Watch(bool),
-}
-
-/// One write on the trace timeline.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceEntry {
-    /// Nanoseconds since the telemetry epoch at write time (for spans:
-    /// the span end).
-    pub t_ns: u64,
-    pub label: &'static str,
-    /// Writing thread's ordinal ([`crate::thread_ord`]).
-    pub thread: u32,
-    pub what: Traced,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
@@ -138,28 +108,6 @@ struct Inner {
     /// [`crate::stage_register`], cleared by [`crate::stage_finish`].
     watch: BTreeMap<&'static str, bool>,
     tree: BTreeMap<String, TreeStat>,
-    /// The bounded timeline kept between [`Registry::start_trace`] and
-    /// [`Registry::take_trace`], plus the count refused at the cap.
-    trace: Option<(Vec<TraceEntry>, u64)>,
-}
-
-impl Inner {
-    /// Append a timeline entry if a trace is being kept.
-    fn trace(&mut self, label: &'static str, what: Traced) {
-        let Some((entries, truncated)) = &mut self.trace else {
-            return;
-        };
-        if entries.len() < MAX_TRACE_EVENTS {
-            entries.push(TraceEntry {
-                t_ns: crate::epoch_ns(),
-                label,
-                thread: crate::thread_ord() as u32,
-                what,
-            });
-        } else {
-            *truncated += 1;
-        }
-    }
 }
 
 /// Thread-safe metric store. One global instance lives behind
@@ -177,11 +125,7 @@ impl Registry {
 
     /// Add to a monotonic counter.
     pub fn counter_add(&self, label: &'static str, n: u64) {
-        let mut inner = self.inner.lock();
-        let total = inner.counters.entry(label).or_insert(0);
-        *total += n;
-        let total = *total;
-        inner.trace(label, Traced::Counter(total));
+        *self.inner.lock().counters.entry(label).or_insert(0) += n;
     }
 
     /// Read a counter (0 when never touched).
@@ -191,9 +135,7 @@ impl Registry {
 
     /// Set a gauge to its latest value.
     pub fn gauge_set(&self, label: &'static str, value: f64) {
-        let mut inner = self.inner.lock();
-        inner.gauges.insert(label, value);
-        inner.trace(label, Traced::Gauge(value));
+        self.inner.lock().gauges.insert(label, value);
     }
 
     /// Read a gauge.
@@ -213,15 +155,11 @@ impl Registry {
         let stat = inner.stages.entry(label).or_default();
         stat.0 += items;
         stat.1 += bytes;
-        let (items, bytes) = *stat;
-        inner.trace(label, Traced::Stage(items, bytes));
     }
 
     /// Put a stage under (`on`) or take it out of the stall watchdog.
     pub fn watch(&self, label: &'static str, on: bool) {
-        let mut inner = self.inner.lock();
-        inner.watch.insert(label, on);
-        inner.trace(label, Traced::Watch(on));
+        self.inner.lock().watch.insert(label, on);
     }
 
     /// Whether a stage is under the stall watchdog right now.
@@ -244,11 +182,10 @@ impl Registry {
         out
     }
 
-    /// Fold one completed span (label `label`) into the call-tree
-    /// aggregate for its full stack path.
+    /// Fold one completed span into the call-tree aggregate for its
+    /// full stack path.
     pub fn record_tree(
         &self,
-        label: &'static str,
         path: &str,
         total_ns: u64,
         self_ns: u64,
@@ -267,7 +204,6 @@ impl Registry {
         stat.max_ns = stat.max_ns.max(u128::from(total_ns));
         stat.alloc_bytes += alloc_bytes;
         stat.self_alloc_bytes += self_alloc_bytes;
-        inner.trace(label, Traced::Span(total_ns, self_ns));
     }
 
     /// Read one call-tree aggregate by its `;`-joined path.
@@ -323,17 +259,6 @@ impl Registry {
         Value::Object(out)
     }
 
-    /// Start keeping the write timeline (a fresh, empty one).
-    pub(crate) fn start_trace(&self) {
-        self.inner.lock().trace = Some((Vec::new(), 0));
-    }
-
-    /// Stop keeping the timeline and hand back its entries plus the
-    /// number refused at the cap (`None` if no trace was kept).
-    pub(crate) fn take_trace(&self) -> Option<(Vec<TraceEntry>, u64)> {
-        self.inner.lock().trace.take()
-    }
-
     /// Drop every recorded metric (used by the test capture harness so
     /// cases see only their own activity).
     pub fn reset(&self) {
@@ -360,53 +285,5 @@ mod tests {
         );
         // A registration alone adds no stage total to the report.
         assert!(reg.snapshot()["stages"]["st.idle"].is_null());
-    }
-
-    #[test]
-    fn timeline_records_cumulative_writes_between_start_and_take() {
-        let reg = Registry::new();
-        reg.counter_add("tl.count", 1);
-        assert!(reg.take_trace().is_none());
-        reg.start_trace();
-        reg.counter_add("tl.count", 2);
-        reg.counter_add("tl.count", 3);
-        reg.watch("tl.stage", true);
-        reg.stage_add("tl.stage", 5, 100);
-        reg.stage_add("tl.stage", 3, 50);
-        reg.gauge_set("tl.gauge", 1.5);
-        reg.record_tree("tl.span", "tl.outer;tl.span", 2_000, 500, 0, 0);
-        reg.watch("tl.stage", false);
-        let (entries, truncated) = reg.take_trace().expect("trace kept");
-        reg.counter_add("tl.count", 4);
-        assert!(reg.take_trace().is_none());
-        assert_eq!(truncated, 0);
-        let got: Vec<_> = entries.iter().map(|e| (e.label, e.what)).collect();
-        assert_eq!(
-            got,
-            vec![
-                ("tl.count", Traced::Counter(3)),
-                ("tl.count", Traced::Counter(6)),
-                ("tl.stage", Traced::Watch(true)),
-                ("tl.stage", Traced::Stage(5, 100)),
-                ("tl.stage", Traced::Stage(8, 150)),
-                ("tl.gauge", Traced::Gauge(1.5)),
-                ("tl.span", Traced::Span(2_000, 500)),
-                ("tl.stage", Traced::Watch(false)),
-            ]
-        );
-        assert!(entries.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
-        assert!(entries
-            .iter()
-            .all(|e| e.thread == crate::thread_ord() as u32));
-
-        // At the cap, further writes are counted, not kept.
-        reg.start_trace();
-        if let Some((kept, _)) = &mut reg.inner.lock().trace {
-            kept.resize(MAX_TRACE_EVENTS, entries[0]);
-        }
-        reg.counter_add("tl.count", 1);
-        reg.gauge_set("tl.gauge", 2.0);
-        let (kept, truncated) = reg.take_trace().expect("trace kept");
-        assert_eq!((kept.len(), truncated), (MAX_TRACE_EVENTS, 2));
     }
 }

@@ -49,8 +49,8 @@ fn git_rev() -> String {
 
 /// The environment block every report (and `BENCH_kernels.json`)
 /// embeds as `meta`: detected cores, the effective `RSD_THREADS`
-/// budget, git revision, the telemetry/profiling switches, and every
-/// knob's effective value.
+/// budget, git revision, the latched telemetry mode, and every knob's
+/// effective value.
 pub fn run_meta() -> Value {
     let mut m = Map::new();
     m.insert(
@@ -64,7 +64,6 @@ pub fn run_meta() -> Value {
     m.insert("rsd_threads", Value::Int(crate::knob::threads() as i128));
     m.insert("git_rev", Value::String(git_rev()));
     m.insert("obs_mode", Value::String(crate::mode_desc()));
-    m.insert("profile", Value::Bool(crate::profile_enabled()));
     m.insert("knobs", crate::knob::snapshot());
     Value::Object(m)
 }
@@ -141,25 +140,6 @@ impl RunReport {
         }
         let path = self.default_path();
         self.write_to(&path)?;
-        Ok(Some(path))
-    }
-
-    /// Default location for this run's collapsed-stack profile.
-    fn profile_path(&self) -> PathBuf {
-        PathBuf::from("bench_runs")
-            .join(&self.scale)
-            .join(format!("{}.folded", self.bin))
-    }
-
-    /// Write the global span tree as a folded profile at
-    /// `bench_runs/<scale>/<bin>.folded` when `RSD_OBS_PROFILE` is on.
-    /// Returns the path when a profile was written.
-    pub fn write_profile(&self) -> std::io::Result<Option<PathBuf>> {
-        if !crate::profile_enabled() || !crate::enabled() {
-            return Ok(None);
-        }
-        let path = self.profile_path();
-        crate::tree::write_folded_to(&path)?;
         Ok(Some(path))
     }
 

@@ -37,10 +37,9 @@
 //!   `RSD_OBS_HTTP` endpoint's `/snapshot` and `/health` track the run
 //!   without touching driver state.
 //!
-//! When `RSD_OBS_TRACE=1` the registry also keeps a timeline of its
-//! writes for the run and, at [`SeriesGuard::finish`], the driver renders
-//! it plus the span tree into a `chrome://tracing` / Perfetto-compatible
-//! `bench_runs/<scale>/<bin>.trace.json` (see [`crate::trace_export`]).
+//! The series holds windowed aggregates only; the per-event record of
+//! the same run is the `RSD_OBS` NDJSON stream, which `obs_top --render`
+//! turns into a Chrome trace afterwards (see [`crate::trace_export`]).
 //! The guard's drop finishes the driver, so a bench binary just holds it
 //! for the duration of the run.
 
@@ -52,9 +51,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default tick when only trace export is requested (the watchdog and
-/// the live endpoint still tick).
-const TRACE_ONLY_TICK_MS: u64 = 200;
 /// Default stall threshold in ticks.
 const DEFAULT_STALL_TICKS: u32 = 10;
 
@@ -64,46 +60,32 @@ const DEFAULT_STALL_TICKS: u32 = 10;
 pub struct SeriesOptions {
     /// Snapshot period.
     pub tick: Duration,
-    /// Where the NDJSON series goes (`None`: no series file, e.g. a
-    /// trace-only run).
+    /// Where the NDJSON series goes (`None`: no series file).
     pub series_path: Option<PathBuf>,
-    /// Where the Chrome trace goes (`None`: no trace export).
-    pub trace_path: Option<PathBuf>,
     /// Consecutive no-progress ticks before a registered stage counts
     /// as stalled.
     pub stall_ticks: u32,
 }
 
-/// Read `RSD_OBS_TICK_MS` / `RSD_OBS_TRACE` and start the driver for
-/// one bench binary. Returns `None` when neither a tick nor trace export
-/// is requested — the continuous layer then stays disarmed and hot paths
-/// pay a single atomic load.
+/// Read `RSD_OBS_TICK_MS` and start the driver for one bench binary.
+/// Returns `None` when no tick is requested — the continuous layer then
+/// stays disarmed and hot paths pay a single atomic load.
 pub fn start(bin: &str, scale: &str) -> Option<SeriesGuard> {
-    let tick_ms: Option<u64> = crate::knob::OBS_TICK_MS.get();
-    let trace: bool = crate::knob::OBS_TRACE.get();
-    if tick_ms.is_none() && !trace {
-        return None;
-    }
+    let tick_ms: u64 = crate::knob::OBS_TICK_MS.get::<Option<u64>>()?;
     let dir = PathBuf::from("bench_runs").join(scale);
-    let opts = SeriesOptions {
-        tick: Duration::from_millis(tick_ms.unwrap_or(TRACE_ONLY_TICK_MS).max(1)),
-        series_path: tick_ms.map(|_| dir.join(format!("{bin}.series.ndjson"))),
-        trace_path: trace.then(|| dir.join(format!("{bin}.trace.json"))),
+    Some(start_with(SeriesOptions {
+        tick: Duration::from_millis(tick_ms),
+        series_path: Some(dir.join(format!("{bin}.series.ndjson"))),
         stall_ticks: DEFAULT_STALL_TICKS,
-    };
-    Some(start_with(opts))
+    }))
 }
 
 /// Start the driver with explicit options. Forces the registry on (a
-/// tick/trace request must produce data even without `RSD_OBS`), arms
-/// the continuous layer, and starts the registry's trace timeline when a
-/// trace is requested.
+/// tick request must produce data even without `RSD_OBS`) and arms the
+/// continuous layer.
 fn start_with(opts: SeriesOptions) -> SeriesGuard {
     crate::ensure_registry();
     ring::set_armed(true);
-    if opts.trace_path.is_some() {
-        crate::registry().start_trace();
-    }
     let stop = Arc::new(StopFlag::default());
     let driver_stop = Arc::clone(&stop);
     let driver_opts = opts.clone();
@@ -115,7 +97,6 @@ fn start_with(opts: SeriesOptions) -> SeriesGuard {
         stop,
         handle: Some(handle),
         series_path: opts.series_path,
-        trace_path: opts.trace_path,
     }
 }
 
@@ -145,34 +126,20 @@ impl StopFlag {
     }
 }
 
-/// Paths the finished driver wrote (present only when the corresponding
-/// export was requested and succeeded).
-#[derive(Debug, Default)]
-pub struct SeriesOutputs {
-    /// The `.series.ndjson` file.
-    pub series: Option<PathBuf>,
-    /// The `.trace.json` file.
-    pub trace: Option<PathBuf>,
-}
-
 /// Owns the driver thread. Dropping (or calling
 /// [`SeriesGuard::finish`]) stops the driver, writes a final snapshot
-/// line, exports the trace, and disarms the continuous layer.
+/// line, and disarms the continuous layer.
 pub struct SeriesGuard {
     stop: Arc<StopFlag>,
     handle: Option<std::thread::JoinHandle<()>>,
     series_path: Option<PathBuf>,
-    trace_path: Option<PathBuf>,
 }
 
 impl SeriesGuard {
-    /// Stop the driver and return what it wrote.
-    pub fn finish(mut self) -> SeriesOutputs {
+    /// Stop the driver and return the series file it wrote, if any.
+    pub fn finish(mut self) -> Option<PathBuf> {
         self.shutdown();
-        SeriesOutputs {
-            series: self.series_path.take().filter(|p| p.is_file()),
-            trace: self.trace_path.take().filter(|p| p.is_file()),
-        }
+        self.series_path.take().filter(|p| p.is_file())
     }
 
     fn shutdown(&mut self) {
@@ -410,19 +377,6 @@ fn drive(opts: &SeriesOptions, stop: &StopFlag) {
         driver.tick("tick");
     }
     driver.tick("final");
-    if let Some(path) = &opts.trace_path {
-        let (entries, truncated) = crate::registry().take_trace().unwrap_or_default();
-        if truncated > 0 {
-            crate::event(
-                "obs.trace.truncated",
-                &[("events", Value::Int(i128::from(truncated)))],
-            );
-        }
-        let tree = crate::registry().tree();
-        if let Err(e) = crate::trace_export::write_trace_to(path, &entries, &tree) {
-            eprintln!("rsd-obs: cannot write trace {}: {e}", path.display());
-        }
-    }
 }
 
 /// Run-wide exemplar list kept by [`summarize_series`].
@@ -511,13 +465,11 @@ mod tests {
     #[test]
     fn driver_writes_wellformed_series_and_summary_parses() {
         let series = temp_path("series.ndjson");
-        let trace = temp_path("trace.json");
         let mut stages = Value::Null;
         crate::capture(|| {
             let guard = start_with(SeriesOptions {
                 tick: Duration::from_millis(5),
                 series_path: Some(series.clone()),
-                trace_path: Some(trace.clone()),
                 stall_ticks: 3,
             });
             crate::stage_register("ts.stage");
@@ -528,9 +480,7 @@ mod tests {
             }
             crate::stage_finish("ts.stage");
             std::thread::sleep(Duration::from_millis(20));
-            let out = guard.finish();
-            assert_eq!(out.series.as_deref(), Some(series.as_path()));
-            assert_eq!(out.trace.as_deref(), Some(trace.as_path()));
+            assert_eq!(guard.finish().as_deref(), Some(series.as_path()));
             stages = crate::registry().snapshot()["stages"].clone();
         });
         let text = std::fs::read_to_string(&series).expect("series file");
@@ -554,12 +504,7 @@ mod tests {
         }
         assert!(s["latency"]["ts.span"]["p99_ms"].as_f64().is_some());
         assert!(s["latency"]["ts.span"]["p999_ms"].as_f64().is_some());
-        // The trace parses as JSON and contains span events.
-        let trace_text = std::fs::read_to_string(&trace).expect("trace file");
-        let parsed: Value = serde_json::from_str(&trace_text).expect("trace parses");
-        assert!(parsed["traceEvents"].as_array().is_some());
         let _ = std::fs::remove_file(&series);
-        let _ = std::fs::remove_file(&trace);
     }
 
     #[test]
@@ -569,7 +514,6 @@ mod tests {
             let guard = start_with(SeriesOptions {
                 tick: Duration::from_millis(2),
                 series_path: Some(series.clone()),
-                trace_path: None,
                 stall_ticks: 2,
             });
             crate::stage_register("ts.stuck");
@@ -593,7 +537,6 @@ mod tests {
         let opts = SeriesOptions {
             tick: Duration::from_millis(1),
             series_path: None,
-            trace_path: None,
             stall_ticks: 3,
         };
         let records = crate::capture(|| {

@@ -1,178 +1,147 @@
 //! Chrome trace-event export.
 //!
-//! Converts the registry's write timeline (plus its span tree) into the
-//! Trace Event Format that `chrome://tracing` and
+//! Renders an NDJSON event stream (the `RSD_OBS` sink's records) into
+//! the Trace Event Format that `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev) load directly:
 //!
-//! - completed spans → `"ph":"X"` complete events (`ts`/`dur` in
+//! - `span` records → `"ph":"X"` complete events (`ts`/`dur` in
 //!   microseconds, one track per writing thread, self-time in `args`);
-//! - counter and stage writes → `"ph":"C"` counter tracks carrying the
-//!   registry's **cumulative** totals at write time, so the counter graph
-//!   is monotone and slopes read as throughput;
-//! - gauge writes → `"ph":"C"` with the raw gauge value;
-//! - stage register / finish → `"ph":"i"` instant events marking stage
-//!   lifecycle on the global track.
+//! - `gauge` records → `"ph":"C"` counter tracks with the gauge value;
+//! - `event` records → `"ph":"i"` instant events on the writing
+//!   thread's track, carrying the record's own fields in `args`.
 //!
-//! The collapsed-stack span tree rides along under the top-level
-//! `spanTree` key (viewers ignore unknown keys) so one artifact holds
-//! both the timeline and the aggregate profile.
+//! A span record is written when the span ends, so its start is
+//! `ts_ms - ms`.
 
-use crate::registry::{TraceEntry, Traced};
-use crate::TreeStat;
 use serde_json::{Map, Value};
-use std::io::{BufWriter, Write};
-use std::path::Path;
 
 /// Shared fake pid: everything in one bench binary is one process.
 const PID: u32 = 1;
 
-fn us(t_ns: u64) -> Value {
-    Value::Float(t_ns as f64 / 1e3)
+/// Record envelope keys, which become the trace event's own fields
+/// rather than `args`.
+const ENVELOPE: &[&str] = &["ts_ms", "kind", "label", "thread"];
+
+fn us(ms: f64) -> Value {
+    Value::Float(ms * 1e3)
 }
 
-fn base(ph: &str, name: &str, tid: u32, t_ns: u64) -> Map {
+fn base(ph: &str, name: &str, tid: i128) -> Map {
     let mut m = Map::new();
     m.insert("ph", Value::String(ph.to_string()));
     m.insert("name", Value::String(name.to_string()));
     m.insert("pid", Value::Int(i128::from(PID)));
-    m.insert("tid", Value::Int(i128::from(tid)));
-    m.insert("ts", us(t_ns));
-    m.insert("cat", Value::String("rsd".to_string()));
+    m.insert("tid", Value::Int(tid));
     m
 }
 
-/// Render one timeline entry as a trace event.
-fn trace_event(entry: &TraceEntry) -> Value {
+/// Render one NDJSON record as a trace event (`None` for kinds the
+/// trace does not show).
+fn trace_event(rec: &Value) -> Result<Option<Value>, String> {
+    let lacks = |key: &str| format!("record lacks {key}: {rec}");
+    let field = |key: &str| rec[key].as_f64().ok_or_else(|| lacks(key));
+    let label = rec["label"].as_str().ok_or_else(|| lacks("label"))?;
+    let tid = rec["thread"].as_i64().map_or(0, i128::from);
+    let ts_ms = field("ts_ms")?;
     let mut args = Map::new();
-    let mut m = match entry.what {
-        Traced::Span(dur_ns, self_ns) => {
-            // `t_ns` is the span end.
-            let start = entry.t_ns.saturating_sub(dur_ns);
-            let mut m = base("X", entry.label, entry.thread, start);
-            m.insert("dur", us(dur_ns));
-            args.insert("self_ms", Value::Float(self_ns as f64 / 1e6));
+    let mut m = match rec["kind"].as_str() {
+        Some("span") => {
+            let ms = field("ms")?;
+            let mut m = base("X", label, tid);
+            m.insert("ts", us(ts_ms - ms));
+            m.insert("dur", us(ms));
+            args.insert("self_ms", Value::Float(field("self_ms")?));
             m
         }
-        Traced::Counter(total) => {
-            args.insert("value", Value::Int(i128::from(total)));
-            base("C", entry.label, 0, entry.t_ns)
-        }
-        Traced::Stage(items, bytes) => {
-            args.insert("items", Value::Int(i128::from(items)));
-            args.insert("bytes", Value::Int(i128::from(bytes)));
-            base("C", entry.label, 0, entry.t_ns)
-        }
-        Traced::Gauge(value) => {
-            args.insert("value", Value::Float(value));
-            base("C", entry.label, 0, entry.t_ns)
-        }
-        Traced::Watch(on) => {
-            let mut m = base("i", entry.label, entry.thread, entry.t_ns);
-            m.insert("s", Value::String("g".to_string()));
-            let phase = if on { "register" } else { "finish" };
-            args.insert("stage_phase", Value::String(phase.to_string()));
+        Some("gauge") => {
+            args.insert("value", Value::Float(field("value")?));
+            let mut m = base("C", label, 0);
+            m.insert("ts", us(ts_ms));
             m
         }
+        Some("event") => {
+            for (k, v) in rec.as_object().into_iter().flat_map(Map::iter) {
+                if !ENVELOPE.contains(&k.as_str()) {
+                    args.insert(k.as_str(), v.clone());
+                }
+            }
+            let mut m = base("i", label, tid);
+            m.insert("ts", us(ts_ms));
+            m.insert("s", Value::String("t".to_string()));
+            m
+        }
+        _ => return Ok(None),
     };
+    m.insert("cat", Value::String("rsd".to_string()));
     m.insert("args", Value::Object(args));
-    Value::Object(m)
+    Ok(Some(Value::Object(m)))
 }
 
-fn thread_meta(tid: u32) -> Value {
+fn name_meta(ph_name: &str, tid: Option<i128>, name: String) -> Value {
     let mut m = Map::new();
     m.insert("ph", Value::String("M".to_string()));
-    m.insert("name", Value::String("thread_name".to_string()));
+    m.insert("name", Value::String(ph_name.to_string()));
     m.insert("pid", Value::Int(i128::from(PID)));
-    m.insert("tid", Value::Int(i128::from(tid)));
+    if let Some(tid) = tid {
+        m.insert("tid", Value::Int(tid));
+    }
     let mut args = Map::new();
-    let name = if tid == 0 {
-        "main".to_string()
-    } else {
-        format!("thread-{tid}")
-    };
     args.insert("name", Value::String(name));
     m.insert("args", Value::Object(args));
     Value::Object(m)
 }
 
-/// Render the timeline plus the span tree into a complete trace JSON
-/// document (the string form of [`write_trace_to`]).
-fn render_trace(events: &[TraceEntry], tree: &[(String, TreeStat)]) -> String {
-    let mut trace_events = Vec::with_capacity(events.len() + 8);
-
-    // Process / thread naming metadata first.
-    let mut proc_meta = Map::new();
-    proc_meta.insert("ph", Value::String("M".to_string()));
-    proc_meta.insert("name", Value::String("process_name".to_string()));
-    proc_meta.insert("pid", Value::Int(i128::from(PID)));
-    let mut args = Map::new();
-    args.insert("name", Value::String("rsd".to_string()));
-    proc_meta.insert("args", Value::Object(args));
-    trace_events.push(Value::Object(proc_meta));
-
-    let mut tids: Vec<u32> = events
-        .iter()
-        .filter(|e| matches!(e.what, Traced::Span(..)))
-        .map(|e| e.thread)
-        .collect();
-    tids.sort_unstable();
-    tids.dedup();
+/// Render an NDJSON event stream into a complete trace JSON document.
+/// Blank lines are skipped; a line that is not a JSON record is an
+/// error naming it.
+pub fn render_trace(ndjson: &str) -> Result<String, String> {
+    let mut events = vec![name_meta("process_name", None, "rsd".to_string())];
+    let mut tids = std::collections::BTreeSet::new();
+    let mut body = Vec::new();
+    for (idx, line) in ndjson.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let rec: Value = serde_json::from_str(line)
+            .map_err(|e| format!("NDJSON line {}: invalid JSON: {e}", idx + 1))?;
+        let event = trace_event(&rec).map_err(|e| format!("NDJSON line {}: {e}", idx + 1))?;
+        if let Some(event) = event {
+            if event["ph"] == "X" {
+                tids.insert(event["tid"].as_i64().map_or(0, i128::from));
+            }
+            body.push(event);
+        }
+    }
     for tid in tids {
-        trace_events.push(thread_meta(tid));
+        let name = if tid == 0 {
+            "main".to_string()
+        } else {
+            format!("thread-{tid}")
+        };
+        events.push(name_meta("thread_name", Some(tid), name));
     }
-
-    trace_events.extend(events.iter().map(trace_event));
-
-    let mut span_tree = Map::new();
-    for (path, stat) in tree {
-        let mut m = Map::new();
-        m.insert("count", Value::Int(stat.count as i128));
-        m.insert("total_ms", Value::Float(stat.total_ns as f64 / 1e6));
-        m.insert("self_ms", Value::Float(stat.self_ns as f64 / 1e6));
-        span_tree.insert(path.as_str(), Value::Object(m));
-    }
-
+    events.extend(body);
     let mut doc = Map::new();
     doc.insert("displayTimeUnit", Value::String("ms".to_string()));
-    doc.insert("traceEvents", Value::Array(trace_events));
-    if !span_tree.is_empty() {
-        doc.insert("spanTree", Value::Object(span_tree));
-    }
-    Value::Object(doc).to_json()
-}
-
-/// Write the trace document to `path`, creating parent directories.
-pub(crate) fn write_trace_to(
-    path: &Path,
-    events: &[TraceEntry],
-    tree: &[(String, TreeStat)],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    w.write_all(render_trace(events, tree).as_bytes())?;
-    w.flush()
+    doc.insert("traceEvents", Value::Array(events));
+    Ok(Value::Object(doc).to_json())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn span(label: &'static str, end_ns: u64, dur_ns: u64, thread: u32) -> TraceEntry {
-        TraceEntry {
-            t_ns: end_ns,
-            label,
-            thread,
-            what: Traced::Span(dur_ns, dur_ns / 2),
-        }
+    fn events_of(ndjson: &str) -> Vec<Value> {
+        let doc: Value = serde_json::from_str(&render_trace(ndjson).unwrap()).unwrap();
+        assert_eq!(doc["displayTimeUnit"], "ms");
+        doc["traceEvents"].as_array().unwrap().clone()
     }
 
     #[test]
     fn spans_become_complete_events_with_micro_timestamps() {
-        let events = [span("trace.work", 5_000_000, 2_000_000, 3)];
-        let doc: Value = serde_json::from_str(&render_trace(&events, &[])).unwrap();
-        let traced = doc["traceEvents"].as_array().unwrap();
+        let traced = events_of(
+            r#"{"ts_ms":5.0,"kind":"span","label":"trace.work","thread":3,"ms":2.0,"self_ms":1.0,"depth":0}"#,
+        );
         let x = traced
             .iter()
             .find(|e| e["ph"] == "X")
@@ -190,21 +159,31 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_rides_along_and_doc_parses() {
-        let tree = vec![(
-            "a;b".to_string(),
-            TreeStat {
-                count: 2,
-                total_ns: 4_000_000,
-                self_ns: 1_000_000,
-                max_ns: 3_000_000,
-                alloc_bytes: 0,
-                self_alloc_bytes: 0,
-            },
-        )];
-        let doc: Value = serde_json::from_str(&render_trace(&[], &tree)).unwrap();
-        assert_eq!(doc["spanTree"]["a;b"]["count"], 2u32);
-        assert_eq!(doc["spanTree"]["a;b"]["total_ms"].as_f64().unwrap(), 4.0);
-        assert_eq!(doc["displayTimeUnit"], "ms");
+    fn gauges_and_events_render_and_bad_lines_are_named() {
+        let traced = events_of(concat!(
+            r#"{"ts_ms":1.5,"kind":"gauge","label":"g","thread":0,"value":0.25,"epoch":2}"#,
+            "\n\n",
+            r#"{"ts_ms":2.0,"kind":"event","label":"e","thread":1,"items":42}"#,
+            "\n",
+        ));
+        let c = traced.iter().find(|e| e["ph"] == "C").expect("counter");
+        assert_eq!(
+            (c["name"].as_str(), c["ts"].as_f64()),
+            (Some("g"), Some(1_500.0))
+        );
+        assert_eq!(c["args"]["value"].as_f64(), Some(0.25));
+        let i = traced.iter().find(|e| e["ph"] == "i").expect("instant");
+        assert_eq!(
+            (i["tid"].as_i64(), i["args"]["items"].as_i64()),
+            (Some(1), Some(42))
+        );
+        assert!(i["args"]["label"].is_null());
+        // No span, so only the process name track.
+        assert_eq!(traced.iter().filter(|e| e["ph"] == "M").count(), 1);
+
+        let err = render_trace("{\"kind\":\"span\"}\nnot json\n").unwrap_err();
+        assert!(err.starts_with("NDJSON line 1"), "{err}");
+        let err = render_trace("\nnot json\n").unwrap_err();
+        assert!(err.starts_with("NDJSON line 2"), "{err}");
     }
 }

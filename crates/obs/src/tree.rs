@@ -1,4 +1,4 @@
-//! Collapsed-stack ("folded") profile export.
+//! Collapsed-stack ("folded") profile rendering.
 //!
 //! The folded format is the interchange convention of `flamegraph.pl`
 //! and inferno: one line per unique call stack, frames joined by `;`,
@@ -7,118 +7,81 @@
 //! renders frame widths proportional to self-time and parent frames
 //! are widened by their children exactly as the tools expect.
 
-use crate::TreeStat;
+use serde_json::Value;
 
-/// Render a call tree as folded lines (`path self_us\n`), sorted by
-/// path so the output is byte-identical regardless of input order —
-/// diffable across runs and stable under parallel span collection.
-/// Entries whose self-time rounds to zero microseconds are kept
-/// (count 0 lines are legal and preserve tree structure for parsers).
-pub fn render_folded(tree: &[(String, TreeStat)]) -> String {
-    let mut ordered: Vec<&(String, TreeStat)> = tree.iter().collect();
-    ordered.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::new();
-    for (path, stat) in ordered {
-        out.push_str(path);
-        out.push(' ');
-        out.push_str(&(stat.self_ns / 1_000).to_string());
-        out.push('\n');
+/// Render a run report's `metrics.tree` as folded lines
+/// (`path self_us\n`), sorted by path so the output is byte-identical
+/// regardless of key order. Each path's `self_ms` converts back to the
+/// integer nanoseconds it was written from (`round`) before the
+/// truncating division to microseconds. Entries whose self-time rounds
+/// to zero microseconds are kept (count 0 lines are legal and preserve
+/// tree structure for parsers).
+pub fn render_folded(report: &Value) -> Result<String, String> {
+    let tree = report["metrics"]["tree"]
+        .as_object()
+        .ok_or("report has no metrics.tree object")?;
+    let mut lines = Vec::with_capacity(tree.len());
+    for (path, stat) in tree.iter() {
+        let self_ms = stat["self_ms"]
+            .as_f64()
+            .ok_or_else(|| format!("tree path {path:?} has no numeric self_ms"))?;
+        let self_ns = (self_ms * 1e6).round() as u128;
+        lines.push(format!("{path} {}\n", self_ns / 1_000));
     }
-    out
-}
-
-/// Parse folded lines back into `(path, self_us)` pairs. Used by the
-/// round-trip test and `obs_diff`'s profile mode; tolerant of blank
-/// lines, strict about everything else.
-pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (path, count) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: no count separator: {line:?}", idx + 1))?;
-        if path.is_empty() {
-            return Err(format!("line {}: empty stack path", idx + 1));
-        }
-        let count: u64 = count
-            .parse()
-            .map_err(|e| format!("line {}: bad count {count:?}: {e}", idx + 1))?;
-        out.push((path.to_string(), count));
-    }
-    Ok(out)
-}
-
-/// Write the **global** registry's call tree as a folded profile at
-/// `path`. Returns the number of stack lines written.
-pub fn write_folded_to(path: &std::path::Path) -> std::io::Result<usize> {
-    let tree = crate::registry().tree();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, render_folded(&tree))?;
-    Ok(tree.len())
+    lines.sort();
+    Ok(lines.concat())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stat(self_ns: u128) -> TreeStat {
-        TreeStat {
-            count: 1,
-            total_ns: self_ns,
-            self_ns,
-            max_ns: self_ns,
-            alloc_bytes: 0,
-            self_alloc_bytes: 0,
-        }
-    }
-
-    #[test]
-    fn folded_round_trips() {
-        let tree = vec![
-            ("a".to_string(), stat(5_000_000)),
-            ("a;b".to_string(), stat(1_500_000)),
-            ("a;b;leaf with space".to_string(), stat(999)),
-        ];
-        let text = render_folded(&tree);
-        let parsed = parse_folded(&text).unwrap();
-        assert_eq!(
-            parsed,
-            vec![
-                ("a".to_string(), 5_000),
-                ("a;b".to_string(), 1_500),
-                // 999 ns rounds down to 0 us but the stack line survives.
-                ("a;b;leaf with space".to_string(), 0),
-            ]
-        );
+    fn report(tree: &[(&str, f64)]) -> Value {
+        let entries = tree.iter().map(|&(path, self_ms)| {
+            let mut stat = serde_json::Map::new();
+            stat.insert("self_ms", Value::Float(self_ms));
+            (path.to_string(), Value::Object(stat))
+        });
+        let mut metrics = serde_json::Map::new();
+        metrics.insert("tree", Value::Object(entries.collect()));
+        let mut doc = serde_json::Map::new();
+        doc.insert("metrics", Value::Object(metrics));
+        Value::Object(doc)
     }
 
     #[test]
     fn folded_output_is_sorted_golden() {
         // Deliberately shuffled input: output must be byte-exact and
-        // path-sorted no matter how the tree slice was ordered.
-        let tree = vec![
-            ("pipeline;merge".to_string(), stat(2_000_000)),
-            ("bench".to_string(), stat(7_000_000)),
-            ("pipeline".to_string(), stat(4_000_000)),
-            ("bench;load".to_string(), stat(1_000_000)),
+        // path-sorted no matter how the tree object was ordered.
+        let tree = [
+            ("pipeline;merge", 2.0),
+            ("bench", 7.0),
+            ("pipeline", 4.0),
+            ("bench;load", 1.0),
+            // 999 ns rounds down to 0 us but the stack line survives.
+            ("bench;load;leaf with space", 0.000999),
         ];
-        let golden = "bench 7000\nbench;load 1000\npipeline 4000\npipeline;merge 2000\n";
-        assert_eq!(render_folded(&tree), golden);
+        let golden = "bench 7000\nbench;load 1000\nbench;load;leaf with space 0\n\
+                      pipeline 4000\npipeline;merge 2000\n";
+        assert_eq!(render_folded(&report(&tree)).unwrap(), golden);
 
-        let mut reversed = tree.clone();
+        let mut reversed = tree;
         reversed.reverse();
-        assert_eq!(render_folded(&reversed), golden);
+        assert_eq!(render_folded(&report(&reversed)).unwrap(), golden);
     }
 
     #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_folded("no-count-here").is_err());
-        assert!(parse_folded("path notanumber").is_err());
-        assert!(parse_folded(" 42").is_err());
-        assert!(parse_folded("ok 1\n\n  \nalso;ok 2\n").unwrap().len() == 2);
+    fn self_ms_converts_back_to_whole_nanoseconds() {
+        // 0.0019999999 ms is 1999.9999 ns as written, 2000 ns as recorded.
+        let text = render_folded(&report(&[("a", 0.0019999999)])).unwrap();
+        assert_eq!(text, "a 2\n");
+    }
+
+    #[test]
+    fn render_rejects_reports_without_a_tree() {
+        assert!(render_folded(&Value::Null).is_err());
+        let bad: Value =
+            serde_json::from_str(r#"{"metrics":{"tree":{"a":{"self_ms":"1"}}}}"#).unwrap();
+        assert!(render_folded(&bad).is_err());
     }
 }

@@ -52,27 +52,29 @@ cargo run --release -q -p rsd-bench --bin obs_diff -- \
 cargo run --release -q -p rsd-bench --bin obs_diff -- --self-test \
     bench_runs/baseline/table3.report.json
 
-echo "==> continuous telemetry smoke (50ms ticks + chrome trace)"
-# The series must be well-formed NDJSON with a healthy final verdict,
-# the trace must parse with a non-empty traceEvents,
-# and the self-test must trip an injected tail-quantile drift derived
-# from the series itself.
-rm -f bench_runs/small/build_dataset.series.ndjson \
-    bench_runs/small/build_dataset.trace.json
-RSD_SCALE=smoke RSD_OBS_TICK_MS=50 RSD_OBS_TRACE=1 \
+echo "==> continuous telemetry smoke (50ms ticks + NDJSON stream rendered as a chrome trace)"
+# The NDJSON sink must survive the tick switching the registry on, the
+# series must be well-formed NDJSON with a healthy final verdict, the
+# trace rendered from the stream must parse with a non-empty
+# traceEvents, and the self-test must trip an injected tail-quantile
+# drift derived from the series itself.
+rm -f bench_runs/small/build_dataset.series.ndjson
+RSD_SCALE=smoke RSD_OBS="$obs_tmp/build.ndjson" RSD_OBS_TICK_MS=50 \
     RSD_BUILD_OUT="$obs_tmp/telemetry.jsonl" \
     cargo run --release -q -p rsd-bench --bin build_dataset >/dev/null
+test -s "$obs_tmp/build.ndjson" || { echo "NDJSON sink empty under RSD_OBS_TICK_MS"; exit 1; }
+cargo run --release -q -p rsd-bench --bin obs_top -- --render \
+    "$obs_tmp/build.ndjson" >"$obs_tmp/build.trace.json"
 cargo run --release -q -p rsd-bench --bin obs_top -- --check \
-    --trace bench_runs/small/build_dataset.trace.json \
+    --trace "$obs_tmp/build.trace.json" \
     bench_runs/small/build_dataset.series.ndjson
 cargo run --release -q -p rsd-bench --bin obs_diff -- --self-test \
     bench_runs/small/build_dataset.series.ndjson
 
-echo "==> profiling smoke (RSD_OBS_PROFILE=1 emits a folded profile)"
-rm -f bench_runs/small/table1.folded
-RSD_SCALE=smoke RSD_OBS_PROFILE=1 \
-    cargo run --release -q -p rsd-bench --bin table1 >/dev/null
-test -s bench_runs/small/table1.folded || { echo "folded profile missing/empty"; exit 1; }
+echo "==> profiling smoke (the table1 report renders as a folded profile)"
+cargo run --release -q -p rsd-bench --bin obs_top -- --render \
+    bench_runs/small/table1.report.json >"$obs_tmp/table1.folded"
+test -s "$obs_tmp/table1.folded" || { echo "folded profile empty"; exit 1; }
 
 echo "==> thread-count determinism (table1 stdout, RSD_THREADS=1 vs 4)"
 RSD_SCALE=smoke RSD_THREADS=1 \

@@ -16,7 +16,6 @@ const GRAIN: usize = 64;
 fn drive(reg: &Registry, i: usize) {
     reg.counter_add("conc.items", 1);
     reg.record_tree(
-        "conc.step",
         ["conc.outer;conc.step", "conc.step"][i % 2],
         ((i % 5 + 1) * 100_000) as u64,
         ((i % 5 + 1) * 60_000) as u64,

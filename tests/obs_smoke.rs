@@ -1,7 +1,7 @@
 //! Facade-level telemetry smoke test: a tiny end-to-end dataset build with
 //! the NDJSON sink pointed at a temp file, then structural checks on the
 //! event stream, the RunReport artifact (meta block, span call-tree), and
-//! the collapsed-stack profile round-trip.
+//! the collapsed-stack profile rendered from that report.
 //!
 //! Kept as a single `#[test]` because the telemetry mode latches on first
 //! use — one test owns the process-wide sink for this binary.
@@ -16,10 +16,7 @@ fn ndjson_sink_and_run_report_round_trip() {
     std::fs::create_dir_all(&dir).unwrap();
     let ndjson = dir.join("events.ndjson");
 
-    // Profiling on (latched on first read), sink to the temp file — both
-    // before any instrumented code runs.
-    std::env::set_var("RSD_OBS_PROFILE", "1");
-    assert!(obs::profile_enabled());
+    // Sink to the temp file before any instrumented code runs.
     assert!(obs::init(obs::Mode::File(ndjson.clone())));
     assert!(obs::enabled());
 
@@ -97,7 +94,6 @@ fn ndjson_sink_and_run_report_round_trip() {
     assert!(meta["host_cores"].as_i64().unwrap() >= 1, "meta: {meta}");
     assert!(meta["rsd_threads"].as_i64().unwrap() >= 1, "meta: {meta}");
     assert!(!meta["git_rev"].as_str().unwrap().is_empty());
-    assert_eq!(meta["profile"], true);
     assert!(meta["obs_mode"].as_str().unwrap().starts_with("file:"));
     for knob in obs::knob::KNOBS {
         assert!(
@@ -106,7 +102,6 @@ fn ndjson_sink_and_run_report_round_trip() {
             knob.name
         );
     }
-    assert_eq!(meta["knobs"]["RSD_OBS_PROFILE"], true);
 
     // The hierarchical call tree keys spans by their full stack path and
     // attributes self-time separately from child time.
@@ -127,18 +122,15 @@ fn ndjson_sink_and_run_report_round_trip() {
         obs::Value::Null
     ));
 
-    // RSD_OBS_PROFILE=1 emits a non-empty folded profile that round-trips
-    // through the parser.
-    let folded_path = run.write_profile().unwrap().expect("profiling is on");
-    let folded = std::fs::read_to_string(&folded_path).unwrap();
-    assert!(!folded.is_empty(), "folded profile is empty");
-    let parsed = obs::parse_folded(&folded).unwrap();
-    assert_eq!(parsed.len(), obs::registry().tree().len());
-    assert!(parsed
+    // The report's tree renders as a folded profile: one sorted
+    // `path self_us` line per tree path.
+    let folded = obs::render_folded(&report).unwrap();
+    let lines: Vec<&str> = folded.lines().collect();
+    assert_eq!(lines.len(), tree.as_object().unwrap().len());
+    assert!(lines.windows(2).all(|w| w[0] < w[1]), "{folded}");
+    assert!(lines
         .iter()
-        .any(|(path, _)| path == "bench.prepare;dataset.build"));
-    assert_eq!(obs::render_folded(&obs::registry().tree()), folded);
-    std::fs::remove_file(&folded_path).ok();
+        .any(|l| l.starts_with("bench.prepare;dataset.build ")));
 
     std::fs::remove_dir_all(&dir).ok();
 }
