@@ -209,6 +209,10 @@ cargo test --release -q -p rsd-gbdt --test fit_digest
 # Every post-level window row of a smoke fixture, hashed bit for bit, and
 # the streaming featurizer against the whole-window oracle.
 cargo test --release -q -p rsd-features --test feature_digest
+# Every byte a build returns (dataset JSONL, unlabelled pool, build report)
+# at smoke and mid scale, streaming serial and on 4 threads and batch,
+# against committed digests.
+cargo test --release -q -p rsd-dataset --test build_digest -- --include-ignored
 cargo test --release -q -p rsd-models --test int8_partition_props
 cargo test --release -q -p rsd-models plm_infer
 
