@@ -16,7 +16,7 @@
 //! The crawler sees only what the API returns — downstream code cannot
 //! reach around the pagination to generator internals.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -27,12 +27,15 @@ use rsd_common::{Result, RsdError, Timestamp};
 pub const MAX_PAGE_SIZE: usize = 100;
 
 /// A single subreddit: posts stored in creation order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Subreddit {
     /// Display name without the `r/` prefix, e.g. `"SuicideWatch"`.
     pub name: String,
     /// Posts sorted ascending by `(created, id)`.
     posts: Vec<RawPost>,
+    /// Listing position of each post id, so a cursor resolves in one
+    /// lookup. Rebuilt by every [`Subreddit::ingest`].
+    position: HashMap<PostId, usize>,
 }
 
 impl Subreddit {
@@ -40,7 +43,7 @@ impl Subreddit {
     pub fn new(name: impl Into<String>) -> Self {
         Subreddit {
             name: name.into(),
-            posts: Vec::new(),
+            ..Subreddit::default()
         }
     }
 
@@ -48,6 +51,13 @@ impl Subreddit {
     pub fn ingest(&mut self, mut posts: Vec<RawPost>) {
         self.posts.append(&mut posts);
         self.posts.sort_by_key(|p| (p.created, p.id));
+        // A repeated id resolves to its first listing position, as a scan
+        // from the front would.
+        self.position.clear();
+        self.position.reserve(self.posts.len());
+        for (i, p) in self.posts.iter().enumerate() {
+            self.position.entry(p.id).or_insert(i);
+        }
     }
 
     /// Number of posts stored.
@@ -65,12 +75,10 @@ impl Subreddit {
     fn page(&self, after: Option<PostId>, limit: usize) -> Listing {
         let start = match after {
             None => 0,
-            Some(cursor) => {
-                match self.posts.iter().position(|p| p.id == cursor) {
-                    Some(idx) => idx + 1,
-                    None => self.posts.len(), // stale cursor: empty page
-                }
-            }
+            Some(cursor) => match self.position.get(&cursor) {
+                Some(idx) => idx + 1,
+                None => self.posts.len(), // stale cursor: empty page
+            },
         };
         let limit = limit.clamp(1, MAX_PAGE_SIZE);
         let slice = &self.posts[start.min(self.posts.len())..];
@@ -193,13 +201,13 @@ impl<'a> CrawlClient<'a> {
                 break;
             }
             let mut past_end = false;
-            for post in &page.posts {
+            for post in page.posts {
                 if post.created >= end {
                     past_end = true;
                     break;
                 }
                 if post.created >= start {
-                    out.push(post.clone());
+                    out.push(post);
                 }
             }
             if past_end || page.after.is_none() {

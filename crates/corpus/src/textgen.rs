@@ -7,6 +7,9 @@
 //! characters, inconsistent casing). The clean/noise split is deliberate —
 //! `rsd-text` must have real work to do.
 
+use std::cell::RefCell;
+use std::fmt::Write;
+
 use rand::Rng;
 
 use crate::lexicon::{frames_for, slot_fillers, Frame, Slot, CAMOUFLAGE_FRAMES, FILLERS};
@@ -53,22 +56,41 @@ const HEDGE_PROB: f64 = 0.3;
 /// Probability a matched word is replaced by a synonym variant.
 const SYNONYM_PROB: f64 = 0.35;
 
-/// Apply the stochastic style layer to one sentence.
-fn stylize(sentence: &str, rng: &mut impl Rng) -> String {
-    let mut words: Vec<String> = Vec::new();
+/// Append one styled sentence to `out`: maybe a hedge, then the words of
+/// `parts` separated by single spaces, each rolled once for a synonym.
+fn stylize<'a>(parts: impl IntoIterator<Item = &'a str>, rng: &mut impl Rng, out: &mut String) {
+    let start = out.len();
     if rng.gen::<f64>() < HEDGE_PROB {
-        words.push(HEDGES[rng.gen_range(0..HEDGES.len())].to_string());
+        out.push_str(HEDGES[rng.gen_range(0..HEDGES.len())]);
     }
-    for word in sentence.split_whitespace() {
-        let mut out = word.to_string();
+    for word in parts.into_iter().flat_map(str::split_whitespace) {
+        if out.len() > start {
+            out.push(' ');
+        }
+        let mut text = word;
         if rng.gen::<f64>() < SYNONYM_PROB {
             if let Some((_, variants)) = SYNONYMS.iter().find(|(k, _)| *k == word) {
-                out = variants[rng.gen_range(0..variants.len())].to_string();
+                text = variants[rng.gen_range(0..variants.len())];
             }
         }
-        words.push(out);
+        out.push_str(text);
     }
-    words.join(" ")
+}
+
+/// Append one sentence rendered from `frame` to `out`: draw every open
+/// slot's filler into `parts` first, then style the words.
+fn write_frame(frame: Frame, rng: &mut impl Rng, parts: &mut Vec<&'static str>, out: &mut String) {
+    parts.clear();
+    for slot in frame {
+        match slot {
+            Slot::Lit(text) => parts.push(text),
+            other => {
+                let bank = slot_fillers(*other);
+                parts.push(bank[rng.gen_range(0..bank.len())]);
+            }
+        }
+    }
+    stylize(parts.iter().copied(), rng, out);
 }
 
 /// Controls for the text renderer.
@@ -98,17 +120,91 @@ impl Default for TextGenConfig {
 /// Render one sentence from a frame, filling open slots from the lexicon
 /// and applying the stochastic style layer (hedges, paraphrase variants).
 pub fn render_frame(frame: Frame, rng: &mut impl Rng) -> String {
-    let mut parts: Vec<&str> = Vec::with_capacity(frame.len());
-    for slot in frame {
-        match slot {
-            Slot::Lit(text) => parts.push(text),
-            other => {
-                let bank = slot_fillers(*other);
-                parts.push(bank[rng.gen_range(0..bank.len())]);
+    let mut out = String::new();
+    write_frame(frame, rng, &mut Vec::with_capacity(frame.len()), &mut out);
+    out
+}
+
+/// The buffers one thread renders its posts in, reused from post to post.
+#[derive(Default)]
+struct Scratch {
+    /// The post's sentences, back to back.
+    text: String,
+    /// Byte range of each sentence in `text`, in drawing order.
+    spans: Vec<(usize, usize)>,
+    /// A frame's words before styling.
+    parts: Vec<&'static str>,
+    /// The joined, noised body.
+    body: String,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+impl Scratch {
+    fn push_frame(&mut self, frame: Frame, rng: &mut impl Rng) {
+        let start = self.text.len();
+        write_frame(frame, rng, &mut self.parts, &mut self.text);
+        self.spans.push((start, self.text.len()));
+    }
+
+    fn push_filler(&mut self, filler: &str, rng: &mut impl Rng) {
+        let start = self.text.len();
+        stylize([filler], rng, &mut self.text);
+        self.spans.push((start, self.text.len()));
+    }
+
+    fn render_post(
+        &mut self,
+        level: RiskLevel,
+        mean_sentences: f64,
+        cfg: &TextGenConfig,
+        rng: &mut impl Rng,
+    ) -> String {
+        self.text.clear();
+        self.spans.clear();
+        let frames = frames_for(level);
+
+        // Signal sentence(s).
+        self.push_frame(frames[rng.gen_range(0..frames.len())], rng);
+        if rng.gen::<f64>() < cfg.double_signal_prob {
+            self.push_frame(frames[rng.gen_range(0..frames.len())], rng);
+        }
+
+        // Filler sentences: geometric-ish count around the mean, at least one.
+        let n_fillers = {
+            let base = (mean_sentences - 1.0).max(1.0);
+            let jitter: f64 = rng.gen_range(-1.0..1.5);
+            (base + jitter).round().max(1.0) as usize
+        };
+        for _ in 0..n_fillers {
+            // Most fillers come from the camouflage bank (shared high-value
+            // vocabulary in neutral roles); the rest from plain life-context
+            // lines.
+            if rng.gen::<f64>() < 0.7 {
+                let frame = CAMOUFLAGE_FRAMES[rng.gen_range(0..CAMOUFLAGE_FRAMES.len())];
+                self.push_frame(frame, rng);
+            } else {
+                self.push_filler(FILLERS[rng.gen_range(0..FILLERS.len())], rng);
             }
         }
+
+        // Shuffle so the signal isn't always first — sequence models must find it.
+        rsd_common::rng::shuffle(rng, &mut self.spans);
+
+        self.body.clear();
+        for (i, &(start, end)) in self.spans.iter().enumerate() {
+            if i > 0 {
+                self.body.push_str(". ");
+            }
+            self.body.push_str(&self.text[start..end]);
+        }
+        self.body.push('.');
+
+        apply_noise(&mut self.body, cfg, rng);
+        self.body.as_str().to_owned()
     }
-    stylize(&parts.join(" "), rng)
 }
 
 /// Render a full raw post body for the given level.
@@ -122,42 +218,7 @@ pub fn render_post(
     cfg: &TextGenConfig,
     rng: &mut impl Rng,
 ) -> String {
-    let frames = frames_for(level);
-    let mut sentences: Vec<String> = Vec::new();
-
-    // Signal sentence(s).
-    sentences.push(render_frame(frames[rng.gen_range(0..frames.len())], rng));
-    if rng.gen::<f64>() < cfg.double_signal_prob {
-        sentences.push(render_frame(frames[rng.gen_range(0..frames.len())], rng));
-    }
-
-    // Filler sentences: geometric-ish count around the mean, at least one.
-    let n_fillers = {
-        let base = (mean_sentences - 1.0).max(1.0);
-        let jitter: f64 = rng.gen_range(-1.0..1.5);
-        (base + jitter).round().max(1.0) as usize
-    };
-    for _ in 0..n_fillers {
-        // Most fillers come from the camouflage bank (shared high-value
-        // vocabulary in neutral roles); the rest from plain life-context
-        // lines.
-        if rng.gen::<f64>() < 0.7 {
-            let frame = CAMOUFLAGE_FRAMES[rng.gen_range(0..CAMOUFLAGE_FRAMES.len())];
-            sentences.push(render_frame(frame, rng));
-        } else {
-            let filler = FILLERS[rng.gen_range(0..FILLERS.len())];
-            sentences.push(stylize(filler, rng));
-        }
-    }
-
-    // Shuffle so the signal isn't always first — sequence models must find it.
-    rsd_common::rng::shuffle(rng, &mut sentences);
-
-    let mut body = sentences.join(". ");
-    body.push('.');
-
-    apply_noise(&mut body, cfg, rng);
-    body
+    SCRATCH.with(|s| s.borrow_mut().render_post(level, mean_sentences, cfg, rng))
 }
 
 /// Inject the surface noise the preprocessing stage is responsible for
@@ -171,18 +232,20 @@ fn apply_noise(body: &mut String, cfg: &TextGenConfig, rng: &mut impl Rng) {
     }
     if rng.gen::<f64>() < cfg.link_prob {
         let n: u32 = rng.gen_range(100..999);
-        body.push_str(&format!(" https://imgur.com/a/{n}"));
+        // Writing to a `String` cannot fail.
+        let _ = write!(body, " https://imgur.com/a/{n}");
     }
-    // Occasional SHOUTING of one word (case normalization work).
+    // Occasional SHOUTING of one word (case normalization work). A body
+    // starts with a word and separates words with single spaces, so the
+    // first word ends at the first space; a body that is one word and a
+    // trailing space loses the space.
     if rng.gen::<f64>() < 0.08 {
-        if let Some(word) = body.split_whitespace().next().map(str::to_uppercase) {
-            let rest = body.split_once(' ').map(|x| x.1).unwrap_or("").to_string();
-            *body = if rest.is_empty() {
-                word
-            } else {
-                format!("{word} {rest}")
-            };
+        let end = body.find(' ').unwrap_or(body.len());
+        let word = body[..end].to_uppercase();
+        if end + 1 >= body.len() {
+            body.truncate(end);
         }
+        body.replace_range(..end, &word);
     }
 }
 

@@ -59,7 +59,7 @@ use rsd_pipeline::{
     checkpointed, config_fingerprint, run_shards, Artifact, Checkpointer, PipelineConfig,
     PipelineReport, ResidentGauge, ShardPlan, ShardSpec,
 };
-use rsd_text::{ChronoDedup, PostFate, PreprocessReport, Preprocessor};
+use rsd_text::{ChronoDedup, PreprocessReport, Preprocessor};
 
 /// Options for a streaming build, usually read from the environment.
 #[derive(Debug, Clone, Default)]
@@ -359,21 +359,15 @@ impl CandidateSink {
         let mut kept = Vec::new();
         let mut users: BTreeMap<u32, Vec<PostId>> = BTreeMap::new();
         for (row, &dup) in rows.iter_mut().zip(&duplicate) {
-            match pre.classify_parts(row.relevant, row.tokens as usize, dup) {
-                PostFate::Irrelevant => report.removed_irrelevant += 1,
-                PostFate::Duplicate => report.removed_duplicates += 1,
-                PostFate::TooShort => report.removed_too_short += 1,
-                PostFate::Kept => {
-                    report.kept += 1;
-                    users.entry(row.author).or_default().push(PostId(row.id));
-                    kept.push(KeptPost {
-                        id: row.id,
-                        author: row.author,
-                        created: Timestamp(row.created),
-                        latent: row.latent,
-                        text: row.cleaned.take().expect("kept rows carry cleaned text"),
-                    });
-                }
+            if report.count(pre.classify_parts(row.relevant, row.tokens as usize, dup)) {
+                users.entry(row.author).or_default().push(PostId(row.id));
+                kept.push(KeptPost {
+                    id: row.id,
+                    author: row.author,
+                    created: Timestamp(row.created),
+                    latent: row.latent,
+                    text: row.cleaned.take().expect("kept rows carry cleaned text"),
+                });
             }
         }
         rsd_obs::counter_add("textproc.posts_in", report.total as u64);

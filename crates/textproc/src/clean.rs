@@ -9,63 +9,115 @@
 /// non-linguistic special characters, lowercase, and normalize whitespace.
 pub fn clean_text(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
-    for token in raw.split_whitespace() {
-        if is_url(token) {
-            continue;
-        }
-        let cleaned = clean_token(token);
-        if cleaned.is_empty() {
-            continue;
-        }
-        if !out.is_empty() {
-            out.push(' ');
-        }
-        out.push_str(&cleaned);
-    }
+    clean_into(raw, &mut out);
     out
 }
 
-/// True if the token looks like a URL or bare domain link.
-pub fn is_url(token: &str) -> bool {
-    let t = token.trim_matches(|c: char| c.is_ascii_punctuation());
-    token.starts_with("http://")
-        || token.starts_with("https://")
-        || token.starts_with("www.")
-        || t.starts_with("http://")
-        || t.starts_with("https://")
-        || t.starts_with("www.")
+/// [`clean_text`] appended to an empty `out`, so a caller can reuse one
+/// buffer.
+///
+/// An ASCII body is scanned byte by byte; any other body char by char.
+/// On ASCII input the two scans make the same decisions: `char`'s
+/// whitespace there is space and `\t..=\r`, and its alphanumerics are
+/// the ASCII ones.
+pub(crate) fn clean_into(raw: &str, out: &mut String) {
+    if raw.is_ascii() {
+        for token in raw
+            .as_bytes()
+            .split(|&b| b == b' ' || (b'\t'..=b'\r').contains(&b))
+        {
+            if !token.is_empty() && !is_url(token) {
+                push_token(out, |out| clean_ascii_token(token, out));
+            }
+        }
+    } else {
+        for token in raw.split_whitespace() {
+            if !is_url(token.as_bytes()) {
+                push_token(out, |out| clean_token(token, out));
+            }
+        }
+    }
 }
 
-/// Clean a single whitespace-delimited token: lowercase, keep letters,
-/// digits and intra-word apostrophes; collapse any trailing punctuation run
-/// into at most one period.
-fn clean_token(token: &str) -> String {
-    let mut cleaned = String::with_capacity(token.len());
+/// True if the token looks like a URL or bare domain link, as is or with
+/// its surrounding ASCII punctuation trimmed.
+fn is_url(token: &[u8]) -> bool {
+    let start = token
+        .iter()
+        .position(|b| !b.is_ascii_punctuation())
+        .unwrap_or(token.len());
+    let end = token
+        .iter()
+        .rposition(|b| !b.is_ascii_punctuation())
+        .map_or(start, |i| i + 1);
+    [token, &token[start..end]].iter().any(|t| {
+        ["http://", "https://", "www."]
+            .iter()
+            .any(|p| t.starts_with(p.as_bytes()))
+    })
+}
+
+/// Append one cleaned whitespace-delimited token to `out` after a
+/// separating space, or nothing if it cleans to nothing. `clean` writes
+/// the token's kept characters and reports whether a sentence terminal
+/// (`.`, `!`, `?`) followed the last of them.
+fn push_token(out: &mut String, clean: impl FnOnce(&mut String) -> bool) {
+    let sep = out.len();
+    if sep > 0 {
+        out.push(' ');
+    }
+    let start = out.len();
+    let saw_terminal = clean(out);
+    // Trim an apostrophe left dangling at the end.
+    while out.len() > start && out.ends_with('\'') {
+        out.pop();
+    }
+    if out.len() == start {
+        out.truncate(sep);
+    } else if saw_terminal {
+        // A trailing punctuation run collapses into one period.
+        out.push('.');
+    }
+}
+
+/// Write a token's kept characters: letters and digits lowercased, and
+/// apostrophes only after a word character ("don't"). Everything else
+/// (~, #, *, emoji, commas, dashes) is dropped. The character before the
+/// token in `out` is a space, if any, so "after a word character" never
+/// looks outside the token.
+fn clean_token(token: &str, out: &mut String) -> bool {
     let mut saw_terminal = false;
     for ch in token.chars() {
         if ch.is_alphanumeric() {
-            for lower in ch.to_lowercase() {
-                cleaned.push(lower);
-            }
+            out.extend(ch.to_lowercase());
             saw_terminal = false;
         } else if ch == '\'' || ch == '’' {
-            // Keep apostrophes only between word characters ("don't").
-            if cleaned.ends_with(|c: char| c.is_alphanumeric()) {
-                cleaned.push('\'');
+            if out.ends_with(|c: char| c.is_alphanumeric()) {
+                out.push('\'');
             }
         } else if matches!(ch, '.' | '!' | '?') {
             saw_terminal = true;
         }
-        // Everything else (~, #, *, emoji, commas, dashes) is dropped.
     }
-    // Trim an apostrophe left dangling at the end.
-    while cleaned.ends_with('\'') {
-        cleaned.pop();
+    saw_terminal
+}
+
+/// [`clean_token`] for an ASCII token.
+fn clean_ascii_token(token: &[u8], out: &mut String) -> bool {
+    let mut saw_terminal = false;
+    for &b in token {
+        if b.is_ascii_alphanumeric() {
+            out.push(char::from(b.to_ascii_lowercase()));
+            saw_terminal = false;
+        } else if b == b'\'' {
+            if out.as_bytes().last().is_some_and(u8::is_ascii_alphanumeric) {
+                out.push('\'');
+            }
+        } else if matches!(b, b'.' | b'!' | b'?') {
+            saw_terminal = true;
+        }
     }
-    if saw_terminal && !cleaned.is_empty() {
-        cleaned.push('.');
-    }
-    cleaned
+    saw_terminal
 }
 
 /// Fraction of characters in a string that are alphanumeric or spaces —

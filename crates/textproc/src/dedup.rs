@@ -8,7 +8,6 @@
 use std::collections::HashMap;
 
 use crate::tokenize::tokenize;
-use rsd_common::rng::fnv1a;
 
 /// Canonical form used for duplicate comparison: the token stream joined by
 /// single spaces, so residual punctuation differences don't defeat dedup.
@@ -16,31 +15,14 @@ pub fn canonical(cleaned: &str) -> String {
     tokenize(cleaned).join(" ")
 }
 
-/// Stable 64-bit fingerprint of a cleaned body (over its canonical form).
-pub fn fingerprint(cleaned: &str) -> u64 {
-    fnv1a(canonical(cleaned).as_bytes())
-}
-
-/// Given cleaned bodies in chronological order, return for each item
-/// `Some(first_index)` if it duplicates an earlier item, else `None`.
-pub fn find_duplicates(cleaned_bodies: &[String]) -> Vec<Option<usize>> {
-    let canon: Vec<String> = cleaned_bodies.iter().map(|b| canonical(b)).collect();
-    let mut dedup = ChronoDedup::with_capacity(canon.len());
-    canon
-        .iter()
-        .map(|body| dedup.push(fnv1a(body.as_bytes()), |orig| canon[orig] == *body))
-        .collect()
-}
-
 /// Incremental first-occurrence detector over a chronological stream.
 ///
-/// This is [`find_duplicates`] factored into push form so the streaming
-/// build can run the *same* dedup decision procedure over globally merged
-/// shards: items are pushed in chronological order, each with its
-/// canonical-form fingerprint and an equality probe used as the hash
-/// collision guard. Decision semantics are identical, including the
-/// collision corner case (a colliding-but-different body is kept and does
-/// **not** displace the first-seen index for that fingerprint).
+/// Items are pushed in chronological order, each with its canonical-form
+/// fingerprint and an equality probe used as the hash collision guard. The
+/// batch pipeline and the streaming build's global merge both decide
+/// duplicates through it, including the collision corner case (a
+/// colliding-but-different body is kept and does **not** displace the
+/// first-seen index for that fingerprint).
 #[derive(Debug, Default)]
 pub struct ChronoDedup {
     first_seen: HashMap<u64, usize>,
@@ -82,32 +64,40 @@ impl ChronoDedup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsd_common::rng::fnv1a;
 
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
+    /// For each cleaned body in order, `Some(first_index)` if it duplicates
+    /// an earlier one.
+    fn find_duplicates<S: AsRef<str>>(cleaned: &[S]) -> Vec<Option<usize>> {
+        let canon: Vec<String> = cleaned.iter().map(|b| canonical(b.as_ref())).collect();
+        let mut dedup = ChronoDedup::with_capacity(canon.len());
+        canon
+            .iter()
+            .map(|body| dedup.push(fnv1a(body.as_bytes()), |orig| canon[orig] == *body))
+            .collect()
     }
 
     #[test]
     fn exact_duplicates_found() {
-        let bodies = s(&["a b c", "d e f", "a b c", "a b c"]);
+        let bodies = ["a b c", "d e f", "a b c", "a b c"];
         assert_eq!(find_duplicates(&bodies), vec![None, None, Some(0), Some(0)]);
     }
 
     #[test]
     fn no_duplicates_all_none() {
-        let bodies = s(&["one", "two", "three"]);
+        let bodies = ["one", "two", "three"];
         assert!(find_duplicates(&bodies).iter().all(Option::is_none));
     }
 
     #[test]
     fn first_occurrence_wins() {
-        let bodies = s(&["x", "x", "x"]);
+        let bodies = ["x", "x", "x"];
         assert_eq!(find_duplicates(&bodies), vec![None, Some(0), Some(0)]);
     }
 
     #[test]
     fn empty_input() {
-        assert!(find_duplicates(&[]).is_empty());
+        assert!(find_duplicates::<&str>(&[]).is_empty());
     }
 
     #[test]
@@ -128,7 +118,7 @@ mod tests {
         use crate::clean::clean_text;
         let original = "i wrote the note last night. nobody noticed.";
         let noisy_repost = "I wrote the note last night!! nobody noticed. https://x.y/z";
-        let bodies = vec![clean_text(original), clean_text(noisy_repost)];
+        let bodies = [clean_text(original), clean_text(noisy_repost)];
         assert_eq!(find_duplicates(&bodies), vec![None, Some(0)]);
     }
 }

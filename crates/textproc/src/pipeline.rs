@@ -9,10 +9,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::clean::clean_text;
-use crate::dedup::{canonical, find_duplicates};
-use crate::relevance::is_relevant;
-use crate::tokenize::token_count;
+use std::cell::RefCell;
+
+use rsd_common::rng::fnv1a;
+
+use crate::clean::clean_into;
+use crate::dedup::ChronoDedup;
+use crate::relevance::{is_theme_term, MIN_HITS};
+use crate::tokenize::tokens;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,6 +52,19 @@ pub struct PreprocessReport {
     pub removed_too_short: usize,
     /// Survivors.
     pub kept: usize,
+}
+
+impl PreprocessReport {
+    /// Account one post's fate; true when it was kept.
+    pub fn count(&mut self, fate: PostFate) -> bool {
+        match fate {
+            PostFate::Kept => self.kept += 1,
+            PostFate::Irrelevant => self.removed_irrelevant += 1,
+            PostFate::Duplicate => self.removed_duplicates += 1,
+            PostFate::TooShort => self.removed_too_short += 1,
+        }
+        fate == PostFate::Kept
+    }
 }
 
 /// Result of preprocessing a batch of bodies.
@@ -94,52 +111,40 @@ impl Preprocessor {
     /// Run the pipeline over raw bodies (chronological order expected: the
     /// dedup stage keeps first occurrences). Accepts any string-like
     /// slice, so callers can pass borrowed bodies without cloning the
-    /// corpus.
+    /// corpus. Each body goes through [`Preprocessor::analyze`], and the
+    /// dedup verdicts through [`ChronoDedup`], the same steps the
+    /// streaming build runs per shard and at its merge.
     pub fn run<S: AsRef<str>>(&self, raw_bodies: &[S]) -> PreprocessOutcome {
         let _pipeline = rsd_obs::Span::enter("textproc.pipeline");
-        let cleaned: Vec<String> = {
-            let _s = rsd_obs::Span::enter("textproc.pipeline.clean");
-            raw_bodies.iter().map(|b| clean_text(b.as_ref())).collect()
+        let analyses: Vec<PostAnalysis> = {
+            let _s = rsd_obs::Span::enter("textproc.pipeline.analyze");
+            raw_bodies
+                .iter()
+                .map(|b| self.analyze(b.as_ref()))
+                .collect()
         };
-        let mut keep = vec![true; cleaned.len()];
         let mut report = PreprocessReport {
-            total: cleaned.len(),
+            total: analyses.len(),
             ..Default::default()
         };
-
-        if self.filter_irrelevant {
-            let _s = rsd_obs::Span::enter("textproc.pipeline.relevance");
-            for (i, c) in cleaned.iter().enumerate() {
-                if keep[i] && !is_relevant(c) {
-                    keep[i] = false;
-                    report.removed_irrelevant += 1;
-                }
-            }
-        }
-
-        if self.remove_duplicates {
+        let keep: Vec<bool> = {
             let _s = rsd_obs::Span::enter("textproc.pipeline.dedup");
             // Dedup runs over all posts (including irrelevant ones) so a
             // relevant repost of a removed original is still caught.
-            for (i, dup) in find_duplicates(&cleaned).iter().enumerate() {
-                if keep[i] && dup.is_some() {
-                    keep[i] = false;
-                    report.removed_duplicates += 1;
-                }
-            }
-        }
-
-        {
-            let _s = rsd_obs::Span::enter("textproc.pipeline.length_filter");
-            for (i, c) in cleaned.iter().enumerate() {
-                if keep[i] && token_count(c) < self.min_tokens {
-                    keep[i] = false;
-                    report.removed_too_short += 1;
-                }
-            }
-        }
-
-        report.kept = keep.iter().filter(|&&k| k).count();
+            let mut dedup = ChronoDedup::with_capacity(analyses.len());
+            analyses
+                .iter()
+                .map(|a| {
+                    let duplicate = self.remove_duplicates
+                        && dedup
+                            .push(fnv1a(a.canon.as_bytes()), |orig| {
+                                analyses[orig].canon == a.canon
+                            })
+                            .is_some();
+                    report.count(self.classify(a, duplicate))
+                })
+                .collect()
+        };
         rsd_obs::counter_add("textproc.posts_in", report.total as u64);
         rsd_obs::counter_add("textproc.posts_kept", report.kept as u64);
         rsd_obs::counter_add(
@@ -148,7 +153,7 @@ impl Preprocessor {
                 as u64,
         );
         PreprocessOutcome {
-            cleaned,
+            cleaned: analyses.into_iter().map(|a| a.cleaned).collect(),
             keep,
             report,
         }
@@ -156,17 +161,37 @@ impl Preprocessor {
 
     /// Analyze one raw body: clean it and precompute everything the keep
     /// decision needs except the (global, cross-post) dedup verdict.
+    ///
+    /// The body is cleaned into a reused buffer, and one tokenization of
+    /// the cleaned text gives the canonical form, the token count and the
+    /// relevance hits. The returned strings are copied out at their exact
+    /// length.
     pub fn analyze(&self, raw_body: &str) -> PostAnalysis {
-        let cleaned = clean_text(raw_body);
-        let canon = canonical(&cleaned);
-        let relevant = !self.filter_irrelevant || is_relevant(&cleaned);
-        let tokens = token_count(&cleaned);
-        PostAnalysis {
-            cleaned,
-            canon,
-            relevant,
-            tokens,
+        thread_local! {
+            static SCRATCH: RefCell<(String, String)> = RefCell::default();
         }
+        SCRATCH.with(|scratch| {
+            let (cleaned, canon) = &mut *scratch.borrow_mut();
+            cleaned.clear();
+            canon.clear();
+            clean_into(raw_body, cleaned);
+            let mut n_tokens = 0;
+            let mut hits = 0;
+            for token in tokens(cleaned) {
+                if n_tokens > 0 {
+                    canon.push(' ');
+                }
+                canon.push_str(token);
+                n_tokens += 1;
+                hits += usize::from(is_theme_term(token));
+            }
+            PostAnalysis {
+                cleaned: cleaned.as_str().to_owned(),
+                canon: canon.as_str().to_owned(),
+                relevant: !self.filter_irrelevant || hits >= MIN_HITS,
+                tokens: n_tokens,
+            }
+        })
     }
 
     /// Combine a [`PostAnalysis`] with its dedup verdict into the post's
@@ -257,31 +282,27 @@ mod tests {
     }
 
     #[test]
-    fn analyze_plus_classify_matches_run() {
-        use crate::dedup::{find_duplicates, ChronoDedup};
-        use rsd_common::rng::fnv1a;
-        let raw = bodies(&[
-            "i want to end it all tonight",
-            "patch notes nerfed my favorite loadout",
-            "i want to end it all tonight",
-            "suicide",
-            "I want to END it all tonight!!",
-        ]);
+    fn analyze_derives_canon_tokens_and_relevance_from_the_cleaned_text() {
         let pp = Preprocessor::default();
-        let batch = pp.run(&raw);
-        let dups = find_duplicates(&batch.cleaned);
+        let a = pp.analyze("I want to END it all... tonight!! https://a.b/c 'ok'");
+        assert_eq!(a.cleaned, "i want to end it all. tonight. ok");
+        assert_eq!(a.canon, "i want to end it all tonight ok");
+        assert_eq!(a.tokens, 8);
+        assert!(a.relevant, "\"end\" is a theme term");
+        assert_eq!(a.cleaned.capacity(), a.cleaned.len());
+        assert_eq!(a.canon.capacity(), a.canon.len());
 
-        let analyses: Vec<PostAnalysis> = raw.iter().map(|b| pp.analyze(b)).collect();
-        let mut dedup = ChronoDedup::new();
-        for (i, a) in analyses.iter().enumerate() {
-            assert_eq!(a.cleaned, batch.cleaned[i]);
-            let dup = dedup
-                .push(fnv1a(a.canon.as_bytes()), |o| analyses[o].canon == a.canon)
-                .is_some();
-            assert_eq!(dup, dups[i].is_some(), "post {i}");
-            let fate = pp.classify(a, dup);
-            assert_eq!(fate == PostFate::Kept, batch.keep[i], "post {i}");
-        }
+        let off = pp.analyze("patch notes nerfed my favorite loadout");
+        assert!(!off.relevant);
+        let unfiltered = Preprocessor {
+            filter_irrelevant: false,
+            ..Default::default()
+        };
+        assert!(
+            unfiltered
+                .analyze("patch notes nerfed my favorite loadout")
+                .relevant
+        );
     }
 
     #[test]

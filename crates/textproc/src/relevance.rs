@@ -10,7 +10,7 @@
 
 use std::sync::OnceLock;
 
-use crate::tokenize::tokenize;
+use crate::tokenize::tokens;
 
 /// Seed lexicon of on-topic (distress/support/crisis) vocabulary.
 ///
@@ -123,10 +123,7 @@ pub fn is_theme_term(token: &str) -> bool {
 
 /// Number of lexicon hits in a cleaned text.
 pub fn theme_hits(cleaned: &str) -> usize {
-    tokenize(cleaned)
-        .into_iter()
-        .filter(|t| is_theme_term(t))
-        .count()
+    tokens(cleaned).filter(|t| is_theme_term(t)).count()
 }
 
 /// Relevance decision for one cleaned post body.
@@ -137,6 +134,7 @@ pub fn is_relevant(cleaned: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenize::tokenize;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsd_corpus::lexicon::OFF_TOPIC_SENTENCES;

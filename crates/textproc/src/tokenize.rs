@@ -3,13 +3,18 @@
 //! Operates on *cleaned* text (see [`crate::clean`]): lowercase words with
 //! optional intra-word apostrophes, sentences delimited by single periods.
 
-/// Split cleaned text into word tokens. Apostrophes are kept inside words
-/// (`don't`), periods and any residual non-alphanumerics split tokens.
-pub fn tokenize(text: &str) -> Vec<&str> {
+/// The word tokens of cleaned text, in order. Apostrophes are kept inside
+/// words (`don't`), periods and any residual non-alphanumerics split
+/// tokens. Every tokenizer in this crate is this one scan.
+pub(crate) fn tokens(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !(c.is_alphanumeric() || c == '\''))
         .map(|t| t.trim_matches('\''))
         .filter(|t| !t.is_empty())
-        .collect()
+}
+
+/// Split cleaned text into word tokens (see [`tokens`]).
+pub fn tokenize(text: &str) -> Vec<&str> {
+    tokens(text).collect()
 }
 
 /// Split cleaned text into sentences on `.` boundaries, trimming whitespace
@@ -23,9 +28,7 @@ pub fn sentences(text: &str) -> Vec<&str> {
 
 /// Count tokens without allocating the token vector.
 pub fn token_count(text: &str) -> usize {
-    text.split(|c: char| !(c.is_alphanumeric() || c == '\''))
-        .filter(|t| !t.trim_matches('\'').is_empty())
-        .count()
+    tokens(text).count()
 }
 
 /// Iterator over word n-grams (as joined strings) of the given order.
