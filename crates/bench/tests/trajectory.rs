@@ -3,7 +3,9 @@
 //! medians of the repository benchmark's `train_s` on both workloads.
 //! Every line must parse and carry those keys, and lines stay in order.
 //! Lines from [`FIRST_PR_WITH_REV`] on also name the commits they
-//! measured: `git_rev` with a `parent` and a `change` revision.
+//! measured: `git_rev` with a `parent` and a `change` revision. Lines
+//! from [`FIRST_PR_WITH_SETUP`] on also carry the medians of `setup_s`,
+//! the dataset build, on both workloads.
 
 use serde_json::Value;
 
@@ -11,6 +13,9 @@ const WORKLOADS: [&str; 2] = ["train-serve-neural", "serve-gbdt"];
 
 /// The first trajectory line that records `git_rev`.
 const FIRST_PR_WITH_REV: u64 = 23;
+
+/// The first trajectory line that records `setup_s`.
+const FIRST_PR_WITH_SETUP: u64 = 25;
 
 #[test]
 fn every_trajectory_line_parses_with_its_keys() {
@@ -33,13 +38,20 @@ fn every_trajectory_line_parses_with_its_keys() {
             .unwrap_or_else(|| panic!("{at}: no integer `pr`"));
         assert!(pr > last_pr, "{at}: pr {pr} does not follow {last_pr}");
         last_pr = pr;
-        for w in WORKLOADS {
-            for side in ["parent", "change"] {
-                let s = v["train_s"][w][side].as_f64();
-                assert!(
-                    s.is_some_and(|s| s > 0.0),
-                    "{at}: train_s.{w}.{side} must be a positive number"
-                );
+        let metrics: &[&str] = if pr >= FIRST_PR_WITH_SETUP {
+            &["train_s", "setup_s"]
+        } else {
+            &["train_s"]
+        };
+        for &metric in metrics {
+            for w in WORKLOADS {
+                for side in ["parent", "change"] {
+                    let s = v[metric][w][side].as_f64();
+                    assert!(
+                        s.is_some_and(|s| s > 0.0),
+                        "{at}: {metric}.{w}.{side} must be a positive number"
+                    );
+                }
             }
         }
         if pr >= FIRST_PR_WITH_REV {

@@ -6,6 +6,16 @@
 //! preprocessing stage removes (links, repeated punctuation, stray special
 //! characters, inconsistent casing). The clean/noise split is deliberate —
 //! `rsd-text` must have real work to do.
+//!
+//! Rendering allocates once per post. Each thread keeps one set of
+//! buffers: a post's sentences are written back to back into one `String`
+//! and recorded as byte spans, the spans are shuffled, and the sentences
+//! are joined into a second buffer that the noise pass edits in place. The
+//! returned body is copied out at its exact length. The RNG draws come in
+//! a fixed order, and every seed's bytes are part of the build's output:
+//! per sentence, the frame's slot fillers, then the hedge roll, then one
+//! synonym roll per word. `tests/render_oracle.rs` holds the
+//! `String`-per-word renderer this replaced and checks the two agree.
 
 use std::cell::RefCell;
 use std::fmt::Write;

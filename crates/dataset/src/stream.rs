@@ -370,13 +370,7 @@ impl CandidateSink {
                 });
             }
         }
-        rsd_obs::counter_add("textproc.posts_in", report.total as u64);
-        rsd_obs::counter_add("textproc.posts_kept", report.kept as u64);
-        rsd_obs::counter_add(
-            "textproc.posts_removed",
-            (report.removed_irrelevant + report.removed_duplicates + report.removed_too_short)
-                as u64,
-        );
+        report.record_counters();
 
         // Global crawl stats in closed form: every generated post lies in
         // the collection window, so the batch client walks

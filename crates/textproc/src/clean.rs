@@ -4,6 +4,14 @@
 //! and whitespace. Cleaning is conservative: sentence-final punctuation is
 //! preserved as a single `.` so sentence segmentation still works
 //! downstream.
+//!
+//! Cleaning writes into a caller's buffer and allocates nothing per word,
+//! so [`crate::Preprocessor::analyze`] cleans each body into one reused
+//! buffer; [`clean_text`] is that path with a fresh `String`. An ASCII
+//! body, which every generated body is, is scanned byte by byte; any other
+//! body char by char, with `char`'s whitespace, alphanumerics and
+//! lowercasing (`İ` lowercases to `i` and a combining dot that is not
+//! alphanumeric, so an apostrophe after it is dropped).
 
 /// Clean one raw post body: strip links, collapse punctuation runs, drop
 /// non-linguistic special characters, lowercase, and normalize whitespace.
@@ -13,8 +21,8 @@ pub fn clean_text(raw: &str) -> String {
     out
 }
 
-/// [`clean_text`] appended to an empty `out`, so a caller can reuse one
-/// buffer.
+/// [`clean_text`] written into `out`, which must be empty, so a caller can
+/// reuse one buffer.
 ///
 /// An ASCII body is scanned byte by byte; any other body char by char.
 /// On ASCII input the two scans make the same decisions: `char`'s

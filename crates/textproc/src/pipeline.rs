@@ -6,6 +6,16 @@
 //! corpus-agnostic: it sees only text, never generator ground truth, so
 //! its precision/recall can be honestly measured against that ground truth
 //! by callers.
+//!
+//! There is one text path. [`Preprocessor::analyze`] cleans a body into a
+//! reused buffer and tokenizes the cleaned text once, which gives the
+//! canonical form (for dedup), the token count (for the length filter)
+//! and the theme-lexicon hits (for relevance). The streaming build calls
+//! it per shard and decides duplicates at its merge;
+//! [`Preprocessor::run`], the batch path, calls it per body and decides
+//! duplicates with the same [`ChronoDedup`]. Each post's fate comes from
+//! [`Preprocessor::classify`] in the paper's stage order, so both paths
+//! account removals identically.
 
 use serde::{Deserialize, Serialize};
 
@@ -64,6 +74,16 @@ impl PreprocessReport {
             PostFate::TooShort => self.removed_too_short += 1,
         }
         fate == PostFate::Kept
+    }
+
+    /// Add the batch's totals to the `textproc.posts_*` counters.
+    pub fn record_counters(&self) {
+        rsd_obs::counter_add("textproc.posts_in", self.total as u64);
+        rsd_obs::counter_add("textproc.posts_kept", self.kept as u64);
+        rsd_obs::counter_add(
+            "textproc.posts_removed",
+            (self.removed_irrelevant + self.removed_duplicates + self.removed_too_short) as u64,
+        );
     }
 }
 
@@ -145,13 +165,7 @@ impl Preprocessor {
                 })
                 .collect()
         };
-        rsd_obs::counter_add("textproc.posts_in", report.total as u64);
-        rsd_obs::counter_add("textproc.posts_kept", report.kept as u64);
-        rsd_obs::counter_add(
-            "textproc.posts_removed",
-            (report.removed_irrelevant + report.removed_duplicates + report.removed_too_short)
-                as u64,
-        );
+        report.record_counters();
         PreprocessOutcome {
             cleaned: analyses.into_iter().map(|a| a.cleaned).collect(),
             keep,

@@ -3,16 +3,16 @@
 //! Operates on *cleaned* text (see [`crate::clean`]): lowercase words with
 //! optional intra-word apostrophes, sentences delimited by single periods.
 
-/// The word tokens of cleaned text, in order. Apostrophes are kept inside
-/// words (`don't`), periods and any residual non-alphanumerics split
-/// tokens. Every tokenizer in this crate is this one scan.
+/// The word tokens of cleaned text, in order, without allocating. Every
+/// tokenizer in this crate is this one scan.
 pub(crate) fn tokens(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !(c.is_alphanumeric() || c == '\''))
         .map(|t| t.trim_matches('\''))
         .filter(|t| !t.is_empty())
 }
 
-/// Split cleaned text into word tokens (see [`tokens`]).
+/// Split cleaned text into word tokens. Apostrophes are kept inside words
+/// (`don't`), periods and any residual non-alphanumerics split tokens.
 pub fn tokenize(text: &str) -> Vec<&str> {
     tokens(text).collect()
 }
