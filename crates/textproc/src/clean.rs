@@ -5,98 +5,65 @@
 //! preserved as a single `.` so sentence segmentation still works
 //! downstream.
 //!
-//! Cleaning writes into a caller's buffer and allocates nothing per word,
-//! so [`crate::Preprocessor::analyze`] cleans each body into one reused
-//! buffer; [`clean_text`] is that path with a fresh `String`. An ASCII
-//! body, which every generated body is, is scanned byte by byte; any other
-//! body char by char, with `char`'s whitespace, alphanumerics and
-//! lowercasing (`İ` lowercases to `i` and a combining dot that is not
-//! alphanumeric, so an apostrophe after it is dropped).
+//! [`clean_text`] writes every kept token straight into the output and
+//! allocates nothing per word. Tokens are scanned char by char with
+//! `char`'s whitespace, alphanumerics and lowercasing (`İ` lowercases to
+//! `i` and a combining dot that is not alphanumeric, so an apostrophe
+//! after it is dropped).
 
 /// Clean one raw post body: strip links, collapse punctuation runs, drop
 /// non-linguistic special characters, lowercase, and normalize whitespace.
 pub fn clean_text(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
-    clean_into(raw, &mut out);
+    for token in raw.split_whitespace() {
+        if is_url(token) {
+            continue;
+        }
+        let sep = out.len();
+        if sep > 0 {
+            out.push(' ');
+        }
+        let start = out.len();
+        let saw_terminal = clean_token(token, &mut out);
+        // Trim an apostrophe left dangling at the end.
+        while out.len() > start && out.ends_with('\'') {
+            out.pop();
+        }
+        if out.len() == start {
+            out.truncate(sep);
+        } else if saw_terminal {
+            // A trailing punctuation run collapses into one period.
+            out.push('.');
+        }
+    }
     out
 }
 
-/// [`clean_text`] written into `out`, which must be empty, so a caller can
-/// reuse one buffer.
-///
-/// An ASCII body is scanned byte by byte; any other body char by char.
-/// On ASCII input the two scans make the same decisions: `char`'s
-/// whitespace there is space and `\t..=\r`, and its alphanumerics are
-/// the ASCII ones.
-pub(crate) fn clean_into(raw: &str, out: &mut String) {
-    if raw.is_ascii() {
-        for token in raw
-            .as_bytes()
-            .split(|&b| b == b' ' || (b'\t'..=b'\r').contains(&b))
-        {
-            if !token.is_empty() && !is_url(token) {
-                push_token(out, |out| clean_ascii_token(token, out));
-            }
-        }
-    } else {
-        for token in raw.split_whitespace() {
-            if !is_url(token.as_bytes()) {
-                push_token(out, |out| clean_token(token, out));
-            }
-        }
-    }
-}
-
-/// True if the token looks like a URL or bare domain link, as is or with
-/// its surrounding ASCII punctuation trimmed.
-fn is_url(token: &[u8]) -> bool {
-    let start = token
-        .iter()
-        .position(|b| !b.is_ascii_punctuation())
-        .unwrap_or(token.len());
-    let end = token
-        .iter()
-        .rposition(|b| !b.is_ascii_punctuation())
-        .map_or(start, |i| i + 1);
-    [token, &token[start..end]].iter().any(|t| {
-        ["http://", "https://", "www."]
-            .iter()
-            .any(|p| t.starts_with(p.as_bytes()))
-    })
-}
-
-/// Append one cleaned whitespace-delimited token to `out` after a
-/// separating space, or nothing if it cleans to nothing. `clean` writes
-/// the token's kept characters and reports whether a sentence terminal
-/// (`.`, `!`, `?`) followed the last of them.
-fn push_token(out: &mut String, clean: impl FnOnce(&mut String) -> bool) {
-    let sep = out.len();
-    if sep > 0 {
-        out.push(' ');
-    }
-    let start = out.len();
-    let saw_terminal = clean(out);
-    // Trim an apostrophe left dangling at the end.
-    while out.len() > start && out.ends_with('\'') {
-        out.pop();
-    }
-    if out.len() == start {
-        out.truncate(sep);
-    } else if saw_terminal {
-        // A trailing punctuation run collapses into one period.
-        out.push('.');
-    }
+/// True if the token looks like a URL or bare domain link.
+fn is_url(token: &str) -> bool {
+    let t = token.trim_matches(|c: char| c.is_ascii_punctuation());
+    token.starts_with("http://")
+        || token.starts_with("https://")
+        || token.starts_with("www.")
+        || t.starts_with("http://")
+        || t.starts_with("https://")
+        || t.starts_with("www.")
 }
 
 /// Write a token's kept characters: letters and digits lowercased, and
 /// apostrophes only after a word character ("don't"). Everything else
-/// (~, #, *, emoji, commas, dashes) is dropped. The character before the
-/// token in `out` is a space, if any, so "after a word character" never
-/// looks outside the token.
+/// (~, #, *, emoji, commas, dashes) is dropped. Reports whether a sentence
+/// terminal (`.`, `!`, `?`) followed the last kept character. The
+/// character before the token in `out` is a space, if any, so "after a
+/// word character" never looks outside the token.
 fn clean_token(token: &str, out: &mut String) -> bool {
     let mut saw_terminal = false;
     for ch in token.chars() {
-        if ch.is_alphanumeric() {
+        if ch.is_ascii_alphanumeric() {
+            // `to_lowercase` gives the same char here, through an iterator.
+            out.push(ch.to_ascii_lowercase());
+            saw_terminal = false;
+        } else if ch.is_alphanumeric() {
             out.extend(ch.to_lowercase());
             saw_terminal = false;
         } else if ch == '\'' || ch == '’' {
@@ -104,24 +71,6 @@ fn clean_token(token: &str, out: &mut String) -> bool {
                 out.push('\'');
             }
         } else if matches!(ch, '.' | '!' | '?') {
-            saw_terminal = true;
-        }
-    }
-    saw_terminal
-}
-
-/// [`clean_token`] for an ASCII token.
-fn clean_ascii_token(token: &[u8], out: &mut String) -> bool {
-    let mut saw_terminal = false;
-    for &b in token {
-        if b.is_ascii_alphanumeric() {
-            out.push(char::from(b.to_ascii_lowercase()));
-            saw_terminal = false;
-        } else if b == b'\'' {
-            if out.as_bytes().last().is_some_and(u8::is_ascii_alphanumeric) {
-                out.push('\'');
-            }
-        } else if matches!(b, b'.' | b'!' | b'?') {
             saw_terminal = true;
         }
     }

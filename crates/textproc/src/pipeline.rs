@@ -7,10 +7,10 @@
 //! its precision/recall can be honestly measured against that ground truth
 //! by callers.
 //!
-//! There is one text path. [`Preprocessor::analyze`] cleans a body into a
-//! reused buffer and tokenizes the cleaned text once, which gives the
-//! canonical form (for dedup), the token count (for the length filter)
-//! and the theme-lexicon hits (for relevance). The streaming build calls
+//! There is one text path. [`Preprocessor::analyze`] cleans a body and
+//! tokenizes the cleaned text once, which gives the canonical form (for
+//! dedup), the token count (for the length filter) and the theme-lexicon
+//! hits (for relevance). The streaming build calls
 //! it per shard and decides duplicates at its merge;
 //! [`Preprocessor::run`], the batch path, calls it per body and decides
 //! duplicates with the same [`ChronoDedup`]. Each post's fate comes from
@@ -19,11 +19,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use std::cell::RefCell;
-
 use rsd_common::rng::fnv1a;
 
-use crate::clean::clean_into;
+use crate::clean::clean_text;
 use crate::dedup::ChronoDedup;
 use crate::relevance::{is_theme_term, MIN_HITS};
 use crate::tokenize::tokens;
@@ -176,36 +174,30 @@ impl Preprocessor {
     /// Analyze one raw body: clean it and precompute everything the keep
     /// decision needs except the (global, cross-post) dedup verdict.
     ///
-    /// The body is cleaned into a reused buffer, and one tokenization of
-    /// the cleaned text gives the canonical form, the token count and the
-    /// relevance hits. The returned strings are copied out at their exact
-    /// length.
+    /// One tokenization of the cleaned text gives the canonical form, the
+    /// token count and the relevance hits. Both returned strings carry no
+    /// spare capacity, since the build keeps them past their shard.
     pub fn analyze(&self, raw_body: &str) -> PostAnalysis {
-        thread_local! {
-            static SCRATCH: RefCell<(String, String)> = RefCell::default();
+        let mut cleaned = clean_text(raw_body);
+        cleaned.shrink_to_fit();
+        let mut canon = String::with_capacity(cleaned.len());
+        let mut n_tokens = 0;
+        let mut hits = 0;
+        for token in tokens(&cleaned) {
+            if n_tokens > 0 {
+                canon.push(' ');
+            }
+            canon.push_str(token);
+            n_tokens += 1;
+            hits += usize::from(is_theme_term(token));
         }
-        SCRATCH.with(|scratch| {
-            let (cleaned, canon) = &mut *scratch.borrow_mut();
-            cleaned.clear();
-            canon.clear();
-            clean_into(raw_body, cleaned);
-            let mut n_tokens = 0;
-            let mut hits = 0;
-            for token in tokens(cleaned) {
-                if n_tokens > 0 {
-                    canon.push(' ');
-                }
-                canon.push_str(token);
-                n_tokens += 1;
-                hits += usize::from(is_theme_term(token));
-            }
-            PostAnalysis {
-                cleaned: cleaned.as_str().to_owned(),
-                canon: canon.as_str().to_owned(),
-                relevant: !self.filter_irrelevant || hits >= MIN_HITS,
-                tokens: n_tokens,
-            }
-        })
+        canon.shrink_to_fit();
+        PostAnalysis {
+            cleaned,
+            canon,
+            relevant: !self.filter_irrelevant || hits >= MIN_HITS,
+            tokens: n_tokens,
+        }
     }
 
     /// Combine a [`PostAnalysis`] with its dedup verdict into the post's
