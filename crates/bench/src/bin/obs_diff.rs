@@ -22,11 +22,13 @@
 //! regress at once the most severe wins: quality > memory > time.
 //! Every regression line names the offending path and both values.
 //!
-//! `--self-test` loads one artifact, injects a 2x slowdown on the first
-//! eligible time leaf, a drift on the first quality leaf, and an
-//! inflated tail quantile (p99/p999) where latency data exists, then
-//! verifies the gate trips on the perturbed copy while passing on the
-//! identity diff — CI runs it to prove the gate itself works.
+//! `--self-test` loads one artifact, injects a slowdown on its largest
+//! time leaf (to at least twice its value and twice `--min-time-ms`), a
+//! drift on the first quality leaf, and an inflated tail quantile
+//! (p99/p999) where latency data exists, then verifies the gate trips on
+//! the perturbed copy while passing on the identity diff — CI runs it to
+//! prove the gate itself works. Unless `--ignore-time` is given, an
+//! artifact with no time leaf fails the self-test.
 
 use rsd_obs::diff::{diff_reports, inject_regressions, Class, Tolerances};
 use rsd_obs::Value;
@@ -161,7 +163,8 @@ fn main() {
         let (injected, what) = inject_regressions(&report, &args.tol);
         let d = diff_reports(&report, &injected, &args.tol);
         let tripped = |class: Class| d.findings.iter().any(|f| f.regression && f.class == class);
-        let time_ok = !args.tol.check_time || what.time_path.is_none() || tripped(Class::Time);
+        // With timing on, every artifact must carry a time leaf to slow.
+        let time_ok = !args.tol.check_time || (what.time_path.is_some() && tripped(Class::Time));
         let quality_ok = what.quality_path.is_none() || tripped(Class::Quality);
         let quantile_ok =
             !args.tol.check_time || what.quantile_path.is_none() || tripped(Class::Quantile);

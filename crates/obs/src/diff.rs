@@ -467,7 +467,7 @@ fn map_leaves(path: &str, v: &Value, f: &mut impl FnMut(&str, &Value) -> Value) 
 /// Outcome of [`inject_regressions`]: what was actually perturbed.
 #[derive(Debug, Default)]
 pub struct Injection {
-    /// Path whose time was doubled, if any Time leaf qualified.
+    /// Time leaf that was slowed, if the report has one.
     pub time_path: Option<String>,
     /// Path whose quality value was perturbed, if any.
     pub quality_path: Option<String>,
@@ -475,21 +475,35 @@ pub struct Injection {
     pub quantile_path: Option<String>,
 }
 
-/// Produce a copy of `report` with an injected 2x slowdown on the first
-/// gate-eligible Time leaf, a drift on the first float Quality leaf, and
-/// an inflated tail (p99/p999) on the first latency quantile — the
-/// `obs_diff --self-test` fixture proving each gate class trips.
+/// Produce a copy of `report` with an injected slowdown on the largest
+/// Time leaf, a drift on the first float Quality leaf, and an inflated
+/// tail (p99/p999) on the first latency quantile — the `obs_diff
+/// --self-test` fixture proving each gate class trips.
+///
+/// The slowed leaf reads at least twice its value and twice
+/// `min_time_ms`, so it crosses the noise floor even when every time leaf
+/// of the report sits under it.
 pub fn inject_regressions(report: &Value, tol: &Tolerances) -> (Value, Injection) {
-    let mut inj = Injection::default();
+    let mut largest: Option<(String, f64)> = None;
+    // A read-only pass; the copy it builds is dropped.
+    map_leaves("", report, &mut |path, leaf| {
+        if let (Class::Time, Some(n)) = (classify(path), as_num(leaf)) {
+            if largest.as_ref().is_none_or(|(_, m)| n > *m) {
+                largest = Some((path.to_string(), n));
+            }
+        }
+        Value::Null
+    });
+    let mut inj = Injection {
+        time_path: largest.as_ref().map(|(path, _)| path.clone()),
+        ..Injection::default()
+    };
     let injected = map_leaves("", report, &mut |path, leaf| {
         match classify(path) {
-            Class::Time if inj.time_path.is_none() => {
-                if let Some(n) = as_num(leaf) {
-                    // Must clear the noise floor or the gate rightly
-                    // ignores it.
-                    if n >= tol.min_time_ms {
-                        inj.time_path = Some(path.to_string());
-                        return Value::Float(n * 2.0);
+            Class::Time => {
+                if let Some((slow, n)) = &largest {
+                    if slow == path {
+                        return Value::Float((n * 2.0).max(tol.min_time_ms * 2.0));
                     }
                 }
             }
@@ -578,6 +592,24 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.class == Class::Time && f.regression));
+    }
+
+    #[test]
+    fn injected_slowdown_crosses_the_noise_floor() {
+        let tol = Tolerances::default();
+        let base = json!({
+            "elapsed_ms": 49.0,
+            "metrics": json!({
+                "spans": json!({"pipeline.merge": json!({"total_ms": 12.0, "max_ms": 3.0})})
+            })
+        });
+        let (slow, inj) = inject_regressions(&base, &tol);
+        assert_eq!(inj.time_path.as_deref(), Some("elapsed_ms"));
+        let d = diff_reports(&base, &slow, &tol);
+        assert!(d
+            .findings
+            .iter()
+            .any(|f| f.class == Class::Time && f.regression && f.path == "elapsed_ms"));
     }
 
     #[test]
