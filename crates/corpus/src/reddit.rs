@@ -19,9 +19,9 @@
 //! Serving a page costs the page, not the subreddit: `ingest` indexes each
 //! post id's listing position, so an `after` cursor resolves in one
 //! lookup, and [`CrawlClient::crawl_window`] moves each page's posts into
-//! its output rather than cloning them again. The batch build crawls one
-//! subreddit of about 150k posts, where a linear cursor scan per page made
-//! the crawl quadratic.
+//! its output rather than cloning them again. A single-shard paper-scale
+//! build crawls one subreddit of about 150k posts, where a linear cursor
+//! scan per page made the crawl quadratic.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -14,20 +14,19 @@
 //!    policy, voting, inspections ([`rsd_annotation`]).
 //! 6. **Assemble** — a validated [`Rsd15k`] with per-user chronological
 //!    indices.
-
-use std::collections::HashMap;
+//!
+//! The pipeline has one implementation, the sharded streaming build in
+//! [`crate::stream`]. Its output bytes at smoke and mid scale are pinned
+//! by committed digests (`tests/build_digest.rs`).
 
 use serde::{Deserialize, Serialize};
 
-use crate::record::{Post, Rsd15k, UserRecord};
+use crate::record::Rsd15k;
 use crate::stream::{StreamingBuild, StreamingOptions};
-use rsd_annotation::{Campaign, CampaignConfig, CampaignReport};
-use rsd_common::{Result, RsdError};
-use rsd_corpus::reddit::{CrawlClient, CrawlStats};
-use rsd_corpus::{
-    select_users_for_annotation, CorpusConfig, CorpusGenerator, RawPost, RawUser, SelectionConfig,
-    UserId,
-};
+use rsd_annotation::{CampaignConfig, CampaignReport};
+use rsd_common::Result;
+use rsd_corpus::reddit::CrawlStats;
+use rsd_corpus::{CorpusConfig, SelectionConfig};
 use rsd_text::{PreprocessReport, Preprocessor};
 
 /// Configuration of the full build.
@@ -113,10 +112,9 @@ impl DatasetBuilder {
     /// baselines pretrain on (the paper's crawl minus its annotated
     /// subset).
     ///
-    /// Since the streaming refactor this runs the sharded pipeline (see
-    /// [`crate::stream`]) with options read from the environment
-    /// (`RSD_SHARD_USERS`, `RSD_CHECKPOINT_DIR`); its output is
-    /// bit-identical to [`DatasetBuilder::build_batch_with_pool`].
+    /// Runs the sharded pipeline (see [`crate::stream`]) with options read
+    /// from the environment (`RSD_SHARD_USERS`, `RSD_CHECKPOINT_DIR`);
+    /// shard geometry and thread count never change the output.
     pub fn build_with_pool(&self) -> Result<(Rsd15k, Vec<String>, BuildReport)> {
         let opts = StreamingOptions::from_env();
         let out = self.build_streaming(&opts)?;
@@ -129,147 +127,6 @@ impl DatasetBuilder {
     pub fn build_streaming(&self, opts: &StreamingOptions) -> Result<StreamingBuild> {
         let _build_span = rsd_obs::Span::enter("dataset.build");
         crate::stream::build_streaming(&self.cfg, opts)
-    }
-
-    /// The original monolithic batch pipeline, kept as the golden
-    /// reference the streaming path is diffed against (CI compares their
-    /// JSONL outputs byte for byte).
-    pub fn build_batch_with_pool(&self) -> Result<(Rsd15k, Vec<String>, BuildReport)> {
-        let _build_span = rsd_obs::Span::enter("dataset.build");
-        let cfg = &self.cfg;
-
-        // 1. Raw pool.
-        let generator = CorpusGenerator::new(cfg.corpus.clone())?;
-        let raw = generator.generate();
-        let raw_posts = raw.post_count();
-        let raw_users_count = raw.users.len();
-
-        // 2. Crawl through the simulated API (downstream stages consume the
-        //    crawl output, not generator internals).
-        let crawl_span = rsd_obs::Span::enter("dataset.build.crawl");
-        let store = raw.into_store();
-        let mut client = CrawlClient::new(&store);
-        let crawled = client.crawl_window(
-            "SuicideWatch",
-            cfg.corpus.window_start,
-            cfg.corpus.window_end,
-        )?;
-        let crawl_stats = client.stats();
-        drop(crawl_span);
-
-        // 3. Preprocess, borrowing the crawled bodies (no corpus clone).
-        let bodies: Vec<&str> = crawled.iter().map(|p| p.body.as_str()).collect();
-        let outcome = cfg.preprocess.run(&bodies);
-
-        // Surviving posts, with cleaned text attached.
-        let kept: Vec<(&RawPost, &str)> = crawled
-            .iter()
-            .zip(&outcome.cleaned)
-            .zip(&outcome.keep)
-            .filter(|(_, &keep)| keep)
-            .map(|((post, cleaned), _)| (post, cleaned.as_str()))
-            .collect();
-
-        // Rebuild per-user timelines over surviving posts.
-        let mut by_user: HashMap<UserId, Vec<usize>> = HashMap::new();
-        for (i, (post, _)) in kept.iter().enumerate() {
-            by_user.entry(post.author).or_default().push(i);
-        }
-        let mut cleaned_users: Vec<RawUser> = by_user
-            .iter()
-            .map(|(&id, indices)| RawUser {
-                id,
-                post_ids: indices.iter().map(|&i| kept[i].0.id).collect(),
-            })
-            .collect();
-        cleaned_users.sort_by_key(|u| u.id);
-
-        // 4. Select the annotation pool.
-        let select_span = rsd_obs::Span::enter("dataset.build.select");
-        let picked = select_users_for_annotation(&cleaned_users, &cfg.selection)?;
-        let picked_set: std::collections::HashSet<UserId> = picked.iter().copied().collect();
-
-        let pool: Vec<usize> = kept
-            .iter()
-            .enumerate()
-            .filter(|(_, (post, _))| picked_set.contains(&post.author))
-            .map(|(i, _)| i)
-            .collect();
-
-        // The unlabelled pool: everything that survived preprocessing but
-        // was not selected for annotation.
-        let unlabeled: Vec<String> = kept
-            .iter()
-            .filter(|(post, _)| !picked_set.contains(&post.author))
-            .map(|(_, cleaned)| cleaned.to_string())
-            .collect();
-        drop(select_span);
-
-        // 5. Annotate: the campaign sees (post id, latent truth) pairs.
-        let items: Vec<_> = pool
-            .iter()
-            .map(|&i| (kept[i].0.id, kept[i].0.latent_risk))
-            .collect();
-        let mut campaign = Campaign::new(cfg.campaign.clone())?;
-        let (annotated, campaign_report) = campaign.run(&items)?;
-
-        // 6. Assemble, re-densifying user and post ids so published ids
-        //    carry no information about the raw pool (privacy posture).
-        let assemble_span = rsd_obs::Span::enter("dataset.build.assemble");
-        let mut posts = Vec::with_capacity(pool.len());
-        let mut timelines: HashMap<UserId, Vec<usize>> = HashMap::new();
-        let mut user_remap: HashMap<UserId, UserId> = HashMap::new();
-        for (&pool_idx, annotation) in pool.iter().zip(&annotated) {
-            let (raw_post, cleaned) = kept[pool_idx];
-            debug_assert_eq!(raw_post.id, annotation.post);
-            let new_user = {
-                let next = UserId(user_remap.len() as u32);
-                *user_remap.entry(raw_post.author).or_insert(next)
-            };
-            let new_post_idx = posts.len();
-            posts.push(Post {
-                id: rsd_corpus::PostId(new_post_idx as u32),
-                user: new_user,
-                created: raw_post.created,
-                text: cleaned.to_string(),
-                label: annotation.label,
-                source: annotation.source,
-            });
-            timelines.entry(new_user).or_default().push(new_post_idx);
-        }
-
-        let mut users: Vec<UserRecord> = timelines
-            .into_iter()
-            .map(|(id, mut post_indices)| {
-                post_indices.sort_by_key(|&i| (posts[i].created, posts[i].id));
-                UserRecord { id, post_indices }
-            })
-            .collect();
-        users.sort_by_key(|u| u.id);
-
-        let dataset = Rsd15k {
-            posts,
-            users,
-            seed: cfg.seed,
-        };
-        dataset.validate()?;
-        drop(assemble_span);
-
-        let report = BuildReport {
-            raw_posts,
-            raw_users: raw_users_count,
-            crawl: crawl_stats,
-            preprocess: outcome.report,
-            selected_users: picked.len(),
-            selected_posts: dataset.n_posts(),
-            campaign: campaign_report,
-        };
-        if report.selected_posts == 0 {
-            return Err(RsdError::PipelineState(
-                "build produced an empty dataset".to_string(),
-            ));
-        }
-        Ok((dataset, unlabeled, report))
     }
 }
 

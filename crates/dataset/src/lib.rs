@@ -10,9 +10,10 @@
 //!   pool → crawl it through the simulated Reddit API → preprocess →
 //!   select the annotation pool → run the annotation campaign → assemble
 //!   the dataset. One call reproduces the paper's data section.
-//! * [`stream`] — the sharded streaming implementation behind the builder:
-//!   bounded shards-in-flight on `rsd-pipeline`, checkpoint/resume at
-//!   stage boundaries, output bit-identical to the batch path.
+//! * [`stream`] — the builder's one implementation, sharded and
+//!   streaming: bounded shards-in-flight on `rsd-pipeline`,
+//!   checkpoint/resume at stage boundaries, the same output bytes under
+//!   any shard geometry or thread count (pinned by committed digests).
 //! * [`splits`] — user-disjoint 80/10/10 partitioning and the
 //!   `window = 5` sequential-post extraction the benchmark task uses.
 //! * [`io`] — JSON-lines round-trip and CSV export.

@@ -1,10 +1,10 @@
 //! The streaming sharded build behind
-//! [`DatasetBuilder`](crate::DatasetBuilder).
+//! [`DatasetBuilder`](crate::DatasetBuilder), the dataset's one build
+//! path.
 //!
-//! The batch path materializes the whole raw pool at once; this module
-//! runs the same pipeline over **user shards** on `rsd-pipeline`. One
-//! per-shard closure runs the first two steps; the fold and the global
-//! steps run on the calling thread:
+//! The pipeline runs over **user shards** on `rsd-pipeline`, so the raw
+//! pool is never resident at once. One per-shard closure runs the first
+//! two steps; the fold and the global steps run on the calling thread:
 //!
 //! ```text
 //! pipeline.shard.corpus      per shard  generate shard + crawl its window
@@ -19,20 +19,24 @@
 //! pipeline.assemble                     densify ids, validate
 //! ```
 //!
-//! Output is **bit-identical** to [`DatasetBuilder::build_batch_with_pool`]
-//! (CI diffs the two at smoke scale). The critical equivalences:
+//! The output is a function of the configuration alone: shard geometry,
+//! thread count and kill/resume schedule never move a byte, and it equals
+//! what one crawl of the whole raw pool would give. Committed digests
+//! (`tests/build_digest.rs`) pin it at smoke and mid scale. The critical
+//! equivalences with the whole-pool crawl:
 //!
-//! * global post ids — the batch path numbers posts by stitching users in
+//! * global post ids — the whole pool numbers posts by stitching users in
 //!   id order, so the fold restores each shard's ids by offsetting with
 //!   the raw-post counts of all preceding shards;
 //! * crawl order — the subreddit lists by `(created, id)`, so sorting the
-//!   merged candidates by `(created, global id)` reproduces the batch
-//!   crawl sequence exactly;
+//!   merged candidates by `(created, global id)` reproduces the
+//!   whole-pool crawl sequence exactly (`rsd-corpus`'s
+//!   `sharded_crawl_covers_the_full_corpus` test);
 //! * dedup — first-occurrence detection must run over the *global*
-//!   chronological stream (duplicates cross shards), so it happens at the
-//!   merge, via the same [`ChronoDedup`] procedure the batch path uses;
+//!   chronological stream (duplicates cross shards), so
+//!   [`Preprocessor::settle`] runs at the merge, not per shard;
 //! * crawl stats — every generated post lies inside the collection
-//!   window, so the batch client's request count has the closed form
+//!   window, so a whole-pool client's request count has the closed form
 //!   `max(1, ceil(posts / page))` the merge computes from shard counts.
 //!
 //! Only one wave of shards (raw posts and all) is resident at a time; the
@@ -48,7 +52,6 @@ use serde::{Deserialize, Serialize};
 use crate::builder::{BuildConfig, BuildReport};
 use crate::record::{Post, Rsd15k, UserRecord};
 use rsd_annotation::{AnnotatedItem, Campaign, CampaignReport};
-use rsd_common::rng::fnv1a;
 use rsd_common::{Result, RsdError, Timestamp};
 use rsd_corpus::reddit::{CrawlStats, MAX_PAGE_SIZE};
 use rsd_corpus::{
@@ -59,7 +62,7 @@ use rsd_pipeline::{
     checkpointed, config_fingerprint, run_shards, Artifact, Checkpointer, PipelineConfig,
     PipelineReport, ResidentGauge, ShardPlan, ShardSpec,
 };
-use rsd_text::{ChronoDedup, PreprocessReport, Preprocessor};
+use rsd_text::{PreprocessReport, Preprocessor};
 
 /// Options for a streaming build, usually read from the environment.
 #[derive(Debug, Clone, Default)]
@@ -93,18 +96,18 @@ impl StreamingOptions {
 /// Everything a streaming build returns.
 #[derive(Debug)]
 pub struct StreamingBuild {
-    /// The assembled dataset (bit-identical to the batch path).
+    /// The assembled dataset.
     pub dataset: Rsd15k,
     /// Cleaned texts of surviving posts from non-selected users.
     pub unlabeled: Vec<String>,
-    /// The standard build report (bit-identical to the batch path).
+    /// The standard build report.
     pub report: BuildReport,
     /// What the executor did: shards, residency peak, checkpoint traffic.
     pub pipeline: PipelineReport,
 }
 
-/// One analyzed candidate post inside a shard artifact. `id` is
-/// shard-local; the fold restores global ids.
+/// One analyzed candidate post. `id` is shard-local inside a shard
+/// artifact; the fold restores the global id.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CandidateRow {
     id: u32,
@@ -247,19 +250,6 @@ fn preprocess_shard(
     }
 }
 
-/// A candidate row after the fold restored its global post id.
-#[derive(Debug)]
-struct MergedRow {
-    id: u32,
-    author: u32,
-    created: i64,
-    latent: RiskLevel,
-    relevant: bool,
-    tokens: u32,
-    canon: String,
-    cleaned: Option<String>,
-}
-
 /// A post that survived preprocessing, with its cleaned text.
 #[derive(Debug)]
 struct KeptPost {
@@ -279,7 +269,7 @@ struct CandidateSink {
     raw_posts: usize,
     raw_users: usize,
     posts_fetched: u64,
-    rows: Vec<MergedRow>,
+    rows: Vec<CandidateRow>,
 }
 
 impl CandidateSink {
@@ -292,21 +282,12 @@ impl CandidateSink {
             )));
         }
         let mut text_bytes = 0u64;
-        for row in item.rows {
+        for mut row in item.rows {
             let id = self.post_offset + u64::from(row.id);
-            let id = u32::try_from(id)
+            row.id = u32::try_from(id)
                 .map_err(|_| RsdError::data("global post id exceeds u32 range"))?;
             text_bytes += row.canon.len() as u64;
-            self.rows.push(MergedRow {
-                id,
-                author: row.author,
-                created: row.created,
-                latent: row.latent,
-                relevant: row.relevant,
-                tokens: row.tokens,
-                canon: row.canon,
-                cleaned: row.cleaned,
-            });
+            self.rows.push(row);
         }
         self.post_offset += item.raw_posts as u64;
         self.raw_posts += item.raw_posts;
@@ -329,51 +310,32 @@ struct MergedCorpus {
 }
 
 impl CandidateSink {
-    /// Sort into the global crawl order, run the global dedup pass, and
-    /// settle every post's fate — reproducing the batch preprocess
-    /// decisions and accounting exactly.
+    /// Sort into the global crawl order and settle every post's fate
+    /// over the global chronological stream.
     fn finish(self, pre: &Preprocessor) -> MergedCorpus {
         let _span = rsd_obs::Span::enter("pipeline.merge");
         let mut rows = self.rows;
         // The subreddit lists by (created, id); ids are unique, so this
-        // reproduces the batch crawl sequence.
+        // reproduces the whole-pool crawl sequence.
         rows.sort_unstable_by_key(|r| (r.created, r.id));
+        let (keep, report) =
+            pre.settle(&rows, |r| (r.canon.as_str(), r.relevant, r.tokens as usize));
 
-        let duplicate: Vec<bool> = {
-            let mut dedup = ChronoDedup::with_capacity(rows.len());
-            rows.iter()
-                .map(|row| {
-                    dedup
-                        .push(fnv1a(row.canon.as_bytes()), |orig| {
-                            rows[orig].canon == row.canon
-                        })
-                        .is_some()
-                })
-                .collect()
-        };
-
-        let mut report = PreprocessReport {
-            total: rows.len(),
-            ..Default::default()
-        };
         let mut kept = Vec::new();
         let mut users: BTreeMap<u32, Vec<PostId>> = BTreeMap::new();
-        for (row, &dup) in rows.iter_mut().zip(&duplicate) {
-            if report.count(pre.classify_parts(row.relevant, row.tokens as usize, dup)) {
-                users.entry(row.author).or_default().push(PostId(row.id));
-                kept.push(KeptPost {
-                    id: row.id,
-                    author: row.author,
-                    created: Timestamp(row.created),
-                    latent: row.latent,
-                    text: row.cleaned.take().expect("kept rows carry cleaned text"),
-                });
-            }
+        for (row, _) in rows.into_iter().zip(keep).filter(|(_, keep)| *keep) {
+            users.entry(row.author).or_default().push(PostId(row.id));
+            kept.push(KeptPost {
+                id: row.id,
+                author: row.author,
+                created: Timestamp(row.created),
+                latent: row.latent,
+                text: row.cleaned.expect("kept rows carry cleaned text"),
+            });
         }
-        report.record_counters();
 
         // Global crawl stats in closed form: every generated post lies in
-        // the collection window, so the batch client walks
+        // the collection window, so a whole-pool client walks
         // ceil(posts / page) full pages at 60 requests/simulated-minute.
         debug_assert_eq!(self.posts_fetched as usize, self.raw_posts);
         let requests = (self.raw_posts as u64)
@@ -591,8 +553,8 @@ fn build_streaming_inner(cfg: &BuildConfig, opts: &StreamingOptions) -> Result<S
         )));
     }
 
-    // 6. Assemble, re-densifying user and post ids exactly as the batch
-    //    path does.
+    // 6. Assemble, re-densifying user and post ids so published ids
+    //    carry no information about the raw pool (privacy posture).
     let assemble_span = rsd_obs::Span::enter("pipeline.assemble");
     let mut posts = Vec::with_capacity(pool_posts.len());
     let mut timelines: HashMap<UserId, Vec<usize>> = HashMap::new();

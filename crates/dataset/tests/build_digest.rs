@@ -6,12 +6,15 @@
 //! * the [`BuildReport`] (raw, crawl, preprocess and campaign counts), as
 //!   JSON.
 //!
-//! The streaming build is checked under forced-serial execution and under
-//! a 4-thread pool, and the batch build once. Any change to generation,
-//! crawling, cleaning, relevance, dedup, selection or annotation that
-//! moves a single output byte fails here. The mid-scale case takes a few
-//! seconds in release and minutes in a debug build, so it is ignored by
-//! default; `scripts/ci.sh` runs it in release.
+//! These digests are the build's oracle: there is no second build to diff
+//! against. Each shard geometry is checked under forced-serial execution
+//! and under a 4-thread pool; the smoke geometries divide the users
+//! unevenly, and one holds them all in a single shard. Any change to
+//! generation, crawling, cleaning, relevance, dedup, selection or
+//! annotation that moves a single output byte fails here, as does any
+//! dependence of the output on shards or threads. The mid-scale case
+//! takes a few seconds in release and minutes in a debug build, so it is
+//! ignored by default; `scripts/ci.sh` runs it in release.
 
 use rsd_dataset::io::to_jsonl;
 use rsd_dataset::{BuildConfig, BuildReport, DatasetBuilder, Rsd15k, StreamingOptions};
@@ -86,27 +89,25 @@ fn streaming(cfg: &BuildConfig, shard_users: usize, shards_in_flight: usize) -> 
     digest(&out.dataset, &out.unlabeled, &out.report)
 }
 
-fn batch(cfg: &BuildConfig) -> BuildDigest {
-    let (dataset, pool, report) = DatasetBuilder::new(cfg.clone())
-        .build_batch_with_pool()
-        .unwrap();
-    digest(&dataset, &pool, &report)
-}
-
-/// Every build path of `cfg` must hash to `expected`.
-fn check(cfg: &BuildConfig, shard_users: usize, expected: BuildDigest) {
-    for (what, got) in [
-        (
-            "streaming, serial",
-            rsd_par::run_serial(|| streaming(cfg, shard_users, 1)),
-        ),
-        (
-            "streaming, 4-thread pool",
-            rsd_par::with_local_pool(4, || streaming(cfg, shard_users, 4)),
-        ),
-        ("batch", batch(cfg)),
-    ] {
-        assert_eq!(got, expected, "{what}: got {got:#x?}");
+/// Every `(shard_users, shards_in_flight)` geometry of `cfg`, run serially
+/// and on a 4-thread pool, must hash to `expected`.
+fn check(cfg: &BuildConfig, geometries: &[(usize, usize)], expected: BuildDigest) {
+    for &(shard_users, in_flight) in geometries {
+        for (what, got) in [
+            (
+                "serial",
+                rsd_par::run_serial(|| streaming(cfg, shard_users, in_flight)),
+            ),
+            (
+                "4-thread pool",
+                rsd_par::with_local_pool(4, || streaming(cfg, shard_users, in_flight)),
+            ),
+        ] {
+            assert_eq!(
+                got, expected,
+                "{what}, shard_users={shard_users}, in_flight={in_flight}: got {got:#x?}"
+            );
+        }
     }
 }
 
@@ -126,11 +127,19 @@ const MID_DIGEST: BuildDigest = BuildDigest {
 
 #[test]
 fn smoke_build_matches_committed_digest() {
-    check(&BuildConfig::scaled(2026, 2_500, 48), 512, SMOKE_DIGEST);
+    check(
+        &BuildConfig::scaled(2026, 2_500, 48),
+        &[(512, 4), (700, 2), (2_500, 1)],
+        SMOKE_DIGEST,
+    );
 }
 
 #[test]
 #[ignore]
 fn mid_build_matches_committed_digest() {
-    check(&BuildConfig::scaled(2026, 24_000, 400), 4_096, MID_DIGEST);
+    check(
+        &BuildConfig::scaled(2026, 24_000, 400),
+        &[(4_096, 4)],
+        MID_DIGEST,
+    );
 }

@@ -63,8 +63,6 @@ pub const SEED: Knob = knob("RSD_SEED", Kind::Int(Some(2026)));
 pub const THREADS: Knob = knob("RSD_THREADS", Kind::Int(None));
 /// Baselines `table3` trains.
 pub const MODELS: Knob = knob("RSD_MODELS", Kind::Subset(TABLE3_MODELS));
-/// `build_dataset`'s build path.
-pub const BUILD_MODE: Knob = knob("RSD_BUILD_MODE", Kind::Choice(&["stream", "batch"]));
 /// `build_dataset`'s output file; off writes to stdout.
 pub const BUILD_OUT: Knob = knob("RSD_BUILD_OUT", Kind::Path(None));
 /// Checkpoint directory of streaming builds; off disables checkpointing.
@@ -100,7 +98,6 @@ pub const KNOBS: &[Knob] = &[
     SEED,
     THREADS,
     MODELS,
-    BUILD_MODE,
     BUILD_OUT,
     CHECKPOINT_DIR,
     SHARD_USERS,

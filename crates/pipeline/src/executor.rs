@@ -5,7 +5,7 @@
 //! shard order before the next wave starts. At most one wave of
 //! shard artifacts is ever materialized, which is what bounds residency;
 //! the in-order fold is what makes the merged output independent of
-//! scheduling (and therefore bit-identical to a batch run).
+//! scheduling (and therefore of the thread count).
 
 use crate::shard::{ShardPlan, ShardSpec};
 use rsd_common::{Result, RsdError};

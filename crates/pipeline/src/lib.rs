@@ -15,7 +15,7 @@
 //!   runs on the `rsd-par` pool, at most
 //!   [`PipelineConfig::shards_in_flight`] shards at a time, and a `fold`
 //!   closure consumes the results strictly in ascending shard order, so
-//!   the merged output is bit-identical to a monolithic batch run.
+//!   the merged output is the same for every shard size and thread count.
 //! * **Checkpoints** ([`Checkpointer`], [`Artifact`], [`checkpointed`]) —
 //!   one load-or-compute helper serves per-shard and global stage
 //!   boundaries alike: each completed boundary persists a JSONL artifact

@@ -18,8 +18,8 @@ pub fn canonical(cleaned: &str) -> String {
 /// Incremental first-occurrence detector over a chronological stream.
 ///
 /// Items are pushed in chronological order, each with its canonical-form
-/// fingerprint and an equality probe used as the hash collision guard. The
-/// batch pipeline and the streaming build's global merge both decide
+/// fingerprint and an equality probe used as the hash collision guard.
+/// [`Preprocessor::settle`](crate::Preprocessor::settle) decides
 /// duplicates through it, including the collision corner case (a
 /// colliding-but-different body is kept and does **not** displace the
 /// first-seen index for that fingerprint).

@@ -27,8 +27,7 @@ pub mod tokenize;
 pub mod vocab;
 
 pub use clean::clean_text;
-pub use dedup::ChronoDedup;
-pub use pipeline::{PostAnalysis, PostFate, PreprocessReport, Preprocessor};
+pub use pipeline::{PostAnalysis, PreprocessReport, Preprocessor};
 pub use tfidf::{SparseVec, TfIdfVectorizer};
 pub use tokenize::{sentences, tokenize};
 pub use vocab::{SpecialToken, Vocabulary};

@@ -10,12 +10,11 @@
 //! There is one text path. [`Preprocessor::analyze`] cleans a body and
 //! tokenizes the cleaned text once, which gives the canonical form (for
 //! dedup), the token count (for the length filter) and the theme-lexicon
-//! hits (for relevance). The streaming build calls
-//! it per shard and decides duplicates at its merge;
-//! [`Preprocessor::run`], the batch path, calls it per body and decides
-//! duplicates with the same [`ChronoDedup`]. Each post's fate comes from
-//! [`Preprocessor::classify`] in the paper's stage order, so both paths
-//! account removals identically.
+//! hits (for relevance). [`Preprocessor::settle`] then decides every
+//! post's fate over the chronological stream: [`ChronoDedup`] finds
+//! duplicates, and the stages apply in the paper's order. The streaming
+//! build analyzes per shard and settles at its merge;
+//! [`Preprocessor::run`] does both over one slice of bodies.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,19 +62,8 @@ pub struct PreprocessReport {
 }
 
 impl PreprocessReport {
-    /// Account one post's fate; true when it was kept.
-    pub fn count(&mut self, fate: PostFate) -> bool {
-        match fate {
-            PostFate::Kept => self.kept += 1,
-            PostFate::Irrelevant => self.removed_irrelevant += 1,
-            PostFate::Duplicate => self.removed_duplicates += 1,
-            PostFate::TooShort => self.removed_too_short += 1,
-        }
-        fate == PostFate::Kept
-    }
-
-    /// Add the batch's totals to the `textproc.posts_*` counters.
-    pub fn record_counters(&self) {
+    /// Add the totals to the `textproc.posts_*` counters.
+    fn record_counters(&self) {
         rsd_obs::counter_add("textproc.posts_in", self.total as u64);
         rsd_obs::counter_add("textproc.posts_kept", self.kept as u64);
         rsd_obs::counter_add(
@@ -85,7 +73,7 @@ impl PreprocessReport {
     }
 }
 
-/// Result of preprocessing a batch of bodies.
+/// Result of preprocessing a slice of bodies.
 #[derive(Debug, Clone)]
 pub struct PreprocessOutcome {
     /// Cleaned text for every input (including removed ones, for audit).
@@ -97,8 +85,8 @@ pub struct PreprocessOutcome {
 }
 
 /// Everything the pipeline derives for a single post, minus the dedup
-/// decision — that one needs cross-post chronological context, which the
-/// streaming build supplies globally via [`crate::dedup::ChronoDedup`].
+/// decision — that one needs cross-post chronological context, which
+/// [`Preprocessor::settle`] has.
 #[derive(Debug, Clone)]
 pub struct PostAnalysis {
     /// The cleaned body.
@@ -106,23 +94,10 @@ pub struct PostAnalysis {
     /// Canonical (token-joined) form used for duplicate comparison.
     pub canon: String,
     /// Passes the relevance filter (always `true` when the filter is
-    /// disabled, matching batch semantics).
+    /// disabled).
     pub relevant: bool,
     /// Cleaned token count.
     pub tokens: usize,
-}
-
-/// What happened to a post, in the batch pipeline's stage order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PostFate {
-    /// Survived every filter.
-    Kept,
-    /// Removed by the relevance filter.
-    Irrelevant,
-    /// Removed as a duplicate of an earlier post.
-    Duplicate,
-    /// Removed for having fewer than `min_tokens` cleaned tokens.
-    TooShort,
 }
 
 impl Preprocessor {
@@ -130,7 +105,7 @@ impl Preprocessor {
     /// dedup stage keeps first occurrences). Accepts any string-like
     /// slice, so callers can pass borrowed bodies without cloning the
     /// corpus. Each body goes through [`Preprocessor::analyze`], and the
-    /// dedup verdicts through [`ChronoDedup`], the same steps the
+    /// whole slice through [`Preprocessor::settle`], the steps the
     /// streaming build runs per shard and at its merge.
     pub fn run<S: AsRef<str>>(&self, raw_bodies: &[S]) -> PreprocessOutcome {
         let _pipeline = rsd_obs::Span::enter("textproc.pipeline");
@@ -141,34 +116,60 @@ impl Preprocessor {
                 .map(|b| self.analyze(b.as_ref()))
                 .collect()
         };
-        let mut report = PreprocessReport {
-            total: analyses.len(),
-            ..Default::default()
-        };
-        let keep: Vec<bool> = {
+        let (keep, report) = {
             let _s = rsd_obs::Span::enter("textproc.pipeline.dedup");
-            // Dedup runs over all posts (including irrelevant ones) so a
-            // relevant repost of a removed original is still caught.
-            let mut dedup = ChronoDedup::with_capacity(analyses.len());
-            analyses
-                .iter()
-                .map(|a| {
-                    let duplicate = self.remove_duplicates
-                        && dedup
-                            .push(fnv1a(a.canon.as_bytes()), |orig| {
-                                analyses[orig].canon == a.canon
-                            })
-                            .is_some();
-                    report.count(self.classify(a, duplicate))
-                })
-                .collect()
+            self.settle(&analyses, |a| (a.canon.as_str(), a.relevant, a.tokens))
         };
-        report.record_counters();
         PreprocessOutcome {
             cleaned: analyses.into_iter().map(|a| a.cleaned).collect(),
             keep,
             report,
         }
+    }
+
+    /// Decide every post's fate over a chronological slice. `parts` gives
+    /// a post's canonical form, relevance verdict and cleaned token count
+    /// (see [`PostAnalysis`]). Dedup runs over all posts, irrelevant ones
+    /// included, so a relevant repost of a removed original is still
+    /// caught; each post then falls to the first stage that removes it,
+    /// in the paper's order relevance → dedup → length. Returns the keep
+    /// flags and the removal accounting, whose totals are also added to
+    /// the `textproc.posts_*` counters.
+    pub fn settle<T>(
+        &self,
+        posts: &[T],
+        parts: impl Fn(&T) -> (&str, bool, usize),
+    ) -> (Vec<bool>, PreprocessReport) {
+        let mut report = PreprocessReport {
+            total: posts.len(),
+            ..Default::default()
+        };
+        let mut dedup = ChronoDedup::with_capacity(posts.len());
+        let keep = posts
+            .iter()
+            .map(|post| {
+                let (canon, relevant, tokens) = parts(post);
+                let duplicate = self.remove_duplicates
+                    && dedup
+                        .push(fnv1a(canon.as_bytes()), |orig| {
+                            parts(&posts[orig]).0 == canon
+                        })
+                        .is_some();
+                let (kept, removals) = if !relevant {
+                    (false, &mut report.removed_irrelevant)
+                } else if duplicate {
+                    (false, &mut report.removed_duplicates)
+                } else if tokens < self.min_tokens {
+                    (false, &mut report.removed_too_short)
+                } else {
+                    (true, &mut report.kept)
+                };
+                *removals += 1;
+                kept
+            })
+            .collect();
+        report.record_counters();
+        (keep, report)
     }
 
     /// Analyze one raw body: clean it and precompute everything the keep
@@ -197,27 +198,6 @@ impl Preprocessor {
             canon,
             relevant: !self.filter_irrelevant || hits >= MIN_HITS,
             tokens: n_tokens,
-        }
-    }
-
-    /// Combine a [`PostAnalysis`] with its dedup verdict into the post's
-    /// fate, replicating the batch stage order (relevance → dedup →
-    /// length) and its removal accounting exactly.
-    pub fn classify(&self, analysis: &PostAnalysis, duplicate: bool) -> PostFate {
-        self.classify_parts(analysis.relevant, analysis.tokens, duplicate)
-    }
-
-    /// [`Preprocessor::classify`] for callers that persisted the analysis
-    /// fields (relevance verdict and token count) without the texts.
-    pub fn classify_parts(&self, relevant: bool, tokens: usize, duplicate: bool) -> PostFate {
-        if !relevant {
-            PostFate::Irrelevant
-        } else if self.remove_duplicates && duplicate {
-            PostFate::Duplicate
-        } else if tokens < self.min_tokens {
-            PostFate::TooShort
-        } else {
-            PostFate::Kept
         }
     }
 }

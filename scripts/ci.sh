@@ -21,20 +21,30 @@ cargo test -q
 echo "==> cargo test -q (RSD_THREADS=1)"
 RSD_THREADS=1 cargo test -q
 
-echo "==> telemetry smoke run (RSD_SCALE=smoke)"
+echo "==> telemetry smoke run (RSD_SCALE=smoke, five runs)"
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
-RSD_SCALE=smoke RSD_OBS="$obs_tmp/table1.ndjson" \
-    cargo run --release -q -p rsd-bench --bin table1 >"$obs_tmp/table1.out"
-test -s "$obs_tmp/table1.ndjson" || { echo "NDJSON sink empty"; exit 1; }
-test -s bench_runs/small/table1.report.json || { echo "run report missing"; exit 1; }
+# One smoke run's time leaves are single spans of ~50 ms, where one
+# scheduler stall moves a leaf past the tolerance. The committed baseline
+# is the median-elapsed_ms run of five, so the gate below judges the
+# median-elapsed_ms run of five too.
+for run in 1 2 3 4 5; do
+    RSD_SCALE=smoke RSD_OBS="$obs_tmp/table1.ndjson" \
+        cargo run --release -q -p rsd-bench --bin table1 >"$obs_tmp/table1.out"
+    test -s "$obs_tmp/table1.ndjson" || { echo "NDJSON sink empty"; exit 1; }
+    test -s bench_runs/small/table1.report.json || { echo "run report missing"; exit 1; }
+    elapsed="$(grep -m1 '"elapsed_ms"' bench_runs/small/table1.report.json | tr -dc '0-9.')"
+    cp bench_runs/small/table1.report.json "$obs_tmp/table1.run$run.report.json"
+    echo "$elapsed $obs_tmp/table1.run$run.report.json" >>"$obs_tmp/table1.elapsed"
+done
+table1_median="$(sort -n "$obs_tmp/table1.elapsed" | sed -n 3p | cut -d' ' -f2)"
 
-echo "==> obs_diff regression gate (fresh smoke report vs committed baseline)"
+echo "==> obs_diff regression gate (median-of-five smoke report vs committed baseline)"
 # Time tolerance is overridable for noisy hosts; quality metrics (kappa,
 # accuracy, counts) always compare exactly / to 1e-6.
 cargo run --release -q -p rsd-bench --bin obs_diff -- \
     --time-tol "${OBS_DIFF_TIME_TOL:-0.15}" \
-    bench_runs/baseline/table1.report.json bench_runs/small/table1.report.json
+    bench_runs/baseline/table1.report.json "$table1_median"
 
 echo "==> obs_diff self-test (injected regressions must trip the gate)"
 cargo run --release -q -p rsd-bench --bin obs_diff -- --self-test \
@@ -84,33 +94,29 @@ RSD_SCALE=smoke RSD_THREADS=4 \
 diff "$obs_tmp/table1.t1.out" "$obs_tmp/table1.t4.out" \
     || { echo "table1 stdout differs across thread counts"; exit 1; }
 
-echo "==> streaming vs batch equivalence (smoke scale, byte diff)"
-RSD_SCALE=smoke RSD_BUILD_MODE=batch RSD_BUILD_OUT="$obs_tmp/batch.jsonl" \
-    cargo run --release -q -p rsd-bench --bin build_dataset
-RSD_SCALE=smoke RSD_BUILD_MODE=stream RSD_CHECKPOINT_DIR=none \
+echo "==> build determinism (smoke scale, byte diff across thread counts)"
+RSD_SCALE=smoke RSD_CHECKPOINT_DIR=none \
     RSD_SHARD_USERS=512 RSD_BUILD_OUT="$obs_tmp/stream.jsonl" \
     cargo run --release -q -p rsd-bench --bin build_dataset
-cmp "$obs_tmp/batch.jsonl" "$obs_tmp/stream.jsonl" \
-    || { echo "streaming output differs from batch"; exit 1; }
-RSD_SCALE=smoke RSD_BUILD_MODE=stream RSD_CHECKPOINT_DIR=none RSD_THREADS=1 \
+RSD_SCALE=smoke RSD_CHECKPOINT_DIR=none RSD_THREADS=1 \
     RSD_SHARD_USERS=512 RSD_BUILD_OUT="$obs_tmp/stream.t1.jsonl" \
     cargo run --release -q -p rsd-bench --bin build_dataset
-cmp "$obs_tmp/batch.jsonl" "$obs_tmp/stream.t1.jsonl" \
-    || { echo "streaming output differs from batch under RSD_THREADS=1"; exit 1; }
+cmp "$obs_tmp/stream.jsonl" "$obs_tmp/stream.t1.jsonl" \
+    || { echo "build output differs under RSD_THREADS=1"; exit 1; }
 
 echo "==> checkpoint resume smoke (kill after 2 shards, then resume)"
 resume_status=0
-RSD_SCALE=smoke RSD_BUILD_MODE=stream RSD_CHECKPOINT_DIR="$obs_tmp/ckpt" \
+RSD_SCALE=smoke RSD_CHECKPOINT_DIR="$obs_tmp/ckpt" \
     RSD_SHARD_USERS=512 RSD_INTERRUPT_AFTER_SHARDS=2 \
     RSD_BUILD_OUT="$obs_tmp/killed.jsonl" \
     cargo run --release -q -p rsd-bench --bin build_dataset || resume_status=$?
 [ "$resume_status" -eq 9 ] \
     || { echo "interrupted build should exit 9, got $resume_status"; exit 1; }
-RSD_SCALE=smoke RSD_BUILD_MODE=stream RSD_CHECKPOINT_DIR="$obs_tmp/ckpt" \
+RSD_SCALE=smoke RSD_CHECKPOINT_DIR="$obs_tmp/ckpt" \
     RSD_SHARD_USERS=512 RSD_BUILD_OUT="$obs_tmp/resumed.jsonl" \
     cargo run --release -q -p rsd-bench --bin build_dataset
-cmp "$obs_tmp/batch.jsonl" "$obs_tmp/resumed.jsonl" \
-    || { echo "resumed build differs from batch"; exit 1; }
+cmp "$obs_tmp/stream.jsonl" "$obs_tmp/resumed.jsonl" \
+    || { echo "resumed build differs from the uninterrupted one"; exit 1; }
 
 echo "==> serving smoke (loadgen at fixed QPS, clean drain + zero drops)"
 # The bin itself asserts a clean drain (every submitted post scored and
@@ -161,7 +167,15 @@ echo "$health" | grep -q "200 OK" || { echo "/health not 200: $health"; kill "$e
 echo "$health" | grep -q '"status":"ok"' || { echo "/health degraded: $health"; kill "$endpoint_pid" 2>/dev/null; exit 1; }
 ./target/release/examples/obs_poll "$endpoint_port" /metrics | grep -q "^rsd_" \
     || { echo "/metrics has no rsd_ exposition lines"; kill "$endpoint_pid" 2>/dev/null; exit 1; }
-./target/release/examples/obs_poll "$endpoint_port" /snapshot | grep -q '"kind"' \
+# /snapshot answers 404 until the first series tick is published, which
+# can come after the first /health 200.
+snapshot=""
+for _ in $(seq 1 50); do
+    snapshot="$(./target/release/examples/obs_poll "$endpoint_port" /snapshot 2>/dev/null || true)"
+    echo "$snapshot" | grep -q '"kind"' && break
+    sleep 0.2
+done
+echo "$snapshot" | grep -q '"kind"' \
     || { echo "/snapshot has no series tick"; kill "$endpoint_pid" 2>/dev/null; exit 1; }
 wait "$endpoint_pid" || { echo "endpoint loadgen run failed"; cat "$obs_tmp/endpoint.err"; exit 1; }
 grep -q "SLO clean" "$obs_tmp/endpoint.out" \
@@ -210,8 +224,8 @@ cargo test --release -q -p rsd-gbdt --test fit_digest
 # the streaming featurizer against the whole-window oracle.
 cargo test --release -q -p rsd-features --test feature_digest
 # Every byte a build returns (dataset JSONL, unlabelled pool, build report)
-# at smoke and mid scale, streaming serial and on 4 threads and batch,
-# against committed digests.
+# at smoke and mid scale, over several shard geometries, serial and on 4
+# threads, against committed digests.
 cargo test --release -q -p rsd-dataset --test build_digest -- --include-ignored
 cargo test --release -q -p rsd-models --test int8_partition_props
 cargo test --release -q -p rsd-models plm_infer
@@ -247,7 +261,7 @@ cargo test --release -q -p rsd-bench --test trajectory
 echo "==> knob aborts (invalid RSD_* values abort naming the knob, before any work)"
 cargo test --release -q -p rsd-bench --test knob_aborts
 
-echo "==> mid-scale golden equivalence (release, ignored test)"
+echo "==> mid-scale residency bound (release, ignored test)"
 cargo test --release -q --test streaming_equivalence -- --ignored
 
 echo "CI gate passed."

@@ -1,6 +1,8 @@
-//! The streaming pipeline's golden contract: byte-identical output to the
-//! monolithic batch path, under any shard geometry, thread count, or
-//! kill/resume schedule.
+//! The streaming build's contract: the same bytes under any shard
+//! geometry, thread count, or kill/resume schedule, with one wave of
+//! shards resident at a time. The committed digests in
+//! `crates/dataset/tests/build_digest.rs` pin those bytes at smoke and mid
+//! scale; the tests here compare streaming runs with each other.
 
 use std::path::PathBuf;
 
@@ -31,14 +33,6 @@ fn jsonl(dataset: &rsd_dataset::Rsd15k) -> Vec<u8> {
     buf
 }
 
-fn batch(cfg: &BuildConfig) -> (Vec<u8>, Vec<String>, String) {
-    let (dataset, pool, report) = DatasetBuilder::new(cfg.clone())
-        .build_batch_with_pool()
-        .unwrap();
-    let report = serde_json::to_string(&report).unwrap();
-    (jsonl(&dataset), pool, report)
-}
-
 fn stream(cfg: &BuildConfig, opts: &StreamingOptions) -> (Vec<u8>, Vec<String>, String) {
     let out = DatasetBuilder::new(cfg.clone())
         .build_streaming(opts)
@@ -54,43 +48,23 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn streaming_is_bit_identical_to_batch_at_small_scale() {
-    let cfg = small_cfg(2026);
-    let golden = batch(&cfg);
-    // Shard sizes that divide the corpus unevenly, and a single-shard
-    // geometry that degenerates to the batch shape.
-    for (shard_users, in_flight) in [(700, 2), (2_500, 1), (512, 4)] {
-        let got = stream(&cfg, &opts(shard_users, in_flight));
-        assert_eq!(
-            golden.0, got.0,
-            "dataset JSONL diverged (shard_users={shard_users}, in_flight={in_flight})"
-        );
-        assert_eq!(golden.1, got.1, "unlabeled pool diverged");
-        assert_eq!(golden.2, got.2, "build report diverged");
-    }
-}
-
-#[test]
 fn streaming_equivalence_holds_single_threaded() {
     let cfg = small_cfg(7);
-    let (golden, got) = rsd_par::run_serial(|| (batch(&cfg), stream(&cfg, &opts(600, 3))));
-    assert_eq!(golden, got);
+    let sharded = rsd_par::run_serial(|| stream(&cfg, &opts(600, 3)));
+    let single = rsd_par::with_local_pool(4, || stream(&cfg, &opts(2_500, 1)));
+    assert_eq!(sharded, single);
 }
 
-/// Mid-scale golden run — minutes of debug-build wall-clock, so gated
+/// Mid-scale residency run — minutes of debug-build wall-clock, so gated
 /// behind `--ignored` and run by CI in release mode.
 #[test]
 #[ignore]
-fn streaming_is_bit_identical_to_batch_at_mid_scale() {
+fn mid_scale_residency_stays_within_one_wave() {
     let cfg = BuildConfig::scaled(2026, 24_000, 400);
-    let golden = batch(&cfg);
     let (shard_users, in_flight) = (4_096, 4);
     let out = DatasetBuilder::new(cfg)
         .build_streaming(&opts(shard_users, in_flight))
         .unwrap();
-    assert_eq!(golden.0, jsonl(&out.dataset));
-    assert_eq!(golden.1, out.unlabeled);
-    assert_eq!(golden.2, serde_json::to_string(&out.report).unwrap());
     // The bounded-memory claim at mid scale: one wave of shards, not the
     // full raw pool.
     let peak = out.pipeline.peak_resident_posts;
@@ -168,7 +142,7 @@ fn resident_posts_stay_bounded_by_the_wave() {
     assert!(peak > 0, "gauge never engaged");
     // The corpus model tops out well under 120 posts/user, so one wave of
     // shards bounds residency at shard_users * in_flight * 120 — far
-    // below the full raw pool the batch path materializes.
+    // below the full raw pool.
     let bound = (shard_users * in_flight * 120) as u64;
     assert!(peak <= bound, "peak {peak} exceeds wave bound {bound}");
     assert!(
