@@ -48,6 +48,23 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
+fn streaming_is_bit_identical_across_shard_geometries_at_small_scale() {
+    let cfg = small_cfg(2026);
+    // One shard holding every user crawls the whole pool at once; the
+    // others divide the users unevenly.
+    let whole = stream(&cfg, &opts(2_500, 1));
+    for (shard_users, in_flight) in [(700, 2), (512, 4)] {
+        let got = stream(&cfg, &opts(shard_users, in_flight));
+        assert_eq!(
+            whole.0, got.0,
+            "dataset JSONL diverged (shard_users={shard_users}, in_flight={in_flight})"
+        );
+        assert_eq!(whole.1, got.1, "unlabeled pool diverged");
+        assert_eq!(whole.2, got.2, "build report diverged");
+    }
+}
+
+#[test]
 fn streaming_equivalence_holds_single_threaded() {
     let cfg = small_cfg(7);
     let sharded = rsd_par::run_serial(|| stream(&cfg, &opts(600, 3)));
