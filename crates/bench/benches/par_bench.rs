@@ -5,8 +5,9 @@
 //! workloads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rsd_bench::reference;
 use rsd_gbdt::{BinnedMatrix, Booster, BoosterConfig};
-use rsd_nn::matrix::{reference, Matrix};
+use rsd_nn::matrix::Matrix;
 
 fn pseudo_matrix(rows: usize, cols: usize, salt: u64) -> Matrix {
     let data: Vec<f32> = (0..rows * cols)

@@ -4,9 +4,13 @@
 //!
 //! Four workload families:
 //!
-//! * dense matmul at 128/256/512 dims — in-tree [`reference::matmul`]
-//!   (the seed's zero-branch scalar kernel) vs the new blocked kernel,
+//! * dense matmul at 128/256/512 dims — [`reference::matmul`] (the
+//!   seed's zero-branch scalar kernel) vs the new blocked kernel,
 //!   serially and on a 4-thread local pool;
+//! * the backward products at the DeBERTa training shapes — `matmul_nt`
+//!   and `matmul_tn` on the detected f32 tier vs the portable scalar
+//!   kernel (and, for TN, vs transposing and calling `matmul`), with a
+//!   bitwise check against the portable kernel;
 //! * a table3-scale GBDT tree fit — a verbatim re-creation of the seed's
 //!   row-major (`Vec<Vec<u16>>`) histogram split search vs the new
 //!   column-major gathered [`Tree::fit`];
@@ -26,6 +30,7 @@
 
 use std::time::Instant;
 
+use rsd_bench::reference;
 use rsd_common::rng::{sample_indices, stream_rng};
 use rsd_gbdt::tree::TreeConfig;
 use rsd_gbdt::{BinnedMatrix, Booster, BoosterConfig, Tree};
@@ -33,7 +38,7 @@ use rsd_models::{
     EncodedWindow, FittedPlm, PlmConfig, PlmInferenceModel, PlmKind, PlmScratch, TIME_FEATURE_DIM,
 };
 use rsd_nn::loss::argmax;
-use rsd_nn::matrix::{reference, Matrix};
+use rsd_nn::matrix::{F32Tier, Matrix};
 
 const REPS: usize = 9;
 /// Quality gate: max per-logit |int8 − f32| on every window.
@@ -105,6 +110,62 @@ fn matmul_rows() -> Vec<serde_json::Value> {
             row
         })
         .collect()
+}
+
+/// Mean microseconds per call of `f`, best of `REPS` batches of `iters`.
+fn time_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
+    time_best(|| (0..iters).map(|_| std::hint::black_box(f())).count()) * 1e3 / iters as f64
+}
+
+/// `out = m×k · k×n` products at the DeBERTa backward shapes (dim 48,
+/// 4 heads of 12, 96 tokens): the linear layers' `g·Wᵀ` and `xᵀ·g`, and
+/// the per-head attention products.
+fn backward_rows() -> Vec<serde_json::Value> {
+    let tier = F32Tier::detect();
+    let portable = F32Tier::Portable;
+    [
+        (96usize, 48usize, 48usize),
+        (96, 48, 96),
+        (96, 96, 48),
+        (96, 12, 96),
+        (96, 96, 12),
+    ]
+    .iter()
+    .map(|&(m, k, n)| {
+        let iters = (2_000_000 / (m * k * n)).max(10);
+        // NT: (m×k)·(n×k)ᵀ; TN: (k×m)ᵀ·(k×n).
+        let a = pseudo_matrix(m, k, 3);
+        let b = pseudo_matrix(n, k, 4);
+        let at = pseudo_matrix(k, m, 5);
+        let bn = pseudo_matrix(k, n, 6);
+        let serial = |f: &dyn Fn() -> Matrix| time_us(iters, || rsd_par::run_serial(f));
+        let nt_us = serial(&|| a.matmul_nt(&b));
+        let nt_portable_us = serial(&|| a.matmul_dot4_on(portable, &b.transpose()));
+        let tn_us = serial(&|| at.matmul_tn(&bn));
+        let tn_portable_us = serial(&|| at.matmul_tn_on(portable, &bn));
+        let tn_transpose_us = serial(&|| at.transpose().matmul(&bn));
+        let nt_bitwise =
+            bits(&a.matmul_nt(&b)) == bits(&a.matmul_dot4_on(portable, &b.transpose()));
+        let tn_bitwise = bits(&at.matmul_tn(&bn)) == bits(&at.matmul_tn_on(portable, &bn));
+        println!(
+            "backward {m:>3}x{k:>3}·{k:>3}x{n:>3} [{}]: nt {nt_us:7.2} us (portable \
+                 {nt_portable_us:7.2}) | tn {tn_us:7.2} us (portable {tn_portable_us:7.2}, \
+                 transpose+matmul {tn_transpose_us:7.2}) | bitwise nt {nt_bitwise} tn {tn_bitwise}",
+            tier.name()
+        );
+        serde_json::json!({
+            "shape": format!("{m}x{k}·{k}x{n}"),
+            "f32_tier": tier.name(),
+            "nt_us": nt_us,
+            "nt_portable_us": nt_portable_us,
+            "tn_us": tn_us,
+            "tn_portable_us": tn_portable_us,
+            "tn_transpose_matmul_us": tn_transpose_us,
+            "nt_bitwise_eq_portable": nt_bitwise,
+            "tn_bitwise_eq_portable": tn_bitwise
+        })
+    })
+    .collect()
 }
 
 fn gbdt_data(n_rows: usize, n_features: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
@@ -509,6 +570,7 @@ fn main() {
     println!("bench_kernels: {cores} core(s), best of {REPS} reps per timing");
 
     let matmul = matmul_rows();
+    let backward = backward_rows();
     let gbdt = gbdt_section();
     let inference = inference_section();
 
@@ -517,9 +579,10 @@ fn main() {
         "meta": rsd_obs::run_meta(),
         "reps": REPS,
         "matmul": matmul,
+        "backward": backward,
         "gbdt": gbdt,
         "inference": inference,
-        "note": "reference_* times the seed's kernels (kept in-tree as rsd_nn::matrix::reference \
+        "note": "reference_* times the seed's kernels (kept in-tree as rsd_bench::reference \
                  and re-created for the GBDT grower); on a single-core host pool4 adds scheduling \
                  overhead only, and the speedup column is pure kernel work reduction that a \
                  multi-core host multiplies across RSD_THREADS workers."

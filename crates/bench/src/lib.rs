@@ -13,6 +13,8 @@
 //!
 //! `RSD_SEED` overrides the default seed (2026).
 
+pub mod reference;
+
 use std::time::Instant;
 
 use rsd_dataset::{BuildConfig, BuildReport, DatasetBuilder, DatasetSplits, Rsd15k, SplitConfig};

@@ -9,12 +9,17 @@
 //! matmul dense path accumulates with fused multiply-adds (one rounding
 //! per step, via `f32::mul_add` or the AVX2 `vfmaddps` kernel — both
 //! produce the same bits), so it is differently rounded than the
-//! pre-optimization kernels but deterministic everywhere. `matmul_nt`
-//! instead rounds each output as the 4-lane [`dot4`] does, with separate
-//! multiplies and adds, through an SSE kernel on x86-64.
+//! pre-optimization kernels but deterministic everywhere.
 //!
-//! The pre-optimization scalar kernels live in [`reference`] so benches
-//! and property tests can compare against the original implementations.
+//! The backward products run on [`F32Tier`]s: an AVX-512 and an AVX2
+//! body written once over the register width, and the portable scalar
+//! kernel that is both the non-x86 path and the oracle the others are
+//! tested against bit for bit. A lane holds one output and never a share
+//! of a sum, so each output keeps the rounding chain it has in the
+//! scalar kernel. [`Matrix::matmul_tn`] forms `aᵀ·b` without a transpose,
+//! one fused chain per output over the shared rows in ascending order;
+//! [`Matrix::matmul_dot4`] rounds each output as [`dot4`] does, with
+//! separate multiplies and adds, from a right operand in `k × n` layout.
 
 /// Inner-loop operations per parallel chunk the kernels aim for; rows are
 /// grouped so each chunk amortizes scheduling overhead. A pure function
@@ -134,42 +139,90 @@ impl Matrix {
         out
     }
 
-    /// `self @ otherᵀ` (NT layout).
-    ///
-    /// Row-parallel over `self`'s rows; both operands stream row-major, so
-    /// each output element is one contiguous-slice dot product, rounded
-    /// exactly as [`dot4`] rounds it (see [`dot4_row`]).
+    /// `self @ otherᵀ` (NT layout), every output rounded as [`dot4`]
+    /// rounds it: `other` is transposed once and the product runs through
+    /// [`Matrix::matmul_dot4`].
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt shape mismatch: {}x{} @ ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let n = other.rows;
-        let _span = kernel_span("nn.matmul_nt", 2 * self.rows * self.cols * n);
+        self.matmul_dot4(&other.transpose())
+    }
+
+    /// `self @ bt` with every output rounded as [`dot4`] rounds the dot of
+    /// its row of `self` and its column of `bt`: the NT product for a
+    /// caller that already holds the right operand transposed (`k × n`).
+    pub fn matmul_dot4(&self, bt: &Matrix) -> Matrix {
+        self.matmul_dot4_on(F32Tier::detect(), bt)
+    }
+
+    /// [`Matrix::matmul_dot4`] on a given tier; every tier gives the same
+    /// bits. Panics if this CPU cannot run `tier`.
+    ///
+    /// Row-parallel: each chunk owns a block of whole output rows.
+    pub fn matmul_dot4_on(&self, tier: F32Tier, bt: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols, bt.rows,
+            "matmul_dot4 shape mismatch: {}x{} @ {}x{}",
+            self.rows, self.cols, bt.rows, bt.cols
+        );
+        assert!(
+            tier.runs_here(),
+            "the {} tier does not run on this CPU",
+            tier.name()
+        );
+        let (k, n) = (self.cols, bt.cols);
+        let _span = kernel_span("nn.matmul_nt", 2 * self.rows * k * n);
         let mut out = Matrix::zeros(self.rows, n);
-        let grain = row_grain(2 * self.cols * n) * n.max(1);
+        if n == 0 {
+            return out;
+        }
+        // Whole two-row register blocks per chunk.
+        let grain = row_grain(2 * k * n).next_multiple_of(2) * n;
         rsd_par::parallel_chunks_mut(&mut out.data, grain, |start, chunk| {
             let i0 = start / n;
-            for (ri, out_row) in chunk.chunks_mut(n).enumerate() {
-                dot4_row(self.row(i0 + ri), &other.data, out_row);
-            }
+            let a = &self.data[i0 * k..(i0 + chunk.len() / n) * k];
+            dot4_rows(tier, a, k, &bt.data, n, chunk);
         });
         out
     }
 
-    /// `selfᵀ @ other` (TN layout).
-    ///
-    /// Transposes `self` once (tiled, parallel) and reuses the row-parallel
-    /// `matmul` core, inheriting its k-ascending fused accumulation order.
+    /// `selfᵀ @ other` (TN layout), without a transpose: output `(i, j)`
+    /// is one fused multiply-add chain over the shared rows in ascending
+    /// order, the chain [`Matrix::matmul`] forms for `selfᵀ @ other`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        self.matmul_tn_on(F32Tier::detect(), other)
+    }
+
+    /// [`Matrix::matmul_tn`] on a given tier; every tier gives the same
+    /// bits. Panics if this CPU cannot run `tier`.
+    ///
+    /// Parallel over blocks of output rows (columns of `self`).
+    pub fn matmul_tn_on(&self, tier: F32Tier, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn shape mismatch: ({}x{})ᵀ @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let _span = kernel_span("nn.matmul_tn", 2 * self.rows * self.cols * other.cols);
-        self.transpose().matmul(other)
+        assert!(
+            tier.runs_here(),
+            "the {} tier does not run on this CPU",
+            tier.name()
+        );
+        let (m, n) = (self.cols, other.cols);
+        let _span = kernel_span("nn.matmul_tn", 2 * self.rows * m * n);
+        let mut out = Matrix::zeros(m, n);
+        if n == 0 {
+            return out;
+        }
+        // Whole eight-row register blocks per chunk.
+        let grain = row_grain(2 * self.rows * n).next_multiple_of(8) * n;
+        rsd_par::parallel_chunks_mut(&mut out.data, grain, |start, chunk| {
+            tn_rows(tier, &self.data, m, &other.data, n, start / n, chunk);
+        });
+        out
     }
 
     /// Transposed copy (tiled to keep both access patterns cache-friendly,
@@ -502,25 +555,32 @@ unsafe fn matmul_2rows_dense_fma(
     }
 }
 
-/// Cached `is_x86_feature_detected!("avx2") && ("fma")`: 0 unknown,
-/// 1 no, 2 yes. Public because every SIMD kernel in the crate — the f32
-/// matmul rows here and the int8 inference GEMMs in [`crate::quant`] —
-/// dispatches through this one check, so a host either takes all the
-/// wide paths or none of them.
+/// Caches a CPU-feature probe in `cell` (0 unknown, 1 no, 2 yes).
 #[cfg(target_arch = "x86_64")]
-pub fn fma_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static FMA: AtomicU8 = AtomicU8::new(0);
-    match FMA.load(Ordering::Relaxed) {
+fn cached_probe(cell: &std::sync::atomic::AtomicU8, probe: fn() -> bool) -> bool {
+    use std::sync::atomic::Ordering;
+    match cell.load(Ordering::Relaxed) {
         2 => true,
         1 => false,
         _ => {
-            let yes = std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma");
-            FMA.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
+            let yes = probe();
+            cell.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
             yes
         }
     }
+}
+
+/// Cached `is_x86_feature_detected!("avx2") && ("fma")`. Public because
+/// every SIMD kernel in the crate — the f32 matmul rows here and the int8
+/// inference GEMMs in [`crate::quant`] — dispatches through this one check
+/// (the 16-lane tiers add theirs on top), so a host either takes all the
+/// wide paths or none of them.
+#[cfg(target_arch = "x86_64")]
+pub fn fma_available() -> bool {
+    static FMA: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+    cached_probe(&FMA, || {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    })
 }
 
 /// Non-x86 hosts have no AVX2/FMA path; the portable kernels are the
@@ -535,29 +595,81 @@ pub fn fma_available() -> bool {
 /// i16-pair multiply-accumulate). Only the integer inference kernels in
 /// [`crate::quant`] dispatch on this — integer accumulation is exact, so
 /// the wider tier is bit-identical to both the AVX2 and portable paths.
-/// The f32 kernels deliberately stay on the AVX2 tier: reassociating
-/// float sums across 16 lanes would shift training numerics.
+///
+/// The f32 backward kernels have their own 16-lane tier ([`F32Tier`]),
+/// under one rule: a lane holds one output and never a share of a sum, so
+/// the register width cannot change how any output is rounded.
 #[cfg(target_arch = "x86_64")]
 pub fn vnni512_available() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static VNNI: AtomicU8 = AtomicU8::new(0);
-    match VNNI.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-                && std::arch::is_x86_feature_detected!("avx512vnni");
-            VNNI.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
-    }
+    static VNNI: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+    cached_probe(&VNNI, || {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+            && std::arch::is_x86_feature_detected!("avx512vnni")
+    })
 }
 
 /// See [`fma_available`]: no x86, no wide integer tier either.
 #[cfg(not(target_arch = "x86_64"))]
 pub fn vnni512_available() -> bool {
+    false
+}
+
+/// The register width the f32 backward kernels ([`Matrix::matmul_tn`],
+/// [`Matrix::matmul_dot4`]) run at. Each SIMD lane holds one output, so
+/// every tier forms each output's sum exactly as [`F32Tier::Portable`]
+/// does; the tiers differ only in how many outputs one instruction
+/// advances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum F32Tier {
+    /// 16 lanes (AVX-512F).
+    Avx512,
+    /// 8 lanes (AVX2 + FMA).
+    Avx2,
+    /// Scalar: the non-x86 path and the bit-exact oracle of the others.
+    Portable,
+}
+
+impl F32Tier {
+    /// Every tier, widest first.
+    pub const ALL: [F32Tier; 3] = [F32Tier::Avx512, F32Tier::Avx2, F32Tier::Portable];
+
+    /// The widest tier this CPU runs.
+    pub fn detect() -> F32Tier {
+        F32Tier::ALL
+            .into_iter()
+            .find(|t| t.runs_here())
+            .unwrap_or(F32Tier::Portable)
+    }
+
+    /// Whether this CPU can run the tier.
+    pub fn runs_here(self) -> bool {
+        match self {
+            F32Tier::Avx512 => fma_available() && avx512f_available(),
+            F32Tier::Avx2 => fma_available(),
+            F32Tier::Portable => true,
+        }
+    }
+
+    /// `"avx512"`, `"avx2"` or `"portable"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            F32Tier::Avx512 => "avx512",
+            F32Tier::Avx2 => "avx2",
+            F32Tier::Portable => "portable",
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx512f_available() -> bool {
+    static F: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+    cached_probe(&F, || std::arch::is_x86_feature_detected!("avx512f"))
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512f_available() -> bool {
     false
 }
 
@@ -569,179 +681,530 @@ pub fn vnni512_available() -> bool {
 /// bit.
 pub fn dot4(x: &[f32], y: &[f32]) -> f32 {
     let len = x.len().min(y.len());
-    let (x, y) = (&x[..len], &y[..len]);
+    dot4_by(len, |k| x[k] * y[k])
+}
+
+/// [`dot4`] over the products `prod(0..len)`, each a separate multiply.
+#[inline]
+fn dot4_by(len: usize, prod: impl Fn(usize) -> f32) -> f32 {
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
     let mut k = 0;
     while k + 4 <= len {
-        s0 += x[k] * y[k];
-        s1 += x[k + 1] * y[k + 1];
-        s2 += x[k + 2] * y[k + 2];
-        s3 += x[k + 3] * y[k + 3];
+        s0 += prod(k);
+        s1 += prod(k + 1);
+        s2 += prod(k + 2);
+        s3 += prod(k + 3);
         k += 4;
     }
     let mut tail = 0.0f32;
     while k < len {
-        tail += x[k] * y[k];
+        tail += prod(k);
         k += 1;
     }
     ((s0 + s1) + (s2 + s3)) + tail
 }
 
-/// `out_row[j] = dot4(a_row, b_j)` for every row `b_j` of the row-major
-/// `b` (`out_row.len()` rows of `a_row.len()` columns).
-///
-/// On x86-64 blocks of eight (then four) outputs run through
-/// [`dot4_block`]; the remaining outputs, and every output on other
-/// architectures, call [`dot4`] directly. Both give the same bits.
-pub(crate) fn dot4_row(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let k = a_row.len();
-    let mut j = 0;
-    #[cfg(target_arch = "x86_64")]
-    {
-        while j + 8 <= out_row.len() {
-            dot4_block::<8>(a_row, &b[j * k..(j + 8) * k], &mut out_row[j..j + 8]);
-            j += 8;
-        }
-        if j + 4 <= out_row.len() {
-            dot4_block::<4>(a_row, &b[j * k..(j + 4) * k], &mut out_row[j..j + 4]);
-            j += 4;
-        }
+/// `out = a @ bt` on row-major slices (`a` is `out.len() / n` rows of `k`,
+/// `bt` is `k × n`), serially, every output rounded as [`dot4`]: over the
+/// same operands this gives the bits of [`Matrix::matmul_dot4`].
+pub(crate) fn dot4_into(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
+    dot4_rows(F32Tier::detect(), a, k, bt, n, out);
+}
+
+/// Checks the slice shapes the raw-pointer kernels rely on, then runs
+/// `tier`'s dot4 kernel (the caller has checked that it runs here).
+fn dot4_rows(tier: F32Tier, a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
     }
-    for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-        *o = dot4(a_row, &b[jj * k..(jj + 1) * k]);
+    assert!(
+        bt.len() == k * n && out.len().is_multiple_of(n) && a.len() == out.len() / n * k,
+        "dot4 kernel shape mismatch"
+    );
+    match tier {
+        // SAFETY: shapes checked above; the tier runs on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        F32Tier::Avx512 => unsafe { wide::dot4_rows_avx512(a, k, bt, n, out) },
+        #[cfg(target_arch = "x86_64")]
+        F32Tier::Avx2 => unsafe { wide::dot4_rows_avx2(a, k, bt, n, out) },
+        _ => dot4_rows_portable(a, k, bt, n, out),
     }
 }
 
-/// [`dot4`] for `B` outputs at once (`B` a multiple of 4): `out[j]` is
-/// `a · b[j*k..(j+1)*k]`. Output `j` keeps its four `dot4` lane sums in
-/// one 128-bit accumulator, updated with a separate multiply and add per
-/// step (never a fused multiply-add), so every lane rounds exactly as the
-/// scalar `s0..s3` do. The lanes of four outputs are then transposed and
-/// finished together as `((s0+s1)+(s2+s3)) + tail`, with each tail a
-/// scalar sum in ascending k. SSE is part of the x86-64 baseline, so no
-/// runtime feature check is needed.
+/// Portable dot4 kernel: output `(i, j)` is [`dot4`] of row `i` of `a`
+/// and column `j` of `bt`.
+fn dot4_rows_portable(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, o) in out_row.iter_mut().enumerate() {
+            *o = dot4_by(k, |kk| a_row[kk] * bt[kk * n + j]);
+        }
+    }
+}
+
+/// Output rows `i0..i0 + out.len() / n` of `aᵀ @ b` (`a` is `r × m`, `b`
+/// is `r × n`), after checking the slice shapes the raw-pointer kernels
+/// rely on (the caller has checked that `tier` runs here).
+fn tn_rows(tier: F32Tier, a: &[f32], m: usize, b: &[f32], n: usize, i0: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    let r = b.len() / n;
+    assert!(
+        b.len() == r * n
+            && a.len() == r * m
+            && out.len().is_multiple_of(n)
+            && i0 + out.len() / n <= m,
+        "tn kernel shape mismatch"
+    );
+    match tier {
+        // SAFETY: shapes checked above; the tier runs on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        F32Tier::Avx512 => unsafe { wide::tn_rows_avx512(a, m, b, n, i0, out) },
+        #[cfg(target_arch = "x86_64")]
+        F32Tier::Avx2 => unsafe { wide::tn_rows_avx2(a, m, b, n, i0, out) },
+        _ => tn_rows_portable(a, m, b, n, i0, out),
+    }
+}
+
+/// Portable TN kernel: output `(i0 + q, j)` is `mul_add` chained over the
+/// rows of `a` and `b` in ascending order, from `+0.0`.
+fn tn_rows_portable(a: &[f32], m: usize, b: &[f32], n: usize, i0: usize, out: &mut [f32]) {
+    for (q, out_row) in out.chunks_mut(n).enumerate() {
+        for (r, b_row) in b.chunks(n).enumerate() {
+            let c = a[r * m + i0 + q];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o = c.mul_add(bv, *o);
+            }
+        }
+    }
+}
+
+/// The x86-64 bodies of the backward kernels, written once over
+/// [`wide::Lanes`] and instantiated at 16 lanes (AVX-512F) and 8 lanes
+/// (AVX2 + FMA). A lane holds one output column; a block of columns
+/// narrower than the register width runs masked, so every column takes
+/// the vector path.
 #[cfg(target_arch = "x86_64")]
-#[inline]
-fn dot4_block<const B: usize>(a: &[f32], b: &[f32], out: &mut [f32]) {
-    use std::arch::x86_64::{
-        __m128, _mm_add_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_setzero_ps,
-        _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
-    };
-    let k = a.len();
-    let k4 = k - k % 4;
-    assert!(B.is_multiple_of(4) && b.len() == B * k && out.len() == B);
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    // SAFETY: SSE/SSE2 are always present on x86-64. Every load reads four
-    // floats at `kk < k4 <= k` from `a` or from row `j < B` of `b`, all in
-    // bounds by the assert above; the store writes `out[q..q + 4]`, q + 4 <= B.
-    unsafe {
-        let mut acc: [__m128; B] = [_mm_setzero_ps(); B];
+mod wide {
+    use std::arch::x86_64::*;
+
+    /// One register width: `W` f32 lanes and a mask of the first lanes.
+    pub(super) trait Lanes {
+        const W: usize;
+        type V: Copy;
+        type M: Copy;
+        /// Mask of the first `live` lanes, `0 < live <= W`.
+        unsafe fn first(live: usize) -> Self::M;
+        unsafe fn load(p: *const f32) -> Self::V;
+        unsafe fn load_part(p: *const f32, m: Self::M) -> Self::V;
+        unsafe fn store(p: *mut f32, v: Self::V);
+        unsafe fn store_part(p: *mut f32, m: Self::M, v: Self::V);
+        unsafe fn splat(x: f32) -> Self::V;
+        unsafe fn zero() -> Self::V {
+            Self::splat(0.0)
+        }
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+        /// `a·b + c` with one rounding.
+        unsafe fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    }
+
+    pub(super) struct Avx512;
+
+    impl Lanes for Avx512 {
+        const W: usize = 16;
+        type V = __m512;
+        type M = __mmask16;
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn first(live: usize) -> __mmask16 {
+            (((1u32 << live) - 1) & 0xffff) as __mmask16
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load(p: *const f32) -> __m512 {
+            _mm512_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load_part(p: *const f32, m: __mmask16) -> __m512 {
+            _mm512_maskz_loadu_ps(m, p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            _mm512_storeu_ps(p, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store_part(p: *mut f32, m: __mmask16, v: __m512) {
+            _mm512_mask_storeu_ps(p, m, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn splat(x: f32) -> __m512 {
+            _mm512_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn add(a: __m512, b: __m512) -> __m512 {
+            _mm512_add_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn mul(a: __m512, b: __m512) -> __m512 {
+            _mm512_mul_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn fma(a: __m512, b: __m512, c: __m512) -> __m512 {
+            _mm512_fmadd_ps(a, b, c)
+        }
+    }
+
+    pub(super) struct Avx2;
+
+    impl Lanes for Avx2 {
+        const W: usize = 8;
+        type V = __m256;
+        type M = __m256i;
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn first(live: usize) -> __m256i {
+            _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(live as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            )
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_part(p: *const f32, m: __m256i) -> __m256 {
+            _mm256_maskload_ps(p, m)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store_part(p: *mut f32, m: __m256i, v: __m256) {
+            _mm256_maskstore_ps(p, m, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn splat(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn add(a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn mul(a: __m256, b: __m256) -> __m256 {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fma(a: __m256, b: __m256, c: __m256) -> __m256 {
+            _mm256_fmadd_ps(a, b, c)
+        }
+    }
+
+    /// A full-width load or store, or a masked one for a partial block.
+    #[inline(always)]
+    unsafe fn load<L: Lanes, const PART: bool>(p: *const f32, m: L::M) -> L::V {
+        if PART {
+            L::load_part(p, m)
+        } else {
+            L::load(p)
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store<L: Lanes, const PART: bool>(p: *mut f32, m: L::M, v: L::V) {
+        if PART {
+            L::store_part(p, m, v)
+        } else {
+            L::store(p, v)
+        }
+    }
+
+    /// Runs the body over the column blocks of an `n`-wide output, with
+    /// `j` the block's first column, `C` its register count, `P` whether
+    /// it is a masked partial register and `mk` its mask: `cols` registers
+    /// at a time while they fit, then one, then one partial register.
+    macro_rules! column_blocks {
+        ($l:ty, $n:expr, $cols:literal, |$j:ident, $c:tt, $part:tt, $m:ident| $body:expr) => {{
+            let n = $n;
+            let full = <$l>::first(<$l>::W);
+            let mut $j = 0;
+            while $j + $cols * <$l>::W <= n {
+                let $m = full;
+                {
+                    const $c: usize = $cols;
+                    const $part: bool = false;
+                    $body;
+                }
+                $j += $cols * <$l>::W;
+            }
+            while $j + <$l>::W <= n {
+                let $m = full;
+                {
+                    const $c: usize = 1;
+                    const $part: bool = false;
+                    $body;
+                }
+                $j += <$l>::W;
+            }
+            if $j < n {
+                let $m = <$l>::first(n - $j);
+                {
+                    const $c: usize = 1;
+                    const $part: bool = true;
+                    $body;
+                }
+            }
+        }};
+    }
+
+    /// The operands of `aᵀ @ b`: `a` is `r × m` and `b` is `r × n`,
+    /// row-major.
+    #[derive(Clone, Copy)]
+    struct Tn {
+        a: *const f32,
+        m: usize,
+        b: *const f32,
+        n: usize,
+        r: usize,
+    }
+
+    /// `ROWS` output rows × `C` registers of `aᵀ @ b`, starting at output
+    /// row `i` and column `j`. Each lane is one output: `fma` chained over
+    /// the `r` shared rows in ascending order from `+0.0`.
+    #[inline(always)]
+    unsafe fn tn_block<L: Lanes, const ROWS: usize, const C: usize, const PART: bool>(
+        g: Tn,
+        (i, j): (usize, usize),
+        mask: L::M,
+        out: *mut f32,
+    ) {
+        let mut acc = [[L::zero(); C]; ROWS];
+        for rr in 0..g.r {
+            let mut bv = [L::zero(); C];
+            for (c, v) in bv.iter_mut().enumerate() {
+                *v = load::<L, PART>(g.b.add(rr * g.n + j + c * L::W), mask);
+            }
+            for (q, row) in acc.iter_mut().enumerate() {
+                let av = L::splat(*g.a.add(rr * g.m + i + q));
+                for (s, &v) in row.iter_mut().zip(&bv) {
+                    *s = L::fma(av, v, *s);
+                }
+            }
+        }
+        for (q, row) in acc.iter().enumerate() {
+            for (c, &s) in row.iter().enumerate() {
+                store::<L, PART>(out.add(q * g.n + j + c * L::W), mask, s);
+            }
+        }
+    }
+
+    /// The operands of `a @ bt`: `a` has rows of `k`, `bt` is `k × n`,
+    /// row-major.
+    #[derive(Clone, Copy)]
+    struct Dot4 {
+        a: *const f32,
+        k: usize,
+        bt: *const f32,
+        n: usize,
+    }
+
+    /// `ROWS` output rows × `C` registers of `a @ bt`, starting at output
+    /// row `i` (row `i` of `a`) and column `j`. Each lane is one output
+    /// and keeps [`super::dot4`]'s four lane sums, each a separate
+    /// multiply and add per step, finished as `((s0+s1)+(s2+s3)) + tail`.
+    #[inline(always)]
+    unsafe fn dot4_block<L: Lanes, const ROWS: usize, const C: usize, const PART: bool>(
+        g: Dot4,
+        (i, j): (usize, usize),
+        mask: L::M,
+        out: *mut f32,
+    ) {
+        let Dot4 { a, k, bt, n } = g;
+        let k4 = k - k % 4;
+        let mut s = [[[L::zero(); 4]; C]; ROWS];
         let mut kk = 0;
         while kk < k4 {
-            let av = _mm_loadu_ps(ap.add(kk));
-            for (j, s) in acc.iter_mut().enumerate() {
-                *s = _mm_add_ps(*s, _mm_mul_ps(av, _mm_loadu_ps(bp.add(j * k + kk))));
+            for l in 0..4 {
+                let mut bv = [L::zero(); C];
+                for (c, v) in bv.iter_mut().enumerate() {
+                    *v = load::<L, PART>(bt.add((kk + l) * n + j + c * L::W), mask);
+                }
+                for (q, row) in s.iter_mut().enumerate() {
+                    let av = L::splat(*a.add((i + q) * k + kk + l));
+                    for (sc, &v) in row.iter_mut().zip(&bv) {
+                        sc[l] = L::add(sc[l], L::mul(av, v));
+                    }
+                }
             }
             kk += 4;
         }
-        for q in (0..B).step_by(4) {
-            // Transpose so lane j of `s[l]` is output q+j's lane sum s_l.
-            let t0 = _mm_unpacklo_ps(acc[q], acc[q + 1]);
-            let t1 = _mm_unpacklo_ps(acc[q + 2], acc[q + 3]);
-            let t2 = _mm_unpackhi_ps(acc[q], acc[q + 1]);
-            let t3 = _mm_unpackhi_ps(acc[q + 2], acc[q + 3]);
-            let s = [
-                _mm_movelh_ps(t0, t1),
-                _mm_movehl_ps(t1, t0),
-                _mm_movelh_ps(t2, t3),
-                _mm_movehl_ps(t3, t2),
-            ];
-            let lanes = _mm_add_ps(_mm_add_ps(s[0], s[1]), _mm_add_ps(s[2], s[3]));
-            let mut tail = [0.0f32; 4];
-            for (j, t) in tail.iter_mut().enumerate() {
-                let row = &b[(q + j) * k..(q + j + 1) * k];
-                for kk in k4..k {
-                    *t += a[kk] * row[kk];
+        let mut tail = [[L::zero(); C]; ROWS];
+        while kk < k {
+            let mut bv = [L::zero(); C];
+            for (c, v) in bv.iter_mut().enumerate() {
+                *v = load::<L, PART>(bt.add(kk * n + j + c * L::W), mask);
+            }
+            for (q, row) in tail.iter_mut().enumerate() {
+                let av = L::splat(*a.add((i + q) * k + kk));
+                for (t, &v) in row.iter_mut().zip(&bv) {
+                    *t = L::add(*t, L::mul(av, v));
                 }
             }
-            let done = _mm_add_ps(lanes, _mm_loadu_ps(tail.as_ptr()));
-            _mm_storeu_ps(out.as_mut_ptr().add(q), done);
+            kk += 1;
+        }
+        for q in 0..ROWS {
+            for c in 0..C {
+                let [s0, s1, s2, s3] = s[q][c];
+                let done = L::add(L::add(L::add(s0, s1), L::add(s2, s3)), tail[q][c]);
+                store::<L, PART>(out.add(q * n + j + c * L::W), mask, done);
+            }
         }
     }
-}
 
-/// The pre-optimization scalar kernels, kept verbatim as the baseline for
-/// `par_bench` and the determinism property tests. Not used by training.
-pub mod reference {
-    use super::Matrix;
-
-    /// Scalar ikj matmul with the per-element zero skip.
-    pub fn matmul(a: &Matrix, other: &Matrix) -> Matrix {
-        assert_eq!(a.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(a.rows, other.cols);
-        for i in 0..a.rows {
-            let a_row = a.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += av * b;
-                }
-            }
+    /// Output rows `i0..` of `aᵀ @ b`, eight at a time so that eight
+    /// independent chains are in flight: two blocks of four rows for a
+    /// pair of column registers, one block of eight rows for a single
+    /// register. Then four rows, then one.
+    #[inline(always)]
+    unsafe fn tn_rows<L: Lanes>(
+        a: &[f32],
+        m: usize,
+        b: &[f32],
+        n: usize,
+        i0: usize,
+        out: &mut [f32],
+    ) {
+        let g = Tn {
+            a: a.as_ptr(),
+            m,
+            b: b.as_ptr(),
+            n,
+            r: b.len() / n,
+        };
+        let (op, rows) = (out.as_mut_ptr(), out.len() / n);
+        let mut q = 0;
+        while q + 8 <= rows {
+            let (i, o) = (i0 + q, op.add(q * n));
+            column_blocks! { L, n, 2, |j, C, P, mk| if C == 2 {
+                tn_block::<L, 4, C, P>(g, (i, j), mk, o);
+                tn_block::<L, 4, C, P>(g, (i + 4, j), mk, o.add(4 * n));
+            } else {
+                tn_block::<L, 8, C, P>(g, (i, j), mk, o);
+            } }
+            q += 8;
         }
-        out
+        while q + 4 <= rows {
+            let (i, o) = (i0 + q, op.add(q * n));
+            column_blocks! { L, n, 2, |j, C, P, mk| tn_block::<L, 4, C, P>(g, (i, j), mk, o) }
+            q += 4;
+        }
+        while q < rows {
+            let (i, o) = (i0 + q, op.add(q * n));
+            column_blocks! { L, n, 2, |j, C, P, mk| tn_block::<L, 1, C, P>(g, (i, j), mk, o) }
+            q += 1;
+        }
     }
 
-    /// Scalar NT matmul (single-accumulator dots).
-    pub fn matmul_nt(a: &Matrix, other: &Matrix) -> Matrix {
-        assert_eq!(a.cols, other.cols, "matmul_nt shape mismatch");
-        let mut out = Matrix::zeros(a.rows, other.rows);
-        for i in 0..a.rows {
-            let a_row = a.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let mut sum = 0.0;
-                for (&x, &y) in a_row.iter().zip(b_row) {
-                    sum += x * y;
-                }
-                out.data[i * other.rows + j] = sum;
-            }
+    /// Every output row of `a @ bt`, two rows per block, then one.
+    #[inline(always)]
+    unsafe fn dot4_rows<L: Lanes>(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
+        let g = Dot4 {
+            a: a.as_ptr(),
+            k,
+            bt: bt.as_ptr(),
+            n,
+        };
+        let (op, rows) = (out.as_mut_ptr(), out.len() / n);
+        let mut i = 0;
+        while i + 2 <= rows {
+            let o = op.add(i * n);
+            column_blocks! { L, n, 1, |j, C, P, mk| dot4_block::<L, 2, C, P>(g, (i, j), mk, o) }
+            i += 2;
         }
-        out
+        if i < rows {
+            // A lone row (the LSTM's per-step product) takes two column
+            // registers per pass, so each pass reads whole cache lines of
+            // `bt` at 8 lanes too.
+            let o = op.add(i * n);
+            column_blocks! { L, n, 2, |j, C, P, mk| dot4_block::<L, 1, C, P>(g, (i, j), mk, o) }
+        }
     }
 
-    /// Scalar TN matmul (k-outer accumulation).
-    pub fn matmul_tn(a: &Matrix, other: &Matrix) -> Matrix {
-        assert_eq!(a.rows, other.rows, "matmul_tn shape mismatch");
-        let mut out = Matrix::zeros(a.cols, other.cols);
-        for k in 0..a.rows {
-            let a_row = a.row(k);
-            let b_row = other.row(k);
-            for (i, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += av * b;
-                }
-            }
-        }
-        out
+    /// # Safety
+    /// AVX-512F must be available, and the shapes as `super::tn_rows`
+    /// checks them.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tn_rows_avx512(
+        a: &[f32],
+        m: usize,
+        b: &[f32],
+        n: usize,
+        i0: usize,
+        out: &mut [f32],
+    ) {
+        tn_rows::<Avx512>(a, m, b, n, i0, out)
     }
 
-    /// Scalar transpose.
-    pub fn transpose(a: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.cols, a.rows);
-        for r in 0..a.rows {
-            for c in 0..a.cols {
-                out.data[c * a.rows + r] = a.data[r * a.cols + c];
-            }
-        }
-        out
+    /// # Safety
+    /// AVX2 and FMA must be available, and the shapes as
+    /// `super::tn_rows` checks them.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn tn_rows_avx2(
+        a: &[f32],
+        m: usize,
+        b: &[f32],
+        n: usize,
+        i0: usize,
+        out: &mut [f32],
+    ) {
+        tn_rows::<Avx2>(a, m, b, n, i0, out)
+    }
+
+    /// # Safety
+    /// AVX-512F must be available, and the shapes as `super::dot4_rows`
+    /// checks them.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn dot4_rows_avx512(
+        a: &[f32],
+        k: usize,
+        bt: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        dot4_rows::<Avx512>(a, k, bt, n, out)
+    }
+
+    /// # Safety
+    /// AVX2 and FMA must be available, and the shapes as
+    /// `super::dot4_rows` checks them.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn dot4_rows_avx2(
+        a: &[f32],
+        k: usize,
+        bt: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        dot4_rows::<Avx2>(a, k, bt, n, out)
     }
 }
 
@@ -838,34 +1301,44 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_reference_on_irregular_shapes() {
-        // Odd shapes exercise the unroll tail, the chunk remainder, and
-        // both density paths. Matmuls accumulate with fused multiply-adds
-        // (rounded once per step), so they are close to — not bitwise
-        // equal to — the reference kernels' separate mul-then-add.
-        let close = |got: &Matrix, want: &Matrix, what: &str| {
-            for (x, y) in got.data.iter().zip(&want.data) {
-                assert!(
-                    (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
-                    "{what}: {x} vs {y}"
-                );
-            }
-        };
+    fn kernels_match_portable_on_irregular_shapes() {
+        // Odd shapes exercise the register-block remainders, the masked
+        // column tails and both density paths of `matmul`, whose every
+        // output is one fused chain in ascending k that skips the zero
+        // coefficients of zero-heavy rows.
         for (m, k, n, sparse) in [(5, 7, 3, false), (33, 65, 17, false), (9, 40, 11, true)] {
             let x = pseudo(m, k, 1, sparse);
             let y = pseudo(k, n, 2, false);
-            close(
-                &x.matmul(&y),
-                &reference::matmul(&x, &y),
-                &format!("matmul {m}x{k}@{k}x{n} sparse={sparse}"),
+            let mut chains = Matrix::zeros(m, n);
+            for i in 0..m {
+                let dense = row_is_dense(x.row(i));
+                for (kk, &c) in x.row(i).iter().enumerate() {
+                    if dense || c != 0.0 {
+                        for (o, &bv) in chains.row_mut(i).iter_mut().zip(y.row(kk)) {
+                            *o = c.mul_add(bv, *o);
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                x.matmul(&y),
+                chains,
+                "matmul {m}x{k}@{k}x{n} sparse={sparse}"
             );
             let xt = pseudo(k, m, 3, sparse);
-            close(
-                &xt.matmul_tn(&y),
-                &reference::matmul_tn(&xt, &y),
-                &format!("matmul_tn {k}x{m}@{k}x{n} sparse={sparse}"),
+            assert_eq!(
+                xt.matmul_tn(&y),
+                xt.matmul_tn_on(F32Tier::Portable, &y),
+                "matmul_tn {k}x{m}@{k}x{n} sparse={sparse}"
             );
-            assert_eq!(x.transpose().data, reference::transpose(&x).data);
+            let yt = pseudo(n, k, 4, false);
+            assert_eq!(
+                x.matmul_nt(&yt),
+                x.matmul_dot4_on(F32Tier::Portable, &yt.transpose()),
+                "matmul_nt {m}x{k}@({n}x{k})ᵀ sparse={sparse}"
+            );
+            let t = x.transpose();
+            assert!((0..m).all(|i| (0..k).all(|j| t.get(j, i) == x.get(i, j))));
         }
     }
 

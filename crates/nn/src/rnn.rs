@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
-use crate::matrix::{dot4_row, matmul_into, Matrix};
+use crate::matrix::{dot4_into, matmul_into, Matrix};
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
 
@@ -194,6 +194,7 @@ pub(crate) fn lstm_backward(
     let mut gg = Matrix::zeros(n, 4 * hidden);
     let mut dh = vec![0.0f32; hidden];
     let mut dc = vec![0.0f32; hidden];
+    let wht = wh.transpose();
     for s in (0..n).rev() {
         let last = s + 1 == n;
         let (acts, tc, c_prev) = (cache.acts.row(s), cache.tanh_cells.row(s), cache.c_prev(s));
@@ -218,7 +219,7 @@ pub(crate) fn lstm_backward(
             grow[3 * hidden + j] = d_o * o * (1.0 - o);
         }
         if s > 0 {
-            dot4_row(grow, &wh.data, &mut dh);
+            dot4_into(grow, 4 * hidden, &wht.data, hidden, &mut dh);
         }
     }
     let by_step = gg.matmul_nt(wx);

@@ -1025,14 +1025,33 @@ fn backprop(parents: &mut [Node], node: &mut Node, grad: Matrix) {
 }
 
 /// Softmax backward in place: each row of `grad` becomes
-/// `y * (grad - grad·y)` for the forward output row `y`.
+/// `y * (grad - grad·y)` for the forward output row `y`. Each row's
+/// `grad·y` is one sum of products in ascending column order from `-0.0`
+/// (as `Iterator::sum` forms it); bands of eight rows run side by side,
+/// eight independent sums in registers.
 pub(crate) fn softmax_backward(grad: &mut Matrix, y: &Matrix) {
-    for r in 0..grad.rows {
-        let y_row = y.row(r);
-        let g_row = grad.row_mut(r);
-        let dot: f32 = g_row.iter().zip(y_row).map(|(&g, &y)| g * y).sum();
-        for (g, &y) in g_row.iter_mut().zip(y_row) {
-            *g = y * (*g - dot);
+    const BAND: usize = 8;
+    let n = grad.cols;
+    if n == 0 {
+        return;
+    }
+    for (g, y) in grad.data.chunks_mut(BAND * n).zip(y.data.chunks(BAND * n)) {
+        let mut dots = [-0.0f32; BAND];
+        if g.len() == BAND * n {
+            for j in 0..n {
+                for (q, d) in dots.iter_mut().enumerate() {
+                    *d += g[q * n + j] * y[q * n + j];
+                }
+            }
+        } else {
+            for ((d, g), y) in dots.iter_mut().zip(g.chunks(n)).zip(y.chunks(n)) {
+                *d = g.iter().zip(y).map(|(&g, &y)| g * y).sum();
+            }
+        }
+        for ((g_row, y_row), &dot) in g.chunks_mut(n).zip(y.chunks(n)).zip(&dots) {
+            for (g, &y) in g_row.iter_mut().zip(y_row) {
+                *g = y * (*g - dot);
+            }
         }
     }
 }
@@ -1259,6 +1278,45 @@ mod tests {
             test_input(),
             2e-2,
         );
+    }
+
+    #[test]
+    fn softmax_backward_keeps_each_rows_sum_order() {
+        // Full bands, a partial band and single rows; signed zeros and
+        // subnormals in the gradient, so the `-0.0` start and the
+        // ascending order of each row's sum both show in the bits.
+        for (rows, cols) in [(1, 5), (8, 3), (19, 13), (16, 1)] {
+            let grad = Matrix::from_vec(
+                rows,
+                cols,
+                (0..rows * cols)
+                    .map(|i| match i % 5 {
+                        0 => -0.0,
+                        1 => f32::from_bits(0x8000_0003),
+                        _ => (i as f32 * 0.37).sin() * 1e3,
+                    })
+                    .collect(),
+            );
+            let mut y = Matrix::from_vec(
+                rows,
+                cols,
+                (0..rows * cols).map(|i| (i as f32 * 0.11).cos()).collect(),
+            );
+            for r in 0..rows {
+                softmax_in_place(y.row_mut(r));
+            }
+            let mut want = grad.clone();
+            for r in 0..rows {
+                let dot: f32 = grad.row(r).iter().zip(y.row(r)).map(|(&g, &y)| g * y).sum();
+                for (g, &y) in want.row_mut(r).iter_mut().zip(y.row(r)) {
+                    *g = y * (*g - dot);
+                }
+            }
+            let mut got = grad.clone();
+            softmax_backward(&mut got, &y);
+            let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+        }
     }
 
     #[test]

@@ -268,6 +268,8 @@ fn disentangled_attention_matches_graph() {
         (5, 3, 7, 5),
         (9, 2, 5, 1),
         (10, 4, 3, 0),
+        (21, 2, 6, 3),
+        (37, 1, 4, 5),
     ] {
         check_attention_leaves(n, heads, hd, Some(radius));
     }

@@ -1,31 +1,16 @@
-//! Property tests for the parallel kernel determinism contract: for any
-//! shape, the blocked parallel kernels must be byte-identical to forced
-//! serial execution and to a 4-thread local pool, and close to the
-//! pre-optimization reference kernels (the fused-multiply-add matmuls
-//! and the multi-accumulator NT dot round differently; `transpose` is
-//! order-preserving and stays bitwise equal).
+//! Property tests for the kernel determinism contract: for any shape,
+//! the blocked parallel kernels must be byte-identical under forced
+//! serial execution and on a 4-thread local pool, and every register
+//! width ([`F32Tier`]) of the backward kernels must be byte-identical to
+//! the portable scalar kernel.
+
+use std::sync::Once;
 
 use proptest::prelude::*;
-use rsd_nn::matrix::{dot4, reference, Matrix};
+use rsd_nn::matrix::{dot4, F32Tier, Matrix};
 
-fn close_to(got: &Matrix, want: &Matrix) -> bool {
-    got.data
-        .iter()
-        .zip(&want.data)
-        .all(|(x, y)| (x - y).abs() <= 1e-3 * (1.0 + y.abs()))
-}
-
-fn matrix_from(rows: usize, cols: usize, vals: &[f32], sparse: bool) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| {
-            let v = vals[i % vals.len()];
-            if sparse && i % 3 != 0 {
-                0.0
-            } else {
-                v
-            }
-        })
-        .collect();
+fn matrix_from(rows: usize, cols: usize, vals: &[f32]) -> Matrix {
+    let data: Vec<f32> = (0..rows * cols).map(|i| vals[i % vals.len()]).collect();
     Matrix::from_vec(rows, cols, data)
 }
 
@@ -128,50 +113,129 @@ proptest! {
     }
 }
 
+/// `a @ b` as one fused multiply-add chain per output in ascending k
+/// from `+0.0`: the portable form of every `matmul` kernel on dense rows.
+fn fused_chains(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows, b.cols);
+    for i in 0..a.rows {
+        for (k, &c) in a.row(i).iter().enumerate() {
+            for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                *o = c.mul_add(bv, *o);
+            }
+        }
+    }
+    out
+}
+
+/// The tiers this CPU runs. Each one it cannot run is reported once.
+fn tiers_here() -> Vec<F32Tier> {
+    static SKIPS: Once = Once::new();
+    SKIPS.call_once(|| {
+        for tier in F32Tier::ALL.iter().filter(|t| !t.runs_here()) {
+            eprintln!("skip: the {} tier does not run on this CPU", tier.name());
+        }
+    });
+    F32Tier::ALL.into_iter().filter(|t| t.runs_here()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every tier of `matmul_tn`, `matmul_dot4` and `matmul_nt` equals the
+    /// portable kernel bit for bit, serially and on a 4-thread pool: 1–9
+    /// output rows, k of 1–70 (every residue mod 4), 1–40 outputs (below,
+    /// at and between multiples of 8 and 16), zero-heavy rows, signed
+    /// zeros and subnormals of both signs.
+    fn every_tier_equals_portable(
+        rows in 1usize..10,
+        k in 1usize..71,
+        outs in 1usize..41,
+        zero_heavy in 0u32..2,
+        a_draws in collection::vec((0u32..10, -2.0f32..2.0, 1u32..0x80_0000), 1..64),
+        b_draws in collection::vec((0u32..10, -2.0f32..2.0, 1u32..0x80_0000), 1..64),
+    ) {
+        let (a_vals, b_vals) = (edge_values(&a_draws), edge_values(&b_draws));
+        let cycle = |len: usize, vals: &[f32], zero_heavy: bool| -> Vec<f32> {
+            (0..len)
+                .map(|i| {
+                    if zero_heavy && i % 3 != 0 {
+                        0.0
+                    } else {
+                        vals[(i * 7 + i / vals.len()) % vals.len()]
+                    }
+                })
+                .collect()
+        };
+        // NT: rows × k against outs × k; TN: (k × rows)ᵀ against k × outs.
+        let a = Matrix::from_vec(rows, k, cycle(rows * k, &a_vals, zero_heavy == 1));
+        let b = Matrix::from_vec(outs, k, cycle(outs * k, &b_vals, false));
+        let bt = b.transpose();
+        let at = Matrix::from_vec(k, rows, cycle(k * rows, &a_vals, zero_heavy == 1));
+        let nt_want = bits(&a.matmul_dot4_on(F32Tier::Portable, &bt));
+        let tn_want = bits(&at.matmul_tn_on(F32Tier::Portable, &bt));
+        for tier in tiers_here() {
+            for pooled in [false, true] {
+                let run = |f: &dyn Fn() -> Matrix| if pooled {
+                    rsd_par::with_local_pool(4, f)
+                } else {
+                    rsd_par::run_serial(f)
+                };
+                let what = format!("{} pooled={pooled}", tier.name());
+                prop_assert!(bits(&run(&|| a.matmul_dot4_on(tier, &bt))) == nt_want, "dot4 {what}");
+                prop_assert!(bits(&run(&|| at.matmul_tn_on(tier, &bt))) == tn_want, "tn {what}");
+            }
+        }
+        prop_assert_eq!(bits(&a.matmul_nt(&b)), nt_want);
+        prop_assert_eq!(bits(&at.matmul_tn(&bt)), tn_want);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    fn matmul_parallel_equals_serial_and_reference(
+    fn matmul_parallel_equals_serial_and_chains(
         m in 1usize..40,
         k in 1usize..48,
         n in 1usize..40,
         vals in collection::vec(-2.0f32..2.0, 8..32),
-        sparse in 0u32..2,
     ) {
-        let a = matrix_from(m, k, &vals, sparse == 1);
-        let b = matrix_from(k, n, &vals, false);
+        let a = matrix_from(m, k, &vals);
+        let b = matrix_from(k, n, &vals);
         let par = rsd_par::with_local_pool(4, || a.matmul(&b));
         let ser = rsd_par::run_serial(|| a.matmul(&b));
         prop_assert_eq!(bits(&par), bits(&ser));
-        prop_assert!(close_to(&par, &reference::matmul(&a, &b)));
+        prop_assert_eq!(bits(&par), bits(&fused_chains(&a, &b)));
     }
 
-    fn matmul_tn_parallel_equals_serial_and_reference(
+    /// `aᵀ·b` forms the fused chains `matmul` forms for the explicit
+    /// transpose.
+    fn matmul_tn_parallel_equals_serial_and_portable(
         m in 1usize..40,
         k in 1usize..48,
         n in 1usize..40,
         vals in collection::vec(-2.0f32..2.0, 8..32),
     ) {
-        let a = matrix_from(k, m, &vals, false);
-        let b = matrix_from(k, n, &vals, false);
+        let a = matrix_from(k, m, &vals);
+        let b = matrix_from(k, n, &vals);
         let par = rsd_par::with_local_pool(4, || a.matmul_tn(&b));
         let ser = rsd_par::run_serial(|| a.matmul_tn(&b));
         prop_assert_eq!(bits(&par), bits(&ser));
-        prop_assert!(close_to(&par, &reference::matmul_tn(&a, &b)));
+        prop_assert_eq!(bits(&par), bits(&a.matmul_tn_on(F32Tier::Portable, &b)));
+        prop_assert_eq!(bits(&par), bits(&fused_chains(&a.transpose(), &b)));
     }
 
-    fn matmul_nt_parallel_equals_serial(
+    fn matmul_nt_parallel_equals_serial_and_portable(
         m in 1usize..40,
         k in 1usize..48,
         n in 1usize..40,
         vals in collection::vec(-2.0f32..2.0, 8..32),
     ) {
-        let a = matrix_from(m, k, &vals, false);
-        let b = matrix_from(n, k, &vals, false);
+        let a = matrix_from(m, k, &vals);
+        let b = matrix_from(n, k, &vals);
         let par = rsd_par::with_local_pool(4, || a.matmul_nt(&b));
         let ser = rsd_par::run_serial(|| a.matmul_nt(&b));
         prop_assert_eq!(bits(&par), bits(&ser));
-        prop_assert!(close_to(&par, &reference::matmul_nt(&a, &b)));
+        prop_assert_eq!(bits(&par), bits(&a.matmul_dot4_on(F32Tier::Portable, &b.transpose())));
     }
 
     fn transpose_and_map_parallel_equal_serial(
@@ -179,11 +243,11 @@ proptest! {
         n in 1usize..64,
         vals in collection::vec(-2.0f32..2.0, 8..32),
     ) {
-        let a = matrix_from(m, n, &vals, false);
+        let a = matrix_from(m, n, &vals);
         let par = rsd_par::with_local_pool(4, || (a.transpose(), a.map(|x| x.tanh())));
         let ser = rsd_par::run_serial(|| (a.transpose(), a.map(|x| x.tanh())));
         prop_assert_eq!(bits(&par.0), bits(&ser.0));
-        prop_assert_eq!(bits(&par.0), bits(&reference::transpose(&a)));
+        prop_assert!((0..m).all(|i| (0..n).all(|j| par.0.get(j, i).to_bits() == a.get(i, j).to_bits())));
         prop_assert_eq!(bits(&par.1), bits(&ser.1));
     }
 }

@@ -12,10 +12,10 @@
 //! 5. chronological partitioning for time-series analysis.
 //!
 //! Each step is a module here: [`relevance`], [`dedup`], [`clean`],
-//! [`tokenize`], and the orchestrating [`pipeline`]. On top of those sit
-//! the representation layers the baselines share: [`vocab`] (token ↔ id
-//! with special tokens for the neural models) and [`tfidf`] (sparse TF-IDF
-//! vectors for the XGBoost feature framework).
+//! [`tokenize`](mod@tokenize), and the orchestrating [`pipeline`]. On top
+//! of those sit the representation layers the baselines share: [`vocab`]
+//! (token ↔ id with special tokens for the neural models) and [`tfidf`]
+//! (sparse TF-IDF vectors for the XGBoost feature framework).
 
 pub mod clean;
 pub mod dedup;

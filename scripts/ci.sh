@@ -118,7 +118,7 @@ RSD_SCALE=smoke RSD_CHECKPOINT_DIR="$obs_tmp/ckpt" \
 cmp "$obs_tmp/stream.jsonl" "$obs_tmp/resumed.jsonl" \
     || { echo "resumed build differs from the uninterrupted one"; exit 1; }
 
-echo "==> serving smoke (loadgen at fixed QPS, clean drain + zero drops)"
+echo "==> serving smoke (loadgen at fixed QPS, five runs, clean drain + zero drops)"
 # The bin itself asserts a clean drain (every submitted post scored and
 # emitted); obs_top --check asserts a well-formed, healthy series. Per-level counts in the report are timing-independent and
 # compare exactly. Timing leaves get wide noise floors rather than wide
@@ -126,12 +126,24 @@ echo "==> serving smoke (loadgen at fixed QPS, clean drain + zero drops)"
 # sub-floor scheduler jitter (smoke-scale request latency is sub-ms,
 # per-request tails swing several-x run to run) is ignored while a real
 # regression that clears the floor still gates at the normal ratios.
-rm -f bench_runs/small/loadgen.series.ndjson
-RSD_SCALE=smoke RSD_OBS="$obs_tmp/loadgen.ndjson" RSD_OBS_TICK_MS=50 RSD_QPS=500 \
-    RSD_SLO_P99_MS=250 RSD_SLO_BUDGET=0.2 \
-    cargo run --release -q -p rsd-bench --bin loadgen >"$obs_tmp/loadgen.out"
-cargo run --release -q -p rsd-bench --bin obs_top -- --check \
-    bench_runs/small/loadgen.series.ndjson
+# Queue waits on consecutive requests swing one run's per-level tails
+# past the quantile tolerances, so as for table1 the gate judges the
+# median-elapsed_ms run of five; each run's series must pass --check.
+for run in 1 2 3 4 5; do
+    rm -f bench_runs/small/loadgen.series.ndjson
+    RSD_SCALE=smoke RSD_OBS="$obs_tmp/loadgen.ndjson" RSD_OBS_TICK_MS=50 RSD_QPS=500 \
+        RSD_SLO_P99_MS=250 RSD_SLO_BUDGET=0.2 \
+        cargo run --release -q -p rsd-bench --bin loadgen >"$obs_tmp/loadgen.out"
+    cargo run --release -q -p rsd-bench --bin obs_top -- --check \
+        bench_runs/small/loadgen.series.ndjson
+    elapsed="$(grep -m1 '"elapsed_ms"' bench_runs/small/loadgen.report.json | tr -dc '0-9.')"
+    cp bench_runs/small/loadgen.report.json "$obs_tmp/loadgen.run$run.report.json"
+    cp bench_runs/small/loadgen.series.ndjson "$obs_tmp/loadgen.run$run.series.ndjson"
+    echo "$elapsed $run" >>"$obs_tmp/loadgen.elapsed"
+done
+loadgen_median="$(sort -n "$obs_tmp/loadgen.elapsed" | sed -n 3p | cut -d' ' -f2)"
+cp "$obs_tmp/loadgen.run$loadgen_median.report.json" bench_runs/small/loadgen.report.json
+cp "$obs_tmp/loadgen.run$loadgen_median.series.ndjson" bench_runs/small/loadgen.series.ndjson
 cargo run --release -q -p rsd-bench --bin obs_diff -- \
     --time-tol "${OBS_DIFF_LOADGEN_TIME_TOL:-0.50}" \
     --min-time-ms 500 --min-quantile-ms 5 \
