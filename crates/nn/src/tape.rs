@@ -13,6 +13,7 @@
 //! kind; [`publish_op_times`] adds the totals to the
 //! `models.train.op.<kind>.{fwd_ns,bwd_ns}` counters.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -679,6 +680,9 @@ impl Tape {
         let out_val = value_at(&self.nodes, output.0);
         let seed = Matrix::full(out_val.rows, out_val.cols, 1.0);
         add_grad(&mut self.nodes[output.0], seed);
+        // The right operands of matmuls, transposed once per sweep: a
+        // recurrent graph multiplies by the same weight at every step.
+        let mut transposed = HashMap::new();
 
         for idx in (0..=output.0).rev() {
             let node = &mut self.nodes[idx];
@@ -693,7 +697,7 @@ impl Tape {
             // operand mutably next to the node itself.
             let (parents, rest) = self.nodes.split_at_mut(idx);
             let node = &mut rest[0];
-            backprop(parents, node, grad);
+            backprop(parents, node, grad, &mut transposed);
             if let (Some(ns), Some(t0)) = (self.op_ns.as_deref_mut(), t0) {
                 ns[N_KINDS + node.op.kind()] += t0.elapsed().as_nanos() as u64;
             }
@@ -758,11 +762,16 @@ impl Tape {
 /// A node's value, following a repeated parameter leaf to the node that
 /// holds the parameter's copy.
 fn value_at(nodes: &[Node], i: usize) -> &Matrix {
+    &nodes[value_index(nodes, i)].value
+}
+
+/// The index of the node holding node `i`'s value (see [`value_at`]).
+fn value_index(nodes: &[Node], i: usize) -> usize {
     match nodes[i].op {
         Op::Leaf {
             shares: Some(src), ..
-        } => &nodes[src].value,
-        _ => &nodes[i].value,
+        } => src,
+        _ => i,
     }
 }
 
@@ -794,7 +803,14 @@ fn scale_by(mut grad: Matrix, with: &[f32], f: impl Fn(f32, f32) -> f32) -> Matr
 /// Push one node's output gradient `grad` into its operands' gradients.
 /// Operands (`parents`, every node before this one) are borrowed, never
 /// copied; elementwise backward rules rewrite `grad` in place.
-fn backprop(parents: &mut [Node], node: &mut Node, grad: Matrix) {
+/// `transposed` holds the transposes of matmul right operands already
+/// formed in this sweep, by the index of the node holding the value.
+fn backprop(
+    parents: &mut [Node],
+    node: &mut Node,
+    grad: Matrix,
+    transposed: &mut HashMap<usize, Matrix>,
+) {
     // The LSTM op keeps its gate gradients for the weight harvest.
     if let Op::Lstm {
         x, weights, cache, ..
@@ -812,7 +828,10 @@ fn backprop(parents: &mut [Node], node: &mut Node, grad: Matrix) {
     match &node.op {
         Op::Leaf { .. } => {}
         Op::MatMul(a, b) => {
-            let da = grad.matmul_nt(value_at(parents, b.0));
+            let bt = transposed
+                .entry(value_index(parents, b.0))
+                .or_insert_with(|| value_at(parents, b.0).transpose());
+            let da = grad.matmul_dot4(bt);
             let db = value_at(parents, a.0).matmul_tn(&grad);
             add_grad(&mut parents[a.0], da);
             add_grad(&mut parents[b.0], db);
