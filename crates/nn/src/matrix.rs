@@ -191,7 +191,8 @@ impl Matrix {
 
     /// `selfᵀ @ other` (TN layout), without a transpose: output `(i, j)`
     /// is one fused multiply-add chain over the shared rows in ascending
-    /// order, the chain [`Matrix::matmul`] forms for `selfᵀ @ other`.
+    /// order from `+0.0`, the chain [`Matrix::matmul`] forms for a dense
+    /// row of the explicit transpose.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         self.matmul_tn_on(F32Tier::detect(), other)
     }
