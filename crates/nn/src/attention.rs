@@ -14,8 +14,6 @@
 //! learned relative-position embedding table — the paper's "debiased
 //! attention mechanism and relative position encoding" (§III-A5).
 
-use std::ops::Range;
-
 use rand::rngs::StdRng;
 
 use crate::layers::{Embedding, Linear};
@@ -160,118 +158,6 @@ fn rel_runs(i: usize, n: usize, radius: usize) -> (usize, usize) {
     (i.saturating_sub(radius), (i + radius + 1).min(n))
 }
 
-/// The c2p gather's gradient: cell `(i, clamp(j - i + radius, 0,
-/// 2·radius))` of the n×(2·radius+1) result sums `gs[i][j]` over keys `j`
-/// in ascending order, from `0.0`. The two clamped columns are long
-/// running sums along a row, so bands of eight rows run side by side,
-/// eight independent sums in registers.
-fn c2p_grad(gs: &Matrix, radius: usize) -> Matrix {
-    const BAND: usize = 8;
-    let n = gs.rows;
-    let mut out = Matrix::zeros(n, 2 * radius + 1);
-    let mut i0 = 0;
-    while i0 + BAND <= n {
-        c2p_band::<BAND>(gs, radius, i0, &mut out);
-        i0 += BAND;
-    }
-    for i in i0..n {
-        c2p_band::<1>(gs, radius, i, &mut out);
-    }
-    out
-}
-
-/// [`c2p_grad`] for the `B` query rows from `i0`.
-fn c2p_band<const B: usize>(gs: &Matrix, r: usize, i0: usize, out: &mut Matrix) {
-    let (n, w) = (gs.rows, 2 * r + 1);
-    let rows: [&[f32]; B] = std::array::from_fn(|q| gs.row(i0 + q));
-    // Column 0 takes the keys `j <= i - r` (every key when r = 0): the
-    // band's first row has the fewest, and every row takes those first.
-    let first_end = |i: usize| if r == 0 { n } else { (i + 1).saturating_sub(r) };
-    let mut first = [0.0f32; B];
-    add_keys(&mut first, &rows, 0..first_end(i0));
-    for (q, s) in first.iter_mut().enumerate().skip(1) {
-        for &v in &rows[q][first_end(i0)..first_end(i0 + q)] {
-            *s += v;
-        }
-    }
-    for (q, &s) in first.iter().enumerate() {
-        out.data[(i0 + q) * w] = s;
-    }
-    if r == 0 {
-        return;
-    }
-    // Column 2r takes the keys `j >= i + r`: each row its own first, then
-    // the ones every row of the band takes. The keys between the runs
-    // feed one cell each.
-    let shared = (i0 + B - 1 + r).min(n);
-    let mut last = [0.0f32; B];
-    for (q, s) in last.iter_mut().enumerate() {
-        let i = i0 + q;
-        let (lo, hi) = ((i + 1).saturating_sub(r), (i + r).min(n));
-        for &v in &rows[q][hi..shared] {
-            *s += v;
-        }
-        let cells = &mut out.data[i * w..(i + 1) * w];
-        for (c, &v) in cells[lo + r - i..].iter_mut().zip(&rows[q][lo..hi]) {
-            *c = 0.0 + v;
-        }
-    }
-    add_keys(&mut last, &rows, shared..n);
-    for (q, &s) in last.iter().enumerate() {
-        out.data[(i0 + q) * w + 2 * r] = s;
-    }
-}
-
-/// Adds `rows[q][j]` into `sums[q]` for every key `j` in `keys`, each
-/// sum in ascending `j`.
-#[inline(always)]
-fn add_keys<const B: usize>(sums: &mut [f32; B], rows: &[&[f32]; B], keys: Range<usize>) {
-    let rows: [&[f32]; B] = std::array::from_fn(|q| &rows[q][keys.clone()]);
-    for j in 0..keys.len() {
-        for (s, row) in sums.iter_mut().zip(&rows) {
-            *s += row[j];
-        }
-    }
-}
-
-/// The p2c gather's gradient: cell `(j, clamp(i - j + radius, 0,
-/// 2·radius))` of the n×(2·radius+1) result sums `gs[i][j]` over queries
-/// `i` in ascending order, from `0.0`. Each row of `gs` adds into the two
-/// clamped columns over contiguous runs of keys and sets the other
-/// cells it feeds once.
-fn p2c_grad(gs: &Matrix, radius: usize) -> Matrix {
-    let (n, r) = (gs.rows, radius);
-    let w = 2 * r + 1;
-    let mut out = Matrix::zeros(n, w);
-    // Column 0 takes the queries `i <= j - r`, column 2r the queries
-    // `i >= j + r` (with r = 0 they are one column, and every query).
-    let mut first = vec![0.0f32; n];
-    let mut last = vec![0.0f32; n];
-    for i in 0..n {
-        let row = gs.row(i);
-        if r == 0 {
-            first.iter_mut().zip(row).for_each(|(s, &v)| *s += v);
-            continue;
-        }
-        let (mid, hi) = ((i + 1).saturating_sub(r), (i + r).min(n));
-        last[..mid].iter_mut().zip(row).for_each(|(s, &v)| *s += v);
-        for (j, &v) in row.iter().enumerate().take(hi).skip(mid) {
-            out.data[j * w + i + r - j] = 0.0 + v;
-        }
-        first[hi..]
-            .iter_mut()
-            .zip(&row[hi..])
-            .for_each(|(s, &v)| *s += v);
-    }
-    for (j, cells) in out.data.chunks_mut(w).enumerate() {
-        cells[0] = first[j];
-        if r > 0 {
-            cells[2 * r] = last[j];
-        }
-    }
-    out
-}
-
 /// Multi-head scaled dot-product attention over projected `q`, `k`, `v`
 /// (each seq×dim, heads split by column ranges), returning the heads'
 /// outputs side by side (seq×dim), before the output projection.
@@ -391,7 +277,36 @@ pub(crate) fn attend_backward(
         let mut dqh = gs.matmul_dot4(&kh);
         let mut dkh = gs.matmul_tn(&qh);
         if let Some(rel) = rel {
-            let (dc2p, dp2c) = (c2p_grad(&gs, rel.radius), p2c_grad(&gs, rel.radius));
+            let r = rel.radius;
+            let w = 2 * r + 1;
+            // The transposes of the two relative gathers, summed per cell
+            // in ascending key (c2p) and ascending query (p2c) order.
+            let mut dc2p = Matrix::zeros(n, w);
+            let mut dp2c = Matrix::zeros(n, w);
+            for i in 0..n {
+                let (lo, hi) = rel_runs(i, n, r);
+                let g = gs.row(i);
+                let d = dc2p.row_mut(i);
+                for &v in &g[..lo] {
+                    d[0] += v;
+                }
+                for (o, &v) in d[lo + r - i..].iter_mut().zip(&g[lo..hi]) {
+                    *o += v;
+                }
+                for &v in &g[hi..] {
+                    d[2 * r] += v;
+                }
+                let p = &mut dp2c.data;
+                for (j, &v) in g.iter().enumerate().take(lo) {
+                    p[j * w + 2 * r] += v;
+                }
+                for (j, &v) in g.iter().enumerate().take(hi).skip(lo) {
+                    p[j * w + i + r - j] += v;
+                }
+                for (j, &v) in g.iter().enumerate().skip(hi) {
+                    p[j * w] += v;
+                }
+            }
             dqh.axpy(1.0, &dc2p.matmul_dot4(&head_cols(rel.kr, start, hd)));
             dkh.axpy(1.0, &dp2c.matmul_dot4(&head_cols(rel.qr, start, hd)));
             set_head_cols(&mut dkr, start, &dc2p.matmul_tn(&qh));

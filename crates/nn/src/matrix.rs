@@ -573,9 +573,8 @@ fn cached_probe(cell: &std::sync::atomic::AtomicU8, probe: fn() -> bool) -> bool
 
 /// Cached `is_x86_feature_detected!("avx2") && ("fma")`. Public because
 /// every SIMD kernel in the crate — the f32 matmul rows here and the int8
-/// inference GEMMs in [`crate::quant`] — dispatches through this one check
-/// (the 16-lane tiers add theirs on top), so a host either takes all the
-/// wide paths or none of them.
+/// inference GEMMs in [`crate::quant`] — dispatches through this one check,
+/// so a host either takes all the wide paths or none of them.
 #[cfg(target_arch = "x86_64")]
 pub fn fma_available() -> bool {
     static FMA: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
@@ -597,9 +596,10 @@ pub fn fma_available() -> bool {
 /// [`crate::quant`] dispatch on this — integer accumulation is exact, so
 /// the wider tier is bit-identical to both the AVX2 and portable paths.
 ///
-/// The f32 backward kernels have their own 16-lane tier ([`F32Tier`]),
-/// under one rule: a lane holds one output and never a share of a sum, so
-/// the register width cannot change how any output is rounded.
+/// The f32 kernels widen under one rule: a lane holds one output and never
+/// a share of a sum, so the register width cannot change how any output
+/// is rounded ([`F32Tier`]). They stop at AVX2's 8 lanes: a 16-lane tier
+/// of the backward kernels was no faster end to end (EXPERIMENTS.md).
 #[cfg(target_arch = "x86_64")]
 pub fn vnni512_available() -> bool {
     static VNNI: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
@@ -624,17 +624,16 @@ pub fn vnni512_available() -> bool {
 /// advances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum F32Tier {
-    /// 16 lanes (AVX-512F).
-    Avx512,
     /// 8 lanes (AVX2 + FMA).
     Avx2,
-    /// Scalar: the non-x86 path and the bit-exact oracle of the others.
+    /// Scalar: the path on CPUs without AVX2 and FMA, and the bit-exact
+    /// oracle of the AVX2 tier.
     Portable,
 }
 
 impl F32Tier {
     /// Every tier, widest first.
-    pub const ALL: [F32Tier; 3] = [F32Tier::Avx512, F32Tier::Avx2, F32Tier::Portable];
+    pub const ALL: [F32Tier; 2] = [F32Tier::Avx2, F32Tier::Portable];
 
     /// The widest tier this CPU runs.
     pub fn detect() -> F32Tier {
@@ -647,31 +646,18 @@ impl F32Tier {
     /// Whether this CPU can run the tier.
     pub fn runs_here(self) -> bool {
         match self {
-            F32Tier::Avx512 => fma_available() && avx512f_available(),
             F32Tier::Avx2 => fma_available(),
             F32Tier::Portable => true,
         }
     }
 
-    /// `"avx512"`, `"avx2"` or `"portable"`.
+    /// `"avx2"` or `"portable"`.
     pub fn name(self) -> &'static str {
         match self {
-            F32Tier::Avx512 => "avx512",
             F32Tier::Avx2 => "avx2",
             F32Tier::Portable => "portable",
         }
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx512f_available() -> bool {
-    static F: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-    cached_probe(&F, || std::arch::is_x86_feature_detected!("avx512f"))
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx512f_available() -> bool {
-    false
 }
 
 /// 4-accumulator dot product: lane `l` sums the products at `k ≡ l
@@ -682,24 +668,19 @@ fn avx512f_available() -> bool {
 /// bit.
 pub fn dot4(x: &[f32], y: &[f32]) -> f32 {
     let len = x.len().min(y.len());
-    dot4_by(len, |k| x[k] * y[k])
-}
-
-/// [`dot4`] over the products `prod(0..len)`, each a separate multiply.
-#[inline]
-fn dot4_by(len: usize, prod: impl Fn(usize) -> f32) -> f32 {
+    let (x, y) = (&x[..len], &y[..len]);
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
     let mut k = 0;
     while k + 4 <= len {
-        s0 += prod(k);
-        s1 += prod(k + 1);
-        s2 += prod(k + 2);
-        s3 += prod(k + 3);
+        s0 += x[k] * y[k];
+        s1 += x[k + 1] * y[k + 1];
+        s2 += x[k + 2] * y[k + 2];
+        s3 += x[k + 3] * y[k + 3];
         k += 4;
     }
     let mut tail = 0.0f32;
     while k < len {
-        tail += prod(k);
+        tail += x[k] * y[k];
         k += 1;
     }
     ((s0 + s1) + (s2 + s3)) + tail
@@ -725,20 +706,36 @@ fn dot4_rows(tier: F32Tier, a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut
     match tier {
         // SAFETY: shapes checked above; the tier runs on this CPU.
         #[cfg(target_arch = "x86_64")]
-        F32Tier::Avx512 => unsafe { wide::dot4_rows_avx512(a, k, bt, n, out) },
-        #[cfg(target_arch = "x86_64")]
-        F32Tier::Avx2 => unsafe { wide::dot4_rows_avx2(a, k, bt, n, out) },
+        F32Tier::Avx2 => unsafe { wide::dot4_rows(a, k, bt, n, out) },
         _ => dot4_rows_portable(a, k, bt, n, out),
     }
 }
 
 /// Portable dot4 kernel: output `(i, j)` is [`dot4`] of row `i` of `a`
-/// and column `j` of `bt`.
+/// and column `j` of `bt`. Like the wide kernels it runs a row of outputs
+/// at a time over whole rows of `bt`: `lanes[l * n + j]` is output `j`'s
+/// lane sum `l`, and the output row holds the tail until the finish.
 fn dot4_rows_portable(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
+    let k4 = k - k % 4;
+    let mut lanes = vec![0.0f32; 4 * n];
     for (i, out_row) in out.chunks_mut(n).enumerate() {
-        let a_row = &a[i * k..(i + 1) * k];
+        lanes.fill(0.0);
+        out_row.fill(0.0);
+        for (kk, (&x, b_row)) in a[i * k..(i + 1) * k].iter().zip(bt.chunks(n)).enumerate() {
+            let sums = if kk < k4 {
+                &mut lanes[kk % 4 * n..][..n]
+            } else {
+                &mut *out_row
+            };
+            for (s, &b) in sums.iter_mut().zip(b_row) {
+                *s += x * b;
+            }
+        }
+        let (s01, s23) = lanes.split_at(2 * n);
+        let (s0, s1) = s01.split_at(n);
+        let (s2, s3) = s23.split_at(n);
         for (j, o) in out_row.iter_mut().enumerate() {
-            *o = dot4_by(k, |kk| a_row[kk] * bt[kk * n + j]);
+            *o += (s0[j] + s1[j]) + (s2[j] + s3[j]);
         }
     }
 }
@@ -761,9 +758,7 @@ fn tn_rows(tier: F32Tier, a: &[f32], m: usize, b: &[f32], n: usize, i0: usize, o
     match tier {
         // SAFETY: shapes checked above; the tier runs on this CPU.
         #[cfg(target_arch = "x86_64")]
-        F32Tier::Avx512 => unsafe { wide::tn_rows_avx512(a, m, b, n, i0, out) },
-        #[cfg(target_arch = "x86_64")]
-        F32Tier::Avx2 => unsafe { wide::tn_rows_avx2(a, m, b, n, i0, out) },
+        F32Tier::Avx2 => unsafe { wide::tn_rows(a, m, b, n, i0, out) },
         _ => tn_rows_portable(a, m, b, n, i0, out),
     }
 }
@@ -781,161 +776,42 @@ fn tn_rows_portable(a: &[f32], m: usize, b: &[f32], n: usize, i0: usize, out: &m
     }
 }
 
-/// The x86-64 bodies of the backward kernels, written once over
-/// [`wide::Lanes`] and instantiated at 16 lanes (AVX-512F) and 8 lanes
-/// (AVX2 + FMA). A lane holds one output column; a block of columns
-/// narrower than the register width runs masked, so every column takes
-/// the vector path.
+/// The x86-64 bodies of the backward kernels, on 8-lane AVX2 registers. A
+/// lane holds one output column; a block of columns narrower than the
+/// register runs masked, so every column takes the vector path.
 #[cfg(target_arch = "x86_64")]
 mod wide {
     use std::arch::x86_64::*;
 
-    /// One register width: `W` f32 lanes and a mask of the first lanes.
-    pub(super) trait Lanes {
-        const W: usize;
-        type V: Copy;
-        type M: Copy;
-        /// Mask of the first `live` lanes, `0 < live <= W`.
-        unsafe fn first(live: usize) -> Self::M;
-        unsafe fn load(p: *const f32) -> Self::V;
-        unsafe fn load_part(p: *const f32, m: Self::M) -> Self::V;
-        unsafe fn store(p: *mut f32, v: Self::V);
-        unsafe fn store_part(p: *mut f32, m: Self::M, v: Self::V);
-        unsafe fn splat(x: f32) -> Self::V;
-        unsafe fn zero() -> Self::V {
-            Self::splat(0.0)
-        }
-        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
-        unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
-        /// `a·b + c` with one rounding.
-        unsafe fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
-    }
+    /// f32 lanes per register.
+    const W: usize = 8;
 
-    pub(super) struct Avx512;
-
-    impl Lanes for Avx512 {
-        const W: usize = 16;
-        type V = __m512;
-        type M = __mmask16;
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn first(live: usize) -> __mmask16 {
-            (((1u32 << live) - 1) & 0xffff) as __mmask16
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn load(p: *const f32) -> __m512 {
-            _mm512_loadu_ps(p)
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn load_part(p: *const f32, m: __mmask16) -> __m512 {
-            _mm512_maskz_loadu_ps(m, p)
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn store(p: *mut f32, v: __m512) {
-            _mm512_storeu_ps(p, v)
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn store_part(p: *mut f32, m: __mmask16, v: __m512) {
-            _mm512_mask_storeu_ps(p, m, v)
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn splat(x: f32) -> __m512 {
-            _mm512_set1_ps(x)
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn add(a: __m512, b: __m512) -> __m512 {
-            _mm512_add_ps(a, b)
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn mul(a: __m512, b: __m512) -> __m512 {
-            _mm512_mul_ps(a, b)
-        }
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn fma(a: __m512, b: __m512, c: __m512) -> __m512 {
-            _mm512_fmadd_ps(a, b, c)
-        }
-    }
-
-    pub(super) struct Avx2;
-
-    impl Lanes for Avx2 {
-        const W: usize = 8;
-        type V = __m256;
-        type M = __m256i;
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn first(live: usize) -> __m256i {
-            _mm256_cmpgt_epi32(
-                _mm256_set1_epi32(live as i32),
-                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            )
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn load(p: *const f32) -> __m256 {
-            _mm256_loadu_ps(p)
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn load_part(p: *const f32, m: __m256i) -> __m256 {
-            _mm256_maskload_ps(p, m)
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn store(p: *mut f32, v: __m256) {
-            _mm256_storeu_ps(p, v)
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn store_part(p: *mut f32, m: __m256i, v: __m256) {
-            _mm256_maskstore_ps(p, m, v)
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn splat(x: f32) -> __m256 {
-            _mm256_set1_ps(x)
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn add(a: __m256, b: __m256) -> __m256 {
-            _mm256_add_ps(a, b)
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn mul(a: __m256, b: __m256) -> __m256 {
-            _mm256_mul_ps(a, b)
-        }
-        #[inline]
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn fma(a: __m256, b: __m256, c: __m256) -> __m256 {
-            _mm256_fmadd_ps(a, b, c)
-        }
+    /// Mask of the first `live` lanes, `0 < live <= W`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn first(live: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(live as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
     }
 
     /// A full-width load or store, or a masked one for a partial block.
     #[inline(always)]
-    unsafe fn load<L: Lanes, const PART: bool>(p: *const f32, m: L::M) -> L::V {
+    unsafe fn load<const PART: bool>(p: *const f32, m: __m256i) -> __m256 {
         if PART {
-            L::load_part(p, m)
+            _mm256_maskload_ps(p, m)
         } else {
-            L::load(p)
+            _mm256_loadu_ps(p)
         }
     }
 
     #[inline(always)]
-    unsafe fn store<L: Lanes, const PART: bool>(p: *mut f32, m: L::M, v: L::V) {
+    unsafe fn store<const PART: bool>(p: *mut f32, m: __m256i, v: __m256) {
         if PART {
-            L::store_part(p, m, v)
+            _mm256_maskstore_ps(p, m, v)
         } else {
-            L::store(p, v)
+            _mm256_storeu_ps(p, v)
         }
     }
 
@@ -944,30 +820,30 @@ mod wide {
     /// it is a masked partial register and `mk` its mask: `cols` registers
     /// at a time while they fit, then one, then one partial register.
     macro_rules! column_blocks {
-        ($l:ty, $n:expr, $cols:literal, |$j:ident, $c:tt, $part:tt, $m:ident| $body:expr) => {{
+        ($n:expr, $cols:literal, |$j:ident, $c:tt, $part:tt, $m:ident| $body:expr) => {{
             let n = $n;
-            let full = <$l>::first(<$l>::W);
+            let full = first(W);
             let mut $j = 0;
-            while $j + $cols * <$l>::W <= n {
+            while $j + $cols * W <= n {
                 let $m = full;
                 {
                     const $c: usize = $cols;
                     const $part: bool = false;
                     $body;
                 }
-                $j += $cols * <$l>::W;
+                $j += $cols * W;
             }
-            while $j + <$l>::W <= n {
+            while $j + W <= n {
                 let $m = full;
                 {
                     const $c: usize = 1;
                     const $part: bool = false;
                     $body;
                 }
-                $j += <$l>::W;
+                $j += W;
             }
             if $j < n {
-                let $m = <$l>::first(n - $j);
+                let $m = first(n - $j);
                 {
                     const $c: usize = 1;
                     const $part: bool = true;
@@ -992,28 +868,28 @@ mod wide {
     /// row `i` and column `j`. Each lane is one output: `fma` chained over
     /// the `r` shared rows in ascending order from `+0.0`.
     #[inline(always)]
-    unsafe fn tn_block<L: Lanes, const ROWS: usize, const C: usize, const PART: bool>(
+    unsafe fn tn_block<const ROWS: usize, const C: usize, const PART: bool>(
         g: Tn,
         (i, j): (usize, usize),
-        mask: L::M,
+        mask: __m256i,
         out: *mut f32,
     ) {
-        let mut acc = [[L::zero(); C]; ROWS];
+        let mut acc = [[_mm256_setzero_ps(); C]; ROWS];
         for rr in 0..g.r {
-            let mut bv = [L::zero(); C];
+            let mut bv = [_mm256_setzero_ps(); C];
             for (c, v) in bv.iter_mut().enumerate() {
-                *v = load::<L, PART>(g.b.add(rr * g.n + j + c * L::W), mask);
+                *v = load::<PART>(g.b.add(rr * g.n + j + c * W), mask);
             }
             for (q, row) in acc.iter_mut().enumerate() {
-                let av = L::splat(*g.a.add(rr * g.m + i + q));
+                let av = _mm256_set1_ps(*g.a.add(rr * g.m + i + q));
                 for (s, &v) in row.iter_mut().zip(&bv) {
-                    *s = L::fma(av, v, *s);
+                    *s = _mm256_fmadd_ps(av, v, *s);
                 }
             }
         }
         for (q, row) in acc.iter().enumerate() {
             for (c, &s) in row.iter().enumerate() {
-                store::<L, PART>(out.add(q * g.n + j + c * L::W), mask, s);
+                store::<PART>(out.add(q * g.n + j + c * W), mask, s);
             }
         }
     }
@@ -1033,41 +909,41 @@ mod wide {
     /// and keeps [`super::dot4`]'s four lane sums, each a separate
     /// multiply and add per step, finished as `((s0+s1)+(s2+s3)) + tail`.
     #[inline(always)]
-    unsafe fn dot4_block<L: Lanes, const ROWS: usize, const C: usize, const PART: bool>(
+    unsafe fn dot4_block<const ROWS: usize, const C: usize, const PART: bool>(
         g: Dot4,
         (i, j): (usize, usize),
-        mask: L::M,
+        mask: __m256i,
         out: *mut f32,
     ) {
         let Dot4 { a, k, bt, n } = g;
         let k4 = k - k % 4;
-        let mut s = [[[L::zero(); 4]; C]; ROWS];
+        let mut s = [[[_mm256_setzero_ps(); 4]; C]; ROWS];
         let mut kk = 0;
         while kk < k4 {
             for l in 0..4 {
-                let mut bv = [L::zero(); C];
+                let mut bv = [_mm256_setzero_ps(); C];
                 for (c, v) in bv.iter_mut().enumerate() {
-                    *v = load::<L, PART>(bt.add((kk + l) * n + j + c * L::W), mask);
+                    *v = load::<PART>(bt.add((kk + l) * n + j + c * W), mask);
                 }
                 for (q, row) in s.iter_mut().enumerate() {
-                    let av = L::splat(*a.add((i + q) * k + kk + l));
+                    let av = _mm256_set1_ps(*a.add((i + q) * k + kk + l));
                     for (sc, &v) in row.iter_mut().zip(&bv) {
-                        sc[l] = L::add(sc[l], L::mul(av, v));
+                        sc[l] = _mm256_add_ps(sc[l], _mm256_mul_ps(av, v));
                     }
                 }
             }
             kk += 4;
         }
-        let mut tail = [[L::zero(); C]; ROWS];
+        let mut tail = [[_mm256_setzero_ps(); C]; ROWS];
         while kk < k {
-            let mut bv = [L::zero(); C];
+            let mut bv = [_mm256_setzero_ps(); C];
             for (c, v) in bv.iter_mut().enumerate() {
-                *v = load::<L, PART>(bt.add(kk * n + j + c * L::W), mask);
+                *v = load::<PART>(bt.add(kk * n + j + c * W), mask);
             }
             for (q, row) in tail.iter_mut().enumerate() {
-                let av = L::splat(*a.add((i + q) * k + kk));
+                let av = _mm256_set1_ps(*a.add((i + q) * k + kk));
                 for (t, &v) in row.iter_mut().zip(&bv) {
-                    *t = L::add(*t, L::mul(av, v));
+                    *t = _mm256_add_ps(*t, _mm256_mul_ps(av, v));
                 }
             }
             kk += 1;
@@ -1075,8 +951,11 @@ mod wide {
         for q in 0..ROWS {
             for c in 0..C {
                 let [s0, s1, s2, s3] = s[q][c];
-                let done = L::add(L::add(L::add(s0, s1), L::add(s2, s3)), tail[q][c]);
-                store::<L, PART>(out.add(q * n + j + c * L::W), mask, done);
+                let done = _mm256_add_ps(
+                    _mm256_add_ps(_mm256_add_ps(s0, s1), _mm256_add_ps(s2, s3)),
+                    tail[q][c],
+                );
+                store::<PART>(out.add(q * n + j + c * W), mask, done);
             }
         }
     }
@@ -1085,8 +964,12 @@ mod wide {
     /// independent chains are in flight: two blocks of four rows for a
     /// pair of column registers, one block of eight rows for a single
     /// register. Then four rows, then one.
-    #[inline(always)]
-    unsafe fn tn_rows<L: Lanes>(
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available, and the shapes as
+    /// `super::tn_rows` checks them.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn tn_rows(
         a: &[f32],
         m: usize,
         b: &[f32],
@@ -1105,29 +988,33 @@ mod wide {
         let mut q = 0;
         while q + 8 <= rows {
             let (i, o) = (i0 + q, op.add(q * n));
-            column_blocks! { L, n, 2, |j, C, P, mk| if C == 2 {
-                tn_block::<L, 4, C, P>(g, (i, j), mk, o);
-                tn_block::<L, 4, C, P>(g, (i + 4, j), mk, o.add(4 * n));
+            column_blocks! { n, 2, |j, C, P, mk| if C == 2 {
+                tn_block::<4, C, P>(g, (i, j), mk, o);
+                tn_block::<4, C, P>(g, (i + 4, j), mk, o.add(4 * n));
             } else {
-                tn_block::<L, 8, C, P>(g, (i, j), mk, o);
+                tn_block::<8, C, P>(g, (i, j), mk, o);
             } }
             q += 8;
         }
         while q + 4 <= rows {
             let (i, o) = (i0 + q, op.add(q * n));
-            column_blocks! { L, n, 2, |j, C, P, mk| tn_block::<L, 4, C, P>(g, (i, j), mk, o) }
+            column_blocks! { n, 2, |j, C, P, mk| tn_block::<4, C, P>(g, (i, j), mk, o) }
             q += 4;
         }
         while q < rows {
             let (i, o) = (i0 + q, op.add(q * n));
-            column_blocks! { L, n, 2, |j, C, P, mk| tn_block::<L, 1, C, P>(g, (i, j), mk, o) }
+            column_blocks! { n, 2, |j, C, P, mk| tn_block::<1, C, P>(g, (i, j), mk, o) }
             q += 1;
         }
     }
 
     /// Every output row of `a @ bt`, two rows per block, then one.
-    #[inline(always)]
-    unsafe fn dot4_rows<L: Lanes>(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available, and the shapes as
+    /// `super::dot4_rows` checks them.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn dot4_rows(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
         let g = Dot4 {
             a: a.as_ptr(),
             k,
@@ -1138,74 +1025,16 @@ mod wide {
         let mut i = 0;
         while i + 2 <= rows {
             let o = op.add(i * n);
-            column_blocks! { L, n, 1, |j, C, P, mk| dot4_block::<L, 2, C, P>(g, (i, j), mk, o) }
+            column_blocks! { n, 1, |j, C, P, mk| dot4_block::<2, C, P>(g, (i, j), mk, o) }
             i += 2;
         }
         if i < rows {
             // A lone row (the LSTM's per-step product) takes two column
             // registers per pass, so each pass reads whole cache lines of
-            // `bt` at 8 lanes too.
+            // `bt`.
             let o = op.add(i * n);
-            column_blocks! { L, n, 2, |j, C, P, mk| dot4_block::<L, 1, C, P>(g, (i, j), mk, o) }
+            column_blocks! { n, 2, |j, C, P, mk| dot4_block::<1, C, P>(g, (i, j), mk, o) }
         }
-    }
-
-    /// # Safety
-    /// AVX-512F must be available, and the shapes as `super::tn_rows`
-    /// checks them.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tn_rows_avx512(
-        a: &[f32],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        i0: usize,
-        out: &mut [f32],
-    ) {
-        tn_rows::<Avx512>(a, m, b, n, i0, out)
-    }
-
-    /// # Safety
-    /// AVX2 and FMA must be available, and the shapes as
-    /// `super::tn_rows` checks them.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn tn_rows_avx2(
-        a: &[f32],
-        m: usize,
-        b: &[f32],
-        n: usize,
-        i0: usize,
-        out: &mut [f32],
-    ) {
-        tn_rows::<Avx2>(a, m, b, n, i0, out)
-    }
-
-    /// # Safety
-    /// AVX-512F must be available, and the shapes as `super::dot4_rows`
-    /// checks them.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot4_rows_avx512(
-        a: &[f32],
-        k: usize,
-        bt: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        dot4_rows::<Avx512>(a, k, bt, n, out)
-    }
-
-    /// # Safety
-    /// AVX2 and FMA must be available, and the shapes as
-    /// `super::dot4_rows` checks them.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dot4_rows_avx2(
-        a: &[f32],
-        k: usize,
-        bt: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        dot4_rows::<Avx2>(a, k, bt, n, out)
     }
 }
 
@@ -1333,9 +1162,15 @@ mod tests {
                 "matmul_tn {k}x{m}@{k}x{n} sparse={sparse}"
             );
             let yt = pseudo(n, k, 4, false);
+            let portable = x.matmul_dot4_on(F32Tier::Portable, &yt.transpose());
+            let dot = |i, j| dot4(x.row(i), yt.row(j)).to_bits();
+            assert!(
+                (0..m).all(|i| (0..n).all(|j| portable.get(i, j).to_bits() == dot(i, j))),
+                "portable dot4 {m}x{k}@({n}x{k})ᵀ sparse={sparse}"
+            );
             assert_eq!(
                 x.matmul_nt(&yt),
-                x.matmul_dot4_on(F32Tier::Portable, &yt.transpose()),
+                portable,
                 "matmul_nt {m}x{k}@({n}x{k})ᵀ sparse={sparse}"
             );
             let t = x.transpose();

@@ -680,8 +680,9 @@ impl Tape {
         let out_val = value_at(&self.nodes, output.0);
         let seed = Matrix::full(out_val.rows, out_val.cols, 1.0);
         add_grad(&mut self.nodes[output.0], seed);
-        // The right operands of matmuls, transposed once per sweep: a
-        // recurrent graph multiplies by the same weight at every step.
+        // Parameters that are matmul right operands, transposed once per
+        // sweep: a recurrent graph multiplies by the same weight at every
+        // step.
         let mut transposed = HashMap::new();
 
         for idx in (0..=output.0).rev() {
@@ -803,8 +804,9 @@ fn scale_by(mut grad: Matrix, with: &[f32], f: impl Fn(f32, f32) -> f32) -> Matr
 /// Push one node's output gradient `grad` into its operands' gradients.
 /// Operands (`parents`, every node before this one) are borrowed, never
 /// copied; elementwise backward rules rewrite `grad` in place.
-/// `transposed` holds the transposes of matmul right operands already
-/// formed in this sweep, by the index of the node holding the value.
+/// `transposed` holds the transposes of parameters already formed in this
+/// sweep as matmul right operands, by the index of the node holding the
+/// parameter's value.
 fn backprop(
     parents: &mut [Node],
     node: &mut Node,
@@ -828,10 +830,15 @@ fn backprop(
     match &node.op {
         Op::Leaf { .. } => {}
         Op::MatMul(a, b) => {
-            let bt = transposed
-                .entry(value_index(parents, b.0))
-                .or_insert_with(|| value_at(parents, b.0).transpose());
-            let da = grad.matmul_dot4(bt);
+            let src = value_index(parents, b.0);
+            let da = if let Op::Leaf { param: Some(_), .. } = parents[src].op {
+                let bt = transposed
+                    .entry(src)
+                    .or_insert_with(|| parents[src].value.transpose());
+                grad.matmul_dot4(bt)
+            } else {
+                grad.matmul_nt(&parents[src].value)
+            };
             let db = value_at(parents, a.0).matmul_tn(&grad);
             add_grad(&mut parents[a.0], da);
             add_grad(&mut parents[b.0], db);
@@ -1044,33 +1051,14 @@ fn backprop(
 }
 
 /// Softmax backward in place: each row of `grad` becomes
-/// `y * (grad - grad·y)` for the forward output row `y`. Each row's
-/// `grad·y` is one sum of products in ascending column order from `-0.0`
-/// (as `Iterator::sum` forms it); bands of eight rows run side by side,
-/// eight independent sums in registers.
+/// `y * (grad - grad·y)` for the forward output row `y`.
 pub(crate) fn softmax_backward(grad: &mut Matrix, y: &Matrix) {
-    const BAND: usize = 8;
-    let n = grad.cols;
-    if n == 0 {
-        return;
-    }
-    for (g, y) in grad.data.chunks_mut(BAND * n).zip(y.data.chunks(BAND * n)) {
-        let mut dots = [-0.0f32; BAND];
-        if g.len() == BAND * n {
-            for j in 0..n {
-                for (q, d) in dots.iter_mut().enumerate() {
-                    *d += g[q * n + j] * y[q * n + j];
-                }
-            }
-        } else {
-            for ((d, g), y) in dots.iter_mut().zip(g.chunks(n)).zip(y.chunks(n)) {
-                *d = g.iter().zip(y).map(|(&g, &y)| g * y).sum();
-            }
-        }
-        for ((g_row, y_row), &dot) in g.chunks_mut(n).zip(y.chunks(n)).zip(&dots) {
-            for (g, &y) in g_row.iter_mut().zip(y_row) {
-                *g = y * (*g - dot);
-            }
+    for r in 0..grad.rows {
+        let y_row = y.row(r);
+        let g_row = grad.row_mut(r);
+        let dot: f32 = g_row.iter().zip(y_row).map(|(&g, &y)| g * y).sum();
+        for (g, &y) in g_row.iter_mut().zip(y_row) {
+            *g = y * (*g - dot);
         }
     }
 }
@@ -1297,45 +1285,6 @@ mod tests {
             test_input(),
             2e-2,
         );
-    }
-
-    #[test]
-    fn softmax_backward_keeps_each_rows_sum_order() {
-        // Full bands, a partial band and single rows; signed zeros and
-        // subnormals in the gradient, so the `-0.0` start and the
-        // ascending order of each row's sum both show in the bits.
-        for (rows, cols) in [(1, 5), (8, 3), (19, 13), (16, 1)] {
-            let grad = Matrix::from_vec(
-                rows,
-                cols,
-                (0..rows * cols)
-                    .map(|i| match i % 5 {
-                        0 => -0.0,
-                        1 => f32::from_bits(0x8000_0003),
-                        _ => (i as f32 * 0.37).sin() * 1e3,
-                    })
-                    .collect(),
-            );
-            let mut y = Matrix::from_vec(
-                rows,
-                cols,
-                (0..rows * cols).map(|i| (i as f32 * 0.11).cos()).collect(),
-            );
-            for r in 0..rows {
-                softmax_in_place(y.row_mut(r));
-            }
-            let mut want = grad.clone();
-            for r in 0..rows {
-                let dot: f32 = grad.row(r).iter().zip(y.row(r)).map(|(&g, &y)| g * y).sum();
-                for (g, &y) in want.row_mut(r).iter_mut().zip(y.row(r)) {
-                    *g = y * (*g - dot);
-                }
-            }
-            let mut got = grad.clone();
-            softmax_backward(&mut got, &y);
-            let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
-        }
     }
 
     #[test]

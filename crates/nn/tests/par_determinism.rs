@@ -9,8 +9,18 @@ use std::sync::Once;
 use proptest::prelude::*;
 use rsd_nn::matrix::{dot4, F32Tier, Matrix};
 
-fn matrix_from(rows: usize, cols: usize, vals: &[f32]) -> Matrix {
-    let data: Vec<f32> = (0..rows * cols).map(|i| vals[i % vals.len()]).collect();
+/// `vals` cycled over a rows × cols matrix; `sparse` zeroes two entries
+/// in three, so every row is zero-heavy.
+fn matrix_from(rows: usize, cols: usize, vals: &[f32], sparse: bool) -> Matrix {
+    let data: Vec<f32> = (0..rows * cols)
+        .map(|i| {
+            if sparse && i % 3 != 0 {
+                0.0
+            } else {
+                vals[i % vals.len()]
+            }
+        })
+        .collect();
     Matrix::from_vec(rows, cols, data)
 }
 
@@ -113,14 +123,19 @@ proptest! {
     }
 }
 
-/// `a @ b` as one fused multiply-add chain per output in ascending k
-/// from `+0.0`: the portable form of every `matmul` kernel on dense rows.
+/// `a @ b` as `matmul` rounds it: one fused multiply-add chain per output
+/// in ascending k from `+0.0`, skipping the zero coefficients of a row
+/// that is more than half zeros.
 fn fused_chains(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows, b.cols);
     for i in 0..a.rows {
-        for (k, &c) in a.row(i).iter().enumerate() {
-            for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
-                *o = c.mul_add(bv, *o);
+        let row = a.row(i);
+        let dense = row.iter().filter(|&&v| v == 0.0).count() * 2 <= row.len();
+        for (k, &c) in row.iter().enumerate() {
+            if dense || c != 0.0 {
+                for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o = c.mul_add(bv, *o);
+                }
             }
         }
     }
@@ -197,10 +212,11 @@ proptest! {
         m in 1usize..40,
         k in 1usize..48,
         n in 1usize..40,
+        sparse in 0u32..2,
         vals in collection::vec(-2.0f32..2.0, 8..32),
     ) {
-        let a = matrix_from(m, k, &vals);
-        let b = matrix_from(k, n, &vals);
+        let a = matrix_from(m, k, &vals, sparse == 1);
+        let b = matrix_from(k, n, &vals, false);
         let par = rsd_par::with_local_pool(4, || a.matmul(&b));
         let ser = rsd_par::run_serial(|| a.matmul(&b));
         prop_assert_eq!(bits(&par), bits(&ser));
@@ -215,8 +231,8 @@ proptest! {
         n in 1usize..40,
         vals in collection::vec(-2.0f32..2.0, 8..32),
     ) {
-        let a = matrix_from(k, m, &vals);
-        let b = matrix_from(k, n, &vals);
+        let a = matrix_from(k, m, &vals, false);
+        let b = matrix_from(k, n, &vals, false);
         let par = rsd_par::with_local_pool(4, || a.matmul_tn(&b));
         let ser = rsd_par::run_serial(|| a.matmul_tn(&b));
         prop_assert_eq!(bits(&par), bits(&ser));
@@ -230,8 +246,8 @@ proptest! {
         n in 1usize..40,
         vals in collection::vec(-2.0f32..2.0, 8..32),
     ) {
-        let a = matrix_from(m, k, &vals);
-        let b = matrix_from(n, k, &vals);
+        let a = matrix_from(m, k, &vals, false);
+        let b = matrix_from(n, k, &vals, false);
         let par = rsd_par::with_local_pool(4, || a.matmul_nt(&b));
         let ser = rsd_par::run_serial(|| a.matmul_nt(&b));
         prop_assert_eq!(bits(&par), bits(&ser));
@@ -243,7 +259,7 @@ proptest! {
         n in 1usize..64,
         vals in collection::vec(-2.0f32..2.0, 8..32),
     ) {
-        let a = matrix_from(m, n, &vals);
+        let a = matrix_from(m, n, &vals, false);
         let par = rsd_par::with_local_pool(4, || (a.transpose(), a.map(|x| x.tanh())));
         let ser = rsd_par::run_serial(|| (a.transpose(), a.map(|x| x.tanh())));
         prop_assert_eq!(bits(&par.0), bits(&ser.0));
