@@ -7,10 +7,9 @@
 //! * dense matmul at 128/256/512 dims — [`reference::matmul`] (the
 //!   seed's zero-branch scalar kernel) vs the new blocked kernel,
 //!   serially and on a 4-thread local pool;
-//! * the backward products at the DeBERTa training shapes — `matmul_nt`
+//! * the products at the DeBERTa training shapes — `matmul`, `matmul_nt`
 //!   and `matmul_tn` on the detected f32 tier vs the portable scalar
-//!   kernel (and, for TN, vs transposing and calling `matmul`), with a
-//!   bitwise check against the portable kernel;
+//!   kernel, with a bitwise check against the portable kernel;
 //! * a table3-scale GBDT tree fit — a verbatim re-creation of the seed's
 //!   row-major (`Vec<Vec<u16>>`) histogram split search vs the new
 //!   column-major gathered [`Tree::fit`];
@@ -117,9 +116,9 @@ fn time_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     time_best(|| (0..iters).map(|_| std::hint::black_box(f())).count()) * 1e3 / iters as f64
 }
 
-/// `out = m×k · k×n` products at the DeBERTa backward shapes (dim 48,
-/// 4 heads of 12, 96 tokens): the linear layers' `g·Wᵀ` and `xᵀ·g`, and
-/// the per-head attention products.
+/// `out = m×k · k×n` products at the DeBERTa training shapes (dim 48,
+/// 4 heads of 12, 96 tokens): the linear layers' `x·W`, `g·Wᵀ` and
+/// `xᵀ·g`, and the per-head attention products.
 fn backward_rows() -> Vec<serde_json::Value> {
     let tier = F32Tier::detect();
     let portable = F32Tier::Portable;
@@ -133,7 +132,7 @@ fn backward_rows() -> Vec<serde_json::Value> {
     .iter()
     .map(|&(m, k, n)| {
         let iters = (2_000_000 / (m * k * n)).max(10);
-        // NT: (m×k)·(n×k)ᵀ; TN: (k×m)ᵀ·(k×n).
+        // NN: (m×k)·(k×n); NT: (m×k)·(n×k)ᵀ; TN: (k×m)ᵀ·(k×n).
         let a = pseudo_matrix(m, k, 3);
         let b = pseudo_matrix(n, k, 4);
         let at = pseudo_matrix(k, m, 5);
@@ -143,14 +142,17 @@ fn backward_rows() -> Vec<serde_json::Value> {
         let nt_portable_us = serial(&|| a.matmul_dot4_on(portable, &b.transpose()));
         let tn_us = serial(&|| at.matmul_tn(&bn));
         let tn_portable_us = serial(&|| at.matmul_tn_on(portable, &bn));
-        let tn_transpose_us = serial(&|| at.transpose().matmul(&bn));
+        let nn_us = serial(&|| a.matmul(&bn));
+        let nn_portable_us = serial(&|| a.matmul_on(portable, &bn));
         let nt_bitwise =
             bits(&a.matmul_nt(&b)) == bits(&a.matmul_dot4_on(portable, &b.transpose()));
         let tn_bitwise = bits(&at.matmul_tn(&bn)) == bits(&at.matmul_tn_on(portable, &bn));
+        let nn_bitwise = bits(&a.matmul(&bn)) == bits(&a.matmul_on(portable, &bn));
         println!(
-            "backward {m:>3}x{k:>3}·{k:>3}x{n:>3} [{}]: nt {nt_us:7.2} us (portable \
-                 {nt_portable_us:7.2}) | tn {tn_us:7.2} us (portable {tn_portable_us:7.2}, \
-                 transpose+matmul {tn_transpose_us:7.2}) | bitwise nt {nt_bitwise} tn {tn_bitwise}",
+            "product {m:>3}x{k:>3}·{k:>3}x{n:>3} [{}]: nt {nt_us:7.2} us (portable \
+                 {nt_portable_us:7.2}) | tn {tn_us:7.2} us (portable {tn_portable_us:7.2}) \
+                 | nn {nn_us:7.2} us (portable {nn_portable_us:7.2}) | bitwise nt \
+                 {nt_bitwise} tn {tn_bitwise} nn {nn_bitwise}",
             tier.name()
         );
         serde_json::json!({
@@ -160,9 +162,11 @@ fn backward_rows() -> Vec<serde_json::Value> {
             "nt_portable_us": nt_portable_us,
             "tn_us": tn_us,
             "tn_portable_us": tn_portable_us,
-            "tn_transpose_matmul_us": tn_transpose_us,
+            "nn_us": nn_us,
+            "nn_portable_us": nn_portable_us,
             "nt_bitwise_eq_portable": nt_bitwise,
-            "tn_bitwise_eq_portable": tn_bitwise
+            "tn_bitwise_eq_portable": tn_bitwise,
+            "nn_bitwise_eq_portable": nn_bitwise
         })
     })
     .collect()

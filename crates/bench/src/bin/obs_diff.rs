@@ -17,7 +17,10 @@
 //!
 //! Exit codes: 0 — no regression; 1 — `--self-test` failure (the
 //! injected regressions did not trip, or the identity diff regressed);
-//! 2 — usage or I/O error; 3 — time/quantile/throughput regression;
+//! 2 — usage or I/O error, or artifacts whose `meta.host_cores` differ
+//! (time, quantile and speedup leaves are then not compared unless
+//! `--ignore-time` is given; the quality and memory gates still run);
+//! 3 — time/quantile/throughput regression;
 //! 4 — memory regression; 5 — quality regression. When several classes
 //! regress at once the most severe wins: quality > memory > time.
 //! Every regression line names the offending path and both values.
@@ -30,9 +33,12 @@
 //! prove the gate itself works. Unless `--ignore-time` is given, an
 //! artifact with no time leaf fails the self-test.
 
-use rsd_obs::diff::{diff_reports, inject_regressions, Class, Tolerances};
+use rsd_obs::diff::{diff_reports, host_cores_mismatch, inject_regressions, Class, Tolerances};
 use rsd_obs::Value;
 
+/// Exit code for a usage or I/O error, or a time comparison across core
+/// counts.
+const EXIT_USAGE: i32 = 2;
 /// Exit code for a wall-clock/quantile/throughput regression.
 const EXIT_TIME: i32 = 3;
 /// Exit code for a memory regression.
@@ -56,7 +62,7 @@ fn usage() -> ! {
          exit codes: 0 ok, 1 self-test failure, 2 usage/io, \
          3 time, 4 memory, 5 quality"
     );
-    std::process::exit(2);
+    std::process::exit(EXIT_USAGE);
 }
 
 fn parse_args() -> Args {
@@ -104,17 +110,17 @@ fn parse_args() -> Args {
 fn load(path: &str) -> Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("obs_diff: cannot read {path}: {e}");
-        std::process::exit(2);
+        std::process::exit(EXIT_USAGE);
     });
     if path.ends_with(".ndjson") {
         return rsd_obs::timeseries::summarize_series(&text).unwrap_or_else(|e| {
             eprintln!("obs_diff: {path}: {e}");
-            std::process::exit(2);
+            std::process::exit(EXIT_USAGE);
         });
     }
     serde_json::from_str(&text).unwrap_or_else(|e| {
         eprintln!("obs_diff: {path} is not valid JSON: {e}");
-        std::process::exit(2);
+        std::process::exit(EXIT_USAGE);
     })
 }
 
@@ -195,7 +201,19 @@ fn main() {
     };
     let base = load(baseline);
     let cand = load(candidate);
-    let result = diff_reports(&base, &cand, &args.tol);
+    let mut tol = args.tol;
+    let refused = match host_cores_mismatch(&base, &cand) {
+        Some((b, c)) if tol.check_time => {
+            println!(
+                "obs_diff: refusing time comparison: baseline ran on {b} host cores, \
+                 candidate on {c} (--ignore-time gates quality only)"
+            );
+            tol.check_time = false;
+            true
+        }
+        _ => false,
+    };
+    let result = diff_reports(&base, &cand, &tol);
     print_findings(&result, args.verbose);
     let regressions = result.findings.iter().filter(|f| f.regression).count();
     if regressions > 0 {
@@ -204,6 +222,9 @@ fn main() {
             result.compared, baseline, candidate
         );
         std::process::exit(exit_code_for(&result));
+    }
+    if refused {
+        std::process::exit(EXIT_USAGE);
     }
     println!(
         "obs_diff: ok — {} leaves compared, no regressions ({} vs {})",

@@ -114,3 +114,34 @@ fn event_streams_render_one_complete_event_per_span() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn obs_diff_refuses_time_across_core_counts() {
+    let dir = scratch_dir("cores");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/table1.report.json");
+    let text = std::fs::read_to_string(&fixture).unwrap();
+    let one_core = text.replacen("\"host_cores\": 2", "\"host_cores\": 1", 1);
+    let (same, drifted) = (dir.join("same.json"), dir.join("drifted.json"));
+    std::fs::write(&same, &one_core).unwrap();
+    std::fs::write(
+        &drifted,
+        one_core.replacen("\"posts\": 528", "\"posts\": 529", 1),
+    )
+    .unwrap();
+    let diff = |args: &[&Path]| {
+        Command::new(env!("CARGO_BIN_EXE_obs_diff"))
+            .args(args)
+            .output()
+            .expect("spawn obs_diff")
+    };
+    let refused = diff(&[&fixture, &same]);
+    let said = String::from_utf8_lossy(&refused.stdout);
+    assert_eq!(refused.status.code(), Some(2), "{said}");
+    assert!(said.contains("on 2 host cores, candidate on 1"), "{said}");
+    // The quality gate still runs, and outranks the refusal.
+    assert_eq!(diff(&[&fixture, &drifted]).status.code(), Some(5));
+    let ignore = Path::new("--ignore-time");
+    assert!(diff(&[ignore, &fixture, &same]).status.success());
+    assert_eq!(diff(&[ignore, &fixture, &drifted]).status.code(), Some(5));
+    let _ = std::fs::remove_dir_all(&dir);
+}

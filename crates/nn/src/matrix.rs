@@ -1,25 +1,23 @@
 //! Dense row-major f32 matrices with the kernels training needs.
 //!
 //! Not a general linear-algebra library: exactly the operations the tape
-//! ops are built from. The hot kernels (`matmul` family, `transpose`,
+//! ops are built from. The hot kernels (the products, `transpose`,
 //! `axpy`, `map`) are cache-blocked and parallelized over output-row
 //! chunks through `rsd-par`; every output element is written by exactly
 //! one chunk and chunk boundaries depend only on the shape, so results
-//! are bit-identical to serial execution for any `RSD_THREADS`. The
-//! matmul dense path accumulates with fused multiply-adds (one rounding
-//! per step, via `f32::mul_add` or the AVX2 `vfmaddps` kernel — both
-//! produce the same bits), so it is differently rounded than the
-//! pre-optimization kernels but deterministic everywhere.
+//! are bit-identical to serial execution for any `RSD_THREADS`.
 //!
-//! The backward products run on [`F32Tier`]s: an AVX-512 and an AVX2
-//! body written once over the register width, and the portable scalar
-//! kernel that is both the non-x86 path and the oracle the others are
-//! tested against bit for bit. A lane holds one output and never a share
-//! of a sum, so each output keeps the rounding chain it has in the
-//! scalar kernel. [`Matrix::matmul_tn`] forms `aᵀ·b` without a transpose,
-//! one fused chain per output over the shared rows in ascending order;
-//! [`Matrix::matmul_dot4`] rounds each output as [`dot4`] does, with
-//! separate multiplies and adds, from a right operand in `k × n` layout.
+//! The products run on [`F32Tier`]s: an AVX2 body and the portable scalar
+//! kernel that is both the path on other CPUs and the oracle the AVX2 body
+//! is tested against bit for bit. A lane holds one output and never a
+//! share of a sum, so each output keeps the rounding chain it has in the
+//! scalar kernel. One kernel forms `aᵀ·b`, each output one fused
+//! multiply-add chain over the shared index in ascending order from
+//! `+0.0`: [`Matrix::matmul_tn`] runs it on its operands as they are, and
+//! [`Matrix::matmul`] runs it on the transpose of its left operand, with
+//! no skip of zero coefficients. [`Matrix::matmul_dot4`] rounds each
+//! output as [`dot4`] does, with separate multiplies and adds, from a
+//! right operand in `k × n` layout.
 
 /// Inner-loop operations per parallel chunk the kernels aim for; rows are
 /// grouped so each chunk amortizes scheduling overhead. A pure function
@@ -117,26 +115,26 @@ impl Matrix {
 
     /// `self @ other` (NN layout). Panics on shape mismatch.
     ///
-    /// Row-parallel: each chunk owns a block of whole output rows.
+    /// Output `(i, j)` is one fused multiply-add chain over `k` in
+    /// ascending order from `+0.0`: the kernel of [`Matrix::matmul_tn`]
+    /// over `selfᵀ`, which a one-row `self` already is in memory.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_on(F32Tier::detect(), other)
+    }
+
+    /// [`Matrix::matmul`] on a given tier; every tier gives the same bits.
+    /// Panics if this CPU cannot run `tier`.
+    pub fn matmul_on(&self, tier: F32Tier, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let n = other.cols;
-        let k_dim = self.cols;
-        let _span = kernel_span("nn.matmul", 2 * self.rows * k_dim * n);
-        let mut out = Matrix::zeros(self.rows, n);
-        let grain = row_grain(2 * k_dim * n) * n.max(1);
-        let a = &self.data;
-        let b = &other.data;
-        rsd_par::parallel_chunks_mut(&mut out.data, grain, |start, chunk| {
-            let i0 = start / n;
-            let rows = chunk.len() / n.max(1);
-            matmul_into(&a[i0 * k_dim..(i0 + rows) * k_dim], k_dim, b, n, chunk);
-        });
-        out
+        let _span = kernel_span("nn.matmul", 2 * self.rows * self.cols * other.cols);
+        if self.rows == 1 {
+            return tn_product(tier, &self.data, 1, other);
+        }
+        tn_product(tier, &transposed(self), self.rows, other)
     }
 
     /// `self @ otherᵀ` (NT layout), every output rounded as [`dot4`]
@@ -191,68 +189,27 @@ impl Matrix {
 
     /// `selfᵀ @ other` (TN layout), without a transpose: output `(i, j)`
     /// is one fused multiply-add chain over the shared rows in ascending
-    /// order from `+0.0`, the chain [`Matrix::matmul`] forms for a dense
-    /// row of the explicit transpose.
+    /// order from `+0.0`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         self.matmul_tn_on(F32Tier::detect(), other)
     }
 
     /// [`Matrix::matmul_tn`] on a given tier; every tier gives the same
     /// bits. Panics if this CPU cannot run `tier`.
-    ///
-    /// Parallel over blocks of output rows (columns of `self`).
     pub fn matmul_tn_on(&self, tier: F32Tier, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn shape mismatch: ({}x{})ᵀ @ {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        assert!(
-            tier.runs_here(),
-            "the {} tier does not run on this CPU",
-            tier.name()
-        );
-        let (m, n) = (self.cols, other.cols);
-        let _span = kernel_span("nn.matmul_tn", 2 * self.rows * m * n);
-        let mut out = Matrix::zeros(m, n);
-        if n == 0 {
-            return out;
-        }
-        // Whole eight-row register blocks per chunk.
-        let grain = row_grain(2 * self.rows * n).next_multiple_of(8) * n;
-        rsd_par::parallel_chunks_mut(&mut out.data, grain, |start, chunk| {
-            tn_rows(tier, &self.data, m, &other.data, n, start / n, chunk);
-        });
-        out
+        let _span = kernel_span("nn.matmul_tn", 2 * self.rows * self.cols * other.cols);
+        tn_product(tier, &self.data, self.cols, other)
     }
 
-    /// Transposed copy (tiled to keep both access patterns cache-friendly,
-    /// parallel over blocks of output rows).
+    /// Transposed copy, parallel over blocks of output rows.
     pub fn transpose(&self) -> Matrix {
         let _span = kernel_span("nn.transpose", self.rows * self.cols);
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        if self.rows == 0 || self.cols == 0 {
-            return out;
-        }
-        const TILE: usize = 32;
-        let r = self.rows;
-        let cols = self.cols;
-        let src = &self.data;
-        rsd_par::parallel_chunks_mut(&mut out.data, TILE * r, |start, chunk| {
-            let c0 = start / r;
-            let n_out_rows = chunk.len() / r;
-            for rb in (0..r).step_by(TILE) {
-                let rend = (rb + TILE).min(r);
-                for oc in 0..n_out_rows {
-                    let src_col = c0 + oc;
-                    let dst = &mut chunk[oc * r..(oc + 1) * r];
-                    for rr in rb..rend {
-                        dst[rr] = src[rr * cols + src_col];
-                    }
-                }
-            }
-        });
-        out
+        Matrix::from_vec(self.cols, self.rows, transposed(self))
     }
 
     /// `self += alpha * other`. Panics on shape mismatch.
@@ -313,247 +270,69 @@ impl Matrix {
     }
 }
 
-/// `out += a @ b` on row-major slices (`a` is `out.len() / n` rows of
-/// `k_dim`, `b` is `k_dim × n`), serially, with exactly the arithmetic of
-/// [`Matrix::matmul`]: over a zeroed `out` the two give the same bits.
-pub(crate) fn matmul_into(a: &[f32], k_dim: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 {
-        return;
-    }
-    // The unsafe kernels below read `b` and write whole output rows
-    // through raw pointers; `a` is only read through checked slices.
+/// `aᵀ @ b` for `a` holding `b.rows × m` row-major: the one kernel
+/// behind [`Matrix::matmul`] and [`Matrix::matmul_tn`], parallel over
+/// blocks of output rows.
+fn tn_product(tier: F32Tier, a: &[f32], m: usize, b: &Matrix) -> Matrix {
     assert!(
-        b.len() == k_dim * n && out.len().is_multiple_of(n),
-        "matmul_into shape mismatch"
+        tier.runs_here(),
+        "the {} tier does not run on this CPU",
+        tier.name()
     );
-    let mut rows = out.chunks_mut(n).enumerate();
-    // Pair up output rows so the FMA kernel can amortize each B load over
-    // two accumulator rows (register blocking). Falls back to single-row
-    // kernels when a row is zero-heavy or the pair kernel is unavailable.
-    while let Some((i, out_row)) = rows.next() {
-        let a_row = &a[i * k_dim..(i + 1) * k_dim];
-        #[cfg(target_arch = "x86_64")]
-        if fma_available() && row_is_dense(a_row) {
-            if let Some((_, out_row2)) = rows.next() {
-                let a_row2 = &a[(i + 1) * k_dim..(i + 2) * k_dim];
-                if row_is_dense(a_row2) {
-                    // SAFETY: guarded by the runtime AVX2+FMA check.
-                    unsafe { matmul_2rows_dense_fma(a_row, a_row2, b, n, out_row, out_row2) }
-                } else {
-                    matmul_row(a_row, b, n, out_row);
-                    matmul_row(a_row2, b, n, out_row2);
+    let n = b.cols;
+    let mut out = Matrix::zeros(m, n);
+    if n == 0 {
+        return out;
+    }
+    // Whole eight-row register blocks per chunk.
+    let grain = row_grain(2 * b.rows * n).next_multiple_of(8) * n;
+    rsd_par::parallel_chunks_mut(&mut out.data, grain, |start, chunk| {
+        tn_rows(tier, a, m, &b.data, n, start / n, chunk);
+    });
+    out
+}
+
+/// The data of `mᵀ`. Each pass copies a band of eight source rows into
+/// eight consecutive slots of every output row of a chunk: the reads run
+/// along eight source rows, and the writes fill 32-byte runs.
+fn transposed(m: &Matrix) -> Vec<f32> {
+    const TILE: usize = 32;
+    let (r, c) = (m.rows, m.cols);
+    let mut out = vec![0.0f32; r * c];
+    if r == 0 || c == 0 {
+        return out;
+    }
+    rsd_par::parallel_chunks_mut(&mut out, TILE * r, |start, chunk| {
+        let c0 = start / r;
+        let width = chunk.len() / r;
+        for (band, rows) in m.data.chunks(8 * c).enumerate() {
+            let rb = 8 * band;
+            let dsts = chunk.chunks_exact_mut(r).map(|row| &mut row[rb..]);
+            if rows.len() == 8 * c {
+                let src: [&[f32]; 8] = std::array::from_fn(|q| &rows[q * c + c0..][..width]);
+                for (oc, dst) in dsts.enumerate() {
+                    for (d, s) in dst[..8].iter_mut().zip(src) {
+                        *d = s[oc];
+                    }
                 }
-                continue;
+            } else {
+                for (oc, dst) in dsts.enumerate() {
+                    for (d, s) in dst.iter_mut().zip(rows.chunks_exact(c)) {
+                        *d = s[c0 + oc];
+                    }
+                }
             }
         }
-        matmul_row(a_row, b, n, out_row);
-    }
+    });
+    out
 }
 
-/// One output row of `matmul`: `out_row += a_row @ b` (`b` row-major with
-/// `n` columns). Mostly-zero rows (one-hot embeddings, dropout masks)
-/// keep the sparsity skip, but gated behind a cheap O(K) density scan so
-/// dense inputs get a branch-free unrolled loop. Both paths accumulate in
-/// ascending-k order, so they agree bit-for-bit on finite inputs.
-fn matmul_row(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    if !row_is_dense(a_row) {
-        for (k, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &bv) in out_row.iter_mut().zip(&b[k * n..(k + 1) * n]) {
-                *o = a.mul_add(bv, *o);
-            }
-        }
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: guarded by the runtime AVX2+FMA check.
-        unsafe { matmul_row_dense_fma(a_row, b, n, out_row) }
-        return;
-    }
-    matmul_row_dense(a_row, b, n, out_row);
-}
-
-/// Mostly-nonzero rows take the dense kernels; zero-heavy rows (one-hot
-/// embeddings, dropout masks) keep the k-skip path.
-#[inline]
-fn row_is_dense(a_row: &[f32]) -> bool {
-    let zeros = a_row.iter().filter(|&&a| a == 0.0).count();
-    zeros * 2 <= a_row.len()
-}
-
-/// Portable dense matmul row. Each output element is one fused
-/// multiply-add chain in ascending-k order — `mul_add` rounds once per
-/// step, so this produces bit-identical results to the AVX2 kernel (and
-/// to NEON FMA codegen on aarch64) on every host.
-fn matmul_row_dense(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    for (k, &a) in a_row.iter().enumerate() {
-        for (o, &bv) in out_row.iter_mut().zip(&b[k * n..(k + 1) * n]) {
-            *o = a.mul_add(bv, *o);
-        }
-    }
-}
-
-/// AVX2+FMA dense row kernel: broadcasts eight consecutive `a`
-/// coefficients and fuses their contributions into 8-wide output lanes
-/// with `vfmaddps` (a 4-wide block then takes the first four leftover
-/// columns), ascending-k. Every output element still sees exactly
-/// one fused multiply-add per k in the same order as
-/// [`matmul_row_dense`], so the two paths agree bit-for-bit; the wide
-/// registers and the 8-deep k-unroll (which amortizes the output
-/// load/store over eight FMAs) are pure throughput.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn matmul_row_dense_fma(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm_fmadd_ps,
-        _mm_loadu_ps, _mm_set1_ps, _mm_storeu_ps,
-    };
-    let k_dim = a_row.len();
-    let bp = b.as_ptr();
-    let op = out_row.as_mut_ptr();
-    let mut k = 0;
-    while k + 8 <= k_dim {
-        let a = &a_row[k..k + 8];
-        let av = [
-            _mm256_set1_ps(a[0]),
-            _mm256_set1_ps(a[1]),
-            _mm256_set1_ps(a[2]),
-            _mm256_set1_ps(a[3]),
-            _mm256_set1_ps(a[4]),
-            _mm256_set1_ps(a[5]),
-            _mm256_set1_ps(a[6]),
-            _mm256_set1_ps(a[7]),
-        ];
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(op.add(j));
-            for (dk, &avk) in av.iter().enumerate() {
-                acc = _mm256_fmadd_ps(avk, _mm256_loadu_ps(bp.add((k + dk) * n + j)), acc);
-            }
-            _mm256_storeu_ps(op.add(j), acc);
-            j += 8;
-        }
-        if j + 4 <= n {
-            let mut acc = _mm_loadu_ps(op.add(j));
-            for (dk, &ak) in a.iter().enumerate() {
-                acc = _mm_fmadd_ps(_mm_set1_ps(ak), _mm_loadu_ps(bp.add((k + dk) * n + j)), acc);
-            }
-            _mm_storeu_ps(op.add(j), acc);
-            j += 4;
-        }
-        while j < n {
-            let mut o = *op.add(j);
-            for (dk, &ak) in a.iter().enumerate() {
-                o = ak.mul_add(*bp.add((k + dk) * n + j), o);
-            }
-            *op.add(j) = o;
-            j += 1;
-        }
-        k += 8;
-    }
-    while k < k_dim {
-        let a = a_row[k];
-        let bk = &b[k * n..(k + 1) * n];
-        for (o, &bv) in out_row.iter_mut().zip(bk) {
-            *o = a.mul_add(bv, *o);
-        }
-        k += 1;
-    }
-}
-
-/// Two-row register-blocked variant of [`matmul_row_dense_fma`]: each
-/// broadcast B lane feeds FMAs into two independent accumulator rows, so
-/// B traffic per FLOP halves. Each output element's fused chain is still
-/// ascending-k, identical to the single-row kernels bit-for-bit.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn matmul_2rows_dense_fma(
-    a0_row: &[f32],
-    a1_row: &[f32],
-    b: &[f32],
-    n: usize,
-    out0: &mut [f32],
-    out1: &mut [f32],
-) {
-    use std::arch::x86_64::{
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps, _mm_fmadd_ps,
-        _mm_loadu_ps, _mm_set1_ps, _mm_storeu_ps,
-    };
-    let k_dim = a0_row.len();
-    let bp = b.as_ptr();
-    let o0p = out0.as_mut_ptr();
-    let o1p = out1.as_mut_ptr();
-    let mut k = 0;
-    while k + 6 <= k_dim {
-        let a0 = &a0_row[k..k + 6];
-        let a1 = &a1_row[k..k + 6];
-        let a0v = [
-            _mm256_set1_ps(a0[0]),
-            _mm256_set1_ps(a0[1]),
-            _mm256_set1_ps(a0[2]),
-            _mm256_set1_ps(a0[3]),
-            _mm256_set1_ps(a0[4]),
-            _mm256_set1_ps(a0[5]),
-        ];
-        let a1v = [
-            _mm256_set1_ps(a1[0]),
-            _mm256_set1_ps(a1[1]),
-            _mm256_set1_ps(a1[2]),
-            _mm256_set1_ps(a1[3]),
-            _mm256_set1_ps(a1[4]),
-            _mm256_set1_ps(a1[5]),
-        ];
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc0 = _mm256_loadu_ps(o0p.add(j));
-            let mut acc1 = _mm256_loadu_ps(o1p.add(j));
-            for dk in 0..6 {
-                let bv = _mm256_loadu_ps(bp.add((k + dk) * n + j));
-                acc0 = _mm256_fmadd_ps(a0v[dk], bv, acc0);
-                acc1 = _mm256_fmadd_ps(a1v[dk], bv, acc1);
-            }
-            _mm256_storeu_ps(o0p.add(j), acc0);
-            _mm256_storeu_ps(o1p.add(j), acc1);
-            j += 8;
-        }
-        if j + 4 <= n {
-            let mut acc0 = _mm_loadu_ps(o0p.add(j));
-            let mut acc1 = _mm_loadu_ps(o1p.add(j));
-            for dk in 0..6 {
-                let bv = _mm_loadu_ps(bp.add((k + dk) * n + j));
-                acc0 = _mm_fmadd_ps(_mm_set1_ps(a0[dk]), bv, acc0);
-                acc1 = _mm_fmadd_ps(_mm_set1_ps(a1[dk]), bv, acc1);
-            }
-            _mm_storeu_ps(o0p.add(j), acc0);
-            _mm_storeu_ps(o1p.add(j), acc1);
-            j += 4;
-        }
-        while j < n {
-            let mut o0 = *o0p.add(j);
-            let mut o1 = *o1p.add(j);
-            for dk in 0..6 {
-                let bv = *bp.add((k + dk) * n + j);
-                o0 = a0[dk].mul_add(bv, o0);
-                o1 = a1[dk].mul_add(bv, o1);
-            }
-            *o0p.add(j) = o0;
-            *o1p.add(j) = o1;
-            j += 1;
-        }
-        k += 6;
-    }
-    while k < k_dim {
-        let (c0, c1) = (a0_row[k], a1_row[k]);
-        let bk = &b[k * n..(k + 1) * n];
-        for j in 0..n {
-            out0[j] = c0.mul_add(bk[j], out0[j]);
-            out1[j] = c1.mul_add(bk[j], out1[j]);
-        }
-        k += 1;
-    }
+/// `out = a @ b` for one row `a` (`b` is `a.len() × out.len()`,
+/// row-major), serially, with exactly the arithmetic of
+/// [`Matrix::matmul`]: a row is its own transpose in memory, so this is
+/// one call of the TN kernel.
+pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32]) {
+    tn_rows(F32Tier::detect(), a, 1, b, out.len(), 0, out);
 }
 
 /// Caches a CPU-feature probe in `cell` (0 unknown, 1 no, 2 yes).
@@ -572,7 +351,7 @@ fn cached_probe(cell: &std::sync::atomic::AtomicU8, probe: fn() -> bool) -> bool
 }
 
 /// Cached `is_x86_feature_detected!("avx2") && ("fma")`. Public because
-/// every SIMD kernel in the crate — the f32 matmul rows here and the int8
+/// every SIMD kernel in the crate — the f32 products here and the int8
 /// inference GEMMs in [`crate::quant`] — dispatches through this one check,
 /// so a host either takes all the wide paths or none of them.
 #[cfg(target_arch = "x86_64")]
@@ -599,7 +378,7 @@ pub fn fma_available() -> bool {
 /// The f32 kernels widen under one rule: a lane holds one output and never
 /// a share of a sum, so the register width cannot change how any output
 /// is rounded ([`F32Tier`]). They stop at AVX2's 8 lanes: a 16-lane tier
-/// of the backward kernels was no faster end to end (EXPERIMENTS.md).
+/// of the product kernels was no faster end to end (EXPERIMENTS.md).
 #[cfg(target_arch = "x86_64")]
 pub fn vnni512_available() -> bool {
     static VNNI: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
@@ -617,11 +396,11 @@ pub fn vnni512_available() -> bool {
     false
 }
 
-/// The register width the f32 backward kernels ([`Matrix::matmul_tn`],
-/// [`Matrix::matmul_dot4`]) run at. Each SIMD lane holds one output, so
-/// every tier forms each output's sum exactly as [`F32Tier::Portable`]
-/// does; the tiers differ only in how many outputs one instruction
-/// advances.
+/// The register width the f32 product kernels ([`Matrix::matmul`],
+/// [`Matrix::matmul_tn`], [`Matrix::matmul_dot4`]) run at. Each SIMD lane
+/// holds one output, so every tier forms each output's sum exactly as
+/// [`F32Tier::Portable`] does; the tiers differ only in how many outputs
+/// one instruction advances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum F32Tier {
     /// 8 lanes (AVX2 + FMA).
@@ -767,6 +546,7 @@ fn tn_rows(tier: F32Tier, a: &[f32], m: usize, b: &[f32], n: usize, i0: usize, o
 /// rows of `a` and `b` in ascending order, from `+0.0`.
 fn tn_rows_portable(a: &[f32], m: usize, b: &[f32], n: usize, i0: usize, out: &mut [f32]) {
     for (q, out_row) in out.chunks_mut(n).enumerate() {
+        out_row.fill(0.0);
         for (r, b_row) in b.chunks(n).enumerate() {
             let c = a[r * m + i0 + q];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
@@ -776,7 +556,7 @@ fn tn_rows_portable(a: &[f32], m: usize, b: &[f32], n: usize, i0: usize, out: &m
     }
 }
 
-/// The x86-64 bodies of the backward kernels, on 8-lane AVX2 registers. A
+/// The x86-64 bodies of the product kernels, on 8-lane AVX2 registers. A
 /// lane holds one output column; a block of columns narrower than the
 /// register runs masked, so every column takes the vector path.
 #[cfg(target_arch = "x86_64")]
@@ -963,7 +743,8 @@ mod wide {
     /// Output rows `i0..` of `aᵀ @ b`, eight at a time so that eight
     /// independent chains are in flight: two blocks of four rows for a
     /// pair of column registers, one block of eight rows for a single
-    /// register. Then four rows, then one.
+    /// register. Then four rows, then one row (the LSTM's per-step
+    /// product) over four column registers at a time.
     ///
     /// # Safety
     /// AVX2 and FMA must be available, and the shapes as
@@ -1003,7 +784,7 @@ mod wide {
         }
         while q < rows {
             let (i, o) = (i0 + q, op.add(q * n));
-            column_blocks! { n, 2, |j, C, P, mk| tn_block::<1, C, P>(g, (i, j), mk, o) }
+            column_blocks! { n, 4, |j, C, P, mk| tn_block::<1, C, P>(g, (i, j), mk, o) }
             q += 1;
         }
     }
@@ -1069,7 +850,7 @@ mod tests {
     #[test]
     fn matmul_tn_matches_explicit_transpose() {
         let at = a().transpose();
-        let via_tn = at.matmul_tn(&b()); // (atᵀ) @ b = a @ b ... at is 3x2, tn gives 2x?
+        let via_tn = at.matmul_tn(&b());
         let direct = a().matmul(&b());
         assert_eq!(via_tn.rows, direct.rows);
         assert_eq!(via_tn.data, direct.data);
@@ -1132,21 +913,17 @@ mod tests {
 
     #[test]
     fn kernels_match_portable_on_irregular_shapes() {
-        // Odd shapes exercise the register-block remainders, the masked
-        // column tails and both density paths of `matmul`, whose every
-        // output is one fused chain in ascending k that skips the zero
-        // coefficients of zero-heavy rows.
+        // Odd shapes exercise the register-block remainders and the
+        // masked column tails; every `matmul` output is one fused chain in
+        // ascending k, zero coefficients of zero-heavy rows included.
         for (m, k, n, sparse) in [(5, 7, 3, false), (33, 65, 17, false), (9, 40, 11, true)] {
             let x = pseudo(m, k, 1, sparse);
             let y = pseudo(k, n, 2, false);
             let mut chains = Matrix::zeros(m, n);
             for i in 0..m {
-                let dense = row_is_dense(x.row(i));
                 for (kk, &c) in x.row(i).iter().enumerate() {
-                    if dense || c != 0.0 {
-                        for (o, &bv) in chains.row_mut(i).iter_mut().zip(y.row(kk)) {
-                            *o = c.mul_add(bv, *o);
-                        }
+                    for (o, &bv) in chains.row_mut(i).iter_mut().zip(y.row(kk)) {
+                        *o = c.mul_add(bv, *o);
                     }
                 }
             }

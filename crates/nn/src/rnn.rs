@@ -139,8 +139,7 @@ pub(crate) fn lstm_forward(
     let mut h = vec![0.0f32; hidden];
     for s in 0..n {
         let t = cache.row_of(s);
-        gh.fill(0.0);
-        matmul_into(&h, hidden, &wh.data, gw, &mut gh);
+        matmul_into(&h, &wh.data, &mut gh);
         let acts = cache.acts.row_mut(s);
         for (j, a) in acts.iter_mut().enumerate() {
             let z = gx.get(t, j) + (gh[j] + bh.data[j]);

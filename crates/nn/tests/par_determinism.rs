@@ -1,7 +1,7 @@
 //! Property tests for the kernel determinism contract: for any shape,
 //! the blocked parallel kernels must be byte-identical under forced
 //! serial execution and on a 4-thread local pool, and every register
-//! width ([`F32Tier`]) of the backward kernels must be byte-identical to
+//! width ([`F32Tier`]) of the product kernels must be byte-identical to
 //! the portable scalar kernel.
 
 use std::sync::Once;
@@ -83,12 +83,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every `matmul` output is one fused multiply-add chain in ascending
-    /// k from `+0.0`, skipping zero coefficients in zero-heavy rows: the
-    /// AVX2 kernels' 8-wide, 4-wide and scalar column blocks and the
-    /// portable path all round it the same. Widths cover every residue
-    /// mod 8 and both the one-row and two-row kernels.
+    /// k from `+0.0`, zero coefficients included, on signed zeros and
+    /// subnormals. Widths cover every residue mod 8, and the row counts
+    /// the one-, four- and eight-row register blocks of the AVX2 kernel.
     fn matmul_equals_ascending_fused_chains(
-        m in 1usize..6,
+        m in 1usize..12,
         k in 1usize..20,
         n_blocks in 0usize..3,
         n_rem in 0usize..8,
@@ -104,14 +103,10 @@ proptest! {
         let b = Matrix::from_vec(k, n, cycle(k * n, &b_vals));
         let mut want = Vec::with_capacity(m * n);
         for i in 0..m {
-            let row = a.row(i);
-            let dense = row.iter().filter(|&&v| v == 0.0).count() * 2 <= k;
             for j in 0..n {
                 let mut o = 0.0f32;
-                for (kk, &av) in row.iter().enumerate() {
-                    if dense || av != 0.0 {
-                        o = av.mul_add(b.get(kk, j), o);
-                    }
+                for (kk, &av) in a.row(i).iter().enumerate() {
+                    o = av.mul_add(b.get(kk, j), o);
                 }
                 want.push(o.to_bits());
             }
@@ -124,18 +119,13 @@ proptest! {
 }
 
 /// `a @ b` as `matmul` rounds it: one fused multiply-add chain per output
-/// in ascending k from `+0.0`, skipping the zero coefficients of a row
-/// that is more than half zeros.
+/// in ascending k from `+0.0`.
 fn fused_chains(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows, b.cols);
     for i in 0..a.rows {
-        let row = a.row(i);
-        let dense = row.iter().filter(|&&v| v == 0.0).count() * 2 <= row.len();
-        for (k, &c) in row.iter().enumerate() {
-            if dense || c != 0.0 {
-                for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
-                    *o = c.mul_add(bv, *o);
-                }
+        for (k, &c) in a.row(i).iter().enumerate() {
+            for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                *o = c.mul_add(bv, *o);
             }
         }
     }
@@ -156,11 +146,11 @@ fn tiers_here() -> Vec<F32Tier> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every tier of `matmul_tn`, `matmul_dot4` and `matmul_nt` equals the
-    /// portable kernel bit for bit, serially and on a 4-thread pool: 1–9
-    /// output rows, k of 1–70 (every residue mod 4), 1–40 outputs (below,
-    /// at and between multiples of 8 and 16), zero-heavy rows, signed
-    /// zeros and subnormals of both signs.
+    /// Every tier of `matmul`, `matmul_tn`, `matmul_dot4` and `matmul_nt`
+    /// equals the portable kernel bit for bit, serially and on a 4-thread
+    /// pool: 1–9 output rows, k of 1–70 (every residue mod 4), 1–40
+    /// outputs (below, at and between multiples of 8 and 16), zero-heavy
+    /// rows, signed zeros and subnormals of both signs.
     fn every_tier_equals_portable(
         rows in 1usize..10,
         k in 1usize..71,
@@ -181,13 +171,15 @@ proptest! {
                 })
                 .collect()
         };
-        // NT: rows × k against outs × k; TN: (k × rows)ᵀ against k × outs.
+        // NT: rows × k against outs × k; TN: (k × rows)ᵀ against k × outs;
+        // NN: rows × k against k × outs.
         let a = Matrix::from_vec(rows, k, cycle(rows * k, &a_vals, zero_heavy == 1));
         let b = Matrix::from_vec(outs, k, cycle(outs * k, &b_vals, false));
         let bt = b.transpose();
         let at = Matrix::from_vec(k, rows, cycle(k * rows, &a_vals, zero_heavy == 1));
         let nt_want = bits(&a.matmul_dot4_on(F32Tier::Portable, &bt));
         let tn_want = bits(&at.matmul_tn_on(F32Tier::Portable, &bt));
+        let nn_want = bits(&a.matmul_on(F32Tier::Portable, &bt));
         for tier in tiers_here() {
             for pooled in [false, true] {
                 let run = |f: &dyn Fn() -> Matrix| if pooled {
@@ -198,10 +190,12 @@ proptest! {
                 let what = format!("{} pooled={pooled}", tier.name());
                 prop_assert!(bits(&run(&|| a.matmul_dot4_on(tier, &bt))) == nt_want, "dot4 {what}");
                 prop_assert!(bits(&run(&|| at.matmul_tn_on(tier, &bt))) == tn_want, "tn {what}");
+                prop_assert!(bits(&run(&|| a.matmul_on(tier, &bt))) == nn_want, "nn {what}");
             }
         }
         prop_assert_eq!(bits(&a.matmul_nt(&b)), nt_want);
         prop_assert_eq!(bits(&at.matmul_tn(&bt)), tn_want);
+        prop_assert_eq!(bits(&a.matmul(&bt)), nn_want);
     }
 }
 

@@ -437,6 +437,15 @@ pub fn diff_reports(baseline: &Value, candidate: &Value, tol: &Tolerances) -> Di
     out
 }
 
+/// Both artifacts' `meta.host_cores` when both carry it and the counts
+/// differ. Wall-clock leaves from different core counts do not compare,
+/// so `obs_diff` refuses the time classes on such a pair.
+pub fn host_cores_mismatch(baseline: &Value, candidate: &Value) -> Option<(u64, u64)> {
+    let cores = |v: &Value| v.get("meta")?.get("host_cores")?.as_u64();
+    let (b, c) = (cores(baseline)?, cores(candidate)?);
+    (b != c).then_some((b, c))
+}
+
 /// Functionally rewrite `v`, applying `f` to every leaf (passed its
 /// dotted path). Used by the self-test injector; the vendored `Value`
 /// has no mutable traversal.
@@ -634,6 +643,25 @@ mod tests {
         }
         let d = diff_reports(&base, &cand, &Tolerances::default());
         assert!(!d.regressed(), "findings: {:?}", d.findings);
+    }
+
+    #[test]
+    fn host_core_counts_must_match_to_compare_time() {
+        let base = report();
+        let with_cores = |cores| {
+            let mut r = base.clone();
+            if let Value::Object(m) = &mut r {
+                m.insert("meta", json!({"host_cores": cores}));
+            }
+            r
+        };
+        assert_eq!(host_cores_mismatch(&base, &with_cores(8)), None);
+        assert_eq!(host_cores_mismatch(&base, &with_cores(2)), Some((8, 2)));
+        // An artifact without the count cannot be told apart.
+        assert_eq!(
+            host_cores_mismatch(&json!({"elapsed_ms": 1.0}), &base),
+            None
+        );
     }
 
     #[test]
