@@ -59,7 +59,7 @@ fn usage() -> ! {
          [--quantile-tol p50|p90|p99|p999 F] [--min-quantile-ms F] \
          [--ignore-time] [--verbose] baseline.json candidate.json\n\
          \x20      obs_diff --self-test [flags] report.json|series.ndjson\n\
-         exit codes: 0 ok, 1 self-test failure, 2 usage/io, \
+         exit codes: 0 ok, 1 self-test failure, 2 usage/io or host core counts differ, \
          3 time, 4 memory, 5 quality"
     );
     std::process::exit(EXIT_USAGE);
@@ -206,7 +206,7 @@ fn main() {
         Some((b, c)) if tol.check_time => {
             println!(
                 "obs_diff: refusing time comparison: baseline ran on {b} host cores, \
-                 candidate on {c} (--ignore-time gates quality only)"
+                 candidate on {c} (--ignore-time gates quality and memory only)"
             );
             tol.check_time = false;
             true
