@@ -933,6 +933,60 @@ mod tests {
     }
 
     #[test]
+    fn qgemm_is_bit_exact_against_integer_dots() {
+        for (rows, k, n, seed) in [
+            (1usize, 7usize, 5usize, 21u64),
+            (2, 8, 16, 22),
+            (3, 9, 17, 23),
+        ]
+        .into_iter()
+        .chain([(4, 48, 12, 24), (5, 37, 33, 25), (5, 1, 1, 26)])
+        {
+            let x = pseudo(rows, k, seed);
+            let w = pseudo(k, n, seed + 100);
+            let q = QuantizedMatrix::from_weight(&w);
+            let mut xq = vec![0i8; rows * k];
+            let mut xs = vec![0.0f32; rows];
+            for r in 0..rows {
+                xs[r] = quantize_row_i8(x.row(r), &mut xq[r * k..(r + 1) * k]);
+            }
+            // Each output channel quantized on its own, outside `from_weight`.
+            let mut col = vec![0.0f32; k];
+            let mut wq = vec![0i8; n * k];
+            let mut ws = vec![0.0f32; n];
+            for o in 0..n {
+                for (kk, c) in col.iter_mut().enumerate() {
+                    *c = w.get(kk, o);
+                }
+                ws[o] = quantize_row_i8(&col, &mut wq[o * k..(o + 1) * k]);
+            }
+            let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.03 - 0.2).collect();
+            for b in [None, Some(&bias[..])] {
+                let mut out = vec![0.0f32; rows * n];
+                qgemm_nt(&xq, &xs, rows, k, &q, b, &mut out);
+                for r in 0..rows {
+                    for o in 0..n {
+                        let acc: i32 = (0..k)
+                            .map(|kk| xq[r * k + kk] as i32 * wq[o * k + kk] as i32)
+                            .sum();
+                        let mut want = xs[r] * ws[o] * acc as f32;
+                        if let Some(b) = b {
+                            want += b[o];
+                        }
+                        let got = out[r * n + o];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "rows {rows} k {k} n {n} bias {}: r{r} o{o} {got} vs {want}",
+                            b.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn qgemm_matches_f32_reference_within_quant_error() {
         let x = pseudo(5, 48, 3);
         let w = pseudo(48, 12, 4); // in × out, Linear layout
