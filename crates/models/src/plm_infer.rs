@@ -2,13 +2,14 @@
 //! the per-channel int8 fast path.
 //!
 //! [`PlmInferenceModel::export`] copies the weights of a trained
-//! [`FittedPlm`](crate::plm::FittedPlm) out of its parameter store
-//! through the model's own layer handles — weights only, no tape, no
-//! optimizer state — and precomputes everything inference can hoist:
-//! the DeBERTa relative tables projected through the shared content
-//! projections, and per-channel symmetric int8 views of every linear,
-//! embedding and attention-projection weight
-//! ([`rsd_nn::quant::QuantizedMatrix`]).
+//! [`FittedPlm`] out of its parameter store through the model's own
+//! layer handles — weights only, no tape, no optimizer state — and
+//! precomputes everything inference can hoist: the DeBERTa relative
+//! tables projected through the shared content projections, and the
+//! int8 codes of every linear and attention-projection weight and of
+//! those relative tables. Each quantized tensor is held once, in the
+//! pair panel its kernel reads ([`rsd_nn::quant::QuantizedWeight`],
+//! `RelCodes`).
 //!
 //! Two execution paths share the export:
 //!
@@ -18,11 +19,14 @@
 //!   the same weights (pinned by tests). It is the quality reference
 //!   the int8 path is gated against.
 //! * **int8** ([`PlmInferenceModel::logits_i8`]) quantizes activations
-//!   dynamically per row and runs every GEMM — projections, FFN,
-//!   attention scores, attention×value — on the i8×i8→i32 kernels,
-//!   with fast polynomial transcendentals for softmax/GELU. Integer
-//!   accumulation is exact, so results are bitwise reproducible across
-//!   hosts, thread counts and batch partitionings.
+//!   dynamically per row and runs every product — projections, FFN,
+//!   attention scores, relative scores, attention×value — on one route:
+//!   the left operand packed into pair words by
+//!   [`rsd_nn::quant::pack_pairs`], the right one laid out as a panel by
+//!   [`rsd_nn::quant::pack_panel`], both swept by the i8×i8→i32 pair
+//!   kernels. Softmax and GELU use fast polynomial transcendentals.
+//!   Integer accumulation is exact, so results are bitwise reproducible
+//!   across hosts, thread counts and batch partitionings.
 //!
 //! Batched scoring fans windows out on the rsd-par pool with one
 //! scratch per chunk, mirroring the GBDT scorer; per-window results
@@ -36,8 +40,8 @@ use rsd_nn::layers::{LayerNorm, Linear};
 use rsd_nn::loss::argmax;
 use rsd_nn::matrix::Matrix;
 use rsd_nn::quant::{
-    gemv2_i8_pairs, gemv_i8_pairs, pack_pair, qgemm_nt, quantize_row_i8, softmax_q7,
-    QuantizedMatrix,
+    gemv2_i8_pairs, gemv_i8_pairs, pack_pairs, pack_panel, qgemm_nt, quantize_row_i8, softmax_q7,
+    QuantizedWeight,
 };
 use rsd_nn::ParamStore;
 
@@ -75,46 +79,32 @@ struct RelW {
     qr: Matrix,
     /// `wk(rel_table)` — (2r+1) × dim.
     kr: Matrix,
-    qr_q: QuantizedMatrix,
-    kr_q: QuantizedMatrix,
-    /// Per-head pair-interleaved layouts for [`gemv_i8_pairs`]
-    /// (head-major: `heads × pairs × 2·(2r+1)` bytes each).
-    qr_pairs: Vec<i8>,
-    kr_pairs: Vec<i8>,
+    qr_q: RelCodes,
+    kr_q: RelCodes,
 }
 
-/// Pair-interleave the per-head column slices of quantized rows for
-/// [`gemv_i8_pairs`]: block `h` holds `pairs` rows of `2·n` bytes, row
-/// `p` interleaving channels `h·hd + 2p` and `h·hd + 2p + 1` (zero for a
-/// trailing odd channel) across all `n` source rows.
-fn pack_head_pairs(q: &QuantizedMatrix, heads: usize, hd: usize) -> Vec<i8> {
-    let n = q.rows();
-    let pairs = hd.div_ceil(2);
-    let mut out = vec![0i8; heads * pairs * 2 * n];
-    for h in 0..heads {
-        for p in 0..pairs {
-            let row = &mut out[(h * pairs + p) * 2 * n..(h * pairs + p + 1) * 2 * n];
-            for j in 0..n {
-                let d0 = h * hd + 2 * p;
-                row[2 * j] = q.row(j)[d0];
-                row[2 * j + 1] = if 2 * p + 1 < hd { q.row(j)[d0 + 1] } else { 0 };
-            }
+/// A projected relative table quantized per row and held as one
+/// [`pack_panel`] panel per head, the layout [`gemv_i8_pairs`] sweeps.
+#[derive(Debug, Clone)]
+struct RelCodes {
+    /// One scale per table row (over the full `dim`).
+    scales: Vec<f32>,
+    /// Head-major: `heads` panels of `⌈hd/2⌉ × 2·(2r+1)` bytes.
+    panels: Vec<i8>,
+}
+
+impl RelCodes {
+    fn quantize(m: &Matrix, heads: usize, hd: usize) -> RelCodes {
+        let mut codes = vec![0i8; m.rows * m.cols];
+        let scales = (0..m.rows)
+            .map(|r| quantize_row_i8(m.row(r), &mut codes[r * m.cols..(r + 1) * m.cols]))
+            .collect();
+        let block = hd.div_ceil(2) * 2 * m.rows;
+        let mut panels = vec![0i8; heads * block];
+        for (h, panel) in panels.chunks_exact_mut(block).enumerate() {
+            pack_panel(&codes[h * hd..], m.cols, hd, m.rows, panel);
         }
-    }
-    out
-}
-
-/// Pack one activation row's head slice into [`pack_pair`] words.
-#[inline]
-fn fill_pairs(head_slice: &[i8], out: &mut [i32]) {
-    let hd = head_slice.len();
-    for (p, slot) in out.iter_mut().enumerate() {
-        let odd = if 2 * p + 1 < hd {
-            head_slice[2 * p + 1]
-        } else {
-            0
-        };
-        *slot = pack_pair(head_slice[2 * p], odd);
+        RelCodes { scales, panels }
     }
 }
 
@@ -132,12 +122,12 @@ struct BlockW {
     ln2_b: Matrix,
     ffn1: LinW,
     ffn2: LinW,
-    q_wq: QuantizedMatrix,
-    q_wk: QuantizedMatrix,
-    q_wv: QuantizedMatrix,
-    q_wo: QuantizedMatrix,
-    q_ffn1: QuantizedMatrix,
-    q_ffn2: QuantizedMatrix,
+    q_wq: QuantizedWeight,
+    q_wk: QuantizedWeight,
+    q_wv: QuantizedWeight,
+    q_wo: QuantizedWeight,
+    q_ffn1: QuantizedWeight,
+    q_ffn2: QuantizedWeight,
 }
 
 /// Reusable per-thread buffers for the int8 path: steady-state scoring
@@ -204,9 +194,9 @@ pub struct PlmInferenceModel {
     ln_f_g: Matrix,
     ln_f_b: Matrix,
     time: LinW,
-    time_q: QuantizedMatrix,
+    time_q: QuantizedWeight,
     head: LinW,
-    head_q: QuantizedMatrix,
+    head_q: QuantizedWeight,
     n_scalars: usize,
 }
 
@@ -232,17 +222,12 @@ impl PlmInferenceModel {
                     // forward; both depend only on weights, so hoist.
                     let qr = infer::linear(table, &wq.w, &wq.b);
                     let kr = infer::linear(table, &wk.w, &wk.b);
-                    let qr_q = QuantizedMatrix::from_rows(&qr);
-                    let kr_q = QuantizedMatrix::from_rows(&kr);
-                    let qr_pairs = pack_head_pairs(&qr_q, cfg.heads, cfg.dim / cfg.heads);
-                    let kr_pairs = pack_head_pairs(&kr_q, cfg.heads, cfg.dim / cfg.heads);
+                    let hd = cfg.dim / cfg.heads;
                     RelW {
+                        qr_q: RelCodes::quantize(&qr, cfg.heads, hd),
+                        kr_q: RelCodes::quantize(&kr, cfg.heads, hd),
                         qr,
                         kr,
-                        qr_q,
-                        kr_q,
-                        qr_pairs,
-                        kr_pairs,
                     }
                 });
                 let wv = LinW::from(store, &attn.wv);
@@ -254,12 +239,12 @@ impl PlmInferenceModel {
                 BlockW {
                     ln1_g,
                     ln1_b,
-                    q_wq: QuantizedMatrix::from_weight(&wq.w),
-                    q_wk: QuantizedMatrix::from_weight(&wk.w),
-                    q_wv: QuantizedMatrix::from_weight(&wv.w),
-                    q_wo: QuantizedMatrix::from_weight(&wo.w),
-                    q_ffn1: QuantizedMatrix::from_weight(&ffn1.w),
-                    q_ffn2: QuantizedMatrix::from_weight(&ffn2.w),
+                    q_wq: QuantizedWeight::from_weight(&wq.w),
+                    q_wk: QuantizedWeight::from_weight(&wk.w),
+                    q_wv: QuantizedWeight::from_weight(&wv.w),
+                    q_wo: QuantizedWeight::from_weight(&wo.w),
+                    q_ffn1: QuantizedWeight::from_weight(&ffn1.w),
+                    q_ffn2: QuantizedWeight::from_weight(&ffn2.w),
                     wq,
                     wk,
                     wv,
@@ -288,9 +273,9 @@ impl PlmInferenceModel {
             blocks,
             ln_f_g,
             ln_f_b,
-            time_q: QuantizedMatrix::from_weight(&time.w),
+            time_q: QuantizedWeight::from_weight(&time.w),
             time,
-            head_q: QuantizedMatrix::from_weight(&head.w),
+            head_q: QuantizedWeight::from_weight(&head.w),
             head,
             n_scalars: store.n_scalars(),
         }
@@ -451,7 +436,7 @@ impl PlmInferenceModel {
         s: &mut PlmScratch,
     ) -> [f32; RiskLevel::COUNT] {
         let ids = example.window_tokens(self.window_tokens);
-        let (seq, dim, ffn) = (ids.len(), self.dim, self.blocks[0].q_ffn1.rows());
+        let (seq, dim, ffn) = (ids.len(), self.dim, self.blocks[0].q_ffn1.outputs());
         grow(&mut s.x, seq * dim);
         grow(&mut s.normed, seq * dim);
         grow(&mut s.xq, seq * dim.max(ffn));
@@ -572,7 +557,7 @@ impl PlmInferenceModel {
         let blk = &self.blocks[bi];
         let (dim, heads) = (self.dim, self.heads);
         let hd = dim / heads;
-        let ffn = blk.q_ffn1.rows();
+        let ffn = blk.q_ffn1.outputs();
 
         // ln1 + fused q/k/v projections from one activation quantization.
         infer::layer_norm_rows(
@@ -650,19 +635,10 @@ impl PlmInferenceModel {
         // with `gemv_i8_pairs`: identical integer sums, vectorized over
         // outputs rather than the contraction.
         let pairs = hd.div_ceil(2);
+        let kt_block = pairs * 2 * seq;
         for h in 0..heads {
-            for p in 0..pairs {
-                let d0 = h * hd + 2 * p;
-                let row = &mut s.kt_pairs[(h * pairs + p) * 2 * seq..(h * pairs + p + 1) * 2 * seq];
-                for j in 0..seq {
-                    row[2 * j] = s.kq[j * dim + d0];
-                    row[2 * j + 1] = if 2 * p + 1 < hd {
-                        s.kq[j * dim + d0 + 1]
-                    } else {
-                        0
-                    };
-                }
-            }
+            let panel = &mut s.kt_pairs[h * kt_block..(h + 1) * kt_block];
+            pack_panel(&s.kq[h * hd..seq * dim], dim, hd, seq, panel);
         }
         for h in 0..heads {
             let start = h * hd;
@@ -674,35 +650,35 @@ impl PlmInferenceModel {
                 // base loop below, so no separate scaling pass runs
                 // over the seq × seq score matrix.
                 for i in 0..seq {
-                    fill_pairs(
+                    pack_pairs(
                         &s.qq[i * dim + start..i * dim + start + hd],
                         &mut s.qpair[..pairs],
                     );
                     gemv_i8_pairs(
                         &s.qpair[..pairs],
-                        &rel.kr_pairs[h * rel_block..(h + 1) * rel_block],
+                        &rel.kr_q.panels[h * rel_block..(h + 1) * rel_block],
                         w_rel,
                         &mut s.acc32,
                     );
                     let f = s.qs[i] * scale;
                     for c in 0..w_rel {
-                        s.c2p[i * w_rel + c] = f * rel.kr_q.scale(c) * s.acc32[c] as f32;
+                        s.c2p[i * w_rel + c] = f * rel.kr_q.scales[c] * s.acc32[c] as f32;
                     }
                 }
                 for j in 0..seq {
-                    fill_pairs(
+                    pack_pairs(
                         &s.kq[j * dim + start..j * dim + start + hd],
                         &mut s.qpair[..pairs],
                     );
                     gemv_i8_pairs(
                         &s.qpair[..pairs],
-                        &rel.qr_pairs[h * rel_block..(h + 1) * rel_block],
+                        &rel.qr_q.panels[h * rel_block..(h + 1) * rel_block],
                         w_rel,
                         &mut s.acc32,
                     );
                     let f = s.ks[j] * scale;
                     for c in 0..w_rel {
-                        s.p2c[j * w_rel + c] = f * rel.qr_q.scale(c) * s.acc32[c] as f32;
+                        s.p2c[j * w_rel + c] = f * rel.qr_q.scales[c] * s.acc32[c] as f32;
                     }
                 }
                 // Outside the relative window the clamped p2c index is
@@ -714,13 +690,13 @@ impl PlmInferenceModel {
                 }
             }
             for i in 0..seq {
-                fill_pairs(
+                pack_pairs(
                     &s.qq[i * dim + start..i * dim + start + hd],
                     &mut s.qpair[..pairs],
                 );
                 gemv_i8_pairs(
                     &s.qpair[..pairs],
-                    &s.kt_pairs[h * pairs * 2 * seq..(h + 1) * pairs * 2 * seq],
+                    &s.kt_pairs[h * kt_block..(h + 1) * kt_block],
                     seq,
                     &mut s.acc32,
                 );
@@ -756,19 +732,18 @@ impl PlmInferenceModel {
             // sweep two attention rows at a time so every panel load is
             // amortized. Integer sums are exactly the per-(i, d) dots.
             let spairs = seq.div_ceil(2);
-            for p in 0..spairs {
-                let row = &mut s.av_pairs[p * 2 * hd..(p + 1) * 2 * hd];
-                for d in 0..hd {
-                    let col = &s.vtq[(start + d) * seq..(start + d + 1) * seq];
-                    row[2 * d] = col[2 * p];
-                    row[2 * d + 1] = if 2 * p + 1 < seq { col[2 * p + 1] } else { 0 };
-                }
-            }
+            pack_panel(
+                &s.vtq[start * seq..],
+                seq,
+                seq,
+                hd,
+                &mut s.av_pairs[..spairs * 2 * hd],
+            );
             let mut i = 0;
             while i + 2 <= seq {
                 let (p0, p1) = s.qpair.split_at_mut(spairs);
-                fill_pairs(&s.attn_q[i * seq..(i + 1) * seq], &mut p0[..spairs]);
-                fill_pairs(&s.attn_q[(i + 1) * seq..(i + 2) * seq], &mut p1[..spairs]);
+                pack_pairs(&s.attn_q[i * seq..(i + 1) * seq], &mut p0[..spairs]);
+                pack_pairs(&s.attn_q[(i + 1) * seq..(i + 2) * seq], &mut p1[..spairs]);
                 let (a0, a1) = s.acc32.split_at_mut(hd);
                 gemv2_i8_pairs(
                     &p0[..spairs],
@@ -786,7 +761,7 @@ impl PlmInferenceModel {
                 i += 2;
             }
             if i < seq {
-                fill_pairs(&s.attn_q[i * seq..(i + 1) * seq], &mut s.qpair[..spairs]);
+                pack_pairs(&s.attn_q[i * seq..(i + 1) * seq], &mut s.qpair[..spairs]);
                 gemv_i8_pairs(&s.qpair[..spairs], &s.av_pairs, hd, &mut s.acc32);
                 for d in 0..hd {
                     s.ctx[i * dim + start + d] = s.attn_s[i] * s.vts[start + d] * s.acc32[d] as f32;

@@ -52,5 +52,5 @@ pub mod transformer;
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use params::{GradPart, ParamId, ParamStore};
-pub use quant::QuantizedMatrix;
+pub use quant::QuantizedWeight;
 pub use tape::{Tape, Var};

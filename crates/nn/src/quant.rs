@@ -1,16 +1,23 @@
 //! Per-channel symmetric int8 quantization and the i8×i8→i32 kernels
 //! behind the inference fast path.
 //!
-//! Weights are quantized offline, once, per output channel: each channel
-//! stores `q[k] = round(w[k] / scale)` with `scale = max_abs / 127` as a
-//! contiguous `i8` row, so the inner product over `k` is a straight run
-//! of byte loads. Activations are quantized dynamically per row at the
-//! same symmetric scale convention. The integer GEMM accumulates in
-//! `i32` — exact integer arithmetic, so the AVX-512 VNNI kernels
-//! (`vpdpwssd`, fused 16-lane multiply-accumulate), the AVX2 kernels
-//! (`vpmaddwd` on sign-extended 16-bit lanes) and the portable fallback
-//! all agree bit-for-bit, and results cannot depend on thread counts or
-//! batch partitionings. Dispatch tiers through
+//! Every integer product runs on one layout. The contraction axis is cut
+//! into pairs: an activation row becomes one [`pack_pair`] word per pair
+//! ([`pack_pairs`]), and the other operand becomes a *panel*, one row of
+//! `2·n` bytes per pair that byte-interleaves the pair's two codes across
+//! all `n` outputs ([`pack_panel`]). An odd contraction is zero-padded.
+//! The pair kernels ([`gemv_i8_pairs`], [`gemv2_i8_pairs`]) broadcast a
+//! pair word and sweep the long output axis, `q0·k0 + q1·k1` per lane.
+//!
+//! Weights are quantized offline, once, per output channel
+//! (`q[k] = round(w[k] / scale)`, `scale = max_abs / 127`) and kept only
+//! as a panel ([`QuantizedWeight`]). Activations are quantized
+//! dynamically per row at the same symmetric scale convention. The
+//! kernels accumulate in `i32` — exact integer arithmetic, so the
+//! AVX-512 VNNI kernels (`vpdpwssd`, fused 16-lane multiply-accumulate),
+//! the AVX2 kernels (`vpmaddwd` on sign-extended 16-bit lanes) and the
+//! portable fallback all agree bit-for-bit, and results cannot depend on
+//! thread counts or batch partitionings. Dispatch tiers through
 //! [`crate::matrix::vnni512_available`] then
 //! [`crate::matrix::fma_available`].
 //!
@@ -21,118 +28,50 @@
 
 use crate::matrix::{fma_available, vnni512_available, Matrix};
 
-/// Quantized two-dimensional tensor: `rows × cols` of `i8` row-major
-/// with one f32 scale per row.
-///
-/// For linear-layer weights the tensor is stored *transposed* relative
-/// to [`crate::layers::Linear`]'s `in × out` layout — one row per
-/// output channel — so [`qgemm_nt`] reads both operands contiguously.
-/// For embedding tables the storage matches the table layout (one row
-/// per vocabulary id) and rows are dequantized on gather.
+/// A `Linear` weight quantized per output channel and held once, as the
+/// [`pack_panel`] panel [`qgemm_nt`] sweeps: `⌈k/2⌉` rows of `2·n`
+/// bytes for `k` inputs and `n` output channels, one f32 scale per
+/// channel.
 #[derive(Debug, Clone)]
-pub struct QuantizedMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<i8>,
+pub struct QuantizedWeight {
+    n: usize,
+    k: usize,
     scales: Vec<f32>,
-    /// GEMM weights additionally keep a pair-interleaved copy
-    /// (`⌈cols/2⌉` rows of `2·rows` bytes) so [`qgemm_nt`] can sweep
-    /// the *output* axis with [`gemv_i8_pairs`] instead of issuing one
-    /// short dot per channel. Empty for row-layout tables.
-    packed: Vec<i8>,
+    panel: Vec<i8>,
 }
 
-impl QuantizedMatrix {
+impl QuantizedWeight {
     /// Quantize a `Linear` weight (`in_dim × out_dim`) per output
-    /// channel, storing it transposed (`out_dim × in_dim`).
-    pub fn from_weight(w: &Matrix) -> QuantizedMatrix {
-        let (in_dim, out_dim) = (w.rows, w.cols);
-        let mut col = vec![0.0f32; in_dim];
-        let mut data = vec![0i8; in_dim * out_dim];
-        let mut scales = vec![0.0f32; out_dim];
-        for o in 0..out_dim {
-            for (k, c) in col.iter_mut().enumerate() {
-                *c = w.get(k, o);
+    /// channel.
+    pub fn from_weight(w: &Matrix) -> QuantizedWeight {
+        let (k, n) = (w.rows, w.cols);
+        let mut col = vec![0.0f32; k];
+        let mut codes = vec![0i8; n * k];
+        let mut scales = vec![0.0f32; n];
+        for o in 0..n {
+            for (r, c) in col.iter_mut().enumerate() {
+                *c = w.get(r, o);
             }
-            scales[o] = quantize_row_i8(&col, &mut data[o * in_dim..(o + 1) * in_dim]);
+            scales[o] = quantize_row_i8(&col, &mut codes[o * k..(o + 1) * k]);
         }
-        let pairs = in_dim.div_ceil(2);
-        let mut packed = vec![0i8; pairs * 2 * out_dim];
-        for p in 0..pairs {
-            let row = &mut packed[p * 2 * out_dim..(p + 1) * 2 * out_dim];
-            for o in 0..out_dim {
-                row[2 * o] = data[o * in_dim + 2 * p];
-                row[2 * o + 1] = if 2 * p + 1 < in_dim {
-                    data[o * in_dim + 2 * p + 1]
-                } else {
-                    0
-                };
-            }
-        }
-        QuantizedMatrix {
-            rows: out_dim,
-            cols: in_dim,
-            data,
+        let mut panel = vec![0i8; k.div_ceil(2) * 2 * n];
+        pack_panel(&codes, k, k, n, &mut panel);
+        QuantizedWeight {
+            n,
+            k,
             scales,
-            packed,
+            panel,
         }
     }
 
-    /// Quantize a matrix row-by-row in its own layout (embedding
-    /// tables: one row per id, dequantized on gather).
-    pub fn from_rows(m: &Matrix) -> QuantizedMatrix {
-        let mut data = vec![0i8; m.rows * m.cols];
-        let mut scales = vec![0.0f32; m.rows];
-        for r in 0..m.rows {
-            scales[r] = quantize_row_i8(m.row(r), &mut data[r * m.cols..(r + 1) * m.cols]);
-        }
-        QuantizedMatrix {
-            rows: m.rows,
-            cols: m.cols,
-            data,
-            scales,
-            packed: Vec::new(),
-        }
+    /// Number of output channels.
+    pub fn outputs(&self) -> usize {
+        self.n
     }
 
-    /// Number of quantized rows (output channels / table entries).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row length (the contraction dimension `k`).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Per-row scale.
-    pub fn scale(&self, r: usize) -> f32 {
-        self.scales[r]
-    }
-
-    /// One quantized row.
-    pub fn row(&self, r: usize) -> &[i8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Dequantize row `r` into `out` (`out.len() == cols`).
-    pub fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
-        let s = self.scales[r];
-        for (o, &q) in out.iter_mut().zip(self.row(r)) {
-            *o = q as f32 * s;
-        }
-    }
-
-    /// Full f32 reconstruction (tests and the round-trip proptest).
-    pub fn dequantize(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let s = self.scales[r];
-            for c in 0..self.cols {
-                m.set(r, c, self.data[r * self.cols + c] as f32 * s);
-            }
-        }
-        m
+    /// Per-channel scale.
+    pub fn scale(&self, o: usize) -> f32 {
+        self.scales[o]
     }
 }
 
@@ -322,202 +261,76 @@ unsafe fn softmax_q7_avx2(row: &[f32], q: &mut [i8]) -> f32 {
     1.0 / sum as f32
 }
 
-/// i8 dot product with `i32` accumulation; dispatches to the AVX2
-/// `vpmaddwd` kernel when the host has it. Integer arithmetic is exact,
-/// so both paths return the same value for every input.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if vnni512_available() {
-            // SAFETY: guarded by the runtime AVX-512 VNNI check.
-            return unsafe { dot_i8_vnni512(a, b) };
-        }
-        if fma_available() {
-            // SAFETY: guarded by the runtime AVX2 check.
-            return unsafe { dot_i8_avx2(a, b) };
-        }
-    }
-    dot_i8_portable(a, b)
-}
-
-/// Portable scalar i8 dot product — the reference the SIMD kernel must
-/// match exactly.
-pub fn dot_i8_portable(a: &[i8], b: &[i8]) -> i32 {
-    let len = a.len().min(b.len());
-    let mut acc = 0i32;
-    for k in 0..len {
-        acc += a[k] as i32 * b[k] as i32;
-    }
-    acc
-}
-
-/// AVX2 i8 dot: sign-extend 16-byte halves to i16 lanes and fuse
-/// multiply + pairwise-add with `vpmaddwd` (16 multiply-accumulates per
-/// instruction). Products of two i8 values fit i16 pairs into i32
-/// exactly, so this is the same integer sum as the scalar loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    let len = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm256_setzero_si256();
-    let mut k = 0;
-    while k + 32 <= len {
-        let va = _mm256_loadu_si256(ap.add(k) as *const __m256i);
-        let vb = _mm256_loadu_si256(bp.add(k) as *const __m256i);
-        let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-        let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-        let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-        let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-        k += 32;
-    }
-    if k + 16 <= len {
-        let va = _mm_loadu_si128(ap.add(k) as *const __m128i);
-        let vb = _mm_loadu_si128(bp.add(k) as *const __m128i);
-        let a16 = _mm256_cvtepi8_epi16(va);
-        let b16 = _mm256_cvtepi8_epi16(vb);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, b16));
-        k += 16;
-    }
-    let hi = _mm256_extracti128_si256(acc, 1);
-    let mut q = _mm_add_epi32(_mm256_castsi256_si128(acc), hi);
-    q = _mm_add_epi32(q, _mm_shuffle_epi32(q, 0b00_01_10_11));
-    q = _mm_add_epi32(q, _mm_shuffle_epi32(q, 0b10_11_00_01));
-    let mut sum = _mm_cvtsi128_si32(q);
-    while k < len {
-        sum += *ap.add(k) as i32 * *bp.add(k) as i32;
-        k += 1;
-    }
-    sum
-}
-
-/// AVX-512 VNNI i8 dot: 32 elements per `vpdpwssd` (the fused
-/// multiply-accumulate `vpmaddwd + vpaddd` in one instruction), with a
-/// masked load covering the tail so the whole dot is branch-light.
-/// Same exact integer sum as the scalar loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-unsafe fn dot_i8_vnni512(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    let len = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm512_setzero_si512();
-    let mut k = 0;
-    while k + 32 <= len {
-        let va = _mm512_cvtepi8_epi16(_mm256_loadu_si256(ap.add(k) as *const __m256i));
-        let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(bp.add(k) as *const __m256i));
-        acc = _mm512_dpwssd_epi32(acc, va, vb);
-        k += 32;
-    }
-    if k < len {
-        // rem < 32, so the mask shift cannot overflow; masked-out lanes
-        // load as zero and contribute nothing.
-        let m: __mmask32 = (1u32 << (len - k)) - 1;
-        let va = _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(m, ap.add(k)));
-        let vb = _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(m, bp.add(k)));
-        acc = _mm512_dpwssd_epi32(acc, va, vb);
-    }
-    _mm512_reduce_add_epi32(acc)
-}
-
-/// Fused int8 GEMM against a pre-transposed quantized weight:
-/// `out[r][o] = x_scales[r] * w.scale(o) * dot_i8(x_row_r, w_row_o)
+/// Fused int8 GEMM against a quantized weight:
+/// `out[r][o] = x_scales[r] * w.scale(o) * Σ_k x[r][k]·w[k][o]
 /// (+ bias[o])` for `rows` quantized activation rows of length `k`.
 ///
-/// Serial by design: callers batch at the window level on the rsd-par
-/// pool (one window per task), which keeps results trivially
-/// independent of thread count and partitioning.
+/// Each activation row is packed into pair words and swept across the
+/// weight panel, two rows at a time so each panel load and
+/// sign-extension feeds both. Serial by design: callers batch at the
+/// window level on the rsd-par pool (one window per task), which keeps
+/// results trivially independent of thread count and partitioning.
 pub fn qgemm_nt(
     x: &[i8],
     x_scales: &[f32],
     rows: usize,
     k: usize,
-    w: &QuantizedMatrix,
+    w: &QuantizedWeight,
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
-    assert_eq!(w.cols, k, "contraction dim mismatch");
-    assert!(x.len() >= rows * k && out.len() >= rows * w.rows);
-    if !w.packed.is_empty() {
-        // Pair-packed route: gemv sweeps over the output axis, two
-        // activation rows at a time so each weight load and
-        // sign-extension is amortized across both. The integer
-        // accumulators are exactly the per-channel dots, so this is
-        // bit-identical to the dot route.
-        let n = w.rows;
-        let pairs = k.div_ceil(2);
-        return QGEMM_SCRATCH.with(|cell| {
-            let (pair_buf, acc) = &mut *cell.borrow_mut();
-            if pair_buf.len() < 2 * pairs {
-                pair_buf.resize(2 * pairs, 0);
-            }
-            if acc.len() < 2 * n {
-                acc.resize(2 * n, 0);
-            }
-            let epilogue = |r: usize, acc: &[i32], out_row: &mut [f32]| {
-                let sx = x_scales[r];
-                match bias {
-                    Some(b) => {
-                        for o in 0..n {
-                            out_row[o] = sx * w.scales[o] * acc[o] as f32 + b[o];
-                        }
-                    }
-                    None => {
-                        for o in 0..n {
-                            out_row[o] = sx * w.scales[o] * acc[o] as f32;
-                        }
-                    }
-                }
-            };
-            let pack_row = |r: usize, buf: &mut [i32]| {
-                let x_row = &x[r * k..(r + 1) * k];
-                for (p, slot) in buf.iter_mut().enumerate() {
-                    let odd = if 2 * p + 1 < k { x_row[2 * p + 1] } else { 0 };
-                    *slot = pack_pair(x_row[2 * p], odd);
-                }
-            };
-            let mut r = 0;
-            while r + 2 <= rows {
-                let (p0, p1) = pair_buf.split_at_mut(pairs);
-                pack_row(r, &mut p0[..pairs]);
-                pack_row(r + 1, &mut p1[..pairs]);
-                let (a0, a1) = acc.split_at_mut(n);
-                gemv2_i8_pairs(&p0[..pairs], &p1[..pairs], &w.packed, n, a0, &mut a1[..n]);
-                let (o0, rest) = out[r * n..].split_at_mut(n);
-                epilogue(r, a0, o0);
-                epilogue(r + 1, &a1[..n], &mut rest[..n]);
-                r += 2;
-            }
-            if r < rows {
-                pack_row(r, &mut pair_buf[..pairs]);
-                gemv_i8_pairs(&pair_buf[..pairs], &w.packed, n, acc);
-                epilogue(r, &acc[..n], &mut out[r * n..(r + 1) * n]);
-            }
-        });
-    }
-    for r in 0..rows {
-        let x_row = &x[r * k..(r + 1) * k];
-        let sx = x_scales[r];
-        let out_row = &mut out[r * w.rows..(r + 1) * w.rows];
-        for o in 0..w.rows {
-            let acc = dot_i8(x_row, w.row(o));
-            let mut v = sx * w.scales[o] * acc as f32;
-            if let Some(b) = bias {
-                v += b[o];
-            }
-            out_row[o] = v;
+    assert_eq!(w.k, k, "contraction dim mismatch");
+    let n = w.n;
+    assert!(x.len() >= rows * k && out.len() >= rows * n);
+    let pairs = k.div_ceil(2);
+    QGEMM_SCRATCH.with(|cell| {
+        let (pair_buf, acc) = &mut *cell.borrow_mut();
+        if pair_buf.len() < 2 * pairs {
+            pair_buf.resize(2 * pairs, 0);
         }
-    }
+        if acc.len() < 2 * n {
+            acc.resize(2 * n, 0);
+        }
+        let epilogue = |r: usize, acc: &[i32], out_row: &mut [f32]| {
+            let sx = x_scales[r];
+            match bias {
+                Some(b) => {
+                    for o in 0..n {
+                        out_row[o] = sx * w.scales[o] * acc[o] as f32 + b[o];
+                    }
+                }
+                None => {
+                    for o in 0..n {
+                        out_row[o] = sx * w.scales[o] * acc[o] as f32;
+                    }
+                }
+            }
+        };
+        let x_row = |r: usize| &x[r * k..(r + 1) * k];
+        let mut r = 0;
+        while r + 2 <= rows {
+            let (p0, p1) = pair_buf.split_at_mut(pairs);
+            pack_pairs(x_row(r), p0);
+            pack_pairs(x_row(r + 1), &mut p1[..pairs]);
+            let (a0, a1) = acc.split_at_mut(n);
+            gemv2_i8_pairs(p0, &p1[..pairs], &w.panel, n, a0, &mut a1[..n]);
+            let (o0, rest) = out[r * n..].split_at_mut(n);
+            epilogue(r, a0, o0);
+            epilogue(r + 1, &a1[..n], &mut rest[..n]);
+            r += 2;
+        }
+        if r < rows {
+            pack_pairs(x_row(r), &mut pair_buf[..pairs]);
+            gemv_i8_pairs(&pair_buf[..pairs], &w.panel, n, acc);
+            epilogue(r, &acc[..n], &mut out[r * n..(r + 1) * n]);
+        }
+    })
 }
 
 std::thread_local! {
-    /// Reusable pack/accumulate buffers for the packed [`qgemm_nt`]
-    /// route — keeps the public signature scratch-free while steady
-    /// state allocates nothing (pool threads are long-lived).
+    /// Reusable pack/accumulate buffers for [`qgemm_nt`] — keeps the
+    /// public signature scratch-free while steady state allocates
+    /// nothing (pool threads are long-lived).
     static QGEMM_SCRATCH: std::cell::RefCell<(Vec<i32>, Vec<i32>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -530,15 +343,46 @@ pub fn pack_pair(q_even: i8, q_odd: i8) -> i32 {
     ((q_odd as i32) << 16) | (q_even as i32 as u16 as i32)
 }
 
+/// Pack a code row into its [`pack_pair`] words, `out[p]` holding
+/// `(row[2p], row[2p+1])`, zero for the missing partner of an odd
+/// row's last code. `out.len()` is `⌈row.len()/2⌉`.
+#[inline]
+pub fn pack_pairs(row: &[i8], out: &mut [i32]) {
+    debug_assert_eq!(out.len(), row.len().div_ceil(2));
+    let mut pairs = row.chunks_exact(2);
+    for (slot, pair) in out.iter_mut().zip(&mut pairs) {
+        *slot = pack_pair(pair[0], pair[1]);
+    }
+    if let [last] = pairs.remainder() {
+        out[row.len() / 2] = pack_pair(*last, 0);
+    }
+}
+
+/// Byte-interleave `n` code rows into the panel the pair kernels read.
+/// Row `j` is `src[j·stride..j·stride + len]`; panel row `p` is
+/// `[r0[2p], r0[2p+1], r1[2p], r1[2p+1], …]`, `2·n` bytes, with a zero
+/// in place of the missing partner when `len` is odd. `panel` holds
+/// `⌈len/2⌉` such rows.
+pub fn pack_panel(src: &[i8], stride: usize, len: usize, n: usize, panel: &mut [i8]) {
+    debug_assert_eq!(panel.len(), len.div_ceil(2) * 2 * n);
+    for (p, row) in panel.chunks_exact_mut(2 * n).enumerate() {
+        let c = 2 * p;
+        for (j, pair) in row.chunks_exact_mut(2).enumerate() {
+            let s = &src[j * stride + c..];
+            pair[0] = s[0];
+            pair[1] = if c + 1 < len { s[1] } else { 0 };
+        }
+    }
+}
+
 /// Short-contraction int8 GEMV: `out[j] = Σ_p pair_p · col_j` where the
 /// contraction axis is pre-packed into d-pairs.
 ///
-/// `q_pairs[p]` holds `(q[2p], q[2p+1])` via [`pack_pair`] (zero-pad an
-/// odd axis). `kt` holds the matrix column-major, byte-interleaved by
-/// pair: row `p` is `[k[2p][0], k[2p+1][0], k[2p][1], k[2p+1][1], ...]`,
-/// `2*n` bytes. This turns the attention-score shape — tiny head_dim
-/// contraction, long `j` axis — into full-width `vpmaddwd` over `j`,
-/// where a plain per-`j` dot of 12 elements would run scalar.
+/// `q_pairs` is a row packed by [`pack_pairs`], and `kt` the
+/// [`pack_panel`] panel of the `n` rows it is dotted with. This turns
+/// the attention-score shape — tiny head_dim contraction, long `j` axis
+/// — into full-width `vpmaddwd` over `j`, where a plain per-`j` dot of
+/// 12 elements would run scalar.
 /// Integer accumulation is exact: SIMD and portable agree bitwise.
 #[inline]
 pub fn gemv_i8_pairs(q_pairs: &[i32], kt: &[i8], n: usize, out: &mut [i32]) {
@@ -786,42 +630,33 @@ mod tests {
 
     #[test]
     fn round_trip_error_within_per_channel_bound() {
-        let w = pseudo(48, 32, 7);
-        let q = QuantizedMatrix::from_weight(&w);
-        let deq = q.dequantize();
-        for o in 0..q.rows() {
+        let w = pseudo(47, 32, 7);
+        let q = QuantizedWeight::from_weight(&w);
+        for o in 0..q.outputs() {
             let s = q.scale(o);
-            for k in 0..q.cols() {
-                let err = (w.get(k, o) - deq.get(o, k)).abs();
+            for k in 0..w.rows {
+                let code = q.panel[(k / 2) * 2 * q.n + 2 * o + k % 2];
+                let err = (w.get(k, o) - code as f32 * s).abs();
                 assert!(
                     err <= s * 0.5 + s * 1e-4,
                     "channel {o} k {k}: err {err} vs scale {s}"
                 );
             }
         }
+        // The odd contraction's padding byte is zero in every channel.
+        let last = (w.rows / 2) * 2 * q.n;
+        assert!((0..q.n).all(|o| q.panel[last + 2 * o + 1] == 0));
     }
 
     #[test]
     fn zero_row_quantizes_to_zero_scale() {
-        let m = Matrix::zeros(3, 8);
-        let q = QuantizedMatrix::from_rows(&m);
-        for r in 0..3 {
-            assert_eq!(q.scale(r), 0.0);
-            assert!(q.row(r).iter().all(|&v| v == 0));
-        }
-    }
-
-    #[test]
-    fn simd_dot_matches_portable_on_awkward_lengths() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for len in [0, 1, 7, 15, 16, 17, 31, 32, 33, 48, 96, 127, 257] {
-            let a: Vec<i8> = (0..len)
-                .map(|_| rng.gen_range(-127i32..=127) as i8)
-                .collect();
-            let b: Vec<i8> = (0..len)
-                .map(|_| rng.gen_range(-127i32..=127) as i8)
-                .collect();
-            assert_eq!(dot_i8(&a, &b), dot_i8_portable(&a, &b), "len {len}");
+        for len in [1usize, 8, 19] {
+            let zeros = vec![0.0f32; len];
+            let mut a = vec![5i8; len];
+            let mut b = vec![5i8; len];
+            assert_eq!(quantize_row_i8(&zeros, &mut a), 0.0);
+            assert_eq!(quantize_row_i8_portable(&zeros, &mut b), 0.0);
+            assert!(a.iter().chain(&b).all(|&v| v == 0), "len {len}");
         }
     }
 
@@ -841,24 +676,18 @@ mod tests {
             let q: Vec<i8> = (0..hd)
                 .map(|_| rng.gen_range(-127i32..=127) as i8)
                 .collect();
-            let k: Vec<Vec<i8>> = (0..n)
-                .map(|_| {
-                    (0..hd)
-                        .map(|_| rng.gen_range(-127i32..=127) as i8)
-                        .collect()
-                })
+            // `n` rows of `hd` codes at a stride of `hd + 3`, as a head
+            // slice sits inside a wider row.
+            let stride = hd + 3;
+            let rows: Vec<i8> = (0..n * stride)
+                .map(|_| rng.gen_range(-127i32..=127) as i8)
                 .collect();
+            let k = |j: usize| &rows[j * stride..j * stride + hd];
             let pairs = hd.div_ceil(2);
             let mut q_pairs = vec![0i32; pairs];
+            pack_pairs(&q, &mut q_pairs);
             let mut kt = vec![0i8; pairs * 2 * n];
-            for p in 0..pairs {
-                let odd = if 2 * p + 1 < hd { q[2 * p + 1] } else { 0 };
-                q_pairs[p] = pack_pair(q[2 * p], odd);
-                for (j, krow) in k.iter().enumerate() {
-                    kt[p * 2 * n + 2 * j] = krow[2 * p];
-                    kt[p * 2 * n + 2 * j + 1] = if 2 * p + 1 < hd { krow[2 * p + 1] } else { 0 };
-                }
-            }
+            pack_panel(&rows, stride, hd, n, &mut kt);
             let mut out = vec![0i32; n];
             gemv_i8_pairs(&q_pairs, &kt, n, &mut out);
             let mut portable = vec![0i32; n];
@@ -873,9 +702,9 @@ mod tests {
             let mut solo_b = vec![0i32; n];
             gemv_i8_pairs_portable(&q2, &kt, n, &mut solo_b);
             assert_eq!(two_b, solo_b, "hd {hd} n {n}: 2-row row1");
-            for (j, krow) in k.iter().enumerate() {
-                let naive: i32 = q.iter().zip(krow).map(|(&a, &b)| a as i32 * b as i32).sum();
-                assert_eq!(out[j], naive, "hd {hd} n {n} j {j}");
+            for (j, slot) in out.iter().enumerate() {
+                let naive: i32 = q.iter().zip(k(j)).map(|(&a, &b)| a as i32 * b as i32).sum();
+                assert_eq!(*slot, naive, "hd {hd} n {n} j {j}");
             }
         }
     }
@@ -944,7 +773,7 @@ mod tests {
         {
             let x = pseudo(rows, k, seed);
             let w = pseudo(k, n, seed + 100);
-            let q = QuantizedMatrix::from_weight(&w);
+            let q = QuantizedWeight::from_weight(&w);
             let mut xq = vec![0i8; rows * k];
             let mut xs = vec![0.0f32; rows];
             for r in 0..rows {
@@ -991,7 +820,7 @@ mod tests {
         let x = pseudo(5, 48, 3);
         let w = pseudo(48, 12, 4); // in × out, Linear layout
         let bias: Vec<f32> = (0..12).map(|i| i as f32 * 0.01).collect();
-        let q = QuantizedMatrix::from_weight(&w);
+        let q = QuantizedWeight::from_weight(&w);
 
         let mut xq = vec![0i8; 5 * 48];
         let mut xs = vec![0.0f32; 5];

@@ -7,7 +7,7 @@
 use proptest::collection;
 use proptest::prelude::*;
 use rsd_nn::quant::{
-    dot_i8, dot_i8_portable, gemv2_i8_pairs, gemv_i8_pairs, gemv_i8_pairs_portable, pack_pair,
+    gemv2_i8_pairs, gemv_i8_pairs, gemv_i8_pairs_portable, pack_pair, pack_pairs, pack_panel,
     quantize_row_i8, quantize_row_i8_portable, softmax_q7, softmax_q7_portable,
 };
 
@@ -47,13 +47,6 @@ proptest! {
         let sb = quantize_row_i8_portable(&row, &mut b);
         prop_assert_eq!(sa.to_bits(), sb.to_bits());
         prop_assert_eq!(a, b);
-    }
-
-    fn dot_simd_matches_portable(
-        a in collection::vec(-128i8..=127, 0..200),
-        b in collection::vec(-128i8..=127, 0..200),
-    ) {
-        prop_assert_eq!(dot_i8(&a, &b), dot_i8_portable(&a, &b));
     }
 
     fn softmax_q7_simd_matches_portable_and_normalizes(
@@ -99,6 +92,14 @@ proptest! {
             }
         }
         let (qp, qp2) = (pack(&q), pack(&q2));
+        // The shared packing helpers build the same words and panel.
+        let mut helper_qp = vec![0i32; pairs];
+        pack_pairs(&q, &mut helper_qp);
+        prop_assert_eq!(&helper_qp, &qp);
+        let flat: Vec<i8> = k.concat();
+        let mut helper_kt = vec![0i8; pairs * 2 * n];
+        pack_panel(&flat, hd, hd, n, &mut helper_kt);
+        prop_assert_eq!(&helper_kt, &kt);
         let mut out = vec![0i32; n];
         gemv_i8_pairs(&qp, &kt, n, &mut out);
         let mut portable = vec![0i32; n];
