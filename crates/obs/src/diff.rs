@@ -15,9 +15,11 @@
 //!   Wall-clock leaves embedded in config echoes (per-model fit times
 //!   in table rows) are the exception: they can never repeat exactly
 //!   and gate as Time instead.
-//! - **Time** — wall-clock leaves (`*_ms`, percentiles, durations):
-//!   candidate may not exceed `baseline * (1 + time_ratio)`; leaves
-//!   below `min_time_ms` are noise and ignored.
+//! - **Time** — wall-clock leaves (`*_ns`, `*_us`, `*_ms`, `*_secs`,
+//!   percentiles, durations): candidate may not exceed
+//!   `baseline * (1 + time_ratio)`; leaves below `min_time_ms` are
+//!   noise and ignored. The floor is read in each leaf's own unit, from
+//!   its suffix, so 50 ms is 5e7 for a `_ns` leaf and 0.05 for `_secs`.
 //! - **Quantile** — HDR latency quantiles (`p50_ms` … `p999_ms`, from
 //!   the continuous-telemetry layer): each quantile carries its own
 //!   tolerance ratio — tails are noisier, so p999 gets more headroom
@@ -31,9 +33,8 @@
 //!   verbose level, never a regression.
 //!
 //! Every regression finding names the offending path and both values.
-//! [`summarize`]-style inputs work too: the `obs_diff` bin feeds
-//! `.series.ndjson` files through
-//! [`crate::timeseries::summarize_series`] before diffing.
+//! Series work too: the `obs_diff` bin feeds `.series.ndjson` files
+//! through [`crate::timeseries::summarize_series`] before diffing.
 
 use serde_json::Value;
 
@@ -45,8 +46,8 @@ pub struct Tolerances {
     pub time_ratio: f64,
     /// Allowed relative increase for Memory leaves.
     pub mem_ratio: f64,
-    /// Time leaves where the *baseline* is under this many ms are
-    /// treated as noise and skipped.
+    /// Time leaves where both sides are under this many ms (converted
+    /// from the leaf's unit) are treated as noise and skipped.
     pub min_time_ms: f64,
     /// Memory leaves where both sides are under this many bytes are
     /// skipped.
@@ -195,11 +196,12 @@ const COUNT_SEGMENTS: &[&str] = &[
 /// Identity keys compared exactly (including strings).
 const IDENTITY_SEGMENTS: &[&str] = &["bin", "scale", "seed", "mode", "kernel", "dim", "status"];
 
+/// Time-unit suffixes and the milliseconds one unit is worth.
+const TIME_UNITS: &[(&str, f64)] = &[("_ns", 1e-6), ("_us", 1e-3), ("_ms", 1.0), ("_secs", 1e3)];
+
 /// Segment suffixes/substrings marking wall-clock leaves.
 fn is_time_segment(seg: &str) -> bool {
-    seg.ends_with("_ms")
-        || seg.ends_with("_secs")
-        || seg.ends_with("_ns")
+    TIME_UNITS.iter().any(|(suffix, _)| seg.ends_with(suffix))
         || seg == "elapsed"
         || seg.contains("duration")
         || matches!(seg, "p50" | "p90" | "p99" | "mean" | "min" | "max" | "sum")
@@ -251,6 +253,22 @@ pub fn classify(path: &str) -> Class {
         return Class::Time;
     }
     Class::Info
+}
+
+/// Milliseconds per unit of a time leaf: the suffix of the innermost
+/// segment that carries one (`…window_apply_ns.p50` is in ns). Leaves
+/// with none (`elapsed`, `duration`) read as ms.
+fn ms_per_unit(path: &str) -> f64 {
+    let lower = path.to_ascii_lowercase();
+    lower
+        .rsplit('.')
+        .find_map(|seg| {
+            TIME_UNITS
+                .iter()
+                .find(|(suffix, _)| seg.ends_with(suffix))
+                .map(|&(_, ms)| ms)
+        })
+        .unwrap_or(1.0)
 }
 
 fn as_num(v: &Value) -> Option<f64> {
@@ -329,7 +347,8 @@ fn compare_leaf(path: &str, base: &Value, cand: &Value, tol: &Tolerances, out: &
                         return;
                     }
                     let allowed = b * (1.0 + tol.time_ratio);
-                    (tol.min_time_ms, allowed, c > allowed, "slower")
+                    let floor = tol.min_time_ms / ms_per_unit(path);
+                    (floor, allowed, c > allowed, "slower")
                 }
                 Class::Quantile => {
                     if !tol.check_time {
@@ -489,30 +508,32 @@ pub struct Injection {
 /// tail (p99/p999) on the first latency quantile — the `obs_diff
 /// --self-test` fixture proving each gate class trips.
 ///
-/// The slowed leaf reads at least twice its value and twice
-/// `min_time_ms`, so it crosses the noise floor even when every time leaf
-/// of the report sits under it.
+/// The largest leaf is picked by its value in ms. It then reads at least
+/// twice its value and twice `min_time_ms` in its own unit, so it crosses
+/// the noise floor even when every time leaf of the report sits under it.
 pub fn inject_regressions(report: &Value, tol: &Tolerances) -> (Value, Injection) {
-    let mut largest: Option<(String, f64)> = None;
+    let mut largest: Option<(String, f64, f64)> = None;
     // A read-only pass; the copy it builds is dropped.
     map_leaves("", report, &mut |path, leaf| {
         if let (Class::Time, Some(n)) = (classify(path), as_num(leaf)) {
-            if largest.as_ref().is_none_or(|(_, m)| n > *m) {
-                largest = Some((path.to_string(), n));
+            let ms = n * ms_per_unit(path);
+            if largest.as_ref().is_none_or(|(_, _, m)| ms > *m) {
+                largest = Some((path.to_string(), n, ms));
             }
         }
         Value::Null
     });
     let mut inj = Injection {
-        time_path: largest.as_ref().map(|(path, _)| path.clone()),
+        time_path: largest.as_ref().map(|(path, _, _)| path.clone()),
         ..Injection::default()
     };
     let injected = map_leaves("", report, &mut |path, leaf| {
         match classify(path) {
             Class::Time => {
-                if let Some((slow, n)) = &largest {
+                if let Some((slow, n, _)) = &largest {
                     if slow == path {
-                        return Value::Float((n * 2.0).max(tol.min_time_ms * 2.0));
+                        let floor = tol.min_time_ms / ms_per_unit(path);
+                        return Value::Float((n * 2.0).max(floor * 2.0));
                     }
                 }
             }
@@ -619,6 +640,42 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.class == Class::Time && f.regression && f.path == "elapsed_ms"));
+    }
+
+    #[test]
+    fn time_floor_is_read_in_the_leaf_unit() {
+        let tol = Tolerances::default();
+        let gate = |path: &str, base: f64| {
+            let mut r = DiffResult::default();
+            compare_leaf(path, &json!(base), &json!(base * 1.4), &tol, &mut r);
+            r.regressed()
+        };
+        // 3.3 ms in ns sits under the 50 ms floor; 60 ms does not.
+        assert!(!gate("metrics.counters.nn.op.matmul_ns", 3.3e6));
+        assert!(gate("metrics.counters.nn.op.matmul_ns", 6.0e7));
+        // 10 s clears the floor; 30 ms rising to 42 ms stays under it.
+        assert!(gate("tables.table4.fit_secs", 10.0));
+        assert!(!gate("tables.table4.fit_secs", 0.03));
+        // `_us` leaves are time leaves, gated from 50,000 µs.
+        assert_eq!(classify("kernels.0.nt_us"), Class::Time);
+        assert!(!gate("kernels.0.nt_us", 20.0));
+        assert!(gate("kernels.0.nt_us", 6.0e4));
+        // A bare quantile takes the unit of the segment that names one.
+        assert!(!gate("histograms.window_apply_ns.p50", 3.3e6));
+        assert!(gate("histograms.window_apply_ns.p50", 6.0e7));
+    }
+
+    #[test]
+    fn injected_slowdown_clears_the_floor_in_its_own_unit() {
+        let tol = Tolerances::default();
+        let base = json!({"counters": json!({"op.a_ns": 3.3e6, "op.b_ns": 1.0e6})});
+        let (slow, inj) = inject_regressions(&base, &tol);
+        assert_eq!(inj.time_path.as_deref(), Some("counters.op.a_ns"));
+        assert!(diff_reports(&base, &slow, &tol).regressed());
+        // The largest leaf is picked by its time, not its raw value.
+        let mixed = json!({"elapsed_ms": 900.0, "fit_ns": 4.0e5, "fit_secs": 2.0});
+        let (_, inj) = inject_regressions(&mixed, &tol);
+        assert_eq!(inj.time_path.as_deref(), Some("fit_secs"));
     }
 
     #[test]
