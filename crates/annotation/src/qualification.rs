@@ -9,7 +9,7 @@
 //!
 //! The loop below executes exactly that protocol against a
 //! [`SimulatedAnnotator`]: each failed round triggers an error review
-//! ([`AnnotatorProfile::train_round`]) and a fresh re-annotation.
+//! ([`crate::annotator::AnnotatorProfile::train_round`]) and a fresh re-annotation.
 
 use serde::{Deserialize, Serialize};
 

@@ -46,7 +46,7 @@ pub struct CorpusConfig {
 
 impl CorpusConfig {
     /// Paper-scale configuration: ≈76,186 users over 01/2020–12/2021,
-    /// yielding ≈139k posts (the raw pool of [3] the paper draws from).
+    /// yielding ≈139k posts (the raw pool of \[3\] the paper draws from).
     pub fn paper(seed: u64) -> Self {
         CorpusConfig {
             seed,

@@ -2,7 +2,7 @@
 //! a rate-limited crawl client.
 //!
 //! The paper's raw data was harvested through the official Reddit API
-//! (citation [4]) from `r/SuicideWatch`. This module reproduces the
+//! (citation \[4\]) from `r/SuicideWatch`. This module reproduces the
 //! *interface contract* that pathway imposes on a collection pipeline:
 //!
 //! * posts live in named subreddits, ordered by creation time;

@@ -14,7 +14,7 @@ pub const MAX_BINS: usize = 256;
 /// Per-feature quantile cut points.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BinCuts {
-    /// `cuts[f]` — ascending thresholds for feature `f`; value ≤ cut[i]
+    /// `cuts[f]` — ascending thresholds for feature `f`; value ≤ `cuts[f][i]`
     /// lands in bin i, values above all cuts land in the last bin.
     pub cuts: Vec<Vec<f32>>,
 }

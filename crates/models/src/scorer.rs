@@ -14,11 +14,11 @@
 //!   ([`Booster::predict_row`]), so [`score_windows`] over the test
 //!   split is bit-identical to the baseline's `predict` over the binned
 //!   test matrix.
-//! * `plm-f32` — a trained PLM frozen through
-//!   [`PlmInferenceModel`](crate::plm_infer::PlmInferenceModel), scored
-//!   on the tape-free f32 reference path (bit-identical to the tape).
-//! * `plm-int8` — the same frozen artifact on the per-channel int8
-//!   kernels: the fast path, gated against `plm-f32` by `bench_kernels`'
+//! * `plm-f32` — a trained PLM frozen through [`PlmInferenceModel`],
+//!   scored on the tape-free f32 reference path (bit-identical to the
+//!   tape).
+//! * `plm-int8` — the same frozen artifact on the int8 pair kernels:
+//!   the fast path, gated against `plm-f32` by `bench_kernels`'
 //!   quality bounds (per-logit error, argmax agreement).
 //!
 //! [`score_windows`]: ScoringModel::score_windows

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: formatting, lint on the whole workspace, release
+# Tier-1 CI gate: formatting, lint and rustdoc on the whole workspace, release
 # build, full test suite under two thread counts, a smoke-scale telemetry
 # run that checks the NDJSON sink and run-report artifacts, and a
 # thread-count determinism diff on the smoke run's stdout.
@@ -11,6 +11,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
 
 echo "==> cargo build --release"
 cargo build --release
@@ -228,13 +231,14 @@ echo "==> int8 inference parity (f32-vs-int8 + partition/quant properties)"
 # engine's bitwise tape parity, int8 quality envelope, kernel SIMD/
 # portable agreement, and partition invariance of quantized scoring.
 cargo test --release -q -p rsd-nn --test quant_props
-# The f32 training tape under release arithmetic: the SSE matmul_nt kernel
-# must equal the scalar dot4 bit for bit, and the committed training digest
-# must hold (no trained weight may move).
+# The f32 product kernels under release arithmetic: every register width
+# must equal the portable kernel bit for bit (matmul_nt the scalar dot4),
+# serial and on a 4-thread pool.
 cargo test --release -q -p rsd-nn --test par_determinism
 # The whole-block attention and LSTM tape ops must equal the primitive-op
 # graphs they replace bit for bit (values, leaf and parameter gradients).
 cargo test --release -q -p rsd-nn --test fused_ops
+# The committed training digests must hold (no trained weight may move).
 cargo test --release -q -p rsd-models --test train_digest
 # The feature-interleaved GBDT histogram build must keep every fitted
 # tree's split, threshold, gain and leaf-weight bits (committed digest).
@@ -247,6 +251,8 @@ cargo test --release -q -p rsd-features --test feature_digest
 # threads, against committed digests.
 cargo test --release -q -p rsd-dataset --test build_digest -- --include-ignored
 cargo test --release -q -p rsd-models --test int8_partition_props
+# Every int8 logit bit, at base and odd shapes, against committed digests.
+cargo test --release -q -p rsd-models --test int8_digest
 cargo test --release -q -p rsd-models plm_infer
 
 echo "==> int8 serving soak (RSD_SERVE_MODEL=plm-int8, SLO burn verdict + clean drain)"
