@@ -629,11 +629,11 @@ impl PlmInferenceModel {
             PlmKind::Deberta => 1.0 / (3.0 * hd as f32).sqrt(),
         };
         let (radius, w_rel) = (self.radius, 2 * self.radius + 1);
-        // Head dims are far below the 32-lane dot kernel's main loop, so
-        // per-(i,j) dots would run scalar. Instead pack the short head
-        // axis into i16 pairs and sweep the *long* axis (seq or 2r+1)
-        // with `gemv_i8_pairs`: identical integer sums, vectorized over
-        // outputs rather than the contraction.
+        // Head dims are far below a SIMD register, so per-(i,j) dots
+        // would run scalar. Instead pack the short head axis into i16
+        // pairs and sweep the *long* axis (seq or 2r+1) with
+        // `gemv_i8_pairs`: vectorized over outputs rather than the
+        // contraction. Each head's keys become one panel per forward.
         let pairs = hd.div_ceil(2);
         let kt_block = pairs * 2 * seq;
         for h in 0..heads {
