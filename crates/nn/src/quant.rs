@@ -68,11 +68,6 @@ impl QuantizedWeight {
     pub fn outputs(&self) -> usize {
         self.n
     }
-
-    /// Per-channel scale.
-    pub fn scale(&self, o: usize) -> f32 {
-        self.scales[o]
-    }
 }
 
 /// Symmetric per-row quantization: `scale = max_abs / 127`,
@@ -262,7 +257,7 @@ unsafe fn softmax_q7_avx2(row: &[f32], q: &mut [i8]) -> f32 {
 }
 
 /// Fused int8 GEMM against a quantized weight:
-/// `out[r][o] = x_scales[r] * w.scale(o) * Σ_k x[r][k]·w[k][o]
+/// `out[r][o] = x_scales[r] * w_scale[o] * Σ_k x[r][k]·w[k][o]
 /// (+ bias[o])` for `rows` quantized activation rows of length `k`.
 ///
 /// Each activation row is packed into pair words and swept across the
@@ -633,7 +628,7 @@ mod tests {
         let w = pseudo(47, 32, 7);
         let q = QuantizedWeight::from_weight(&w);
         for o in 0..q.outputs() {
-            let s = q.scale(o);
+            let s = q.scales[o];
             for k in 0..w.rows {
                 let code = q.panel[(k / 2) * 2 * q.n + 2 * o + k % 2];
                 let err = (w.get(k, o) - code as f32 * s).abs();
