@@ -140,11 +140,6 @@ impl LabelingPlatform {
         ids
     }
 
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.inner.lock().tasks.len()
-    }
-
     /// Assign a task to an annotator.
     pub fn assign(&self, task: TaskId, annotator: usize) -> Result<()> {
         let mut inner = self.inner.lock();

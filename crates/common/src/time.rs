@@ -234,11 +234,6 @@ impl Timestamp {
         self.weekday().is_weekend()
     }
 
-    /// Signed difference `self - other` in seconds.
-    pub fn seconds_since(self, other: Timestamp) -> i64 {
-        self.0 - other.0
-    }
-
     /// Signed difference `self - other` in fractional days.
     pub fn days_since(self, other: Timestamp) -> f64 {
         (self.0 - other.0) as f64 / 86_400.0

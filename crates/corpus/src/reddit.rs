@@ -134,11 +134,6 @@ impl RedditStore {
             .get(name)
             .ok_or_else(|| RsdError::not_found("subreddit", name))
     }
-
-    /// Names of all subreddits.
-    pub fn subreddit_names(&self) -> impl Iterator<Item = &str> {
-        self.subs.keys().map(String::as_str)
-    }
 }
 
 /// Crawl statistics — lets tests and benchmarks verify the client stayed

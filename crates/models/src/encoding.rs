@@ -104,11 +104,6 @@ impl EncodedWindow {
         }
         out
     }
-
-    /// Temporal vector of the labelled post.
-    pub fn last_time(&self) -> &[f32; TIME_FEATURE_DIM] {
-        self.time_feats.last().expect("windows are never empty")
-    }
 }
 
 /// Encoder from dataset windows to model inputs.

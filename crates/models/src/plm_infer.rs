@@ -876,25 +876,36 @@ mod tests {
 
     #[test]
     fn f32_engine_is_bitwise_identical_to_tape() {
+        // The tiny shapes plus the served `base` shapes (dim 48, 4 heads,
+        // radius 8, 96-token windows). Base windows of (5 posts x 20) and
+        // (5 posts x 40) fill the 96-token cap exactly and by truncation.
+        let tiny = [(1, 1, 1), (2, 5, 2), (5, 12, 3), (5, 12, 4)];
+        let base = [(1, 56, 11), (5, 20, 12), (5, 40, 13)];
         for kind in [PlmKind::Roberta, PlmKind::Deberta] {
-            let fitted = FittedPlm::synthetic(tiny_cfg(kind), 42);
-            let model = PlmInferenceModel::export(&fitted);
-            let vocab = fitted.encoder.vocab.len();
-            for (posts, tokens, seed) in [(1, 1, 1), (2, 5, 2), (5, 12, 3), (5, 12, 4)] {
-                let w = synthetic_window(vocab, posts, tokens, seed);
-                let tape_logits = fitted.logits_tape(&w);
-                let fast = model.logits_f32(&w);
-                assert_eq!(
-                    tape_logits.len(),
-                    fast.len(),
-                    "{kind:?} logit width mismatch"
-                );
-                for (i, (&a, &b)) in tape_logits.iter().zip(&fast).enumerate() {
+            for (cfg, shapes) in [
+                (tiny_cfg(kind), &tiny[..]),
+                (PlmConfig::base(kind), &base[..]),
+            ] {
+                let dim = cfg.dim;
+                let fitted = FittedPlm::synthetic(cfg, 42);
+                let model = PlmInferenceModel::export(&fitted);
+                let vocab = fitted.encoder.vocab.len();
+                for &(posts, tokens, seed) in shapes {
+                    let w = synthetic_window(vocab, posts, tokens, seed);
+                    let tape_logits = fitted.logits_tape(&w);
+                    let fast = model.logits_f32(&w);
                     assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{kind:?} posts={posts} logit {i}: tape {a} vs f32 engine {b}"
+                        tape_logits.len(),
+                        fast.len(),
+                        "{kind:?} dim={dim} logit width mismatch"
                     );
+                    for (i, (&a, &b)) in tape_logits.iter().zip(&fast).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{kind:?} dim={dim} posts={posts} logit {i}: tape {a} vs f32 engine {b}"
+                        );
+                    }
                 }
             }
         }

@@ -73,11 +73,6 @@ impl ServeModel {
     pub fn quantized(self) -> bool {
         self == ServeModel::PlmInt8
     }
-
-    /// Whether this backend scores with the frozen PLM.
-    pub fn is_plm(self) -> bool {
-        self != ServeModel::Gbdt
-    }
 }
 
 /// Reusable per-worker scratch for streaming scoring: one feature row
@@ -347,7 +342,6 @@ mod tests {
         assert!(ServeModel::from_name("xgboost").is_err());
         assert!(ServeModel::PlmInt8.quantized());
         assert!(!ServeModel::PlmF32.quantized());
-        assert!(!ServeModel::Gbdt.is_plm());
     }
 
     #[test]

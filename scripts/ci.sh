@@ -268,7 +268,18 @@ RSD_SCALE=smoke RSD_OBS="$obs_tmp/soak.ndjson" RSD_OBS_TICK_MS=50 RSD_QPS=500 \
 grep -q "SLO clean" "$obs_tmp/soak.out" \
     || { echo "soak run did not report its SLO verdict"; exit 1; }
 
+echo "==> perf trajectory (every bench_runs/trajectory.ndjson line parses with its keys)"
+cargo test --release -q -p rsd-bench --test trajectory
+
+echo "==> knob aborts (invalid RSD_* values abort naming the knob, before any work)"
+cargo test --release -q -p rsd-bench --test knob_aborts
+
+echo "==> mid-scale residency bound (release, ignored test)"
+cargo test --release -q --test streaming_equivalence -- --ignored
+
 echo "==> kernel + inference bench vs committed BENCH_kernels.json"
+# Last on purpose: the int8 speedup gate reads near its bound on noisy
+# hosts, and every other step should still have run when it trips.
 # bench_kernels hard-gates int8 quality and speed internally (its
 # QUANT_EPS / QUANT_MIN_AGREE / QUANT_MIN_SPEEDUP constants); the
 # obs_diff pass then compares against the committed artifact — quality
@@ -279,14 +290,5 @@ BENCH_KERNELS_OUT="$obs_tmp/BENCH_kernels.json" \
 cargo run --release -q -p rsd-bench --bin obs_diff -- \
     --time-tol "${OBS_DIFF_KERNELS_TIME_TOL:-0.50}" \
     BENCH_kernels.json "$obs_tmp/BENCH_kernels.json"
-
-echo "==> perf trajectory (every bench_runs/trajectory.ndjson line parses with its keys)"
-cargo test --release -q -p rsd-bench --test trajectory
-
-echo "==> knob aborts (invalid RSD_* values abort naming the knob, before any work)"
-cargo test --release -q -p rsd-bench --test knob_aborts
-
-echo "==> mid-scale residency bound (release, ignored test)"
-cargo test --release -q --test streaming_equivalence -- --ignored
 
 echo "CI gate passed."
