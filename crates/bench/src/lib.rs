@@ -1,5 +1,5 @@
 //! Reproduction harness: shared plumbing for the per-table/per-figure
-//! binaries and the Criterion benches.
+//! binaries.
 //!
 //! Every binary follows the same shape: build (or reuse) the dataset at
 //! the requested scale, run the experiment, print rows in the paper's

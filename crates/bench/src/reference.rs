@@ -1,6 +1,5 @@
 //! The seed's scalar matmul, kept as the baseline that `bench_kernels`
-//! and the `par_bench` microbench time the blocked kernels against. Not
-//! used by training.
+//! times the blocked kernels against. Not used by training.
 
 use rsd_nn::Matrix;
 

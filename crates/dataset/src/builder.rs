@@ -57,8 +57,8 @@ impl BuildConfig {
     }
 
     /// Scaled-down build preserving every distributional shape: `raw_users`
-    /// in the pool, `selected_users` annotated. Useful for tests, debug
-    /// builds and Criterion benches.
+    /// in the pool, `selected_users` annotated. Useful for tests and debug
+    /// builds.
     pub fn scaled(seed: u64, raw_users: usize, selected_users: usize) -> Self {
         BuildConfig {
             seed,
