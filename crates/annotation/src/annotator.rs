@@ -27,7 +27,7 @@ use rsd_corpus::{PostId, RiskLevel};
 
 /// Skill and behaviour parameters for one simulated annotator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnnotatorProfile {
+pub(crate) struct AnnotatorProfile {
     /// P(correct) on easy items.
     pub skill_easy: f64,
     /// P(correct) on hard items.
@@ -53,7 +53,7 @@ impl Default for AnnotatorProfile {
 
 impl AnnotatorProfile {
     /// An untrained annotator, as at the start of qualification.
-    pub fn untrained() -> Self {
+    pub(crate) fn untrained() -> Self {
         AnnotatorProfile {
             skill_easy: 0.85,
             skill_hard: 0.45,
@@ -64,7 +64,7 @@ impl AnnotatorProfile {
 
     /// One round of supervised error review: skill moves a fixed fraction
     /// of the way toward expert ceiling (0.955 easy / 0.55 hard).
-    pub fn train_round(&mut self) {
+    pub(crate) fn train_round(&mut self) {
         self.skill_easy += 0.5 * (0.955 - self.skill_easy);
         self.skill_hard += 0.5 * (0.55 - self.skill_hard);
     }
@@ -72,7 +72,7 @@ impl AnnotatorProfile {
 
 /// What an annotator does with one item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnnotationOutcome {
+pub(crate) enum AnnotationOutcome {
     /// A committed label.
     Label(RiskLevel),
     /// Abstained under the uncertainty-reporting policy.
@@ -81,17 +81,17 @@ pub enum AnnotationOutcome {
 
 /// Fraction of items that are intrinsically hard (ambiguous borderline
 /// cases all annotators struggle with).
-pub const HARD_ITEM_RATE: f64 = 0.25;
+pub(crate) const HARD_ITEM_RATE: f64 = 0.25;
 
 /// Deterministic item difficulty: the same post is hard for everyone.
-pub fn is_hard_item(post: PostId, campaign_seed: u64) -> bool {
+pub(crate) fn is_hard_item(post: PostId, campaign_seed: u64) -> bool {
     let h = split_seed(campaign_seed, u64::from(post.0) | (1 << 40));
     (h as f64 / u64::MAX as f64) < HARD_ITEM_RATE
 }
 
 /// Adjacent-class confusion kernel: given a true level, weights over the
 /// levels an erring annotator writes instead.
-pub fn confusion_weights(truth: RiskLevel) -> [f64; 4] {
+pub(crate) fn confusion_weights(truth: RiskLevel) -> [f64; 4] {
     match truth {
         // Indicator misread as Ideation (missed negation / perspective).
         RiskLevel::Indicator => [0.0, 0.80, 0.12, 0.08],
@@ -107,7 +107,7 @@ pub fn confusion_weights(truth: RiskLevel) -> [f64; 4] {
 
 /// A simulated annotator with a private RNG stream.
 #[derive(Debug)]
-pub struct SimulatedAnnotator {
+pub(crate) struct SimulatedAnnotator {
     /// Campaign-local index (0, 1, 2 in the paper's three-annotator setup).
     pub id: usize,
     /// Behaviour parameters.
@@ -118,7 +118,7 @@ pub struct SimulatedAnnotator {
 
 impl SimulatedAnnotator {
     /// Create annotator `id` for a campaign.
-    pub fn new(id: usize, profile: AnnotatorProfile, campaign_seed: u64) -> Self {
+    pub(crate) fn new(id: usize, profile: AnnotatorProfile, campaign_seed: u64) -> Self {
         SimulatedAnnotator {
             id,
             profile,
@@ -128,7 +128,7 @@ impl SimulatedAnnotator {
     }
 
     /// Annotate one item under the uncertainty-reporting policy.
-    pub fn annotate(&mut self, post: PostId, truth: RiskLevel) -> AnnotationOutcome {
+    pub(crate) fn annotate(&mut self, post: PostId, truth: RiskLevel) -> AnnotationOutcome {
         let hard = is_hard_item(post, self.campaign_seed);
         let p_correct = if hard {
             self.profile.skill_hard
@@ -156,7 +156,7 @@ impl SimulatedAnnotator {
     /// Annotate with the uncertainty policy disabled (for the ablation the
     /// paper's §II-B2 argument implies): hesitation never abstains, the
     /// annotator commits their draw.
-    pub fn annotate_no_flagging(&mut self, post: PostId, truth: RiskLevel) -> RiskLevel {
+    pub(crate) fn annotate_no_flagging(&mut self, post: PostId, truth: RiskLevel) -> RiskLevel {
         match self.annotate(post, truth) {
             AnnotationOutcome::Label(l) => l,
             // A forced decision under hesitation — exactly the error-prone

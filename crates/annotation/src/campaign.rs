@@ -177,11 +177,6 @@ impl Campaign {
         })
     }
 
-    /// Borrow the underlying platform (for audits).
-    pub fn platform(&self) -> &LabelingPlatform {
-        &self.platform
-    }
-
     /// Run the full campaign over `(post, ground-truth)` items.
     ///
     /// Returns the annotated items (one per input, in input order) and the

@@ -7,7 +7,7 @@
 //! annotators:
 //!
 //! * [`platform`] — a Label-Studio-like task platform substrate: projects,
-//!   task queues, assignments, submissions, flags and exports. The paper
+//!   task queues, assignments, submissions, flags and resolutions. The paper
 //!   deployed Label Studio's Docker image on a cloud VM; we reproduce the
 //!   workflow contract (task lifecycle + audit trail), not the UI.
 //! * [`annotator`] — stochastic annotator models: per-item correctness
@@ -32,7 +32,5 @@ pub mod campaign;
 pub mod platform;
 pub mod qualification;
 
-pub use annotator::{AnnotationOutcome, AnnotatorProfile, SimulatedAnnotator};
 pub use campaign::{AnnotatedItem, Campaign, CampaignConfig, CampaignReport, LabelSource};
-pub use platform::{LabelingPlatform, Task, TaskId, TaskState};
-pub use qualification::{qualify, QualificationConfig, QualificationOutcome};
+pub use qualification::{QualificationConfig, QualificationOutcome};

@@ -8,8 +8,8 @@
 //! reaches 95 %."
 //!
 //! The loop below executes exactly that protocol against a
-//! [`SimulatedAnnotator`]: each failed round triggers an error review
-//! ([`crate::annotator::AnnotatorProfile::train_round`]) and a fresh re-annotation.
+//! `SimulatedAnnotator`: each failed round triggers an error review
+//! (`crate::annotator::AnnotatorProfile::train_round`) and a fresh re-annotation.
 
 use serde::{Deserialize, Serialize};
 
@@ -53,7 +53,7 @@ pub struct QualificationOutcome {
 /// (`(post, expert label)` pairs). During qualification the uncertainty
 /// policy is suspended — trainees must commit on every sample so errors
 /// surface and can be reviewed.
-pub fn qualify(
+pub(crate) fn qualify(
     annotator: &mut SimulatedAnnotator,
     expert_set: &[(PostId, RiskLevel)],
     cfg: &QualificationConfig,
@@ -109,7 +109,7 @@ pub fn qualify(
 /// (ambiguous) items — qualification measures rule mastery, not luck on
 /// borderline cases. Falls back to including hard items only if the pool
 /// has too few easy ones.
-pub fn expert_set_from(
+pub(crate) fn expert_set_from(
     posts: &[(PostId, RiskLevel)],
     n: usize,
     campaign_seed: u64,

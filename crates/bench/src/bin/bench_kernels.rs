@@ -1,6 +1,7 @@
 //! Kernel speedup artifact: times the blocked `rsd-par` kernels against
 //! the pre-optimization reference implementations and writes
-//! `BENCH_kernels.json` at the workspace root.
+//! `BENCH_kernels.json` at the workspace root, or to the path given as
+//! its one optional argument (`bench_kernels [OUT]`).
 //!
 //! Four workload families:
 //!
@@ -591,7 +592,9 @@ fn main() {
                  overhead only, and the speedup column is pure kernel work reduction that a \
                  multi-core host multiplies across RSD_THREADS workers."
     });
-    let path = std::env::var("BENCH_KERNELS_OUT").unwrap_or_else(|_| "BENCH_kernels.json".into());
+    let path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_kernels.json".into());
     std::fs::write(&path, serde_json::to_string_pretty(&report).unwrap() + "\n").unwrap();
     println!("wrote {path}");
 }

@@ -83,7 +83,7 @@ impl Scale {
 
 /// Seed from `RSD_SEED` (default 2026); anything but a positive integer
 /// aborts.
-pub fn seed_from_env() -> u64 {
+pub(crate) fn seed_from_env() -> u64 {
     rsd_obs::knob::SEED.get()
 }
 
@@ -94,7 +94,7 @@ pub fn seed_from_env() -> u64 {
 /// right after parsing scale/seed and call [`Telemetry::finish`]
 /// *before* writing the run report, so the final latency quantiles land
 /// in the report's registry snapshot.
-pub struct Telemetry {
+pub(crate) struct Telemetry {
     guard: Option<rsd_obs::timeseries::SeriesGuard>,
     http: Option<rsd_obs::http::HttpGuard>,
 }
@@ -102,7 +102,7 @@ pub struct Telemetry {
 impl Telemetry {
     /// Start the driver for `bin` at `scale` if the environment asks for
     /// continuous telemetry; otherwise a no-op handle.
-    pub fn start(bin: &str, scale: Scale) -> Telemetry {
+    pub(crate) fn start(bin: &str, scale: Scale) -> Telemetry {
         Telemetry {
             guard: rsd_obs::timeseries::start(bin, scale.name()),
             http: rsd_obs::http::start_from_env(),
@@ -113,7 +113,7 @@ impl Telemetry {
     /// series went on stderr. The live endpoint
     /// stops last, after the final series tick has been published, so a
     /// poller watching `/snapshot` sees the run's closing state.
-    pub fn finish(&mut self) {
+    pub(crate) fn finish(&mut self) {
         if let Some(path) = self.guard.take().and_then(|g| g.finish()) {
             eprintln!("series: {}", path.display());
         }

@@ -39,7 +39,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Sample from a standard normal via Box–Muller.
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut impl Rng) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 <= f64::MIN_POSITIVE {

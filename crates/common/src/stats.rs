@@ -17,7 +17,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance; 0.0 for fewer than two elements.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -73,29 +73,6 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
 }
 
-/// Pearson correlation of two equal-length series; 0.0 if undefined
-/// (mismatched length, fewer than 2 points, or zero variance).
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx).powi(2);
-        vy += (y - my).powi(2);
-    }
-    if vx <= 0.0 || vy <= 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
 /// Least-squares slope of `ys` against `0..n` — the "trend" feature the
 /// paper's sequence dimension uses for history windows. 0.0 if undefined.
 pub fn linear_trend(ys: &[f64]) -> f64 {
@@ -120,7 +97,7 @@ pub fn linear_trend(ys: &[f64]) -> f64 {
 }
 
 /// Numerically-stable log-sum-exp.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
+pub(crate) fn log_sum_exp(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::NEG_INFINITY;
     }
@@ -241,7 +218,6 @@ mod tests {
         assert_eq!(min(&[]), 0.0);
         assert_eq!(max(&[]), 0.0);
         assert_eq!(linear_trend(&[]), 0.0);
-        assert_eq!(pearson(&[], &[]), 0.0);
     }
 
     #[test]
@@ -251,17 +227,6 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert!((median(&xs) - 2.5).abs() < 1e-12);
         assert!((quantile(&xs, 0.25) - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_perfect_correlations() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.0, 4.0, 6.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg = [6.0, 4.0, 2.0];
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-        let flat = [5.0, 5.0, 5.0];
-        assert_eq!(pearson(&xs, &flat), 0.0);
     }
 
     #[test]

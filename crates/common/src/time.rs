@@ -151,7 +151,7 @@ impl fmt::Display for CivilDateTime {
 }
 
 /// Days in `month` of `year`, accounting for leap years.
-pub fn days_in_month(year: i32, month: u8) -> u8 {
+pub(crate) fn days_in_month(year: i32, month: u8) -> u8 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
         4 | 6 | 9 | 11 => 30,
@@ -167,17 +167,13 @@ pub fn days_in_month(year: i32, month: u8) -> u8 {
 }
 
 /// Gregorian leap-year rule.
-pub fn is_leap_year(year: i32) -> bool {
+pub(crate) fn is_leap_year(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
 impl Timestamp {
-    /// Seconds in one hour.
-    pub const HOUR: i64 = 3_600;
     /// Seconds in one day.
     pub const DAY: i64 = 86_400;
-    /// Seconds in one (7-day) week.
-    pub const WEEK: i64 = 7 * 86_400;
 
     /// Build a timestamp from civil components (UTC). `None` if invalid.
     pub fn from_ymd_hms(
@@ -237,16 +233,6 @@ impl Timestamp {
     /// Signed difference `self - other` in fractional days.
     pub fn days_since(self, other: Timestamp) -> f64 {
         (self.0 - other.0) as f64 / 86_400.0
-    }
-
-    /// Add a (possibly negative) number of seconds.
-    pub fn plus_seconds(self, secs: i64) -> Timestamp {
-        Timestamp(self.0 + secs)
-    }
-
-    /// Fraction of the day elapsed, in `[0, 1)`.
-    pub fn day_fraction(self) -> f64 {
-        self.0.rem_euclid(86_400) as f64 / 86_400.0
     }
 
     /// Calendar month index since year 0 (`year * 12 + month - 1`). Useful
@@ -354,14 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn day_fraction_bounds() {
-        let t = Timestamp::from_ymd_hms(2020, 3, 7, 12, 0, 0).unwrap();
-        assert!((t.day_fraction() - 0.5).abs() < 1e-9);
-        let t = Timestamp::from_ymd(2020, 3, 7).unwrap();
-        assert_eq!(t.day_fraction(), 0.0);
-    }
-
-    #[test]
     fn exhaustive_round_trip_2020_2021() {
         // Every day in the corpus window round-trips.
         let mut t = Timestamp::from_ymd(2020, 1, 1).unwrap();
@@ -370,7 +348,7 @@ mod tests {
         while t < end {
             let c = t.to_civil();
             assert_eq!(c.to_timestamp(), t, "round trip failed at {t}");
-            t = t.plus_seconds(Timestamp::DAY);
+            t = Timestamp(t.0 + Timestamp::DAY);
             count += 1;
         }
         assert_eq!(count, 366 + 365);

@@ -24,7 +24,7 @@ use rsd_common::rng::weighted_index;
 /// are calibrated so the corpus marginals land on Table I
 /// (IN 31.6 %, ID 48.8 %, BR 14.1 %, AT 5.5 %).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Archetype {
+pub(crate) enum Archetype {
     /// Mostly-Indicator users: concerned relatives, support seekers,
     /// people venting without suicidal intent.
     Concerned,
@@ -38,7 +38,7 @@ pub enum Archetype {
 
 impl Archetype {
     /// All archetypes.
-    pub const ALL: [Archetype; 4] = [
+    pub(crate) const ALL: [Archetype; 4] = [
         Archetype::Concerned,
         Archetype::Struggling,
         Archetype::Escalating,
@@ -46,10 +46,10 @@ impl Archetype {
     ];
 
     /// Mixture weights over archetypes (sums to 1).
-    pub const MIX: [f64; 4] = [0.28, 0.52, 0.13, 0.07];
+    pub(crate) const MIX: [f64; 4] = [0.28, 0.52, 0.13, 0.07];
 
     /// Stationary distribution over `[IN, ID, BR, AT]`.
-    pub fn profile(self) -> [f64; 4] {
+    pub(crate) fn profile(self) -> [f64; 4] {
         match self {
             Archetype::Concerned => [0.85, 0.12, 0.02, 0.01],
             Archetype::Struggling => [0.15, 0.70, 0.12, 0.03],
@@ -59,7 +59,7 @@ impl Archetype {
     }
 
     /// Draw an archetype according to [`Archetype::MIX`].
-    pub fn sample(rng: &mut impl Rng) -> Archetype {
+    pub(crate) fn sample(rng: &mut impl Rng) -> Archetype {
         Archetype::ALL[weighted_index(rng, &Archetype::MIX)]
     }
 }
@@ -67,24 +67,11 @@ impl Archetype {
 /// Stickiness of the per-user risk chain: with probability `PERSISTENCE`
 /// the next post keeps the previous level; otherwise it redraws from the
 /// archetype profile. Stationarity is unaffected by this value.
-pub const PERSISTENCE: f64 = 0.55;
-
-/// Expected corpus-level marginal distribution `[IN, ID, BR, AT]` implied
-/// by the archetype mixture — the generator's calibration target
-/// (cf. Table I: 31.58 / 48.81 / 14.07 / 5.54 %).
-pub fn expected_marginals() -> [f64; 4] {
-    let mut out = [0.0; 4];
-    for (arch, w) in Archetype::ALL.iter().zip(Archetype::MIX) {
-        for (o, p) in out.iter_mut().zip(arch.profile()) {
-            *o += w * p;
-        }
-    }
-    out
-}
+pub(crate) const PERSISTENCE: f64 = 0.55;
 
 /// Per-risk-level behavioural couplings.
 #[derive(Debug, Clone, Copy)]
-pub struct RiskCoupling {
+pub(crate) struct RiskCoupling {
     /// Probability a post at this level lands in the 22:00–06:00 window.
     pub night_prob: f64,
     /// Mean gap to the next post, in days.
@@ -94,7 +81,7 @@ pub struct RiskCoupling {
 }
 
 /// Behavioural couplings per level, indexed by [`RiskLevel::index`].
-pub fn coupling(level: RiskLevel) -> RiskCoupling {
+pub(crate) fn coupling(level: RiskLevel) -> RiskCoupling {
     match level {
         RiskLevel::Indicator => RiskCoupling {
             night_prob: 0.22,
@@ -121,7 +108,7 @@ pub fn coupling(level: RiskLevel) -> RiskCoupling {
 
 /// The mutable trajectory state of one user while generating their posts.
 #[derive(Debug, Clone)]
-pub struct Trajectory {
+pub(crate) struct Trajectory {
     /// The user's archetype.
     pub archetype: Archetype,
     /// Current latent level (level of the most recently generated post).
@@ -136,7 +123,7 @@ pub struct Trajectory {
 impl Trajectory {
     /// Initialize a trajectory: draws the archetype, an initial level from
     /// its profile, and the user's personal tendencies.
-    pub fn new(rng: &mut impl Rng) -> Trajectory {
+    pub(crate) fn new(rng: &mut impl Rng) -> Trajectory {
         let archetype = Archetype::sample(rng);
         let current = RiskLevel::ALL[weighted_index(rng, &archetype.profile())];
         Trajectory {
@@ -148,7 +135,7 @@ impl Trajectory {
     }
 
     /// Advance the chain one step and return the new level.
-    pub fn step(&mut self, rng: &mut impl Rng) -> RiskLevel {
+    pub(crate) fn step(&mut self, rng: &mut impl Rng) -> RiskLevel {
         if rng.gen::<f64>() >= PERSISTENCE {
             self.current = RiskLevel::ALL[weighted_index(rng, &self.archetype.profile())];
         }
@@ -157,21 +144,34 @@ impl Trajectory {
 
     /// Night-posting probability for the current level, adjusted for this
     /// user's tendency and clamped to `[0.05, 0.9]`.
-    pub fn night_prob(&self) -> f64 {
+    pub(crate) fn night_prob(&self) -> f64 {
         (coupling(self.current).night_prob + self.night_owl).clamp(0.05, 0.9)
     }
 
     /// Mean gap (days) to the next post given current level and activity.
-    pub fn mean_gap_days(&self) -> f64 {
+    pub(crate) fn mean_gap_days(&self) -> f64 {
         coupling(self.current).mean_gap_days / self.activity
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Expected corpus-level marginal distribution `[IN, ID, BR, AT]`
+    /// implied by the archetype mixture — the generator's calibration
+    /// target (cf. Table I: 31.58 / 48.81 / 14.07 / 5.54 %).
+    pub(crate) fn expected_marginals() -> [f64; 4] {
+        let mut out = [0.0; 4];
+        for (arch, w) in Archetype::ALL.iter().zip(Archetype::MIX) {
+            for (o, p) in out.iter_mut().zip(arch.profile()) {
+                *o += w * p;
+            }
+        }
+        out
+    }
 
     #[test]
     fn mixture_weights_sum_to_one() {

@@ -11,7 +11,6 @@ use rand::Rng;
 
 use crate::behavior::{coupling, Trajectory};
 use crate::lexicon::OFF_TOPIC_SENTENCES;
-use crate::reddit::RedditStore;
 use crate::risk::RiskLevel;
 use crate::textgen::{render_post, TextGenConfig};
 use crate::types::{PostId, RawPost, RawUser, UserId};
@@ -115,40 +114,6 @@ impl RawCorpus {
             .get(id.0 as usize)
             .ok_or_else(|| RsdError::not_found("user", id))
     }
-
-    /// Total number of posts.
-    pub fn post_count(&self) -> usize {
-        self.posts.len()
-    }
-
-    /// Class marginals over on-topic, non-duplicate posts: fraction of
-    /// posts at each risk level, indexed by [`RiskLevel::index`].
-    pub fn risk_marginals(&self) -> [f64; 4] {
-        let mut counts = [0usize; 4];
-        let mut total = 0usize;
-        for p in &self.posts {
-            if p.off_topic || p.duplicate_of.is_some() {
-                continue;
-            }
-            counts[p.latent_risk.index()] += 1;
-            total += 1;
-        }
-        let mut out = [0.0; 4];
-        if total > 0 {
-            for (o, c) in out.iter_mut().zip(counts) {
-                *o = c as f64 / total as f64;
-            }
-        }
-        out
-    }
-
-    /// Publish the whole corpus into a [`RedditStore`] under
-    /// `r/SuicideWatch`, ready for a [`crate::reddit::CrawlClient`].
-    pub fn into_store(self) -> RedditStore {
-        let mut store = RedditStore::new();
-        store.publish("SuicideWatch", self.posts);
-        store
-    }
 }
 
 /// One generated user shard: a contiguous range of users with their
@@ -157,7 +122,7 @@ impl RawCorpus {
 /// into the same local space (reposts only ever cite the same user's
 /// earlier posts, so they never cross a shard boundary).
 #[derive(Debug, Clone)]
-pub struct ShardCorpus {
+pub(crate) struct ShardCorpus {
     /// The shard's users with their chronological (shard-local) post ids.
     pub users: Vec<RawUser>,
     /// The shard's posts in user order.
@@ -215,7 +180,7 @@ impl CorpusGenerator {
     /// merge restores global ids by offsetting with the raw-post counts of
     /// the preceding shards. `generate()` itself is the single-shard case
     /// `generate_shard(0..n_users)`.
-    pub fn generate_shard(&self, user_range: std::ops::Range<u32>) -> ShardCorpus {
+    pub(crate) fn generate_shard(&self, user_range: std::ops::Range<u32>) -> ShardCorpus {
         let uids: Vec<u32> = user_range.collect();
         let mut users = Vec::with_capacity(uids.len());
         let mut posts: Vec<RawPost> = Vec::new();
@@ -409,12 +374,33 @@ impl CorpusGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavior::expected_marginals;
+    use crate::behavior::tests::expected_marginals;
 
     fn small_corpus(seed: u64, users: usize) -> RawCorpus {
         CorpusGenerator::new(CorpusConfig::small(seed, users))
             .unwrap()
             .generate()
+    }
+
+    /// Class marginals over on-topic, non-duplicate posts: fraction of
+    /// posts at each risk level, indexed by [`RiskLevel::index`].
+    fn risk_marginals(corpus: &RawCorpus) -> [f64; 4] {
+        let mut counts = [0usize; 4];
+        let mut total = 0usize;
+        for p in &corpus.posts {
+            if p.off_topic || p.duplicate_of.is_some() {
+                continue;
+            }
+            counts[p.latent_risk.index()] += 1;
+            total += 1;
+        }
+        let mut out = [0.0; 4];
+        if total > 0 {
+            for (o, c) in out.iter_mut().zip(counts) {
+                *o = c as f64 / total as f64;
+            }
+        }
+        out
     }
 
     #[test]
@@ -487,7 +473,7 @@ mod tests {
     #[test]
     fn class_marginals_near_calibration_target() {
         let corpus = small_corpus(4, 4_000);
-        let m = corpus.risk_marginals();
+        let m = risk_marginals(&corpus);
         let want = expected_marginals();
         for (i, (got, want)) in m.iter().zip(want).enumerate() {
             assert!(
@@ -542,13 +528,5 @@ mod tests {
             hi > lo + 0.1,
             "attempt night fraction {hi} should exceed indicator {lo}"
         );
-    }
-
-    #[test]
-    fn into_store_serves_posts() {
-        let corpus = small_corpus(8, 100);
-        let n = corpus.post_count();
-        let store = corpus.into_store();
-        assert_eq!(store.subreddit("SuicideWatch").unwrap().len(), n);
     }
 }

@@ -65,7 +65,7 @@ pub const MEANS: &[&str] = &[
 ];
 
 /// First-person "end" verb phrases.
-pub const END_VERBS: &[&str] = &[
+pub(crate) const END_VERBS: &[&str] = &[
     "end it all",
     "kill myself",
     "end my life",
@@ -77,7 +77,7 @@ pub const END_VERBS: &[&str] = &[
 ];
 
 /// Emotional-state fillers.
-pub const FEELINGS: &[&str] = &[
+pub(crate) const FEELINGS: &[&str] = &[
     "empty",
     "exhausted",
     "numb",
@@ -93,7 +93,7 @@ pub const FEELINGS: &[&str] = &[
 ];
 
 /// Third-party relations (Indicator perspective shifts).
-pub const RELATIONS: &[&str] = &[
+pub(crate) const RELATIONS: &[&str] = &[
     "brother",
     "sister",
     "best friend",
@@ -108,7 +108,7 @@ pub const RELATIONS: &[&str] = &[
 ];
 
 /// Time references.
-pub const TIME_REFS: &[&str] = &[
+pub(crate) const TIME_REFS: &[&str] = &[
     "last night",
     "two months ago",
     "last year",
@@ -121,7 +121,7 @@ pub const TIME_REFS: &[&str] = &[
 ];
 
 /// Neutral life topics.
-pub const LIFE_TOPICS: &[&str] = &[
+pub(crate) const LIFE_TOPICS: &[&str] = &[
     "work",
     "school",
     "my family",
@@ -135,7 +135,7 @@ pub const LIFE_TOPICS: &[&str] = &[
 ];
 
 /// Preparatory acts (Behavior class).
-pub const PREP_ACTS: &[&str] = &[
+pub(crate) const PREP_ACTS: &[&str] = &[
     "wrote the note",
     "gave away my things",
     "sorted out my passwords",
@@ -273,7 +273,7 @@ pub const OFF_TOPIC_SENTENCES: &[&str] = &[
 /// bag-of-words model sees heavily overlapping unigram distributions; the
 /// class signal is the *composition* — first-person present desire without
 /// a completed act.
-pub const IDEATION_FRAMES: &[Frame] = &[
+pub(crate) const IDEATION_FRAMES: &[Frame] = &[
     &[Lit("i want to"), EndVerb],
     &[
         Lit("i keep thinking about how easy it would be to"),
@@ -324,7 +324,7 @@ pub const IDEATION_FRAMES: &[Frame] = &[
 
 /// Behavior frames: preparatory acts, acquiring means, self-harm — all
 /// first-person *acts* sharing surface vocabulary with the other classes.
-pub const BEHAVIOR_FRAMES: &[Frame] = &[
+pub(crate) const BEHAVIOR_FRAMES: &[Frame] = &[
     &[Lit("i bought"), Means, TimeRef],
     &[Lit("i have been collecting"), Means, Lit("for a while now")],
     &[Lit("i"), PrepAct, TimeRef],
@@ -372,7 +372,7 @@ pub const BEHAVIOR_FRAMES: &[Frame] = &[
 
 /// Attempt frames: a completed (survived) past attempt; past tense and
 /// aftermath vocabulary, again deliberately overlapping the other banks.
-pub const ATTEMPT_FRAMES: &[Frame] = &[
+pub(crate) const ATTEMPT_FRAMES: &[Frame] = &[
     &[
         TimeRef,
         Lit("i tried to"),
@@ -433,7 +433,7 @@ pub const ATTEMPT_FRAMES: &[Frame] = &[
 /// whose surface vocabulary deliberately collides with all three risk
 /// classes ("tried", "bought", "survived", "hospital", "note", "scars",
 /// "bridge", "drawer"); only the perspective/role resolves the label.
-pub const INDICATOR_FRAMES: &[Frame] = &[
+pub(crate) const INDICATOR_FRAMES: &[Frame] = &[
     &[
         Lit("my"),
         Relation,

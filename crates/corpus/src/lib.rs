@@ -39,7 +39,7 @@ pub mod source;
 pub mod textgen;
 pub mod types;
 
-pub use generator::{CorpusConfig, CorpusGenerator, RawCorpus, ShardCorpus};
+pub use generator::{CorpusConfig, CorpusGenerator, RawCorpus};
 pub use risk::RiskLevel;
 pub use selection::{select_users_for_annotation, SelectionConfig};
 pub use source::{CorpusShardSource, CrawledShard};

@@ -55,7 +55,7 @@ impl Subreddit {
     }
 
     /// Bulk-load posts; sorts them into listing order.
-    pub fn ingest(&mut self, mut posts: Vec<RawPost>) {
+    pub(crate) fn ingest(&mut self, mut posts: Vec<RawPost>) {
         self.posts.append(&mut posts);
         self.posts.sort_by_key(|p| (p.created, p.id));
         // A repeated id resolves to its first listing position, as a scan

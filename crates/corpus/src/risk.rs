@@ -79,22 +79,6 @@ impl RiskLevel {
             RiskLevel::Attempt => "AT",
         }
     }
-
-    /// True if the level conveys any degree of suicidal risk by the author
-    /// (everything except `Indicator`).
-    pub fn is_at_risk(self) -> bool {
-        self != RiskLevel::Indicator
-    }
-
-    /// One severity step up, saturating at `Attempt`.
-    pub fn escalate(self) -> RiskLevel {
-        Self::ALL[(self.index() + 1).min(3)]
-    }
-
-    /// One severity step down, saturating at `Indicator`.
-    pub fn deescalate(self) -> RiskLevel {
-        Self::ALL[self.index().saturating_sub(1)]
-    }
 }
 
 impl fmt::Display for RiskLevel {
@@ -150,21 +134,6 @@ mod tests {
         );
         assert_eq!(" at ".parse::<RiskLevel>().unwrap(), RiskLevel::Attempt);
         assert!("severe".parse::<RiskLevel>().is_err());
-    }
-
-    #[test]
-    fn escalation_saturates() {
-        assert_eq!(RiskLevel::Indicator.escalate(), RiskLevel::Ideation);
-        assert_eq!(RiskLevel::Attempt.escalate(), RiskLevel::Attempt);
-        assert_eq!(RiskLevel::Indicator.deescalate(), RiskLevel::Indicator);
-        assert_eq!(RiskLevel::Attempt.deescalate(), RiskLevel::Behavior);
-    }
-
-    #[test]
-    fn risk_flag() {
-        assert!(!RiskLevel::Indicator.is_at_risk());
-        assert!(RiskLevel::Ideation.is_at_risk());
-        assert!(RiskLevel::Attempt.is_at_risk());
     }
 
     #[test]

@@ -114,21 +114,21 @@ pub fn select_users_for_annotation(
     Ok(picked)
 }
 
-/// Total posts contributed by a selection.
-pub fn selected_post_total(users: &[RawUser], picked: &[UserId]) -> usize {
-    let mut total = 0;
-    for id in picked {
-        if let Some(u) = users.iter().find(|u| u.id == *id) {
-            total += u.post_count();
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{CorpusConfig, CorpusGenerator};
+
+    /// Total posts contributed by a selection.
+    fn selected_post_total(users: &[RawUser], picked: &[UserId]) -> usize {
+        let mut total = 0;
+        for id in picked {
+            if let Some(u) = users.iter().find(|u| u.id == *id) {
+                total += u.post_count();
+            }
+        }
+        total
+    }
 
     fn users_with_counts(counts: &[usize]) -> Vec<RawUser> {
         counts

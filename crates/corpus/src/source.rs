@@ -80,7 +80,7 @@ mod tests {
         let cfg = CorpusConfig::small(11, 300);
         let generator = CorpusGenerator::new(cfg.clone()).unwrap();
         let full = generator.generate();
-        let full_posts = full.post_count();
+        let full_posts = full.posts.len();
 
         let resident = ResidentGauge::new();
         let source = CorpusShardSource::new(generator, resident.clone());
@@ -102,7 +102,8 @@ mod tests {
         // Stitching with raw-post offsets restores global ids; sorting by
         // listing order reproduces the monolithic crawl exactly.
         stitched.sort_by_key(|p| (p.created, p.id));
-        let store = full.into_store();
+        let mut store = RedditStore::new();
+        store.publish("SuicideWatch", full.posts);
         let mut client = CrawlClient::new(&store);
         let batch = client
             .crawl_window("SuicideWatch", cfg.window_start, cfg.window_end)

@@ -127,14 +127,6 @@ impl Default for TextGenConfig {
     }
 }
 
-/// Render one sentence from a frame, filling open slots from the lexicon
-/// and applying the stochastic style layer (hedges, paraphrase variants).
-pub fn render_frame(frame: Frame, rng: &mut impl Rng) -> String {
-    let mut out = String::new();
-    write_frame(frame, rng, &mut Vec::with_capacity(frame.len()), &mut out);
-    out
-}
-
 /// The buffers one thread renders its posts in, reused from post to post.
 #[derive(Default)]
 struct Scratch {
@@ -220,7 +212,7 @@ impl Scratch {
 /// Render a full raw post body for the given level.
 ///
 /// `mean_sentences` controls filler dilution (risk-coupled; see
-/// [`crate::behavior::coupling`]). The result intentionally contains noise;
+/// `crate::behavior::coupling`). The result intentionally contains noise;
 /// see the module docs.
 pub fn render_post(
     level: RiskLevel,
@@ -264,6 +256,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn render_frame(frame: Frame, rng: &mut impl Rng) -> String {
+        let mut out = String::new();
+        write_frame(frame, rng, &mut Vec::with_capacity(frame.len()), &mut out);
+        out
+    }
 
     #[test]
     fn render_frame_fills_all_slots() {

@@ -61,14 +61,6 @@ pub struct RawPost {
     pub duplicate_of: Option<PostId>,
 }
 
-impl RawPost {
-    /// Whitespace-delimited token count of the raw body (cheap proxy used
-    /// by selection heuristics before real tokenization happens).
-    pub fn rough_len(&self) -> usize {
-        self.body.split_whitespace().count()
-    }
-}
-
 /// A user together with the ids of their posts, in chronological order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RawUser {
@@ -80,7 +72,7 @@ pub struct RawUser {
 
 impl RawUser {
     /// Number of posts this user contributed.
-    pub fn post_count(&self) -> usize {
+    pub(crate) fn post_count(&self) -> usize {
         self.post_ids.len()
     }
 }
@@ -93,20 +85,6 @@ mod tests {
     fn ids_display_compactly() {
         assert_eq!(UserId(7).to_string(), "u7");
         assert_eq!(PostId(123).to_string(), "p123");
-    }
-
-    #[test]
-    fn rough_len_counts_tokens() {
-        let p = RawPost {
-            id: PostId(0),
-            author: UserId(0),
-            created: Timestamp(0),
-            body: "i cant  sleep   again tonight".to_string(),
-            latent_risk: RiskLevel::Ideation,
-            off_topic: false,
-            duplicate_of: None,
-        };
-        assert_eq!(p.rough_len(), 5);
     }
 
     #[test]

@@ -9,10 +9,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsd_corpus::lexicon::{frames_for, CAMOUFLAGE_FRAMES};
-use rsd_corpus::textgen::{render_frame, render_post, TextGenConfig};
+use rsd_corpus::textgen::{render_post, TextGenConfig};
 use rsd_corpus::RiskLevel;
 
 mod oracle {
+    use std::cell::RefCell;
+    use std::collections::HashSet;
+
     use rand::Rng;
     use rsd_corpus::lexicon::{frames_for, slot_fillers, Frame, Slot, CAMOUFLAGE_FRAMES, FILLERS};
     use rsd_corpus::textgen::TextGenConfig;
@@ -64,7 +67,21 @@ mod oracle {
         words.join(" ")
     }
 
-    pub fn render_frame(frame: Frame, rng: &mut impl Rng) -> String {
+    thread_local! {
+        /// Every frame this thread's oracle rendered, as (bank, index):
+        /// bank `l` < 4 is `frames_for(RiskLevel::ALL[l])`, bank 4 the
+        /// camouflage frames.
+        pub static RENDERED: RefCell<HashSet<(usize, usize)>> = RefCell::new(HashSet::new());
+    }
+
+    /// Draw a frame of `bank` and record which one was drawn.
+    fn pick(bank: usize, frames: &[Frame], rng: &mut impl Rng) -> Frame {
+        let i = rng.gen_range(0..frames.len());
+        RENDERED.with(|r| r.borrow_mut().insert((bank, i)));
+        frames[i]
+    }
+
+    fn render_frame(frame: Frame, rng: &mut impl Rng) -> String {
         let mut parts: Vec<&str> = Vec::with_capacity(frame.len());
         for slot in frame {
             match slot {
@@ -86,9 +103,9 @@ mod oracle {
     ) -> String {
         let frames = frames_for(level);
         let mut sentences: Vec<String> = Vec::new();
-        sentences.push(render_frame(frames[rng.gen_range(0..frames.len())], rng));
+        sentences.push(render_frame(pick(level.index(), frames, rng), rng));
         if rng.gen::<f64>() < cfg.double_signal_prob {
-            sentences.push(render_frame(frames[rng.gen_range(0..frames.len())], rng));
+            sentences.push(render_frame(pick(level.index(), frames, rng), rng));
         }
         let n_fillers = {
             let base = (mean_sentences - 1.0).max(1.0);
@@ -97,7 +114,7 @@ mod oracle {
         };
         for _ in 0..n_fillers {
             if rng.gen::<f64>() < 0.7 {
-                let frame = CAMOUFLAGE_FRAMES[rng.gen_range(0..CAMOUFLAGE_FRAMES.len())];
+                let frame = pick(4, CAMOUFLAGE_FRAMES, rng);
                 sentences.push(render_frame(frame, rng));
             } else {
                 let filler = FILLERS[rng.gen_range(0..FILLERS.len())];
@@ -186,6 +203,21 @@ fn posts_match_the_oracle_under_the_default_config() {
             }
         }
     }
+    // The comparison reached every frame of every level and every
+    // camouflage frame.
+    let rendered = oracle::RENDERED.with(|r| r.borrow().clone());
+    let banks = RiskLevel::ALL
+        .iter()
+        .map(|&level| frames_for(level))
+        .chain([CAMOUFLAGE_FRAMES]);
+    for (bank, frames) in banks.enumerate() {
+        for i in 0..frames.len() {
+            assert!(
+                rendered.contains(&(bank, i)),
+                "frame {i} of bank {bank} was never rendered"
+            );
+        }
+    }
 }
 
 #[test]
@@ -199,27 +231,6 @@ fn posts_match_the_oracle_with_each_noise_switch_at_0_and_1() {
             for mean in MEANS {
                 assert_same_post(level, mean, cfg, seed.wrapping_mul(0x9e37_79b9));
             }
-        }
-    }
-}
-
-#[test]
-fn frames_match_the_oracle() {
-    let frames = RiskLevel::ALL
-        .iter()
-        .flat_map(|&level| frames_for(level).iter())
-        .chain(CAMOUFLAGE_FRAMES.iter());
-    for (i, &frame) in frames.enumerate() {
-        for seed in 0..200u64 {
-            let seed = seed ^ ((i as u64) << 32);
-            let mut a = StdRng::seed_from_u64(seed);
-            let mut b = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                render_frame(frame, &mut a),
-                oracle::render_frame(frame, &mut b),
-                "frame {i}, seed {seed}"
-            );
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "frame {i}, seed {seed}");
         }
     }
 }

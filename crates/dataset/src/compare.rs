@@ -52,7 +52,7 @@ pub struct DatasetComparisonRow {
 }
 
 /// The eight prior-work rows of Table II, as published.
-pub fn prior_datasets() -> Vec<DatasetComparisonRow> {
+pub(crate) fn prior_datasets() -> Vec<DatasetComparisonRow> {
     let row = |name: &str,
                source: &str,
                posts: Option<usize>,
@@ -155,7 +155,7 @@ pub fn prior_datasets() -> Vec<DatasetComparisonRow> {
 }
 
 /// Compute the "Ours" row from an actually-built dataset.
-pub fn ours_row(dataset: &Rsd15k) -> DatasetComparisonRow {
+pub(crate) fn ours_row(dataset: &Rsd15k) -> DatasetComparisonRow {
     DatasetComparisonRow {
         name: "Ours (RSD-15K)".to_string(),
         source: "Reddit".to_string(),

@@ -61,15 +61,6 @@ impl Rsd15k {
         self.users.len()
     }
 
-    /// The user-level label: risk level of the user's latest post.
-    pub fn user_label(&self, user: &UserRecord) -> Result<RiskLevel> {
-        let last = user
-            .post_indices
-            .last()
-            .ok_or_else(|| RsdError::data(format!("user {} has no posts", user.id)))?;
-        Ok(self.posts[*last].label)
-    }
-
     /// The user with id `id`, by binary search: [`validate`] holds
     /// `users` sorted by id with no duplicates, as both builders emit them.
     ///
@@ -82,7 +73,7 @@ impl Rsd15k {
     }
 
     /// Iterate a user's posts in chronological order.
-    pub fn user_posts<'a>(&'a self, user: &'a UserRecord) -> impl Iterator<Item = &'a Post> {
+    pub(crate) fn user_posts<'a>(&'a self, user: &'a UserRecord) -> impl Iterator<Item = &'a Post> {
         user.post_indices.iter().map(move |&i| &self.posts[i])
     }
 
@@ -200,13 +191,6 @@ mod tests {
     #[test]
     fn tiny_fixture_is_valid() {
         tiny().validate().unwrap();
-    }
-
-    #[test]
-    fn user_label_is_latest_post() {
-        let d = tiny();
-        assert_eq!(d.user_label(&d.users[0]).unwrap(), RiskLevel::Ideation);
-        assert_eq!(d.user_label(&d.users[1]).unwrap(), RiskLevel::Attempt);
     }
 
     #[test]

@@ -276,7 +276,11 @@ pub fn extract_window(dataset: &Rsd15k, user: &UserRecord, window: usize) -> Use
 /// Materialize a [`UserWindow`] from a user's trailing-window buffer
 /// (payload = post index). Shared by [`extract_window`] and by tests
 /// that rebuild windows from the serving-side store.
-pub fn window_from_buffer(dataset: &Rsd15k, user: UserId, buf: &WindowBuffer<usize>) -> UserWindow {
+pub(crate) fn window_from_buffer(
+    dataset: &Rsd15k,
+    user: UserId,
+    buf: &WindowBuffer<usize>,
+) -> UserWindow {
     let post_indices: Vec<usize> = buf.entries().iter().map(|e| e.payload).collect();
     let timestamps: Vec<Timestamp> = buf.timestamps();
     let label = dataset.posts[*post_indices.last().expect("validated: non-empty")].label;
@@ -336,7 +340,8 @@ mod tests {
     fn label_matches_latest_post() {
         let d = tiny();
         let w = extract_window(&d, &d.users[0], 5);
-        assert_eq!(w.label, d.user_label(&d.users[0]).unwrap());
+        let latest = *d.users[0].post_indices.last().unwrap();
+        assert_eq!(w.label, d.posts[latest].label);
         assert_eq!(w.post_indices.len(), 3);
         let w1 = extract_window(&d, &d.users[0], 2);
         assert_eq!(w1.post_indices.len(), 2);

@@ -118,14 +118,6 @@ pub fn top_user_risk_profiles(dataset: &Rsd15k, top_n: usize) -> Vec<UserRiskPro
     profiles
 }
 
-/// Mean posts per user (Table II's "Size" sanity figure: 14,613 / 1,265).
-pub fn mean_posts_per_user(dataset: &Rsd15k) -> f64 {
-    if dataset.n_users() == 0 {
-        return 0.0;
-    }
-    dataset.n_posts() as f64 / dataset.n_users() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +214,6 @@ mod tests {
         let d = tiny();
         let rows = class_distribution(&d);
         assert_eq!(rows.iter().map(|r| r.count).sum::<usize>(), 5);
-        assert!((mean_posts_per_user(&d) - 2.5).abs() < 1e-12);
         let profiles = top_user_risk_profiles(&d, 10);
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].total, 3);

@@ -24,7 +24,7 @@ pub struct TransitionMatrix {
 
 impl TransitionMatrix {
     /// Count transitions between consecutive posts of every user.
-    pub fn from_dataset(dataset: &Rsd15k) -> Self {
+    pub(crate) fn from_dataset(dataset: &Rsd15k) -> Self {
         let mut counts = [[0u64; RiskLevel::COUNT]; RiskLevel::COUNT];
         for user in &dataset.users {
             for pair in user.post_indices.windows(2) {
@@ -85,7 +85,7 @@ impl TransitionMatrix {
 
 /// One escalation event: a post strictly more severe than its predecessor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Escalation {
+pub(crate) struct Escalation {
     /// The user.
     pub user: UserId,
     /// Index (into `Rsd15k::posts`) of the escalating post.
@@ -99,7 +99,7 @@ pub struct Escalation {
 }
 
 /// All escalation events in chronological per-user order.
-pub fn escalations(dataset: &Rsd15k) -> Vec<Escalation> {
+pub(crate) fn escalations(dataset: &Rsd15k) -> Vec<Escalation> {
     let mut out = Vec::new();
     for user in &dataset.users {
         for pair in user.post_indices.windows(2) {
@@ -120,7 +120,7 @@ pub fn escalations(dataset: &Rsd15k) -> Vec<Escalation> {
 
 /// Per-user longitudinal summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct UserTrajectory {
+pub(crate) struct UserTrajectory {
     /// The user.
     pub user: UserId,
     /// Number of posts.
@@ -137,7 +137,7 @@ pub struct UserTrajectory {
 }
 
 /// Summarize every user's trajectory.
-pub fn user_trajectories(dataset: &Rsd15k) -> Vec<UserTrajectory> {
+pub(crate) fn user_trajectories(dataset: &Rsd15k) -> Vec<UserTrajectory> {
     dataset
         .users
         .iter()

@@ -177,7 +177,7 @@ impl<T> StoreShard<T> {
     }
 }
 
-/// Per-shard work unit for `apply_batch_map`: the shard, its
+/// Per-shard work unit for `apply_batch_map_with`: the shard, its
 /// submission-ordered `(index, item)` queue, and the mapped results.
 type ShardWork<'a, T, R> = (
     &'a mut StoreShard<T>,
@@ -208,7 +208,7 @@ impl<T: Send> UserWindowStore<T> {
     }
 
     /// Shard index owning `user`.
-    pub fn shard_of(&self, user: u32) -> usize {
+    pub(crate) fn shard_of(&self, user: u32) -> usize {
         (user as usize) % self.shards.len()
     }
 
@@ -227,36 +227,18 @@ impl<T: Send> UserWindowStore<T> {
             .map(|s| &s.buffer)
     }
 
-    /// Ingest a batch, sharded across the `rsd-par` pool. Items for the
-    /// same shard are applied in submission order, so the final state is
-    /// identical to serial [`apply`](UserWindowStore::apply) calls.
-    pub fn apply_batch(&mut self, items: Vec<StoreItem<T>>) {
-        self.apply_batch_map::<(), (), _>(items, |_, _, _| ());
-    }
-
-    /// Ingest a batch and map each item's post-update window through
-    /// `f(user, buffer, scratch)`, returning results in submission
-    /// order. `scratch` is a per-shard reusable workspace (feature
-    /// buffers, row vectors) constructed via `Default` once per shard
-    /// per call. Sharding is by user id and per-shard application order
-    /// is submission order, so results are bit-identical across thread
-    /// counts.
-    pub fn apply_batch_map<R, S, F>(&mut self, items: Vec<StoreItem<T>>, f: F) -> Vec<R>
-    where
-        R: Send,
-        S: Default,
-        F: Fn(u32, &WindowBuffer<T>, &mut S) -> R + Sync,
-    {
-        self.apply_batch_map_with(items, |user, buffer, _apply_ns, scratch| {
-            f(user, buffer, scratch)
-        })
-    }
-
-    /// [`apply_batch_map`](UserWindowStore::apply_batch_map) variant
-    /// that also hands the callback the wall-clock nanoseconds the
-    /// store spent applying that item (LRU bookkeeping + window push),
-    /// so request-scoped tracing can attribute window-update time
-    /// without a second clock read around the whole batch.
+    /// Ingest a batch, sharded across the `rsd-par` pool, and map each
+    /// item's post-update window through `f(user, buffer, apply_ns,
+    /// scratch)`, returning results in submission order. `apply_ns` is
+    /// the wall-clock nanoseconds the store spent applying that item (LRU
+    /// bookkeeping + window push), so request-scoped tracing can
+    /// attribute window-update time without a second clock read around
+    /// the whole batch. `scratch` is a per-shard reusable workspace
+    /// (feature buffers, row vectors) constructed via `Default` once per
+    /// shard per call. Items for the same shard are applied in submission
+    /// order, so the final state is identical to serial
+    /// [`apply`](UserWindowStore::apply) calls and results are
+    /// bit-identical across thread counts.
     pub fn apply_batch_map_with<R, S, F>(&mut self, items: Vec<StoreItem<T>>, f: F) -> Vec<R>
     where
         R: Send,
@@ -328,11 +310,6 @@ impl<T: Send> UserWindowStore<T> {
     /// Per-user window size.
     pub fn window(&self) -> usize {
         self.window
-    }
-
-    /// Maximum resident users per shard.
-    pub fn cap_per_shard(&self) -> usize {
-        self.cap_per_shard
     }
 
     /// Number of shards.
@@ -423,9 +400,9 @@ mod tests {
         let run = |threads: usize| {
             rsd_par::with_local_pool(threads, || {
                 let mut store: UserWindowStore<u32> = UserWindowStore::new(4, 5, 1024);
-                store.apply_batch_map::<(u32, u64, Vec<u32>), (), _>(
+                store.apply_batch_map_with::<(u32, u64, Vec<u32>), (), _>(
                     items.clone(),
-                    |user, buf, _| {
+                    |user, buf, _, _| {
                         (
                             user,
                             buf.total_seen(),
@@ -473,7 +450,7 @@ mod tests {
             serial.apply(it);
         }
         let mut batched: UserWindowStore<u32> = UserWindowStore::new(8, 5, 16);
-        batched.apply_batch(items);
+        batched.apply_batch_map_with::<(), (), _>(items, |_, _, _, _| ());
         for user in 0..23u32 {
             assert_eq!(
                 serial.buffer(user).map(|b| b.entries().to_vec()),

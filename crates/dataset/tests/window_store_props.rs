@@ -106,7 +106,7 @@ proptest! {
             let mut store = UserWindowStore::new(3, window, lru_capacity);
             rsd_par::with_local_pool(threads, || {
                 for chunk in items.chunks(batch) {
-                    store.apply_batch(chunk.to_vec());
+                    store.apply_batch_map_with::<(), (), _>(chunk.to_vec(), |_, _, _, _| ());
                 }
             });
             prop_assert_eq!(store_state(&store), want.clone());

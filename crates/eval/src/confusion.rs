@@ -120,18 +120,6 @@ impl ConfusionMatrix {
         (0..self.n_classes).map(|c| self.f1(c)).sum::<f64>() / self.n_classes as f64
     }
 
-    /// Support-weighted mean of per-class F1.
-    pub fn weighted_f1(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (0..self.n_classes)
-            .map(|c| self.f1(c) * self.support(c) as f64)
-            .sum::<f64>()
-            / total as f64
-    }
-
     /// Merge another matrix of the same shape into this one.
     pub fn merge(&mut self, other: &ConfusionMatrix) -> Result<()> {
         if self.n_classes != other.n_classes {
@@ -185,12 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn macro_and_weighted_f1() {
+    fn macro_f1_is_the_unweighted_mean() {
         let m = sample();
         let macro_f1 = (m.f1(0) + m.f1(1) + m.f1(2)) / 3.0;
         assert!((m.macro_f1() - macro_f1).abs() < 1e-12);
-        let weighted = (m.f1(0) * 3.0 + m.f1(1) * 2.0 + m.f1(2)) / 6.0;
-        assert!((m.weighted_f1() - weighted).abs() < 1e-12);
     }
 
     #[test]
@@ -201,7 +187,6 @@ mod tests {
         assert_eq!(m.recall(0), 0.0);
         assert_eq!(m.f1(0), 0.0);
         assert_eq!(m.macro_f1(), 0.0);
-        assert_eq!(m.weighted_f1(), 0.0);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The paper's quality evaluation (§II-C1) reports **Fleiss' kappa** over
 //! the 30 % triple-annotated subset (4,384 samples, κ = 0.7206). Fleiss'
 //! kappa generalizes Cohen's kappa to any fixed number of raters per item;
-//! both are implemented here against their standard formulations
-//! (Fleiss 1971; Cohen 1960).
+//! it is implemented here against its standard formulation (Fleiss 1971).
 
 use rsd_common::{Result, RsdError};
 
@@ -96,36 +95,6 @@ pub fn fleiss_kappa_from_raters(raters: &[Vec<usize>], n_cats: usize) -> Result<
     fleiss_kappa(&items)
 }
 
-/// Cohen's kappa between two raters' labels over the same items.
-pub fn cohens_kappa(a: &[usize], b: &[usize], n_cats: usize) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(RsdError::data("cohens_kappa: length mismatch"));
-    }
-    if a.is_empty() {
-        return Err(RsdError::data("cohens_kappa: no items"));
-    }
-    let n = a.len() as f64;
-    let mut joint = vec![0.0f64; n_cats * n_cats];
-    for (&x, &y) in a.iter().zip(b) {
-        if x >= n_cats || y >= n_cats {
-            return Err(RsdError::data("cohens_kappa: label out of range"));
-        }
-        joint[x * n_cats + y] += 1.0;
-    }
-    let p_o: f64 = (0..n_cats).map(|c| joint[c * n_cats + c]).sum::<f64>() / n;
-    let p_e: f64 = (0..n_cats)
-        .map(|c| {
-            let row: f64 = (0..n_cats).map(|j| joint[c * n_cats + j]).sum::<f64>() / n;
-            let col: f64 = (0..n_cats).map(|i| joint[i * n_cats + c]).sum::<f64>() / n;
-            row * col
-        })
-        .sum();
-    if (1.0 - p_e).abs() < 1e-12 {
-        return Ok(1.0);
-    }
-    Ok((p_o - p_e) / (1.0 - p_e))
-}
-
 /// Verbal interpretation bands for kappa (Landis & Koch) — used in audit
 /// output ("0.7206 reflects a really good level of agreement").
 pub fn interpret_kappa(kappa: f64) -> &'static str {
@@ -190,25 +159,6 @@ mod tests {
         let items = vec![vec![3, 0, 0], vec![0, 3, 0], vec![0, 1, 2], vec![2, 1, 0]];
         let k2 = fleiss_kappa(&items).unwrap();
         assert!((k1 - k2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cohens_known_value() {
-        // Classic 2x2 example: po = 0.7, pe = 0.5 → κ = 0.4.
-        let a = vec![0, 0, 0, 0, 0, 1, 1, 1, 1, 1];
-        let b = vec![0, 0, 0, 1, 1, 1, 1, 1, 0, 1];
-        // po = 7/10; row marginals a: 0.5/0.5; col b: 0.4/0.6 → pe = 0.5
-        let k = cohens_kappa(&a, &b, 2).unwrap();
-        assert!((k - (0.7 - 0.5) / 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cohens_perfect_and_errors() {
-        let a = vec![0, 1, 2];
-        assert!((cohens_kappa(&a, &a, 3).unwrap() - 1.0).abs() < 1e-12);
-        assert!(cohens_kappa(&a, &[0, 1], 3).is_err());
-        assert!(cohens_kappa(&[], &[], 3).is_err());
-        assert!(cohens_kappa(&[5], &[0], 3).is_err());
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! Evaluation metrics for the RSD-15K benchmark.
 //!
 //! * [`confusion`] — n-class confusion matrices with accuracy, per-class
-//!   precision/recall/F1, and macro/weighted aggregates (the columns of
-//!   the paper's Table III).
+//!   precision/recall/F1, and the macro-F1 aggregate (the columns of the
+//!   paper's Table III).
 //! * [`kappa`] — inter-annotator agreement: Fleiss' kappa (the paper's
-//!   §II-C1 reports κ = 0.7206 over the triple-annotated 30 %) and
-//!   Cohen's kappa for pairwise checks.
+//!   §II-C1 reports κ = 0.7206 over the triple-annotated 30 %).
 //! * [`report`] — plain-text classification reports for the bench
 //!   binaries.
 //! * [`bootstrap`] — percentile-bootstrap confidence intervals for
@@ -27,6 +26,6 @@ pub mod significance;
 pub use alpha::krippendorff_alpha;
 pub use bootstrap::{bootstrap_metrics, BootstrapInterval};
 pub use confusion::ConfusionMatrix;
-pub use kappa::{cohens_kappa, fleiss_kappa};
+pub use kappa::fleiss_kappa;
 pub use report::ClassificationReport;
 pub use significance::{mcnemar, McNemarOutcome};

@@ -1,8 +1,7 @@
 //! Plain-text classification reports.
 //!
-//! Formats a [`ConfusionMatrix`] the way the paper's tables do: accuracy,
-//! macro-F1, then per-class F1 — so bench binaries can print rows directly
-//! comparable to Table III.
+//! Summarizes a [`ConfusionMatrix`] the way the paper's tables do:
+//! accuracy, macro-F1, then per-class F1.
 
 use std::fmt;
 
@@ -50,31 +49,6 @@ impl ClassificationReport {
             class_f1: (0..m.n_classes()).map(|c| m.f1(c)).collect(),
             support: (0..m.n_classes()).map(|c| m.support(c)).collect(),
         }
-    }
-
-    /// One row in the Table III layout:
-    /// `model | acc% | mac-f1% | per-class f1% ...`.
-    pub fn table_row(&self) -> String {
-        let mut row = format!(
-            "{:<10} {:>6.1} {:>7.1}",
-            self.model,
-            self.accuracy * 100.0,
-            self.macro_f1 * 100.0
-        );
-        for f1 in &self.class_f1 {
-            row.push_str(&format!(" {:>6.1}", f1 * 100.0));
-        }
-        row
-    }
-
-    /// Header matching [`ClassificationReport::table_row`].
-    pub fn table_header(class_names: &[&str]) -> String {
-        let mut header = format!("{:<10} {:>6} {:>7}", "Model", "Acc%", "MacF1%");
-        for name in class_names {
-            let abbrev: String = name.chars().take(2).collect();
-            header.push_str(&format!(" {:>5}%", abbrev.to_uppercase()));
-        }
-        header
     }
 }
 
@@ -148,22 +122,6 @@ mod tests {
         assert!((r.accuracy - 0.75).abs() < 1e-12);
         assert_eq!(r.class_f1.len(), 2);
         assert_eq!(r.support, vec![2, 2]);
-    }
-
-    #[test]
-    fn table_row_contains_percentages() {
-        let r = report();
-        let row = r.table_row();
-        assert!(row.starts_with("TestModel"));
-        assert!(row.contains("75.0"));
-    }
-
-    #[test]
-    fn header_matches_columns() {
-        let h = ClassificationReport::table_header(&["Indicator", "Ideation"]);
-        assert!(h.contains("Model"));
-        assert!(h.contains("IN"));
-        assert!(h.contains("ID"));
     }
 
     #[test]

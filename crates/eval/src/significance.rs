@@ -21,13 +21,6 @@ pub struct McNemarOutcome {
     pub p_value: f64,
 }
 
-impl McNemarOutcome {
-    /// True when the difference is significant at `alpha`.
-    pub fn significant(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Exact (binomial) McNemar test from paired predictions.
 pub fn mcnemar(truth: &[usize], pred_a: &[usize], pred_b: &[usize]) -> Result<McNemarOutcome> {
     if truth.len() != pred_a.len() || truth.len() != pred_b.len() {
@@ -90,7 +83,6 @@ mod tests {
         assert_eq!(out.a_only, 0);
         assert_eq!(out.b_only, 0);
         assert_eq!(out.p_value, 1.0);
-        assert!(!out.significant(0.05));
     }
 
     #[test]
@@ -109,7 +101,6 @@ mod tests {
         assert_eq!(out.a_only, 0);
         assert_eq!(out.b_only, 12);
         assert!(out.p_value < 0.001, "p {}", out.p_value);
-        assert!(out.significant(0.05));
     }
 
     #[test]

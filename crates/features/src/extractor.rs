@@ -76,11 +76,6 @@ impl FeatureExtractor {
         &self.names
     }
 
-    /// Dimension tag per feature.
-    pub fn dimensions(&self) -> &[FeatureDimension] {
-        &self.dims
-    }
-
     /// The fitted TF-IDF vectorizer behind the trailing feature block.
     pub fn tfidf(&self) -> &TfIdfVectorizer {
         &self.tfidf
@@ -284,7 +279,7 @@ mod tests {
         let (d, s) = fixture();
         let fx = FeatureExtractor::fit(&d, &s.train, 100).unwrap();
         assert_eq!(fx.dim(), fx.names().len());
-        assert_eq!(fx.dim(), fx.dimensions().len());
+        assert_eq!(fx.dim(), fx.dims.len());
         for w in &s.test {
             let v = fx.transform(&d, w);
             assert_eq!(v.len(), fx.dim());
@@ -336,7 +331,7 @@ mod tests {
             FeatureDimension::Text,
             FeatureDimension::Sequence,
         ] {
-            assert!(fx.dimensions().contains(&dim));
+            assert!(fx.dims.contains(&dim));
         }
     }
 

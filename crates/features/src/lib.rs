@@ -38,6 +38,4 @@ pub mod time;
 
 pub use extractor::{FeatureDimension, FeatureExtractor, PostTable};
 pub use post::PreparedPost;
-pub use sequence::SEQUENCE_FEATURE_NAMES;
-pub use text::TEXT_FEATURE_NAMES;
-pub use time::{time_features, time_features_into, TIME_FEATURE_NAMES};
+pub use time::time_features_into;

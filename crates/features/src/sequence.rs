@@ -6,7 +6,7 @@ use rsd_common::stats::linear_trend;
 use crate::post::{jaccard, PreparedPost};
 
 /// Names of the sequence features, in output order.
-pub const SEQUENCE_FEATURE_NAMES: &[&str] = &[
+pub(crate) const SEQUENCE_FEATURE_NAMES: &[&str] = &[
     "seq.window_size",
     "seq.total_posts",
     "seq.len_trend",

@@ -7,7 +7,7 @@ use rsd_common::stats::{mean, std_dev};
 use crate::post::{distinct_union_len, PreparedPost};
 
 /// Names of the dense text features, in output order.
-pub const TEXT_FEATURE_NAMES: &[&str] = &[
+pub(crate) const TEXT_FEATURE_NAMES: &[&str] = &[
     "text.len_mean",
     "text.len_std",
     "text.len_last",

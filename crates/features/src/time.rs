@@ -7,7 +7,7 @@ use rsd_common::stats::{linear_trend, mean, std_dev};
 use rsd_common::Timestamp;
 
 /// Names of the time features, in output order.
-pub const TIME_FEATURE_NAMES: &[&str] = &[
+pub(crate) const TIME_FEATURE_NAMES: &[&str] = &[
     "time.gap_mean_days",
     "time.gap_std_days",
     "time.gap_min_days",
@@ -22,15 +22,9 @@ pub const TIME_FEATURE_NAMES: &[&str] = &[
     "time.posts_per_day",
 ];
 
-/// Extract time features from the window's timestamps (chronological).
-pub fn time_features(timestamps: &[Timestamp]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(TIME_FEATURE_NAMES.len());
-    time_features_into(timestamps, &mut out);
-    out
-}
-
-/// [`time_features`] appended into a caller-owned buffer — the
-/// allocation-free variant the serving path's scratch buffers use.
+/// Extract time features from the window's timestamps (chronological),
+/// appended into a caller-owned buffer so the serving path's scratch
+/// buffers are reused.
 pub fn time_features_into(timestamps: &[Timestamp], out: &mut Vec<f32>) {
     let n = timestamps.len();
     let gaps: Vec<f64> = timestamps
@@ -97,14 +91,16 @@ impl PipeZero for f64 {
 mod tests {
     use super::*;
 
+    fn time_features(timestamps: &[Timestamp]) -> Vec<f32> {
+        let mut out = Vec::new();
+        time_features_into(timestamps, &mut out);
+        out
+    }
+
     fn ts(hours: &[i64]) -> Vec<Timestamp> {
         hours
             .iter()
-            .map(|&h| {
-                Timestamp::from_ymd(2020, 6, 1)
-                    .unwrap()
-                    .plus_seconds(h * 3600)
-            })
+            .map(|&h| Timestamp(Timestamp::from_ymd(2020, 6, 1).unwrap().0 + h * 3600))
             .collect()
     }
 

@@ -15,10 +15,9 @@ use rsd_common::stats::{linear_trend, mean, std_dev};
 use rsd_common::Timestamp;
 use rsd_dataset::splits::post_level_windows;
 use rsd_dataset::{BuildConfig, DatasetBuilder, DatasetSplits, Rsd15k, SplitConfig, UserWindow};
-use rsd_features::{time_features, FeatureExtractor};
-use rsd_text::relevance::theme_hits;
+use rsd_features::{time_features_into, FeatureExtractor};
+use rsd_text::relevance::is_theme_term;
 use rsd_text::tokenize;
-use rsd_text::tokenize::token_count;
 
 /// FNV-1a over 32-bit words.
 struct Digest(u64);
@@ -112,6 +111,11 @@ fn bits(row: &[f32]) -> Vec<u32> {
 
 const NEGATIONS: &[&str] = &["not", "never", "no", "don't", "cannot", "can't", "won't"];
 
+/// Lexicon hits in a text, counted token by token.
+fn theme_hits(text: &str) -> usize {
+    tokenize(text).iter().filter(|t| is_theme_term(t)).count()
+}
+
 fn oracle_text_features_into(texts: &[&str], out: &mut Vec<f32>) {
     let token_lists: Vec<Vec<&str>> = texts.iter().map(|t| tokenize(t)).collect();
     let lens: Vec<f64> = token_lists.iter().map(|t| t.len() as f64).collect();
@@ -155,7 +159,7 @@ fn oracle_text_features_into(texts: &[&str], out: &mut Vec<f32>) {
 }
 
 fn oracle_sequence_features_into(texts: &[&str], total_posts: usize, out: &mut Vec<f32>) {
-    let lens: Vec<f64> = texts.iter().map(|t| token_count(t) as f64).collect();
+    let lens: Vec<f64> = texts.iter().map(|t| tokenize(t).len() as f64).collect();
     let hits: Vec<f64> = texts.iter().map(|t| theme_hits(t) as f64).collect();
     let last_jaccard = if texts.len() >= 2 {
         oracle_jaccard(texts[texts.len() - 2], texts[texts.len() - 1])
@@ -193,7 +197,8 @@ fn oracle_row(
     timestamps: &[Timestamp],
     total_posts: usize,
 ) -> Vec<f32> {
-    let mut out = time_features(timestamps);
+    let mut out = Vec::new();
+    time_features_into(timestamps, &mut out);
     oracle_text_features_into(texts, &mut out);
     oracle_sequence_features_into(texts, total_posts, &mut out);
     let sparse = extractor

@@ -191,7 +191,7 @@ impl Booster {
     }
 
     /// Raw class scores for one feature row.
-    pub fn scores_row(&self, row: &[f32]) -> Vec<f32> {
+    pub(crate) fn scores_row(&self, row: &[f32]) -> Vec<f32> {
         let k = self.cfg.n_classes;
         let mut scores = vec![0.0f32; k];
         for round in &self.trees {

@@ -1,6 +1,6 @@
 //! Feature binning — the `hist` tree method's quantile sketch.
 //!
-//! Each feature is mapped to at most [`MAX_BINS`] integer bins by quantile
+//! Each feature is mapped to at most `MAX_BINS` integer bins by quantile
 //! cut points computed on the training data; trees then accumulate
 //! gradient histograms over bins instead of scanning sorted raw values.
 
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use rsd_common::{Result, RsdError};
 
 /// Maximum bins per feature.
-pub const MAX_BINS: usize = 256;
+pub(crate) const MAX_BINS: usize = 256;
 
 /// Per-feature quantile cut points.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -89,7 +89,7 @@ pub struct BinnedMatrix {
     pub cuts: BinCuts,
     /// Column-major bin indices: `bins[f * n_rows + i]` is the bin of
     /// sample `i`, feature `f`. Stored as `u8` (indices are below
-    /// [`MAX_BINS`] = 256) to halve gather bandwidth in the histogram
+    /// `MAX_BINS` = 256) to halve gather bandwidth in the histogram
     /// loop. Use [`BinnedMatrix::bin`] / [`BinnedMatrix::feature_bins`]
     /// rather than indexing directly.
     pub bins: Vec<u8>,

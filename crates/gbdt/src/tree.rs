@@ -235,20 +235,12 @@ impl Tree {
     }
 
     /// Accumulate per-feature gain into `importance`.
-    pub fn accumulate_importance(&self, importance: &mut [f64]) {
+    pub(crate) fn accumulate_importance(&self, importance: &mut [f64]) {
         for node in &self.nodes {
             if let Node::Split { feature, gain, .. } = node {
                 importance[*feature] += f64::from(*gain);
             }
         }
-    }
-
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
     }
 }
 
@@ -408,6 +400,15 @@ fn best_split(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tree {
+        fn n_leaves(&self) -> usize {
+            self.nodes
+                .iter()
+                .filter(|n| matches!(n, Node::Leaf { .. }))
+                .count()
+        }
+    }
 
     /// A step function y = 1 if x > 5 else −1, perfectly splittable.
     fn step_data() -> (BinnedMatrix, Vec<f32>, Vec<f32>) {

@@ -21,7 +21,7 @@ use rsd_text::Vocabulary;
 pub const TIME_FEATURE_DIM: usize = 11;
 
 /// Temporal features for one post in a window.
-pub fn time_vector(timestamps: &[Timestamp], idx: usize) -> [f32; TIME_FEATURE_DIM] {
+pub(crate) fn time_vector(timestamps: &[Timestamp], idx: usize) -> [f32; TIME_FEATURE_DIM] {
     let t = timestamps[idx];
     let hour = f32::from(t.hour());
     let weekday = t.weekday().index() as f32;
@@ -74,11 +74,6 @@ pub struct EncodedWindow {
 }
 
 impl EncodedWindow {
-    /// Tokens of the labelled (latest) post.
-    pub fn last_tokens(&self) -> &[u32] {
-        self.post_tokens.last().expect("windows are never empty")
-    }
-
     /// Window-context token stream for sequence-attention models: the
     /// labelled (latest) post first, then preceding posts newest-to-oldest,
     /// truncated to `max_tokens` total. The latest post keeps its leading
@@ -249,7 +244,10 @@ mod tests {
             assert_eq!(e.post_tokens.len(), e.time_feats.len());
             assert!(!e.post_tokens.is_empty());
             assert!(e.label < 4);
-            assert!(e.last_tokens().len() >= 2, "CLS plus at least one token");
+            assert!(
+                e.post_tokens.last().unwrap().len() >= 2,
+                "CLS plus at least one token"
+            );
         }
     }
 }

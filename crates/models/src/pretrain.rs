@@ -46,7 +46,7 @@ impl Default for PretrainConfig {
 
 /// Apply BERT-style masking. Returns `(input_ids, targets)` where targets
 /// pairs `(position, original_id)` for selected positions.
-pub fn mask_tokens(
+pub(crate) fn mask_tokens(
     ids: &[u32],
     vocab_size: usize,
     mask_prob: f32,

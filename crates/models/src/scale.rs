@@ -41,7 +41,7 @@ pub struct ScaleRow {
 }
 
 /// Subsample a dataset to `n_users` (complete timelines kept).
-pub fn subsample_users(dataset: &Rsd15k, n_users: usize, seed: u64) -> Result<Rsd15k> {
+pub(crate) fn subsample_users(dataset: &Rsd15k, n_users: usize, seed: u64) -> Result<Rsd15k> {
     if n_users == 0 || n_users > dataset.n_users() {
         return Err(RsdError::config(
             "n_users",

@@ -46,9 +46,9 @@ pub enum ServeModel {
 
 impl ServeModel {
     /// Valid knob spellings, in [`ServeModel`] declaration order.
-    pub const CHOICES: &'static [&'static str] = rsd_obs::knob::SERVE_MODELS;
+    pub(crate) const CHOICES: &'static [&'static str] = rsd_obs::knob::SERVE_MODELS;
 
-    /// Parse one of the [`Self::CHOICES`] spellings.
+    /// Parse one of the `Self::CHOICES` spellings.
     pub fn from_name(name: &str) -> Result<ServeModel> {
         match name {
             "gbdt" => Ok(ServeModel::Gbdt),

@@ -259,7 +259,7 @@ pub fn evaluate(
 }
 
 /// Assemble an [`EvalOutcome`] from a test confusion matrix.
-pub fn outcome_from_confusion(
+pub(crate) fn outcome_from_confusion(
     name: &str,
     confusion: ConfusionMatrix,
     extra: Vec<(String, String)>,
@@ -273,7 +273,7 @@ pub fn outcome_from_confusion(
 }
 
 /// Deterministic helper: sample up to `n` texts from the unlabeled pool.
-pub fn sample_pretrain_texts(unlabeled: &[String], n: usize, seed: u64) -> Vec<String> {
+pub(crate) fn sample_pretrain_texts(unlabeled: &[String], n: usize, seed: u64) -> Vec<String> {
     if unlabeled.len() <= n {
         return unlabeled.to_vec();
     }
@@ -284,29 +284,29 @@ pub fn sample_pretrain_texts(unlabeled: &[String], n: usize, seed: u64) -> Vec<S
     idx.into_iter().map(|i| unlabeled[i].clone()).collect()
 }
 
-/// Convenience used by tests: a toy forward that ignores text and learns
-/// only the bias (sanity baseline).
-pub fn bias_only_forward(
-    n_classes: usize,
-) -> (
-    ParamStore,
-    impl Fn(&mut Tape, &ParamStore, &EncodedWindow, &mut StdRng) -> Var,
-) {
-    let mut store = ParamStore::new();
-    let bias = store.register_zeros("bias", 1, n_classes);
-    (
-        store,
-        move |tape: &mut Tape, store: &ParamStore, _ex: &EncodedWindow, rng: &mut StdRng| {
-            let _ = rng.gen::<u32>();
-            tape.param(store, bias)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoding::TIME_FEATURE_DIM;
+
+    /// A toy forward that ignores text and learns only the bias (sanity
+    /// baseline).
+    fn bias_only_forward(
+        n_classes: usize,
+    ) -> (
+        ParamStore,
+        impl Fn(&mut Tape, &ParamStore, &EncodedWindow, &mut StdRng) -> Var,
+    ) {
+        let mut store = ParamStore::new();
+        let bias = store.register_zeros("bias", 1, n_classes);
+        (
+            store,
+            move |tape: &mut Tape, store: &ParamStore, _ex: &EncodedWindow, rng: &mut StdRng| {
+                let _ = rng.gen::<u32>();
+                tape.param(store, bias)
+            },
+        )
+    }
 
     fn toy_examples(n: usize, skew: bool) -> Vec<EncodedWindow> {
         (0..n)

@@ -4,10 +4,31 @@
 //! threads, or run serially — the satellite guarantee behind "same
 //! table-3 metrics for any `RSD_THREADS`".
 
+use rand::rngs::StdRng;
+use rand::Rng;
 use rsd_common::rng::stream_rng;
 use rsd_models::encoding::TIME_FEATURE_DIM;
-use rsd_models::trainer::{bias_only_forward, evaluate, train_classifier};
+use rsd_models::trainer::{evaluate, train_classifier};
 use rsd_models::{EncodedWindow, TrainConfig};
+use rsd_nn::{ParamStore, Tape, Var};
+
+/// A toy forward that ignores text and learns only the bias.
+fn bias_only_forward(
+    n_classes: usize,
+) -> (
+    ParamStore,
+    impl Fn(&mut Tape, &ParamStore, &EncodedWindow, &mut StdRng) -> Var,
+) {
+    let mut store = ParamStore::new();
+    let bias = store.register_zeros("bias", 1, n_classes);
+    (
+        store,
+        move |tape: &mut Tape, store: &ParamStore, _ex: &EncodedWindow, rng: &mut StdRng| {
+            let _ = rng.gen::<u32>();
+            tape.param(store, bias)
+        },
+    )
+}
 
 fn toy_examples(n: usize) -> Vec<EncodedWindow> {
     (0..n)

@@ -25,7 +25,8 @@ use crate::matrix::Matrix;
 // Each op computes through the formula its `Tape` op uses (shared in
 // `crate::tape`), so inference and training agree bitwise.
 
-pub use crate::tape::{add_row_in_place, gelu_scalar, layer_norm_rows, mean_rows_into};
+use crate::tape::{add_row_in_place, gelu_scalar};
+pub use crate::tape::{layer_norm_rows, mean_rows_into};
 
 /// `x @ w + b` with `b` broadcast over rows (tape `matmul` + `add_row`).
 pub fn linear(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
@@ -61,7 +62,7 @@ pub fn mean_rows(x: &Matrix) -> Matrix {
 /// arithmetic — no tables, no branches beyond the clamp — so it is
 /// deterministic everywhere.
 #[inline]
-pub fn fast_exp(x: f32) -> f32 {
+pub(crate) fn fast_exp(x: f32) -> f32 {
     let y = (x * std::f32::consts::LOG2_E).clamp(-125.0, 125.0);
     let n = (y + 0.5).floor();
     let g = (y - n) * std::f32::consts::LN_2;
@@ -108,7 +109,7 @@ pub(crate) unsafe fn fast_exp_lanes(x: std::arch::x86_64::__m256) -> std::arch::
 
 /// Fast `tanh` via `1 - 2/(e^{2x}+1)` on [`fast_exp`].
 #[inline]
-pub fn fast_tanh(x: f32) -> f32 {
+pub(crate) fn fast_tanh(x: f32) -> f32 {
     if x >= 9.0 {
         return 1.0;
     }
@@ -120,12 +121,12 @@ pub fn fast_tanh(x: f32) -> f32 {
 
 /// GELU on [`fast_tanh`] — the int8 path's activation.
 #[inline]
-pub fn gelu_fast(x: f32) -> f32 {
+pub(crate) fn gelu_fast(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     0.5 * x * (1.0 + fast_tanh(C * (x + 0.044715 * x * x * x)))
 }
 
-/// Apply [`gelu_fast`] across a slice, vectorized when the host has
+/// Apply `gelu_fast` across a slice, vectorized when the host has
 /// AVX2. Division and every polynomial step are per-element IEEE ops in
 /// the scalar order, so SIMD and portable agree bitwise.
 pub fn gelu_fast_slice(xs: &mut [f32]) {

@@ -17,7 +17,7 @@
 //! * [`params`] — a parameter store with named registration and gradient
 //!   accumulation.
 //! * [`layers`] — Linear / Embedding / LayerNorm modules over the tape.
-//! * [`rnn`] — LSTM and GRU cells and bidirectional runners.
+//! * [`rnn`] — LSTM and GRU cells run forward or reversed over a sequence.
 //! * [`attention`] — multi-head self-attention, with an optional
 //!   relative-position table for the disentangled content/position
 //!   (DeBERTa-style) scores.

@@ -15,9 +15,11 @@
 //! multiply-add chain over the shared index in ascending order from
 //! `+0.0`: [`Matrix::matmul_tn`] runs it on its operands as they are, and
 //! [`Matrix::matmul`] runs it on the transpose of its left operand, with
-//! no skip of zero coefficients. [`Matrix::matmul_dot4`] rounds each
-//! output as [`dot4`] does, with separate multiplies and adds, from a
-//! right operand in `k × n` layout.
+//! no skip of zero coefficients. `Matrix::matmul_dot4` rounds each
+//! output the *dot4* way, from a right operand in `k × n` layout: lane
+//! `l` of four sums the products at `k ≡ l (mod 4)` below the last
+//! multiple of 4, each a separate multiply and add, the rest go to a
+//! scalar tail, and the output is `((s0+s1)+(s2+s3)) + tail`.
 
 /// Inner-loop operations per parallel chunk the kernels aim for; rows are
 /// grouped so each chunk amortizes scheduling overhead. A pure function
@@ -137,9 +139,9 @@ impl Matrix {
         tn_product(tier, &transposed(self), self.rows, other)
     }
 
-    /// `self @ otherᵀ` (NT layout), every output rounded as [`dot4`]
-    /// rounds it: `other` is transposed once and the product runs through
-    /// [`Matrix::matmul_dot4`].
+    /// `self @ otherᵀ` (NT layout), every output rounded the dot4 way
+    /// (see the module docs): `other` is transposed once and the product
+    /// runs through `Matrix::matmul_dot4`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -149,14 +151,14 @@ impl Matrix {
         self.matmul_dot4(&other.transpose())
     }
 
-    /// `self @ bt` with every output rounded as [`dot4`] rounds the dot of
-    /// its row of `self` and its column of `bt`: the NT product for a
+    /// `self @ bt` with every output the dot4-rounded dot of its row of
+    /// `self` and its column of `bt`: the NT product for a
     /// caller that already holds the right operand transposed (`k × n`).
-    pub fn matmul_dot4(&self, bt: &Matrix) -> Matrix {
+    pub(crate) fn matmul_dot4(&self, bt: &Matrix) -> Matrix {
         self.matmul_dot4_on(F32Tier::detect(), bt)
     }
 
-    /// [`Matrix::matmul_dot4`] on a given tier; every tier gives the same
+    /// `Matrix::matmul_dot4` on a given tier; every tier gives the same
     /// bits. Panics if this CPU cannot run `tier`.
     ///
     /// Row-parallel: each chunk owns a block of whole output rows.
@@ -246,26 +248,12 @@ impl Matrix {
     }
 
     /// Fill with zeros in place (for gradient reuse).
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// Frobenius norm. Chunked sum-of-squares folded in fixed chunk order,
-    /// so the value is independent of thread count.
-    pub fn frobenius(&self) -> f32 {
-        let data = &self.data;
-        rsd_par::parallel_reduce(
-            data.len(),
-            ELEM_GRAIN,
-            |r| data[r].iter().map(|x| x * x).sum::<f32>(),
-            |a, b| a + b,
-        )
-        .unwrap_or(0.0)
-        .sqrt()
-    }
-
     /// True when shapes match.
-    pub fn same_shape(&self, other: &Matrix) -> bool {
+    pub(crate) fn same_shape(&self, other: &Matrix) -> bool {
         self.rows == other.rows && self.cols == other.cols
     }
 }
@@ -397,7 +385,7 @@ pub fn vnni512_available() -> bool {
 }
 
 /// The register width the f32 product kernels ([`Matrix::matmul`],
-/// [`Matrix::matmul_tn`], [`Matrix::matmul_dot4`]) run at. Each SIMD lane
+/// [`Matrix::matmul_tn`], `Matrix::matmul_dot4`) run at. Each SIMD lane
 /// holds one output, so every tier forms each output's sum exactly as
 /// [`F32Tier::Portable`] does; the tiers differ only in how many outputs
 /// one instruction advances.
@@ -439,34 +427,8 @@ impl F32Tier {
     }
 }
 
-/// 4-accumulator dot product: lane `l` sums the products at `k ≡ l
-/// (mod 4)` below the last multiple of 4, the rest go to a scalar tail,
-/// and the result is `((s0+s1)+(s2+s3)) + tail`. Accumulator layout is
-/// fixed, so the result is deterministic (though differently rounded than
-/// a single-accumulator sum); [`Matrix::matmul_nt`] reproduces it bit for
-/// bit.
-pub fn dot4(x: &[f32], y: &[f32]) -> f32 {
-    let len = x.len().min(y.len());
-    let (x, y) = (&x[..len], &y[..len]);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let mut k = 0;
-    while k + 4 <= len {
-        s0 += x[k] * y[k];
-        s1 += x[k + 1] * y[k + 1];
-        s2 += x[k + 2] * y[k + 2];
-        s3 += x[k + 3] * y[k + 3];
-        k += 4;
-    }
-    let mut tail = 0.0f32;
-    while k < len {
-        tail += x[k] * y[k];
-        k += 1;
-    }
-    ((s0 + s1) + (s2 + s3)) + tail
-}
-
 /// `out = a @ bt` on row-major slices (`a` is `out.len() / n` rows of `k`,
-/// `bt` is `k × n`), serially, every output rounded as [`dot4`]: over the
+/// `bt` is `k × n`), serially, every output rounded the dot4 way: over the
 /// same operands this gives the bits of [`Matrix::matmul_dot4`].
 pub(crate) fn dot4_into(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
     dot4_rows(F32Tier::detect(), a, k, bt, n, out);
@@ -490,10 +452,11 @@ fn dot4_rows(tier: F32Tier, a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut
     }
 }
 
-/// Portable dot4 kernel: output `(i, j)` is [`dot4`] of row `i` of `a`
-/// and column `j` of `bt`. Like the wide kernels it runs a row of outputs
-/// at a time over whole rows of `bt`: `lanes[l * n + j]` is output `j`'s
-/// lane sum `l`, and the output row holds the tail until the finish.
+/// Portable dot4 kernel: output `(i, j)` is the dot4-rounded dot of row
+/// `i` of `a` and column `j` of `bt`. Like the wide kernels it runs a row
+/// of outputs at a time over whole rows of `bt`: `lanes[l * n + j]` is
+/// output `j`'s lane sum `l`, and the output row holds the tail until the
+/// finish.
 fn dot4_rows_portable(a: &[f32], k: usize, bt: &[f32], n: usize, out: &mut [f32]) {
     let k4 = k - k % 4;
     let mut lanes = vec![0.0f32; 4 * n];
@@ -686,7 +649,7 @@ mod wide {
 
     /// `ROWS` output rows × `C` registers of `a @ bt`, starting at output
     /// row `i` (row `i` of `a`) and column `j`. Each lane is one output
-    /// and keeps [`super::dot4`]'s four lane sums, each a separate
+    /// and keeps the dot4 rounding's four lane sums, each a separate
     /// multiply and add per step, finished as `((s0+s1)+(s2+s3)) + tail`.
     #[inline(always)]
     unsafe fn dot4_block<const ROWS: usize, const C: usize, const PART: bool>(
@@ -822,6 +785,36 @@ mod wide {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dot4 rounding as a scalar reference: lane `l` sums the
+    /// products at `k ≡ l (mod 4)` below the last multiple of 4, the rest
+    /// go to a scalar tail, and the result is `((s0+s1)+(s2+s3)) + tail`.
+    fn dot4(x: &[f32], y: &[f32]) -> f32 {
+        let len = x.len().min(y.len());
+        let (x, y) = (&x[..len], &y[..len]);
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+        let mut k = 0;
+        while k + 4 <= len {
+            s0 += x[k] * y[k];
+            s1 += x[k + 1] * y[k + 1];
+            s2 += x[k + 2] * y[k + 2];
+            s3 += x[k + 3] * y[k + 3];
+            k += 4;
+        }
+        let mut tail = 0.0f32;
+        while k < len {
+            tail += x[k] * y[k];
+            k += 1;
+        }
+        ((s0 + s1) + (s2 + s3)) + tail
+    }
+
+    impl Matrix {
+        /// Frobenius norm (a test reading of gradient and weight sizes).
+        pub(crate) fn frobenius(&self) -> f32 {
+            self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+        }
+    }
 
     fn a() -> Matrix {
         Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

@@ -89,7 +89,7 @@ impl ParamStore {
     }
 
     /// Register a parameter with explicit initial weights.
-    pub fn register(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
+    pub(crate) fn register(&mut self, name: impl Into<String>, value: Matrix) -> ParamId {
         let grad = Matrix::zeros(value.rows, value.cols);
         self.slots.push(ParamSlot {
             name: name.into(),
@@ -100,7 +100,7 @@ impl ParamStore {
     }
 
     /// Register with Xavier/Glorot-uniform initialization.
-    pub fn register_xavier(
+    pub(crate) fn register_xavier(
         &mut self,
         name: impl Into<String>,
         rows: usize,
@@ -120,7 +120,7 @@ impl ParamStore {
     }
 
     /// Register with small-normal initialization (embeddings).
-    pub fn register_normal(
+    pub(crate) fn register_normal(
         &mut self,
         name: impl Into<String>,
         rows: usize,
@@ -217,7 +217,7 @@ impl ParamStore {
     }
 
     /// Zero all gradients.
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         for slot in &mut self.slots {
             slot.grad.fill_zero();
         }

@@ -1,4 +1,5 @@
-//! Recurrent cells: LSTM and GRU, plus (bi)directional sequence runners.
+//! Recurrent cells: LSTM and GRU, each run forward or reversed over a
+//! sequence.
 //!
 //! Cells operate on single-sequence matrices (seq_len × dim). An [`Lstm`]
 //! direction is one [`Tape::lstm`] node with a hand-written backward; a
@@ -306,17 +307,6 @@ impl Gru {
     }
 }
 
-/// Bidirectional wrapper: concat of forward and backward runs
-/// (seq×2·hidden).
-pub fn bidirectional<F>(tape: &mut Tape, run: F, sequence: Var) -> Var
-where
-    F: Fn(&mut Tape, Var, bool) -> Var,
-{
-    let fwd = run(tape, sequence, false);
-    let bwd = run(tape, sequence, true);
-    tape.concat_cols(&[fwd, bwd])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,17 +339,6 @@ mod tests {
         let s = tape.constant(seq(vec![0.1; 9], 3));
         let out = gru.run(&mut tape, &store, s, false);
         assert_eq!(tape.shape(out), (3, 4));
-    }
-
-    #[test]
-    fn bidirectional_doubles_width() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut store = ParamStore::new();
-        let lstm = Lstm::new(&mut store, "l", 2, 3, &mut rng);
-        let mut tape = Tape::new();
-        let s = tape.constant(seq(vec![0.5; 8], 2));
-        let out = bidirectional(&mut tape, |t, s, rev| lstm.run(t, &store, s, rev), s);
-        assert_eq!(tape.shape(out), (4, 6));
     }
 
     #[test]

@@ -344,7 +344,7 @@ impl Tape {
     }
 
     /// `a + row` with `row` broadcast over `a`'s rows.
-    pub fn add_row(&mut self, a: Var, row: Var) -> Var {
+    pub(crate) fn add_row(&mut self, a: Var, row: Var) -> Var {
         let t0 = self.start();
         let (va, vr) = (self.value(a), self.value(row));
         assert_eq!(vr.rows, 1, "add_row: bias must be 1×c");
@@ -1079,7 +1079,7 @@ pub(crate) fn softmax_in_place(row: &mut [f32]) {
 // ---- forward formulas shared with tape-free inference (`crate::infer`) ----
 
 /// Add a `1×c` bias row to every row of `x`.
-pub fn add_row_in_place(x: &mut Matrix, bias: &Matrix) {
+pub(crate) fn add_row_in_place(x: &mut Matrix, bias: &Matrix) {
     debug_assert_eq!(bias.rows, 1);
     debug_assert_eq!(x.cols, bias.cols);
     for r in 0..x.rows {
@@ -1124,7 +1124,7 @@ pub fn layer_norm_rows(
 }
 
 /// GELU, tanh approximation.
-pub fn gelu_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
     gelu_cached(x, gelu_tanh(x))
 }
 

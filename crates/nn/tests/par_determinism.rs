@@ -7,7 +7,30 @@
 use std::sync::Once;
 
 use proptest::prelude::*;
-use rsd_nn::matrix::{dot4, F32Tier, Matrix};
+use rsd_nn::matrix::{F32Tier, Matrix};
+
+/// The dot4 rounding as a scalar reference: lane `l` sums the
+/// products at `k ≡ l (mod 4)` below the last multiple of 4, the rest
+/// go to a scalar tail, and the result is `((s0+s1)+(s2+s3)) + tail`.
+fn dot4(x: &[f32], y: &[f32]) -> f32 {
+    let len = x.len().min(y.len());
+    let (x, y) = (&x[..len], &y[..len]);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+    let mut k = 0;
+    while k + 4 <= len {
+        s0 += x[k] * y[k];
+        s1 += x[k + 1] * y[k + 1];
+        s2 += x[k + 2] * y[k + 2];
+        s3 += x[k + 3] * y[k + 3];
+        k += 4;
+    }
+    let mut tail = 0.0f32;
+    while k < len {
+        tail += x[k] * y[k];
+        k += 1;
+    }
+    ((s0 + s1) + (s2 + s3)) + tail
+}
 
 /// `vals` cycled over a rows × cols matrix; `sparse` zeroes two entries
 /// in three, so every row is zero-heavy.

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The wrapper stays **dormant** until telemetry initializes
-//! ([`set_counting`], called by `rsd_obs::init`): a dormant allocator
+//! (`set_counting`, called by `rsd_obs::init`): a dormant allocator
 //! costs one relaxed load and a predicted branch per allocation, so the
 //! default `RSD_OBS`-off run keeps its wall-clock. Once counting is on,
 //! every update is a relaxed atomic op — a few nanoseconds per
@@ -38,7 +38,7 @@ static COUNTING: AtomicBool = AtomicBool::new(false);
 /// comes up, so a [`CountingAlloc`] installed in a binary run with
 /// telemetry off never pays for the bookkeeping. Counters cover the
 /// process from the moment counting is armed.
-pub fn set_counting(on: bool) {
+pub(crate) fn set_counting(on: bool) {
     COUNTING.store(on, Ordering::Relaxed);
 }
 

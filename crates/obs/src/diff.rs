@@ -209,7 +209,7 @@ fn is_time_segment(seg: &str) -> bool {
 
 /// Classify a dotted path. The *last* matching rule among the specific
 /// classes wins over Info; Skip beats everything.
-pub fn classify(path: &str) -> Class {
+pub(crate) fn classify(path: &str) -> Class {
     let lower = path.to_ascii_lowercase();
     let segs: Vec<&str> = lower.split('.').collect();
     if segs.iter().any(|s| SKIP_SEGMENTS.contains(s))

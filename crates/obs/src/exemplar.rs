@@ -3,7 +3,7 @@
 //!
 //! Aggregate histograms say *that* p99 moved; an exemplar says *which*
 //! request and *which stage*. Every [`crate::reqctx::ReqCtx::finish`]
-//! offers its breakdown here; a [`Reservoir`] keeps exactly the K
+//! offers its breakdown here; a `Reservoir` keeps exactly the K
 //! slowest by `(total_ns, trace_id)` — the trace-id tie-break makes
 //! retention deterministic under adversarial arrival orders (pinned by
 //! the unit tests).
@@ -88,14 +88,14 @@ pub fn to_values(exemplars: &[Exemplar]) -> Value {
 
 /// A bounded reservoir keeping exactly the K slowest offers.
 #[derive(Debug)]
-pub struct Reservoir {
+pub(crate) struct Reservoir {
     k: usize,
     items: Vec<Exemplar>,
 }
 
 impl Reservoir {
     /// Reservoir keeping the `k` slowest offers (`k == 0` keeps none).
-    pub fn new(k: usize) -> Reservoir {
+    pub(crate) fn new(k: usize) -> Reservoir {
         Reservoir {
             k,
             items: Vec::with_capacity(k.min(64)),
@@ -104,7 +104,7 @@ impl Reservoir {
 
     /// Offer one exemplar; it displaces the fastest retained entry iff
     /// it ranks above it. O(K) with the small K this is built for.
-    pub fn offer(&mut self, ex: Exemplar) {
+    pub(crate) fn offer(&mut self, ex: Exemplar) {
         if self.k == 0 {
             return;
         }
@@ -123,18 +123,8 @@ impl Reservoir {
         }
     }
 
-    /// Number of retained exemplars.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Retained exemplars, slowest first.
-    pub fn sorted_desc(&self) -> Vec<Exemplar> {
+    pub(crate) fn sorted_desc(&self) -> Vec<Exemplar> {
         let mut out = self.items.clone();
         out.sort_by_key(|e| std::cmp::Reverse(e.rank()));
         out
@@ -167,7 +157,7 @@ fn globals() -> &'static Mutex<Globals> {
 /// Offer an exemplar to both global reservoirs. Callers gate on
 /// [`crate::ring::armed`] (as [`crate::reqctx::ReqCtx::finish`] does),
 /// so disarmed runs never touch the lock.
-pub fn offer(ex: Exemplar) {
+pub(crate) fn offer(ex: Exemplar) {
     let mut g = globals().lock();
     g.window.offer(ex.clone());
     g.run.offer(ex);
@@ -175,7 +165,7 @@ pub fn offer(ex: Exemplar) {
 
 /// Drain the per-window reservoir (slowest first) — called by the
 /// time-series driver once per tick.
-pub fn take_window() -> Vec<Exemplar> {
+pub(crate) fn take_window() -> Vec<Exemplar> {
     globals().lock().window.drain_desc()
 }
 
@@ -250,7 +240,7 @@ mod tests {
             for &i in &order {
                 r.offer(ex(i as u64, totals[i]));
             }
-            assert_eq!(r.len(), 5);
+            assert_eq!(r.items.len(), 5);
             let got: Vec<(u64, u64)> = r
                 .sorted_desc()
                 .iter()
@@ -275,7 +265,7 @@ mod tests {
     fn zero_capacity_keeps_nothing_and_drain_empties() {
         let mut z = Reservoir::new(0);
         z.offer(ex(1, 10));
-        assert!(z.is_empty());
+        assert!(z.items.is_empty());
 
         let mut r = Reservoir::new(3);
         r.offer(ex(1, 10));
@@ -285,7 +275,7 @@ mod tests {
             drained.iter().map(|e| e.trace_id).collect::<Vec<_>>(),
             vec![2, 1]
         );
-        assert!(r.is_empty());
+        assert!(r.items.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! property the shard-merge proptests pin.
 //!
 //! The global registry keeps one shard map per thread-ordinal stripe:
-//! [`observe_ns`] locks only the calling thread's stripe (uncontended in
+//! `observe_ns` locks only the calling thread's stripe (uncontended in
 //! steady state — `rsd-par` worker ordinals are stable), and
 //! [`merged`] folds all stripes into one `HdrHist` per label for
 //! snapshots and reports.
@@ -26,10 +26,6 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// Buckets: 32 exact low values + 32 sub-buckets for each octave
 /// `e = 5..=63`.
 const N_BUCKETS: usize = (SUB_COUNT as usize) * (64 - SUB_BITS as usize + 1);
-
-/// Maximum relative quantile error for values ≥ 32 (midpoint of a
-/// 1/32-wide sub-bucket): `1/64`.
-pub const MAX_RELATIVE_ERROR: f64 = 1.0 / 64.0;
 
 /// A mergeable log-linear histogram over `u64` values (nanoseconds by
 /// convention).
@@ -174,7 +170,7 @@ impl HdrHist {
     /// granularity: a bucket counts as "over" when its midpoint exceeds
     /// the threshold. The SLO burn-rate monitor consumes this, so its
     /// breach counting inherits the documented `1/64` bucket error.
-    pub fn count_over(&self, threshold: u64) -> u64 {
+    pub(crate) fn count_over(&self, threshold: u64) -> u64 {
         self.counts
             .iter()
             .enumerate()
@@ -230,7 +226,7 @@ fn tag_stripes() -> &'static [Stripe<TagKey>; N_STRIPES] {
 static GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Current mutation generation of the stripe registry.
-pub fn generation() -> u64 {
+pub(crate) fn generation() -> u64 {
     GENERATION.load(std::sync::atomic::Ordering::Acquire)
 }
 
@@ -243,13 +239,13 @@ fn record_striped<K: Ord>(stripes: &[Stripe<K>], key: K, ns: u64) {
 }
 
 /// Record a nanosecond latency observation for `label`.
-pub fn observe_ns(label: &'static str, ns: u64) {
+pub(crate) fn observe_ns(label: &'static str, ns: u64) {
     record_striped(stripes(), label, ns);
 }
 
 /// Record a nanosecond observation into a tagged family (per-backend ×
 /// per-level shard of `key.label`).
-pub fn observe_tagged(key: TagKey, ns: u64) {
+pub(crate) fn observe_tagged(key: TagKey, ns: u64) {
     record_striped(tag_stripes(), key, ns);
 }
 
@@ -286,7 +282,7 @@ pub fn merged_tagged() -> BTreeMap<TagKey, HdrHist> {
 /// untagged label across all stripes — the SLO burn-rate monitor's
 /// input. Threshold comparison is at bucket granularity
 /// ([`HdrHist::count_over`]).
-pub fn count_over(label: &str, threshold_ns: u64) -> (u64, u64) {
+pub(crate) fn count_over(label: &str, threshold_ns: u64) -> (u64, u64) {
     let mut total = 0u64;
     let mut over = 0u64;
     for stripe in stripes().iter() {
@@ -301,7 +297,7 @@ pub fn count_over(label: &str, threshold_ns: u64) -> (u64, u64) {
 /// JSON summaries of the merged registry — untagged labels first, then
 /// tagged families under their flattened `label|backend|level` names —
 /// or `Null` when no latencies were recorded.
-pub fn snapshot_value() -> Value {
+pub(crate) fn snapshot_value() -> Value {
     let merged = merged();
     let tagged = merged_tagged();
     if merged.is_empty() && tagged.is_empty() {
@@ -330,8 +326,12 @@ pub fn reset() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Maximum relative quantile error for values ≥ 32 (midpoint of a
+    /// 1/32-wide sub-bucket): `1/64`.
+    pub(crate) const MAX_RELATIVE_ERROR: f64 = 1.0 / 64.0;
 
     #[test]
     fn low_values_are_exact() {
@@ -410,6 +410,7 @@ mod tests {
 
     mod properties {
         use super::super::*;
+        use super::MAX_RELATIVE_ERROR;
         use proptest::prelude::*;
 
         proptest! {

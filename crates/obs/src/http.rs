@@ -13,7 +13,7 @@
 //! * `/snapshot` — the latest time-series tick as JSON, exactly as
 //!   written to `.series.ndjson` (404 before the first tick).
 //!
-//! The time-series driver publishes each tick here ([`publish_tick`]),
+//! The time-series driver publishes each tick here (`publish_tick`),
 //! so the endpoint serves prepared strings and never touches driver
 //! state. The listener is non-blocking with a 20 ms accept poll so
 //! [`HttpGuard`] can stop it promptly at shutdown.
@@ -38,12 +38,12 @@ fn stalled_slot() -> &'static Mutex<Vec<String>> {
 
 /// Publish the latest series tick (its NDJSON line) for `/snapshot`.
 /// Called by the time-series driver once per tick.
-pub fn publish_tick(json: String) {
+pub(crate) fn publish_tick(json: String) {
     *last_tick_slot().lock() = Some(json);
 }
 
 /// Publish the set of currently-stalled stage labels for `/health`.
-pub fn set_stalled(stages: Vec<String>) {
+pub(crate) fn set_stalled(stages: Vec<String>) {
     *stalled_slot().lock() = stages;
 }
 
@@ -119,7 +119,7 @@ fn metrics_text() -> String {
 }
 
 /// Route one request path to `(status, content-type, body)`.
-pub fn route(path: &str) -> (u16, &'static str, String) {
+pub(crate) fn route(path: &str) -> (u16, &'static str, String) {
     match path {
         "/metrics" => (200, "text/plain; version=0.0.4", metrics_text()),
         "/health" => {

@@ -47,7 +47,7 @@ pub const MAX_THREADS: usize = 64;
 /// `RSD_SCALE` spellings (`smoke` is an alias for `small`).
 pub const SCALES: &[&str] = &["mid", "paper", "small", "smoke"];
 /// `RSD_MODELS` names: the Table III baselines, in print order.
-pub const TABLE3_MODELS: &[&str] = &["xgboost", "bilstm", "higru", "roberta", "deberta"];
+pub(crate) const TABLE3_MODELS: &[&str] = &["xgboost", "bilstm", "higru", "roberta", "deberta"];
 /// `RSD_SERVE_MODEL` spellings, in `ServeModel` declaration order.
 pub const SERVE_MODELS: &[&str] = &["gbdt", "plm-f32", "plm-int8"];
 
@@ -78,15 +78,15 @@ pub const QPS: Knob = knob("RSD_QPS", Kind::Int(Some(200)));
 /// `loadgen` sustained-soak duration.
 pub const LOADGEN_SOAK_MS: Knob = knob("RSD_LOADGEN_SOAK_MS", Kind::Int(None));
 /// Telemetry sink: `stderr` or an NDJSON path.
-pub const OBS: Knob = knob("RSD_OBS", Kind::Path(None));
+pub(crate) const OBS: Knob = knob("RSD_OBS", Kind::Path(None));
 /// Series tick period.
 pub const OBS_TICK_MS: Knob = knob("RSD_OBS_TICK_MS", Kind::Int(None));
 /// Live introspection endpoint port.
-pub const OBS_HTTP: Knob = knob("RSD_OBS_HTTP", Kind::Port);
+pub(crate) const OBS_HTTP: Knob = knob("RSD_OBS_HTTP", Kind::Port);
 /// SLO burn-rate monitor p99 target.
-pub const SLO_P99_MS: Knob = knob("RSD_SLO_P99_MS", Kind::Float(None));
+pub(crate) const SLO_P99_MS: Knob = knob("RSD_SLO_P99_MS", Kind::Float(None));
 /// SLO error budget: fraction of requests allowed over target.
-pub const SLO_BUDGET: Knob = knob("RSD_SLO_BUDGET", Kind::Float(Some(0.01)));
+pub(crate) const SLO_BUDGET: Knob = knob("RSD_SLO_BUDGET", Kind::Float(Some(0.01)));
 /// Scoring backend of the serving tier.
 pub const SERVE_MODEL: Knob = knob("RSD_SERVE_MODEL", Kind::Choice(SERVE_MODELS));
 /// Fault injection: the scoring worker sleeps once this long.
@@ -120,7 +120,7 @@ fn is_off(v: &str) -> bool {
 
 impl Knob {
     /// Whether `0`/`off`/`none` switch this knob off: its default is off.
-    pub fn optional(&self) -> bool {
+    pub(crate) fn optional(&self) -> bool {
         self.default_text() == "off"
     }
 

@@ -1,6 +1,6 @@
 //! `rsd-obs` — workspace-wide telemetry for the RSD-15K reproduction.
 //!
-//! Five pieces, all opt-in at runtime:
+//! Six pieces, all opt-in at runtime:
 //!
 //! - a global thread-safe [`Registry`] (counters, gauges, stage totals
 //!   and stall-watchdog flags, and a hierarchical span **tree** keyed by
@@ -26,7 +26,7 @@
 //!
 //! On top of these, the serving tier gets request-scoped observability:
 //! [`reqctx::ReqCtx`] trace contexts with per-stage latency breakdowns
-//! recorded into tagged histogram families ([`hist::observe_tagged`]),
+//! recorded into tagged histogram families (`hist::observe_tagged`),
 //! an [`exemplar`] reservoir of the slowest requests, an [`slo`]
 //! burn-rate monitor over the request histograms, and a std-only live
 //! introspection endpoint ([`http`], `RSD_OBS_HTTP=<port>`) serving
@@ -96,7 +96,7 @@ static MODE_DESC: OnceLock<String> = OnceLock::new();
 /// The latched mode as a string: `off`, `silent`, `stderr`, or
 /// `file:<path>`. Resolves from the environment if nothing initialized
 /// telemetry yet.
-pub fn mode_desc() -> String {
+pub(crate) fn mode_desc() -> String {
     if FLAG.load(Ordering::Acquire) == FLAG_UNKNOWN {
         enabled();
     }

@@ -150,7 +150,7 @@ impl Registry {
     }
 
     /// Add to a stage's cumulative item/byte totals.
-    pub fn stage_add(&self, label: &'static str, items: u64, bytes: u64) {
+    pub(crate) fn stage_add(&self, label: &'static str, items: u64, bytes: u64) {
         let mut inner = self.inner.lock();
         let stat = inner.stages.entry(label).or_default();
         stat.0 += items;
@@ -158,7 +158,7 @@ impl Registry {
     }
 
     /// Put a stage under (`on`) or take it out of the stall watchdog.
-    pub fn watch(&self, label: &'static str, on: bool) {
+    pub(crate) fn watch(&self, label: &'static str, on: bool) {
         self.inner.lock().watch.insert(label, on);
     }
 

@@ -5,7 +5,7 @@
 //! formation, scoring, and result emission. Each hop attributes
 //! wall-clock to one of five [`Stage`] slots; at emission
 //! [`ReqCtx::finish`] publishes the breakdown into the tag-aware
-//! histogram families ([`crate::hist::observe_tagged`], sharded per
+//! histogram families (`crate::hist::observe_tagged`, sharded per
 //! backend × risk level) and offers the full breakdown to the exemplar
 //! reservoir ([`crate::exemplar`]) so the slowest requests survive with
 //! their per-stage attribution intact instead of vanishing into
@@ -27,11 +27,11 @@ use crate::hist::TagKey;
 /// Histogram family label for end-to-end request latency. The untagged
 /// `serve.request` family keeps recording alongside the tagged shards,
 /// so pre-existing dashboards and baselines stay comparable.
-pub const REQUEST_FAMILY: &str = "serve.request";
+pub(crate) const REQUEST_FAMILY: &str = "serve.request";
 
 /// Level tag for a request whose risk level is not known yet (a context
 /// finished before scoring — e.g. a drain-path drop).
-pub const LEVEL_PENDING: &str = "unscored";
+pub(crate) const LEVEL_PENDING: &str = "unscored";
 
 /// The pipeline hops a request's latency is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +142,7 @@ impl ReqCtx {
         self.backend
     }
 
-    /// The risk-level tag ([`LEVEL_PENDING`] until scored).
+    /// The risk-level tag (`LEVEL_PENDING` until scored).
     pub fn level(&self) -> &'static str {
         self.level
     }
@@ -227,7 +227,8 @@ impl ReqCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::{HdrHist, MAX_RELATIVE_ERROR};
+    use crate::hist::tests::MAX_RELATIVE_ERROR;
+    use crate::hist::HdrHist;
     use proptest::prelude::*;
 
     #[test]

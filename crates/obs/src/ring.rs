@@ -18,6 +18,6 @@ pub fn set_armed(on: bool) {
 
 /// Whether the continuous layer is armed.
 #[inline]
-pub fn armed() -> bool {
+pub(crate) fn armed() -> bool {
     ARMED.load(Ordering::Acquire)
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 /// Where NDJSON event lines go.
 #[derive(Debug)]
-pub enum Sink {
+pub(crate) enum Sink {
     /// Drop everything (registry aggregation still runs).
     Off,
     /// One line per event on stderr.
@@ -23,7 +23,7 @@ pub enum Sink {
 impl Sink {
     /// Write one NDJSON line (the newline is appended here). IO errors
     /// are swallowed: telemetry must never take down the pipeline.
-    pub fn write_line(&mut self, line: &str) {
+    pub(crate) fn write_line(&mut self, line: &str) {
         match self {
             Sink::Off => {}
             Sink::Stderr => {
@@ -43,14 +43,14 @@ impl Sink {
     }
 
     /// Flush buffered output (meaningful for the file sink).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if let Sink::File(w) = self {
             let _ = w.flush();
         }
     }
 
     /// Whether events should be serialized at all.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !matches!(self, Sink::Off)
     }
 }

@@ -5,7 +5,7 @@
 //! (`RSD_SLO_BUDGET`, the fraction of requests allowed to exceed the
 //! target; default 1%). Every series tick the driver feeds the
 //! cumulative `(total, over-target)` request counts from the
-//! `serve.request` histogram into a [`BurnMonitor`], which computes the
+//! `serve.request` histogram into a `BurnMonitor`, which computes the
 //! budget burn rate over a trailing **fast** (5 s) and **slow** (60 s)
 //! window. The run is *burning* only when both exceed 1× — the fast
 //! window makes detection prompt, the slow window keeps a single
@@ -22,9 +22,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Fast detection window.
-pub const FAST_WINDOW_MS: u64 = 5_000;
+pub(crate) const FAST_WINDOW_MS: u64 = 5_000;
 /// Slow confirmation window.
-pub const SLOW_WINDOW_MS: u64 = 60_000;
+pub(crate) const SLOW_WINDOW_MS: u64 = 60_000;
 
 /// Parsed SLO declaration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,7 +37,7 @@ pub struct SloConfig {
 
 impl SloConfig {
     /// The target in nanoseconds, for histogram threshold counting.
-    pub fn target_ns(&self) -> u64 {
+    pub(crate) fn target_ns(&self) -> u64 {
         (self.target_p99_ms * 1e6) as u64
     }
 }
@@ -67,7 +67,7 @@ struct Cumulative {
 
 /// One tick's burn verdict.
 #[derive(Debug, Clone, Copy)]
-pub struct BurnSample {
+pub(crate) struct BurnSample {
     /// Budget burn rate over the trailing fast window (1.0 = burning
     /// exactly at budget).
     pub fast_burn: f64,
@@ -82,14 +82,14 @@ pub struct BurnSample {
 /// Windows clamp to the available history: early in a run both windows
 /// span from t=0, so a cold start with a bad first second still trips.
 #[derive(Debug)]
-pub struct BurnMonitor {
+pub(crate) struct BurnMonitor {
     cfg: SloConfig,
     samples: VecDeque<Cumulative>,
 }
 
 impl BurnMonitor {
     /// Monitor for one SLO declaration.
-    pub fn new(cfg: SloConfig) -> BurnMonitor {
+    pub(crate) fn new(cfg: SloConfig) -> BurnMonitor {
         BurnMonitor {
             cfg,
             samples: VecDeque::new(),
@@ -97,13 +97,13 @@ impl BurnMonitor {
     }
 
     /// The declaration this monitor enforces.
-    pub fn config(&self) -> SloConfig {
+    pub(crate) fn config(&self) -> SloConfig {
         self.cfg
     }
 
     /// Feed the cumulative `(total, over-target)` counts observed by
     /// time `t_ms` (ms since run start) and get the windowed verdict.
-    pub fn observe(&mut self, t_ms: u64, total: u64, bad: u64) -> BurnSample {
+    pub(crate) fn observe(&mut self, t_ms: u64, total: u64, bad: u64) -> BurnSample {
         self.samples.push_back(Cumulative { t_ms, total, bad });
         let fast_burn = self.window_burn(t_ms, FAST_WINDOW_MS);
         let slow_burn = self.window_burn(t_ms, SLOW_WINDOW_MS);
@@ -167,7 +167,7 @@ pub fn degraded() -> bool {
 
 /// Register one burning tick: bump the counter and latch degradation.
 /// Called by the time-series driver.
-pub fn record_burn() {
+pub(crate) fn record_burn() {
     BURN_EVENTS.fetch_add(1, Ordering::Relaxed);
     DEGRADED.store(true, Ordering::Relaxed);
 }

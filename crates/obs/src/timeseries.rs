@@ -25,15 +25,15 @@
 //! Three request-scoped extensions ride the tick as well:
 //!
 //! * **exemplars** — the window's K slowest request breakdowns
-//!   ([`crate::exemplar::take_window`]) land in the tick line, so the
+//!   (`crate::exemplar::take_window`) land in the tick line, so the
 //!   series names the offending stage, not just the quantile;
 //! * **SLO burn** — when `RSD_SLO_P99_MS` arms [`crate::slo`], each
 //!   tick feeds the `serve.request` histogram's over-target counts into
-//!   the multi-window [`crate::slo::BurnMonitor`]; burning ticks emit a
+//!   the multi-window `crate::slo::BurnMonitor`; burning ticks emit a
 //!   `{"kind":"slo_burn",...}` line plus an `slo.burn` event and latch
 //!   the process degraded;
 //! * **live publication** — every tick line is pushed to
-//!   [`crate::http::publish_tick`] (with the current stall set), so the
+//!   `crate::http::publish_tick` (with the current stall set), so the
 //!   `RSD_OBS_HTTP` endpoint's `/snapshot` and `/health` track the run
 //!   without touching driver state.
 //!
@@ -57,7 +57,7 @@ const DEFAULT_STALL_TICKS: u32 = 10;
 /// Explicit driver options (tests construct these directly; binaries go
 /// through the env-reading [`start`]).
 #[derive(Debug, Clone)]
-pub struct SeriesOptions {
+pub(crate) struct SeriesOptions {
     /// Snapshot period.
     pub tick: Duration,
     /// Where the NDJSON series goes (`None`: no series file).

@@ -30,7 +30,8 @@
 
 mod pool;
 
-pub use pool::{global_pool, ThreadPool, MAX_THREADS};
+pub use pool::MAX_THREADS;
+use pool::{global_pool, ThreadPool};
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -123,7 +123,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A fixed-size pool of named worker threads.
-pub struct ThreadPool {
+pub(crate) struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
@@ -132,7 +132,7 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Spawn a pool with `threads` workers (clamped to `1..=MAX_THREADS`).
     /// A size of 1 spawns no workers at all: every run is inline.
-    pub fn new(threads: usize) -> ThreadPool {
+    pub(crate) fn new(threads: usize) -> ThreadPool {
         let threads = threads.clamp(1, MAX_THREADS);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -161,14 +161,14 @@ impl ThreadPool {
 
     /// Number of threads that can execute chunks (workers; the submitting
     /// thread also participates).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
     /// Run `f(chunk)` for every chunk index in `0..n_chunks`, blocking
     /// until all have completed. Runs inline when the pool is size 1.
     /// Panics (after completion) if any chunk panicked.
-    pub fn run(&self, n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
+    pub(crate) fn run(&self, n_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
         if n_chunks == 0 {
             return;
         }
@@ -271,7 +271,7 @@ static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 /// The process-wide pool, created on first use. Size comes from
 /// `RSD_THREADS` (see [`rsd_obs::knob::threads`]); a `par.pool_size`
 /// gauge is emitted at creation.
-pub fn global_pool() -> &'static ThreadPool {
+pub(crate) fn global_pool() -> &'static ThreadPool {
     GLOBAL.get_or_init(|| {
         let threads = rsd_obs::knob::threads();
         let pool = ThreadPool::new(threads);

@@ -77,19 +77,6 @@ fn clean_token(token: &str, out: &mut String) -> bool {
     saw_terminal
 }
 
-/// Fraction of characters in a string that are alphanumeric or spaces —
-/// used by quality heuristics to spot pure-noise posts.
-pub fn linguistic_density(text: &str) -> f64 {
-    if text.is_empty() {
-        return 0.0;
-    }
-    let good = text
-        .chars()
-        .filter(|c| c.is_alphanumeric() || c.is_whitespace() || *c == '\'')
-        .count();
-    good as f64 / text.chars().count() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,12 +137,5 @@ mod tests {
     #[test]
     fn unicode_apostrophe_folds() {
         assert_eq!(clean_text("don’t"), "don't");
-    }
-
-    #[test]
-    fn density_detects_noise() {
-        assert!(linguistic_density("plain words here") > 0.95);
-        assert!(linguistic_density("#### ~~ !!") < 0.5);
-        assert_eq!(linguistic_density(""), 0.0);
     }
 }

@@ -7,14 +7,6 @@
 
 use std::collections::HashMap;
 
-use crate::tokenize::tokenize;
-
-/// Canonical form used for duplicate comparison: the token stream joined by
-/// single spaces, so residual punctuation differences don't defeat dedup.
-pub fn canonical(cleaned: &str) -> String {
-    tokenize(cleaned).join(" ")
-}
-
 /// Incremental first-occurrence detector over a chronological stream.
 ///
 /// Items are pushed in chronological order, each with its canonical-form
@@ -24,19 +16,14 @@ pub fn canonical(cleaned: &str) -> String {
 /// colliding-but-different body is kept and does **not** displace the
 /// first-seen index for that fingerprint).
 #[derive(Debug, Default)]
-pub struct ChronoDedup {
+pub(crate) struct ChronoDedup {
     first_seen: HashMap<u64, usize>,
     next: usize,
 }
 
 impl ChronoDedup {
-    /// Empty detector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empty detector with pre-sized table.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         ChronoDedup {
             first_seen: HashMap::with_capacity(n),
             next: 0,
@@ -47,7 +34,7 @@ impl ChronoDedup {
     /// canonical-form fingerprint; `same_as(orig)` must report whether the
     /// item's canonical form equals that of the earlier item `orig`.
     /// Returns `Some(first_index)` if the item duplicates an earlier one.
-    pub fn push(&mut self, fp: u64, same_as: impl FnOnce(usize) -> bool) -> Option<usize> {
+    pub(crate) fn push(&mut self, fp: u64, same_as: impl FnOnce(usize) -> bool) -> Option<usize> {
         let idx = self.next;
         self.next += 1;
         match self.first_seen.get(&fp) {
@@ -64,7 +51,14 @@ impl ChronoDedup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenize::tokenize;
     use rsd_common::rng::fnv1a;
+
+    /// Canonical form used for duplicate comparison: the token stream
+    /// joined by single spaces.
+    fn canonical(cleaned: &str) -> String {
+        tokenize(cleaned).join(" ")
+    }
 
     /// For each cleaned body in order, `Some(first_index)` if it duplicates
     /// an earlier one.
@@ -105,7 +99,7 @@ mod tests {
         // Two distinct bodies sharing a fingerprint: the second survives
         // and must NOT displace the first-seen index, so a later true
         // duplicate of the first body still maps to index 0.
-        let mut d = ChronoDedup::new();
+        let mut d = ChronoDedup::default();
         let canon = ["alpha", "beta", "alpha"];
         let shared_fp = 42u64;
         assert_eq!(d.push(shared_fp, |o| canon[o] == canon[0]), None);

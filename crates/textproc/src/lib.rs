@@ -29,5 +29,5 @@ pub mod vocab;
 pub use clean::clean_text;
 pub use pipeline::{PostAnalysis, PreprocessReport, Preprocessor};
 pub use tfidf::{SparseVec, TfIdfVectorizer};
-pub use tokenize::{sentences, tokenize};
+pub use tokenize::tokenize;
 pub use vocab::{SpecialToken, Vocabulary};

@@ -11,7 +11,7 @@
 //! tokenizes the cleaned text once, which gives the canonical form (for
 //! dedup), the token count (for the length filter) and the theme-lexicon
 //! hits (for relevance). [`Preprocessor::settle`] then decides every
-//! post's fate over the chronological stream: [`ChronoDedup`] finds
+//! post's fate over the chronological stream: `ChronoDedup` finds
 //! duplicates, and the stages apply in the paper's order. The streaming
 //! build analyzes per shard and settles at its merge;
 //! [`Preprocessor::run`] does both over one slice of bodies.

@@ -10,8 +10,6 @@
 
 use std::sync::OnceLock;
 
-use crate::tokenize::tokens;
-
 /// Seed lexicon of on-topic (distress/support/crisis) vocabulary.
 ///
 /// Deliberately *abstract* terms only — this mirrors moderation-style
@@ -121,25 +119,26 @@ pub fn is_theme_term(token: &str) -> bool {
         .is_some_and(|&b| buckets[usize::from(b)].contains(&token))
 }
 
-/// Number of lexicon hits in a cleaned text.
-pub fn theme_hits(cleaned: &str) -> usize {
-    tokens(cleaned).filter(|t| is_theme_term(t)).count()
-}
-
-/// Relevance decision for one cleaned post body.
-pub fn is_relevant(cleaned: &str) -> bool {
-    theme_hits(cleaned) >= MIN_HITS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize::tokenize;
+    use crate::tokenize::{tokenize, tokens};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsd_corpus::lexicon::OFF_TOPIC_SENTENCES;
     use rsd_corpus::textgen::{render_post, TextGenConfig};
     use rsd_corpus::RiskLevel;
+
+    /// Number of lexicon hits in a cleaned text.
+    fn theme_hits(cleaned: &str) -> usize {
+        tokens(cleaned).filter(|t| is_theme_term(t)).count()
+    }
+
+    /// Relevance decision for one cleaned post body, as
+    /// [`Preprocessor::analyze`](crate::Preprocessor::analyze) makes it.
+    fn is_relevant(cleaned: &str) -> bool {
+        theme_hits(cleaned) >= MIN_HITS
+    }
 
     #[test]
     fn crisis_posts_are_relevant() {

@@ -3,7 +3,7 @@
 
 /// A compact English stopword list: function words that carry no
 //  class-discriminative content for the word-cloud figures.
-pub const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a",
     "about",
     "after",

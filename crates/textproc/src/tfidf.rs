@@ -22,11 +22,6 @@ pub struct SparseVec {
 }
 
 impl SparseVec {
-    /// Number of stored (non-zero) entries.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
     /// L2 norm.
     pub fn norm(&self) -> f32 {
         self.values.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -48,27 +43,6 @@ impl SparseVec {
             }
         }
         sum
-    }
-
-    /// Cosine similarity; 0.0 if either vector is zero.
-    pub fn cosine(&self, other: &SparseVec) -> f32 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.dot(other) / denom
-        }
-    }
-
-    /// Densify into a `dim`-length vector.
-    pub fn to_dense(&self, dim: usize) -> Vec<f32> {
-        let mut out = vec![0.0; dim];
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            if (i as usize) < dim {
-                out[i as usize] = v;
-            }
-        }
-        out
     }
 }
 
@@ -131,11 +105,6 @@ impl TfIdfVectorizer {
         self.idf.len()
     }
 
-    /// Number of documents seen at fit time.
-    pub fn n_docs(&self) -> usize {
-        self.n_docs
-    }
-
     /// Transform one cleaned document into an L2-normalized sparse vector.
     pub fn transform(&self, doc: &str) -> SparseVec {
         self.transform_tokens(&tokenize(doc))
@@ -168,12 +137,7 @@ impl TfIdfVectorizer {
         vec
     }
 
-    /// Index of a term if it is in the fitted vocabulary.
-    pub fn term_index(&self, term: &str) -> Option<u32> {
-        self.term_to_index.get(term).copied()
-    }
-
-    /// Terms in index order (inverse of [`TfIdfVectorizer::term_index`]).
+    /// Terms in index order (the inverse of the fitted term → index map).
     pub fn terms(&self) -> Vec<&str> {
         let mut out = vec![""; self.term_to_index.len()];
         for (term, &idx) in &self.term_to_index {
@@ -209,46 +173,35 @@ mod tests {
         let common = v.transform("the");
         let rare = v.transform("bird");
         // Both are single-term docs → normalized to 1, so compare raw idf.
-        let the_idx = v.term_index("the").unwrap() as usize;
-        let bird_idx = v.term_index("bird").unwrap() as usize;
+        let the_idx = v.term_to_index["the"] as usize;
+        let bird_idx = v.term_to_index["bird"] as usize;
         assert!(v.idf[bird_idx] > v.idf[the_idx]);
-        assert_eq!(common.nnz(), 1);
-        assert_eq!(rare.nnz(), 1);
+        assert_eq!(common.indices.len(), 1);
+        assert_eq!(rare.indices.len(), 1);
     }
 
     #[test]
     fn unseen_terms_ignored() {
         let v = fit_basic();
         let x = v.transform("zebra quagga");
-        assert_eq!(x.nnz(), 0);
+        assert_eq!(x.indices.len(), 0);
         assert_eq!(x.norm(), 0.0);
     }
 
     #[test]
     fn min_df_filters() {
         let v = TfIdfVectorizer::fit(vec!["a b", "a c", "a d"], 2, None).unwrap();
-        assert!(v.term_index("a").is_some());
-        assert!(v.term_index("b").is_none());
+        assert!(v.term_to_index.contains_key("a"));
+        assert!(!v.term_to_index.contains_key("b"));
     }
 
     #[test]
     fn max_features_keeps_highest_df() {
         let v = TfIdfVectorizer::fit(vec!["a b", "a c", "a b"], 1, Some(2)).unwrap();
         assert_eq!(v.dim(), 2);
-        assert!(v.term_index("a").is_some());
-        assert!(v.term_index("b").is_some());
-        assert!(v.term_index("c").is_none());
-    }
-
-    #[test]
-    fn cosine_similarity_sensible() {
-        let v = fit_basic();
-        let a = v.transform("the cat sat");
-        let b = v.transform("the cat sat");
-        let c = v.transform("bird flew");
-        assert!((a.cosine(&b) - 1.0).abs() < 1e-6);
-        assert!(a.cosine(&c) < 0.3);
-        assert_eq!(a.cosine(&SparseVec::default()), 0.0);
+        assert!(v.term_to_index.contains_key("a"));
+        assert!(v.term_to_index.contains_key("b"));
+        assert!(!v.term_to_index.contains_key("c"));
     }
 
     #[test]
@@ -262,17 +215,6 @@ mod tests {
             values: vec![4.0, 5.0, 6.0],
         };
         assert_eq!(a.dot(&b), 2.0 * 4.0 + 3.0 * 5.0);
-    }
-
-    #[test]
-    fn to_dense_places_values() {
-        let a = SparseVec {
-            indices: vec![1, 3],
-            values: vec![0.5, 0.25],
-        };
-        assert_eq!(a.to_dense(5), vec![0.0, 0.5, 0.0, 0.25, 0.0]);
-        // Out-of-range indices are dropped, not panicking.
-        assert_eq!(a.to_dense(2), vec![0.0, 0.5]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Tokenization and sentence segmentation (paper §II-A2, step 4).
+//! Tokenization (paper §II-A2, step 4).
 //!
 //! Operates on *cleaned* text (see [`crate::clean`]): lowercase words with
-//! optional intra-word apostrophes, sentences delimited by single periods.
+//! optional intra-word apostrophes.
 
 /// The word tokens of cleaned text, in order, without allocating. Every
 /// tokenizer in this crate is this one scan.
@@ -15,28 +15,6 @@ pub(crate) fn tokens(text: &str) -> impl Iterator<Item = &str> {
 /// (`don't`), periods and any residual non-alphanumerics split tokens.
 pub fn tokenize(text: &str) -> Vec<&str> {
     tokens(text).collect()
-}
-
-/// Split cleaned text into sentences on `.` boundaries, trimming whitespace
-/// and dropping empties.
-pub fn sentences(text: &str) -> Vec<&str> {
-    text.split('.')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
-/// Count tokens without allocating the token vector.
-pub fn token_count(text: &str) -> usize {
-    tokens(text).count()
-}
-
-/// Iterator over word n-grams (as joined strings) of the given order.
-pub fn ngrams(tokens: &[&str], n: usize) -> Vec<String> {
-    if n == 0 || tokens.len() < n {
-        return Vec::new();
-    }
-    tokens.windows(n).map(|w| w.join(" ")).collect()
 }
 
 #[cfg(test)]
@@ -61,29 +39,5 @@ mod tests {
     fn empty_and_punct_only() {
         assert!(tokenize("").is_empty());
         assert!(tokenize("...").is_empty());
-    }
-
-    #[test]
-    fn sentence_split() {
-        assert_eq!(
-            sentences("first one. second one. "),
-            vec!["first one", "second one"]
-        );
-        assert!(sentences("").is_empty());
-    }
-
-    #[test]
-    fn token_count_matches_tokenize() {
-        for text in ["a b c", "don't. stop me now.", "", "..", "one"] {
-            assert_eq!(token_count(text), tokenize(text).len(), "{text:?}");
-        }
-    }
-
-    #[test]
-    fn bigrams() {
-        let toks = tokenize("i want to die");
-        assert_eq!(ngrams(&toks, 2), vec!["i want", "want to", "to die"]);
-        assert!(ngrams(&toks, 5).is_empty());
-        assert!(ngrams(&toks, 0).is_empty());
     }
 }

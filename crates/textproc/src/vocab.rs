@@ -41,7 +41,7 @@ impl SpecialToken {
     }
 
     /// Surface form (never produced by the tokenizer).
-    pub fn surface(self) -> &'static str {
+    pub(crate) fn surface(self) -> &'static str {
         match self {
             SpecialToken::Pad => "[PAD]",
             SpecialToken::Unk => "[UNK]",
@@ -133,40 +133,6 @@ impl Vocabulary {
     pub fn encode(&self, cleaned: &str) -> Vec<u32> {
         tokenize(cleaned).iter().map(|t| self.id(t)).collect()
     }
-
-    /// Encode with a leading `[CLS]`, truncated/padded to `max_len`.
-    /// Returns `(ids, attention_mask)` where mask is 1.0 for real tokens.
-    pub fn encode_for_model(&self, cleaned: &str, max_len: usize) -> (Vec<u32>, Vec<f32>) {
-        assert!(max_len >= 2, "max_len must fit [CLS] plus one token");
-        let mut ids = Vec::with_capacity(max_len);
-        ids.push(SpecialToken::Cls.id());
-        for t in tokenize(cleaned) {
-            if ids.len() >= max_len {
-                break;
-            }
-            ids.push(self.id(t));
-        }
-        let real = ids.len();
-        ids.resize(max_len, SpecialToken::Pad.id());
-        let mut mask = vec![0.0f32; max_len];
-        for m in mask.iter_mut().take(real) {
-            *m = 1.0;
-        }
-        (ids, mask)
-    }
-
-    /// Fraction of tokens in `cleaned` that map to `[UNK]`.
-    pub fn oov_rate(&self, cleaned: &str) -> f64 {
-        let toks = tokenize(cleaned);
-        if toks.is_empty() {
-            return 0.0;
-        }
-        let unk = toks
-            .iter()
-            .filter(|t| !self.token_to_id.contains_key(**t))
-            .count();
-        unk as f64 / toks.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -215,33 +181,6 @@ mod tests {
         let ids = v.encode("i want to sleep");
         let toks: Vec<&str> = ids.iter().map(|&i| v.token(i).unwrap()).collect();
         assert_eq!(toks, vec!["i", "want", "to", "sleep"]);
-    }
-
-    #[test]
-    fn encode_for_model_pads_and_masks() {
-        let v = Vocabulary::build(docs(), 1, None);
-        let (ids, mask) = v.encode_for_model("i want", 6);
-        assert_eq!(ids.len(), 6);
-        assert_eq!(ids[0], SpecialToken::Cls.id());
-        assert_eq!(mask, vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
-        assert_eq!(&ids[3..], &[0, 0, 0]);
-    }
-
-    #[test]
-    fn encode_for_model_truncates() {
-        let v = Vocabulary::build(docs(), 1, None);
-        let (ids, mask) = v.encode_for_model("i want to end it all", 4);
-        assert_eq!(ids.len(), 4);
-        assert!(mask.iter().all(|&m| m == 1.0));
-    }
-
-    #[test]
-    fn oov_rate_measured() {
-        let v = Vocabulary::build(docs(), 1, None);
-        assert_eq!(v.oov_rate("i want"), 0.0);
-        assert_eq!(v.oov_rate("zebra quagga"), 1.0);
-        assert!((v.oov_rate("i zebra") - 0.5).abs() < 1e-12);
-        assert_eq!(v.oov_rate(""), 0.0);
     }
 
     #[test]

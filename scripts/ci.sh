@@ -285,8 +285,8 @@ echo "==> kernel + inference bench vs committed BENCH_kernels.json"
 # obs_diff pass then compares against the committed artifact — quality
 # leaves (agreement, eps coverage) exactly, speedup/throughput leaves
 # under a wide noise tolerance for shared CI hosts.
-BENCH_KERNELS_OUT="$obs_tmp/BENCH_kernels.json" \
-    cargo run --release -q -p rsd-bench --bin bench_kernels >"$obs_tmp/bench_kernels.out"
+cargo run --release -q -p rsd-bench --bin bench_kernels -- "$obs_tmp/BENCH_kernels.json" \
+    >"$obs_tmp/bench_kernels.out"
 cargo run --release -q -p rsd-bench --bin obs_diff -- \
     --time-tol "${OBS_DIFF_KERNELS_TIME_TOL:-0.50}" \
     BENCH_kernels.json "$obs_tmp/BENCH_kernels.json"

@@ -91,5 +91,5 @@ fn mcnemar_detects_real_model_gaps() {
         .collect();
     let out = mcnemar(&truth, &pred_a, &pred_b).unwrap();
     assert!(out.b_only > out.a_only);
-    assert!(out.significant(0.01), "p = {}", out.p_value);
+    assert!(out.p_value < 0.01, "p = {}", out.p_value);
 }

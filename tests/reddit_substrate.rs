@@ -1,14 +1,23 @@
 //! Integration: the simulated Reddit collection pathway behaves like the
 //! real API contract the paper's crawler depended on.
 
-use rsd15k::corpus::reddit::{CrawlClient, MAX_PAGE_SIZE};
+use rsd15k::corpus::generator::RawCorpus;
+use rsd15k::corpus::reddit::{CrawlClient, RedditStore, MAX_PAGE_SIZE};
 use rsd15k::prelude::*;
 
-fn store(seed: u64, users: usize) -> rsd15k::corpus::reddit::RedditStore {
-    CorpusGenerator::new(CorpusConfig::small(seed, users))
-        .unwrap()
-        .generate()
-        .into_store()
+/// Publish the whole corpus into a store under `r/SuicideWatch`.
+fn into_store(corpus: RawCorpus) -> RedditStore {
+    let mut store = RedditStore::new();
+    store.publish("SuicideWatch", corpus.posts);
+    store
+}
+
+fn store(seed: u64, users: usize) -> RedditStore {
+    into_store(
+        CorpusGenerator::new(CorpusConfig::small(seed, users))
+            .unwrap()
+            .generate(),
+    )
 }
 
 #[test]
@@ -18,7 +27,7 @@ fn crawl_equals_direct_enumeration() {
         .generate();
     let mut expected: Vec<_> = corpus.posts.clone();
     expected.sort_by_key(|p| (p.created, p.id));
-    let store = corpus.into_store();
+    let store = into_store(corpus);
     let mut client = CrawlClient::new(&store);
     let crawled = client
         .crawl_window(
