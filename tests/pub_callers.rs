@@ -10,7 +10,7 @@
 //! appears nowhere else. It is lenient: a name shared with any other item
 //! (`new`, `len`) always counts as called.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// Public items that only tests call, each kept for the stated reason.
@@ -263,16 +263,16 @@ fn pub_items(src: &str) -> Vec<String> {
     names
 }
 
-/// Count each identifier in `src` into `counts`, except where it is being
+/// Add each identifier in `src` to `used`, except where it is being
 /// defined (right after `fn`, `const` or `static`).
-fn count_uses<'a>(src: &'a str, counts: &mut HashMap<&'a str, usize>) {
+fn collect_uses<'a>(src: &'a str, used: &mut HashSet<&'a str>) {
     let mut prev = "";
     for ident in src
         .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .filter(|w| !w.is_empty())
     {
         if !matches!(prev, "fn" | "const" | "static") {
-            *counts.entry(ident).or_default() += 1;
+            used.insert(ident);
         }
         prev = ident;
     }
@@ -288,15 +288,15 @@ fn uncalled(sources: &[Source]) -> Vec<String> {
             (s.defines, text)
         })
         .collect();
-    let mut counts = HashMap::new();
+    let mut used = HashSet::new();
     for (_, text) in &code {
-        count_uses(text, &mut counts);
+        collect_uses(text, &mut used);
     }
     let mut out: Vec<String> = code
         .iter()
         .filter(|(defines, _)| *defines)
         .flat_map(|(_, text)| pub_items(text))
-        .filter(|name| !counts.contains_key(name.as_str()))
+        .filter(|name| !used.contains(name.as_str()))
         .collect();
     out.sort();
     out.dedup();
