@@ -1,22 +1,33 @@
 //! Integration: agreement statistics and statistical machinery over a real
-//! campaign's output — kappa vs alpha consistency, bootstrap and McNemar
-//! behaviour on model predictions.
+//! campaign's output — kappa vs alpha consistency, committed digests of
+//! the campaign's labels, bootstrap and McNemar behaviour on model
+//! predictions.
 
+use rsd15k::annotation::{AnnotatedItem, CampaignReport};
+use rsd15k::common::rng::fnv1a;
 use rsd15k::eval::{bootstrap_metrics, mcnemar};
 use rsd15k::prelude::*;
 
-fn campaign_report(seed: u64) -> rsd15k::annotation::CampaignReport {
+fn campaign_items(seed: u64) -> Vec<(PostId, RiskLevel)> {
     let corpus = CorpusGenerator::new(CorpusConfig::small(seed, 1_200))
         .unwrap()
         .generate();
-    let items: Vec<(PostId, RiskLevel)> = corpus
+    corpus
         .posts
         .iter()
         .filter(|p| !p.off_topic && p.duplicate_of.is_none())
         .map(|p| (p.id, p.latent_risk))
-        .collect();
-    let mut campaign = Campaign::new(CampaignConfig::paper(seed)).unwrap();
-    campaign.run(&items).unwrap().1
+        .collect()
+}
+
+fn run_campaign(cfg: CampaignConfig) -> (Vec<AnnotatedItem>, CampaignReport) {
+    let items = campaign_items(cfg.seed);
+    let mut campaign = Campaign::new(cfg).unwrap();
+    campaign.run(&items).unwrap()
+}
+
+fn campaign_report(seed: u64) -> CampaignReport {
+    run_campaign(CampaignConfig::paper(seed)).1
 }
 
 #[test]
@@ -31,6 +42,32 @@ fn kappa_and_alpha_agree_on_campaign_output() {
         report.krippendorff_alpha,
         report.fleiss_kappa
     );
+}
+
+/// FNV-1a over a campaign's output: each item's post, label index and
+/// source, then the report as JSON.
+fn campaign_digest(uncertainty_policy: bool) -> u64 {
+    let mut cfg = CampaignConfig::paper(5001);
+    cfg.uncertainty_policy = uncertainty_policy;
+    let (items, report) = run_campaign(cfg);
+    let mut bytes = Vec::new();
+    for item in &items {
+        bytes.extend_from_slice(&item.post.0.to_le_bytes());
+        bytes.push(item.label.index() as u8);
+        bytes.push(item.source as u8);
+    }
+    bytes.extend_from_slice(serde_json::to_string(&report).unwrap().as_bytes());
+    fnv1a(&bytes)
+}
+
+/// The campaign's labels and report are pinned bit for bit, with the
+/// uncertainty policy on (the build's setting) and off (the ablation's).
+/// Any change to qualification, partitioning, annotation, voting,
+/// adjudication or inspection that moves an RNG draw fails here.
+#[test]
+fn campaign_output_matches_committed_digest() {
+    assert_eq!(campaign_digest(true), 0xbe65_8a19_1250_00f4);
+    assert_eq!(campaign_digest(false), 0xba99_8db7_604e_aa2a);
 }
 
 #[test]
