@@ -38,6 +38,7 @@ pub(crate) struct AnnotatorProfile {
     pub flag_when_wrong: f64,
 }
 
+#[cfg(test)]
 impl Default for AnnotatorProfile {
     /// A freshly-trained annotator, calibrated so the campaign reproduces
     /// the paper's agreement statistics (κ ≈ 0.72, inspection ≥ 85 %).

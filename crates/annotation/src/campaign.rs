@@ -1,7 +1,7 @@
 //! The full annotation campaign (paper §II-B2 / §II-C1).
 //!
-//! Orchestrates the platform, three qualified annotators and the
-//! supervisors through the paper's protocol:
+//! Drives three qualified annotators and the supervisors through the
+//! paper's protocol:
 //!
 //! 1. **Qualification** — every annotator passes the 95 % gate on the
 //!    100-sample expert set before touching campaign data.
@@ -27,7 +27,6 @@ use serde::{Deserialize, Serialize};
 use crate::annotator::{
     confusion_weights, AnnotationOutcome, AnnotatorProfile, SimulatedAnnotator,
 };
-use crate::platform::LabelingPlatform;
 use crate::qualification::{expert_set_from, qualify, QualificationConfig, QualificationOutcome};
 use rsd_common::rng::{sample_indices, shuffle, stream_rng, weighted_index};
 use rsd_common::{Result, RsdError};
@@ -164,17 +163,13 @@ pub struct CampaignReport {
 /// The campaign driver.
 pub struct Campaign {
     cfg: CampaignConfig,
-    platform: LabelingPlatform,
 }
 
 impl Campaign {
     /// Create a campaign.
     pub fn new(cfg: CampaignConfig) -> Result<Self> {
         cfg.validate()?;
-        Ok(Campaign {
-            cfg,
-            platform: LabelingPlatform::new(),
-        })
+        Ok(Campaign { cfg })
     }
 
     /// Run the full campaign over `(post, ground-truth)` items.
@@ -182,14 +177,15 @@ impl Campaign {
     /// Returns the annotated items (one per input, in input order) and the
     /// campaign report.
     pub fn run(
-        &mut self,
+        &self,
         items: &[(PostId, RiskLevel)],
     ) -> Result<(Vec<AnnotatedItem>, CampaignReport)> {
         if items.is_empty() {
             return Err(RsdError::data("campaign: no items"));
         }
         let _campaign_span = rsd_obs::Span::enter("annotation.campaign");
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
+        let n = cfg.n_annotators;
         let mut rng = stream_rng(cfg.seed, "campaign.driver");
 
         // ---- Qualification -------------------------------------------------
@@ -200,9 +196,9 @@ impl Campaign {
         );
         let mut qual_cfg = cfg.qualification.clone();
         qual_cfg.n_samples = expert_set.len();
-        let mut annotators = Vec::with_capacity(cfg.n_annotators);
-        let mut qualification = Vec::with_capacity(cfg.n_annotators);
-        for a in 0..cfg.n_annotators {
+        let mut annotators = Vec::with_capacity(n);
+        let mut qualification = Vec::with_capacity(n);
+        for a in 0..n {
             let mut annotator = SimulatedAnnotator::new(a, AnnotatorProfile::untrained(), cfg.seed);
             let outcome = qualify(&mut annotator, &expert_set, &qual_cfg)?;
             qualification.push(outcome);
@@ -213,20 +209,9 @@ impl Campaign {
         let mut order: Vec<usize> = (0..items.len()).collect();
         shuffle(&mut rng, &mut order);
         let n_joint = (items.len() as f64 * cfg.joint_fraction).round() as usize;
-        let joint_idx: Vec<usize> = order[..n_joint].to_vec();
-        let individual_idx: Vec<usize> = order[n_joint..].to_vec();
-
-        let posts: Vec<PostId> = items.iter().map(|(p, _)| *p).collect();
-        let task_ids = self.platform.create_tasks(&posts);
-
-        let mut truth_of = vec![RiskLevel::Indicator; items.len()];
-        for (i, (_, t)) in items.iter().enumerate() {
-            truth_of[i] = *t;
-        }
+        let (joint_idx, individual_idx) = order.split_at(n_joint);
 
         // ---- Daily loop -----------------------------------------------------
-        // Joint items consume quota from every annotator; individual items
-        // from their single assignee (round-robin).
         let mut days: Vec<DayStats> = Vec::new();
         let mut joint_votes: Vec<Option<Vec<RiskLevel>>> = vec![None; items.len()];
         let mut joint_ratings: Vec<Vec<usize>> = Vec::new();
@@ -235,125 +220,73 @@ impl Campaign {
         let mut adjudicated = 0usize;
         let mut final_labels: Vec<Option<(RiskLevel, LabelSource)>> = vec![None; items.len()];
 
-        let mut joint_cursor = 0usize;
-        let mut indiv_cursor = 0usize;
+        let (mut joint_left, mut individual_left) = (joint_idx, individual_idx);
         let mut day = 0usize;
-        while joint_cursor < joint_idx.len() || indiv_cursor < individual_idx.len() {
+        while !(joint_left.is_empty() && individual_left.is_empty()) {
             let _day_span = rsd_obs::Span::enter("annotation.campaign.day");
-            let mut day_committed: Vec<(usize, RiskLevel)> = Vec::new(); // (item, label)
-            let mut day_flagged = 0usize;
-            let mut quota = vec![cfg.daily_quota; cfg.n_annotators];
 
-            // Joint items first (all annotators must have quota).
-            while joint_cursor < joint_idx.len() && quota.iter().all(|&q| q > 0) {
-                let item = joint_idx[joint_cursor];
-                joint_cursor += 1;
-                let task = task_ids[item];
-                let truth = truth_of[item];
-                let mut labels: Vec<Option<RiskLevel>> = Vec::with_capacity(cfg.n_annotators);
-                for (a, annotator) in annotators.iter_mut().enumerate() {
-                    self.platform.assign(task, a)?;
-                    quota[a] -= 1;
-                    decisions_total += 1;
-                    let outcome = if cfg.uncertainty_policy {
-                        annotator.annotate(posts[item], truth)
-                    } else {
-                        AnnotationOutcome::Label(annotator.annotate_no_flagging(posts[item], truth))
-                    };
-                    match outcome {
-                        AnnotationOutcome::Label(l) => {
-                            self.platform.submit(task, a, l)?;
-                            labels.push(Some(l));
-                        }
-                        AnnotationOutcome::Uncertain => {
-                            self.platform.flag_uncertain(task, a)?;
-                            flags_total += 1;
-                            day_flagged += 1;
-                            labels.push(None);
-                        }
-                    }
-                }
-                joint_ratings.push(labels.iter().flatten().map(|l| l.index()).collect());
-                if labels.iter().all(Option::is_some) {
-                    let committed: Vec<RiskLevel> =
-                        labels.iter().map(|l| l.expect("checked")).collect();
-                    joint_votes[item] = Some(committed.clone());
-                    // 2-of-3 vote.
-                    let mut counts = [0usize; RiskLevel::COUNT];
-                    for l in &committed {
-                        counts[l.index()] += 1;
-                    }
-                    let (best_idx, &best) = counts
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, &c)| c)
-                        .expect("4");
-                    if best * 2 > committed.len() {
-                        let label = RiskLevel::from_index(best_idx)?;
-                        final_labels[item] = Some((label, LabelSource::MajorityVote));
-                        day_committed.push((item, label));
-                    } else {
-                        // Three-way disagreement → special review.
-                        let label = expert_decision(&mut rng, truth, cfg.expert_accuracy);
-                        self.platform.adjudicate(task, label)?;
-                        adjudicated += 1;
-                        final_labels[item] = Some((label, LabelSource::Adjudicated));
-                        day_committed.push((item, label));
-                    }
-                } else {
-                    // Any flag → joint decision at day's end.
-                    let label = expert_decision(&mut rng, truth, cfg.expert_accuracy);
-                    self.platform.adjudicate(task, label)?;
-                    adjudicated += 1;
-                    final_labels[item] = Some((label, LabelSource::Adjudicated));
-                    day_committed.push((item, label));
-                }
+            // The day's plan: (item, assignee), where `None` is a joint item
+            // taking quota from every annotator. Joint items go first; the
+            // individual items follow round-robin across annotators with
+            // quota left.
+            let mut quota = vec![cfg.daily_quota; n];
+            let mut plan: Vec<(usize, Option<usize>)> = Vec::new();
+            while quota.iter().all(|&q| q > 0) {
+                let Some((&item, rest)) = joint_left.split_first() else {
+                    break;
+                };
+                joint_left = rest;
+                quota.iter_mut().for_each(|q| *q -= 1);
+                plan.push((item, None));
+            }
+            let mut next_annotator = 0usize;
+            while let Some((&item, rest)) = individual_left.split_first() {
+                let Some(a) = (next_annotator..next_annotator + n)
+                    .map(|k| k % n)
+                    .find(|&a| quota[a] > 0)
+                else {
+                    break;
+                };
+                individual_left = rest;
+                next_annotator = (a + 1) % n;
+                quota[a] -= 1;
+                plan.push((item, Some(a)));
             }
 
-            // Individual items, round-robin across annotators with quota.
-            let mut next_annotator = 0usize;
-            while indiv_cursor < individual_idx.len() && quota.iter().any(|&q| q > 0) {
-                // Find the next annotator with remaining quota.
-                let mut a = next_annotator;
-                let mut hops = 0;
-                while quota[a] == 0 && hops < cfg.n_annotators {
-                    a = (a + 1) % cfg.n_annotators;
-                    hops += 1;
-                }
-                if quota[a] == 0 {
-                    break;
-                }
-                next_annotator = (a + 1) % cfg.n_annotators;
-
-                let item = individual_idx[indiv_cursor];
-                indiv_cursor += 1;
-                let task = task_ids[item];
-                let truth = truth_of[item];
-                self.platform.assign(task, a)?;
-                quota[a] -= 1;
-                decisions_total += 1;
-                let outcome = if cfg.uncertainty_policy {
-                    annotators[a].annotate(posts[item], truth)
+            // Label the plan in order.
+            let mut day_committed: Vec<(usize, RiskLevel)> = Vec::with_capacity(plan.len());
+            let mut day_flagged = 0usize;
+            for (item, assignee) in plan {
+                let (post, truth) = items[item];
+                let raters = assignee.map_or(0..n, |a| a..a + 1);
+                let labels: Vec<Option<RiskLevel>> = annotators[raters]
+                    .iter_mut()
+                    .map(|annotator| decide(annotator, post, truth, cfg.uncertainty_policy))
+                    .collect();
+                let flagged = labels.iter().filter(|l| l.is_none()).count();
+                decisions_total += labels.len();
+                flags_total += flagged;
+                day_flagged += flagged;
+                let resolved = if assignee.is_some() {
+                    labels[0].map(|l| (l, LabelSource::Individual))
                 } else {
-                    AnnotationOutcome::Label(annotators[a].annotate_no_flagging(posts[item], truth))
+                    joint_ratings.push(labels.iter().flatten().map(|l| l.index()).collect());
+                    let votes: Option<Vec<RiskLevel>> = labels.into_iter().collect();
+                    votes.and_then(|votes| {
+                        let winner = majority(&votes);
+                        joint_votes[item] = Some(votes);
+                        winner.map(|l| (l, LabelSource::MajorityVote))
+                    })
                 };
-                match outcome {
-                    AnnotationOutcome::Label(l) => {
-                        self.platform.submit(task, a, l)?;
-                        final_labels[item] = Some((l, LabelSource::Individual));
-                        day_committed.push((item, l));
-                    }
-                    AnnotationOutcome::Uncertain => {
-                        self.platform.flag_uncertain(task, a)?;
-                        flags_total += 1;
-                        day_flagged += 1;
-                        let label = expert_decision(&mut rng, truth, cfg.expert_accuracy);
-                        self.platform.adjudicate(task, label)?;
-                        adjudicated += 1;
-                        final_labels[item] = Some((label, LabelSource::Adjudicated));
-                        day_committed.push((item, label));
-                    }
-                }
+                // A flag or a three-way split goes to the supervisors' joint
+                // decision (special review).
+                let (label, source) = resolved.unwrap_or_else(|| {
+                    adjudicated += 1;
+                    let label = expert_decision(&mut rng, truth, cfg.expert_accuracy);
+                    (label, LabelSource::Adjudicated)
+                });
+                final_labels[item] = Some((label, source));
+                day_committed.push((item, label));
             }
 
             // ---- Daily inspection ------------------------------------------
@@ -366,7 +299,7 @@ impl Campaign {
                     // Expert re-check: the expert knows the true label with
                     // `expert_accuracy`; model the check as comparing to an
                     // expert judgment, not raw truth.
-                    let expert = expert_decision(&mut rng, truth_of[item], cfg.expert_accuracy);
+                    let expert = expert_decision(&mut rng, items[item].1, cfg.expert_accuracy);
                     if expert == label {
                         correct += 1;
                     }
@@ -407,7 +340,7 @@ impl Campaign {
         }
 
         // ---- Agreement ------------------------------------------------------
-        let mut raters: Vec<Vec<usize>> = vec![Vec::new(); cfg.n_annotators];
+        let mut raters: Vec<Vec<usize>> = vec![Vec::new(); n];
         for votes in joint_votes.iter().flatten() {
             for (r, l) in votes.iter().enumerate() {
                 raters[r].push(l.index());
@@ -428,15 +361,15 @@ impl Campaign {
         // ---- Assemble output -------------------------------------------------
         let mut out = Vec::with_capacity(items.len());
         let mut correct_final = 0usize;
-        for (i, slot) in final_labels.iter().enumerate() {
+        for (i, (slot, &(post, truth))) in final_labels.iter().zip(items).enumerate() {
             let (label, source) = slot.ok_or_else(|| {
                 RsdError::PipelineState(format!("item {i} never received a label"))
             })?;
-            if label == truth_of[i] {
+            if label == truth {
                 correct_final += 1;
             }
             out.push(AnnotatedItem {
-                post: posts[i],
+                post,
                 label,
                 source,
             });
@@ -461,6 +394,37 @@ impl Campaign {
         };
         Ok((out, report))
     }
+}
+
+/// One annotator's decision on one item: a label, or `None` when the item
+/// is flagged uncertain, which only happens under the uncertainty policy.
+fn decide(
+    annotator: &mut SimulatedAnnotator,
+    post: PostId,
+    truth: RiskLevel,
+    uncertainty_policy: bool,
+) -> Option<RiskLevel> {
+    if !uncertainty_policy {
+        return Some(annotator.annotate_no_flagging(post, truth));
+    }
+    match annotator.annotate(post, truth) {
+        AnnotationOutcome::Label(l) => Some(l),
+        AnnotationOutcome::Uncertain => None,
+    }
+}
+
+/// The label more than half of `votes` agree on, if any (2-of-3 voting).
+fn majority(votes: &[RiskLevel]) -> Option<RiskLevel> {
+    let mut counts = [0usize; RiskLevel::COUNT];
+    for l in votes {
+        counts[l.index()] += 1;
+    }
+    let (best_idx, &best) = counts
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, &c)| c)
+        .expect("4");
+    (best * 2 > votes.len()).then_some(RiskLevel::ALL[best_idx])
 }
 
 /// Supervisor/expert decision: truth with probability `accuracy`, else an
@@ -506,14 +470,14 @@ mod tests {
 
     #[test]
     fn empty_items_rejected() {
-        let mut c = Campaign::new(CampaignConfig::paper(1)).unwrap();
+        let c = Campaign::new(CampaignConfig::paper(1)).unwrap();
         assert!(c.run(&[]).is_err());
     }
 
     #[test]
     fn every_item_receives_exactly_one_label() {
         let items = campaign_items(41, 600);
-        let mut c = Campaign::new(CampaignConfig::paper(41)).unwrap();
+        let c = Campaign::new(CampaignConfig::paper(41)).unwrap();
         let (out, _report) = c.run(&items).unwrap();
         assert_eq!(out.len(), items.len());
         for (annotated, (post, _)) in out.iter().zip(&items) {
@@ -524,7 +488,7 @@ mod tests {
     #[test]
     fn kappa_in_papers_neighborhood() {
         let items = campaign_items(42, 1_500);
-        let mut c = Campaign::new(CampaignConfig::paper(42)).unwrap();
+        let c = Campaign::new(CampaignConfig::paper(42)).unwrap();
         let (_, report) = c.run(&items).unwrap();
         // Paper: κ = 0.7206. The simulation is calibrated to land nearby.
         assert!(
@@ -547,7 +511,7 @@ mod tests {
     #[test]
     fn partition_respects_joint_fraction() {
         let items = campaign_items(43, 800);
-        let mut c = Campaign::new(CampaignConfig::paper(43)).unwrap();
+        let c = Campaign::new(CampaignConfig::paper(43)).unwrap();
         let (_, report) = c.run(&items).unwrap();
         let frac = report.joint_items as f64 / items.len() as f64;
         assert!((frac - 0.30).abs() < 0.01, "joint fraction {frac}");
@@ -559,7 +523,7 @@ mod tests {
         let items = campaign_items(44, 800);
         let cfg = CampaignConfig::paper(44);
         let quota_cap = cfg.daily_quota * cfg.n_annotators;
-        let mut c = Campaign::new(cfg).unwrap();
+        let c = Campaign::new(cfg).unwrap();
         let (_, report) = c.run(&items).unwrap();
         for day in &report.days {
             assert!(
@@ -575,7 +539,7 @@ mod tests {
     #[test]
     fn inspections_pass_with_trained_annotators() {
         let items = campaign_items(45, 1_000);
-        let mut c = Campaign::new(CampaignConfig::paper(45)).unwrap();
+        let c = Campaign::new(CampaignConfig::paper(45)).unwrap();
         let (_, report) = c.run(&items).unwrap();
         // The paper reports all reviews passed; sampling noise on a small
         // simulated campaign can fail a single day, so the gate here is:
@@ -596,7 +560,7 @@ mod tests {
     #[test]
     fn label_accuracy_high_but_imperfect() {
         let items = campaign_items(46, 1_000);
-        let mut c = Campaign::new(CampaignConfig::paper(46)).unwrap();
+        let c = Campaign::new(CampaignConfig::paper(46)).unwrap();
         let (_, report) = c.run(&items).unwrap();
         assert!(
             report.label_accuracy > 0.85 && report.label_accuracy < 0.99,
@@ -608,11 +572,11 @@ mod tests {
     #[test]
     fn uncertainty_policy_improves_label_quality() {
         let items = campaign_items(47, 1_000);
-        let mut with = Campaign::new(CampaignConfig::paper(47)).unwrap();
+        let with = Campaign::new(CampaignConfig::paper(47)).unwrap();
         let (_, report_with) = with.run(&items).unwrap();
         let mut cfg = CampaignConfig::paper(47);
         cfg.uncertainty_policy = false;
-        let mut without = Campaign::new(cfg).unwrap();
+        let without = Campaign::new(cfg).unwrap();
         let (_, report_without) = without.run(&items).unwrap();
         assert!(
             report_with.label_accuracy > report_without.label_accuracy,
@@ -627,7 +591,7 @@ mod tests {
     fn deterministic_given_seed() {
         let items = campaign_items(48, 400);
         let run = || {
-            let mut c = Campaign::new(CampaignConfig::paper(48)).unwrap();
+            let c = Campaign::new(CampaignConfig::paper(48)).unwrap();
             c.run(&items).unwrap()
         };
         let (a, ra) = run();
@@ -639,7 +603,7 @@ mod tests {
     #[test]
     fn sources_cover_all_three_kinds() {
         let items = campaign_items(49, 1_000);
-        let mut c = Campaign::new(CampaignConfig::paper(49)).unwrap();
+        let c = Campaign::new(CampaignConfig::paper(49)).unwrap();
         let (out, _) = c.run(&items).unwrap();
         let has = |s: LabelSource| out.iter().any(|i| i.source == s);
         assert!(has(LabelSource::Individual));

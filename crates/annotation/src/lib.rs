@@ -6,10 +6,6 @@
 //! and this crate executes that process end to end against simulated
 //! annotators:
 //!
-//! * [`platform`] — a Label-Studio-like task platform substrate: projects,
-//!   task queues, assignments, submissions, flags and resolutions. The paper
-//!   deployed Label Studio's Docker image on a cloud VM; we reproduce the
-//!   workflow contract (task lifecycle + audit trail), not the UI.
 //! * [`annotator`] — stochastic annotator models: per-item correctness
 //!   driven by a skill level and item difficulty (ambiguous items are hard
 //!   for *all* annotators — the correlated-error structure that makes real
@@ -29,7 +25,6 @@
 
 pub mod annotator;
 pub mod campaign;
-pub mod platform;
 pub mod qualification;
 
 pub use campaign::{AnnotatedItem, Campaign, CampaignConfig, CampaignReport, LabelSource};

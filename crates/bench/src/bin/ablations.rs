@@ -71,7 +71,7 @@ fn main() {
     for policy in [true, false] {
         let mut cfg = CampaignConfig::paper(prepared.seed);
         cfg.uncertainty_policy = policy;
-        let mut campaign = Campaign::new(cfg).expect("campaign");
+        let campaign = Campaign::new(cfg).expect("campaign");
         let (_, report) = campaign.run(&items).expect("run");
         println!(
             "  policy {:<3}: kappa {:.4}, label accuracy {:.2}%, flag rate {:.2}%",

@@ -539,7 +539,7 @@ fn build_streaming_inner(cfg: &BuildConfig, opts: &StreamingOptions) -> Result<S
         .collect();
     let annotate = checkpointed(ckpt.as_ref(), "pipeline.annotate", None, || {
         let _span = rsd_obs::Span::enter("pipeline.annotate");
-        let mut campaign = Campaign::new(cfg.campaign.clone())?;
+        let campaign = Campaign::new(cfg.campaign.clone())?;
         let (items, report) = campaign.run(&items)?;
         Ok(AnnotateArtifact { items, report })
     })?;

@@ -12,7 +12,7 @@ use rsd15k::prelude::*;
 fn run_campaign(items: &[(PostId, RiskLevel)], seed: u64, policy: bool) -> Result<CampaignReport> {
     let mut cfg = CampaignConfig::paper(seed);
     cfg.uncertainty_policy = policy;
-    let mut campaign = Campaign::new(cfg)?;
+    let campaign = Campaign::new(cfg)?;
     let (_, report) = campaign.run(items)?;
     Ok(report)
 }

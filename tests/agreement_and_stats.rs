@@ -22,7 +22,7 @@ fn campaign_items(seed: u64) -> Vec<(PostId, RiskLevel)> {
 
 fn run_campaign(cfg: CampaignConfig) -> (Vec<AnnotatedItem>, CampaignReport) {
     let items = campaign_items(cfg.seed);
-    let mut campaign = Campaign::new(cfg).unwrap();
+    let campaign = Campaign::new(cfg).unwrap();
     campaign.run(&items).unwrap()
 }
 
