@@ -9,6 +9,11 @@
 //! when the name of a `pub fn`/`pub const` defined outside `#[cfg(test)]`
 //! appears nowhere else. It is lenient: a name shared with any other item
 //! (`new`, `len`) always counts as called.
+//!
+//! A second scan does the same for dependencies: every `[dependencies]`
+//! and `[dev-dependencies]` entry of a `crates/*` package or of the root
+//! package must be named, as its `snake_case` identifier, in that
+//! package's own `.rs` sources outside comments and string literals.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -386,4 +391,96 @@ fn the_scan_catches_an_uncalled_pub_fn() {
     // A call from another crate's source is a call.
     let split = [lib("pub unsafe fn raw() {}"), caller("unsafe { raw() }")];
     assert!(uncalled(&split).is_empty());
+}
+
+/// Entries of `manifest`'s `[dependencies]` and `[dev-dependencies]`
+/// tables whose `snake_case` name no identifier in `sources` matches,
+/// in manifest order.
+fn unused_dependencies(manifest: &str, sources: &[String]) -> Vec<String> {
+    let mut used = HashSet::new();
+    let stripped: Vec<String> = sources
+        .iter()
+        .map(|s| strip_comments_and_literals(s))
+        .collect();
+    for text in &stripped {
+        collect_uses(text, &mut used);
+    }
+    let mut in_deps = false;
+    let mut out = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = matches!(line, "[dependencies]" | "[dev-dependencies]");
+        } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+            let name = line.split(['=', '.']).next().unwrap().trim();
+            if !used.contains(name.replace('-', "_").as_str()) {
+                out.push(name.to_string());
+            }
+        }
+    }
+    out
+}
+
+/// Each package's manifest path and the text of its `.rs` sources: the
+/// `crates/*` packages, and the root package's `src`, `tests` and
+/// `examples`.
+fn packages() -> Vec<(PathBuf, Vec<String>)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |files: Vec<PathBuf>| -> Vec<String> {
+        files
+            .iter()
+            .map(|p| std::fs::read_to_string(p).unwrap())
+            .collect()
+    };
+    let mut out = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let dir = krate.unwrap().path();
+        let mut files = Vec::new();
+        rust_files(&dir, &mut files);
+        out.push((dir.join("Cargo.toml"), read(files)));
+    }
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    out.push((root.join("Cargo.toml"), read(files)));
+    out
+}
+
+#[test]
+fn every_dependency_is_named_in_its_package() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut unused: Vec<String> = packages()
+        .iter()
+        .flat_map(|(manifest, sources)| {
+            let text = std::fs::read_to_string(manifest).unwrap();
+            let at = manifest.strip_prefix(root).unwrap().display().to_string();
+            unused_dependencies(&text, sources)
+                .into_iter()
+                .map(move |dep| format!("{at}: {dep}"))
+        })
+        .collect();
+    unused.sort();
+    assert!(
+        unused.is_empty(),
+        "dependencies no source of their package names; remove them:\n{unused:#?}"
+    );
+}
+
+#[test]
+fn the_scan_catches_an_unused_dependency() {
+    let manifest = concat!(
+        "[package]\nname = \"demo\"\n\n",
+        "[dependencies]\n# comment = true\nrsd-common.workspace = true\n",
+        "serde = { path = \"x\" }\nrand.workspace = true\n\n",
+        "[dev-dependencies]\nproptest.workspace = true\n\n",
+        "[[example]]\nname = \"quickstart\"\n",
+    );
+    let sources = [
+        "use rsd_common::rng;\n#[derive(serde::Serialize)]\nstruct S;\n".to_string(),
+        "// rand::random() in a comment\nfn f() -> &'static str { \"proptest\" }\n".to_string(),
+    ];
+    assert_eq!(
+        unused_dependencies(manifest, &sources),
+        vec!["rand", "proptest"]
+    );
 }
