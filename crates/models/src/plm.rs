@@ -20,13 +20,15 @@ use rand::rngs::StdRng;
 
 use crate::encoding::{EncodedWindow, TaskEncoder, TIME_FEATURE_DIM};
 use crate::pretrain::{mlm_pretrain, PretrainConfig};
+use crate::scorer::ScoringModel;
 use crate::trainer::{
-    augment_train_windows, evaluate, outcome_from_confusion, sample_pretrain_texts,
-    train_classifier, BenchData, EvalOutcome, TrainConfig,
+    augment_train_windows, outcome_from_confusion, sample_pretrain_texts, train_classifier,
+    BenchData, EvalOutcome, TrainConfig,
 };
 use rsd_common::rng::stream_rng;
 use rsd_common::Result;
 use rsd_corpus::RiskLevel;
+use rsd_eval::ConfusionMatrix;
 use rsd_nn::layers::Linear;
 use rsd_nn::matrix::Matrix;
 use rsd_nn::transformer::{Encoder, EncoderConfig, MlmHead, PositionMode};
@@ -296,17 +298,16 @@ impl PlmBaseline {
     }
 
     /// Pretrain (if configured), fine-tune, and evaluate.
+    ///
+    /// The test split is scored through the f32 [`ScoringModel`] — the
+    /// artifact the online serving path scores with, bit-equal to the
+    /// tape — so batch evaluation and serving cannot drift.
     pub fn run(&self, data: &BenchData<'_>) -> Result<EvalOutcome> {
         let fitted = self.fit(data)?;
-        let test = fitted.encoder.encode_all(data.dataset, &data.splits.test);
-
-        let model = &fitted.model;
-        let forward = |tape: &mut Tape,
-                       store: &ParamStore,
-                       ex: &EncodedWindow,
-                       rng: &mut StdRng| model.forward(tape, store, ex, rng);
-        let mut eval_rng = stream_rng(data.seed, "plm.eval");
-        let confusion = evaluate(&fitted.store, &forward, &test, &mut eval_rng)?;
+        let model = ScoringModel::from_plm(&fitted, data.splits.config.window, false);
+        let y_test: Vec<usize> = data.splits.test.iter().map(|w| w.label.index()).collect();
+        let preds = model.score_windows(data.dataset, &data.splits.test);
+        let confusion = ConfusionMatrix::from_labels(RiskLevel::COUNT, &y_test, &preds)?;
         let mut extra = fitted.extra.clone();
         extra.push(("params".to_string(), fitted.store.n_scalars().to_string()));
         Ok(outcome_from_confusion(
