@@ -19,6 +19,10 @@
 //!   quota; the uncertainty-reporting policy (flagged items go to joint
 //!   decision); and the daily 10 % expert inspection with its ≥ 85 % gate.
 //!
+//! The paper ran its campaign on Label Studio. Its task records
+//! (assignments, submissions, flags) are not rebuilt here: the campaign
+//! computes every output the paper reports directly.
+//!
 //! The ground-truth latent label plays the role of expert consensus; the
 //! campaign's output is a *noisy but quality-controlled* label per post —
 //! exactly the supervision signal the benchmark models train on.
