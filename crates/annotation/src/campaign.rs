@@ -253,7 +253,6 @@ impl Campaign {
                 plan.push((item, Some(a)));
             }
 
-            // Label the plan in order.
             let mut day_committed: Vec<(usize, RiskLevel)> = Vec::with_capacity(plan.len());
             let mut day_flagged = 0usize;
             for (item, assignee) in plan {
