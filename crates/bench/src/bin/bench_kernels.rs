@@ -11,6 +11,8 @@
 //! * the products at the DeBERTa training shapes — `matmul`, `matmul_nt`
 //!   and `matmul_tn` on the detected f32 tier vs the portable scalar
 //!   kernel, with a bitwise check against the portable kernel;
+//! * `tanh` and `exp` per element — libm, the scalar glibc ports and the
+//!   slice functions on the detected tier, with a bitwise check;
 //! * a table3-scale GBDT tree fit — a verbatim re-creation of the seed's
 //!   row-major (`Vec<Vec<u16>>`) histogram split search vs the new
 //!   column-major gathered [`Tree::fit`];
@@ -38,6 +40,7 @@ use rsd_models::{
     EncodedWindow, FittedPlm, PlmConfig, PlmInferenceModel, PlmKind, PlmScratch, TIME_FEATURE_DIM,
 };
 use rsd_nn::loss::argmax;
+use rsd_nn::mathf;
 use rsd_nn::matrix::{F32Tier, Matrix};
 
 const REPS: usize = 9;
@@ -171,6 +174,66 @@ fn backward_rows() -> Vec<serde_json::Value> {
         })
     })
     .collect()
+}
+
+/// Nanoseconds per element of `tanh` and `exp` over 4,096 inputs in the
+/// range GELU (tanh) and softmax (exp) feed them: this host's libm, the
+/// scalar glibc ports in `rsd_nn::mathf`, and the slice functions on the
+/// detected tier, with a bitwise check of the slices against libm.
+fn transcendental_rows() -> Vec<serde_json::Value> {
+    type Scalar = fn(f32) -> f32;
+    type Slice = fn(F32Tier, &mut [f32]);
+    const N: usize = 4096;
+    let tier = F32Tier::detect();
+    let cases: [(&str, f32, f32, Scalar, Scalar, Slice); 2] = [
+        (
+            "tanh",
+            -4.0,
+            4.0,
+            f32::tanh,
+            mathf::tanh,
+            mathf::tanh_slice_on,
+        ),
+        ("exp", -20.0, 0.0, f32::exp, mathf::exp, mathf::exp_slice_on),
+    ];
+    cases
+        .into_iter()
+        .map(|(name, lo, hi, libm, port, slice_on)| {
+            let xs: Vec<f32> = (0..N)
+                .map(|i| lo + (hi - lo) * ((i * 2_654_435_761) % N) as f32 / N as f32)
+                .collect();
+            let mut ys = xs.clone();
+            let mut ns = |f: &dyn Fn(&mut [f32])| {
+                time_best(|| {
+                    ys.copy_from_slice(&xs);
+                    f(&mut ys);
+                }) * 1e6
+                    / N as f64
+            };
+            let libm_ns = ns(&|ys| ys.iter_mut().for_each(|v| *v = libm(*v)));
+            let port_ns = ns(&|ys| ys.iter_mut().for_each(|v| *v = port(*v)));
+            let slice_ns = ns(&|ys| slice_on(tier, ys));
+            let mut got = xs.clone();
+            slice_on(tier, &mut got);
+            let bitwise = got
+                .iter()
+                .zip(&xs)
+                .all(|(g, &x)| g.to_bits() == libm(x).to_bits());
+            println!(
+                "transcendental {name:>4} [{}]: libm {libm_ns:5.2} ns | port {port_ns:5.2} ns \
+                 | slice {slice_ns:5.2} ns per element | slice bitwise libm {bitwise}",
+                tier.name()
+            );
+            serde_json::json!({
+                "function": name,
+                "f32_tier": tier.name(),
+                "libm_ns_per_elem": libm_ns,
+                "port_ns_per_elem": port_ns,
+                "slice_ns_per_elem": slice_ns,
+                "slice_bitwise_eq_libm": bitwise
+            })
+        })
+        .collect()
 }
 
 fn gbdt_data(n_rows: usize, n_features: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
@@ -576,6 +639,7 @@ fn main() {
 
     let matmul = matmul_rows();
     let backward = backward_rows();
+    let transcendentals = transcendental_rows();
     let gbdt = gbdt_section();
     let inference = inference_section();
 
@@ -585,6 +649,7 @@ fn main() {
         "reps": REPS,
         "matmul": matmul,
         "backward": backward,
+        "transcendentals": transcendentals,
         "gbdt": gbdt,
         "inference": inference,
         "note": "reference_* times the seed's kernels (kept in-tree as rsd_bench::reference \

@@ -200,6 +200,7 @@ pub fn train_classifier(
         let (f1, accuracy) = if valid.is_empty() {
             (0.0, 0.0)
         } else {
+            let _eval_span = rsd_obs::Span::enter("models.train.eval");
             let confusion = evaluate(store, forward, valid, &mut rng)?;
             (confusion.macro_f1(), confusion.accuracy())
         };

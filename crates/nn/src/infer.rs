@@ -5,9 +5,10 @@
 //! allocates a node per op and clones intermediate values so the
 //! backward sweep can read them. Serving needs none of that: the op
 //! helpers here replicate the tape's forward arithmetic *exactly*
-//! (same accumulation order, same `libm` calls) on weights read straight
-//! from a trained [`crate::ParamStore`], so a no-tape forward is
-//! bit-identical to `Tape::inference` on the same weights. The PLM
+//! (same accumulation order, same [`crate::mathf`] transcendentals) on
+//! weights read straight from a trained [`crate::ParamStore`], so a
+//! no-tape forward is bit-identical to `Tape::inference` on the same
+//! weights. The PLM
 //! inference engine in `rsd-models` runs on them, and its parity tests
 //! pin that equivalence.
 //!
@@ -25,7 +26,7 @@ use crate::matrix::Matrix;
 // Each op computes through the formula its `Tape` op uses (shared in
 // `crate::tape`), so inference and training agree bitwise.
 
-use crate::tape::{add_row_in_place, gelu_scalar};
+use crate::tape::{add_row_in_place, gelu_with_tanh};
 pub use crate::tape::{layer_norm_rows, mean_rows_into};
 
 /// `x @ w + b` with `b` broadcast over rows (tape `matmul` + `add_row`).
@@ -44,7 +45,7 @@ pub fn layer_norm(x: &Matrix, gain: &Matrix, bias: &Matrix) -> Matrix {
 
 /// Elementwise GELU over a matrix (tape `gelu`).
 pub fn gelu(x: &Matrix) -> Matrix {
-    x.map(gelu_scalar)
+    gelu_with_tanh(x).0
 }
 
 /// Mean over rows → `1×c` (tape `mean_rows`).

@@ -26,6 +26,8 @@
 //! * [`optim`] — Adam.
 //! * [`loss`] — argmax and class-balancing weights; the cross-entropy
 //!   itself is a fused tape op.
+//! * [`mathf`] — `tanh` and `exp` for every f32 op that needs them:
+//!   ports of glibc 2.36's `tanhf` and `expf`, scalar and 8-lane AVX2.
 //! * [`infer`] — tape-free inference ops that compute through the
 //!   training forward's own formulas, plus the fast approximate
 //!   transcendentals of the int8 path.
@@ -35,12 +37,19 @@
 //! Everything is seed-deterministic. Kernels, gradient harvest and batched
 //! scoring fan out on the `rsd-par` pool, and their results are bitwise
 //! the same for any thread count; sizes are chosen so the full Table III
-//! benchmark trains on CPU in minutes.
+//! benchmark trains on CPU in minutes. The f32 path calls no libm
+//! transcendental: its `tanh` and `exp` are the [`mathf`] ports, checked
+//! on every f32 input against glibc 2.36 on x86-64, so trained bits do
+//! not depend on the host's libm or on which of its variants the loader
+//! picks. On hosts without FMA, the scalar `expf` port's `mul_add` is a
+//! libm `fma` call: exact but slower, as with the portable product
+//! kernels.
 
 pub mod attention;
 pub mod infer;
 pub mod layers;
 pub mod loss;
+pub mod mathf;
 pub mod matrix;
 pub mod optim;
 pub mod params;

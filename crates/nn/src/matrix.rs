@@ -247,6 +247,12 @@ impl Matrix {
         }
     }
 
+    /// `f` over the elements in place, in parallel chunks. `f` must
+    /// treat each element alone, so the chunking cannot change a bit.
+    pub(crate) fn apply(&mut self, f: impl Fn(&mut [f32]) + Sync) {
+        rsd_par::parallel_chunks_mut(&mut self.data, ELEM_GRAIN, |_, chunk| f(chunk));
+    }
+
     /// Fill with zeros in place (for gradient reuse).
     pub(crate) fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);

@@ -10,9 +10,10 @@
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
+use crate::mathf;
 use crate::matrix::{dot4_into, matmul_into, Matrix};
 use crate::params::ParamStore;
-use crate::tape::{Tape, Var};
+use crate::tape::{sigmoid_in_place, Tape, Var};
 
 /// LSTM cell parameters (fused gate projection: `[i f g o]`).
 #[derive(Debug, Clone)]
@@ -100,10 +101,6 @@ impl LstmCache {
     }
 }
 
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
 /// One LSTM direction over `x` (seq×in): the input projection as one
 /// seq×4H GEMM, then per step one `h·Wh` GEMV and the gate math. Values
 /// are bit-identical to the per-step graph of 1-row matmuls, bias rows,
@@ -143,13 +140,14 @@ pub(crate) fn lstm_forward(
         matmul_into(&h, &wh.data, &mut gh);
         let acts = cache.acts.row_mut(s);
         for (j, a) in acts.iter_mut().enumerate() {
-            let z = gx.get(t, j) + (gh[j] + bh.data[j]);
-            *a = if (2 * hidden..3 * hidden).contains(&j) {
-                z.tanh()
-            } else {
-                sigmoid(z)
-            };
+            *a = gx.get(t, j) + (gh[j] + bh.data[j]);
         }
+        // Gates i, f and o are sigmoids, the candidate g a tanh.
+        let (if_gates, go) = acts.split_at_mut(2 * hidden);
+        let (g_gate, o_gate) = go.split_at_mut(hidden);
+        sigmoid_in_place(if_gates);
+        mathf::tanh_slice(g_gate);
+        sigmoid_in_place(o_gate);
         let (prev, rest) = cache.cells.data.split_at_mut(s * hidden);
         let c_prev = if s == 0 {
             &cache.zeros[..]
@@ -158,17 +156,14 @@ pub(crate) fn lstm_forward(
         };
         let acts = cache.acts.row(s);
         for j in 0..hidden {
-            let (i, f, g, o) = (
-                acts[j],
-                acts[hidden + j],
-                acts[2 * hidden + j],
-                acts[3 * hidden + j],
-            );
-            let c = f * c_prev[j] + i * g;
-            let tc = c.tanh();
-            rest[j] = c;
-            cache.tanh_cells.data[s * hidden + j] = tc;
-            h[j] = o * tc;
+            let (i, f, g) = (acts[j], acts[hidden + j], acts[2 * hidden + j]);
+            rest[j] = f * c_prev[j] + i * g;
+        }
+        let tc = cache.tanh_cells.row_mut(s);
+        tc.copy_from_slice(&rest[..hidden]);
+        mathf::tanh_slice(tc);
+        for ((h, &o), &tc) in h.iter_mut().zip(&acts[3 * hidden..]).zip(&*tc) {
+            *h = o * tc;
         }
         out.row_mut(t).copy_from_slice(&h);
     }

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::attention::{attend_backward, attend_heads, Relative};
+use crate::mathf;
 use crate::matrix::Matrix;
 use crate::params::{GradPart, ParamId, ParamStore};
 use crate::rnn::{lstm_backward, lstm_forward, Lstm, LstmCache};
@@ -377,32 +378,23 @@ impl Tape {
     /// Elementwise tanh.
     pub fn tanh(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let value = self.value(a).map(f32::tanh);
+        let mut value = self.value(a).clone();
+        value.apply(mathf::tanh_slice);
         self.push(value, Op::Tanh(a), t0)
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let mut value = self.value(a).clone();
+        value.apply(sigmoid_in_place);
         self.push(value, Op::Sigmoid(a), t0)
     }
 
     /// Elementwise GELU (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
         let t0 = self.start();
-        let x = self.value(a);
-        let tanh = x.map(gelu_tanh).data;
-        let value = Matrix {
-            rows: x.rows,
-            cols: x.cols,
-            data: x
-                .data
-                .iter()
-                .zip(&tanh)
-                .map(|(&x, &t)| gelu_cached(x, t))
-                .collect(),
-        };
+        let (value, tanh) = gelu_with_tanh(self.value(a));
         self.push(value, Op::Gelu { x: a, tanh }, t0)
     }
 
@@ -1063,16 +1055,31 @@ pub(crate) fn softmax_backward(grad: &mut Matrix, y: &Matrix) {
     }
 }
 
-/// Stable in-place softmax over a slice.
+/// Stable in-place softmax over a slice: `exp(v − max)`, summed in
+/// index order, then divided by the sum.
 pub(crate) fn softmax_in_place(row: &mut [f32]) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
     for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+        *v -= max;
+    }
+    mathf::exp_slice(row);
+    let mut sum = 0.0;
+    for &v in row.iter() {
+        sum += v;
     }
     for v in row.iter_mut() {
         *v /= sum;
+    }
+}
+
+/// Logistic sigmoid `1 / (1 + exp(−x))` of every element, in place.
+pub(crate) fn sigmoid_in_place(xs: &mut [f32]) {
+    for v in xs.iter_mut() {
+        *v = -*v;
+    }
+    mathf::exp_slice(xs);
+    for v in xs.iter_mut() {
+        *v = 1.0 / (1.0 + *v);
     }
 }
 
@@ -1123,11 +1130,6 @@ pub fn layer_norm_rows(
     }
 }
 
-/// GELU, tanh approximation.
-pub(crate) fn gelu_scalar(x: f32) -> f32 {
-    gelu_cached(x, gelu_tanh(x))
-}
-
 /// Mean over the `rows` rows of the row-major `x` into `out` (`out.len()`
 /// columns).
 pub fn mean_rows_into(x: &[f32], rows: usize, out: &mut [f32]) {
@@ -1147,13 +1149,22 @@ pub fn mean_rows_into(x: &[f32], rows: usize, out: &mut [f32]) {
 /// `sqrt(2/π)`, the GELU tanh approximation's inner scale.
 const GELU_C: f32 = 0.797_884_6;
 
-/// The tanh term of the GELU approximation, `tanh(C·(x + 0.044715·x³))`,
-/// shared by the forward value and the derivative.
-fn gelu_tanh(x: f32) -> f32 {
-    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+/// GELU (tanh approximation) of `x`, and the tanh terms
+/// `tanh(C·(x + 0.044715·x³))` it is formed from, which the derivative
+/// reads too.
+pub(crate) fn gelu_with_tanh(x: &Matrix) -> (Matrix, Vec<f32>) {
+    let mut tanh = x.map(|x| GELU_C * (x + 0.044715 * x * x * x));
+    tanh.apply(mathf::tanh_slice);
+    let data = x
+        .data
+        .iter()
+        .zip(&tanh.data)
+        .map(|(&x, &t)| gelu_cached(x, t))
+        .collect();
+    (Matrix::from_vec(x.rows, x.cols, data), tanh.data)
 }
 
-/// GELU (tanh approximation) from its cached tanh term `t = gelu_tanh(x)`.
+/// GELU (tanh approximation) from its tanh term `t`.
 fn gelu_cached(x: f32, t: f32) -> f32 {
     0.5 * x * (1.0 + t)
 }
@@ -1432,13 +1443,13 @@ mod tests {
     /// term: the forward and the derivative each evaluate it.
     fn gelu_uncached(x: f32) -> f32 {
         const C: f32 = 0.797_884_6; // sqrt(2/π)
-        0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+        0.5 * x * (1.0 + mathf::tanh(C * (x + 0.044715 * x * x * x)))
     }
 
     fn gelu_grad_uncached(x: f32) -> f32 {
         const C: f32 = 0.797_884_6;
         let inner = C * (x + 0.044715 * x * x * x);
-        let t = inner.tanh();
+        let t = mathf::tanh(inner);
         let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
         0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
     }

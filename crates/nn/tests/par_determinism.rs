@@ -1,12 +1,13 @@
 //! Property tests for the kernel determinism contract: for any shape,
 //! the blocked parallel kernels must be byte-identical under forced
 //! serial execution and on a 4-thread local pool, and every register
-//! width ([`F32Tier`]) of the product kernels must be byte-identical to
-//! the portable scalar kernel.
+//! width ([`F32Tier`]) of the product kernels and of the `tanh`/`exp`
+//! slice functions must be byte-identical to the portable scalar path.
 
 use std::sync::Once;
 
 use proptest::prelude::*;
+use rsd_nn::mathf::{exp_slice_on, tanh_slice_on};
 use rsd_nn::matrix::{F32Tier, Matrix};
 
 /// The dot4 rounding as a scalar reference: lane `l` sums the
@@ -49,6 +50,13 @@ fn matrix_from(rows: usize, cols: usize, vals: &[f32], sparse: bool) -> Matrix {
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bits of `f` applied in place to a copy of `xs` on `tier`.
+fn slice_bits(f: fn(F32Tier, &mut [f32]), tier: F32Tier, xs: &[f32]) -> Vec<u32> {
+    let mut ys = xs.to_vec();
+    f(tier, &mut ys);
+    ys.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Draws as generated by `(0u32..10, -2.0f32..2.0, 1u32..0x80_0000)`
@@ -173,7 +181,11 @@ proptest! {
     /// equals the portable kernel bit for bit, serially and on a 4-thread
     /// pool: 1–9 output rows, k of 1–70 (every residue mod 4), 1–40
     /// outputs (below, at and between multiples of 8 and 16), zero-heavy
-    /// rows, signed zeros and subnormals of both signs.
+    /// rows, signed zeros and subnormals of both signs. So does every
+    /// tier of `tanh_slice_on` and `exp_slice_on` over the left operand's
+    /// values scaled by 1/64, 1/8, 1, 8 and 64 in turn, each followed by
+    /// its next 15 bit patterns. That reaches every branch of both and
+    /// puts chunks on both sides of each function's ordinary range.
     fn every_tier_equals_portable(
         rows in 1usize..10,
         k in 1usize..71,
@@ -203,7 +215,17 @@ proptest! {
         let nt_want = bits(&a.matmul_dot4_on(F32Tier::Portable, &bt));
         let tn_want = bits(&at.matmul_tn_on(F32Tier::Portable, &bt));
         let nn_want = bits(&a.matmul_on(F32Tier::Portable, &bt));
+        let xs: Vec<f32> = a
+            .data
+            .iter()
+            .zip([1.0f32 / 64.0, 0.125, 1.0, 8.0, 64.0].iter().cycle())
+            .flat_map(|(&x, &s)| (0..16).map(move |d| f32::from_bits((x * s).to_bits() + d)))
+            .collect();
+        let tanh_want = slice_bits(tanh_slice_on, F32Tier::Portable, &xs);
+        let exp_want = slice_bits(exp_slice_on, F32Tier::Portable, &xs);
         for tier in tiers_here() {
+            prop_assert!(slice_bits(tanh_slice_on, tier, &xs) == tanh_want, "tanh {}", tier.name());
+            prop_assert!(slice_bits(exp_slice_on, tier, &xs) == exp_want, "exp {}", tier.name());
             for pooled in [false, true] {
                 let run = |f: &dyn Fn() -> Matrix| if pooled {
                     rsd_par::with_local_pool(4, f)

@@ -238,6 +238,9 @@ cargo test --release -q -p rsd-nn --test par_determinism
 # The whole-block attention and LSTM tape ops must equal the primitive-op
 # graphs they replace bit for bit (values, leaf and parameter gradients).
 cargo test --release -q -p rsd-nn --test fused_ops
+# The f32 path's tanh and exp ports, scalar and 8-lane, on every f32
+# input against this host's libm (0 mismatches on glibc 2.36, x86-64).
+cargo test --release -q -p rsd-nn --lib mathf::tests::every_f32_input_matches_libm -- --ignored
 # The committed training digests must hold (no trained weight may move).
 cargo test --release -q -p rsd-models --test train_digest
 # The feature-interleaved GBDT histogram build must keep every fitted
